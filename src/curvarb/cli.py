@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -33,8 +34,8 @@ from .credit import (
     thm1_residuals,
 )
 from .curvature import curvature_components, kernel_check, novikov_sharpe, zc_residual
-from .errors import ConfigurationError, CurvarbError, NumericalError
-from .gauges import Gauge, flat_term_structure
+from .errors import ConfigurationError, CurvarbError, DomainError, NumericalError
+from .gauges import _REL_TOL, Gauge, flat_term_structure
 from .novikov import (
     DensitySpec,
     capped_lgd_driver,
@@ -71,8 +72,17 @@ def _csv(header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _table(cols: list, rows: list) -> str:
+    """CSV of the entries ``cols`` names in each row dict."""
+    return _csv(cols, [[row[c] for c in cols] for row in rows])
+
+
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays for json.dump."""
+    """Recursively convert numpy scalars/arrays for json.dump.
+
+    JSON has no literal for a non-finite float, so one is written as its
+    repr ("inf", "-inf", "nan"), the spelling of the CSV cells.
+    """
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -82,7 +92,8 @@ def _plain(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        x = float(obj)
+        return x if math.isfinite(x) else repr(x)
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     return obj
@@ -122,161 +133,184 @@ def bundled_scenarios() -> list:
     return sorted(names)
 
 
-def _expect(doc, field, kind, violations, required=True, pred=None, note="", prefix=""):
-    shown = f"{prefix}.{field}" if prefix else field
-    node = doc
-    for p in field.split("."):
-        if not isinstance(node, dict) or p not in node:
-            if required:
-                violations.append({"field": shown, "message": "missing"})
-            return None
-        node = node[p]
-    if kind is float and isinstance(node, int) and not isinstance(node, bool):
-        node = float(node)
-    if not isinstance(node, kind) or isinstance(node, bool) and kind is not bool:
-        violations.append({"field": shown, "message": f"expected {kind.__name__}"})
-        return None
-    if pred is not None and not pred(node):
-        violations.append({"field": shown, "message": note or "invalid value"})
-        return None
-    return node
+def _is_number(x) -> bool:
+    # finite and within float range; NaN fails the comparison
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def validate_scenario(doc: dict) -> list:
-    """Structural checks; returns a list of {field, message} violations."""
-    v: list = []
-    if not isinstance(doc, dict):
-        return [{"field": "", "message": "scenario must be a JSON object"}]
-    _expect(doc, "name", str, v, pred=lambda s: len(s) > 0, note="must be nonempty")
-    _expect(doc, "grid.horizon", float, v, pred=lambda x: x > 0, note="must be > 0")
-    _expect(doc, "grid.steps", int, v, pred=lambda x: x >= 2, note="must be >= 2")
-    _expect(doc, "seed", int, v, pred=lambda x: x >= 0, note="must be >= 0")
-    analyses = _expect(doc, "analyses", list, v)
-    wanted = set()
-    if analyses is not None:
-        if not analyses:
-            v.append({"field": "analyses", "message": "must name at least one analysis"})
-        for i, a in enumerate(analyses):
-            if a not in ANALYSES:
-                v.append(
-                    {
-                        "field": f"analyses[{i}]",
-                        "message": f"unknown analysis {a!r}; known: {', '.join(ANALYSES)}",
-                    }
-                )
-            else:
-                wanted.add(a)
-    needs_assets = wanted & {"curvature", "kernel"}
-    if needs_assets:
-        _expect(doc, "n_paths", int, v, pred=lambda x: x >= 2, note="must be >= 2")
-        assets = _expect(doc, "assets", list, v)
-        if assets is not None:
-            if not assets:
-                v.append({"field": "assets", "message": "must list at least one asset"})
-            labels = []
-            for i, a in enumerate(assets):
-                base = f"assets[{i}]"
-                if not isinstance(a, dict):
-                    v.append({"field": base, "message": "must be an object"})
-                    continue
-                label = _expect(a, "label", str, v, prefix=base)
-                if label is not None:
-                    if label in labels:
-                        v.append({"field": f"{base}.label", "message": "duplicate label"})
-                    labels.append(label)
-                _expect(a, "x0", float, v, pred=lambda x: x > 0, note="must be > 0", prefix=base)
-                _expect(a, "drift", float, v, prefix=base)
-                _expect(
-                    a, "sigma", float, v, pred=lambda x: x >= 0, note="must be >= 0", prefix=base
-                )
-                _expect(
-                    a,
-                    "form",
-                    str,
-                    v,
-                    required=False,
-                    pred=lambda s: s in ("geometric", "arithmetic"),
-                    note="must be geometric or arithmetic",
-                    prefix=base,
-                )
-                _expect(a, "rate", float, v, prefix=base)
-        _expect(doc, "offsets.step", float, v, pred=lambda x: x > 0, note="must be > 0")
-        _expect(doc, "offsets.count", int, v, pred=lambda x: x >= 2, note="must be >= 2")
-    if "kernel" in wanted:
-        _expect(doc, "kernel.rate", float, v)
-        _expect(doc, "kernel.pairs", list, v, pred=_pairs_ok, note="must be [t, s] pairs with s > t")
-    if "zc" in wanted:
-        _expect(doc, "zc.alpha", list, v)
-        _expect(doc, "zc.sigma", list, v)
-    if wanted & {"thm1", "bond", "novikov"}:
-        _expect(doc, "n_paths", int, v, pred=lambda x: x >= 2, note="must be >= 2")
-        _expect(doc, "credit.lambda", float, v, pred=lambda x: x > 0, note="must be > 0")
-        _expect(
-            doc, "credit.lgd", float, v, pred=lambda x: 0 <= x <= 1, note="must be in [0, 1]"
-        )
-    if "thm1" in wanted:
-        _expect(doc, "thm1.pairs", list, v, pred=_pairs_ok, note="must be [t, s] pairs with s > t")
-        _expect(
-            doc,
-            "thm1.lambda_source",
-            str,
-            v,
-            required=False,
-            pred=lambda s: s in ("model", "simulated"),
-            note="must be model or simulated",
-        )
-    if "bond" in wanted:
-        _expect(doc, "price.pairs", list, v, pred=_pairs_ok, note="must be [t, s] pairs with s > t")
-    if "novikov" in wanted:
-        _expect(doc, "novikov.k", int, v, pred=lambda x: x >= 1, note="must be >= 1")
-        _expect(
-            doc,
-            "novikov.mode",
-            str,
-            v,
-            required=False,
-            pred=lambda s: s in ("mc", "quadrature", "both"),
-            note="must be mc, quadrature, or both",
-        )
-        _expect(
-            doc,
-            "novikov.lgd_rule",
-            str,
-            v,
-            required=False,
-            pred=lambda s: s in ("constant", "capped"),
-            note="must be constant or capped",
-        )
-    if "sharpe" in wanted:
-        _expect(doc, "sharpe.x0", float, v, pred=lambda x: x > 0, note="must be > 0")
-        _expect(doc, "sharpe.drift", float, v)
-        _expect(doc, "sharpe.sigma", float, v, pred=lambda x: x > 0, note="must be > 0")
-        _expect(doc, "sharpe.x", list, v)
-        _expect(doc, "sharpe.horizon", float, v, pred=lambda x: x > 0, note="must be > 0")
-    seen = set()
-    unique = []
-    for item in v:
-        key = (item["field"], item["message"])
-        if key not in seen:
-            seen.add(key)
-            unique.append(item)
-    return unique
+def _numbers(xs) -> bool:
+    return bool(xs) and all(_is_number(x) for x in xs)
+
+
+def _rows_ok(rows) -> bool:
+    return bool(rows) and all(
+        isinstance(r, list) and _numbers(r) and len(r) == len(rows[0]) for r in rows
+    )
 
 
 def _pairs_ok(pairs) -> bool:
-    for p in pairs:
-        if not isinstance(p, list) or len(p) != 2:
-            return False
-        t, s = p
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (t, s)):
-            return False
-        if not s > t >= 0:
-            return False
-    return bool(pairs)
+    return _rows_ok(pairs) and all(len(p) == 2 and p[1] > p[0] >= 0 for p in pairs)
+
+
+def _one_of(*choices) -> tuple:
+    return (lambda s: s in choices, "must be one of " + ", ".join(choices))
+
+
+_GT0 = (lambda x: x > 0, "must be > 0")
+_GE0 = (lambda x: x >= 0, "must be >= 0")
+_GE1 = (lambda x: x >= 1, "must be >= 1")
+_GE2 = (lambda x: x >= 2, "must be >= 2")
+_PAIRS = (_pairs_ok, "must be [t, s] pairs with s > t >= 0")
+_NUMBERS = (_numbers, "must be a nonempty list of numbers")
+_RATES = (lambda r: _numbers(r if isinstance(r, list) else [r]), "must be one or more numbers")
+_FORM = _one_of("geometric", "arithmetic")
+
+EVERY = None  # needed by every scenario, whatever it runs
+OPTIONAL = frozenset()
+ASSET_ANALYSES = frozenset({"curvature", "kernel"})
+CREDIT_ANALYSES = frozenset({"thm1", "bond", "novikov"})
+
+# field -> (type, (predicate, message) or None, analyses that need it).
+# "[]" steps into each item of a list, and float admits any finite number.
+# This lists every key a runner reads; validate_scenario rejects all others.
+SCHEMA = {
+    "name": (str, (len, "must be nonempty"), EVERY),
+    "grid.horizon": (float, _GT0, EVERY),
+    "grid.steps": (int, _GE2, EVERY),
+    "seed": (int, _GE0, EVERY),
+    "analyses": (list, (len, "must name at least one analysis"), EVERY),
+    "analyses[]": (str, _one_of(*ANALYSES), EVERY),
+    "n_paths": (int, _GE2, ASSET_ANALYSES | CREDIT_ANALYSES),
+    "offsets.step": (float, _GT0, ASSET_ANALYSES),
+    "offsets.count": (int, _GE2, ASSET_ANALYSES),
+    "assets": (list, (len, "must list at least one asset"), ASSET_ANALYSES),
+    "assets[].label": (str, None, ASSET_ANALYSES),
+    "assets[].x0": (float, _GT0, ASSET_ANALYSES),
+    "assets[].drift": (float, None, ASSET_ANALYSES),
+    "assets[].sigma": (float, _GE0, ASSET_ANALYSES),
+    "assets[].form": (str, _FORM, OPTIONAL),
+    "assets[].rate": (float, None, ASSET_ANALYSES),
+    "tolerances.curvature_max_norm": (float, None, OPTIONAL),
+    "kernel.rate": (float, None, {"kernel"}),
+    "kernel.pairs": (list, _PAIRS, {"kernel"}),
+    "zc.alpha": (list, _NUMBERS, {"zc"}),
+    "zc.sigma": (list, (_rows_ok, "must be equal-length rows of numbers"), {"zc"}),
+    "zc.rates": (None, _RATES, OPTIONAL),
+    "credit.lambda": (float, _GT0, CREDIT_ANALYSES),
+    "credit.lgd": (float, (lambda x: 0 <= x <= 1, "must be in [0, 1]"), CREDIT_ANALYSES),
+    "credit.gov_rate": (float, None, OPTIONAL),
+    "credit.spread_shift": (float, None, OPTIONAL),
+    "thm1.pairs": (list, _PAIRS, {"thm1"}),
+    "thm1.lambda_source": (str, _one_of("model", "simulated"), OPTIONAL),
+    "thm1.window": (float, _GT0, OPTIONAL),
+    "thm1.expect_detection": (bool, None, OPTIONAL),
+    "price.pairs": (list, _PAIRS, {"bond"}),
+    "price.expected": (list, _NUMBERS, OPTIONAL),
+    "novikov.k": (int, _GE1, {"novikov"}),
+    "novikov.mode": (str, _one_of("mc", "quadrature", "both"), OPTIONAL),
+    "novikov.lgd_rule": (str, _one_of("constant", "capped"), OPTIONAL),
+    "novikov.cap": (float, _GT0, OPTIONAL),
+    "novikov.expect": (str, _one_of("divergent", "finite", "match"), OPTIONAL),
+    "sharpe.x0": (float, _GT0, {"sharpe"}),
+    "sharpe.drift": (float, None, {"sharpe"}),
+    "sharpe.sigma": (float, _GT0, {"sharpe"}),
+    "sharpe.form": (str, _FORM, OPTIONAL),
+    "sharpe.x": (list, (lambda x: len(x) == 1 and _numbers(x), "must be one number"), {"sharpe"}),
+    "sharpe.horizon": (float, _GT0, {"sharpe"}),
+    "sharpe.n_paths": (int, _GE1, OPTIONAL),
+    "sharpe.steps": (int, _GE1, OPTIONAL),
+    "sharpe.expected": (float, None, OPTIONAL),
+    "sharpe.rtol": (float, _GE0, OPTIONAL),
+}
+# objects that hold SCHEMA fields, such as "grid" and each item of "assets"
+_SECTIONS = {f[:i] for f in SCHEMA for i, c in enumerate(f) if c == "."}
+
+
+def _has_type(x, kind) -> bool:
+    if kind is float:
+        return _is_number(x)
+    return kind is None or isinstance(x, kind) and (kind is bool or not isinstance(x, bool))
+
+
+def _check_value(field: str, name: str, value, wanted: set, v: list) -> None:
+    """Check a value found at the SCHEMA path ``field``, shown as ``name``."""
+    if field in _SECTIONS:
+        if isinstance(value, dict):
+            _check_object(value, field, name, wanted, v)
+        else:
+            v.append((name, "expected object"))
+    elif field not in SCHEMA:
+        v.append((name, "unknown key"))
+    elif not _has_type(value, SCHEMA[field][0]):
+        v.append((name, f"expected {SCHEMA[field][0].__name__}"))
+    elif SCHEMA[field][1] is not None and not SCHEMA[field][1][0](value):
+        v.append((name, SCHEMA[field][1][1]))
+    elif field + "[]" in SCHEMA or field + "[]" in _SECTIONS:
+        for i, item in enumerate(value):
+            _check_value(field + "[]", f"{name}[{i}]", item, wanted, v)
+
+
+def _check_object(node: dict, pattern: str, shown: str, wanted: set, v: list) -> None:
+    """Check each key of one object, and that it holds every field the wanted
+    analyses need; ``pattern`` is its SCHEMA path, "" for the document."""
+    prefix = pattern + "." if pattern else ""
+    for key, value in node.items():
+        _check_value(prefix + key, f"{shown}.{key}" if shown else key, value, wanted, v)
+    for field, (_, _, needed_by) in SCHEMA.items():
+        rest = field[len(prefix) :]
+        # the fields of a present section or of list items are left to their own call
+        if field.startswith(prefix) and "[]" not in rest and rest.split(".")[0] not in node:
+            if needed_by is EVERY or wanted & needed_by:
+                v.append((f"{shown}.{rest}" if shown else rest, "missing"))
+
+
+def _check_across(doc: dict, v: list) -> None:
+    """Checks between well-formed fields: lengths that must agree, and the
+    pair dates against the grid and the offset lattice."""
+    labels = [a["label"] for a in doc.get("assets", [])]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            v.append((f"assets[{i}].label", "duplicate label"))
+    same_len = [("price", "expected", "pairs"), ("zc", "sigma", "alpha"), ("zc", "rates", "alpha")]
+    for section, key, ref in same_len:
+        node = doc.get(section, {})
+        if isinstance(node.get(key), list) and len(node[key]) != len(node.get(ref, [])):
+            v.append((f"{section}.{key}", f"must hold one entry per entry of {section}.{ref}"))
+    grid, span = _grid(doc), _offsets(doc)[-1]
+    thm1 = doc.get("thm1", {})
+    # the simulated hazard needs [t, t + window] inside the grid for some t
+    if thm1.get("lambda_source") == "simulated" and thm1.get("window", 1.0) > grid.horizon:
+        v.append(("thm1.window", "must not exceed grid.horizon"))
+    # kernel reads the state at t and at s, thm1 at t only; both price (t, s)
+    # off the offset lattice, within its tolerance
+    for section, dates in (("kernel", "ts"), ("thm1", "t")):
+        for i, (t, s) in enumerate(doc.get(section, {}).get("pairs", [])):
+            field = f"{section}.pairs[{i}]"
+            for d, x in zip(dates, (t, s)):
+                try:
+                    grid.index_of(x)
+                except DomainError:
+                    v.append((field, f"{d} = {x} is not a grid node"))
+            if s - t > span * (1 + _REL_TOL) + _REL_TOL:
+                v.append((field, f"s - t = {s - t} exceeds the offset span {span}"))
+
+
+def validate_scenario(doc: dict) -> list:
+    """Check a scenario against SCHEMA; returns a list of {field, message}
+    violations, empty when ``run`` can read everything it needs."""
+    if not isinstance(doc, dict):
+        return [{"field": "", "message": "scenario must be a JSON object"}]
+    v: list = []  # (field, message)
+    analyses = doc.get("analyses")
+    wanted = {a for a in analyses if a in ANALYSES} if isinstance(analyses, list) else set()
+    _check_object(doc, "", "", wanted, v)
+    if not v:
+        _check_across(doc, v)
+    return [{"field": field, "message": message} for field, message in v]
 
 
 # ---------------------------------------------------------------------------
-# Shared builders
+# Shared inputs, each built once per run
 
 
 def _grid(doc) -> TimeGrid:
@@ -284,8 +318,9 @@ def _grid(doc) -> TimeGrid:
 
 
 def _offsets(doc) -> np.ndarray:
-    spec = doc["offsets"]
-    return float(spec["step"]) * np.arange(int(spec["count"]))
+    # without an "offsets" section, the lattice _credit_market builds on
+    spec = doc.get("offsets", {})
+    return float(spec.get("step", 0.25)) * np.arange(int(spec.get("count", 21)))
 
 
 def _asset_gauges(doc) -> list:
@@ -325,12 +360,19 @@ def _credit_market(doc):
     )
 
 
+def _shared_inputs(doc) -> dict:
+    """Shared input -> (builder, the analyses that read it)."""
+    quadrature_only = doc.get("novikov", {}).get("mode") == "quadrature"
+    reads_market = CREDIT_ANALYSES - {"novikov"} if quadrature_only else CREDIT_ANALYSES
+    return {"gauges": (_asset_gauges, ASSET_ANALYSES), "market": (_credit_market, reads_market)}
+
+
 # ---------------------------------------------------------------------------
-# Analyses: each returns (files, summary, passed)
+# Analyses: each reads (doc, built inputs) and returns (files, summary, passed)
 
 
-def _run_curvature(doc):
-    report = curvature_components(_asset_gauges(doc))
+def _run_curvature(doc, built):
+    report = curvature_components(built["gauges"])
     header = ["t"]
     for lab in report.labels:
         header += [f"a_{lab}", f"se_{lab}"]
@@ -355,29 +397,23 @@ def _run_curvature(doc):
     return {"curvature.csv": _csv(header, rows)}, summary, passed
 
 
-def _run_kernel(doc):
-    gauges = _asset_gauges(doc)
+def _run_kernel(doc, built):
+    gauges = built["gauges"]
     grid = gauges[0].grid
     beta = np.exp(-float(doc["kernel"]["rate"]) * grid.times)
     pairs = [tuple(p) for p in doc["kernel"]["pairs"]]
     report = kernel_check(gauges, beta, pairs)
-    rows = [
-        [r["label"], r["t"], r["s"], r["residual"], r["se"], r["z"], r["passed"]]
-        for r in report.rows
-    ]
-    files = {
-        "kernel.csv": _csv(["label", "t", "s", "residual", "se", "z", "passed"], rows)
-    }
+    cols = ["label", "t", "s", "residual", "se", "z", "passed"]
     worst = report.worst
     summary = {
         "worst_residual": worst["residual"],
         "worst_label": worst["label"],
         "passed": report.all_passed,
     }
-    return files, summary, report.all_passed
+    return {"kernel.csv": _table(cols, report.rows)}, summary, report.all_passed
 
 
-def _run_zc(doc):
+def _run_zc(doc, built):
     z = doc["zc"]
     report = zc_residual(
         np.asarray(z["alpha"], dtype=np.float64),
@@ -397,46 +433,19 @@ def _run_zc(doc):
     return {"zc.csv": _csv(header, rows)}, summary, report.all_passed
 
 
-def _run_thm1(doc):
-    market = _credit_market(doc)
+def _run_thm1(doc, built):
     section = doc["thm1"]
     report = thm1_residuals(
-        market,
+        built["market"],
         [tuple(p) for p in section["pairs"]],
         lambda_source=section.get("lambda_source", "model"),
         window=float(section.get("window", 1.0)),
     )
-    spread_rows = [
-        [r["t"], r["residual"], r["se"], r["z"], r["detected"]] for r in report.rows_ii
-    ]
-    bond_rows = [
-        [
-            r["t"],
-            r["s"],
-            r["general_printed"],
-            r["general"],
-            r["numeraire_printed"],
-            r["numeraire_rederived"],
-            r["se"],
-            r["n_alive"],
-        ]
-        for r in report.rows_iii
-    ]
+    bond_cols = ["t", "s", "general_printed", "general", "numeraire_printed"]
+    bond_cols += ["numeraire_rederived", "se", "n_alive"]
     files = {
-        "thm1_spread.csv": _csv(["t", "residual", "se", "z", "detected"], spread_rows),
-        "thm1_bond.csv": _csv(
-            [
-                "t",
-                "s",
-                "general_printed",
-                "general",
-                "numeraire_printed",
-                "numeraire_rederived",
-                "se",
-                "n_alive",
-            ],
-            bond_rows,
-        ),
+        "thm1_spread.csv": _table(["t", "residual", "se", "z", "detected"], report.rows_ii),
+        "thm1_bond.csv": _table(bond_cols, report.rows_iii),
     }
     expect_detection = bool(section.get("expect_detection", False))
     any_detected = any(r["detected"] for r in report.rows_ii)
@@ -456,15 +465,14 @@ def _run_thm1(doc):
     return files, summary, passed
 
 
-def _run_bond(doc):
-    market = _credit_market(doc)
+def _run_bond(doc, built):
     section = doc["price"]
     pairs = [tuple(p) for p in section["pairs"]]
     expected = section.get("expected")
     rows = []
     passed = True
     for i, (t, s) in enumerate(pairs):
-        price = corporate_bond_price(market, t, s)
+        price = corporate_bond_price(built["market"], t, s)
         row = [t, s, price.value, price.se, price.n_used]
         if expected is not None:
             tgt = float(expected[i])
@@ -479,7 +487,7 @@ def _run_bond(doc):
     return {"bond.csv": _csv(header, rows)}, summary, passed
 
 
-def _run_novikov(doc):
+def _run_novikov(doc, built):
     section = doc["novikov"]
     k = int(section["k"])
     mode = section.get("mode", "both")
@@ -490,38 +498,17 @@ def _run_novikov(doc):
     mc_est = None
     quad = None
     if mode in ("mc", "both"):
-        market = _credit_market(doc)
+        market = built["market"]
         if rule == "capped":
             market = replace(
                 market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap))
             )
         mc_est = novikov_mc(market, k)
-        files["novikov_mc.csv"] = _csv(
-            [
-                "estimate",
-                "se",
-                "n_used",
-                "censored_fraction",
-                "tail_index",
-                "ci_low",
-                "ci_high",
-                "k_used",
-                "verdict",
-            ],
-            [
-                [
-                    mc_est.estimate,
-                    mc_est.se,
-                    mc_est.n_used,
-                    mc_est.censored_fraction,
-                    mc_est.tail.tail_index,
-                    mc_est.tail.ci_low,
-                    mc_est.tail.ci_high,
-                    mc_est.tail.k_used,
-                    mc_est.verdict,
-                ]
-            ],
-        )
+        cols = ["estimate", "se", "n_used", "censored_fraction"]
+        cols += ["tail_index", "ci_low", "ci_high", "k_used", "verdict"]
+        # the estimate's own verdict overrides that of its tail
+        row = {**vars(mc_est.tail), **vars(mc_est)}
+        files["novikov_mc.csv"] = _table(cols, [row])
         summary["mc_estimate"] = mc_est.estimate
         summary["mc_verdict"] = mc_est.verdict
     if mode in ("quadrature", "both"):
@@ -564,7 +551,7 @@ def _run_novikov(doc):
     return files, summary, passed
 
 
-def _run_sharpe(doc):
+def _run_sharpe(doc, built):
     section = doc["sharpe"]
     spec = ItoSpec(
         x0=float(section["x0"]),
@@ -625,11 +612,23 @@ def cmd_run(args) -> int:
     out_dir = _resolve_out_dir(args.out, doc)
     os.makedirs(out_dir, exist_ok=True)
     names = list(doc["analyses"])
+    # each shared input is built once, before any thread starts; the runners
+    # only read it
+    built, drop_after = {}, {}
+    for key, (build, readers) in _shared_inputs(doc).items():
+        reads = [i for i, name in enumerate(names) if name in readers]
+        if reads:
+            built[key] = build(doc)
+            drop_after[reads[-1]] = key  # the inputs have no reader in common
     if args.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(lambda n: _RUNNERS[n](doc), names))
+            results = list(pool.map(lambda n: _RUNNERS[n](doc, built), names))
     else:
-        results = [_RUNNERS[n](doc) for n in names]
+        results = []
+        for i, name in enumerate(names):
+            results.append(_RUNNERS[name](doc, built))
+            if i in drop_after:
+                del built[drop_after[i]]  # after its last reader
     overall = True
     summary = {
         "scenario": doc["name"],
@@ -645,7 +644,7 @@ def cmd_run(args) -> int:
     summary["overall"] = "pass" if overall else "fail"
     _write_atomic(
         os.path.join(out_dir, "summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
     for name in names:
         status = "pass" if summary["analyses"][name]["passed"] else "fail"

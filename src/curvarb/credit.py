@@ -28,7 +28,15 @@ from scipy import integrate, stats
 
 from .errors import ConfigurationError, EstimationError
 from .gauges import Gauge, TermStructureSurface, forward_rates, short_rate
-from .paths import ItoSpec, PathEnsemble, TimeGrid, path_rng, simulate_brownian, simulate_ito
+from .paths import (
+    ItoSpec,
+    PathEnsemble,
+    TimeGrid,
+    _mean_se,
+    path_rng,
+    simulate_brownian,
+    simulate_ito,
+)
 
 __all__ = [
     "IntensityModel",
@@ -160,7 +168,6 @@ class DefaultSample:
 
     grid: TimeGrid
     tau: np.ndarray                       # (n,) defaults; inf if none in horizon
-    indicator: np.ndarray                 # (n, n_times) 0/1 state at grid nodes
     cumulative_hazard: np.ndarray | None  # (m, n_times), m in {1, n}
     thresholds: np.ndarray | None         # (n,) unit-exponential draws
     lambda_paths: np.ndarray | None       # (m, n_times)
@@ -171,6 +178,11 @@ class DefaultSample:
     @property
     def n_paths(self) -> int:
         return self.tau.size
+
+    @property
+    def indicator(self) -> np.ndarray:
+        """(n, n_times) 0/1 default state at the grid nodes, derived from tau."""
+        return (self.grid.times[None, :] >= self.tau[:, None]).astype(np.float64)
 
     def defaulted(self) -> np.ndarray:
         return np.isfinite(self.tau)
@@ -236,10 +248,7 @@ def simulate_default(
         for i in range(n_paths):
             thresholds[i] = path_rng(seed, i, TAG_EXP).standard_exponential()
         tau = _intensity_default_times(cum, times, thresholds)
-        indicator = (times[None, :] >= tau[:, None]).astype(np.float64)
-        return DefaultSample(
-            grid, tau, indicator, cum, thresholds, lam, None, False, seed
-        )
+        return DefaultSample(grid, tau, cum, thresholds, lam, None, False, seed)
     if isinstance(model, StructuralModel):
         driver = simulate_brownian(grid, n_paths, 1, seed, TAG_DRIVER)
         equity = simulate_ito(model.equity, driver)
@@ -272,10 +281,7 @@ def simulate_default(
             first = np.argmax(crossed, axis=1)
             tau_bridge = np.where(any_cross, times[np.minimum(first + 1, times.size - 1)], np.inf)
             tau = np.minimum(tau, tau_bridge)
-        indicator = (times[None, :] >= tau[:, None]).astype(np.float64)
-        return DefaultSample(
-            grid, tau, indicator, None, None, None, equity, bridge, seed
-        )
+        return DefaultSample(grid, tau, None, None, None, equity, bridge, seed)
     raise ConfigurationError(f"unknown default model {type(model).__name__}")
 
 
@@ -587,9 +593,7 @@ def corporate_bond_price(
         i_t, i_s = market.grid.index_of(t), market.grid.index_of(s)
         payoff = d[:, i_s] / d[:, i_t]
     vals = payoff[alive]
-    return BondPrice(
-        float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_alive)), n_alive
-    )
+    return BondPrice(float(vals.mean()), float(_mean_se(vals)), n_alive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -802,7 +806,7 @@ def thm1_residuals(
             elif market.defaults.lambda_paths is not None:
                 col = market.defaults.lambda_paths[:, i]
                 lam_hat = float(col.mean())
-                lam_se = float(col.std(ddof=1) / np.sqrt(col.size)) if col.size > 1 else 0.0
+                lam_se = float(_mean_se(col))
             else:
                 raise ConfigurationError("market model carries no hazard")
         else:

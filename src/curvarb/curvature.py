@@ -35,6 +35,7 @@ from .paths import (
     ItoSpec,
     PathEnsemble,
     TimeGrid,
+    _mean_se,
     conditional_bin_table,
     simulate_brownian,
     simulate_ito,
@@ -114,7 +115,7 @@ def curvature_components(gauges) -> CurvatureReport:
         r = short_rate(g.curve)
         a = quot + np.broadcast_to(r, (n, times.size))[:, 1:-1]
         comps.append(a.mean(axis=0))
-        ses.append(a.std(ddof=1, axis=0) / np.sqrt(n) if n > 1 else np.zeros(a.shape[1]))
+        ses.append(_mean_se(a))
         weights.append(np.abs(d).mean(axis=0)[1:-1])
     components = np.stack(comps)
     component_se = np.stack(ses)
@@ -255,11 +256,7 @@ def covariation_rates(
     h = driver.grid.steps
     prod = np.einsum("pink,pik->pin", ds, dw) / h[None, :, None]
     rate = prod.mean(axis=0)
-    se = (
-        prod.std(ddof=1, axis=0) / np.sqrt(n)
-        if n > 1
-        else np.zeros_like(rate)
-    )
+    se = _mean_se(prod)
     return rate, se
 
 
@@ -319,7 +316,7 @@ def novikov_sharpe(
     exponents = 0.5 * np.trapezoid(ratio_sq, times, axis=1)
     summands = np.exp(exponents)
     estimate = float(summands.mean())
-    se = float(summands.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    se = float(_mean_se(summands))
     tail = tail_diagnostics(log_samples=exponents) if n_paths >= 20 else None
     verdict = tail.verdict if tail is not None else "finite_evidence"
     return SharpeIntegralEstimate(estimate, se, exponents, tail, verdict)

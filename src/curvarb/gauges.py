@@ -29,7 +29,7 @@ from .errors import (
     NumeraireError,
     SingularTransformError,
 )
-from .paths import PathEnsemble, TimeGrid, _format_float
+from .paths import PathEnsemble, TimeGrid, _format_float, _mean_se
 
 __all__ = [
     "TermStructureSurface",
@@ -471,11 +471,7 @@ def self_financing_residual(gauges: list[Gauge], strategy) -> SelfFinancingRepor
     )
     resid = dv - xd + 0.5 * cov_rate
     mean = resid.mean(axis=0)
-    se = (
-        resid.std(axis=0, ddof=1) / np.sqrt(n_paths)
-        if n_paths > 1
-        else np.zeros(mean.shape)
-    )
+    se = _mean_se(resid)
     return SelfFinancingReport(t[1:-1], mean, se)
 
 

@@ -28,7 +28,7 @@ from scipy import integrate, stats
 from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DomainError, EstimationError
-from .paths import PathEnsemble, path_rng, simulate_brownian
+from .paths import PathEnsemble, _mean_se, path_rng, simulate_brownian
 from .credit import CreditMarket, realized_lgd_at_default
 
 __all__ = [
@@ -212,7 +212,7 @@ def novikov_mc(
     estimate = float(summands.mean())
     # the variance needs exp(2 max exponent), so guard it separately
     if np.isfinite(summands).all() and exponents.max() < 350.0:
-        se = float(summands.std(ddof=1) / np.sqrt(n_def))
+        se = float(_mean_se(summands))
     else:
         se = np.inf
     if not np.isfinite(summands).all():

@@ -50,6 +50,12 @@ __all__ = [
 _NODE_ATOL = 1e-9
 
 
+def _mean_se(x: np.ndarray):
+    """Standard error of the mean over the first axis; 0 with one sample."""
+    n = x.shape[0]
+    return x.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(x.shape[1:])
+
+
 def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.size == 0:
@@ -361,9 +367,7 @@ def realized_covariation(a, b, grid: TimeGrid | None = None) -> CovariationResul
     cum = np.zeros_like(sa)
     np.cumsum(prod, axis=1, out=cum[:, 1:])
     rate = prod / g.steps[None, :]
-    n = sa.shape[0]
-    se = rate.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(rate.shape[1])
-    return CovariationResult(g, cum, rate.mean(axis=0), se)
+    return CovariationResult(g, cum, rate.mean(axis=0), _mean_se(rate))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +425,7 @@ class NelsonEstimator:
         x, y = self.states, self.quotients
         n = x.shape[0]
         if self.conditioning == "analytic" or np.all(self.bandwidth == 0):
-            mean = y.mean(axis=0)
-            se = y.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(y.shape[1])
-            return mean, se, float(n)
+            return y.mean(axis=0), _mean_se(y), float(n)
         u = (x - point[None, :]) / self.bandwidth[None, :]
         logw = -0.5 * np.einsum("ij,ij->i", u, u)
         w = np.exp(logw - logw.max())
@@ -568,7 +570,7 @@ def conditional_bin_table(
     for (lo, hi), members in zip(edges, groups):
         d = samples[members]
         m = float(d.mean())
-        se = float(d.std(ddof=1) / np.sqrt(d.size)) if d.size > 1 else 0.0
+        se = float(_mean_se(d))
         table.append({"lo": lo, "hi": hi, "count": int(d.size), "mean": m, "se": se})
     return table
 

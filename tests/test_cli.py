@@ -215,3 +215,93 @@ def test_csv_headers_and_float_round_trip(tmp_path):
     assert header[-3:] == ["norm", "norm_se", "weighted_std"]
     cell = lines[1].split(",")[0]
     assert float(cell) == 0.25  # first interior grid time
+
+
+# Each case passed ``validate`` at one time while ``run`` crashed on it,
+# ignored it, or rejected it only after building the market.
+@pytest.mark.parametrize(
+    "scenario, path, value, field",
+    [
+        ("thm1_constructed", "price.pairs", [[0.0, 5.0], [0.0, 2.0]], "price.expected"),
+        ("thm1_constructed", "thm1.tolerance", 0.1, "thm1.tolerance"),
+        ("thm1_constructed", "thm1.window", "one", "thm1.window"),
+        ("flat_market", "zc.alpha", [0.04, "x"], "zc.alpha"),
+        ("novikov_capped", "novikov.cap", "big", "novikov.cap"),
+        ("flat_market", "sharpe.x", [1.0, 1.0], "sharpe.x"),
+        ("flat_market", "kernel.pairs", [[0.3, 1.0]], "kernel.pairs[0]"),
+        ("flat_market", "kernel.pairs", [[0.5, 3.0]], "kernel.pairs[0]"),
+        ("thm1_constructed", "thm1.pairs", [[0.1, 1.0]], "thm1.pairs[0]"),
+        ("thm1_constructed", "thm1.pairs", [[0.0, 7.0]], "thm1.pairs[0]"),
+        (
+            "thm1_constructed",
+            "thm1",
+            {"pairs": [[0.0, 5.0]], "lambda_source": "simulated", "window": 20.0},
+            "thm1.window",
+        ),
+    ],
+)
+def test_validate_rejects_what_run_cannot_read(tmp_path, capsys, scenario, path, value, field):
+    doc = load_scenario(scenario)
+    *parents, key = path.split(".")
+    node = doc
+    for p in parents:
+        node = node[p]
+    node[key] = value
+    scen = tmp_path / "gap.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["validate", str(scen)]) == 2
+    assert f"{field}: " in capsys.readouterr().out
+    assert main(["run", str(scen), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid scenario: {field}: " in err
+    assert "Traceback" not in err
+
+
+def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):
+    import curvarb.cli as cli
+
+    calls = {"build_thm1_market": 0, "simulate_brownian": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["run", "thm1_constructed", "--out", str(tmp_path / "thm1")]) == 0
+    assert calls["build_thm1_market"] == 1  # read by thm1 and bond
+    assert main(["run", "flat_market", "--out", str(tmp_path / "flat")]) == 0
+    assert calls["simulate_brownian"] == 2  # one driver per asset, read by curvature and kernel
+
+
+def test_summary_is_strict_json_with_nonfinite_values(tmp_path):
+    # constant LGD makes the Novikov integral diverge: the quadrature value is inf
+    doc = {
+        "name": "novikov_constant",
+        "grid": {"horizon": 30.0, "steps": 30},
+        "seed": 3,
+        "n_paths": 2,
+        "credit": {"lambda": 0.02, "lgd": 0.4},
+        "novikov": {"k": 4, "mode": "quadrature", "lgd_rule": "constant"},
+        "analyses": ["novikov"],
+    }
+    scen = tmp_path / "constant.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", str(scen), "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary["analyses"]["novikov"]["quadrature_value"] == "inf"
+
+
+def test_readme_scenario_example_validates():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text.split("## Scenarios", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert validate_scenario(json.loads(example)) == []
