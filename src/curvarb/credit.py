@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, stats
 
 from .errors import ConfigurationError, EstimationError
 from .gauges import Gauge, TermStructureSurface, forward_rates, short_rate
@@ -32,8 +31,8 @@ from .paths import (
     ItoSpec,
     PathEnsemble,
     TimeGrid,
+    _keyed_rows,
     _mean_se,
-    path_rng,
     simulate_brownian,
     simulate_ito,
 )
@@ -101,6 +100,8 @@ class IntensityModel:
         if isinstance(self.lam, ItoSpec):
             raise ConfigurationError("stochastic hazard needs simulation")
         if callable(self.lam):
+            from scipy import integrate
+
             val, _ = integrate.quad(self.lam, t, s, limit=200)
             return float(val)
         return float(self.lam) * (s - t)
@@ -244,9 +245,9 @@ def simulate_default(
         dt = grid.steps
         cum = np.zeros((lam.shape[0], times.size))
         np.cumsum(0.5 * (lam[:, 1:] + lam[:, :-1]) * dt[None, :], axis=1, out=cum[:, 1:])
-        thresholds = np.empty(n_paths)
-        for i in range(n_paths):
-            thresholds[i] = path_rng(seed, i, TAG_EXP).standard_exponential()
+        thresholds = _keyed_rows(
+            seed, TAG_EXP, np.arange(n_paths), (), lambda gen: gen.standard_exponential()
+        )
         tau = _intensity_default_times(cum, times, thresholds)
         return DefaultSample(grid, tau, cum, thresholds, lam, None, False, seed)
     if isinstance(model, StructuralModel):
@@ -263,11 +264,10 @@ def simulate_default(
             if geometric and b <= 0:
                 raise ConfigurationError("geometric bridge needs a positive barrier")
             dt = grid.steps
-            u = np.empty((n_paths, times.size - 1))
-            for p in range(n_paths):
-                u[p] = path_rng(seed, p, TAG_BRIDGE).random(times.size - 1)
-            sig = np.empty((n_paths, times.size - 1))
-            for i in range(times.size - 1):
+            m = dt.size
+            u = _keyed_rows(seed, TAG_BRIDGE, np.arange(n_paths), (m,), lambda gen: gen.random(m))
+            sig = np.empty((n_paths, m))
+            for i in range(m):
                 sig[:, i] = model.equity.eval_sigma(times[i], e[:, i : i + 1], 1)[:, 0, 0]
             a, c = e[:, :-1], e[:, 1:]
             valid = (a > b) & (c > b)
@@ -311,6 +311,8 @@ def cox_uniformity(sample: DefaultSample) -> tuple[float, float, int]:
     )
     total = cum[rows, -1]
     u = -np.expm1(-lam_tau) / -np.expm1(-total)
+    from scipy import stats
+
     stat, pvalue = stats.kstest(u, "uniform")
     return float(stat), float(pvalue), int(mask.sum())
 
@@ -754,6 +756,9 @@ class Thm1Report:
     resolution: str
 
 
+_WINDOW_TOL = 1e-12
+
+
 def _empirical_hazard(
     sample: DefaultSample, t: float, window: float
 ) -> tuple[float, float]:
@@ -789,6 +794,10 @@ def thm1_residuals(
         raise ConfigurationError(f"unknown lambda_source {lambda_source!r}")
     grid = market.grid
     times = grid.times
+    if lambda_source == "simulated" and not 0.0 < window <= grid.horizon + _WINDOW_TOL:
+        raise ConfigurationError(
+            f"window must lie in (0, {grid.horizon}] for the simulated hazard, got {window}"
+        )
     if market.corp_rates is not None and market.gov_rates is not None:
         spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
     else:
@@ -810,7 +819,7 @@ def thm1_residuals(
             else:
                 raise ConfigurationError("market model carries no hazard")
         else:
-            if t + window > grid.horizon + 1e-12:
+            if t + window > grid.horizon + _WINDOW_TOL:
                 continue
             lam_hat, lam_se = _empirical_hazard(market.defaults, t, window)
         lgd_t = market.lgd.deterministic_at(t)

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DomainError, EstimationError
-from .paths import PathEnsemble, _mean_se, path_rng, simulate_brownian
+from .paths import PathEnsemble, _keyed_rows, _mean_se, simulate_brownian
 from .credit import CreditMarket, realized_lgd_at_default
 
 __all__ = [
@@ -181,19 +179,18 @@ def novikov_mc(
     grid = sample.grid
     times = grid.times
     driver = simulate_brownian(grid, sample.n_paths, k, seed, TAG_NOVIKOV_DRIVER)
-    tau = sample.tau
     rows = np.nonzero(mask)[0]
-    w_tau = np.empty((n_def, k))
-    for out_i, p in enumerate(rows):
-        i1 = int(np.searchsorted(times, tau[p]))
-        i0 = i1 - 1
-        dt = times[i1] - times[i0]
-        theta = (tau[p] - times[i0]) / dt
-        xi = path_rng(seed, int(p), TAG_NOVIKOV_BRIDGE).standard_normal(k)
-        w0 = driver.values[p, i0]
-        w1 = driver.values[p, i1]
-        w_tau[out_i] = w0 + theta * (w1 - w0) + np.sqrt(theta * (1 - theta) * dt) * xi
-    tau_d = tau[rows]
+    tau_d = sample.tau[rows]
+    i1 = np.searchsorted(times, tau_d)
+    i0 = i1 - 1
+    dt = times[i1] - times[i0]
+    theta = (tau_d - times[i0]) / dt
+    xi = _keyed_rows(seed, TAG_NOVIKOV_BRIDGE, rows, (k,), lambda gen: gen.standard_normal(k))
+    w0 = driver.values[rows, i0]
+    w1 = driver.values[rows, i1]
+    w_tau = (
+        w0 + theta[:, None] * (w1 - w0) + np.sqrt(theta * (1 - theta) * dt)[:, None] * xi
+    )
     q = np.sum(w_tau * w_tau, axis=1) / tau_d
     if q_form == "printed":
         q = np.sqrt(q)
@@ -270,6 +267,8 @@ class DensitySpec:
             )
         if self.lgd_value is not None and not 0.0 <= self.lgd_value < 2.0:
             raise ConfigurationError("lgd_value must lie in [0, 2)")
+        from scipy import integrate
+
         mass, _ = integrate.quad(self.tau_pdf, 0.0, self.t_max, limit=200)
         if abs(mass - 1.0) > 1e-6:
             raise ConfigurationError(
@@ -385,6 +384,9 @@ def novikov_quadrature(
     which witnesses the Q -> 0 divergence without ever evaluating an
     overflowing exponential outside log space.
     """
+    from scipy import stats
+    from scipy.special import logsumexp
+
     k = density.k
     q_max = float(stats.chi2.ppf(1.0 - 1e-8, k))
     if q_min_start is None:

@@ -190,6 +190,16 @@ class PathEnsemble:
 # Seeded streams
 
 
+_SEED_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+def _check_stream(tag: int, lowest_path: int, highest_path: int) -> None:
+    if lowest_path < 0 or highest_path >= 1 << 48:
+        raise ConfigurationError("path index out of range for stream keying")
+    if tag < 0 or tag >= 1 << 16:
+        raise ConfigurationError("stream tag out of range")
+
+
 def path_rng(seed: int, path_index: int, tag: int = 0) -> np.random.Generator:
     """Counter-based generator for one path of one logical stream.
 
@@ -198,21 +208,43 @@ def path_rng(seed: int, path_index: int, tag: int = 0) -> np.random.Generator:
     scheduling.  Tags separate independent uses of the same scenario seed
     (driver noise, default thresholds, bridge noise, ...).
     """
-    if path_index < 0 or path_index >= 1 << 48:
-        raise ConfigurationError("path index out of range for stream keying")
-    if tag < 0 or tag >= 1 << 16:
-        raise ConfigurationError("stream tag out of range")
-    key = ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | (tag << 48) | path_index
+    _check_stream(tag, path_index, path_index)
+    key = ((seed & _SEED_MASK) << 64) | (tag << 48) | path_index
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def normal_increments(
-    seed: int, n_paths: int, shape: tuple[int, ...], tag: int = 0
+def _keyed_rows(
+    seed: int,
+    tag: int,
+    paths: np.ndarray,
+    shape: tuple[int, ...],
+    draw: Callable[[np.random.Generator], np.ndarray | float],
 ) -> np.ndarray:
-    """Stack of standard-normal draws, one keyed stream per path."""
-    out = np.empty((n_paths, *shape))
-    for i in range(n_paths):
-        out[i] = path_rng(seed, i, tag).standard_normal(shape)
+    """Row i holds draw(gen) on the stream path_rng(seed, paths[i], tag).
+
+    One Philox serves the whole batch: for each path its state is reset to the
+    path's key, counter 0 and an empty buffer, which is exactly the state a
+    fresh path_rng generator starts in, without building one per path.
+    """
+    paths = np.asarray(paths, dtype=np.int64)
+    _check_stream(tag, int(paths.min()), int(paths.max()))
+    low_words = np.uint64(tag << 48) | paths.astype(np.uint64)
+    key = np.array([0, seed & _SEED_MASK], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    out = np.empty((paths.size, *shape))
+    for i, word in enumerate(low_words):
+        key[0] = word
+        bitgen.state = state
+        out[i] = draw(gen)
     return out
 
 
@@ -222,8 +254,11 @@ def simulate_brownian(
     """Standard Brownian motion started at 0, increments scaled by sqrt(dt)."""
     if n_paths < 1 or dim < 1:
         raise ConfigurationError("need n_paths >= 1 and dim >= 1")
-    z = normal_increments(seed, n_paths, (grid.n_times - 1, dim), tag)
-    dw = z * np.sqrt(grid.steps)[None, :, None]
+    shape = (grid.n_times - 1, dim)
+    dw = _keyed_rows(
+        seed, tag, np.arange(n_paths), shape, lambda gen: gen.standard_normal(shape)
+    )
+    dw *= np.sqrt(grid.steps)[None, :, None]
     w = np.zeros((n_paths, grid.n_times, dim))
     np.cumsum(dw, axis=1, out=w[:, 1:, :])
     return PathEnsemble(grid, w, driver_increments=dw, seed=seed)

@@ -134,6 +134,13 @@ def test_threads_match_serial(tmp_path):
     assert _read_tree(a) == _read_tree(b)
 
 
+def test_threads_match_serial_with_intensity_thresholds(tmp_path):
+    a, b = tmp_path / "serial", tmp_path / "threaded"
+    assert main(["run", "thm1_constructed", "--out", str(a)]) == 0
+    assert main(["run", "thm1_constructed", "--out", str(b), "--threads", "4"]) == 0
+    assert _read_tree(a) == _read_tree(b)
+
+
 def test_failing_analysis_exits_one(tmp_path, capsys):
     doc = load_scenario("flat_market")
     doc["tolerances"]["curvature_max_norm"] = 1e-6
@@ -186,24 +193,41 @@ def test_version_and_scenarios_commands(capsys):
     assert "flat_market" in capsys.readouterr().out
 
 
-def test_module_entry_point(tmp_path):
-    """python -m curvarb reaches the same runner."""
-    # The child runs in an unrelated directory, where a relative PYTHONPATH
-    # such as "src" resolves to nothing; hand it the absolute root of the
+def _child_env():
+    # A child started in an unrelated directory resolves a relative
+    # PYTHONPATH such as "src" to nothing; hand it the absolute root of the
     # package this suite imported, ahead of any inherited entries.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(curvarb.__file__)))
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = os.pathsep.join(filter(None, [package_root, inherited]))
-    env = dict(os.environ, PYTHONPATH=pythonpath)
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def test_module_entry_point(tmp_path):
+    """python -m curvarb reaches the same runner."""
     proc = subprocess.run(
         [sys.executable, "-m", "curvarb", "version"],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"curvarb {curvarb.__version__}\n", proc.stderr
+
+
+def test_import_loads_no_scipy(tmp_path):
+    """SciPy is imported only by the functions that call it."""
+    probe = "import sys, curvarb; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n", proc.stderr
 
 
 def test_csv_headers_and_float_round_trip(tmp_path):

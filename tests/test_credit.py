@@ -235,6 +235,19 @@ def test_thm1_unperturbed_simulated_source_quiet():
     assert abs(sim.rows_ii[0]["z"]) < 4
 
 
+def test_thm1_simulated_window_must_fit_the_horizon():
+    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=3)
+    for window in (0.0, -1.0, 10.5, np.nan):
+        with pytest.raises(ConfigurationError, match="window"):
+            thm1_residuals(market, [], lambda_source="simulated", window=window)
+    # the whole horizon still leaves the row at t = 0
+    full = thm1_residuals(market, [], lambda_source="simulated", window=10.0)
+    assert [r["t"] for r in full.rows_ii] == [0.0]
+    # the model hazard never reads the window
+    model = thm1_residuals(market, [], lambda_source="model", window=10.5)
+    assert len(model.rows_ii) == 41
+
+
 def test_credit_gauge_bookkeeping():
     market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=20_000, seed=2)
     gauge = credit_gauge(market)

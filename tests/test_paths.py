@@ -28,6 +28,7 @@ from curvarb import (
     write_ensemble,
     write_ensemble_csv,
 )
+from curvarb.paths import _keyed_rows
 
 
 def test_grid_validation():
@@ -73,6 +74,41 @@ def test_per_path_streams_are_order_independent():
     assert np.array_equal(full.values, again.values)
     other_tag = simulate_brownian(grid, 50, dim=1, seed=99, tag=3)
     assert not np.array_equal(full.values, other_tag.values)
+
+
+KEYED_DRAWS = {
+    "normal_block": (np.arange(30), (6, 2), lambda gen: gen.standard_normal((6, 2))),
+    "exponential": (np.arange(30), (), lambda gen: gen.standard_exponential()),
+    "uniform_row": (np.arange(30), (9,), lambda gen: gen.random(9)),
+    # 32-bit draws read the half-word cache that a reset must clear
+    "uniform_float32": (np.arange(30), (5,), lambda gen: gen.random(5, dtype=np.float32)),
+    # a subset of paths in no particular order, like the defaulted rows
+    "normal_subset": (
+        np.array([41, 3, 17, 1 << 40, 9, 4]),
+        (3,),
+        lambda gen: gen.standard_normal(3),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEYED_DRAWS))
+@pytest.mark.parametrize("seed", [5, (1 << 63) + 11])
+def test_batch_streams_match_path_rng_bit_for_bit(kind, seed):
+    paths, shape, draw = KEYED_DRAWS[kind]
+    batch = _keyed_rows(seed, 6, paths, shape, draw)
+    single = np.array([draw(path_rng(seed, int(p), tag=6)) for p in paths], dtype=float)
+    assert batch.shape == (paths.size, *shape)
+    assert batch.tobytes() == single.tobytes()
+
+
+def test_batch_streams_check_ranges_like_path_rng():
+    draw = lambda gen: gen.random()  # noqa: E731
+    for tag, paths in [(1 << 16, [0]), (-1, [0]), (0, [3, -1]), (0, [1 << 48, 2])]:
+        with pytest.raises(ConfigurationError):
+            _keyed_rows(1, tag, np.array(paths), (), draw)
+        with pytest.raises(ConfigurationError):
+            for p in paths:
+                path_rng(1, p, tag)
 
 
 def test_log_euler_matches_lognormal_closed_form_pathwise():
