@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import io
 import json
 import math
 import os
@@ -43,7 +44,7 @@ from .novikov import (
     novikov_mc,
     novikov_quadrature,
 )
-from .paths import ItoSpec, TimeGrid, simulate_brownian, simulate_ito
+from .paths import ItoSpec, TimeGrid, _se_gate, _write_csv, simulate_brownian, simulate_ito
 
 ANALYSES = ("curvature", "kernel", "zc", "thm1", "bond", "novikov", "sharpe")
 ASSET_TAG_BASE = 16  # asset drivers sit above the tags used inside credit
@@ -55,21 +56,10 @@ OUTPUT_DIR_ENV = "CURVARB_OUTPUT_DIR"
 # Deterministic serialization
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _csv(header: list, rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    _write_csv(buf, header, rows)
+    return buf.getvalue()
 
 
 def _table(cols: list, rows: list) -> str:
@@ -388,7 +378,7 @@ def _run_curvature(doc, built):
     if tol is not None:
         passed = bool(report.norm.max() <= float(tol))
     else:
-        passed = bool(np.all(report.norm <= np.maximum(4.0 * report.norm_se, 1e-10)))
+        passed = all(_se_gate(n, se, 4.0, 1e-10)[1] for n, se in zip(report.norm, report.norm_se))
     summary = {
         "max_norm": report.max_norm,
         "max_norm_se": float(report.norm_se.max()),
@@ -451,8 +441,9 @@ def _run_thm1(doc, built):
     any_detected = any(r["detected"] for r in report.rows_ii)
     spread_ok = any_detected if expect_detection else not any_detected
     bond_ok = all(
-        abs(r["general"]) <= 3 * r["se"] and abs(r["numeraire_rederived"]) <= 3 * r["se"]
+        _se_gate(r[name], r["se"])[1]
         for r in report.rows_iii
+        for name in ("general", "numeraire_rederived")
     )
     passed = spread_ok and bond_ok
     summary = {
@@ -476,7 +467,7 @@ def _run_bond(doc, built):
         row = [t, s, price.value, price.se, price.n_used]
         if expected is not None:
             tgt = float(expected[i])
-            ok = abs(price.value - tgt) <= 3 * price.se
+            ok = _se_gate(price.value - tgt, price.se)[1]
             row += [tgt, ok]
             passed = passed and ok
         rows.append(row)
@@ -544,7 +535,7 @@ def _run_novikov(doc, built):
         if mc_est is None or quad is None or not quad.converged:
             passed = False
         else:
-            passed = abs(mc_est.estimate - quad.value) <= 3 * mc_est.se
+            passed = _se_gate(mc_est.estimate - quad.value, mc_est.se)[1]
     else:
         passed = True
     summary["passed"] = passed

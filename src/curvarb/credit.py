@@ -31,8 +31,10 @@ from .paths import (
     ItoSpec,
     PathEnsemble,
     TimeGrid,
+    _cumulative_trapezoid,
     _keyed_rows,
     _mean_se,
+    _se_gate,
     simulate_brownian,
     simulate_ito,
 )
@@ -192,8 +194,40 @@ class DefaultSample:
         return self.tau > t
 
 
+def _survivors(sample: DefaultSample, at: float, minimum: int, message: str, **diagnostics):
+    """Paths alive at a time and their count; fewer than minimum is an EstimationError."""
+    alive = sample.survivors_at(at)
+    n_alive = int(alive.sum())
+    if n_alive < minimum:
+        raise EstimationError(message, diagnostics={"alive": n_alive, **diagnostics})
+    return alive, n_alive
+
+
 # ---------------------------------------------------------------------------
 # Simulation
+
+
+def _hazard_paths(model: IntensityModel, grid: TimeGrid, n_paths: int, seed: int):
+    """(lam, cum): the hazard on the grid, clipped at zero and one row when
+    deterministic, and its trapezoidal cumulative hazard."""
+    if model.is_deterministic():
+        lam = model.hazard_values(grid.times)
+    else:
+        driver = simulate_brownian(grid, n_paths, model.lam.driver_dim(), seed, TAG_LAMBDA)
+        lam = np.maximum(simulate_ito(model.lam, driver).series, 0.0)
+    return lam, _cumulative_trapezoid(lam, grid.steps)
+
+
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """Entry i is np.interp(x[i], xp, fp[i]) bit for bit (x without NaN):
+    the same bracketing node and formula, for all rows at once."""
+    rows = np.arange(x.size)
+    j = np.searchsorted(xp, x, side="right") - 1  # xp[j] <= x < xp[j + 1]
+    k = np.clip(j, 0, xp.size - 2)
+    slope = (fp[rows, k + 1] - fp[rows, k]) / (xp[k + 1] - xp[k])
+    at_node = (j < 0) | (j == xp.size - 1) | (xp[k] == x)
+    node = fp[rows, np.clip(j, 0, xp.size - 1)]
+    return np.where(at_node, node, slope * (x - xp[k]) + fp[rows, k])
 
 
 def _intensity_default_times(
@@ -235,16 +269,7 @@ def simulate_default(
         raise ConfigurationError("need n_paths >= 1")
     times = grid.times
     if isinstance(model, IntensityModel):
-        if model.is_deterministic():
-            lam = model.hazard_values(times)
-        else:
-            driver = simulate_brownian(
-                grid, n_paths, model.lam.driver_dim(), seed, TAG_LAMBDA
-            )
-            lam = np.maximum(simulate_ito(model.lam, driver).series, 0.0)
-        dt = grid.steps
-        cum = np.zeros((lam.shape[0], times.size))
-        np.cumsum(0.5 * (lam[:, 1:] + lam[:, :-1]) * dt[None, :], axis=1, out=cum[:, 1:])
+        lam, cum = _hazard_paths(model, grid, n_paths, seed)
         thresholds = _keyed_rows(
             seed, TAG_EXP, np.arange(n_paths), (), lambda gen: gen.standard_exponential()
         )
@@ -306,9 +331,7 @@ def cox_uniformity(sample: DefaultSample) -> tuple[float, float, int]:
             diagnostics={"defaulted": int(mask.sum())},
         )
     rows = np.nonzero(mask)[0]
-    lam_tau = np.array(
-        [np.interp(sample.tau[p], times, cum[p]) for p in rows]
-    )
+    lam_tau = _interp_rows(sample.tau[rows], times, cum[rows])
     total = cum[rows, -1]
     u = -np.expm1(-lam_tau) / -np.expm1(-total)
     from scipy import stats
@@ -353,12 +376,7 @@ def default_probability(
         raise ConfigurationError("simulation estimate needs n_paths >= 2")
     grid = TimeGrid.regular(s, steps)
     if isinstance(model, IntensityModel):
-        driver = simulate_brownian(grid, n_paths, model.lam.driver_dim(), seed, TAG_LAMBDA)
-        lam = np.maximum(simulate_ito(model.lam, driver).series, 0.0)
-        cum = np.zeros_like(lam)
-        np.cumsum(
-            0.5 * (lam[:, 1:] + lam[:, :-1]) * grid.steps[None, :], axis=1, out=cum[:, 1:]
-        )
+        _, cum = _hazard_paths(model, grid, n_paths, seed)
         it = grid.index_of(t) if t > 0 else 0
         st_ = grid.index_of(s)
         a = np.exp(-cum[:, st_])
@@ -374,12 +392,7 @@ def default_probability(
         return ProbabilityEstimate(float(1.0 - ratio), se, "survival_ratio", n)
     if isinstance(model, StructuralModel):
         sample = simulate_default(model, grid, n_paths, seed, bridge=bridge)
-        alive = sample.survivors_at(t)
-        n_alive = int(alive.sum())
-        if n_alive < 2:
-            raise EstimationError(
-                "no survivors to condition on", diagnostics={"alive": n_alive}
-            )
+        alive, n_alive = _survivors(sample, t, 2, "no survivors to condition on")
         p = float((sample.tau[alive] <= s).mean())
         se = float(np.sqrt(p * (1 - p) / n_alive))
         return ProbabilityEstimate(p, se, "first_passage", n_alive)
@@ -485,13 +498,13 @@ def nelson_default_derivative(
     n_paths: int = 100_000,
     seed: int = 0,
     steps_per_unit: int = 200,
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
     """Forward difference quotient of the default indicator on survivors.
 
-    Returns (estimate, standard error, value on the defaulted set).  For
-    intensity models the estimate approaches the hazard at t; far above a
-    structural barrier it collapses to zero; on the defaulted set the
-    indicator is frozen at one so the quotient is identically zero.
+    Returns (estimate, standard error).  For intensity models the estimate
+    approaches the hazard at t; far above a structural barrier it collapses
+    to zero.  On the defaulted set the indicator is frozen at one, so the
+    quotient there is identically zero and is not returned.
     """
     horizon = t + h
     steps = max(4, int(round(horizon * steps_per_unit)))
@@ -499,16 +512,11 @@ def nelson_default_derivative(
     if t > 0:
         grid.index_of(t)
     sample = simulate_default(model, grid, n_paths, seed)
-    alive = sample.survivors_at(t)
-    n_alive = int(alive.sum())
-    if n_alive < 100:
-        raise EstimationError(
-            "too few survivors at t", diagnostics={"alive": n_alive}
-        )
+    alive, n_alive = _survivors(sample, t, 100, "too few survivors at t")
     p = float((sample.tau[alive] <= t + h).mean())
     est = p / h
     se = float(np.sqrt(p * (1 - p) / n_alive) / h)
-    return est, se, 0.0
+    return est, se
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +560,7 @@ def realized_lgd_at_default(market: CreditMarket) -> np.ndarray:
         return out
     if market.lgd.kind == "stochastic":
         paths = market.lgd.sample_paths(sample.grid, tau.size, market.seed)
-        times = sample.grid.times
-        for p in np.nonzero(mask)[0]:
-            out[p] = np.interp(tau[p], times, paths[p])
+        out[mask] = _interp_rows(tau[mask], sample.grid.times, paths[mask])
         return out
     raise ConfigurationError("driver_linked LGD is realized by the caller")
 
@@ -580,10 +586,7 @@ def corporate_bond_price(
     if normalization not in ("terminal", "deflator"):
         raise ConfigurationError(f"unknown normalization {normalization!r}")
     sample = market.defaults
-    alive = sample.survivors_at(t)
-    n_alive = int(alive.sum())
-    if n_alive < 2:
-        raise EstimationError("no survivors at t", diagnostics={"alive": n_alive})
+    alive, n_alive = _survivors(sample, t, 2, "no survivors at t")
     if normalization == "terminal":
         lgd = realized_lgd_at_default(market)
         hit = (sample.tau > t) & (sample.tau <= s)
@@ -637,16 +640,14 @@ def credit_gauge(market: CreditMarket) -> CreditGauge:
     # (1 - LGD) * pre-default corporate value minus the government deflator
     sample = market.defaults
     lgd = realized_lgd_at_default(market)
-    jump_dev = 0.0
     pre = np.broadcast_to(
         market.corp_predefault.series, (n, market.grid.n_times)
     )
     times = market.grid.times
-    for p in np.nonzero(sample.defaulted())[0]:
-        i = int(np.searchsorted(times, sample.tau[p] - 1e-12))
-        i = min(i, times.size - 1)
-        expected = (1.0 - lgd[p]) * pre[p, i] - d_gov[p, i]
-        jump_dev = max(jump_dev, abs(deflator.series[p, i] - expected))
+    p = np.nonzero(sample.defaulted())[0]
+    i = np.minimum(np.searchsorted(times, sample.tau[p] - 1e-12), times.size - 1)
+    expected = (1.0 - lgd[p]) * pre[p, i] - d_gov[p, i]
+    jump_dev = np.max(np.abs(deflator.series[p, i] - expected), initial=0.0)
     return CreditGauge(deflator, curve, f, r, float(check), float(jump_dev))
 
 
@@ -825,41 +826,32 @@ def thm1_residuals(
         lgd_t = market.lgd.deterministic_at(t)
         residual = float(spread[i] - beta[i] * lgd_t * lam_hat)
         se = float(beta[i] * lgd_t * lam_se)
-        z = abs(residual) / se if se > 0 else (np.inf if abs(residual) > atol else 0.0)
+        z, within = _se_gate(residual, se, atol=atol)
         rows_ii.append(
             {
                 "t": float(t),
                 "residual": residual,
                 "se": se,
-                "z": float(z),
-                "detected": bool(abs(residual) > max(3 * se, atol)),
+                "z": z,
+                "detected": not within,
             }
         )
     sample = market.defaults
+    shape = (sample.n_paths, times.size)
     rows_iii = []
     for t, s in pairs:
-        alive = sample.survivors_at(t)
-        n_alive = int(alive.sum())
-        if n_alive < 10:
-            raise EstimationError(
-                "too few survivors for the bond-difference residual",
-                diagnostics={"alive": n_alive, "t": t},
-            )
+        alive, n_alive = _survivors(
+            sample, t, 10, "too few survivors for the bond-difference residual", t=t
+        )
         p_hat = float(((sample.tau[alive] > t) & (sample.tau[alive] <= s)).mean())
         p_se = float(np.sqrt(p_hat * (1 - p_hat) / n_alive))
         surv_hat = 1.0 - p_hat
         i_t = grid.index_of(t)
         p_corp = float(market.corp.curve.price(t, s).mean())
         p_gov = float(market.gov.curve.price(t, s).mean())
-        d_corp = float(
-            np.broadcast_to(
-                market.corp.deflator.series, (sample.n_paths, times.size)
-            )[alive, i_t].mean()
-        )
-        d_gov = float(
-            np.broadcast_to(
-                market.gov.deflator.series, (sample.n_paths, times.size)
-            )[alive, i_t].mean()
+        d_corp, d_gov = (
+            float(np.broadcast_to(g.deflator.series, shape)[alive, i_t].mean())
+            for g in (market.corp, market.gov)
         )
         lgd_t = float(market.lgd.deterministic_at(t))
         b_t = float(beta[i_t])

@@ -36,7 +36,9 @@ from .paths import (
     PathEnsemble,
     TimeGrid,
     _mean_se,
-    conditional_bin_table,
+    _se_gate,
+    _symmetric_quotient,
+    _worst_bin,
     simulate_brownian,
     simulate_ito,
 )
@@ -101,17 +103,12 @@ def curvature_components(gauges) -> CurvatureReport:
     times = grid.times
     if times.size < 3:
         raise ConfigurationError("need at least three grid times")
-    h_fwd = grid.steps[1:]
-    h_bwd = grid.steps[:-1]
     interior = times[1:-1]
     comps, ses, weights = [], [], []
     for g in gauges:
         d = g.deflator.series
         n = d.shape[0]
-        quot = 0.5 * (
-            (d[:, 2:] - d[:, 1:-1]) / h_fwd[None, :]
-            + (d[:, 1:-1] - d[:, :-2]) / h_bwd[None, :]
-        ) / d[:, 1:-1]
+        quot = _symmetric_quotient(d, grid) / d[:, 1:-1]
         r = short_rate(g.curve)
         a = quot + np.broadcast_to(r, (n, times.size))[:, 1:-1]
         comps.append(a.mean(axis=0))
@@ -386,20 +383,18 @@ def kernel_check(
                     "discounted state collapsed to zero",
                     diagnostics={"label": g.label, "t": t},
                 )
-            table = conditional_bin_table(m_t, y / scale, n_bins, min_bin)
-            worst = max(table, key=lambda row: abs(row["mean"]))
-            res, se = worst["mean"], worst["se"]
-            z = abs(res) / se if se > 0 else (np.inf if abs(res) > atol else 0.0)
+            worst = _worst_bin(m_t, y / scale, n_bins, min_bin)
+            z, passed = _se_gate(worst.residual, worst.se, atol=atol)
             rows.append(
                 {
                     "label": g.label,
                     "t": float(t),
                     "s": float(s),
-                    "residual": res,
-                    "se": se,
-                    "z": float(z),
-                    "passed": bool(abs(res) <= max(3.0 * se, atol)),
-                    "bins": table,
+                    "residual": worst.residual,
+                    "se": worst.se,
+                    "z": z,
+                    "passed": passed,
+                    "bins": worst.bins,
                 }
             )
     return KernelCheckReport(rows)

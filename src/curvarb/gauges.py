@@ -17,7 +17,6 @@ combinations exact.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -29,7 +28,15 @@ from .errors import (
     NumeraireError,
     SingularTransformError,
 )
-from .paths import PathEnsemble, TimeGrid, _format_float, _mean_se
+from .paths import (
+    PathEnsemble,
+    TimeGrid,
+    _cumulative_trapezoid,
+    _mean_se,
+    _read_long_csv,
+    _symmetric_quotient,
+    _write_csv,
+)
 
 __all__ = [
     "TermStructureSurface",
@@ -243,10 +250,7 @@ def term_structure_from_forwards(
     f = np.asarray(f, dtype=np.float64)
     if f.ndim == 2:
         f = f[None, :, :]
-    dh = np.diff(off)
-    acc = np.zeros_like(f)
-    acc[:, :, 1:] = np.cumsum(0.5 * (f[:, :, 1:] + f[:, :, :-1]) * dh, axis=2)
-    values = np.exp(-acc)
+    values = np.exp(-_cumulative_trapezoid(f, np.diff(off)))
     values[:, :, 0] = 1.0
     return TermStructureSurface(grid, off, values)
 
@@ -318,6 +322,19 @@ def gauge_transform(gauge: Gauge, pi: CashflowVector) -> Gauge:
     return Gauge(new_deflator, new_curve, label=gauge.label)
 
 
+def _holdings(gauges: list[Gauge], x, name: str, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Holdings x as (n_times, N) from (N,) or (n_times, N), and the asset
+    deflators stacked along axis with a common path count."""
+    grid = gauges[0].grid
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = np.broadcast_to(x, (grid.n_times, len(gauges)))
+    if x.shape != (grid.n_times, len(gauges)):
+        raise ConfigurationError(f"{name} must have shape (N,) or (n_times, N)")
+    shape = (max(g.n_paths for g in gauges), grid.n_times)
+    return x, np.stack([np.broadcast_to(g.deflator.series, shape) for g in gauges], axis=axis)
+
+
 def portfolio_gauge(gauges: list[Gauge], nominals) -> Gauge:
     """Aggregate assets into a portfolio gauge.
 
@@ -337,16 +354,8 @@ def portfolio_gauge(gauges: list[Gauge], nominals) -> Gauge:
             raise ConfigurationError("portfolio gauges live on different grids")
         if not np.array_equal(g.curve.offsets, offsets):
             raise ConfigurationError("portfolio gauges use different maturity lattices")
-    x = np.asarray(nominals, dtype=np.float64)
-    n_assets = len(gauges)
-    if x.ndim == 1:
-        x = np.broadcast_to(x, (grid.n_times, n_assets))
-    if x.shape != (grid.n_times, n_assets):
-        raise ConfigurationError("nominals must have shape (N,) or (n_times, N)")
-    n_paths = max(g.n_paths for g in gauges)
-    deflators = np.stack(
-        [np.broadcast_to(g.deflator.series, (n_paths, grid.n_times)) for g in gauges]
-    )  # (N, n_paths, n_times)
+    x, deflators = _holdings(gauges, nominals, "nominals", axis=0)
+    n_assets, n_paths = deflators.shape[:2]  # deflators: (N, n_paths, n_times)
     dx = np.einsum("tj,jpt->pt", x, deflators)
     if np.any(np.abs(dx) <= 1e-300):
         raise SingularTransformError("portfolio deflator vanishes somewhere")
@@ -437,29 +446,13 @@ def self_financing_residual(gauges: list[Gauge], strategy) -> SelfFinancingRepor
     self-financing way, and spikes at discrete rebalancing jumps.
     """
     grid = gauges[0].grid
-    x = np.asarray(strategy, dtype=np.float64)
-    n_assets = len(gauges)
-    if x.ndim == 1:
-        x = np.broadcast_to(x, (grid.n_times, n_assets))
-    if x.shape != (grid.n_times, n_assets):
-        raise ConfigurationError("strategy must have shape (N,) or (n_times, N)")
-    n_paths = max(g.n_paths for g in gauges)
-    d = np.stack(
-        [np.broadcast_to(g.deflator.series, (n_paths, grid.n_times)) for g in gauges],
-        axis=2,
-    )  # (n_paths, n_times, N)
+    x, d = _holdings(gauges, strategy, "strategy", axis=2)  # d: (n_paths, n_times, N)
     v = np.einsum("tj,ptj->pt", x, d)
     t = grid.times
     hp = (t[2:] - t[1:-1])[None, :]
     hm = (t[1:-1] - t[:-2])[None, :]
-
-    def mean_quot(series):  # (paths, times) -> (paths, interior)
-        fwd = (series[:, 2:] - series[:, 1:-1]) / hp
-        bwd = (series[:, 1:-1] - series[:, :-2]) / hm
-        return 0.5 * (fwd + bwd)
-
-    dv = mean_quot(v)
-    dd = np.stack([mean_quot(d[:, :, j]) for j in range(n_assets)], axis=2)
+    dv = _symmetric_quotient(v, grid)
+    dd = _symmetric_quotient(d, grid)  # (n_paths, interior, N)
     xd = np.einsum("tj,ptj->pt", x[1:-1], dd)
     dx_fwd = (x[2:] - x[1:-1])[None, :, :]
     dx_bwd = (x[1:-1] - x[:-2])[None, :, :]
@@ -481,51 +474,29 @@ def self_financing_residual(gauges: list[Gauge], strategy) -> SelfFinancingRepor
 
 def write_term_structure_csv(path: str | os.PathLike, curve: TermStructureSurface) -> None:
     """Long format: path, t, s, P with shortest-round-trip floats."""
+    times, offsets = curve.grid.times, curve.offsets
+    rows = (
+        [p, times[i], times[i] + offsets[j], v]
+        for (p, i, j), v in np.ndenumerate(curve.values)
+    )
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "t", "s", "P"])
-        times = curve.grid.times
-        for p in range(curve.n_paths):
-            for i, t in enumerate(times):
-                for j, h in enumerate(curve.offsets):
-                    writer.writerow(
-                        [p, _format_float(t), _format_float(t + h),
-                         _format_float(curve.values[p, i, j])]
-                    )
+        _write_csv(fh, ["path", "t", "s", "P"], rows)
 
 
 def read_term_structure_csv(path: str | os.PathLike) -> TermStructureSurface:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["path", "t", "s", "P"]:
-        raise ConfigurationError("unrecognized term-structure CSV header")
-    body = rows[1:]
-    if not body:
-        raise ConfigurationError("term-structure CSV has no data rows")
-    paths = sorted({int(r[0]) for r in body})
-    times = sorted({float(r[1]) for r in body})
-    # s - t reintroduces rounding noise, so cluster raw offsets before indexing
-    raw = sorted({float(r[2]) - float(r[1]) for r in body})
     centers: list[float] = []
-    for h in raw:
-        if not centers or h - centers[-1] > _REL_TOL * (1 + abs(h)):
-            centers.append(h)
 
-    def h_index(h: float) -> int:
-        k = int(np.searchsorted(centers, h))
-        if k >= len(centers) or (
-            k > 0 and abs(centers[k - 1] - h) <= abs(centers[k] - h)
-        ):
-            k -= 1
-        return k
+    def offset_indices(body: list) -> np.ndarray:
+        # s - t reintroduces rounding noise, so cluster raw offsets before indexing
+        hs = np.array([float(r[2]) - float(r[1]) for r in body])
+        for h in np.unique(hs):
+            if not centers or h - centers[-1] > _REL_TOL * (1 + abs(h)):
+                centers.append(float(h))
+        # the nearer of the two centers around each offset, the lower on a tie
+        c = np.array(centers)
+        k = np.clip(np.searchsorted(c, hs), 1, c.size - 1)
+        return np.where(np.abs(c[k - 1] - hs) <= np.abs(c[k] - hs), k - 1, k)
 
-    p_ix = {p: i for i, p in enumerate(paths)}
-    t_ix = {v: i for i, v in enumerate(times)}
-    values = np.full((len(paths), len(times), len(centers)), np.nan)
-    for r in body:
-        h = float(r[2]) - float(r[1])
-        values[p_ix[int(r[0])], t_ix[float(r[1])], h_index(h)] = float(r[3])
-    if np.any(np.isnan(values)):
-        raise ConfigurationError("term-structure CSV is missing cells")
+    grid, values = _read_long_csv(path, ["path", "t", "s", "P"], "term-structure", offset_indices)
     centers[0] = 0.0
-    return TermStructureSurface(TimeGrid(np.array(times)), np.array(centers), values)
+    return TermStructureSurface(grid, np.array(centers), values)

@@ -56,6 +56,24 @@ def _mean_se(x: np.ndarray):
     return x.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(x.shape[1:])
 
 
+def _se_gate(residual: float, se: float, k: float = 3.0, atol: float = 0.0) -> tuple[float, bool]:
+    """|z| of a residual and whether |residual| <= max(k * se, atol).
+
+    With a zero standard error z is 0 for a residual within atol, else inf.
+    """
+    r = abs(residual)
+    z = r / se if se > 0 else (np.inf if r > atol else 0.0)
+    return float(z), bool(r <= max(k * se, atol))
+
+
+def _cumulative_trapezoid(y: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of y from the first node to every node along the
+    last axis; steps holds the node spacings."""
+    out = np.zeros(y.shape)
+    np.cumsum(0.5 * (y[..., 1:] + y[..., :-1]) * steps, axis=-1, out=out[..., 1:])
+    return out
+
+
 def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.size == 0:
@@ -114,6 +132,15 @@ class TimeGrid:
         return idx
 
 
+def _symmetric_quotient(x: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Mean of the forward and backward difference quotients along axis 1,
+    each over its own step, at the interior grid times."""
+    h = grid.steps.reshape(-1, *(1,) * (x.ndim - 2))
+    fwd = (x[:, 2:] - x[:, 1:-1]) / h[1:]
+    bwd = (x[:, 1:-1] - x[:, :-2]) / h[:-1]
+    return 0.5 * (fwd + bwd)
+
+
 def _check_finite(values: np.ndarray, what: str) -> None:
     if np.all(np.isfinite(values)):
         return
@@ -129,9 +156,9 @@ def _check_finite(values: np.ndarray, what: str) -> None:
 class PathEnsemble:
     """Immutable block of sampled paths on a common grid.
 
-    values has shape (n_paths, n_times, dim).  driver_increments, when present,
-    holds the Brownian increments that generated the paths, shaped
-    (n_paths, n_times - 1, k).
+    values has shape (n_paths, n_times, dim).  driver_increments is set only
+    on Brownian ensembles from simulate_brownian: the increments of the
+    paths, shaped (n_paths, n_times - 1, k), which simulate_ito integrates.
     """
 
     grid: TimeGrid
@@ -321,9 +348,9 @@ class ItoSpec:
 def simulate_ito(spec: ItoSpec, driver: PathEnsemble) -> PathEnsemble:
     """Integrate an ItoSpec against the given Brownian driver.
 
-    The driver must carry its increments.  The output reuses the driver grid,
-    seed, and increments, so downstream estimators can see both the state and
-    the noise that produced it.
+    The driver must carry its increments, as simulate_brownian's output does;
+    any other ensemble, an Ito output among them, is rejected.  The output
+    reuses the driver grid and seed but not its increments.
     """
     if driver.driver_increments is None:
         raise ConfigurationError("driver ensemble carries no increments")
@@ -352,7 +379,7 @@ def simulate_ito(spec: ItoSpec, driver: PathEnsemble) -> PathEnsemble:
             state = np.exp(log_state)
         x[:, i + 1, :] = state
     _check_finite(x, "simulated paths")
-    return PathEnsemble(grid, x, driver_increments=dw, seed=driver.seed)
+    return PathEnsemble(grid, x, seed=driver.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +637,14 @@ def conditional_bin_table(
     return table
 
 
+def _worst_bin(states: np.ndarray, samples: np.ndarray, n_bins: int, min_bin: int):
+    """The conditional_bin_table bin whose mean is largest in magnitude, as a
+    MartingaleResidual that also carries the whole table."""
+    table = conditional_bin_table(states, samples, n_bins, min_bin)
+    worst = max(table, key=lambda row: abs(row["mean"]))
+    return MartingaleResidual(worst["mean"], worst["se"], table)
+
+
 def martingale_residual(
     ensemble: PathEnsemble,
     t: float,
@@ -629,9 +664,7 @@ def martingale_residual(
         raise ConfigurationError("need s > t")
     qt = ensemble.at_time(t)[:, 0]
     qs = ensemble.at_time(s)[:, 0]
-    table = conditional_bin_table(qt, qs - qt, n_bins, min_bin)
-    worst = max(table, key=lambda row: abs(row["mean"]))
-    return MartingaleResidual(worst["mean"], worst["se"], table)
+    return _worst_bin(qt, qs - qt, n_bins, min_bin)
 
 
 # ---------------------------------------------------------------------------
@@ -665,41 +698,56 @@ def read_ensemble(path: str | os.PathLike) -> PathEnsemble:
     return PathEnsemble(grid, values)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _format_cell(x) -> str:
+    """One CSV cell: shortest round-trip repr for floats, true/false for bools."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def _write_csv(fh, header: list, rows) -> None:
+    """Header and rows as CSV with "\\n" line ends; cells go through
+    _format_cell and are quoted, as in RFC 4180, only when they hold a
+    comma, a quote or a line break."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_cell(x) for x in row] for row in rows)
+
+
+def _read_long_csv(path, header: list, what: str, third: Callable):
+    """Grid and (path, t, third) values of a long-format CSV with columns
+    header = [path, t, <third>, value]; third(body) gives each data row's
+    index along the third axis."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != header:
+        raise ConfigurationError(f"unrecognized {what} CSV header")
+    body = rows[1:]
+    if not body:
+        raise ConfigurationError(f"{what} CSV has no data rows")
+    paths, p_ix = np.unique([int(r[0]) for r in body], return_inverse=True)
+    times, t_ix = np.unique([float(r[1]) for r in body], return_inverse=True)
+    k = np.asarray(third(body))
+    values = np.full((paths.size, times.size, np.unique(k).size), np.nan)
+    values[p_ix, t_ix, k] = [float(r[3]) for r in body]
+    if np.any(np.isnan(values)):
+        raise ConfigurationError(f"{what} CSV is missing cells")
+    return TimeGrid(times), values
 
 
 def write_ensemble_csv(path: str | os.PathLike, ensemble: PathEnsemble) -> None:
     """Long-format CSV (path, t, component, value) for small ensembles."""
+    times = ensemble.grid.times
+    rows = ([p, times[i], j, v] for (p, i, j), v in np.ndenumerate(ensemble.values))
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "t", "component", "value"])
-        times = ensemble.grid.times
-        for p in range(ensemble.n_paths):
-            for i in range(ensemble.n_times):
-                for j in range(ensemble.dim):
-                    writer.writerow(
-                        [p, _format_float(times[i]), j,
-                         _format_float(ensemble.values[p, i, j])]
-                    )
+        _write_csv(fh, ["path", "t", "component", "value"], rows)
 
 
 def read_ensemble_csv(path: str | os.PathLike) -> PathEnsemble:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["path", "t", "component", "value"]:
-        raise ConfigurationError("unrecognized ensemble CSV header")
-    body = rows[1:]
-    if not body:
-        raise ConfigurationError("ensemble CSV has no data rows")
-    paths = sorted({int(r[0]) for r in body})
-    times = sorted({float(r[1]) for r in body})
-    comps = sorted({int(r[2]) for r in body})
-    values = np.full((len(paths), len(times), len(comps)), np.nan)
-    p_ix = {p: i for i, p in enumerate(paths)}
-    t_ix = {t: i for i, t in enumerate(times)}
-    for r in body:
-        values[p_ix[int(r[0])], t_ix[float(r[1])], int(r[2])] = float(r[3])
-    if np.any(np.isnan(values)):
-        raise ConfigurationError("ensemble CSV is missing cells")
-    return PathEnsemble(TimeGrid(np.array(times)), values)
+    grid, values = _read_long_csv(
+        path, ["path", "t", "component", "value"], "ensemble",
+        lambda body: [int(r[2]) for r in body],
+    )
+    return PathEnsemble(grid, values)

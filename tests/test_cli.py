@@ -1,5 +1,6 @@
 """Scenario runner: validation messages, exit codes, reproducible outputs."""
 
+import csv
 import json
 import os
 import subprocess
@@ -239,6 +240,25 @@ def test_csv_headers_and_float_round_trip(tmp_path):
     assert header[-3:] == ["norm", "norm_se", "weighted_std"]
     cell = lines[1].split(",")[0]
     assert float(cell) == 0.25  # first interior grid time
+
+
+def test_csv_cells_are_quoted_when_needed(tmp_path):
+    doc = load_scenario("flat_market")
+    doc["n_paths"] = 500
+    doc["assets"][0]["label"] = 'a,"x"'
+    scen = tmp_path / "quoted.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", str(scen), "--out", str(out)]) in (0, 1)
+    tables = {}
+    for path in sorted(out.glob("*.csv")):
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        tables[path.name] = (header, rows)
+    assert sorted(tables) == ["curvature.csv", "kernel.csv", "sharpe.csv", "zc.csv"]
+    assert tables["curvature.csv"][0][1:5] == ['a_a,"x"', 'se_a,"x"', "a_beta", "se_beta"]
+    assert [row[0] for row in tables["kernel.csv"][1]] == ['a,"x"', 'a,"x"', "beta", "beta"]
 
 
 # Each case passed ``validate`` at one time while ``run`` crashed on it,

@@ -21,6 +21,7 @@ from curvarb.credit import (
     simulate_default,
     thm1_residuals,
 )
+from curvarb.credit import _interp_rows
 from curvarb.errors import ConfigurationError, EstimationError
 from curvarb.paths import ItoSpec, TimeGrid
 
@@ -159,18 +160,47 @@ def test_implied_intensity_coarse_observation_positive():
     assert abs(est.lambda0 - rate) < 3 * est.se + 0.02
 
 
+def _interp_loop(x, xp, fp):
+    """The reference: one np.interp call per row."""
+    return np.array([np.interp(x[i], xp, fp[i]) for i in range(x.size)])
+
+
+@pytest.mark.parametrize("case", ["interior", "nodes", "right_end", "outside", "empty"])
+def test_interp_rows_matches_np_interp_bit_for_bit(case):
+    rng = np.random.default_rng(3)
+    xp = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.7, 40))])
+    x = {
+        "interior": rng.uniform(xp[0], xp[-1], 500),
+        "nodes": xp[rng.integers(0, xp.size, 500)],
+        "right_end": np.full(500, xp[-1]),
+        "outside": np.concatenate([xp[0] - rng.random(250), xp[-1] + rng.random(250)]),
+        "empty": np.empty(0),
+    }[case]
+    fp = np.cumsum(rng.uniform(0.0, 0.3, (x.size, xp.size)), axis=1)
+    assert _interp_rows(x, xp, fp).tobytes() == _interp_loop(x, xp, fp).tobytes()
+
+
+def test_interp_rows_matches_np_interp_at_default_times():
+    grid = TimeGrid.regular(10.0, 40)
+    spec = ItoSpec(x0=0.05, drift=0.0, sigma=0.03, form="arithmetic")
+    sample = simulate_default(IntensityModel(spec), grid, 20_000, seed=5)
+    rows = np.nonzero(sample.defaulted())[0]
+    assert rows.size > 1000
+    x, fp = sample.tau[rows], sample.cumulative_hazard[rows]
+    assert _interp_rows(x, grid.times, fp).tobytes() == _interp_loop(x, grid.times, fp).tobytes()
+
+
 def test_nelson_default_derivative_matches_hazard():
-    est, se, on_defaulted = nelson_default_derivative(
+    est, se = nelson_default_derivative(
         IntensityModel(0.05), t=1.0, h=0.05, n_paths=200_000, seed=8
     )
-    assert on_defaulted == 0.0
     assert abs(est - 0.05) < 3 * se + 1e-3
     assert se < 0.004
 
 
 def test_nelson_default_derivative_above_barrier_vanishes():
     spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.05, form="arithmetic")
-    est, se, _ = nelson_default_derivative(
+    est, se = nelson_default_derivative(
         StructuralModel(spec, 0.5), t=0.25, h=0.05, n_paths=20_000, seed=8
     )
     assert est == 0.0 and se == 0.0

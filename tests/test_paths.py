@@ -130,6 +130,17 @@ def test_arithmetic_euler_exact_for_constant_coefficients():
     assert np.allclose(paths.series, closed, rtol=0, atol=1e-12)
 
 
+def test_ito_output_carries_no_increments_and_cannot_drive():
+    grid = TimeGrid.regular(1.0, 8)
+    driver = simulate_brownian(grid, 50, seed=3)
+    assert driver.driver_increments is not None
+    spec = ItoSpec(x0=1.0, sigma=0.2, form="geometric")
+    paths = simulate_ito(spec, driver)
+    assert paths.driver_increments is None
+    with pytest.raises(ConfigurationError, match="carries no increments"):
+        simulate_ito(spec, paths)
+
+
 def test_state_dependent_coefficients_are_fed_the_state():
     grid = TimeGrid.regular(1.0, 128)
     driver = simulate_brownian(grid, 4000, seed=21)
