@@ -482,7 +482,7 @@ def _run_novikov(doc, built):
     section = doc["novikov"]
     k = int(section["k"])
     mode = section.get("mode", "both")
-    rule = section.get("lgd_rule", "constant")
+    capped = section.get("lgd_rule", "constant") == "capped"
     cap = float(section.get("cap", 0.1))
     files = {}
     summary = {}
@@ -490,10 +490,8 @@ def _run_novikov(doc, built):
     quad = None
     if mode in ("mc", "both"):
         market = built["market"]
-        if rule == "capped":
-            market = replace(
-                market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap))
-            )
+        if capped:
+            market = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap)))
         mc_est = novikov_mc(market, k)
         cols = ["estimate", "se", "n_used", "censored_fraction"]
         cols += ["tail_index", "ci_low", "ci_high", "k_used", "verdict"]
@@ -503,17 +501,15 @@ def _run_novikov(doc, built):
         summary["mc_estimate"] = mc_est.estimate
         summary["mc_verdict"] = mc_est.verdict
     if mode in ("quadrature", "both"):
-        lam = float(doc["credit"]["lambda"])
-        horizon = float(doc["grid"]["horizon"])
-        if rule == "capped":
-            dens = DensitySpec.truncated_exponential(
-                lam, horizon=horizon, k=k, lgd_given_tq=capped_lgd_tq(cap)
+        credit = doc["credit"]
+        lgd = {"lgd_value": float(credit["lgd"])}
+        if capped:
+            lgd = {"lgd_given_tq": capped_lgd_tq(cap)}
+        quad = novikov_quadrature(
+            DensitySpec.truncated_exponential(
+                float(credit["lambda"]), horizon=float(doc["grid"]["horizon"]), k=k, **lgd
             )
-        else:
-            dens = DensitySpec.truncated_exponential(
-                lam, horizon=horizon, k=k, lgd_value=float(doc["credit"]["lgd"])
-            )
-        quad = novikov_quadrature(dens)
+        )
         files["novikov_quadrature.csv"] = _csv(
             ["level", "q_min", "log_value"],
             [[i, qm, lv] for i, (qm, lv) in enumerate(quad.trace)],

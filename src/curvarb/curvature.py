@@ -83,6 +83,8 @@ class CurvatureReport:
         return float(self.norm.max())
 
 
+# a non-finite statistic is reported as a NumericalError, not warned about
+@np.errstate(all="ignore")
 def curvature_components(gauges) -> CurvatureReport:
     """Mean deflator difference quotients plus short rates, per asset.
 
@@ -104,10 +106,18 @@ def curvature_components(gauges) -> CurvatureReport:
     if times.size < 3:
         raise ConfigurationError("need at least three grid times")
     interior = times[1:-1]
+    labels = [g.label for g in gauges]
     comps, ses, weights = [], [], []
     for g in gauges:
         d = g.deflator.series
         n = d.shape[0]
+        gone = np.any(d == 0, axis=0)
+        if gone.any():
+            t = float(times[np.argmax(gone)])
+            raise NumericalError(
+                f"deflator of asset {g.label!r} reaches 0 at t = {t!r}",
+                diagnostics={"label": g.label, "t": t},
+            )
         quot = _symmetric_quotient(d, grid) / d[:, 1:-1]
         r = short_rate(g.curve)
         a = quot + np.broadcast_to(r, (n, times.size))[:, 1:-1]
@@ -125,9 +135,19 @@ def curvature_components(gauges) -> CurvatureReport:
     w = w / w.sum(axis=0, keepdims=True)
     mean_w = (w * components).sum(axis=0)
     weighted_std = np.sqrt((w * (components - mean_w) ** 2).sum(axis=0))
+    # rows: each asset's component, each asset's SE, then the cross-asset spreads
+    stats = np.vstack([components, component_se, norm, norm_se, weighted_std])
+    bad = np.argwhere(~np.isfinite(stats.T))  # by time, then row
+    if bad.size:
+        i, j = bad[0]
+        t = float(interior[i])
+        of = f"asset {labels[j % len(labels)]!r}" if j < 2 * len(labels) else "the spread"
+        raise NumericalError(
+            f"curvature statistic of {of} is non-finite at t = {t!r}", diagnostics={"t": t}
+        )
     return CurvatureReport(
         interior,
-        [g.label for g in gauges],
+        labels,
         components,
         component_se,
         norm,

@@ -486,9 +486,9 @@ def write_term_structure_csv(path: str | os.PathLike, curve: TermStructureSurfac
 def read_term_structure_csv(path: str | os.PathLike) -> TermStructureSurface:
     centers: list[float] = []
 
-    def offset_indices(body: list) -> np.ndarray:
+    def offset_indices(t: np.ndarray, s: np.ndarray) -> np.ndarray:
         # s - t reintroduces rounding noise, so cluster raw offsets before indexing
-        hs = np.array([float(r[2]) - float(r[1]) for r in body])
+        hs = s - t
         for h in np.unique(hs):
             if not centers or h - centers[-1] > _REL_TOL * (1 + abs(h)):
                 centers.append(float(h))
@@ -497,6 +497,9 @@ def read_term_structure_csv(path: str | os.PathLike) -> TermStructureSurface:
         k = np.clip(np.searchsorted(c, hs), 1, c.size - 1)
         return np.where(np.abs(c[k - 1] - hs) <= np.abs(c[k] - hs), k - 1, k)
 
-    grid, values = _read_long_csv(path, ["path", "t", "s", "P"], "term-structure", offset_indices)
+    grid, values = _read_long_csv(
+        path, ["path", "t", "s", "P"], "term-structure", (int, float, float, float),
+        offset_indices,
+    )
     centers[0] = 0.0
     return TermStructureSurface(grid, np.array(centers), values)

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EstimationError
-from .paths import PathEnsemble, _keyed_rows, _mean_se, simulate_brownian
+from .paths import PathEnsemble, _brownian_rows, _keyed_rows, _mean_se
 from .credit import CreditMarket, realized_lgd_at_default
 
 __all__ = [
@@ -46,6 +46,24 @@ TAG_NOVIKOV_DRIVER = 7
 TAG_NOVIKOV_BRIDGE = 8
 
 _Q_FORMS = ("consistent", "printed")
+
+# Hill estimator: it reads the top 1% of the summands (at least five), and a
+# summand at or below 1 (exponent 0) never enters.  An exceedance within
+# _TIE_ULPS ulp of the threshold is a tie: a capped exponent passes through
+# about ten roundings and lands within 7 ulp either side of its cap
+_TAIL_TOP_FRACTION = 0.01
+_TIE_ULPS = 16
+
+# Quadrature rule: Gauss-Legendre nodes in default time and in LGD, geometric
+# panels in the chi-square direction; the cutoff ladder stops after two steps
+# below _REL_TOL in the log integral, and growth beyond
+# _CERTIFICATE_LOG_GROWTH certifies divergence
+_T_NODES = 64
+_L_NODES = 24
+_Q_PANELS_PER_DECADE = 12
+_Q_NODES_PER_PANEL = 24
+_REL_TOL = 1e-4
+_CERTIFICATE_LOG_GROWTH = float(np.log(1e6))
 
 
 def q2_statistic(driver: PathEnsemble, t: float, q_form: str = "consistent") -> np.ndarray:
@@ -84,17 +102,15 @@ class TailDiagnostics:
 
 
 def tail_diagnostics(
-    samples: np.ndarray | None = None,
-    log_samples: np.ndarray | None = None,
-    top_fraction: float = 0.01,
-    threshold: float = 1.0,
+    samples: np.ndarray | None = None, log_samples: np.ndarray | None = None
 ) -> TailDiagnostics:
     """Hill estimator on the top summands, safe against overflowed values.
 
     Works on log summands so that astronomically large exponentials keep
-    exact relative order.  Entries at or below the threshold never enter;
-    fewer than five usable entries (for example all summands equal) count as
-    evidence of a bounded summand, reported with an infinite index.
+    exact relative order.  Summands at or below 1 never enter; fewer than
+    five usable entries (for example all summands equal, or equal up to
+    rounding) count as evidence of a bounded summand, reported with an
+    infinite index.
     """
     if (samples is None) == (log_samples is None):
         raise ConfigurationError("pass exactly one of samples or log_samples")
@@ -111,9 +127,9 @@ def tail_diagnostics(
             "too few summands for tail diagnostics", diagnostics={"n": int(n)}
         )
     order = np.sort(ls)[::-1]
-    k = max(int(np.floor(n * top_fraction)), 5)
-    log_u = max(float(order[min(k, n - 1)]), np.log(threshold))
-    top = order[order > log_u]
+    k = max(int(np.floor(n * _TAIL_TOP_FRACTION)), 5)
+    log_u = max(float(order[min(k, n - 1)]), 0.0)
+    top = order[order - log_u > _TIE_ULPS * np.spacing(log_u)]
     k_used = int(top.size)
     if k_used < 5:
         return TailDiagnostics(np.inf, np.inf, np.inf, k_used, "finite_evidence")
@@ -145,16 +161,16 @@ class NovikovEstimate:
 
 
 def novikov_mc(
-    market: CreditMarket,
-    k: int,
-    seed: int | None = None,
-    q_form: str = "consistent",
+    market: CreditMarket, k: int, q_form: str = "consistent"
 ) -> NovikovEstimate:
     """Average the integrability summand over the market's default sample.
 
-    A fresh k-dimensional driver is attached to each path and read at the
-    default time by exact Brownian bridging between grid nodes.  Paths that
-    never default inside the horizon are censored and excluded; the estimate
+    A fresh k-dimensional driver, keyed by the market seed, is attached to
+    each path and read at the default time by exact Brownian bridging between
+    grid nodes; only the defaulted paths' rows are drawn.  A driver_linked
+    LGD rule is called once, on all defaulted paths: fn(t, w) with t of shape
+    (n,) and w of shape (n, k) returns the n losses.  Paths that never
+    default inside the horizon are censored and excluded; the estimate
     is the conditional expectation given default before the horizon, which is
     what the quadrature cross-check integrates when its time density is
     truncated to the same horizon.
@@ -167,8 +183,7 @@ def novikov_mc(
     if k < 1:
         raise ConfigurationError("driver dimension k must be >= 1")
     sample = market.defaults
-    if seed is None:
-        seed = market.seed
+    seed = market.seed
     mask = sample.defaulted()
     n_def = int(mask.sum())
     if n_def < 20:
@@ -176,9 +191,7 @@ def novikov_mc(
             "too few defaults for the integrability estimate",
             diagnostics={"defaulted": n_def},
         )
-    grid = sample.grid
-    times = grid.times
-    driver = simulate_brownian(grid, sample.n_paths, k, seed, TAG_NOVIKOV_DRIVER)
+    times = sample.grid.times
     rows = np.nonzero(mask)[0]
     tau_d = sample.tau[rows]
     i1 = np.searchsorted(times, tau_d)
@@ -186,17 +199,21 @@ def novikov_mc(
     dt = times[i1] - times[i0]
     theta = (tau_d - times[i0]) / dt
     xi = _keyed_rows(seed, TAG_NOVIKOV_BRIDGE, rows, (k,), lambda gen: gen.standard_normal(k))
-    w0 = driver.values[rows, i0]
-    w1 = driver.values[rows, i1]
+    w = _brownian_rows(sample.grid, rows, k, seed, TAG_NOVIKOV_DRIVER)[0]
+    w0 = w[np.arange(n_def), i0]
+    w1 = w[np.arange(n_def), i1]
     w_tau = (
         w0 + theta[:, None] * (w1 - w0) + np.sqrt(theta * (1 - theta) * dt)[:, None] * xi
     )
     q = np.sum(w_tau * w_tau, axis=1) / tau_d
     if q_form == "printed":
         q = np.sqrt(q)
-    lgd_kind = market.lgd.kind
-    if lgd_kind == "driver_linked":
-        l = np.array([market.lgd.fn(tau_d[i], w_tau[i]) for i in range(n_def)])
+    if market.lgd.kind == "driver_linked":
+        l = np.asarray(market.lgd.fn(tau_d, w_tau), dtype=np.float64)
+        if l.shape != tau_d.shape:
+            raise ConfigurationError(
+                "a driver_linked LGD rule must map t (n,) and w (n, k) to n values"
+            )
     else:
         l = realized_lgd_at_default(market)[rows]
     if np.any((l < 0) | (l >= 2)):
@@ -206,14 +223,10 @@ def novikov_mc(
         exponents = coef * tau_d / q
     with np.errstate(over="ignore"):
         summands = np.exp(exponents)
-    estimate = float(summands.mean())
+    finite = bool(np.isfinite(summands).all())
+    estimate = float(summands.mean()) if finite else np.inf
     # the variance needs exp(2 max exponent), so guard it separately
-    if np.isfinite(summands).all() and exponents.max() < 350.0:
-        se = float(_mean_se(summands))
-    else:
-        se = np.inf
-    if not np.isfinite(summands).all():
-        estimate = np.inf
+    se = float(_mean_se(summands)) if finite and exponents.max() < 350.0 else np.inf
     tail = tail_diagnostics(log_samples=exponents)
     verdict = "divergence_evidence" if not np.isfinite(estimate) else tail.verdict
     return NovikovEstimate(
@@ -229,6 +242,12 @@ def novikov_mc(
 
 # ---------------------------------------------------------------------------
 # Quadrature route
+
+
+def _gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * x, half * w
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,20 +286,18 @@ class DensitySpec:
             )
         if self.lgd_value is not None and not 0.0 <= self.lgd_value < 2.0:
             raise ConfigurationError("lgd_value must lie in [0, 2)")
-        from scipy import integrate
-
-        mass, _ = integrate.quad(self.tau_pdf, 0.0, self.t_max, limit=200)
-        if abs(mass - 1.0) > 1e-6:
-            raise ConfigurationError(
-                f"tau density integrates to {mass:.8f}, not 1 within 1e-6"
-            )
-        if self.lgd_pdf is not None:
-            lo, hi = self.lgd_support
-            mass, _ = integrate.quad(self.lgd_pdf, lo, hi, limit=200)
-            if abs(mass - 1.0) > 1e-6:
-                raise ConfigurationError(
-                    f"LGD density integrates to {mass:.8f}, not 1 within 1e-6"
-                )
+        # the masses on the nodes the quadrature route integrates on
+        for what, pdf, (lo, hi), n in (
+            ("tau", self.tau_pdf, (0.0, self.t_max), _T_NODES),
+            ("LGD", self.lgd_pdf, self.lgd_support, _L_NODES),
+        ):
+            if pdf is not None:
+                x, w = _gauss_legendre(lo, hi, n)
+                mass = float(np.dot(np.asarray(pdf(x), dtype=np.float64), w))
+                if abs(mass - 1.0) > 1e-6:
+                    raise ConfigurationError(
+                        f"{what} density integrates to {mass:.8f}, not 1 within 1e-6"
+                    )
 
     @classmethod
     def truncated_exponential(
@@ -318,14 +335,10 @@ def capped_lgd_tq(cap: float = 0.1, u_max: float = 2.0) -> Callable:
 
 
 def capped_lgd_driver(cap: float = 0.1, u_max: float = 2.0) -> Callable:
-    """Driver-linked form of capped_lgd_tq: reads (t, w) and forms q itself."""
+    """Driver-linked form of capped_lgd_tq: reads t (n,) and w (n, k) and
+    forms q = |w|^2 / t itself."""
     rule = capped_lgd_tq(cap, u_max)
-
-    def fn(t, w):
-        q = float(np.dot(w, w)) / t
-        return float(rule(t, q))
-
-    return fn
+    return lambda t, w: rule(t, np.vecdot(w, w) / t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,110 +364,70 @@ class QuadratureResult:
         return self.trace[-1][1] - self.trace[0][1]
 
 
-def _gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+def _log_masses(pdf: Callable, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log(pdf(x) w) at each node, -inf where the density vanishes."""
+    vals = np.asarray(pdf(x), dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return np.log(np.where(vals > 0, vals, 0.0)) + np.log(w)
 
 
-def _log_or_ninf(vals: np.ndarray) -> np.ndarray:
-    out = np.full(vals.shape, -np.inf)
-    pos = vals > 0
-    out[pos] = np.log(vals[pos])
-    return out
-
-
-def novikov_quadrature(
-    density: DensitySpec,
-    q_min_start: float | None = None,
-    halvings: int = 20,
-    rel_tol: float = 1e-4,
-    certificate_log_growth: float = float(np.log(1e6)),
-    t_nodes: int = 64,
-    l_nodes: int = 24,
-    q_panels_per_decade: int = 12,
-    q_nodes_per_panel: int = 24,
-) -> QuadratureResult:
+def novikov_quadrature(density: DensitySpec, halvings: int = 20) -> QuadratureResult:
     """Integrate the summand against its closed-form scenery in log space.
 
     The chi-square direction is integrated on geometric panels from a lower
-    cutoff q_min to the 1 - 1e-8 quantile; the cutoff is halved until the log
-    integral settles (rel_tol over two successive levels) or the certificate
-    fires: monotone growth beyond certificate_log_growth across the halvings,
+    cutoff q_min, first the smaller of the 1% quantile and 1/100 of the top,
+    to the 1 - 1e-8 quantile; the cutoff is halved, at most halvings times,
+    until the log integral settles (two successive steps below _REL_TOL) or
+    the certificate fires: monotone growth beyond _CERTIFICATE_LOG_GROWTH,
     which witnesses the Q -> 0 divergence without ever evaluating an
     overflowing exponential outside log space.
     """
-    from scipy import stats
-    from scipy.special import logsumexp
+    from scipy.special import gammaincinv, gammaln, logsumexp, xlogy
 
     k = density.k
-    q_max = float(stats.chi2.ppf(1.0 - 1e-8, k))
-    if q_min_start is None:
-        q_min_start = min(float(stats.chi2.ppf(0.01, k)), q_max / 100.0)
-    if not 0 < q_min_start < q_max:
-        raise ConfigurationError("q_min_start must lie inside the chi-square range")
-    t_x, t_w = _gauss_legendre(0.0, density.t_max, t_nodes)
-    log_t = _log_or_ninf(np.asarray(density.tau_pdf(t_x), dtype=np.float64)) + np.log(t_w)
+    # chi-square quantiles and log-density by scipy.stats.chi2's own formulas
+    q_max = float(2 * gammaincinv(k / 2, 1.0 - 1e-8))
+    q_min = min(float(2 * gammaincinv(k / 2, 0.01)), q_max / 100.0)
+    t_x, t_w = _gauss_legendre(0.0, density.t_max, _T_NODES)
+    log_t = _log_masses(density.tau_pdf, t_x, t_w)
+    # (t, LGD, q) table; the LGD axis has one node for a point mass and for
+    # lgd_given_tq, which sets the LGD at each (t, q) node
+    log_l = np.zeros(1)
     if density.lgd_pdf is not None:
-        lo, hi = density.lgd_support
-        l_x, l_w = _gauss_legendre(lo, hi, l_nodes)
-        log_l = _log_or_ninf(np.asarray(density.lgd_pdf(l_x), dtype=np.float64)) + np.log(
-            l_w
-        )
+        l_x, l_w = _gauss_legendre(*density.lgd_support, _L_NODES)
+        log_l = _log_masses(density.lgd_pdf, l_x, l_w)
     elif density.lgd_value is not None:
         l_x = np.array([density.lgd_value])
-        log_l = np.array([0.0])
-    else:
-        l_x = None
-        log_l = None
 
     def level_log_value(q_min: float) -> float:
         decades = np.log10(q_max / q_min)
-        n_panels = max(int(np.ceil(decades * q_panels_per_decade)), 1)
+        n_panels = max(int(np.ceil(decades * _Q_PANELS_PER_DECADE)), 1)
         edges = np.geomspace(q_min, q_max, n_panels + 1)
-        q_x = np.empty(n_panels * q_nodes_per_panel)
-        q_w = np.empty_like(q_x)
-        for i in range(n_panels):
-            xs, ws = _gauss_legendre(edges[i], edges[i + 1], q_nodes_per_panel)
-            q_x[i * q_nodes_per_panel : (i + 1) * q_nodes_per_panel] = xs
-            q_w[i * q_nodes_per_panel : (i + 1) * q_nodes_per_panel] = ws
-        log_q = stats.chi2.logpdf(q_x, k) + np.log(q_w)
+        q_x, q_w = _gauss_legendre(edges[:-1, None], edges[1:, None], _Q_NODES_PER_PANEL)
+        q_x, q_w = q_x.ravel(), q_w.ravel()
+        log_pdf = xlogy(k / 2 - 1, q_x) - q_x / 2 - gammaln(k / 2) - (np.log(2) * k) / 2
+        log_q = log_pdf + np.log(q_w)
         q_eff = np.sqrt(q_x) if density.q_form == "printed" else q_x
-        if density.lgd_given_tq is not None:
-            l_tq = np.clip(density.lgd_given_tq(t_x[:, None], q_x[None, :]), 0.0, 1.999)
-            coef = (2.0 * l_tq / (2.0 - l_tq)) ** 2
-            expo = coef * (t_x[:, None] / q_eff[None, :])
-            table = log_t[:, None] + log_q[None, :] + expo
+        if density.lgd_given_tq is None:
+            l = l_x[None, :, None]
         else:
-            coef = (2.0 * l_x / (2.0 - l_x)) ** 2
-            expo = coef[None, :, None] * (t_x[:, None, None] / q_eff[None, None, :])
-            table = (
-                log_t[:, None, None] + log_l[None, :, None] + log_q[None, None, :] + expo
-            )
-        return float(logsumexp(table))
+            l = np.clip(density.lgd_given_tq(t_x[:, None, None], q_x[None, None, :]), 0.0, 1.999)
+        expo = (2.0 * l / (2.0 - l)) ** 2 * (t_x[:, None, None] / q_eff[None, None, :])
+        return float(logsumexp(log_t[:, None, None] + log_l[None, :, None] + log_q + expo))
 
     trace = []
-    converged = False
-    q_min = float(q_min_start)
     small_steps = 0
     for _ in range(halvings + 1):
         lv = level_log_value(q_min)
-        if trace:
-            if abs(lv - trace[-1][1]) < rel_tol:
-                small_steps += 1
-            else:
-                small_steps = 0
+        small_steps = small_steps + 1 if trace and abs(lv - trace[-1][1]) < _REL_TOL else 0
         trace.append((q_min, lv))
         if small_steps >= 2:
-            converged = True
             break
         q_min *= 0.5
+    converged = small_steps >= 2
     log_value = trace[-1][1]
-    diverged = False
-    if not converged:
-        increments = np.diff([v for _, v in trace])
-        monotone = bool(np.all(increments >= -rel_tol))
-        if monotone and (log_value - trace[0][1]) > certificate_log_growth:
-            diverged = True
+    monotone = bool(np.all(np.diff([v for _, v in trace]) >= -_REL_TOL))
+    growth = log_value - trace[0][1]
+    diverged = not converged and monotone and growth > _CERTIFICATE_LOG_GROWTH
     value = float(np.exp(log_value)) if converged else np.inf
-    return QuadratureResult(converged, diverged, value, float(log_value), trace, rel_tol)
+    return QuadratureResult(converged, diverged, value, float(log_value), trace, _REL_TOL)

@@ -275,19 +275,29 @@ def _keyed_rows(
     return out
 
 
+def _brownian_rows(
+    grid: TimeGrid, paths: np.ndarray, dim: int, seed: int, tag: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, increments) of the Brownian paths with the given indices.
+
+    Row i is bit for bit row paths[i] of the full ensemble, so a caller that
+    reads a few paths draws only those.
+    """
+    shape = (grid.n_times - 1, dim)
+    dw = _keyed_rows(seed, tag, paths, shape, lambda gen: gen.standard_normal(shape))
+    dw *= np.sqrt(grid.steps)[None, :, None]
+    w = np.zeros((dw.shape[0], grid.n_times, dim))
+    np.cumsum(dw, axis=1, out=w[:, 1:, :])
+    return w, dw
+
+
 def simulate_brownian(
     grid: TimeGrid, n_paths: int, dim: int = 1, seed: int = 0, tag: int = 0
 ) -> PathEnsemble:
     """Standard Brownian motion started at 0, increments scaled by sqrt(dt)."""
     if n_paths < 1 or dim < 1:
         raise ConfigurationError("need n_paths >= 1 and dim >= 1")
-    shape = (grid.n_times - 1, dim)
-    dw = _keyed_rows(
-        seed, tag, np.arange(n_paths), shape, lambda gen: gen.standard_normal(shape)
-    )
-    dw *= np.sqrt(grid.steps)[None, :, None]
-    w = np.zeros((n_paths, grid.n_times, dim))
-    np.cumsum(dw, axis=1, out=w[:, 1:, :])
+    w, dw = _brownian_rows(grid, np.arange(n_paths), dim, seed, tag)
     return PathEnsemble(grid, w, driver_increments=dw, seed=seed)
 
 
@@ -716,24 +726,53 @@ def _write_csv(fh, header: list, rows) -> None:
     writer.writerows([_format_cell(x) for x in row] for row in rows)
 
 
-def _read_long_csv(path, header: list, what: str, third: Callable):
+def _read_long_csv(path, header: list, what: str, kinds: tuple, third: Callable):
     """Grid and (path, t, third) values of a long-format CSV with columns
-    header = [path, t, <third>, value]; third(body) gives each data row's
-    index along the third axis."""
+    header = [path, t, <third>, value]; kinds holds each column's parser and
+    third(t, c) maps the t and third columns to indices along the third axis.
+    A malformed row is a ConfigurationError naming its line, a missing cell
+    one naming the first such cell."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != header:
         raise ConfigurationError(f"unrecognized {what} CSV header")
-    body = rows[1:]
-    if not body:
+    if len(rows) == 1:
         raise ConfigurationError(f"{what} CSV has no data rows")
-    paths, p_ix = np.unique([int(r[0]) for r in body], return_inverse=True)
-    times, t_ix = np.unique([float(r[1]) for r in body], return_inverse=True)
-    k = np.asarray(third(body))
-    values = np.full((paths.size, times.size, np.unique(k).size), np.nan)
-    values[p_ix, t_ix, k] = [float(r[3]) for r in body]
-    if np.any(np.isnan(values)):
-        raise ConfigurationError(f"{what} CSV is missing cells")
+    parsed = []
+    for line, r in enumerate(rows[1:], start=2):
+        try:
+            if len(r) != len(header):
+                raise ValueError(f"{len(r)} cells, not {len(header)}")
+            parsed.append([kind(x) for kind, x in zip(kinds, r)])
+        except ValueError as err:
+            raise ConfigurationError(f"{what} CSV line {line}: {err}") from None
+    p, t, c, v = (np.array(col) for col in zip(*parsed))
+    k = np.asarray(third(t, c))
+    rank = np.unique(k, return_inverse=True)[1]
+    for bad, problem in (
+        (k < 0, f"negative {header[2]}"),
+        (k != rank, f"gap in the {header[2]} numbers"),
+        (~np.isfinite(v), "non-finite value"),
+    ):
+        if np.any(bad):
+            raise ConfigurationError(f"{what} CSV line {int(np.argmax(bad)) + 2}: {problem}")
+    paths, p_ix = np.unique(p, return_inverse=True)
+    times, t_ix = np.unique(t, return_inverse=True)
+    shape = (paths.size, times.size, int(k.max()) + 1)
+    flat = np.ravel_multi_index((p_ix, t_ix, k), shape)
+    cells, first = np.unique(flat, return_index=True)
+    if cells.size < flat.size:
+        line = int(np.setdiff1d(np.arange(flat.size), first)[0]) + 2
+        raise ConfigurationError(f"{what} CSV line {line}: repeated (path, t, {header[2]}) cell")
+    if cells.size < np.prod(shape):
+        gap = np.argmax(np.append(cells, -1) != np.arange(cells.size + 1))
+        i, j, m = np.unravel_index(gap, shape)
+        raise ConfigurationError(
+            f"{what} CSV is missing cells, first at path {paths[i]}, t {float(times[j])!r}, "
+            f"{header[2]} index {m}"
+        )
+    values = np.empty(shape)
+    values.flat[flat] = v
     return TimeGrid(times), values
 
 
@@ -748,6 +787,6 @@ def write_ensemble_csv(path: str | os.PathLike, ensemble: PathEnsemble) -> None:
 def read_ensemble_csv(path: str | os.PathLike) -> PathEnsemble:
     grid, values = _read_long_csv(
         path, ["path", "t", "component", "value"], "ensemble",
-        lambda body: [int(r[2]) for r in body],
+        (int, float, int, float), lambda t, c: c,
     )
     return PathEnsemble(grid, values)

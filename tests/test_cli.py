@@ -231,6 +231,46 @@ def test_import_loads_no_scipy(tmp_path):
     assert proc.stdout == "[]\n", proc.stderr
 
 
+def test_bundled_runs_load_no_scipy_stats_or_integrate(tmp_path):
+    """A bundled scenario run needs scipy.special only."""
+    probe = (
+        "import sys\n"
+        "from curvarb.cli import bundled_scenarios, main\n"
+        "for name in bundled_scenarios():\n"
+        "    main(['run', name, '--out', name])\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.integrate'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stderr
+
+
+def test_vanishing_deflator_exits_three_without_warnings(tmp_path):
+    doc = load_scenario("flat_market")
+    doc["assets"] = [
+        {"label": "a", "x0": 1e300, "drift": 50, "sigma": 30, "form": "geometric", "rate": 0.0}
+    ]
+    doc["analyses"] = ["curvature"]
+    scen = tmp_path / "underflow.json"
+    scen.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvarb", "run", str(scen), "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "deflator of asset 'a' reaches 0 at t = " in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_csv_headers_and_float_round_trip(tmp_path):
     out = tmp_path / "o"
     main(["run", "flat_market", "--out", str(out)])

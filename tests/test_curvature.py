@@ -73,6 +73,24 @@ def test_curvature_input_validation():
         curvature_components([a, b])
 
 
+def test_curvature_names_asset_and_time_of_a_degenerate_deflator():
+    grid = TimeGrid.regular(5.0, 20)
+    ones = np.ones((1, grid.n_times))
+    gone = ones.copy()
+    gone[0, 3:] = 0.0
+    with pytest.raises(NumericalError, match=r"deflator of asset 'b' reaches 0 at t = 0\.75"):
+        curvature_components(
+            [_flat_gauge(grid, 0.0, ones, "a"), _flat_gauge(grid, 0.0, gone, "b")]
+        )
+    # a subnormal deflator overflows the quotient
+    tiny = ones.copy()
+    tiny[0, 2:4] = 1e-310, 2.0
+    with pytest.raises(NumericalError, match=r"of asset 'b' is non-finite at t = 0\.5"):
+        curvature_components(
+            [_flat_gauge(grid, 0.0, ones, "a"), _flat_gauge(grid, 0.0, tiny, "b")]
+        )
+
+
 def test_zc_residual_two_asset_example():
     sigma = np.array([[1.0], [1.0]])
     report = zc_residual(np.array([0.05, 0.03]), sigma)

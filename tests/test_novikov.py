@@ -8,6 +8,8 @@ from scipy import stats
 from curvarb.credit import LGDProcess, build_thm1_market
 from curvarb.errors import ConfigurationError, DomainError
 from curvarb.novikov import (
+    TAG_NOVIKOV_BRIDGE,
+    TAG_NOVIKOV_DRIVER,
     DensitySpec,
     capped_lgd_driver,
     capped_lgd_tq,
@@ -16,12 +18,17 @@ from curvarb.novikov import (
     q2_statistic,
     tail_diagnostics,
 )
-from curvarb.paths import TimeGrid, simulate_brownian
+from curvarb.paths import TimeGrid, path_rng, simulate_brownian
 
 
 @pytest.fixture(scope="module")
 def base_market():
     return build_thm1_market(0.02, 0.4, horizon=30.0, steps=120, n_paths=30_000, seed=3)
+
+
+@pytest.fixture(scope="module")
+def small_market():
+    return build_thm1_market(0.02, 0.4, horizon=30.0, steps=120, n_paths=2000, seed=5)
 
 
 def test_q2_statistic_chi_square_law():
@@ -64,6 +71,20 @@ def test_tail_diagnostics_pareto():
     assert diag2.ci_low > 1
 
 
+def test_tail_diagnostics_treats_rounding_ties_as_bounded():
+    # exponents held at a cap of 0.1 differ from it in the last bits only;
+    # the top 1% spans four such levels, as in the capped bundled scenario
+    ulps = np.repeat([0, 1, 2, 3, 4], [17_000, 100, 60, 40, 20])
+    capped = 0.1 + ulps * np.spacing(0.1)
+    diag = tail_diagnostics(log_samples=capped)
+    assert diag.verdict == "finite_evidence"
+    assert np.isinf(diag.tail_index) and diag.k_used == 0
+    # a continuous tail just above the cap is still a tail
+    tail = 0.1 + np.random.default_rng(3).pareto(2.0, size=400) * 1e-3
+    diag = tail_diagnostics(log_samples=np.concatenate([capped, tail]))
+    assert np.isfinite(diag.tail_index) and diag.k_used > 100
+
+
 def test_tail_diagnostics_degenerate_and_errors():
     flat = tail_diagnostics(np.ones(1000))
     assert flat.verdict == "finite_evidence"
@@ -81,6 +102,52 @@ def test_novikov_mc_constant_lgd_diverges(base_market):
     assert est.estimate > 1e6
     # censoring matches the horizon default mass 1 - e^{-0.6}
     assert abs(est.censored_fraction - np.exp(-0.6)) < 0.01
+
+
+def _reference_exponents(market, k, cap=None):
+    """The full-driver route: the whole n x T x k driver is drawn and a
+    driver-linked rule is called on one row at a time, through np.dot."""
+    sample = market.defaults
+    rows = np.nonzero(sample.defaulted())[0]
+    times = sample.grid.times
+    driver = simulate_brownian(sample.grid, sample.n_paths, k, market.seed, TAG_NOVIKOV_DRIVER)
+    tau = sample.tau[rows]
+    i1 = np.searchsorted(times, tau)
+    i0 = i1 - 1
+    dt = times[i1] - times[i0]
+    theta = (tau - times[i0]) / dt
+    xi = np.array(
+        [path_rng(market.seed, int(r), TAG_NOVIKOV_BRIDGE).standard_normal(k) for r in rows]
+    )
+    w0 = driver.values[rows, i0]
+    w1 = driver.values[rows, i1]
+    w_tau = w0 + theta[:, None] * (w1 - w0) + np.sqrt(theta * (1 - theta) * dt)[:, None] * xi
+    q = np.sum(w_tau * w_tau, axis=1) / tau
+    if cap is None:
+        l = np.full(rows.size, market.lgd.value)
+    else:
+        rule = capped_lgd_tq(cap)
+        l = np.array([float(rule(t, float(np.dot(w, w)) / t)) for t, w in zip(tau, w_tau)])
+    return (2.0 * l / (2.0 - l)) ** 2 * tau / q
+
+
+@pytest.mark.parametrize(
+    "cap, k", [(None, 4), (0.1, 1), (0.1, 2), (0.1, 4), (0.1, 7), (0.1, 16)]
+)
+def test_novikov_mc_matches_full_driver_per_row_reference(small_market, cap, k):
+    market = small_market
+    if cap is not None:
+        market = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap)))
+    est = novikov_mc(market, k)
+    ref = _reference_exponents(market, k, cap)
+    assert np.array_equal(est.exponents, ref)
+    assert est.estimate == np.exp(ref).mean()
+
+
+def test_driver_linked_rule_must_return_one_loss_per_path(small_market):
+    market = replace(small_market, lgd=LGDProcess("driver_linked", fn=lambda t, w: 0.1))
+    with pytest.raises(ConfigurationError, match="n values"):
+        novikov_mc(market, 4)
 
 
 def test_novikov_mc_zero_lgd_is_unit(base_market):
@@ -160,6 +227,9 @@ def test_density_spec_validation():
         DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_value=0.4, q_form="guess")
     spec = DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_value=0.4)
     assert spec.t_max == 50.0
+    half_lgd = lambda v: np.full_like(v, 1.25)  # noqa: E731  mass 1/2 on [0.2, 0.6]
+    with pytest.raises(ConfigurationError, match="LGD density integrates to 0.50000000"):
+        DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_pdf=half_lgd, lgd_support=(0.2, 0.6))
 
 
 def test_lgd_density_mode_runs():
@@ -183,5 +253,8 @@ def test_capped_rule_shapes():
     expo = u**2 * (t / q)
     assert np.all(expo <= 0.1 + 1e-12)
     fn = capped_lgd_driver(0.1)
-    w = np.array([0.3, -0.4])
-    assert fn(2.0, w) == pytest.approx(rule(2.0, float(w @ w) / 2.0))
+    t = np.array([2.0, 0.5])
+    w = np.array([[0.3, -0.4], [1.0, 2.0]])
+    l = fn(t, w)
+    assert l.shape == (2,)
+    assert l == pytest.approx(rule(t, np.sum(w * w, axis=1) / t))

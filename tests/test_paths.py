@@ -6,6 +6,8 @@ conditional expectations for difference quotients of Brownian motion
 (E[(W_t - W_{t-h})/h | W_t = q] = q/t for any step h).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,30 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     back = read_ensemble_csv(target)
     assert np.array_equal(back.grid.times, grid.times)
     assert np.array_equal(back.values, w.values)
+
+
+_CSV_HEADER = "path,t,component,value\n"
+_CSV_ROWS = ["0,0.0,0,0.0", "0,0.0,1,0.0", "0,1.0,0,0.5", "0,1.0,1,-0.5"]
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({2: "0,1.0,0,half"}, "line 4: could not convert string to float: 'half'"),
+        ({2: "0,1.0,0"}, "line 4: 3 cells, not 4"),
+        ({3: "0,1.0,-1,-0.5"}, "line 5: negative component"),
+        ({1: "0,0.0,2,0.0", 3: "0,1.0,2,-0.5"}, "line 3: gap in the component numbers"),
+        ({3: "0,1.0,0,0.7"}, "line 5: repeated (path, t, component) cell"),
+        ({3: None}, "missing cells, first at path 0, t 1.0, component index 1"),
+    ],
+    ids=["non-numeric", "short", "negative", "gap", "duplicate", "missing"],
+)
+def test_csv_reader_names_what_is_malformed(tmp_path, edits, message):
+    rows = [edits.get(i, row) for i, row in enumerate(_CSV_ROWS)]
+    target = tmp_path / "ens.csv"
+    target.write_text(_CSV_HEADER + "".join(f"{row}\n" for row in rows if row is not None))
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        read_ensemble_csv(target)
 
 
 def test_truncated_binary_rejected(tmp_path):
