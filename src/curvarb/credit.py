@@ -713,8 +713,8 @@ def build_thm1_market(
     )
     ones = np.ones((1, times.size))
     gov = Gauge(PathEnsemble(grid, ones), gov_curve, label="gov")
-    lgd_x = lgd_value * sample.indicator
-    corp_defl = PathEnsemble(grid, (1.0 - lgd_x), seed=seed)
+    defl = np.where(times[None, :] >= sample.tau[:, None], 1.0 - lgd_value, 1.0)
+    corp_defl = PathEnsemble(grid, defl, seed=seed)
     corp = Gauge(corp_defl, corp_curve, label="corp")
     beta = PathEnsemble(grid, np.exp(-gov_rate * times)[None, :])
     lam_t = model.hazard_values(times)[0]

@@ -311,8 +311,7 @@ def novikov_sharpe(
         raise ConfigurationError("x must be a vector with one weight per asset")
     grid = TimeGrid.regular(horizon, steps)
     k = spec.driver_dim()
-    driver = simulate_brownian(grid, n_paths, k, seed)
-    state = simulate_ito(spec, driver)
+    state = simulate_ito(spec, simulate_brownian(grid, n_paths, k, seed))
     times = grid.times
     r = np.asarray(rates, dtype=np.float64)
     ratio_sq = np.empty((n_paths, times.size))

@@ -47,6 +47,9 @@ TAG_NOVIKOV_BRIDGE = 8
 
 _Q_FORMS = ("consistent", "printed")
 
+# novikov_mc holds the driver of this many defaulted rows at a time
+_DRIVER_BLOCK = 2048
+
 # Hill estimator: it reads the top 1% of the summands (at least five), and a
 # summand at or below 1 (exponent 0) never enters.  An exceedance within
 # _TIE_ULPS ulp of the threshold is a tie: a capped exponent passes through
@@ -167,13 +170,14 @@ def novikov_mc(
 
     A fresh k-dimensional driver, keyed by the market seed, is attached to
     each path and read at the default time by exact Brownian bridging between
-    grid nodes; only the defaulted paths' rows are drawn.  A driver_linked
-    LGD rule is called once, on all defaulted paths: fn(t, w) with t of shape
-    (n,) and w of shape (n, k) returns the n losses.  Paths that never
-    default inside the horizon are censored and excluded; the estimate
-    is the conditional expectation given default before the horizon, which is
-    what the quadrature cross-check integrates when its time density is
-    truncated to the same horizon.
+    grid nodes; only the defaulted paths' rows are drawn, a block of rows at
+    a time, and only the two nodes around each default are kept.  A
+    driver_linked LGD rule is called once, on all defaulted paths: fn(t, w)
+    with t of shape (n,) and w of shape (n, k) returns the n losses.  Paths
+    that never default inside the horizon are censored and excluded; the
+    estimate is the conditional expectation given default before the horizon,
+    which is what the quadrature cross-check integrates when its time density
+    is truncated to the same horizon.
 
     Summands whose exponent overflows float range make the estimate infinite;
     the tail diagnostics stay meaningful because they work on the exponents.
@@ -199,9 +203,14 @@ def novikov_mc(
     dt = times[i1] - times[i0]
     theta = (tau_d - times[i0]) / dt
     xi = _keyed_rows(seed, TAG_NOVIKOV_BRIDGE, rows, (k,), lambda gen: gen.standard_normal(k))
-    w = _brownian_rows(sample.grid, rows, k, seed, TAG_NOVIKOV_DRIVER)[0]
-    w0 = w[np.arange(n_def), i0]
-    w1 = w[np.arange(n_def), i1]
+    w0 = np.empty((n_def, k))
+    w1 = np.empty((n_def, k))
+    for lo in range(0, n_def, _DRIVER_BLOCK):
+        b = slice(lo, lo + _DRIVER_BLOCK)
+        w = _brownian_rows(sample.grid, rows[b], k, seed, TAG_NOVIKOV_DRIVER)[0]
+        at = np.arange(w.shape[0])
+        w0[b] = w[at, i0[b]]
+        w1[b] = w[at, i1[b]]
     w_tau = (
         w0 + theta[:, None] * (w1 - w0) + np.sqrt(theta * (1 - theta) * dt)[:, None] * xi
     )

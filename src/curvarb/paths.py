@@ -125,12 +125,6 @@ class TimeGrid:
             raise DomainError(f"t = {t} is not a grid node")
         return idx
 
-    def interior_index_of(self, t: float) -> int:
-        idx = self.index_of(t)
-        if idx == 0 or idx == self.n_times - 1:
-            raise DomainError(f"t = {t} lies on the grid boundary")
-        return idx
-
 
 def _symmetric_quotient(x: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Mean of the forward and backward difference quotients along axis 1,
@@ -255,21 +249,23 @@ def _keyed_rows(
     """
     paths = np.asarray(paths, dtype=np.int64)
     _check_stream(tag, int(paths.min()), int(paths.max()))
-    low_words = np.uint64(tag << 48) | paths.astype(np.uint64)
-    key = np.array([0, seed & _SEED_MASK], dtype=np.uint64)
+    # Python ints and lists: the state setter reads them element by element,
+    # which is cheaper than reading numpy scalars out of arrays
+    key = [0, seed & _SEED_MASK]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    high = tag << 48
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     out = np.empty((paths.size, *shape))
-    for i, word in enumerate(low_words):
-        key[0] = word
+    for i, p in enumerate(paths):
+        key[0] = high | int(p)
         bitgen.state = state
         out[i] = draw(gen)
     return out

@@ -1,5 +1,7 @@
 """Tests for default models, bond pricing, and the credit gauge."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -215,6 +217,19 @@ def test_constructed_market_bond_price():
     assert bond.se < 1e-3
     with pytest.raises(ConfigurationError):
         corporate_bond_price(market, 0.0, 5.0, normalization="forward")
+
+
+def test_constructed_market_holds_one_deflator_array():
+    tracemalloc.start()
+    try:
+        market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=100_000, seed=29)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    defl = market.corp.deflator.series
+    assert peak < 1.5 * defl.nbytes
+    expected = 1.0 - 0.4 * market.defaults.indicator
+    assert defl.tobytes() == expected.tobytes()
 
 
 def test_constructed_market_deflator_form_agrees():

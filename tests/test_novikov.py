@@ -1,10 +1,13 @@
 """Tests for the market-price-of-risk integrability module."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
 from scipy import stats
 
+from curvarb import novikov
 from curvarb.credit import LGDProcess, build_thm1_market
 from curvarb.errors import ConfigurationError, DomainError
 from curvarb.novikov import (
@@ -142,6 +145,33 @@ def test_novikov_mc_matches_full_driver_per_row_reference(small_market, cap, k):
     ref = _reference_exponents(market, k, cap)
     assert np.array_equal(est.exponents, ref)
     assert est.estimate == np.exp(ref).mean()
+
+
+@pytest.mark.parametrize("cap", [None, 0.1])
+def test_novikov_mc_blocks_match_full_driver_reference(small_market, cap, monkeypatch):
+    market = small_market
+    if cap is not None:
+        market = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap)))
+    n_def = int(market.defaults.defaulted().sum())
+    # several blocks, the last one short
+    monkeypatch.setattr(novikov, "_DRIVER_BLOCK", 97)
+    assert n_def > 3 * 97 and n_def % 97
+    est = novikov_mc(market, 4)
+    assert np.array_equal(est.exponents, _reference_exponents(market, 4, cap))
+
+
+def test_novikov_mc_holds_less_than_the_full_driver():
+    market = build_thm1_market(0.02, 0.4, horizon=30.0, steps=120, n_paths=20_000, seed=9)
+    k = 4
+    n_def = int(market.defaults.defaulted().sum())
+    full_driver_bytes = n_def * market.defaults.grid.n_times * k * 8
+    tracemalloc.start()
+    try:
+        novikov_mc(market, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_driver_bytes
 
 
 def test_driver_linked_rule_must_return_one_loss_per_path(small_market):
