@@ -68,7 +68,6 @@ TAG_LAMBDA = 2
 TAG_EXP = 3
 TAG_BRIDGE = 4
 TAG_LGD = 5
-TAG_WBRIDGE = 6
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +166,13 @@ class LGDProcess:
 
 @dataclass(frozen=True, eq=False)
 class DefaultSample:
-    """Joint draw of default times and their generating scenery."""
+    """Default times; an intensity sample also keeps its hazard scenery."""
 
     grid: TimeGrid
     tau: np.ndarray                       # (n,) defaults; inf if none in horizon
     cumulative_hazard: np.ndarray | None  # (m, n_times), m in {1, n}
     thresholds: np.ndarray | None         # (n,) unit-exponential draws
     lambda_paths: np.ndarray | None       # (m, n_times)
-    equity: PathEnsemble | None
-    bridge: bool
-    seed: int
 
     @property
     def n_paths(self) -> int:
@@ -203,6 +199,13 @@ def _survivors(sample: DefaultSample, at: float, minimum: int, message: str, **d
     return alive, n_alive
 
 
+def _share(hit: np.ndarray):
+    """Share of the paths in hit (a boolean array) and its binomial SE; the SE stays a numpy
+    scalar, since implied_intensity squares it and Python's float ** 2 may round otherwise."""
+    p = float(hit.mean())
+    return p, np.sqrt(p * (1 - p) / hit.size)
+
+
 # ---------------------------------------------------------------------------
 # Simulation
 
@@ -216,6 +219,12 @@ def _hazard_paths(model: IntensityModel, grid: TimeGrid, n_paths: int, seed: int
         driver = simulate_brownian(grid, n_paths, model.lam.driver_dim(), seed, TAG_LAMBDA)
         lam = np.maximum(simulate_ito(model.lam, driver).series, 0.0)
     return lam, _cumulative_trapezoid(lam, grid.steps)
+
+
+def _equity_paths(model: StructuralModel, grid: TimeGrid, n_paths: int, seed: int):
+    """(n_paths, n_times) equity of a structural model, driven by TAG_DRIVER."""
+    driver = simulate_brownian(grid, n_paths, 1, seed, TAG_DRIVER)
+    return simulate_ito(model.equity, driver).series
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -274,11 +283,9 @@ def simulate_default(
             seed, TAG_EXP, np.arange(n_paths), (), lambda gen: gen.standard_exponential()
         )
         tau = _intensity_default_times(cum, times, thresholds)
-        return DefaultSample(grid, tau, cum, thresholds, lam, None, False, seed)
+        return DefaultSample(grid, tau, cum, thresholds, lam)
     if isinstance(model, StructuralModel):
-        driver = simulate_brownian(grid, n_paths, 1, seed, TAG_DRIVER)
-        equity = simulate_ito(model.equity, driver)
-        e = equity.series
+        e = _equity_paths(model, grid, n_paths, seed)
         b = model.barrier
         below = e <= b
         hit = below.any(axis=1)
@@ -306,7 +313,7 @@ def simulate_default(
             first = np.argmax(crossed, axis=1)
             tau_bridge = np.where(any_cross, times[np.minimum(first + 1, times.size - 1)], np.inf)
             tau = np.minimum(tau, tau_bridge)
-        return DefaultSample(grid, tau, None, None, None, equity, bridge, seed)
+        return DefaultSample(grid, tau, None, None, None)
     raise ConfigurationError(f"unknown default model {type(model).__name__}")
 
 
@@ -393,9 +400,8 @@ def default_probability(
     if isinstance(model, StructuralModel):
         sample = simulate_default(model, grid, n_paths, seed, bridge=bridge)
         alive, n_alive = _survivors(sample, t, 2, "no survivors to condition on")
-        p = float((sample.tau[alive] <= s).mean())
-        se = float(np.sqrt(p * (1 - p) / n_alive))
-        return ProbabilityEstimate(p, se, "first_passage", n_alive)
+        p, se = _share(sample.tau[alive] <= s)
+        return ProbabilityEstimate(p, float(se), "first_passage", n_alive)
     raise ConfigurationError(f"unknown default model {type(model).__name__}")
 
 
@@ -442,12 +448,8 @@ def implied_intensity(
     grid = TimeGrid.regular(horizon, steps)
     for x in np.concatenate([[t] if t > 0 else [], t + dt_seq]):
         grid.index_of(x)  # all query dates must be nodes
-    sample = simulate_default(model, grid, n_paths, seed)
-    if isinstance(model, IntensityModel):
-        alive = sample.survivors_at(t)
-        event = lambda s: sample.tau <= s  # noqa: E731
-    else:
-        e = sample.equity.series
+    if isinstance(model, StructuralModel):
+        e = _equity_paths(model, grid, n_paths, seed)
         b = model.barrier
         if observation_times is None:
             upto = grid.index_of(t) if t > 0 else 0
@@ -458,25 +460,27 @@ def implied_intensity(
                 raise ConfigurationError("no observation times at or before t")
             alive = np.all(e[:, obs] > b, axis=1)
         event = lambda s: e[:, grid.index_of(s)] <= b  # noqa: E731
+    else:
+        sample = simulate_default(model, grid, n_paths, seed)  # rejects unknown models
+        alive = sample.survivors_at(t)
+        event = lambda s: sample.tau <= s  # noqa: E731
     n_alive = int(alive.sum())
     if n_alive < 100:
         raise EstimationError(
             "too few conditioning paths", diagnostics={"alive": n_alive}
         )
     # baseline default-state mass at t itself; nonzero under coarse observation
-    p0 = float(event(t)[alive].mean()) if t > 0 else 0.0
-    p0_se = np.sqrt(p0 * (1 - p0) / n_alive)
+    p0, p0_se = _share(event(t)[alive]) if t > 0 else (0.0, 0.0)
     lam_dt = np.empty(dt_seq.size)
     lam_se = np.empty(dt_seq.size)
     degenerate = False
     for j, dt in enumerate(dt_seq):
-        p = float(event(t + dt)[alive].mean())
+        p, pse = _share(event(t + dt)[alive])
         if p <= p0:
             degenerate = True
             lam_dt[j] = 0.0
             lam_se[j] = 0.0
             continue
-        pse = np.sqrt(p * (1 - p) / n_alive)
         lam_dt[j] = -(np.log1p(-p) - np.log1p(-p0)) / dt
         lam_se[j] = np.sqrt((pse / (1 - p)) ** 2 + (p0_se / (1 - p0)) ** 2) / dt
     if degenerate:
@@ -512,11 +516,9 @@ def nelson_default_derivative(
     if t > 0:
         grid.index_of(t)
     sample = simulate_default(model, grid, n_paths, seed)
-    alive, n_alive = _survivors(sample, t, 100, "too few survivors at t")
-    p = float((sample.tau[alive] <= t + h).mean())
-    est = p / h
-    se = float(np.sqrt(p * (1 - p) / n_alive) / h)
-    return est, se
+    alive, _ = _survivors(sample, t, 100, "too few survivors at t")
+    p, se = _share(sample.tau[alive] <= t + h)
+    return p / h, float(se / h)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +536,6 @@ class CreditMarket:
 
     gov: Gauge
     corp: Gauge
-    model: object
     lgd: LGDProcess
     beta: PathEnsemble
     defaults: DefaultSample
@@ -723,7 +724,6 @@ def build_thm1_market(
     return CreditMarket(
         gov=gov,
         corp=corp,
-        model=model,
         lgd=lgd,
         beta=beta,
         defaults=sample,
@@ -758,6 +758,8 @@ class Thm1Report:
 
 
 _WINDOW_TOL = 1e-12
+# a spread residual with zero standard error is detected beyond _SPREAD_ATOL
+_SPREAD_ATOL = 1e-14
 
 
 def _empirical_hazard(
@@ -781,15 +783,15 @@ def thm1_residuals(
     pairs: list[tuple[float, float]],
     lambda_source: str = "model",
     window: float = 1.0,
-    atol: float = 1e-14,
 ) -> Thm1Report:
     """Evaluate the no-arbitrage spread and bond-difference identities.
 
-    lambda_source "model" uses the model hazard (exact for deterministic
-    hazards, so residual standard errors are zero and any nonzero residual is
-    a detection); "simulated" re-estimates the hazard from the market's own
-    default sample over [t, t+window], which attaches Monte Carlo standard
-    errors and gives the detection test statistical power.
+    lambda_source "model" uses the hazard paths of the market's default sample
+    (one exact row for deterministic hazards, so residual standard errors are
+    zero and a residual beyond _SPREAD_ATOL is a detection); "simulated"
+    re-estimates the hazard from the market's own default sample over
+    [t, t+window], which attaches Monte Carlo standard errors and gives the
+    detection test statistical power.
     """
     if lambda_source not in ("model", "simulated"):
         raise ConfigurationError(f"unknown lambda_source {lambda_source!r}")
@@ -807,18 +809,14 @@ def thm1_residuals(
             - short_rate(market.gov.curve).mean(axis=0)
         )
     beta = market.beta.series.mean(axis=0)
-    model = market.model
     rows_ii = []
     for i, t in enumerate(times):
         if lambda_source == "model":
-            if isinstance(model, IntensityModel) and model.is_deterministic():
-                lam_hat, lam_se = float(model.hazard_values(np.array([t]))[0, 0]), 0.0
-            elif market.defaults.lambda_paths is not None:
-                col = market.defaults.lambda_paths[:, i]
-                lam_hat = float(col.mean())
-                lam_se = float(_mean_se(col))
-            else:
+            if market.defaults.lambda_paths is None:
                 raise ConfigurationError("market model carries no hazard")
+            col = market.defaults.lambda_paths[:, i]
+            lam_hat = float(col.mean())
+            lam_se = float(_mean_se(col))
         else:
             if t + window > grid.horizon + _WINDOW_TOL:
                 continue
@@ -826,7 +824,7 @@ def thm1_residuals(
         lgd_t = market.lgd.deterministic_at(t)
         residual = float(spread[i] - beta[i] * lgd_t * lam_hat)
         se = float(beta[i] * lgd_t * lam_se)
-        z, within = _se_gate(residual, se, atol=atol)
+        z, within = _se_gate(residual, se, atol=_SPREAD_ATOL)
         rows_ii.append(
             {
                 "t": float(t),
@@ -843,8 +841,7 @@ def thm1_residuals(
         alive, n_alive = _survivors(
             sample, t, 10, "too few survivors for the bond-difference residual", t=t
         )
-        p_hat = float(((sample.tau[alive] > t) & (sample.tau[alive] <= s)).mean())
-        p_se = float(np.sqrt(p_hat * (1 - p_hat) / n_alive))
+        p_hat, p_se = _share((sample.tau[alive] > t) & (sample.tau[alive] <= s))
         surv_hat = 1.0 - p_hat
         i_t = grid.index_of(t)
         p_corp = float(market.corp.curve.price(t, s).mean())
@@ -867,7 +864,7 @@ def thm1_residuals(
                 "general": lhs + scale * p_hat,
                 "numeraire_printed": (1.0 - (1.0 + p_cred) * d_cred) - scale * p_hat,
                 "numeraire_rederived": (1.0 - p_cred * (1.0 + d_cred)) - scale * p_hat,
-                "se": scale * p_se,
+                "se": scale * float(p_se),
                 "n_alive": n_alive,
             }
         )

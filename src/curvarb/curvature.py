@@ -55,6 +55,11 @@ __all__ = [
     "kernel_check",
 ]
 
+# pass levels: zc_residual's relative tolerance, and kernel_check's absolute
+# one for a deterministic scenery (zero standard error)
+_ZC_RTOL = 1e-8
+_KERNEL_ATOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # Deflator acceleration spread
@@ -212,14 +217,13 @@ def zc_residual(
     covariation=None,
     covariation_se=None,
     times=None,
-    rtol: float = 1e-8,
 ) -> ZCReport:
     """Distance of the drift vector from the volatility span, per time.
 
     The tested vector is v = alpha + rates - covariation/2 (covariation
     defaults to zero for deterministic checks).  Each time slice solves the
     least-squares system sigma theta = v; the Euclidean residual passes below
-    rtol * (1 + |v|), widened to three propagated standard errors when the
+    _ZC_RTOL * (1 + |v|), widened to three propagated standard errors when the
     covariation carries estimation noise.
     """
     alpha, sigma, r, c = _coerce_zc_inputs(alpha, sigma, rates, covariation)
@@ -244,7 +248,7 @@ def zc_residual(
         theta, _, _, _ = np.linalg.lstsq(sigma[i], v[i], rcond=None)
         mpr[i] = theta
         residual[i] = float(np.linalg.norm(sigma[i] @ theta - v[i]))
-        tol = rtol * (1.0 + float(np.linalg.norm(v[i])))
+        tol = _ZC_RTOL * (1.0 + float(np.linalg.norm(v[i])))
         if cse is not None:
             tol = max(tol, 3.0 * 0.5 * float(np.linalg.norm(cse[i])))
         threshold[i] = tol
@@ -297,10 +301,10 @@ def novikov_sharpe(
     n_paths: int = 1,
     steps: int = 256,
     seed: int = 0,
-    rates=0.0,
 ) -> SharpeIntegralEstimate:
-    """E[exp(1/2 int (x (alpha + r))^2 / |x sigma|^2 dt)] along simulated paths.
+    """E[exp(1/2 int (x alpha)^2 / |x sigma|^2 dt)] along simulated paths.
 
+    The short rate is zero, so the spec's drift alpha is the excess return.
     Deterministic coefficient fields need a single path (the integrand is the
     same on all of them); state-dependent fields average over the ensemble.
     A vanishing portfolio volatility anywhere is a hard error: the Sharpe
@@ -313,11 +317,10 @@ def novikov_sharpe(
     k = spec.driver_dim()
     state = simulate_ito(spec, simulate_brownian(grid, n_paths, k, seed))
     times = grid.times
-    r = np.asarray(rates, dtype=np.float64)
     ratio_sq = np.empty((n_paths, times.size))
     for i, t in enumerate(times):
         st = state.values[:, i, :]
-        a = spec.eval_drift(t, st) + r
+        a = spec.eval_drift(t, st)
         s = spec.eval_sigma(t, st, k)
         num = a @ x
         sx = np.einsum("pnk,n->pk", s, x)
@@ -355,21 +358,14 @@ class KernelCheckReport:
         return max(self.rows, key=lambda r: abs(r["residual"]))
 
 
-def kernel_check(
-    gauges,
-    beta,
-    pairs,
-    n_bins: int = 10,
-    min_bin: int = 50,
-    atol: float = 1e-10,
-) -> KernelCheckReport:
+def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
     """Conditional pricing-kernel residuals for each gauge and (t, s) pair.
 
     For each path the discounted claim beta_s D_s is compared with its stored
     price P(t, s) beta_t D_t; residuals are averaged within equal-count bins
     of the time-t discounted state and scaled by the mean discounted state,
     and the worst bin is reported.  A pair passes when that residual is
-    within three standard errors (or atol for deterministic sceneries).
+    within three standard errors (or _KERNEL_ATOL for deterministic sceneries).
     """
     gauges = list(gauges)
     if not gauges:
@@ -402,8 +398,8 @@ def kernel_check(
                     "discounted state collapsed to zero",
                     diagnostics={"label": g.label, "t": t},
                 )
-            worst = _worst_bin(m_t, y / scale, n_bins, min_bin)
-            z, passed = _se_gate(worst.residual, worst.se, atol=atol)
+            worst = _worst_bin(m_t, y / scale)
+            z, passed = _se_gate(worst.residual, worst.se, atol=_KERNEL_ATOL)
             rows.append(
                 {
                     "label": g.label,

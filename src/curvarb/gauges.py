@@ -484,22 +484,26 @@ def write_term_structure_csv(path: str | os.PathLike, curve: TermStructureSurfac
 
 
 def read_term_structure_csv(path: str | os.PathLike) -> TermStructureSurface:
-    centers: list[float] = []
+    """Inverse of write_term_structure_csv, offsets bit for bit: the t = 0
+    rows hold s = 0 + h = h exactly, and every row must hold s = t + h for one
+    of those h; any other row is a ConfigurationError naming its line."""
+    offsets = []
 
     def offset_indices(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        # s - t reintroduces rounding noise, so cluster raw offsets before indexing
-        hs = s - t
-        for h in np.unique(hs):
-            if not centers or h - centers[-1] > _REL_TOL * (1 + abs(h)):
-                centers.append(float(h))
-        # the nearer of the two centers around each offset, the lower on a tie
-        c = np.array(centers)
-        k = np.clip(np.searchsorted(c, hs), 1, c.size - 1)
-        return np.where(np.abs(c[k - 1] - hs) <= np.abs(c[k] - hs), k - 1, k)
+        offsets.append(np.unique(s[t == 0.0]))
+        # (t, s) -> offset index, for every pair the writer can put down
+        lattice = list(enumerate(offsets[0].tolist()))
+        index = {(a, a + h): k for a in np.unique(t).tolist() for k, h in lattice}
+        k = np.array([index.get(key, -1) for key in zip(t.tolist(), s.tolist())])
+        if np.any(k < 0):
+            raise ConfigurationError(
+                f"term-structure CSV line {int(np.argmax(k < 0)) + 2}: "
+                "s - t is none of the offsets of the t = 0 rows"
+            )
+        return k
 
     grid, values = _read_long_csv(
         path, ["path", "t", "s", "P"], "term-structure", (int, float, float, float),
         offset_indices,
     )
-    centers[0] = 0.0
-    return TermStructureSurface(grid, np.array(centers), values)
+    return TermStructureSurface(grid, offsets[0], values)

@@ -356,7 +356,7 @@ class QuadratureResult:
 
     Exactly one of converged / diverged is set on a clean run: converged
     means two successive cutoff halvings moved the log integral by less than
-    rel_tol, diverged means the trace grew monotonically by more than the
+    _REL_TOL, diverged means the trace grew monotonically by more than the
     certificate threshold without settling.  trace holds (q_min, log value)
     per level.
     """
@@ -366,7 +366,6 @@ class QuadratureResult:
     value: float
     log_value: float
     trace: list
-    rel_tol: float
 
     @property
     def growth(self) -> float:
@@ -439,4 +438,4 @@ def novikov_quadrature(density: DensitySpec, halvings: int = 20) -> QuadratureRe
     growth = log_value - trace[0][1]
     diverged = not converged and monotone and growth > _CERTIFICATE_LOG_GROWTH
     value = float(np.exp(log_value)) if converged else np.inf
-    return QuadratureResult(converged, diverged, value, float(log_value), trace, _REL_TOL)
+    return QuadratureResult(converged, diverged, value, float(log_value), trace)

@@ -49,6 +49,12 @@ __all__ = [
 
 _NODE_ATOL = 1e-9
 
+# conditional_bin_table: at most _N_BINS equal-count bins of about _MIN_BIN
+# samples or more; NelsonEstimator: the fewest effective kernel samples
+_N_BINS = 10
+_MIN_BIN = 50
+_MIN_EFFECTIVE = 30.0
+
 
 def _mean_se(x: np.ndarray):
     """Standard error of the mean over the first axis; 0 with one sample."""
@@ -406,36 +412,22 @@ class CovariationResult:
         return self.cumulative[:, -1]
 
 
-def _series_of(x, name: str) -> tuple[np.ndarray, TimeGrid | None]:
-    if isinstance(x, PathEnsemble):
-        return x.series, x.grid
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ConfigurationError(f"{name} must be a dim-1 ensemble or (n_paths, n_times) array")
-    return arr, None
-
-
-def realized_covariation(a, b, grid: TimeGrid | None = None) -> CovariationResult:
+def realized_covariation(a: PathEnsemble, b: PathEnsemble) -> CovariationResult:
     """Quadratic covariation sum of products of increments, per path.
 
-    Accepts dim-1 PathEnsembles or raw (n_paths, n_times) arrays (then a grid
-    is required).  The rate is the per-interval increment divided by dt,
-    averaged across paths with a standard error.
+    Takes two dim-1 PathEnsembles on one grid.  The rate is the per-interval
+    increment divided by dt, averaged across paths with a standard error.
     """
-    sa, ga = _series_of(a, "a")
-    sb, gb = _series_of(b, "b")
-    g = ga or gb or grid
-    if g is None:
-        raise ConfigurationError("a time grid is required for raw arrays")
-    if ga is not None and gb is not None and not np.array_equal(ga.times, gb.times):
-        raise ConfigurationError("ensembles live on different grids")
-    if sa.shape != sb.shape or sa.shape[1] != g.n_times:
-        raise ConfigurationError("shape mismatch between the two path families")
+    if not (isinstance(a, PathEnsemble) and isinstance(b, PathEnsemble)):
+        raise ConfigurationError("realized_covariation takes two dim-1 PathEnsembles")
+    if a.n_paths != b.n_paths or not np.array_equal(a.grid.times, b.grid.times):
+        raise ConfigurationError("the two ensembles differ in path count or grid")
+    sa, sb = a.series, b.series
     prod = np.diff(sa, axis=1) * np.diff(sb, axis=1)
     cum = np.zeros_like(sa)
     np.cumsum(prod, axis=1, out=cum[:, 1:])
-    rate = prod / g.steps[None, :]
-    return CovariationResult(g, cum, rate.mean(axis=0), _mean_se(rate))
+    rate = prod / a.grid.steps[None, :]
+    return CovariationResult(a.grid, cum, rate.mean(axis=0), _mean_se(rate))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +463,6 @@ class NelsonEstimator:
     quotients: np.ndarray         # (n_paths, out_dim)
     bandwidth: np.ndarray         # (d,) zero entries mean "uniform weights"
     conditioning: str
-    min_effective: float = 30.0
 
     def __call__(self, state) -> np.ndarray:
         return self.evaluate(state)[0]
@@ -499,7 +490,7 @@ class NelsonEstimator:
         w = np.exp(logw - logw.max())
         sw = w.sum()
         neff = sw * sw / np.dot(w, w)
-        if neff < self.min_effective:
+        if neff < _MIN_EFFECTIVE:
             raise EstimationError(
                 "kernel window too empty for a reliable conditional estimate",
                 diagnostics={
@@ -530,8 +521,6 @@ def nelson_derivative(
     t: float,
     mode: str = "mean",
     conditioning: str = "present",
-    bandwidth: float | np.ndarray | None = None,
-    min_effective: float = 30.0,
     markov: bool = True,
 ) -> NelsonEstimator:
     """Forward, backward, or mean stochastic derivative estimator at time t.
@@ -541,13 +530,13 @@ def nelson_derivative(
     Gaussian-kernel local-linear regression on the time-t state, which is the
     valid replacement for past/future conditioning precisely in the Markov
     case; "analytic" uses the plain cross-path average (appropriate for
-    deterministic or state-independent targets).
+    deterministic or state-independent targets).  The kernel bandwidth is
+    Silverman's, per conditioning dimension.
 
     Parameters
     ----------
     mode : {"forward", "backward", "mean"}
     conditioning : {"present", "analytic"}
-    bandwidth : optional override of the per-dimension Silverman bandwidth.
     markov : callers must leave this True; passing False is an explicit
         declaration that present-state conditioning is invalid for the input.
     """
@@ -577,18 +566,11 @@ def nelson_derivative(
         back = (v[:, idx, :] - v[:, idx - 1, :]) / h
         quot = back if quot is None else 0.5 * (quot + back)
     states = v[:, idx, :]
-    if bandwidth is not None:
-        bw = np.broadcast_to(
-            np.atleast_1d(np.asarray(bandwidth, dtype=np.float64)), (states.shape[1],)
-        ).copy()
-    else:
-        bw = _silverman_bandwidth(states)
     return NelsonEstimator(
         states=states,
         quotients=quot,
-        bandwidth=bw,
+        bandwidth=_silverman_bandwidth(states),
         conditioning=conditioning,
-        min_effective=min_effective,
     )
 
 
@@ -609,9 +591,7 @@ class MartingaleResidual:
         return self.residual / self.se
 
 
-def conditional_bin_table(
-    states: np.ndarray, samples: np.ndarray, n_bins: int = 10, min_bin: int = 50
-) -> list:
+def conditional_bin_table(states: np.ndarray, samples: np.ndarray) -> list:
     """Equal-count state bins with the per-bin sample mean and its SE.
 
     A degenerate state (all values equal within rounding) collapses to one
@@ -619,11 +599,11 @@ def conditional_bin_table(
     """
     n = samples.size
     spread = states.max() - states.min()
-    if spread <= 1e-12 * (1.0 + abs(states[0])) or n_bins <= 1:
+    if spread <= 1e-12 * (1.0 + abs(states[0])):
         groups = [np.arange(n)]
         edges = [(float(states.min()), float(states.max()))]
     else:
-        k = min(n_bins, max(1, n // max(min_bin, 1)))
+        k = min(_N_BINS, max(1, n // _MIN_BIN))
         qs_edges = np.quantile(states, np.linspace(0, 1, k + 1))
         qs_edges[-1] = np.nextafter(qs_edges[-1], np.inf)
         which = np.clip(np.digitize(states, qs_edges) - 1, 0, k - 1)
@@ -643,21 +623,15 @@ def conditional_bin_table(
     return table
 
 
-def _worst_bin(states: np.ndarray, samples: np.ndarray, n_bins: int, min_bin: int):
+def _worst_bin(states: np.ndarray, samples: np.ndarray):
     """The conditional_bin_table bin whose mean is largest in magnitude, as a
     MartingaleResidual that also carries the whole table."""
-    table = conditional_bin_table(states, samples, n_bins, min_bin)
+    table = conditional_bin_table(states, samples)
     worst = max(table, key=lambda row: abs(row["mean"]))
     return MartingaleResidual(worst["mean"], worst["se"], table)
 
 
-def martingale_residual(
-    ensemble: PathEnsemble,
-    t: float,
-    s: float,
-    n_bins: int = 10,
-    min_bin: int = 50,
-) -> MartingaleResidual:
+def martingale_residual(ensemble: PathEnsemble, t: float, s: float) -> MartingaleResidual:
     """Worst conditional drift E[Q_s - Q_t | Q_t in bin] across state bins.
 
     Bins are equal-count in the time-t state.  A degenerate state (all paths
@@ -670,7 +644,7 @@ def martingale_residual(
         raise ConfigurationError("need s > t")
     qt = ensemble.at_time(t)[:, 0]
     qs = ensemble.at_time(s)[:, 0]
-    return _worst_bin(qt, qs - qt, n_bins, min_bin)
+    return _worst_bin(qt, qs - qt)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ looks at grid nodes; the surrounding tests pin down what refinement actually
 delivers, and the bridge-corrected estimator removes the bias entirely.
 """
 
+import functools
 import os
 import time
 from dataclasses import replace
@@ -200,12 +201,14 @@ def test_06_first_passage_oracle():
     assert time.perf_counter() - start < 60.0
 
 
+@functools.cache
 def _nested_monitoring_biases():
     """Plain node-monitoring default probabilities on nested grids.
 
     One 2000-step Brownian sample, monitored on every node and on every
     second node.  Common paths make the refinement comparison pathwise
-    monotone; chunked simulation keeps memory bounded.
+    monotone; chunked simulation keeps memory bounded.  Both criterion-6
+    tests read it, so it is computed once per session.
     """
     grid = TimeGrid.regular(1.0, 2000)
     hits_coarse = 0

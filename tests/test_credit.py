@@ -7,7 +7,9 @@ import pytest
 from dataclasses import replace
 from scipy import stats
 
+import curvarb.credit
 from curvarb.credit import (
+    TAG_DRIVER,
     BondPrice,
     IntensityModel,
     LGDProcess,
@@ -25,7 +27,7 @@ from curvarb.credit import (
 )
 from curvarb.credit import _interp_rows
 from curvarb.errors import ConfigurationError, EstimationError
-from curvarb.paths import ItoSpec, TimeGrid
+from curvarb.paths import ItoSpec, TimeGrid, simulate_brownian, simulate_ito
 
 STANDARD_TWO_SIDED_EXIT = 2 * stats.norm.cdf(-1.0)  # 0.3173105078629141
 
@@ -102,8 +104,8 @@ def test_first_passage_monotone_under_refinement():
     # estimated exit probability can only go up under refinement
     spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.3, form="geometric")
     grid = TimeGrid.regular(1.0, 1024)
-    sample = simulate_default(StructuralModel(spec, 0.75), grid, 50_000, seed=9)
-    e = sample.equity.series
+    # the equity simulate_default(StructuralModel(spec, 0.75), grid, 50_000, seed=9) reads
+    e = simulate_ito(spec, simulate_brownian(grid, 50_000, 1, 9, tag=TAG_DRIVER)).series
     p_coarse = (np.min(e[:, ::4], axis=1) <= 0.75).mean()
     p_mid = (np.min(e[:, ::2], axis=1) <= 0.75).mean()
     p_fine = (np.min(e, axis=1) <= 0.75).mean()
@@ -138,6 +140,33 @@ def test_implied_intensity_structural_fully_observed_degenerates():
     # far above the barrier the announced default arrives slower than any power
     assert est.degenerate
     assert est.lambda0 == 0.0
+
+
+def test_structural_implied_intensity_draws_no_default_times(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate_default called")
+
+    monkeypatch.setattr(curvarb.credit, "simulate_default", refuse)
+    spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.1, form="arithmetic")
+    est = implied_intensity(
+        StructuralModel(spec, 0.5), t=0.5, dt_seq=[0.125, 0.25], n_paths=2000, seed=4,
+        steps_per_unit=16,
+    )
+    assert est.degenerate
+
+
+def test_structural_sample_holds_only_default_times():
+    model = StructuralModel(ItoSpec(x0=1.0, drift=0.0, sigma=0.3, form="geometric"), 0.75)
+    grid = TimeGrid.regular(1.0, 200)
+    simulate_default(model, grid, 10, seed=9)  # lazy imports happen outside the count
+    tracemalloc.start()
+    try:
+        sample = simulate_default(model, grid, 10_000, seed=9)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # about tau's 80 kB, not the 16 MB of the (n, n_times) equity paths
+    assert held < 1.5 * sample.tau.nbytes
 
 
 def test_implied_intensity_coarse_observation_positive():

@@ -6,9 +6,14 @@ exercise it with randomized positive cashflows.  Rate extraction oracles are
 exponential and quadratic log-price surfaces with hand-computed derivatives.
 """
 
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curvarb import (
     CashflowVector,
@@ -280,8 +285,46 @@ def test_term_structure_csv_round_trip(tmp_path):
     target = tmp_path / "curve.csv"
     write_term_structure_csv(target, curve)
     back = read_term_structure_csv(target)
-    assert np.allclose(back.offsets, offsets, atol=1e-12)
+    assert np.array_equal(back.offsets, offsets)
     assert np.array_equal(back.values, curve.values)
+
+
+def _distinct_positive(max_size):
+    return st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=max_size, unique=True)
+
+
+@st.composite
+def _term_structures(draw):
+    grid = TimeGrid(np.array([0.0, *sorted(draw(_distinct_positive(4)))]))
+    offsets = np.array([0.0, *sorted(draw(_distinct_positive(5)))])
+    # the file stores s = t + h: two offsets that meet in one s at some t
+    # cannot be told apart
+    assume(np.all(np.diff(grid.times[:, None] + offsets, axis=1) > 0))
+    shape = (draw(st.integers(1, 3)), grid.n_times, offsets.size)
+    values = draw(arrays(np.float64, shape, elements=st.floats(1e-300, 1e300)))
+    values[:, :, 0] = 1.0
+    return TermStructureSurface(grid, offsets, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_term_structures())
+def test_term_structure_csv_round_trips_bit_for_bit(curve):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "curve.csv")
+        write_term_structure_csv(target, curve)
+        back = read_term_structure_csv(target)
+    assert back.grid.times.tobytes() == curve.grid.times.tobytes()
+    assert back.offsets.tobytes() == curve.offsets.tobytes()
+    assert back.values.tobytes() == curve.values.tobytes()
+
+
+def test_term_structure_reader_names_a_row_off_the_lattice(tmp_path):
+    target = tmp_path / "curve.csv"
+    rows = ["0,0.0,0.0,1.0", "0,0.0,0.5,0.9", "0,1.0,1.0,1.0", "0,1.0,1.4,0.9"]
+    target.write_text("path,t,s,P\n" + "".join(f"{row}\n" for row in rows))
+    message = "line 5: s - t is none of the offsets"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        read_term_structure_csv(target)
 
 
 def test_price_lookup_interpolates_log_linearly():

@@ -6,10 +6,14 @@ conditional expectations for difference quotients of Brownian motion
 (E[(W_t - W_{t-h})/h | W_t = q] = q/t for any step h).
 """
 
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curvarb import (
     ConfigurationError,
@@ -166,6 +170,17 @@ def test_covariation_of_brownian_recovers_time():
     assert abs(cross.total.mean()) < 3 * se
 
 
+def test_covariation_takes_ensembles_only():
+    grid = TimeGrid.regular(1.0, 4)
+    w = simulate_brownian(grid, 10, seed=5)
+    with pytest.raises(ConfigurationError):
+        realized_covariation(w.series, w.series)
+    with pytest.raises(ConfigurationError):
+        realized_covariation(w, w.series)
+    with pytest.raises(ConfigurationError):
+        realized_covariation(simulate_brownian(grid, 10, dim=2, seed=5), w)
+
+
 def test_derivative_modes_on_deterministic_path():
     grid = TimeGrid.regular(2.0, 200)
     t = grid.times
@@ -263,6 +278,35 @@ def test_binary_round_trip_is_bit_exact(tmp_path):
     back = read_ensemble(target)
     assert np.array_equal(back.grid.times, grid.times)
     assert np.array_equal(back.values, w.values)
+
+
+# irregular grids: 0 followed by up to five distinct positive times
+_grids = st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=5, unique=True).map(
+    lambda xs: TimeGrid(np.array([0.0, *sorted(xs)]))
+)
+
+
+@st.composite
+def _ensembles(draw):
+    grid = draw(_grids)
+    shape = (draw(st.integers(1, 4)), grid.n_times, draw(st.integers(1, 3)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return PathEnsemble(grid, draw(arrays(np.float64, shape, elements=finite)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _ensembles(),
+    st.sampled_from([(write_ensemble, read_ensemble), (write_ensemble_csv, read_ensemble_csv)]),
+)
+def test_ensemble_formats_round_trip_bit_for_bit(ens, formats):
+    write, read = formats
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "ens")
+        write(target, ens)
+        back = read(target)
+    assert back.grid.times.tobytes() == ens.grid.times.tobytes()
+    assert back.values.tobytes() == ens.values.tobytes()
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
