@@ -26,11 +26,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError
-from .gauges import Gauge, TermStructureSurface, forward_rates, short_rate
+from .gauges import Gauge, TermStructureSurface, flat_term_structure, forward_rates, short_rate
 from .paths import (
+    _PATH_BLOCK,
     ItoSpec,
     PathEnsemble,
     TimeGrid,
+    _brownian_rows,
     _cumulative_trapezoid,
     _keyed_rows,
     _mean_se,
@@ -221,10 +223,16 @@ def _hazard_paths(model: IntensityModel, grid: TimeGrid, n_paths: int, seed: int
     return lam, _cumulative_trapezoid(lam, grid.steps)
 
 
-def _equity_paths(model: StructuralModel, grid: TimeGrid, n_paths: int, seed: int):
-    """(n_paths, n_times) equity of a structural model, driven by TAG_DRIVER."""
-    driver = simulate_brownian(grid, n_paths, 1, seed, TAG_DRIVER)
-    return simulate_ito(model.equity, driver).series
+def _equity_blocks(model: StructuralModel, grid: TimeGrid, n_paths: int, seed: int):
+    """(rows, equity) for one block of _PATH_BLOCK paths at a time: equity is
+    the (rows.size, n_times) equity of a structural model on those paths,
+    driven by TAG_DRIVER, bit for bit their rows of the whole ensemble."""
+    for lo in range(0, n_paths, _PATH_BLOCK):
+        rows = np.arange(lo, min(lo + _PATH_BLOCK, n_paths))
+        driver = _brownian_rows(grid, rows, 1, seed, TAG_DRIVER)
+        equity = simulate_ito(model.equity, PathEnsemble(grid, *driver)).series
+        del driver  # hold only the equity while the caller reads it
+        yield rows, equity
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -270,9 +278,11 @@ def simulate_default(
     exponential threshold crossing is linearly interpolated, so hitting levels
     reproduce the thresholds exactly and default times carry no grid atoms.
 
-    Structural: default is the first grid node at or below the barrier;
-    bridge=True additionally samples interval crossings from the conditional
-    two-point crossing probability and reports the interval right endpoint.
+    Structural: default is the right end of the first grid step that crosses
+    the barrier.  A step crosses when it ends on a node at or below the
+    barrier or, with bridge=True, when its uniform draw falls under the
+    conditional two-point crossing probability.  The equity is simulated one
+    block of paths at a time.
     """
     if n_paths < 1:
         raise ConfigurationError("need n_paths >= 1")
@@ -285,34 +295,30 @@ def simulate_default(
         tau = _intensity_default_times(cum, times, thresholds)
         return DefaultSample(grid, tau, cum, thresholds, lam)
     if isinstance(model, StructuralModel):
-        e = _equity_paths(model, grid, n_paths, seed)
         b = model.barrier
-        below = e <= b
-        hit = below.any(axis=1)
-        node = np.argmax(below, axis=1)
-        tau = np.where(hit, times[np.minimum(node, times.size - 1)], np.inf)
-        if bridge:
-            geometric = model.equity.form == "geometric"
-            if geometric and b <= 0:
-                raise ConfigurationError("geometric bridge needs a positive barrier")
-            dt = grid.steps
-            m = dt.size
-            u = _keyed_rows(seed, TAG_BRIDGE, np.arange(n_paths), (m,), lambda gen: gen.random(m))
-            sig = np.empty((n_paths, m))
-            for i in range(m):
-                sig[:, i] = model.equity.eval_sigma(times[i], e[:, i : i + 1], 1)[:, 0, 0]
+        geometric = model.equity.form == "geometric"
+        if bridge and geometric and b <= 0:
+            raise ConfigurationError("geometric bridge needs a positive barrier")
+        dt = grid.steps
+        m = dt.size
+        tau = np.full(n_paths, np.inf)
+        for rows, e in _equity_blocks(model, grid, n_paths, seed):
             a, c = e[:, :-1], e[:, 1:]
-            valid = (a > b) & (c > b)
-            if geometric:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    expo = -2.0 * np.log(a / b) * np.log(c / b) / (sig**2 * dt[None, :])
-            else:
-                expo = -2.0 * (a - b) * (c - b) / (sig**2 * dt[None, :])
-            crossed = valid & (u < np.exp(np.where(valid, expo, -np.inf)))
-            any_cross = crossed.any(axis=1)
-            first = np.argmax(crossed, axis=1)
-            tau_bridge = np.where(any_cross, times[np.minimum(first + 1, times.size - 1)], np.inf)
-            tau = np.minimum(tau, tau_bridge)
+            crossed = c <= b
+            if bridge:
+                u = _keyed_rows(seed, TAG_BRIDGE, rows, (m,), lambda gen: gen.random(m))
+                sig = np.empty(u.shape)
+                for i in range(m):
+                    sig[:, i] = model.equity.eval_sigma(times[i], e[:, i : i + 1], 1)[:, 0, 0]
+                valid = (a > b) & (c > b)
+                if geometric:
+                    with np.errstate(invalid="ignore", divide="ignore"):
+                        expo = -2.0 * np.log(a / b) * np.log(c / b) / (sig**2 * dt)
+                else:
+                    expo = -2.0 * (a - b) * (c - b) / (sig**2 * dt)
+                crossed |= valid & (u < np.exp(np.where(valid, expo, -np.inf)))
+            hit = crossed.any(axis=1)
+            tau[rows[hit]] = times[np.argmax(crossed[hit], axis=1) + 1]
         return DefaultSample(grid, tau, None, None, None)
     raise ConfigurationError(f"unknown default model {type(model).__name__}")
 
@@ -446,36 +452,39 @@ def implied_intensity(
     horizon = t + float(dt_seq[-1])
     steps = max(8, int(round(horizon * steps_per_unit)))
     grid = TimeGrid.regular(horizon, steps)
-    for x in np.concatenate([[t] if t > 0 else [], t + dt_seq]):
-        grid.index_of(x)  # all query dates must be nodes
+    dates = np.concatenate([[t], t + dt_seq])
+    cols = [grid.index_of(x) for x in dates]  # all query dates must be nodes
+    # event[path, j]: in the default state at dates[j]
     if isinstance(model, StructuralModel):
-        e = _equity_paths(model, grid, n_paths, seed)
-        b = model.barrier
         if observation_times is None:
-            upto = grid.index_of(t) if t > 0 else 0
-            alive = np.all(e[:, : upto + 1] > b, axis=1)
+            watch = slice(0, cols[0] + 1)
         else:
-            obs = [grid.index_of(x) for x in observation_times if x <= t + 1e-12]
-            if not obs:
+            watch = [grid.index_of(x) for x in observation_times if x <= t + 1e-12]
+            if not watch:
                 raise ConfigurationError("no observation times at or before t")
-            alive = np.all(e[:, obs] > b, axis=1)
-        event = lambda s: e[:, grid.index_of(s)] <= b  # noqa: E731
+        b = model.barrier
+        alive = np.empty(n_paths, dtype=bool)
+        event = np.empty((n_paths, dates.size), dtype=bool)
+        for rows, e in _equity_blocks(model, grid, n_paths, seed):
+            alive[rows] = np.all(e[:, watch] > b, axis=1)
+            event[rows] = e[:, cols] <= b
     else:
         sample = simulate_default(model, grid, n_paths, seed)  # rejects unknown models
         alive = sample.survivors_at(t)
-        event = lambda s: sample.tau <= s  # noqa: E731
+        event = sample.tau[:, None] <= dates[None, :]
     n_alive = int(alive.sum())
     if n_alive < 100:
         raise EstimationError(
             "too few conditioning paths", diagnostics={"alive": n_alive}
         )
+    event = event[alive]
     # baseline default-state mass at t itself; nonzero under coarse observation
-    p0, p0_se = _share(event(t)[alive]) if t > 0 else (0.0, 0.0)
+    p0, p0_se = _share(event[:, 0]) if t > 0 else (0.0, 0.0)
     lam_dt = np.empty(dt_seq.size)
     lam_se = np.empty(dt_seq.size)
     degenerate = False
     for j, dt in enumerate(dt_seq):
-        p, pse = _share(event(t + dt)[alive])
+        p, pse = _share(event[:, j + 1])
         if p <= p0:
             degenerate = True
             lam_dt[j] = 0.0
@@ -530,8 +539,7 @@ class CreditMarket:
     """A government/corporate gauge pair with its default scenery.
 
     gov_rates / corp_rates hold the instantaneous short-rate curves the market
-    was constructed with (when known analytically); diagnostics prefer them
-    over finite differences of the stored surfaces.
+    was constructed with; thm1_residuals reads its spread off them.
     """
 
     gov: Gauge
@@ -540,8 +548,8 @@ class CreditMarket:
     beta: PathEnsemble
     defaults: DefaultSample
     corp_predefault: PathEnsemble
-    gov_rates: np.ndarray | None = None
-    corp_rates: np.ndarray | None = None
+    gov_rates: np.ndarray
+    corp_rates: np.ndarray
     seed: int = 0
 
     @property
@@ -627,7 +635,7 @@ def credit_gauge(market: CreditMarket) -> CreditGauge:
     n = max(gov.n_paths, corp.n_paths)
     d_gov = np.broadcast_to(gov.deflator.series, (n, market.grid.n_times))
     d_corp = np.broadcast_to(corp.deflator.series, (n, market.grid.n_times))
-    deflator = PathEnsemble(market.grid, d_corp - d_gov, seed=market.seed)
+    deflator = PathEnsemble(market.grid, d_corp - d_gov)
     ratio = corp.curve.values / gov.curve.values
     ratio[:, :, 0] = 1.0
     curve = TermStructureSurface(market.grid, gov.curve.offsets, ratio)
@@ -704,19 +712,11 @@ def build_thm1_market(
     p_corp = p_corp[None, :, :].copy()
     p_corp[:, :, 0] = 1.0
     corp_curve = TermStructureSurface(grid, offsets, p_corp)
-    gov_curve = TermStructureSurface(
-        grid,
-        offsets,
-        np.broadcast_to(
-            np.exp(-gov_rate * offsets)[None, None, :],
-            (1, times.size, offsets.size),
-        ).copy(),
-    )
+    gov_curve = flat_term_structure(grid, gov_rate, offsets)
     ones = np.ones((1, times.size))
     gov = Gauge(PathEnsemble(grid, ones), gov_curve, label="gov")
     defl = np.where(times[None, :] >= sample.tau[:, None], 1.0 - lgd_value, 1.0)
-    corp_defl = PathEnsemble(grid, defl, seed=seed)
-    corp = Gauge(corp_defl, corp_curve, label="corp")
+    corp = Gauge(PathEnsemble(grid, defl), corp_curve, label="corp")
     beta = PathEnsemble(grid, np.exp(-gov_rate * times)[None, :])
     lam_t = model.hazard_values(times)[0]
     corp_rates = gov_rate + lgd_value * lam_t + spread_shift
@@ -801,13 +801,7 @@ def thm1_residuals(
         raise ConfigurationError(
             f"window must lie in (0, {grid.horizon}] for the simulated hazard, got {window}"
         )
-    if market.corp_rates is not None and market.gov_rates is not None:
-        spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
-    else:
-        spread = (
-            short_rate(market.corp.curve).mean(axis=0)
-            - short_rate(market.gov.curve).mean(axis=0)
-        )
+    spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
     beta = market.beta.series.mean(axis=0)
     rows_ii = []
     for i, t in enumerate(times):

@@ -314,11 +314,7 @@ def gauge_transform(gauge: Gauge, pi: CashflowVector) -> Gauge:
     scale = denom if denom.shape[0] == gauge.n_paths else np.broadcast_to(
         denom, (gauge.n_paths, denom.shape[1])
     )
-    new_deflator = PathEnsemble(
-        gauge.grid,
-        gauge.deflator.series * scale,
-        seed=gauge.deflator.seed,
-    )
+    new_deflator = PathEnsemble(gauge.grid, gauge.deflator.series * scale)
     return Gauge(new_deflator, new_curve, label=gauge.label)
 
 
@@ -384,7 +380,7 @@ def portfolio_gauge(gauges: list[Gauge], nominals) -> Gauge:
     values = np.exp(logpx)
     values[:, :, 0] = 1.0
     curve = TermStructureSurface(grid, offsets, values)
-    deflator = PathEnsemble(grid, dx, seed=gauges[0].deflator.seed)
+    deflator = PathEnsemble(grid, dx)
     return Gauge(deflator, curve, label="portfolio")
 
 
@@ -410,7 +406,7 @@ def numeraire_change(gauges: list[Gauge], numeraire: int | Gauge) -> list[Gauge]
         )) / d_num
         out.append(
             Gauge(
-                PathEnsemble(g.grid, ratio, seed=g.deflator.seed),
+                PathEnsemble(g.grid, ratio),
                 g.curve,
                 label=g.label,
             )

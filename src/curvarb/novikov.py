@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EstimationError
-from .paths import PathEnsemble, _brownian_rows, _keyed_rows, _mean_se
+from .paths import _PATH_BLOCK, PathEnsemble, _brownian_rows, _keyed_rows, _mean_se
 from .credit import CreditMarket, realized_lgd_at_default
 
 __all__ = [
@@ -46,9 +46,6 @@ TAG_NOVIKOV_DRIVER = 7
 TAG_NOVIKOV_BRIDGE = 8
 
 _Q_FORMS = ("consistent", "printed")
-
-# novikov_mc holds the driver of this many defaulted rows at a time
-_DRIVER_BLOCK = 2048
 
 # Hill estimator: it reads the top 1% of the summands (at least five), and a
 # summand at or below 1 (exponent 0) never enters.  An exceedance within
@@ -205,8 +202,8 @@ def novikov_mc(
     xi = _keyed_rows(seed, TAG_NOVIKOV_BRIDGE, rows, (k,), lambda gen: gen.standard_normal(k))
     w0 = np.empty((n_def, k))
     w1 = np.empty((n_def, k))
-    for lo in range(0, n_def, _DRIVER_BLOCK):
-        b = slice(lo, lo + _DRIVER_BLOCK)
+    for lo in range(0, n_def, _PATH_BLOCK):
+        b = slice(lo, lo + _PATH_BLOCK)
         w = _brownian_rows(sample.grid, rows[b], k, seed, TAG_NOVIKOV_DRIVER)[0]
         at = np.arange(w.shape[0])
         w0[b] = w[at, i0[b]]

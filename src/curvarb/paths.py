@@ -55,6 +55,9 @@ _N_BINS = 10
 _MIN_BIN = 50
 _MIN_EFFECTIVE = 30.0
 
+# novikov_mc and the structural default routes hold this many paths at a time
+_PATH_BLOCK = 2048
+
 
 def _mean_se(x: np.ndarray):
     """Standard error of the mean over the first axis; 0 with one sample."""
@@ -164,7 +167,6 @@ class PathEnsemble:
     grid: TimeGrid
     values: np.ndarray
     driver_increments: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -210,7 +212,7 @@ class PathEnsemble:
         return self.values[:, self.grid.index_of(t), :]
 
     def component(self, j: int) -> "PathEnsemble":
-        return PathEnsemble(self.grid, self.values[:, :, j : j + 1], seed=self.seed)
+        return PathEnsemble(self.grid, self.values[:, :, j : j + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +302,7 @@ def simulate_brownian(
     if n_paths < 1 or dim < 1:
         raise ConfigurationError("need n_paths >= 1 and dim >= 1")
     w, dw = _brownian_rows(grid, np.arange(n_paths), dim, seed, tag)
-    return PathEnsemble(grid, w, driver_increments=dw, seed=seed)
+    return PathEnsemble(grid, w, driver_increments=dw)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +364,7 @@ def simulate_ito(spec: ItoSpec, driver: PathEnsemble) -> PathEnsemble:
 
     The driver must carry its increments, as simulate_brownian's output does;
     any other ensemble, an Ito output among them, is rejected.  The output
-    reuses the driver grid and seed but not its increments.
+    reuses the driver grid but not its increments.
     """
     if driver.driver_increments is None:
         raise ConfigurationError("driver ensemble carries no increments")
@@ -391,7 +393,7 @@ def simulate_ito(spec: ItoSpec, driver: PathEnsemble) -> PathEnsemble:
             state = np.exp(log_state)
         x[:, i + 1, :] = state
     _check_finite(x, "simulated paths")
-    return PathEnsemble(grid, x, seed=driver.seed)
+    return PathEnsemble(grid, x)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +406,6 @@ class CovariationResult:
 
     grid: TimeGrid
     cumulative: np.ndarray        # (n_paths, n_times)
-    mean_rate: np.ndarray         # (n_times - 1,) ensemble average of d<a,b>/dt
-    rate_se: np.ndarray           # (n_times - 1,)
 
     @property
     def total(self) -> np.ndarray:
@@ -415,8 +415,7 @@ class CovariationResult:
 def realized_covariation(a: PathEnsemble, b: PathEnsemble) -> CovariationResult:
     """Quadratic covariation sum of products of increments, per path.
 
-    Takes two dim-1 PathEnsembles on one grid.  The rate is the per-interval
-    increment divided by dt, averaged across paths with a standard error.
+    Takes two dim-1 PathEnsembles on one grid.
     """
     if not (isinstance(a, PathEnsemble) and isinstance(b, PathEnsemble)):
         raise ConfigurationError("realized_covariation takes two dim-1 PathEnsembles")
@@ -426,8 +425,7 @@ def realized_covariation(a: PathEnsemble, b: PathEnsemble) -> CovariationResult:
     prod = np.diff(sa, axis=1) * np.diff(sb, axis=1)
     cum = np.zeros_like(sa)
     np.cumsum(prod, axis=1, out=cum[:, 1:])
-    rate = prod / a.grid.steps[None, :]
-    return CovariationResult(a.grid, cum, rate.mean(axis=0), _mean_se(rate))
+    return CovariationResult(a.grid, cum)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,10 @@ from curvarb.novikov import (
     q2_statistic,
 )
 from curvarb.paths import (
+    _PATH_BLOCK,
     ItoSpec,
     TimeGrid,
+    _brownian_rows,
     nelson_derivative,
     simulate_brownian,
     simulate_ito,
@@ -215,11 +217,11 @@ def _nested_monitoring_biases():
     hits_fine = 0
     n_chunk, n_chunks = 50_000, 2
     for c in range(n_chunks):
-        w = simulate_brownian(grid, n_chunk, 1, 31, tag=64 + c)
-        levels = w.values[:, :, 0]
-        hits_fine += int((levels.min(axis=1) <= -1.0).sum())
-        hits_coarse += int((levels[:, ::2].min(axis=1) <= -1.0).sum())
-        del w, levels
+        for lo in range(0, n_chunk, _PATH_BLOCK):
+            rows = np.arange(lo, min(lo + _PATH_BLOCK, n_chunk))
+            levels = _brownian_rows(grid, rows, 1, 31, 64 + c)[0][:, :, 0]
+            hits_fine += int((levels.min(axis=1) <= -1.0).sum())
+            hits_coarse += int((levels[:, ::2].min(axis=1) <= -1.0).sum())
     n = n_chunk * n_chunks
     p_coarse, p_fine = hits_coarse / n, hits_fine / n
     return TWO_SIDED_EXIT - p_coarse, TWO_SIDED_EXIT - p_fine

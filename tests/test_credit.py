@@ -9,7 +9,6 @@ from scipy import stats
 
 import curvarb.credit
 from curvarb.credit import (
-    TAG_DRIVER,
     BondPrice,
     IntensityModel,
     LGDProcess,
@@ -25,9 +24,9 @@ from curvarb.credit import (
     simulate_default,
     thm1_residuals,
 )
-from curvarb.credit import _interp_rows
+from curvarb.credit import _equity_blocks, _interp_rows
 from curvarb.errors import ConfigurationError, EstimationError
-from curvarb.paths import ItoSpec, TimeGrid, simulate_brownian, simulate_ito
+from curvarb.paths import ItoSpec, TimeGrid
 
 STANDARD_TWO_SIDED_EXIT = 2 * stats.norm.cdf(-1.0)  # 0.3173105078629141
 
@@ -105,10 +104,10 @@ def test_first_passage_monotone_under_refinement():
     spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.3, form="geometric")
     grid = TimeGrid.regular(1.0, 1024)
     # the equity simulate_default(StructuralModel(spec, 0.75), grid, 50_000, seed=9) reads
-    e = simulate_ito(spec, simulate_brownian(grid, 50_000, 1, 9, tag=TAG_DRIVER)).series
-    p_coarse = (np.min(e[:, ::4], axis=1) <= 0.75).mean()
-    p_mid = (np.min(e[:, ::2], axis=1) <= 0.75).mean()
-    p_fine = (np.min(e, axis=1) <= 0.75).mean()
+    hits = np.zeros(3, dtype=np.int64)
+    for _, e in _equity_blocks(StructuralModel(spec, 0.75), grid, 50_000, 9):
+        hits += [int((np.min(e[:, ::stride], axis=1) <= 0.75).sum()) for stride in (4, 2, 1)]
+    p_coarse, p_mid, p_fine = hits / 50_000
     assert p_coarse < p_mid < p_fine
 
 
@@ -167,6 +166,91 @@ def test_structural_sample_holds_only_default_times():
         tracemalloc.stop()
     # about tau's 80 kB, not the 16 MB of the (n, n_times) equity paths
     assert held < 1.5 * sample.tau.nbytes
+
+
+EQUITY = {
+    "geometric": ItoSpec(x0=1.0, drift=0.02, sigma=0.3, form="geometric"),
+    "arithmetic": ItoSpec(x0=1.0, drift=0.0, sigma=0.4, form="arithmetic"),
+    "callable": ItoSpec(
+        x0=1.0, drift=0.0, sigma=lambda t, x: (0.2 + 0.2 * np.abs(x) + 0.1 * t)[:, :, None]
+    ),
+}
+
+
+def _small_and_whole_blocks(monkeypatch, n_paths, run):
+    """run() with blocks of 97 paths, then with one block holding all n_paths."""
+    out = []
+    for block in (97, n_paths):
+        monkeypatch.setattr(curvarb.credit, "_PATH_BLOCK", block)
+        out.append(run())
+    return out
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+@pytest.mark.parametrize("equity", sorted(EQUITY))
+def test_structural_default_times_do_not_depend_on_the_block_size(monkeypatch, equity, bridge):
+    model = StructuralModel(EQUITY[equity], 0.7)
+    grid = TimeGrid.regular(2.0, 50)
+    n = 1000  # ten blocks of 97 and a short one
+    small, whole = _small_and_whole_blocks(
+        monkeypatch, n, lambda: simulate_default(model, grid, n, seed=13, bridge=bridge).tau
+    )
+    assert np.isfinite(small).sum() > 100
+    assert small.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("observation_times", [None, [0.0], [0.0, 0.25, 0.375]])
+def test_structural_implied_intensity_does_not_depend_on_the_block_size(
+    monkeypatch, observation_times
+):
+    model = StructuralModel(ItoSpec(x0=1.0, drift=0.0, sigma=1.0, form="arithmetic"), 0.0)
+    n = 1000
+    small, whole = _small_and_whole_blocks(
+        monkeypatch,
+        n,
+        lambda: implied_intensity(
+            model, t=0.5, dt_seq=[0.125, 0.25], n_paths=n, seed=4, steps_per_unit=16,
+            observation_times=observation_times,
+        ),
+    )
+    assert not small.degenerate
+    for field in ("lambda0", "se", "lambda_dt", "lambda_dt_se"):
+        assert np.asarray(getattr(small, field)).tobytes() == np.asarray(getattr(whole, field)).tobytes()
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bridged_structural_defaults_hold_one_block_of_equity():
+    model = StructuralModel(EQUITY["geometric"], 0.75)
+    grid = TimeGrid.regular(1.0, 400)
+    n = 40_000
+    simulate_default(model, grid, 10, seed=9, bridge=True)  # lazy imports happen outside the count
+    peak = _traced_peak(lambda: simulate_default(model, grid, n, seed=9, bridge=True))
+    # the whole (n, n_times) equity array would be 122 MiB
+    assert peak < 0.5 * n * grid.n_times * 8
+
+
+def test_structural_implied_intensity_holds_one_block_of_equity():
+    model = StructuralModel(ItoSpec(x0=1.0, drift=0.0, sigma=1.0, form="arithmetic"), 0.0)
+    n = 40_000
+
+    def run(n_paths):
+        return implied_intensity(
+            model, t=0.5, dt_seq=[0.125, 0.25], n_paths=n_paths, seed=4, steps_per_unit=400,
+            observation_times=[0.0],
+        )
+
+    run(1000)
+    peak = _traced_peak(lambda: run(n))
+    # 301 nodes: the whole (n, n_times) equity array would be 92 MiB
+    assert peak < 0.5 * n * 301 * 8
 
 
 def test_implied_intensity_coarse_observation_positive():

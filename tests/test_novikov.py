@@ -154,7 +154,7 @@ def test_novikov_mc_blocks_match_full_driver_reference(small_market, cap, monkey
         market = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap)))
     n_def = int(market.defaults.defaulted().sum())
     # several blocks, the last one short
-    monkeypatch.setattr(novikov, "_DRIVER_BLOCK", 97)
+    monkeypatch.setattr(novikov, "_PATH_BLOCK", 97)
     assert n_def > 3 * 97 and n_def % 97
     est = novikov_mc(market, 4)
     assert np.array_equal(est.exponents, _reference_exponents(market, 4, cap))
