@@ -34,11 +34,10 @@ from .paths import (
     TimeGrid,
     _brownian_rows,
     _cumulative_trapezoid,
+    _integrate,
     _keyed_rows,
     _mean_se,
     _se_gate,
-    simulate_brownian,
-    simulate_ito,
 )
 
 __all__ = [
@@ -82,6 +81,10 @@ class IntensityModel:
     or an ItoSpec for a stochastic hazard path (clipped at zero)."""
 
     lam: float | Callable | ItoSpec
+
+    def __post_init__(self):
+        if isinstance(self.lam, ItoSpec) and self.lam.dim != 1:
+            raise ConfigurationError("a stochastic hazard must be one-dimensional")
 
     def is_deterministic(self) -> bool:
         return not isinstance(self.lam, ItoSpec)
@@ -147,8 +150,8 @@ class LGDProcess:
             raise ConfigurationError("constant LGD must lie in [0, 1]")
         if self.kind in ("deterministic", "driver_linked") and self.fn is None:
             raise ConfigurationError("deterministic/driver_linked LGD needs fn")
-        if self.kind == "stochastic" and self.spec is None:
-            raise ConfigurationError("stochastic LGD needs an ItoSpec")
+        if self.kind == "stochastic" and (self.spec is None or self.spec.dim != 1):
+            raise ConfigurationError("stochastic LGD needs a one-dimensional ItoSpec")
 
     def deterministic_at(self, t: float | np.ndarray):
         if self.kind == "constant":
@@ -157,13 +160,13 @@ class LGDProcess:
             return np.clip(np.vectorize(self.fn)(t), 0.0, 1.0)
         raise ConfigurationError(f"LGD kind {self.kind!r} is not deterministic")
 
-    def sample_paths(self, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
-        """(n_paths, n_times) LGD paths for the stochastic kind."""
+    def sample_paths(self, grid: TimeGrid, paths: np.ndarray, seed: int) -> np.ndarray:
+        """(paths.size, n_times) LGD paths of the stochastic kind for the given
+        path indices; row i is bit for bit row paths[i] of the whole ensemble."""
         if self.kind != "stochastic":
             raise ConfigurationError("sample_paths applies to stochastic LGD only")
-        driver = simulate_brownian(grid, n_paths, self.spec.driver_dim(), seed, TAG_LGD)
-        raw = simulate_ito(self.spec, driver)
-        return np.clip(raw.series, 0.0, 1.0)
+        dw = _brownian_rows(grid, paths, self.spec.driver_dim(), seed, TAG_LGD)
+        return np.clip(_integrate(self.spec, grid, dw)[:, :, 0], 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +221,8 @@ def _hazard_paths(model: IntensityModel, grid: TimeGrid, n_paths: int, seed: int
     if model.is_deterministic():
         lam = model.hazard_values(grid.times)
     else:
-        driver = simulate_brownian(grid, n_paths, model.lam.driver_dim(), seed, TAG_LAMBDA)
-        lam = np.maximum(simulate_ito(model.lam, driver).series, 0.0)
+        dw = _brownian_rows(grid, np.arange(n_paths), model.lam.driver_dim(), seed, TAG_LAMBDA)
+        lam = np.maximum(_integrate(model.lam, grid, dw)[:, :, 0], 0.0)
     return lam, _cumulative_trapezoid(lam, grid.steps)
 
 
@@ -229,10 +232,9 @@ def _equity_blocks(model: StructuralModel, grid: TimeGrid, n_paths: int, seed: i
     driven by TAG_DRIVER, bit for bit their rows of the whole ensemble."""
     for lo in range(0, n_paths, _PATH_BLOCK):
         rows = np.arange(lo, min(lo + _PATH_BLOCK, n_paths))
-        driver = _brownian_rows(grid, rows, 1, seed, TAG_DRIVER)
-        equity = simulate_ito(model.equity, PathEnsemble(grid, *driver)).series
-        del driver  # hold only the equity while the caller reads it
-        yield rows, equity
+        # left unnamed, the increments are freed before the caller reads the equity
+        equity = _integrate(model.equity, grid, _brownian_rows(grid, rows, 1, seed, TAG_DRIVER))
+        yield rows, equity[:, :, 0]
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -361,7 +363,6 @@ def cox_uniformity(sample: DefaultSample) -> tuple[float, float, int]:
 class ProbabilityEstimate:
     value: float
     se: float
-    method: str
     n_used: int = 0
 
 
@@ -384,7 +385,7 @@ def default_probability(
         raise ConfigurationError("need 0 <= t < s")
     if isinstance(model, IntensityModel) and model.is_deterministic():
         p = -np.expm1(-model.integrated_hazard(t, s))
-        return ProbabilityEstimate(float(p), 0.0, "analytic")
+        return ProbabilityEstimate(float(p), 0.0)
     if n_paths < 2:
         raise ConfigurationError("simulation estimate needs n_paths >= 2")
     grid = TimeGrid.regular(s, steps)
@@ -402,12 +403,12 @@ def default_probability(
             - 2 * ratio * np.cov(a, bvals, ddof=1)[0, 1] / n
         ) / bvals.mean() ** 2
         se = float(np.sqrt(max(var, 0.0)))
-        return ProbabilityEstimate(float(1.0 - ratio), se, "survival_ratio", n)
+        return ProbabilityEstimate(float(1.0 - ratio), se, n)
     if isinstance(model, StructuralModel):
         sample = simulate_default(model, grid, n_paths, seed, bridge=bridge)
         alive, n_alive = _survivors(sample, t, 2, "no survivors to condition on")
         p, se = _share(sample.tau[alive] <= s)
-        return ProbabilityEstimate(p, float(se), "first_passage", n_alive)
+        return ProbabilityEstimate(p, float(se), n_alive)
     raise ConfigurationError(f"unknown default model {type(model).__name__}")
 
 
@@ -562,14 +563,13 @@ def realized_lgd_at_default(market: CreditMarket) -> np.ndarray:
     sample = market.defaults
     tau = sample.tau
     out = np.full(tau.size, np.nan)
-    mask = sample.defaulted()
+    rows = np.nonzero(sample.defaulted())[0]
     if market.lgd.kind in ("constant", "deterministic"):
-        vals = market.lgd.deterministic_at(tau[mask])
-        out[mask] = np.asarray(vals, dtype=np.float64)
+        out[rows] = np.asarray(market.lgd.deterministic_at(tau[rows]), dtype=np.float64)
         return out
     if market.lgd.kind == "stochastic":
-        paths = market.lgd.sample_paths(sample.grid, tau.size, market.seed)
-        out[mask] = _interp_rows(tau[mask], sample.grid.times, paths[mask])
+        paths = market.lgd.sample_paths(sample.grid, rows, market.seed)
+        out[rows] = _interp_rows(tau[rows], sample.grid.times, paths)
         return out
     raise ConfigurationError("driver_linked LGD is realized by the caller")
 
@@ -649,12 +649,9 @@ def credit_gauge(market: CreditMarket) -> CreditGauge:
     # (1 - LGD) * pre-default corporate value minus the government deflator
     sample = market.defaults
     lgd = realized_lgd_at_default(market)
-    pre = np.broadcast_to(
-        market.corp_predefault.series, (n, market.grid.n_times)
-    )
-    times = market.grid.times
+    pre = np.broadcast_to(market.corp_predefault.series, (n, market.grid.n_times))
     p = np.nonzero(sample.defaulted())[0]
-    i = np.minimum(np.searchsorted(times, sample.tau[p] - 1e-12), times.size - 1)
+    i = np.searchsorted(market.grid.times, sample.tau[p])  # the deflator jumps at times >= tau
     expected = (1.0 - lgd[p]) * pre[p, i] - d_gov[p, i]
     jump_dev = np.max(np.abs(deflator.series[p, i] - expected), initial=0.0)
     return CreditGauge(deflator, curve, f, r, float(check), float(jump_dev))

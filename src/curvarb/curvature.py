@@ -35,12 +35,12 @@ from .paths import (
     ItoSpec,
     PathEnsemble,
     TimeGrid,
+    _brownian_rows,
+    _integrate,
     _mean_se,
     _se_gate,
     _symmetric_quotient,
     _worst_bin,
-    simulate_brownian,
-    simulate_ito,
 )
 
 __all__ = [
@@ -313,13 +313,15 @@ def novikov_sharpe(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != spec.dim:
         raise ConfigurationError("x must be a vector with one weight per asset")
+    if n_paths < 1:
+        raise ConfigurationError("need n_paths >= 1")
     grid = TimeGrid.regular(horizon, steps)
     k = spec.driver_dim()
-    state = simulate_ito(spec, simulate_brownian(grid, n_paths, k, seed))
+    state = _integrate(spec, grid, _brownian_rows(grid, np.arange(n_paths), k, seed, 0))
     times = grid.times
     ratio_sq = np.empty((n_paths, times.size))
     for i, t in enumerate(times):
-        st = state.values[:, i, :]
+        st = state[:, i, :]
         a = spec.eval_drift(t, st)
         s = spec.eval_sigma(t, st, k)
         num = a @ x

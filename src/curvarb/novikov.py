@@ -204,7 +204,10 @@ def novikov_mc(
     w1 = np.empty((n_def, k))
     for lo in range(0, n_def, _PATH_BLOCK):
         b = slice(lo, lo + _PATH_BLOCK)
-        w = _brownian_rows(sample.grid, rows[b], k, seed, TAG_NOVIKOV_DRIVER)[0]
+        dw = _brownian_rows(sample.grid, rows[b], k, seed, TAG_NOVIKOV_DRIVER)
+        w = np.zeros((dw.shape[0], times.size, k))
+        np.cumsum(dw, axis=1, out=w[:, 1:, :])
+        del dw  # held into the next block's draw, they would raise the peak RSS
         at = np.arange(w.shape[0])
         w0[b] = w[at, i0[b]]
         w1[b] = w[at, i1[b]]

@@ -256,7 +256,7 @@ def _keyed_rows(
     fresh path_rng generator starts in, without building one per path.
     """
     paths = np.asarray(paths, dtype=np.int64)
-    _check_stream(tag, int(paths.min()), int(paths.max()))
+    _check_stream(tag, int(paths.min(initial=0)), int(paths.max(initial=0)))
     # Python ints and lists: the state setter reads them element by element,
     # which is cheaper than reading numpy scalars out of arrays
     key = [0, seed & _SEED_MASK]
@@ -281,8 +281,9 @@ def _keyed_rows(
 
 def _brownian_rows(
     grid: TimeGrid, paths: np.ndarray, dim: int, seed: int, tag: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values, increments) of the Brownian paths with the given indices.
+) -> np.ndarray:
+    """(paths.size, n_times - 1, dim) Brownian increments of the paths with the
+    given indices, scaled by sqrt(dt).
 
     Row i is bit for bit row paths[i] of the full ensemble, so a caller that
     reads a few paths draws only those.
@@ -290,9 +291,7 @@ def _brownian_rows(
     shape = (grid.n_times - 1, dim)
     dw = _keyed_rows(seed, tag, paths, shape, lambda gen: gen.standard_normal(shape))
     dw *= np.sqrt(grid.steps)[None, :, None]
-    w = np.zeros((dw.shape[0], grid.n_times, dim))
-    np.cumsum(dw, axis=1, out=w[:, 1:, :])
-    return w, dw
+    return dw
 
 
 def simulate_brownian(
@@ -301,7 +300,9 @@ def simulate_brownian(
     """Standard Brownian motion started at 0, increments scaled by sqrt(dt)."""
     if n_paths < 1 or dim < 1:
         raise ConfigurationError("need n_paths >= 1 and dim >= 1")
-    w, dw = _brownian_rows(grid, np.arange(n_paths), dim, seed, tag)
+    dw = _brownian_rows(grid, np.arange(n_paths), dim, seed, tag)
+    w = np.zeros((n_paths, grid.n_times, dim))
+    np.cumsum(dw, axis=1, out=w[:, 1:, :])
     return PathEnsemble(grid, w, driver_increments=dw)
 
 
@@ -359,21 +360,12 @@ class ItoSpec:
         return 1 if s.ndim == 0 else s.shape[-1]
 
 
-def simulate_ito(spec: ItoSpec, driver: PathEnsemble) -> PathEnsemble:
-    """Integrate an ItoSpec against the given Brownian driver.
-
-    The driver must carry its increments, as simulate_brownian's output does;
-    any other ensemble, an Ito output among them, is rejected.  The output
-    reuses the driver grid but not its increments.
-    """
-    if driver.driver_increments is None:
-        raise ConfigurationError("driver ensemble carries no increments")
-    dw = driver.driver_increments
+def _integrate(spec: ItoSpec, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
+    """(rows, n_times, dim) Ito paths of spec driven by the Brownian
+    increments dw, shaped (rows, n_times - 1, k); non-finite paths raise."""
     n_paths, n_steps, k = dw.shape
-    grid = driver.grid
     dt = grid.steps
-    n = spec.dim
-    x = np.empty((n_paths, grid.n_times, n))
+    x = np.empty((n_paths, grid.n_times, spec.dim))
     x[:, 0, :] = spec.x0[None, :]
     state = x[:, 0, :].copy()
     if spec.form == "geometric":
@@ -393,7 +385,19 @@ def simulate_ito(spec: ItoSpec, driver: PathEnsemble) -> PathEnsemble:
             state = np.exp(log_state)
         x[:, i + 1, :] = state
     _check_finite(x, "simulated paths")
-    return PathEnsemble(grid, x)
+    return x
+
+
+def simulate_ito(spec: ItoSpec, driver: PathEnsemble) -> PathEnsemble:
+    """Integrate an ItoSpec against the given Brownian driver.
+
+    The driver must carry its increments, as simulate_brownian's output does;
+    any other ensemble, an Ito output among them, is rejected.  The output
+    reuses the driver grid but not its increments.
+    """
+    if driver.driver_increments is None:
+        raise ConfigurationError("driver ensemble carries no increments")
+    return PathEnsemble(driver.grid, _integrate(spec, driver.grid, driver.driver_increments))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +523,6 @@ def nelson_derivative(
     t: float,
     mode: str = "mean",
     conditioning: str = "present",
-    markov: bool = True,
 ) -> NelsonEstimator:
     """Forward, backward, or mean stochastic derivative estimator at time t.
 
@@ -535,17 +538,11 @@ def nelson_derivative(
     ----------
     mode : {"forward", "backward", "mean"}
     conditioning : {"present", "analytic"}
-    markov : callers must leave this True; passing False is an explicit
-        declaration that present-state conditioning is invalid for the input.
     """
     if mode not in ("forward", "backward", "mean"):
         raise ConfigurationError(f"unknown derivative mode {mode!r}")
     if conditioning not in ("present", "analytic"):
         raise ConfigurationError(f"unknown conditioning {conditioning!r}")
-    if not markov:
-        raise ConfigurationError(
-            "present-state conditioning is undefined for declared non-Markov input"
-        )
     grid = ensemble.grid
     idx = grid.index_of(t)
     need_fwd = mode in ("forward", "mean")

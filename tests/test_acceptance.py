@@ -219,9 +219,10 @@ def _nested_monitoring_biases():
     for c in range(n_chunks):
         for lo in range(0, n_chunk, _PATH_BLOCK):
             rows = np.arange(lo, min(lo + _PATH_BLOCK, n_chunk))
-            levels = _brownian_rows(grid, rows, 1, 31, 64 + c)[0][:, :, 0]
+            # the levels at nodes 1, 2, ..., 2000; node 0 sits at 0, above the barrier
+            levels = np.cumsum(_brownian_rows(grid, rows, 1, 31, 64 + c)[:, :, 0], axis=1)
             hits_fine += int((levels.min(axis=1) <= -1.0).sum())
-            hits_coarse += int((levels[:, ::2].min(axis=1) <= -1.0).sum())
+            hits_coarse += int((levels[:, 1::2].min(axis=1) <= -1.0).sum())
     n = n_chunk * n_chunks
     p_coarse, p_fine = hits_coarse / n, hits_fine / n
     return TWO_SIDED_EXIT - p_coarse, TWO_SIDED_EXIT - p_fine

@@ -24,9 +24,9 @@ from curvarb.credit import (
     simulate_default,
     thm1_residuals,
 )
-from curvarb.credit import _equity_blocks, _interp_rows
+from curvarb.credit import TAG_LGD, _equity_blocks, _interp_rows
 from curvarb.errors import ConfigurationError, EstimationError
-from curvarb.paths import ItoSpec, TimeGrid
+from curvarb.paths import ItoSpec, PathEnsemble, TimeGrid, simulate_brownian, simulate_ito
 
 STANDARD_TWO_SIDED_EXIT = 2 * stats.norm.cdf(-1.0)  # 0.3173105078629141
 
@@ -421,6 +421,42 @@ def test_credit_gauge_bookkeeping():
     assert np.all(gauge.deflator.series[defaulted, -1] == -0.4)
 
 
+def test_credit_gauge_reads_the_node_where_the_deflator_jumps():
+    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=3)
+    times = market.grid.times
+    tau = market.defaults.tau.copy()
+    tau[np.argmax(market.defaults.defaulted())] = times[8] + 1e-13  # just after a node
+    # the corporate deflator as build_thm1_market writes it: it jumps at times >= tau
+    defl = np.where(times[None, :] >= tau[:, None], 1.0 - 0.4, 1.0)
+    moved = replace(
+        market,
+        defaults=replace(market.defaults, tau=tau),
+        corp=replace(market.corp, deflator=PathEnsemble(market.grid, defl)),
+    )
+    assert credit_gauge(moved).jump_deviation <= 1e-12
+
+
+def test_stochastic_lgd_draws_the_defaulted_rows_only():
+    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=100_000, seed=3)
+    spec = ItoSpec(0.4, 0.0, 0.1)
+    stochastic = replace(market, lgd=LGDProcess("stochastic", spec=spec))
+    sample = market.defaults
+    rows = np.nonzero(sample.defaulted())[0]
+    whole = simulate_ito(spec, simulate_brownian(market.grid, sample.n_paths, 1, 3, TAG_LGD))
+    whole_nbytes = whole.values.nbytes
+    expected = _interp_rows(sample.tau[rows], market.grid.times, np.clip(whole.series[rows], 0, 1))
+    del whole
+    lgd = realized_lgd_at_default(stochastic)
+    assert lgd[rows].tobytes() == expected.tobytes()
+    assert np.isnan(lgd[~sample.defaulted()]).all()
+    payoff = np.ones(sample.n_paths)
+    payoff[rows] = 1.0 - expected  # every default lies within the horizon
+    peak = _traced_peak(lambda: corporate_bond_price(stochastic, 0.0, 10.0))
+    assert corporate_bond_price(stochastic, 0.0, 10.0).value == payoff.mean()
+    # 18k defaulted rows of 100k: less than one (n, n_times) LGD array
+    assert peak < 0.75 * whole_nbytes
+
+
 def test_realized_lgd_deterministic_rule():
     market = build_thm1_market(0.05, 0.4, horizon=10.0, steps=40, n_paths=5_000, seed=13)
     rule = lambda t: 0.2 + 0.01 * t  # noqa: E731
@@ -435,9 +471,17 @@ def test_stochastic_lgd_paths_clipped():
     spec = ItoSpec(x0=0.4, drift=0.0, sigma=0.8, form="arithmetic")
     proc = LGDProcess("stochastic", spec=spec)
     grid = TimeGrid.regular(2.0, 16)
-    paths = proc.sample_paths(grid, 500, seed=3)
+    paths = proc.sample_paths(grid, np.arange(500), seed=3)
     assert paths.min() >= 0.0 and paths.max() <= 1.0
     assert paths[:, 0] == pytest.approx(0.4)
+
+
+def test_stochastic_hazard_and_lgd_specs_are_one_dimensional():
+    two = ItoSpec(x0=[0.4, 0.5], sigma=np.eye(2))
+    with pytest.raises(ConfigurationError, match="one-dimensional"):
+        IntensityModel(two)
+    with pytest.raises(ConfigurationError, match="one-dimensional"):
+        LGDProcess("stochastic", spec=two)
 
 
 def test_lgd_validation():

@@ -34,6 +34,17 @@ from curvarb import (
     write_ensemble,
     write_ensemble_csv,
 )
+from curvarb.credit import (
+    TAG_DRIVER,
+    TAG_LAMBDA,
+    TAG_LGD,
+    IntensityModel,
+    LGDProcess,
+    StructuralModel,
+    _equity_blocks,
+    _hazard_paths,
+)
+from curvarb.curvature import novikov_sharpe
 from curvarb.paths import _keyed_rows
 
 
@@ -222,15 +233,13 @@ def test_analytic_conditioning_is_cross_path_mean():
     assert abs(val[0, 0]) < 3 * se[0, 0] + 1e-12
 
 
-def test_derivative_domain_and_markov_errors():
+def test_derivative_domain_and_mode_errors():
     grid = TimeGrid.regular(1.0, 4)
     w = simulate_brownian(grid, 10, seed=1)
     with pytest.raises(DomainError):
         nelson_derivative(w, 1.0, mode="mean")
     with pytest.raises(DomainError):
         nelson_derivative(w, 0.0, mode="backward")
-    with pytest.raises(ConfigurationError):
-        nelson_derivative(w, 0.5, markov=False)
     with pytest.raises(ConfigurationError):
         nelson_derivative(w, 0.5, mode="sideways")
 
@@ -352,3 +361,75 @@ def test_truncated_binary_rejected(tmp_path):
     target.write_bytes(data[:-8])
     with pytest.raises(ConfigurationError):
         read_ensemble(target)
+
+
+# Every internal path family integrates keyed increments through paths._integrate
+# without building a driver ensemble; the public pair is the reference for each.
+_ROUTE_GRID = TimeGrid.regular(2.0, 20)
+_ROUTE_PATHS = 2500  # more than one _PATH_BLOCK
+_ROUTE_SEED = 17
+_EQUITY_SPECS = {
+    "geometric": ItoSpec(x0=1.0, drift=0.02, sigma=0.3, form="geometric"),
+    "arithmetic": ItoSpec(x0=1.0, drift=0.0, sigma=0.4, form="arithmetic"),
+    "callable-sigma": ItoSpec(
+        x0=1.0, drift=0.0, sigma=lambda t, x: (0.2 + 0.2 * np.abs(x) + 0.1 * t)[:, :, None]
+    ),
+}
+
+
+def _public_pair(spec, dim, tag, n=_ROUTE_PATHS, grid=_ROUTE_GRID) -> np.ndarray:
+    return simulate_ito(spec, simulate_brownian(grid, n, dim, _ROUTE_SEED, tag)).values
+
+
+def _equity_route(form):
+    spec = _EQUITY_SPECS[form]
+    blocks = _equity_blocks(StructuralModel(spec, 0.5), _ROUTE_GRID, _ROUTE_PATHS, _ROUTE_SEED)
+    internal = np.concatenate([e for _, e in blocks])
+    return internal, _public_pair(spec, 1, TAG_DRIVER)[:, :, 0]
+
+
+def _hazard_route():
+    spec = ItoSpec(x0=0.05, drift=0.01, sigma=np.array([[0.02, 0.03]]))
+    lam, _ = _hazard_paths(IntensityModel(spec), _ROUTE_GRID, _ROUTE_PATHS, _ROUTE_SEED)
+    return lam, np.maximum(_public_pair(spec, 2, TAG_LAMBDA)[:, :, 0], 0.0)
+
+
+def _lgd_route():
+    spec = ItoSpec(x0=0.4, drift=0.0, sigma=0.5)
+    rows = np.arange(3, _ROUTE_PATHS, 7)
+    internal = LGDProcess("stochastic", spec=spec).sample_paths(_ROUTE_GRID, rows, _ROUTE_SEED)
+    return internal, np.clip(_public_pair(spec, 1, TAG_LGD)[rows, :, 0], 0.0, 1.0)
+
+
+def _sharpe_route():
+    spec = ItoSpec(
+        x0=1.0,
+        drift=lambda t, x: 0.05 * x,
+        sigma=lambda t, x: (0.2 + 0.1 * np.abs(x))[:, :, None],
+    )
+    x = np.array([1.0])
+    n, horizon, steps = 300, 1.0, 64
+    est = novikov_sharpe(spec, x, horizon, n_paths=n, steps=steps, seed=_ROUTE_SEED)
+    grid = TimeGrid.regular(horizon, steps)
+    state = _public_pair(spec, 1, 0, n=n, grid=grid)
+    ratio_sq = np.empty((n, grid.n_times))
+    for i, t in enumerate(grid.times):
+        a = spec.eval_drift(t, state[:, i, :])
+        sx = np.einsum("pnk,n->pk", spec.eval_sigma(t, state[:, i, :], 1), x)
+        ratio_sq[:, i] = (a @ x) ** 2 / np.sum(sx * sx, axis=1)
+    return est.exponents, 0.5 * np.trapezoid(ratio_sq, grid.times, axis=1)
+
+
+_ROUTES = {
+    **{f"equity-{form}": (lambda form=form: _equity_route(form)) for form in _EQUITY_SPECS},
+    "stochastic-hazard-2d-driver": _hazard_route,
+    "lgd-row-subset": _lgd_route,
+    "novikov-sharpe-exponents": _sharpe_route,
+}
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_internal_routes_equal_the_public_pair(route):
+    internal, public = _ROUTES[route]()
+    assert internal.shape == public.shape
+    assert internal.tobytes() == public.tobytes()
