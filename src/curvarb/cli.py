@@ -697,6 +697,12 @@ def main(argv=None) -> int:
     except CurvarbError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except OSError as err:  # an output path that cannot be made or written
+        print(f"configuration error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:  # a defect: one line, never a traceback
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

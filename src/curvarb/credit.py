@@ -34,6 +34,7 @@ from .paths import (
     TimeGrid,
     _brownian_rows,
     _cumulative_trapezoid,
+    _gauss_legendre,
     _integrate,
     _keyed_rows,
     _mean_se,
@@ -62,6 +63,11 @@ __all__ = [
     "build_thm1_market",
     "realized_lgd_at_default",
 ]
+
+# callable hazards are integrated on _HAZARD_PANELS equal panels of
+# _HAZARD_NODES Gauss-Legendre nodes per interval
+_HAZARD_PANELS = 8
+_HAZARD_NODES = 8
 
 # stream tags: keep every random purpose on its own keyed family
 TAG_DRIVER = 1
@@ -102,15 +108,27 @@ class IntensityModel:
         return vals[None, :]
 
     def integrated_hazard(self, t: float, s: float) -> float:
-        """Exact integral of a deterministic hazard over [t, s]."""
+        """Integral of a deterministic hazard over [t, s]: exact for a
+        constant, the fixed rule of _hazard_integrals for a callable."""
         if isinstance(self.lam, ItoSpec):
             raise ConfigurationError("stochastic hazard needs simulation")
         if callable(self.lam):
-            from scipy import integrate
-
-            val, _ = integrate.quad(self.lam, t, s, limit=200)
-            return float(val)
+            return float(_hazard_integrals(self.lam, np.array([t, s]))[0])
         return float(self.lam) * (s - t)
+
+
+def _hazard_integrals(lam: Callable, edges: np.ndarray) -> np.ndarray:
+    """Integral of a callable hazard over each [edges[i], edges[i + 1]].
+
+    Each interval is cut into _HAZARD_PANELS equal panels of
+    _HAZARD_NODES Gauss-Legendre nodes, exact for a polynomial hazard of
+    degree below 2 * _HAZARD_NODES.  lam is called on one scalar time at a
+    time, as hazard_values calls it.
+    """
+    cuts = np.linspace(edges[:-1], edges[1:], _HAZARD_PANELS + 1, axis=-1)
+    x, w = _gauss_legendre(cuts[:, :-1, None], cuts[:, 1:, None], _HAZARD_NODES)
+    vals = np.array([float(lam(t)) for t in x.ravel()]).reshape(x.shape)
+    return np.sum(vals * w, axis=(1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,11 +366,14 @@ def cox_uniformity(sample: DefaultSample) -> tuple[float, float, int]:
     rows = np.nonzero(mask)[0]
     lam_tau = _interp_rows(sample.tau[rows], times, cum[rows])
     total = cum[rows, -1]
-    u = -np.expm1(-lam_tau) / -np.expm1(-total)
-    from scipy import stats
+    u = np.sort(-np.expm1(-lam_tau) / -np.expm1(-total))
+    n = u.size
+    d_plus = np.max(np.arange(1.0, n + 1) / n - u)
+    d_minus = np.max(u - np.arange(0.0, n) / n)
+    stat = float(d_plus if d_plus > d_minus else d_minus)
+    from ._laws import kolmogorov_sf
 
-    stat, pvalue = stats.kstest(u, "uniform")
-    return float(stat), float(pvalue), int(mask.sum())
+    return stat, kolmogorov_sf(n, stat), n
 
 
 # ---------------------------------------------------------------------------
@@ -696,10 +717,13 @@ def build_thm1_market(
     offsets = offset_step * np.arange(n_offsets)
     # integrated hazard over [t, t+h] for every node/offset pair
     if callable(lam):
-        ih = np.empty((times.size, offsets.size))
-        for i, t in enumerate(times):
-            for j, h in enumerate(offsets):
-                ih[i, j] = model.integrated_hazard(t, t + h)
+        # Lambda(x), the hazard integrated from the first node, once at each
+        # distinct point t + h, then differenced
+        ends = times[:, None] + offsets[None, :]
+        points, at = np.unique(ends, return_inverse=True)
+        cum = np.concatenate(([0.0], np.cumsum(_hazard_integrals(lam, points))))
+        at = at.reshape(ends.shape)
+        ih = cum[at] - cum[at[:, :1]]  # offsets[0] is 0: column 0 is t itself
     else:
         ih = np.broadcast_to(float(lam) * offsets[None, :], (times.size, offsets.size))
     surv = np.exp(-ih)

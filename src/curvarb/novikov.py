@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EstimationError
-from .paths import _PATH_BLOCK, PathEnsemble, _brownian_rows, _keyed_rows, _mean_se
+from .paths import _PATH_BLOCK, PathEnsemble, _brownian_rows, _gauss_legendre, _keyed_rows, _mean_se
 from .credit import CreditMarket, realized_lgd_at_default
 
 __all__ = [
@@ -253,12 +253,6 @@ def novikov_mc(
 # Quadrature route
 
 
-def _gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 @dataclass(frozen=True, eq=False)
 class DensitySpec:
     """Closed-form scenery for the quadrature route.
@@ -372,6 +366,12 @@ class QuadratureResult:
         return self.trace[-1][1] - self.trace[0][1]
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))), shifted by the maximum so no term overflows."""
+    top = np.max(a)
+    return float(top + np.log(np.sum(np.exp(a - top))))
+
+
 def _log_masses(pdf: Callable, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """log(pdf(x) w) at each node, -inf where the density vanishes."""
     vals = np.asarray(pdf(x), dtype=np.float64)
@@ -390,12 +390,11 @@ def novikov_quadrature(density: DensitySpec, halvings: int = 20) -> QuadratureRe
     which witnesses the Q -> 0 divergence without ever evaluating an
     overflowing exponential outside log space.
     """
-    from scipy.special import gammaincinv, gammaln, logsumexp, xlogy
+    from ._laws import chi2_logpdf, chi2_ppf
 
     k = density.k
-    # chi-square quantiles and log-density by scipy.stats.chi2's own formulas
-    q_max = float(2 * gammaincinv(k / 2, 1.0 - 1e-8))
-    q_min = min(float(2 * gammaincinv(k / 2, 0.01)), q_max / 100.0)
+    q_max = chi2_ppf(k, 1.0 - 1e-8)
+    q_min = min(chi2_ppf(k, 0.01), q_max / 100.0)
     t_x, t_w = _gauss_legendre(0.0, density.t_max, _T_NODES)
     log_t = _log_masses(density.tau_pdf, t_x, t_w)
     # (t, LGD, q) table; the LGD axis has one node for a point mass and for
@@ -413,15 +412,14 @@ def novikov_quadrature(density: DensitySpec, halvings: int = 20) -> QuadratureRe
         edges = np.geomspace(q_min, q_max, n_panels + 1)
         q_x, q_w = _gauss_legendre(edges[:-1, None], edges[1:, None], _Q_NODES_PER_PANEL)
         q_x, q_w = q_x.ravel(), q_w.ravel()
-        log_pdf = xlogy(k / 2 - 1, q_x) - q_x / 2 - gammaln(k / 2) - (np.log(2) * k) / 2
-        log_q = log_pdf + np.log(q_w)
+        log_q = chi2_logpdf(k, q_x) + np.log(q_w)
         q_eff = np.sqrt(q_x) if density.q_form == "printed" else q_x
         if density.lgd_given_tq is None:
             l = l_x[None, :, None]
         else:
             l = np.clip(density.lgd_given_tq(t_x[:, None, None], q_x[None, None, :]), 0.0, 1.999)
         expo = (2.0 * l / (2.0 - l)) ** 2 * (t_x[:, None, None] / q_eff[None, None, :])
-        return float(logsumexp(log_t[:, None, None] + log_l[None, :, None] + log_q + expo))
+        return _logsumexp(log_t[:, None, None] + log_l[None, :, None] + log_q + expo)
 
     trace = []
     small_steps = 0

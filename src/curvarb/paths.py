@@ -83,6 +83,14 @@ def _cumulative_trapezoid(y: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gauss_legendre(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [a, b]; a and b may be
+    arrays shaped to broadcast against the trailing node axis."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * x, half * w
+
+
 def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.size == 0:

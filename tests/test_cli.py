@@ -232,13 +232,24 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_bundled_runs_load_no_scipy_stats_or_integrate(tmp_path):
-    """A bundled scenario run needs scipy.special only."""
+    """No bundled run and no library call imports SciPy at all: the child
+    blocks the package, so any SciPy import raises."""
     probe = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import curvarb as cv\n"
         "from curvarb.cli import bundled_scenarios, main\n"
-        "for name in bundled_scenarios():\n"
-        "    main(['run', name, '--out', name])\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.integrate'))))"
+        "codes = [main(['run', name, '--out', name]) for name in bundled_scenarios()]\n"
+        "lam = lambda t: 0.01 + 0.002 * t\n"
+        "model = cv.IntensityModel(lam)\n"
+        "sample = cv.simulate_default(model, cv.TimeGrid.regular(10.0, 40), 2000, seed=1)\n"
+        "cv.cox_uniformity(sample)\n"
+        "cv.novikov_quadrature(cv.DensitySpec.truncated_exponential(\n"
+        "    0.05, horizon=20.0, k=4, lgd_given_tq=cv.capped_lgd_tq(0.1)))\n"
+        "model.integrated_hazard(0.0, 5.0)\n"
+        "cv.build_thm1_market(lam, 0.4, n_paths=500, seed=1)\n"
+        "cv.default_probability(model, 1.0, 3.0)\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -248,7 +259,49 @@ def test_bundled_runs_load_no_scipy_stats_or_integrate(tmp_path):
         env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []", proc.stderr
+
+
+def test_unwritable_out_exits_two_without_traceback(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvarb", "run", "flat_market", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error: ")
+    assert str(out) in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_unexpected_exception_exits_three_without_traceback(tmp_path, monkeypatch, capsys):
+    import curvarb.cli as cli
+
+    def broken(doc, built):
+        raise RuntimeError("runner broke")
+
+    monkeypatch.setitem(cli._RUNNERS, "novikov", broken)
+    doc = {
+        "name": "broken",
+        "grid": {"horizon": 5.0, "steps": 20},
+        "seed": 1,
+        "n_paths": 30,
+        "credit": {"lambda": 0.02, "lgd": 0.4},
+        "novikov": {"k": 4, "mode": "mc"},
+        "analyses": ["novikov"],
+    }
+    scen = tmp_path / "broken.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["run", str(scen), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: runner broke\n"
+    assert "Traceback" not in err
 
 
 def test_vanishing_deflator_exits_three_without_warnings(tmp_path):

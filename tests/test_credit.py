@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy import stats
+from scipy import integrate, stats
 
 import curvarb.credit
+from curvarb import _laws
 from curvarb.credit import (
     BondPrice,
     IntensityModel,
@@ -523,3 +524,70 @@ def test_bond_price_reports_sample_size():
     assert isinstance(bond, BondPrice)
     alive = int(market.defaults.survivors_at(2.0).sum())
     assert bond.n_used == alive < 3_000
+
+
+# ---------------------------------------------------------------------------
+# SciPy as an oracle for the KS law and the hazard quadrature
+
+SMOOTH_HAZARD = lambda t: 0.02 + 0.01 * np.sin(t) + 0.005 * np.exp(-0.3 * t)  # noqa: E731
+
+
+def test_ks_statistic_bit_equal_to_scipy():
+    grid = TimeGrid.regular(20.0, 400)
+    lam = lambda t: 0.01 + 0.002 * t  # noqa: E731
+    for seed in (12, 13):
+        sample = simulate_default(IntensityModel(lam), grid, 5_000, seed=seed)
+        stat, pvalue, n_def = cox_uniformity(sample)
+        rows = np.nonzero(sample.defaulted())[0]
+        cum = np.broadcast_to(sample.cumulative_hazard, (sample.n_paths, grid.n_times))
+        lam_tau = _interp_rows(sample.tau[rows], grid.times, cum[rows])
+        u = -np.expm1(-lam_tau) / -np.expm1(-cum[rows, -1])
+        reference = stats.kstest(u, "uniform")
+        assert stat == reference.statistic
+        assert n_def == rows.size
+        assert pvalue == pytest.approx(reference.pvalue, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [10, 140, 141, 1000, 7000, 60000])
+def test_kolmogorov_sf_matches_scipy_in_every_regime(n):
+    # n d^2 from deep in the bulk to far in the tail, plus both Ruben-Gambino
+    # ends (n d <= 1 and n d >= n - 1) and the d >= 1/2 Smirnov range
+    d = np.sqrt(np.geomspace(0.01, 40.0, 80) / n)
+    d = np.concatenate([d, np.array([0.6, 0.9, 1.0, 1.5, n - 1.0, n - 0.5]) / n, [0.5, 0.7]])
+    checked = 0
+    for x in d[(d > 0) & (d < 1)]:
+        expected = float(stats.kstwo.sf(x, n))
+        got = _laws.kolmogorov_sf(n, float(x))
+        assert 0.0 <= got <= 1.0
+        if expected >= 1e-6:
+            assert abs(got - expected) <= 1e-6, (n, x)
+            checked += 1
+    assert checked > 40
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [lambda t: 0.01 + 0.002 * t, lambda t: 0.05 + 0.03 * t, SMOOTH_HAZARD],
+    ids=["linear_slow", "linear_fast", "smooth"],
+)
+def test_integrated_hazard_matches_quad(lam):
+    model = IntensityModel(lam)
+    for t, s in ((0.0, 1.0), (2.0, 4.0), (0.0, 30.0), (3.3, 17.9)):
+        expected, _ = integrate.quad(lam, t, s, limit=200)
+        assert model.integrated_hazard(t, s) == pytest.approx(expected, rel=1e-13)
+
+
+def test_integrated_hazard_takes_scalar_only_callables():
+    def scalar_only(t):
+        assert isinstance(t, float)
+        return 0.02 + 0.001 * t
+
+    assert IntensityModel(scalar_only).integrated_hazard(1.0, 3.0) == pytest.approx(0.044, rel=1e-14)
+
+
+def test_thm1_market_callable_hazard_matches_quad():
+    market = build_thm1_market(SMOOTH_HAZARD, 0.4, horizon=10.0, steps=40, n_paths=500, seed=1)
+    times, offsets = market.corp.curve.grid.times, market.corp.curve.offsets
+    ih = np.array([[integrate.quad(SMOOTH_HAZARD, t, t + h)[0] for h in offsets] for t in times])
+    expected = 1.0 - 0.4 * -np.expm1(-ih)
+    assert market.corp.curve.values[0] == pytest.approx(expected, rel=1e-13)

@@ -7,7 +7,7 @@ import pytest
 from dataclasses import replace
 from scipy import stats
 
-from curvarb import novikov
+from curvarb import _laws, novikov
 from curvarb.credit import LGDProcess, build_thm1_market
 from curvarb.errors import ConfigurationError, DomainError
 from curvarb.novikov import (
@@ -288,3 +288,35 @@ def test_capped_rule_shapes():
     l = fn(t, w)
     assert l.shape == (2,)
     assert l == pytest.approx(rule(t, np.sum(w * w, axis=1) / t))
+
+
+# ---------------------------------------------------------------------------
+# SciPy as an oracle for the closed-form chi-square law
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_chi2_quantiles_match_scipy(k):
+    for p in (1e-12, 0.01, 0.5, 1.0 - 1e-8):
+        expected = stats.chi2.ppf(p, k)
+        assert _laws.chi2_ppf(k, p) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_chi2_logpdf_matches_scipy():
+    x = np.geomspace(1e-8, 300.0, 400)
+    for k in range(1, 13):
+        assert _laws.chi2_logpdf(k, x) == pytest.approx(
+            stats.chi2.logpdf(x, k), rel=1e-14, abs=1e-14
+        )
+
+
+def test_chi2_tails_match_scipy():
+    # the quantiles invert these; both stay relatively exact deep in their tails
+    for k in range(1, 13):
+        for x in np.geomspace(1e-6, 120.0, 60):
+            assert _laws.chi2_cdf(k, x) == pytest.approx(stats.chi2.cdf(x, k), rel=1e-12)
+            assert _laws.chi2_sf(k, x) == pytest.approx(stats.chi2.sf(x, k), rel=1e-12)
+
+
+def test_logsumexp_is_shifted_by_the_maximum():
+    a = np.array([1000.0, 1000.0, -np.inf])
+    assert novikov._logsumexp(a) == pytest.approx(1000.0 + np.log(2.0), rel=1e-15)
