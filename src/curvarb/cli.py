@@ -44,7 +44,15 @@ from .novikov import (
     novikov_mc,
     novikov_quadrature,
 )
-from .paths import ItoSpec, TimeGrid, _se_gate, _write_csv, simulate_brownian, simulate_ito
+from .paths import (
+    RNG_STREAM_VERSION,
+    ItoSpec,
+    TimeGrid,
+    _se_gate,
+    _write_csv,
+    simulate_brownian,
+    simulate_ito,
+)
 
 ANALYSES = ("curvature", "kernel", "zc", "thm1", "bond", "novikov", "sharpe")
 ASSET_TAG_BASE = 16  # asset drivers sit above the tags used inside credit
@@ -620,6 +628,7 @@ def cmd_run(args) -> int:
     summary = {
         "scenario": doc["name"],
         "package_version": __version__,
+        "rng_stream_version": RNG_STREAM_VERSION,
         "analyses": {},
     }
     # single writer, fixed order: output bytes do not depend on thread timing

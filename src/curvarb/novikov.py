@@ -6,8 +6,9 @@ horizon tau.  Q is the normalized squared driver norm |W_tau|^2 / tau, a
 chi-square variate with the driver dimension as its degrees of freedom,
 independent of tau.  Two routes are implemented and cross-validated:
 
-* novikov_mc averages the summand over a simulated default scenery and
-  attaches heavy-tail diagnostics (Hill index on the top summands);
+* novikov_mc averages the summand over a simulated default scenery, drawing
+  the driver directly at each default time, and attaches heavy-tail
+  diagnostics (Hill index on the top summands);
 * novikov_quadrature integrates the closed-form density in log space with a
   moving lower cutoff in Q.  The integral diverges at Q -> 0 for any constant
   LGD > 0; the quadrature certifies this by unbounded growth of the cutoff
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EstimationError
-from .paths import _PATH_BLOCK, PathEnsemble, _brownian_rows, _gauss_legendre, _keyed_rows, _mean_se
+from .paths import PathEnsemble, _gauss_legendre, _keyed_rows, _mean_se
 from .credit import CreditMarket, realized_lgd_at_default
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 TAG_NOVIKOV_DRIVER = 7
-TAG_NOVIKOV_BRIDGE = 8
 
 _Q_FORMS = ("consistent", "printed")
 
@@ -165,16 +165,16 @@ def novikov_mc(
 ) -> NovikovEstimate:
     """Average the integrability summand over the market's default sample.
 
-    A fresh k-dimensional driver, keyed by the market seed, is attached to
-    each path and read at the default time by exact Brownian bridging between
-    grid nodes; only the defaulted paths' rows are drawn, a block of rows at
-    a time, and only the two nodes around each default are kept.  A
-    driver_linked LGD rule is called once, on all defaulted paths: fn(t, w)
-    with t of shape (n,) and w of shape (n, k) returns the n losses.  Paths
-    that never default inside the horizon are censored and excluded; the
-    estimate is the conditional expectation given default before the horizon,
-    which is what the quadrature cross-check integrates when its time density
-    is truncated to the same horizon.
+    The summand reads a fresh k-dimensional driver, keyed apart from the
+    default thresholds, only at the default time, where given tau it is
+    exactly N(0, tau I_k): each defaulted path draws one row of k normals on
+    its own keyed stream, scaled by sqrt(tau), so no path and no time grid is
+    built.  A driver_linked LGD rule is called once, on all defaulted paths:
+    fn(t, w) with t of shape (n,) and w of shape (n, k) returns the n losses.
+    Paths that never default inside the horizon are censored and excluded;
+    the estimate is the conditional expectation given default before the
+    horizon, which is what the quadrature cross-check integrates when its
+    time density is truncated to the same horizon.
 
     Summands whose exponent overflows float range make the estimate infinite;
     the tail diagnostics stay meaningful because they work on the exponents.
@@ -184,7 +184,6 @@ def novikov_mc(
     if k < 1:
         raise ConfigurationError("driver dimension k must be >= 1")
     sample = market.defaults
-    seed = market.seed
     mask = sample.defaulted()
     n_def = int(mask.sum())
     if n_def < 20:
@@ -192,28 +191,12 @@ def novikov_mc(
             "too few defaults for the integrability estimate",
             diagnostics={"defaulted": n_def},
         )
-    times = sample.grid.times
     rows = np.nonzero(mask)[0]
     tau_d = sample.tau[rows]
-    i1 = np.searchsorted(times, tau_d)
-    i0 = i1 - 1
-    dt = times[i1] - times[i0]
-    theta = (tau_d - times[i0]) / dt
-    xi = _keyed_rows(seed, TAG_NOVIKOV_BRIDGE, rows, (k,), lambda gen: gen.standard_normal(k))
-    w0 = np.empty((n_def, k))
-    w1 = np.empty((n_def, k))
-    for lo in range(0, n_def, _PATH_BLOCK):
-        b = slice(lo, lo + _PATH_BLOCK)
-        dw = _brownian_rows(sample.grid, rows[b], k, seed, TAG_NOVIKOV_DRIVER)
-        w = np.zeros((dw.shape[0], times.size, k))
-        np.cumsum(dw, axis=1, out=w[:, 1:, :])
-        del dw  # held into the next block's draw, they would raise the peak RSS
-        at = np.arange(w.shape[0])
-        w0[b] = w[at, i0[b]]
-        w1[b] = w[at, i1[b]]
-    w_tau = (
-        w0 + theta[:, None] * (w1 - w0) + np.sqrt(theta * (1 - theta) * dt)[:, None] * xi
+    z = _keyed_rows(
+        market.seed, TAG_NOVIKOV_DRIVER, rows, (k,), lambda gen: gen.standard_normal(k)
     )
+    w_tau = np.sqrt(tau_d)[:, None] * z
     q = np.sum(w_tau * w_tau, axis=1) / tau_d
     if q_form == "printed":
         q = np.sqrt(q)

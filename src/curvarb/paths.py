@@ -55,7 +55,7 @@ _N_BINS = 10
 _MIN_BIN = 50
 _MIN_EFFECTIVE = 30.0
 
-# novikov_mc and the structural default routes hold this many paths at a time
+# the structural default routes hold this many paths at a time
 _PATH_BLOCK = 2048
 
 
@@ -229,6 +229,10 @@ class PathEnsemble:
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
+# Version of the keyed draws behind the simulated outputs, written to
+# summary.json: bump it with any change to the draws an output reads
+RNG_STREAM_VERSION = 2
+
 
 def _check_stream(tag: int, lowest_path: int, highest_path: int) -> None:
     if lowest_path < 0 or highest_path >= 1 << 48:
@@ -243,7 +247,8 @@ def path_rng(seed: int, path_index: int, tag: int = 0) -> np.random.Generator:
     The Philox key packs (seed, tag, path index), so any path of any stream can
     be regenerated in isolation and results are invariant under parallel
     scheduling.  Tags separate independent uses of the same scenario seed
-    (driver noise, default thresholds, bridge noise, ...).
+    (equity driver, default thresholds, barrier-bridge uniforms, the Novikov
+    driver at default, ...).
     """
     _check_stream(tag, path_index, path_index)
     key = ((seed & _SEED_MASK) << 64) | (tag << 48) | path_index

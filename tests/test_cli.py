@@ -1,11 +1,13 @@
 """Scenario runner: validation messages, exit codes, reproducible outputs."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import curvarb
@@ -16,6 +18,7 @@ from curvarb.cli import (
     validate_scenario,
 )
 from curvarb.errors import ConfigurationError
+from curvarb.paths import RNG_STREAM_VERSION
 
 
 def _read_tree(root):
@@ -114,6 +117,7 @@ def test_run_flat_market(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["overall"] == "pass"
     assert summary["scenario"] == "flat_market"
+    assert summary["rng_stream_version"] == RNG_STREAM_VERSION == 2
     assert set(summary["analyses"]) == {"curvature", "kernel", "zc", "sharpe"}
     # floats go through repr, so they round-trip exactly through the file
     assert summary["analyses"]["sharpe"]["estimate"] == pytest.approx(
@@ -126,6 +130,47 @@ def test_rerun_byte_identical(tmp_path):
     assert main(["run", "flat_market", "--out", str(a)]) == 0
     assert main(["run", "flat_market", "--out", str(b)]) == 0
     assert _read_tree(a) == _read_tree(b)
+
+
+# SHA-256 of every file each bundled scenario writes, at RNG stream version 2.
+# A change that moves any of them changes the outputs: log it, and bump
+# RNG_STREAM_VERSION when the draws behind them change
+BUNDLED_DIGESTS = {
+    "flat_market": {
+        "curvature.csv": "925f864ee81f3d7a76a1a0427b5f16df7366ee1e67ba911441e91cb25b2a8dd4",
+        "kernel.csv": "37b6d078eb50c9777dc4340b452eb3c27d7dd3876fc4e3285bcb54b04ce267fe",
+        "sharpe.csv": "a5915c3d072e7d4e0bbf55dd0128a10d062690d302cdce1640236013db6564c1",
+        "summary.json": "f3ebe6e0ab503513683bfcb3dc712f4e60ec611a28d29e4fc6fb12820235bdd6",
+        "zc.csv": "717a2f271d68039eecbb9c8ef4f9d25ee3341f49c16dd21da7a442594e8fee04",
+    },
+    "novikov_capped": {
+        "novikov_mc.csv": "ea27081245454894f8472f0c46dae5c63e9454fec530c405e7674bfeaea9cfb9",
+        "novikov_quadrature.csv": "5dbb724e53d2afd8b6ca6c09a394353d77a3bc02dc5d77be71475a127491ac27",
+        "summary.json": "acd2d6df89925bb360fe424856c749419ff8d87be741334957481886f205c8fb",
+    },
+    "thm1_constructed": {
+        "bond.csv": "7fcc1bc20d1ba84faba78627229b55001f778e433f8c928527750f93d9158b0f",
+        "summary.json": "affdca911b5db406a3d89da36ce4e02735c9764e86ebcecac8f9a2da42eaa438",
+        "thm1_bond.csv": "355b3bffe85a3a3ba0082b3adef8d89fe29be722990ec41f16ec751d79c1e00f",
+        "thm1_spread.csv": "ada8bd765461001782b510198fa65351430fda1a4e4c60539ab8106481501c37",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
+def test_bundled_outputs_match_pinned_digests(tmp_path, name):
+    assert set(BUNDLED_DIGESTS) == set(bundled_scenarios())
+    assert main(["run", name, "--out", str(tmp_path)]) == 0
+    digests = {
+        fname: hashlib.sha256(data).hexdigest() for fname, data in _read_tree(tmp_path).items()
+    }
+    expected = BUNDLED_DIGESTS[name]
+    assert sorted(digests) == sorted(expected), f"{name}: files {sorted(digests)}"
+    for fname, digest in expected.items():
+        assert digests[fname] == digest, (
+            f"{name}/{fname}: SHA-256 {digests[fname]} is not the pinned {digest}"
+            f" (numpy {np.__version__})"
+        )
 
 
 def test_threads_match_serial(tmp_path):

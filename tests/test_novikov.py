@@ -11,7 +11,6 @@ from curvarb import _laws, novikov
 from curvarb.credit import LGDProcess, build_thm1_market
 from curvarb.errors import ConfigurationError, DomainError
 from curvarb.novikov import (
-    TAG_NOVIKOV_BRIDGE,
     TAG_NOVIKOV_DRIVER,
     DensitySpec,
     capped_lgd_driver,
@@ -108,39 +107,38 @@ def test_novikov_mc_constant_lgd_diverges(base_market):
 
 
 def _reference_exponents(market, k, cap=None):
-    """The full-driver route: the whole n x T x k driver is drawn and a
-    driver-linked rule is called on one row at a time, through np.dot."""
+    """One defaulted row at a time: the driver at default is regenerated from
+    the row's own keyed stream, scaled by sqrt(tau), and a driver-linked rule
+    is called on that row alone, through np.dot."""
     sample = market.defaults
     rows = np.nonzero(sample.defaulted())[0]
-    times = sample.grid.times
-    driver = simulate_brownian(sample.grid, sample.n_paths, k, market.seed, TAG_NOVIKOV_DRIVER)
     tau = sample.tau[rows]
-    i1 = np.searchsorted(times, tau)
-    i0 = i1 - 1
-    dt = times[i1] - times[i0]
-    theta = (tau - times[i0]) / dt
-    xi = np.array(
-        [path_rng(market.seed, int(r), TAG_NOVIKOV_BRIDGE).standard_normal(k) for r in rows]
+    w_tau = np.array(
+        [
+            np.sqrt(t) * path_rng(market.seed, int(r), TAG_NOVIKOV_DRIVER).standard_normal(k)
+            for r, t in zip(rows, tau)
+        ]
     )
-    w0 = driver.values[rows, i0]
-    w1 = driver.values[rows, i1]
-    w_tau = w0 + theta[:, None] * (w1 - w0) + np.sqrt(theta * (1 - theta) * dt)[:, None] * xi
     q = np.sum(w_tau * w_tau, axis=1) / tau
     if cap is None:
-        l = np.full(rows.size, market.lgd.value)
+        l = np.full(tau.size, market.lgd.value)
     else:
         rule = capped_lgd_tq(cap)
         l = np.array([float(rule(t, float(np.dot(w, w)) / t)) for t, w in zip(tau, w_tau)])
     return (2.0 * l / (2.0 - l)) ** 2 * tau / q
 
 
+def _capped(market, cap):
+    if cap is None:
+        return market
+    return replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap)))
+
+
 @pytest.mark.parametrize(
     "cap, k", [(None, 4), (0.1, 1), (0.1, 2), (0.1, 4), (0.1, 7), (0.1, 16)]
 )
-def test_novikov_mc_matches_full_driver_per_row_reference(small_market, cap, k):
-    market = small_market
-    if cap is not None:
-        market = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap)))
+def test_novikov_mc_matches_keyed_per_row_reference(small_market, cap, k):
+    market = _capped(small_market, cap)
     est = novikov_mc(market, k)
     ref = _reference_exponents(market, k, cap)
     assert np.array_equal(est.exponents, ref)
@@ -148,30 +146,32 @@ def test_novikov_mc_matches_full_driver_per_row_reference(small_market, cap, k):
 
 
 @pytest.mark.parametrize("cap", [None, 0.1])
-def test_novikov_mc_blocks_match_full_driver_reference(small_market, cap, monkeypatch):
-    market = small_market
-    if cap is not None:
-        market = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap)))
-    n_def = int(market.defaults.defaulted().sum())
-    # several blocks, the last one short
-    monkeypatch.setattr(novikov, "_PATH_BLOCK", 97)
-    assert n_def > 3 * 97 and n_def % 97
-    est = novikov_mc(market, 4)
-    assert np.array_equal(est.exponents, _reference_exponents(market, 4, cap))
+def test_novikov_mc_rows_do_not_depend_on_other_defaults(small_market, cap):
+    market = _capped(small_market, cap)
+    sample = market.defaults
+    rows = np.nonzero(sample.defaulted())[0]
+    censored = rows[::2]
+    tau = sample.tau.copy()
+    tau[censored] = np.inf
+    thinned = replace(market, defaults=replace(sample, tau=tau))
+    full = novikov_mc(market, 4)
+    kept = novikov_mc(thinned, 4)
+    assert kept.n_used == rows.size - censored.size
+    assert np.array_equal(kept.exponents, full.exponents[1::2])
 
 
 def test_novikov_mc_holds_less_than_the_full_driver():
     market = build_thm1_market(0.02, 0.4, horizon=30.0, steps=120, n_paths=20_000, seed=9)
     k = 4
     n_def = int(market.defaults.defaulted().sum())
-    full_driver_bytes = n_def * market.defaults.grid.n_times * k * 8
     tracemalloc.start()
     try:
         novikov_mc(market, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < full_driver_bytes
+    # a few arrays of n_def doubles; one driver path per row would be 121 * k
+    assert peak < 32 * 8 * n_def
 
 
 def test_driver_linked_rule_must_return_one_loss_per_path(small_market):
