@@ -310,7 +310,7 @@ def simulate_default(
     if isinstance(model, IntensityModel):
         lam, cum = _hazard_paths(model, grid, n_paths, seed)
         thresholds = _keyed_rows(
-            seed, TAG_EXP, np.arange(n_paths), (), lambda gen: gen.standard_exponential()
+            seed, TAG_EXP, np.arange(n_paths), (), np.random.Generator.standard_exponential
         )
         tau = _intensity_default_times(cum, times, thresholds)
         return DefaultSample(grid, tau, cum, thresholds, lam)
@@ -326,10 +326,14 @@ def simulate_default(
             a, c = e[:, :-1], e[:, 1:]
             crossed = c <= b
             if bridge:
-                u = _keyed_rows(seed, TAG_BRIDGE, rows, (m,), lambda gen: gen.random(m))
-                sig = np.empty(u.shape)
-                for i in range(m):
-                    sig[:, i] = model.equity.eval_sigma(times[i], e[:, i : i + 1], 1)[:, 0, 0]
+                u = _keyed_rows(seed, TAG_BRIDGE, rows, (m,), np.random.Generator.random)
+                if callable(model.equity.sigma):
+                    sig = np.empty(u.shape)
+                    for i in range(m):
+                        sig[:, i] = model.equity.eval_sigma(times[i], e[:, i : i + 1], 1)[:, 0, 0]
+                else:
+                    # a constant or array sigma is the same at every step
+                    sig = model.equity.eval_sigma(times[0], e[:, :1], 1)[:, :, 0]
                 valid = (a > b) & (c > b)
                 if geometric:
                     with np.errstate(invalid="ignore", divide="ignore"):

@@ -194,7 +194,7 @@ def novikov_mc(
     rows = np.nonzero(mask)[0]
     tau_d = sample.tau[rows]
     z = _keyed_rows(
-        market.seed, TAG_NOVIKOV_DRIVER, rows, (k,), lambda gen: gen.standard_normal(k)
+        market.seed, TAG_NOVIKOV_DRIVER, rows, (k,), np.random.Generator.standard_normal
     )
     w_tau = np.sqrt(tau_d)[:, None] * z
     q = np.sum(w_tau * w_tau, axis=1) / tau_d

@@ -14,6 +14,7 @@ Gaussian-kernel local regression over the cross-section of paths.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -260,16 +261,45 @@ def _keyed_rows(
     tag: int,
     paths: np.ndarray,
     shape: tuple[int, ...],
-    draw: Callable[[np.random.Generator], np.ndarray | float],
+    draw: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray],
 ) -> np.ndarray:
-    """Row i holds draw(gen) on the stream path_rng(seed, paths[i], tag).
+    """Row i holds draw(gen, shape) on the stream path_rng(seed, paths[i], tag).
+
+    Rows of at most four draws of numpy's float64 random, standard_normal or
+    standard_exponential fit in the first Philox block of their stream and
+    are computed for all paths at once; a row that leaves the ziggurat's fast
+    path, and any other row, is drawn on numpy's own generator.
+    """
+    paths = np.asarray(paths, dtype=np.int64)
+    _check_stream(tag, int(paths.min(initial=0)), int(paths.max(initial=0)))
+    # imported here, not at the top: it loads numpy.random, which
+    # `import curvarb` otherwise does not
+    from ._philox import SHORT_ROW_DRAWS, first_block
+
+    n = math.prod(shape)
+    if n > 4 or draw not in SHORT_ROW_DRAWS:
+        return _looped_rows(seed, tag, paths, shape, draw)
+    out, fast = first_block(seed, tag, paths, draw.__name__, n)
+    out = out.reshape(paths.size, *shape)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = _looped_rows(seed, tag, paths[slow], shape, draw)
+    return out
+
+
+def _looped_rows(
+    seed: int,
+    tag: int,
+    paths: np.ndarray,
+    shape: tuple[int, ...],
+    draw: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray],
+) -> np.ndarray:
+    """_keyed_rows one path at a time, on numpy's generator.
 
     One Philox serves the whole batch: for each path its state is reset to the
     path's key, counter 0 and an empty buffer, which is exactly the state a
     fresh path_rng generator starts in, without building one per path.
     """
-    paths = np.asarray(paths, dtype=np.int64)
-    _check_stream(tag, int(paths.min(initial=0)), int(paths.max(initial=0)))
     # Python ints and lists: the state setter reads them element by element,
     # which is cheaper than reading numpy scalars out of arrays
     key = [0, seed & _SEED_MASK]
@@ -288,7 +318,7 @@ def _keyed_rows(
     for i, p in enumerate(paths):
         key[0] = high | int(p)
         bitgen.state = state
-        out[i] = draw(gen)
+        out[i] = draw(gen, shape)
     return out
 
 
@@ -302,7 +332,7 @@ def _brownian_rows(
     reads a few paths draws only those.
     """
     shape = (grid.n_times - 1, dim)
-    dw = _keyed_rows(seed, tag, paths, shape, lambda gen: gen.standard_normal(shape))
+    dw = _keyed_rows(seed, tag, paths, shape, np.random.Generator.standard_normal)
     dw *= np.sqrt(grid.steps)[None, :, None]
     return dw
 

@@ -7,6 +7,12 @@ unattainable clauses stay visible instead of silently green.
 """
 
 import pytest  # noqa: F401
+from hypothesis import settings
+
+# hermetic: hypothesis keeps no example database (.hypothesis/) in the checkout;
+# examples stay randomized and each test keeps its own max_examples
+settings.register_profile("hermetic", database=None)
+settings.load_profile("hermetic")
 
 
 def pytest_configure(config):

@@ -276,6 +276,25 @@ def test_import_loads_no_scipy(tmp_path):
     assert proc.stdout == "[]\n", proc.stderr
 
 
+def test_import_loads_no_keyed_row_machinery(tmp_path):
+    """numpy.random, curvarb._philox and its ziggurat tables load on first
+    use, not with the CLI."""
+    probe = (
+        "import sys, curvarb.cli; "
+        "loaded = [m for m in ('numpy.random', 'curvarb._philox') if m in sys.modules]; "
+        "import curvarb._philox as p; print(loaded, p._ziggurat.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0\n", proc.stderr
+
+
 def test_bundled_runs_load_no_scipy_stats_or_integrate(tmp_path):
     """No bundled run and no library call imports SciPy at all: the child
     blocks the package, so any SciPy import raises."""

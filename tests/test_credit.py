@@ -25,9 +25,23 @@ from curvarb.credit import (
     simulate_default,
     thm1_residuals,
 )
-from curvarb.credit import TAG_LGD, _equity_blocks, _interp_rows
+from curvarb.credit import (
+    TAG_BRIDGE,
+    TAG_DRIVER,
+    TAG_EXP,
+    TAG_LGD,
+    _equity_blocks,
+    _interp_rows,
+)
 from curvarb.errors import ConfigurationError, EstimationError
-from curvarb.paths import ItoSpec, PathEnsemble, TimeGrid, simulate_brownian, simulate_ito
+from curvarb.paths import (
+    ItoSpec,
+    PathEnsemble,
+    TimeGrid,
+    path_rng,
+    simulate_brownian,
+    simulate_ito,
+)
 
 STANDARD_TWO_SIDED_EXIT = 2 * stats.norm.cdf(-1.0)  # 0.3173105078629141
 
@@ -198,6 +212,52 @@ def test_structural_default_times_do_not_depend_on_the_block_size(monkeypatch, e
     )
     assert np.isfinite(small).sum() > 100
     assert small.tobytes() == whole.tobytes()
+
+
+def _reference_structural_tau(model, grid, n, seed, bridge):
+    """simulate_default's structural tau from whole-ensemble equity, one
+    path_rng stream per bridged path and sigma evaluated step by step."""
+    e = simulate_ito(model.equity, simulate_brownian(grid, n, 1, seed, TAG_DRIVER)).series
+    a, c, b, dt = e[:, :-1], e[:, 1:], model.barrier, grid.steps
+    crossed = c <= b
+    if bridge:
+        u = np.array([path_rng(seed, p, TAG_BRIDGE).random(dt.size) for p in range(n)])
+        sig = np.empty(u.shape)
+        for i in range(dt.size):
+            sig[:, i] = model.equity.eval_sigma(grid.times[i], e[:, i : i + 1], 1)[:, 0, 0]
+        valid = (a > b) & (c > b)
+        if model.equity.form == "geometric":
+            with np.errstate(invalid="ignore", divide="ignore"):
+                expo = -2.0 * np.log(a / b) * np.log(c / b) / (sig**2 * dt)
+        else:
+            expo = -2.0 * (a - b) * (c - b) / (sig**2 * dt)
+        crossed |= valid & (u < np.exp(np.where(valid, expo, -np.inf)))
+    hit = crossed.any(axis=1)
+    tau = np.full(n, np.inf)
+    tau[hit] = grid.times[np.argmax(crossed[hit], axis=1) + 1]
+    return tau
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+@pytest.mark.parametrize("equity", [*sorted(EQUITY), "array"])
+def test_structural_default_times_match_a_step_by_step_reference(monkeypatch, equity, bridge):
+    array_sigma = ItoSpec(x0=1.0, drift=0.01, sigma=np.array([0.35]), form="geometric")
+    spec = EQUITY.get(equity, array_sigma)
+    model = StructuralModel(spec, 0.7)
+    grid = TimeGrid.regular(2.0, 50)
+    n = 1000
+    reference = _reference_structural_tau(model, grid, n, 13, bridge)
+    assert np.isfinite(reference).sum() > 100
+    for block in (97, n):
+        monkeypatch.setattr(curvarb.credit, "_PATH_BLOCK", block)
+        tau = simulate_default(model, grid, n, seed=13, bridge=bridge).tau
+        assert tau.tobytes() == reference.tobytes()
+
+
+def test_intensity_thresholds_are_the_keyed_exponentials():
+    sample = simulate_default(IntensityModel(0.05), TimeGrid.regular(5.0, 20), 3000, seed=21)
+    reference = [path_rng(21, p, TAG_EXP).standard_exponential() for p in range(3000)]
+    assert sample.thresholds.tobytes() == np.array(reference).tobytes()
 
 
 @pytest.mark.parametrize("observation_times", [None, [0.0], [0.0, 0.25, 0.375]])

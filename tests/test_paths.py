@@ -45,6 +45,9 @@ from curvarb.credit import (
     _hazard_paths,
 )
 from curvarb.curvature import novikov_sharpe
+import curvarb._philox
+import curvarb.paths
+from curvarb._philox import _draws, _ziggurat
 from curvarb.paths import _keyed_rows
 
 
@@ -93,18 +96,18 @@ def test_per_path_streams_are_order_independent():
     assert not np.array_equal(full.values, other_tag.values)
 
 
+G = np.random.Generator
+
 KEYED_DRAWS = {
-    "normal_block": (np.arange(30), (6, 2), lambda gen: gen.standard_normal((6, 2))),
-    "exponential": (np.arange(30), (), lambda gen: gen.standard_exponential()),
-    "uniform_row": (np.arange(30), (9,), lambda gen: gen.random(9)),
+    "normal_block": (np.arange(30), (6, 2), G.standard_normal),
+    "exponential": (np.arange(30), (), G.standard_exponential),
+    "uniform_row": (np.arange(30), (9,), G.random),
     # 32-bit draws read the half-word cache that a reset must clear
-    "uniform_float32": (np.arange(30), (5,), lambda gen: gen.random(5, dtype=np.float32)),
-    # a subset of paths in no particular order, like the defaulted rows
-    "normal_subset": (
-        np.array([41, 3, 17, 1 << 40, 9, 4]),
-        (3,),
-        lambda gen: gen.standard_normal(3),
+    "uniform_float32": (
+        np.arange(30), (5,), lambda gen, size: gen.random(size, dtype=np.float32)
     ),
+    # a subset of paths in no particular order, like the defaulted rows
+    "normal_subset": (np.array([41, 3, 17, 1 << 40, 9, 4]), (3,), G.standard_normal),
 }
 
 
@@ -113,19 +116,128 @@ KEYED_DRAWS = {
 def test_batch_streams_match_path_rng_bit_for_bit(kind, seed):
     paths, shape, draw = KEYED_DRAWS[kind]
     batch = _keyed_rows(seed, 6, paths, shape, draw)
-    single = np.array([draw(path_rng(seed, int(p), tag=6)) for p in paths], dtype=float)
+    single = np.array([draw(path_rng(seed, int(p), tag=6), shape) for p in paths], dtype=float)
     assert batch.shape == (paths.size, *shape)
     assert batch.tobytes() == single.tobytes()
 
 
 def test_batch_streams_check_ranges_like_path_rng():
-    draw = lambda gen: gen.random()  # noqa: E731
     for tag, paths in [(1 << 16, [0]), (-1, [0]), (0, [3, -1]), (0, [1 << 48, 2])]:
         with pytest.raises(ConfigurationError):
-            _keyed_rows(1, tag, np.array(paths), (), draw)
+            _keyed_rows(1, tag, np.array(paths), (), G.random)
         with pytest.raises(ConfigurationError):
             for p in paths:
                 path_rng(1, p, tag)
+
+
+# rows of at most four draws, which _keyed_rows computes for all paths at once
+SHORT_ROWS = [
+    *[(G.standard_normal, (k,)) for k in range(1, 5)],
+    (G.standard_normal, (2, 2)),
+    (G.standard_exponential, ()),
+    *[(G.random, (k,)) for k in range(1, 5)],
+]
+# unsorted, with duplicates and the highest path index; 600 rows leave some
+# draws off the ziggurat's fast path
+SHORT_PATHS = np.concatenate([[(1 << 48) - 1, 7, 7], np.arange(600)[::-1], [3, 599]])
+
+
+def _path_rng_rows(seed, tag, paths, shape, draw):
+    return np.array([draw(path_rng(seed, int(p), tag), shape) for p in paths], dtype=float)
+
+
+@pytest.mark.parametrize(
+    "draw, shape", SHORT_ROWS, ids=lambda v: v.__name__ if callable(v) else str(v).replace(" ", "")
+)
+@pytest.mark.parametrize("tag", [0, 65535])
+@pytest.mark.parametrize("seed", [0, 5, (1 << 63) + 11, (1 << 64) - 1])
+def test_short_rows_match_path_rng_bit_for_bit(seed, tag, draw, shape):
+    batch = _keyed_rows(seed, tag, SHORT_PATHS, shape, draw)
+    assert batch.shape == (SHORT_PATHS.size, *shape)
+    assert batch.tobytes() == _path_rng_rows(seed, tag, SHORT_PATHS, shape, draw).tobytes()
+
+
+def test_short_rows_do_not_depend_on_the_key_block(monkeypatch):
+    whole = _keyed_rows(3, 9, SHORT_PATHS, (4,), G.standard_normal)
+    monkeypatch.setattr(curvarb._philox, "_KEY_BLOCK", 7)
+    assert _keyed_rows(3, 9, SHORT_PATHS, (4,), G.standard_normal).tobytes() == whole.tobytes()
+
+
+def test_short_rows_of_no_paths():
+    empty = _keyed_rows(3, 9, np.array([], dtype=np.int64), (3,), G.standard_normal)
+    assert empty.shape == (0, 3)
+
+
+def _numpy_draw(method, word):
+    """numpy's draw of method from a Philox buffer that starts with word, and
+    whether it read that one word only."""
+    bitgen = np.random.Philox(0)
+    state = bitgen.state
+    state["buffer"], state["buffer_pos"] = [word, 1, 2, 3], 0
+    bitgen.state = state
+    x = getattr(np.random.Generator(bitgen), method)()
+    after = bitgen.state
+    # a draw that ran past the buffer refilled it from the next counter
+    return x, after["buffer_pos"] == 1 and not after["state"]["counter"].any()
+
+
+# (layer shift, mantissa shift, sign bit) of numpy's ziggurat words
+ZIGGURAT_WORDS = {"standard_exponential": (3, 11, 0), "standard_normal": (0, 9, 1 << 8)}
+
+
+@pytest.mark.parametrize("method", sorted(ZIGGURAT_WORDS))
+def test_ziggurat_words_at_every_layer_and_threshold_match_numpy(method):
+    layer_shift, m_shift, sign = ZIGGURAT_WORDS[method]
+    _, threshold = _ziggurat(method)
+    words = []
+    for layer in range(256):
+        k = int(threshold[layer])
+        # just below, at and just above the threshold; layer 1's is 0
+        for m in [k - 1, k, k + 1] if k else [0, 1]:
+            for s in {0, sign}:
+                words.append((m << m_shift) | s | (layer << layer_shift))
+    x, fast = _draws(np.array(words, dtype=np.uint64), method)
+    for word, xi, fi in zip(words, x, fast):
+        ref, one_word = _numpy_draw(method, word)
+        assert fi == one_word, hex(word)
+        if fi:
+            assert xi == ref and np.signbit(xi) == np.signbit(ref), hex(word)
+    assert 0 < fast.sum() < fast.size
+
+
+def test_random_words_match_numpy_without_rejection():
+    words = np.array([0, 1, (1 << 11) - 1, 1 << 11, (1 << 64) - 1, 0x0123456789ABCDEF], np.uint64)
+    x, fast = _draws(words, "random")
+    assert fast.all()
+    assert [float(v) for v in x] == [_numpy_draw("random", int(w))[0] for w in words]
+
+
+def test_most_short_rows_skip_the_per_path_loop(monkeypatch):
+    looped, loop = [], curvarb.paths._looped_rows
+
+    def counting(seed, tag, paths, shape, draw):
+        looped.append(paths.size)
+        return loop(seed, tag, paths, shape, draw)
+
+    monkeypatch.setattr(curvarb.paths, "_looped_rows", counting)
+    n = 100_000
+    _keyed_rows(11, 3, np.arange(n), (), G.standard_exponential)
+    # a full fallback would loop over all n rows; numpy's fast path misses ~2%
+    assert len(looped) == 1 and 0 < looped[0] <= 0.05 * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    tag=st.integers(0, (1 << 16) - 1),
+    paths=st.lists(st.integers(0, (1 << 48) - 1), max_size=12),
+    k=st.integers(1, 4),
+    draw=st.sampled_from([G.standard_normal, G.standard_exponential, G.random]),
+)
+def test_short_rows_match_path_rng_property(seed, tag, paths, k, draw):
+    paths = np.array(paths, dtype=np.int64)
+    batch = _keyed_rows(seed, tag, paths, (k,), draw)
+    assert batch.tobytes() == _path_rng_rows(seed, tag, paths, (k,), draw).tobytes()
 
 
 def test_log_euler_matches_lognormal_closed_form_pathwise():
