@@ -85,7 +85,6 @@ from .credit import (
 from .curvature import (
     CurvatureReport,
     KernelCheckReport,
-    SharpeIntegralEstimate,
     ZCReport,
     covariation_rates,
     curvature_components,

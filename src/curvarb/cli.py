@@ -16,7 +16,6 @@ analysis.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import json
 import math
@@ -616,7 +615,8 @@ def cmd_run(args) -> int:
             built[key] = build(doc)
             drop_after[reads[-1]] = key  # the inputs have no reader in common
     if args.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.threads) as pool:
+        from concurrent.futures import ThreadPoolExecutor  # only a threaded run needs it
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(lambda n: _RUNNERS[n](doc, built), names))
     else:
         results = []

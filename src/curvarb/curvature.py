@@ -18,8 +18,8 @@ P(t,s) beta_t D_t, binned on the time-t state.
 
 novikov_sharpe exponentiates half the integrated squared Sharpe ratio of a
 portfolio, the quantity whose finiteness licenses the measure change behind
-all of the above; it reuses the heavy-tail diagnostics of the integrability
-module.
+all of the above; it shares novikov_mc's estimate of E[exp(X)], with
+overflow as divergence evidence, and returns a NovikovEstimate.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .gauges import Gauge, short_rate
-from .novikov import TailDiagnostics, tail_diagnostics
+from .novikov import NovikovEstimate, _exp_moment
 from .paths import (
     ItoSpec,
     PathEnsemble,
@@ -49,7 +49,6 @@ __all__ = [
     "ZCReport",
     "zc_residual",
     "covariation_rates",
-    "SharpeIntegralEstimate",
     "novikov_sharpe",
     "KernelCheckReport",
     "kernel_check",
@@ -285,15 +284,6 @@ def covariation_rates(
 # Integrated squared Sharpe ratio
 
 
-@dataclass(frozen=True, eq=False)
-class SharpeIntegralEstimate:
-    estimate: float
-    se: float
-    exponents: np.ndarray
-    tail: TailDiagnostics | None
-    verdict: str
-
-
 def novikov_sharpe(
     spec: ItoSpec,
     x,
@@ -301,14 +291,14 @@ def novikov_sharpe(
     n_paths: int = 1,
     steps: int = 256,
     seed: int = 0,
-) -> SharpeIntegralEstimate:
+) -> NovikovEstimate:
     """E[exp(1/2 int (x alpha)^2 / |x sigma|^2 dt)] along simulated paths.
 
     The short rate is zero, so the spec's drift alpha is the excess return.
     Deterministic coefficient fields need a single path (the integrand is the
     same on all of them); state-dependent fields average over the ensemble.
     A vanishing portfolio volatility anywhere is a hard error: the Sharpe
-    ratio is undefined there, not merely large.
+    ratio is undefined there, not merely large.  n_used is n_paths.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != spec.dim:
@@ -335,12 +325,8 @@ def novikov_sharpe(
             )
         ratio_sq[:, i] = num * num / den
     exponents = 0.5 * np.trapezoid(ratio_sq, times, axis=1)
-    summands = np.exp(exponents)
-    estimate = float(summands.mean())
-    se = float(_mean_se(summands))
-    tail = tail_diagnostics(log_samples=exponents) if n_paths >= 20 else None
-    verdict = tail.verdict if tail is not None else "finite_evidence"
-    return SharpeIntegralEstimate(estimate, se, exponents, tail, verdict)
+    estimate, se, tail, verdict = _exp_moment(exponents)
+    return NovikovEstimate(estimate, se, n_paths, 0.0, exponents, tail, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,7 @@ def portfolio_gauge(gauges: list[Gauge], nominals) -> Gauge:
             logp, (n_assets, n_paths, grid.n_times, offsets.size)
         )
         logpx = np.einsum("jpt,jpth->pth", weights, full)
-    values = np.exp(logpx)
+    values = np.exp(logpx, out=logpx)
     values[:, :, 0] = 1.0
     curve = TermStructureSurface(grid, offsets, values)
     deflator = PathEnsemble(grid, dx)

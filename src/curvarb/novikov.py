@@ -54,6 +54,12 @@ _Q_FORMS = ("consistent", "printed")
 _TAIL_TOP_FRACTION = 0.01
 _TIE_ULPS = 16
 
+# exponential moments have no SE from an exponent of _SE_MAX_EXPONENT on (the
+# variance needs exp(2 max exponent)); capped LGD rules keep u = 2l/(2-l) at
+# most _CAP_U_MAX, which keeps the LGD at most 1
+_SE_MAX_EXPONENT = 350.0
+_CAP_U_MAX = 2.0
+
 # Quadrature rule: Gauss-Legendre nodes in default time and in LGD, geometric
 # panels in the chi-square direction; the cutoff ladder stops after two steps
 # below _REL_TOL in the log integral, and growth beyond
@@ -149,14 +155,32 @@ def tail_diagnostics(
 # Monte Carlo route
 
 
+def _exp_moment(exponents: np.ndarray) -> tuple[float, float, TailDiagnostics | None, str]:
+    """Estimate, SE, Hill tail (on 20 or more exponents) and verdict of E[exp(X)].
+
+    An overflowed summand makes the estimate inf and counts as divergence
+    evidence; the tail works on the exponents, so it stays meaningful.
+    """
+    with np.errstate(over="ignore"):
+        summands = np.exp(exponents)
+        mean = float(summands.mean())
+    finite = bool(np.isfinite(mean))
+    se = float(_mean_se(summands)) if finite and exponents.max() < _SE_MAX_EXPONENT else np.inf
+    tail = tail_diagnostics(log_samples=exponents) if exponents.size >= 20 else None
+    verdict = tail.verdict if tail is not None else "finite_evidence"
+    return (mean, se, tail, verdict) if finite else (np.inf, se, tail, "divergence_evidence")
+
+
 @dataclass(frozen=True, eq=False)
 class NovikovEstimate:
+    """E[exp(X)] from n_used sampled exponents; tail is None below 20."""
+
     estimate: float
     se: float
     n_used: int
     censored_fraction: float
     exponents: np.ndarray
-    tail: TailDiagnostics
+    tail: TailDiagnostics | None
     verdict: str
 
 
@@ -175,9 +199,6 @@ def novikov_mc(
     the estimate is the conditional expectation given default before the
     horizon, which is what the quadrature cross-check integrates when its
     time density is truncated to the same horizon.
-
-    Summands whose exponent overflows float range make the estimate infinite;
-    the tail diagnostics stay meaningful because they work on the exponents.
     """
     if q_form not in _Q_FORMS:
         raise ConfigurationError(f"unknown q_form {q_form!r}")
@@ -213,22 +234,9 @@ def novikov_mc(
     coef = (2.0 * l / (2.0 - l)) ** 2
     with np.errstate(divide="ignore"):
         exponents = coef * tau_d / q
-    with np.errstate(over="ignore"):
-        summands = np.exp(exponents)
-    finite = bool(np.isfinite(summands).all())
-    estimate = float(summands.mean()) if finite else np.inf
-    # the variance needs exp(2 max exponent), so guard it separately
-    se = float(_mean_se(summands)) if finite and exponents.max() < 350.0 else np.inf
-    tail = tail_diagnostics(log_samples=exponents)
-    verdict = "divergence_evidence" if not np.isfinite(estimate) else tail.verdict
+    estimate, se, tail, verdict = _exp_moment(exponents)
     return NovikovEstimate(
-        estimate,
-        se,
-        n_def,
-        float(1.0 - n_def / sample.n_paths),
-        exponents,
-        tail,
-        verdict,
+        estimate, se, n_def, float(1.0 - n_def / sample.n_paths), exponents, tail, verdict
     )
 
 
@@ -303,27 +311,27 @@ class DensitySpec:
         return cls(tau_pdf=pdf, t_max=float(t_max), **kwargs)
 
 
-def capped_lgd_tq(cap: float = 0.1, u_max: float = 2.0) -> Callable:
-    """LGD rule keeping the summand exponent at min(cap, u_max^2 t / q).
+def capped_lgd_tq(cap: float = 0.1) -> Callable:
+    """LGD rule keeping the summand exponent at min(cap, _CAP_U_MAX^2 t / q).
 
-    Solving 2l/(2-l) = u with u = min(u_max, sqrt(cap q / t)) gives
+    Solving 2l/(2-l) = u with u = min(_CAP_U_MAX, sqrt(cap q / t)) gives
     l = 2u/(2+u), so the exponent (2l/(2-l))^2 t/q never exceeds cap and the
-    expectation is finite by construction.
+    expectation is finite by construction; u <= 2 keeps the LGD at most 1.
     """
-    if not 0 < cap or not 0 < u_max <= 2.0:
-        raise ConfigurationError("need cap > 0 and 0 < u_max <= 2")
+    if not 0 < cap:
+        raise ConfigurationError("need cap > 0")
 
     def rule(t, q):
-        u = np.minimum(u_max, np.sqrt(cap * np.asarray(q) / t))
+        u = np.minimum(_CAP_U_MAX, np.sqrt(cap * np.asarray(q) / t))
         return 2.0 * u / (2.0 + u)
 
     return rule
 
 
-def capped_lgd_driver(cap: float = 0.1, u_max: float = 2.0) -> Callable:
+def capped_lgd_driver(cap: float = 0.1) -> Callable:
     """Driver-linked form of capped_lgd_tq: reads t (n,) and w (n, k) and
     forms q = |w|^2 / t itself."""
-    rule = capped_lgd_tq(cap, u_max)
+    rule = capped_lgd_tq(cap)
     return lambda t, w: rule(t, np.vecdot(w, w) / t)
 
 

@@ -278,10 +278,11 @@ def test_import_loads_no_scipy(tmp_path):
 
 def test_import_loads_no_keyed_row_machinery(tmp_path):
     """numpy.random, curvarb._philox and its ziggurat tables load on first
-    use, not with the CLI."""
+    use, not with the CLI; concurrent.futures loads only for --threads > 1."""
     probe = (
         "import sys, curvarb.cli; "
-        "loaded = [m for m in ('numpy.random', 'curvarb._philox') if m in sys.modules]; "
+        "loaded = [m for m in ('numpy.random', 'curvarb._philox', 'concurrent.futures') "
+        "if m in sys.modules]; "
         "import curvarb._philox as p; print(loaded, p._ziggurat.cache_info().currsize)"
     )
     proc = subprocess.run(
@@ -497,6 +498,26 @@ def test_summary_is_strict_json_with_nonfinite_values(tmp_path):
 
     summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
     assert summary["analyses"]["novikov"]["quadrature_value"] == "inf"
+
+
+def test_sharpe_overflow_passes_as_divergence_evidence_without_warnings(tmp_path, capsys):
+    # exponent 1250 on every path: the summands overflow float range
+    doc = {
+        "name": "sharpe_overflow",
+        "grid": {"horizon": 1.0, "steps": 4},
+        "seed": 1,
+        "sharpe": {
+            "x0": 1.0, "drift": 1.0, "sigma": 0.02, "x": [1.0], "horizon": 1.0, "n_paths": 40
+        },
+        "analyses": ["sharpe"],
+    }
+    scen = tmp_path / "sharpe_overflow.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", str(scen), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "sharpe.csv").read_text().splitlines()
+    assert rows == ["estimate,se,verdict,passed", "inf,inf,divergence_evidence,true"]
 
 
 def test_readme_scenario_example_validates():

@@ -12,6 +12,7 @@ from curvarb.curvature import (
 )
 from curvarb.errors import ConfigurationError, NumericalError
 from curvarb.gauges import Gauge, flat_term_structure
+from curvarb.novikov import NovikovEstimate
 from curvarb.paths import ItoSpec, PathEnsemble, TimeGrid, simulate_brownian, simulate_ito
 
 OFFSETS = 0.25 * np.arange(9)
@@ -193,6 +194,20 @@ def test_sharpe_integral_ensemble_and_tail():
     assert est.estimate == pytest.approx(np.exp(0.045), rel=1e-12)
     assert est.tail is not None
     assert est.verdict == "finite_evidence"
+
+
+@pytest.mark.parametrize("n_paths", [1, 40])
+def test_sharpe_integral_overflow_is_divergence_evidence(n_paths):
+    # drift 1 over vol 0.02 gives the exponent 1250, far past float range
+    spec = ItoSpec(1.0, 1.0, 0.02, "geometric")
+    est = novikov_sharpe(spec, [1.0], 1.0, n_paths=n_paths)
+    assert isinstance(est, NovikovEstimate)
+    assert est.estimate == np.inf
+    assert est.se == np.inf
+    assert est.verdict == "divergence_evidence"
+    assert est.n_used == n_paths
+    assert est.censored_fraction == 0.0
+    assert (est.tail is None) == (n_paths < 20)
 
 
 def test_sharpe_integral_vanishing_volatility():

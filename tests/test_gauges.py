@@ -9,6 +9,7 @@ exponential and quadratic log-price surfaces with hand-computed derivatives.
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from curvarb import (
     ConfigurationError,
     DomainError,
     Gauge,
+    ItoSpec,
     NumeraireError,
     PathEnsemble,
     SingularTransformError,
@@ -33,6 +35,8 @@ from curvarb import (
     read_term_structure_csv,
     self_financing_residual,
     short_rate,
+    simulate_brownian,
+    simulate_ito,
     term_structure_from_forwards,
     write_term_structure_csv,
 )
@@ -198,6 +202,29 @@ def test_portfolio_weighted_short_rate_and_identity():
     same = portfolio_gauge([g1, g1], np.array([0.5, 0.5]))
     assert np.allclose(same.curve.values, g1.curve.values, rtol=1e-12)
     assert np.allclose(same.deflator.series, g1.deflator.series, rtol=1e-15)
+
+
+def test_portfolio_gauge_holds_little_beyond_its_curve():
+    # per-path weights on one shared curve per asset: the portfolio curve is
+    # 4000 x 51 x 21 doubles (32.7 MiB), exponentiated where it is built
+    grid = TimeGrid.regular(5.0, 50)
+    offsets = 0.25 * np.arange(21)
+    rng = np.random.default_rng(5)
+    gauges = []
+    for j in range(3):
+        forwards = 0.02 + 0.04 * rng.random((1, grid.n_times, offsets.size))
+        curve = term_structure_from_forwards(grid, offsets, forwards)
+        spec = ItoSpec(x0=1.0, drift=0.01 * j, sigma=0.1 + 0.05 * j, form="geometric")
+        driver = simulate_brownian(grid, 4000, 1, seed=5, tag=50 + j)
+        gauges.append(Gauge(simulate_ito(spec, driver), curve, f"g{j}"))
+    tracemalloc.start()
+    try:
+        port = portfolio_gauge(gauges, np.array([0.5, 0.3, 0.2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert port.curve.values.shape == (4000, grid.n_times, offsets.size)
+    assert peak < 1.75 * port.curve.values.nbytes
 
 
 def test_portfolio_with_vanishing_deflator_is_singular():
