@@ -46,11 +46,12 @@ from .novikov import (
 from .paths import (
     RNG_STREAM_VERSION,
     ItoSpec,
+    PathEnsemble,
     TimeGrid,
+    _brownian_rows,
+    _integrate,
     _se_gate,
     _write_csv,
-    simulate_brownian,
-    simulate_ito,
 )
 
 ANALYSES = ("curvature", "kernel", "zc", "thm1", "bond", "novikov", "sharpe")
@@ -75,24 +76,18 @@ def _table(cols: list, rows: list) -> str:
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays for json.dump.
+    """Recursively convert the numpy scalars of a summary dict for json.dump.
 
     JSON has no literal for a non-finite float, so one is written as its
     repr ("inf", "-inf", "nan"), the spelling of the CSV cells.
     """
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         return x if math.isfinite(x) else repr(x)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
     return obj
 
 
@@ -161,6 +156,11 @@ _PAIRS = (_pairs_ok, "must be [t, s] pairs with s > t >= 0")
 _NUMBERS = (_numbers, "must be a nonempty list of numbers")
 _RATES = (lambda r: _numbers(r if isinstance(r, list) else [r]), "must be one or more numbers")
 _FORM = _one_of("geometric", "arithmetic")
+# the name is one directory entry below the output root, never a path
+_FILE_NAME = (
+    lambda s: s not in ("", ".", "..") and not set(s) & {"/", "\\", "\0"},
+    "must be one file-name component: nonempty, no path separator or NUL, not . or ..",
+)
 
 EVERY = None  # needed by every scenario, whatever it runs
 OPTIONAL = frozenset()
@@ -171,7 +171,7 @@ CREDIT_ANALYSES = frozenset({"thm1", "bond", "novikov"})
 # "[]" steps into each item of a list, and float admits any finite number.
 # This lists every key a runner reads; validate_scenario rejects all others.
 SCHEMA = {
-    "name": (str, (len, "must be nonempty"), EVERY),
+    "name": (str, _FILE_NAME, EVERY),
     "grid.horizon": (float, _GT0, EVERY),
     "grid.steps": (int, _GE2, EVERY),
     "seed": (int, _GE0, EVERY),
@@ -273,6 +273,9 @@ def _check_across(doc: dict, v: list) -> None:
         node = doc.get(section, {})
         if isinstance(node.get(key), list) and len(node[key]) != len(node.get(ref, [])):
             v.append((f"{section}.{key}", f"must hold one entry per entry of {section}.{ref}"))
+    novikov = doc.get("novikov", {})
+    if novikov.get("expect") == "match" and novikov.get("mode", "both") != "both":
+        v.append(("novikov.expect", "match compares both routes: needs novikov.mode both"))
     grid, span = _grid(doc), _offsets(doc)[-1]
     thm1 = doc.get("thm1", {})
     # the simulated hazard needs [t, t + window] inside the grid for some t
@@ -315,26 +318,30 @@ def _grid(doc) -> TimeGrid:
 
 
 def _offsets(doc) -> np.ndarray:
-    # without an "offsets" section, the lattice _credit_market builds on
+    # without an "offsets" section, the lattice build_thm1_market defaults to
     spec = doc.get("offsets", {})
     return float(spec.get("step", 0.25)) * np.arange(int(spec.get("count", 21)))
+
+
+def _spec(section) -> ItoSpec:
+    """The ItoSpec of an asset or of the sharpe section."""
+    return ItoSpec(
+        x0=float(section["x0"]),
+        drift=float(section["drift"]),
+        sigma=float(section["sigma"]),
+        form=section.get("form", "geometric"),
+    )
 
 
 def _asset_gauges(doc) -> list:
     grid = _grid(doc)
     offsets = _offsets(doc)
-    n = int(doc["n_paths"])
+    paths = np.arange(int(doc["n_paths"]))
     seed = int(doc["seed"])
     gauges = []
     for j, a in enumerate(doc["assets"]):
-        spec = ItoSpec(
-            x0=float(a["x0"]),
-            drift=float(a["drift"]),
-            sigma=float(a["sigma"]),
-            form=a.get("form", "geometric"),
-        )
-        driver = simulate_brownian(grid, n, 1, seed, tag=ASSET_TAG_BASE + j)
-        deflator = simulate_ito(spec, driver)
+        dw = _brownian_rows(grid, paths, 1, seed, ASSET_TAG_BASE + j)
+        deflator = PathEnsemble(grid, _integrate(_spec(a), grid, dw))
         gauges.append(
             Gauge(deflator, flat_term_structure(grid, float(a["rate"]), offsets), a["label"])
         )
@@ -343,13 +350,14 @@ def _asset_gauges(doc) -> list:
 
 def _credit_market(doc):
     c = doc["credit"]
+    offsets = _offsets(doc)
     return build_thm1_market(
         float(c["lambda"]),
         float(c["lgd"]),
         horizon=float(doc["grid"]["horizon"]),
         steps=int(doc["grid"]["steps"]),
-        n_offsets=int(doc.get("offsets", {}).get("count", 21)),
-        offset_step=float(doc.get("offsets", {}).get("step", 0.25)),
+        n_offsets=offsets.size,
+        offset_step=float(offsets[1]),  # the lattice starts at 0
         gov_rate=float(c.get("gov_rate", 0.0)),
         spread_shift=float(c.get("spread_shift", 0.0)),
         n_paths=int(doc["n_paths"]),
@@ -534,11 +542,8 @@ def _run_novikov(doc, built):
         passed = (mc_est is None or mc_est.verdict == "finite_evidence") and (
             quad is None or quad.converged
         )
-    elif expect == "match":
-        if mc_est is None or quad is None or not quad.converged:
-            passed = False
-        else:
-            passed = _se_gate(mc_est.estimate - quad.value, mc_est.se)[1]
+    elif expect == "match":  # validate_scenario admits it with mode "both" only
+        passed = quad.converged and _se_gate(mc_est.estimate - quad.value, mc_est.se)[1]
     else:
         passed = True
     summary["passed"] = passed
@@ -547,14 +552,8 @@ def _run_novikov(doc, built):
 
 def _run_sharpe(doc, built):
     section = doc["sharpe"]
-    spec = ItoSpec(
-        x0=float(section["x0"]),
-        drift=float(section["drift"]),
-        sigma=float(section["sigma"]),
-        form=section.get("form", "geometric"),
-    )
     est = novikov_sharpe(
-        spec,
+        _spec(section),
         np.asarray(section["x"], dtype=np.float64),
         float(section["horizon"]),
         n_paths=int(section.get("n_paths", 1)),

@@ -178,17 +178,9 @@ def _coerce_zc_inputs(alpha, sigma, rates, covariation):
     sigma = np.broadcast_to(sigma, (n_t,) + sigma.shape[1:])
     if sigma.shape[1] != alpha.shape[1]:
         raise ConfigurationError("alpha and sigma disagree on the asset count")
-    r = np.asarray(rates, dtype=np.float64)
-    if r.ndim == 0:
-        r = np.full_like(alpha, float(r))
-    elif r.ndim == 1:
-        r = np.broadcast_to(r[None, :], alpha.shape)
-    else:
-        r = np.broadcast_to(r, alpha.shape)
-    if covariation is None:
-        c = np.zeros_like(alpha)
-    else:
-        c = np.broadcast_to(np.asarray(covariation, dtype=np.float64), alpha.shape)
+    r = np.broadcast_to(np.asarray(rates, dtype=np.float64), alpha.shape)
+    c = 0.0 if covariation is None else np.asarray(covariation, dtype=np.float64)
+    c = np.broadcast_to(c, alpha.shape)
     return alpha, sigma, r, c
 
 
@@ -349,6 +341,9 @@ class KernelCheckReport:
 def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
     """Conditional pricing-kernel residuals for each gauge and (t, s) pair.
 
+    beta is the kernel on the gauge grid: an array shaped (n_times,) for a
+    deterministic kernel or (n_paths, n_times) for one sampled per path.
+
     For each path the discounted claim beta_s D_s is compared with its stored
     price P(t, s) beta_t D_t; residuals are averaged within equal-count bins
     of the time-t discounted state and scaled by the mean discounted state,
@@ -359,12 +354,7 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
     if not gauges:
         raise ConfigurationError("need at least one gauge")
     grid = gauges[0].grid
-    if isinstance(beta, PathEnsemble):
-        b = beta.series
-    else:
-        b = np.asarray(beta, dtype=np.float64)
-        if b.ndim == 1:
-            b = b[None, :]
+    b = np.atleast_2d(np.asarray(beta, dtype=np.float64))
     if b.shape[-1] != grid.n_times:
         raise ConfigurationError("beta must be sampled on the gauge grid")
     if np.any(b <= 0):

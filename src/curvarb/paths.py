@@ -550,7 +550,8 @@ class NelsonEstimator:
         gram = z.T @ zw
         try:
             theta = np.linalg.solve(gram, zw.T @ y)        # (d+1, out_dim)
-            smoother = np.linalg.solve(gram, zw.T)[0]      # (n,) intercept weights
+            # (n,) intercept weights, row 0 of gram^-1 zw^T, from one vector solve
+            smoother = zw @ np.linalg.solve(gram.T, np.eye(z.shape[1])[0])
             fitted = z @ theta
         except np.linalg.LinAlgError:
             smoother = w / sw

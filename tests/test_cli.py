@@ -232,6 +232,63 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "flat_market" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["../escaped", "/absolute", "a/b", "a\\b", ".", "..", "a\0b", ""],
+    ids=["parent", "absolute", "nested", "backslash", "dot", "dot-dot", "nul", "empty"],
+)
+def test_name_that_is_not_one_file_name_is_rejected(tmp_path, monkeypatch, capsys, name):
+    base = tmp_path / "base"
+    monkeypatch.setenv("CURVARB_OUTPUT_DIR", str(base))
+    monkeypatch.chdir(tmp_path)
+    doc = load_scenario("flat_market")
+    doc["name"] = str(tmp_path / "abs") if name == "/absolute" else name
+    scen = tmp_path / "named.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["validate", str(scen)]) == 2
+    assert "name: must be one file-name component" in capsys.readouterr().out
+    assert main(["run", str(scen)]) == 2
+    assert "invalid scenario: name: " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["named.json"]  # nothing written anywhere
+
+
+def test_curvature_default_gate_is_four_standard_errors(tmp_path, capsys):
+    # without a tolerances section every time's spread must lie within 4 SE
+    doc = load_scenario("flat_market")
+    del doc["tolerances"]
+    doc["analyses"] = ["curvature"]
+    scen = tmp_path / "gate.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["run", str(scen), "--out", str(tmp_path / "flat")]) == 0
+    doc["assets"][1]["drift"] = 0.3  # a spread of about 0.3 against an SE of about 0.0065
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "drift"
+    assert main(["run", str(scen), "--out", str(out)]) == 1
+    assert "curvature: fail" in capsys.readouterr().out
+    curvature = json.loads((out / "summary.json").read_text())["analyses"]["curvature"]
+    assert curvature["max_norm"] > 4 * curvature["max_norm_se"]
+
+
+@pytest.mark.parametrize(
+    "lgd_rule, expect, code",
+    [("constant", "divergent", 0), ("capped", "finite", 0), ("capped", "divergent", 1)],
+)
+def test_novikov_expect_divergent_and_finite(tmp_path, lgd_rule, expect, code):
+    doc = load_scenario("novikov_capped")
+    doc["n_paths"] = 4000
+    doc["novikov"].update(lgd_rule=lgd_rule, expect=expect)
+    scen = tmp_path / "expect.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", str(scen), "--out", str(out)]) == code
+    novikov = json.loads((out / "summary.json").read_text())["analyses"]["novikov"]
+    verdict = "finite_evidence" if lgd_rule == "capped" else "divergence_evidence"
+    assert novikov["mc_verdict"] == verdict
+    assert novikov["quadrature_converged"] is (lgd_rule == "capped")
+    assert novikov["quadrature_diverged"] is (lgd_rule == "constant")
+    assert novikov["passed"] is (code == 0)
+
+
 def test_version_and_scenarios_commands(capsys):
     assert main(["version"]) == 0
     assert capsys.readouterr().out.startswith("curvarb ")
@@ -434,6 +491,8 @@ def test_csv_cells_are_quoted_when_needed(tmp_path):
         ("flat_market", "kernel.pairs", [[0.5, 3.0]], "kernel.pairs[0]"),
         ("thm1_constructed", "thm1.pairs", [[0.1, 1.0]], "thm1.pairs[0]"),
         ("thm1_constructed", "thm1.pairs", [[0.0, 7.0]], "thm1.pairs[0]"),
+        ("novikov_capped", "novikov.mode", "mc", "novikov.expect"),
+        ("novikov_capped", "novikov.mode", "quadrature", "novikov.expect"),
         (
             "thm1_constructed",
             "thm1",
@@ -462,7 +521,7 @@ def test_validate_rejects_what_run_cannot_read(tmp_path, capsys, scenario, path,
 def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):
     import curvarb.cli as cli
 
-    calls = {"build_thm1_market": 0, "simulate_brownian": 0}
+    calls = {"build_thm1_market": 0, "_brownian_rows": 0}
     for name in calls:
         original = getattr(cli, name)
 
@@ -474,7 +533,7 @@ def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):
     assert main(["run", "thm1_constructed", "--out", str(tmp_path / "thm1")]) == 0
     assert calls["build_thm1_market"] == 1  # read by thm1 and bond
     assert main(["run", "flat_market", "--out", str(tmp_path / "flat")]) == 0
-    assert calls["simulate_brownian"] == 2  # one driver per asset, read by curvature and kernel
+    assert calls["_brownian_rows"] == 2  # one driver per asset, read by curvature and kernel
 
 
 def test_summary_is_strict_json_with_nonfinite_values(tmp_path):

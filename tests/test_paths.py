@@ -46,6 +46,7 @@ from curvarb.credit import (
 )
 from curvarb.curvature import novikov_sharpe
 import curvarb._philox
+import curvarb.cli
 import curvarb.paths
 from curvarb._philox import _draws, _ziggurat
 from curvarb.paths import _keyed_rows
@@ -345,6 +346,39 @@ def test_analytic_conditioning_is_cross_path_mean():
     assert abs(val[0, 0]) < 3 * se[0, 0] + 1e-12
 
 
+def _weighted_least_squares(states, quotients, bandwidth, point):
+    """Intercept and its SE of the Gaussian-kernel local-linear fit at point,
+    from the pseudo-inverse of the row-weighted design matrix."""
+    u = (states - point) / bandwidth
+    root_w = np.exp(-0.25 * np.sum(u * u, axis=1))
+    z = np.column_stack([np.ones(states.shape[0]), states - point])
+    pinv = np.linalg.pinv(z * root_w[:, None])
+    theta = pinv @ (quotients * root_w[:, None])
+    smoother = pinv[0] * root_w  # row 0 of (Z'WZ)^-1 Z'W
+    resid = quotients - z @ theta
+    return theta[0], np.sqrt(smoother**2 @ resid**2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nelson_estimate_and_se_equal_direct_weighted_least_squares(dim):
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0, 1.5]))
+    w = simulate_brownian(grid, 3000, dim=dim, seed=23)
+    est = nelson_derivative(w, 1.0, mode="mean")
+    states = w.at_time(1.0)
+    n = states.shape[0]
+    # Silverman's rule: 0.9 n^-1/5 in one dimension, (4 / ((d + 2) n))^(1/(d + 4)) above
+    iqr = np.subtract(*np.percentile(states, [75, 25], axis=0))
+    spread = np.minimum(states.std(axis=0, ddof=1), iqr / 1.34)
+    factor = 0.9 * n**-0.2 if dim == 1 else (4.0 / ((dim + 2) * n)) ** (1.0 / (dim + 4))
+    np.testing.assert_allclose(est.bandwidth, spread * factor, rtol=1e-14)
+    queries = np.array([[-0.8, 0.4], [0.0, 0.0], [0.5, -0.3]])[:, :dim]
+    values, ses, _ = est.evaluate(queries)
+    for point, value, se in zip(queries, values, ses):
+        ref_value, ref_se = _weighted_least_squares(states, est.quotients, est.bandwidth, point)
+        np.testing.assert_allclose(value, ref_value, rtol=1e-12)
+        np.testing.assert_allclose(se, ref_se, rtol=1e-12)
+
+
 def test_derivative_domain_and_mode_errors():
     grid = TimeGrid.regular(1.0, 4)
     w = simulate_brownian(grid, 10, seed=1)
@@ -532,11 +566,32 @@ def _sharpe_route():
     return est.exponents, 0.5 * np.trapezoid(ratio_sq, grid.times, axis=1)
 
 
+def _cli_asset_route():
+    assets = [
+        {"label": "a", "x0": 1.0, "drift": 0.03, "sigma": 0.2, "rate": 0.0},
+        {"label": "b", "x0": 2.0, "drift": 0.0, "sigma": 0.4, "form": "arithmetic", "rate": 0.0},
+    ]
+    doc = {
+        "grid": {"horizon": _ROUTE_GRID.horizon, "steps": _ROUTE_GRID.n_times - 1},
+        "seed": _ROUTE_SEED,
+        "n_paths": _ROUTE_PATHS,
+        "assets": assets,
+    }
+    internal = np.stack([g.deflator.values for g in curvarb.cli._asset_gauges(doc)])
+    specs = [  # an asset without "form" is geometric
+        ItoSpec(x0=1.0, drift=0.03, sigma=0.2, form="geometric"),
+        ItoSpec(x0=2.0, drift=0.0, sigma=0.4, form="arithmetic"),
+    ]
+    tags = curvarb.cli.ASSET_TAG_BASE + np.arange(len(specs))
+    return internal, np.stack([_public_pair(s, 1, int(tag)) for s, tag in zip(specs, tags)])
+
+
 _ROUTES = {
     **{f"equity-{form}": (lambda form=form: _equity_route(form)) for form in _EQUITY_SPECS},
     "stochastic-hazard-2d-driver": _hazard_route,
     "lgd-row-subset": _lgd_route,
     "novikov-sharpe-exponents": _sharpe_route,
+    "cli-asset-deflators": _cli_asset_route,
 }
 
 
