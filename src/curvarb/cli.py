@@ -4,9 +4,9 @@ A scenario is a single JSON document naming the market ingredients (grid,
 seeded ensembles, asset coefficients, credit construction) and the list of
 analyses to run.  Results are written as CSV tables plus one summary.json.
 
-Output is bit-reproducible: floats are serialized with repr (shortest
-round-trip), rows are emitted in a fixed order regardless of --threads, and
-nothing derived from wall-clock time or filesystem state enters the files.
+Output is bit-reproducible: analyses run one after another, floats are
+serialized with repr (shortest round-trip), rows are emitted in a fixed order,
+and nothing derived from wall-clock time or filesystem state enters the files.
 
 Exit codes: 0 all analyses passed, 1 at least one analysis failed its pass
 criterion, 2 scenario/configuration problem, 3 numerical failure inside an
@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .credit import (
     LGDProcess,
+    _thm1_curves,
     build_thm1_market,
     corporate_bond_price,
     thm1_residuals,
@@ -50,6 +51,7 @@ from .paths import (
     TimeGrid,
     _brownian_rows,
     _integrate,
+    _kernel_on_grid,
     _se_gate,
     _write_csv,
 )
@@ -295,9 +297,53 @@ def _check_across(doc: dict, v: list) -> None:
                 v.append((field, f"s - t = {s - t} exceeds the offset span {span}"))
 
 
+def _fails(build, *args, **kwargs) -> str | None:
+    """The message of the ConfigurationError that ``build`` raises, or None."""
+    try:
+        build(*args, **kwargs)
+    except ConfigurationError as err:
+        return str(err)
+    return None
+
+
+# a piece that overflows is rejected, not warned about
+@np.errstate(all="ignore")
+def _check_builds(doc: dict, wanted: set, v: list) -> None:
+    """Build the deterministic pieces of a run, which draw no paths, with the
+    run's own helpers, and report each ConfigurationError against its field."""
+    grid, offsets = _grid(doc), _offsets(doc)
+    inputs = {key for key, (_, readers) in _shared_inputs(doc).items() if readers & wanted}
+    pieces = []  # (field, build, args)
+    if "gauges" in inputs:
+        for i, a in enumerate(doc["assets"]):
+            curve = (grid, float(a["rate"]), offsets)
+            pieces.append((f"assets[{i}].rate", flat_term_structure, curve))
+    if "kernel" in wanted:
+        pieces.append(("kernel.rate", _kernel_on_grid, (_beta(doc), grid)))
+    if "novikov" in wanted and doc["novikov"].get("mode", "both") != "mc":
+        pieces.append(("credit.lambda", _density_spec, (doc,)))
+    for field, build, args in pieces:
+        message = _fails(build, *args)
+        if message is not None:
+            v.append((field, message))
+    message = "market" in inputs and _fails(_thm1_curves, grid, offsets, **_credit_params(doc))
+    if message:
+        # the credit curves mix every credit field: name the first of
+        # spread_shift and gov_rate whose reset to 0, with those before it,
+        # lets them build, and else lambda
+        reset, field = {}, "credit.lambda"
+        for key in ("spread_shift", "gov_rate"):
+            reset[key] = 0.0
+            if _fails(_thm1_curves, grid, offsets, **_credit_params(doc, reset)) is None:
+                field = f"credit.{key}"
+                break
+        v.append((field, message))
+
+
 def validate_scenario(doc: dict) -> list:
-    """Check a scenario against SCHEMA; returns a list of {field, message}
-    violations, empty when ``run`` can read everything it needs."""
+    """Check a scenario against SCHEMA, then build the deterministic pieces
+    a run builds; returns a list of {field, message} violations, empty when
+    ``run`` can read everything it needs."""
     if not isinstance(doc, dict):
         return [{"field": "", "message": "scenario must be a JSON object"}]
     v: list = []  # (field, message)
@@ -306,6 +352,8 @@ def validate_scenario(doc: dict) -> list:
     _check_object(doc, "", "", wanted, v)
     if not v:
         _check_across(doc, v)
+    if not v:
+        _check_builds(doc, wanted, v)
     return [{"field": field, "message": message} for field, message in v]
 
 
@@ -348,20 +396,44 @@ def _asset_gauges(doc) -> list:
     return gauges
 
 
+def _credit_params(doc, reset=None) -> dict:
+    """The credit arguments of build_thm1_market and _thm1_curves, with the
+    fields named in ``reset`` replaced."""
+    c = {**doc["credit"], **(reset or {})}
+    return {
+        "lam": float(c["lambda"]),
+        "lgd_value": float(c["lgd"]),
+        "gov_rate": float(c.get("gov_rate", 0.0)),
+        "spread_shift": float(c.get("spread_shift", 0.0)),
+    }
+
+
 def _credit_market(doc):
-    c = doc["credit"]
     offsets = _offsets(doc)
     return build_thm1_market(
-        float(c["lambda"]),
-        float(c["lgd"]),
+        **_credit_params(doc),
         horizon=float(doc["grid"]["horizon"]),
         steps=int(doc["grid"]["steps"]),
         n_offsets=offsets.size,
         offset_step=float(offsets[1]),  # the lattice starts at 0
-        gov_rate=float(c.get("gov_rate", 0.0)),
-        spread_shift=float(c.get("spread_shift", 0.0)),
         n_paths=int(doc["n_paths"]),
         seed=int(doc["seed"]),
+    )
+
+
+def _beta(doc) -> np.ndarray:
+    """The kernel section's deterministic pricing kernel on the grid."""
+    return np.exp(-float(doc["kernel"]["rate"]) * _grid(doc).times)
+
+
+def _density_spec(doc) -> DensitySpec:
+    """The closed-form scenery of the Novikov quadrature route."""
+    credit, section = doc["credit"], doc["novikov"]
+    lgd = {"lgd_value": float(credit["lgd"])}
+    if section.get("lgd_rule", "constant") == "capped":
+        lgd = {"lgd_given_tq": capped_lgd_tq(float(section.get("cap", 0.1)))}
+    return DensitySpec.truncated_exponential(
+        float(credit["lambda"]), horizon=float(doc["grid"]["horizon"]), k=int(section["k"]), **lgd
     )
 
 
@@ -403,11 +475,8 @@ def _run_curvature(doc, built):
 
 
 def _run_kernel(doc, built):
-    gauges = built["gauges"]
-    grid = gauges[0].grid
-    beta = np.exp(-float(doc["kernel"]["rate"]) * grid.times)
     pairs = [tuple(p) for p in doc["kernel"]["pairs"]]
-    report = kernel_check(gauges, beta, pairs)
+    report = kernel_check(built["gauges"], _beta(doc), pairs)
     cols = ["label", "t", "s", "residual", "se", "z", "passed"]
     worst = report.worst
     summary = {
@@ -516,15 +585,7 @@ def _run_novikov(doc, built):
         summary["mc_estimate"] = mc_est.estimate
         summary["mc_verdict"] = mc_est.verdict
     if mode in ("quadrature", "both"):
-        credit = doc["credit"]
-        lgd = {"lgd_value": float(credit["lgd"])}
-        if capped:
-            lgd = {"lgd_given_tq": capped_lgd_tq(cap)}
-        quad = novikov_quadrature(
-            DensitySpec.truncated_exponential(
-                float(credit["lambda"]), horizon=float(doc["grid"]["horizon"]), k=k, **lgd
-            )
-        )
+        quad = novikov_quadrature(_density_spec(doc))
         files["novikov_quadrature.csv"] = _csv(
             ["level", "q_min", "log_value"],
             [[i, qm, lv] for i, (qm, lv) in enumerate(quad.trace)],
@@ -605,7 +666,7 @@ def cmd_run(args) -> int:
     out_dir = _resolve_out_dir(args.out, doc)
     os.makedirs(out_dir, exist_ok=True)
     names = list(doc["analyses"])
-    # each shared input is built once, before any thread starts; the runners
+    # each shared input is built once, before the first analysis; the runners
     # only read it
     built, drop_after = {}, {}
     for key, (build, readers) in _shared_inputs(doc).items():
@@ -613,16 +674,13 @@ def cmd_run(args) -> int:
         if reads:
             built[key] = build(doc)
             drop_after[reads[-1]] = key  # the inputs have no reader in common
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only a threaded run needs it
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(lambda n: _RUNNERS[n](doc, built), names))
-    else:
-        results = []
-        for i, name in enumerate(names):
-            results.append(_RUNNERS[name](doc, built))
-            if i in drop_after:
-                del built[drop_after[i]]  # after its last reader
+    # every analysis runs before any file is written, so one that raises
+    # leaves no result file
+    results = []
+    for i, name in enumerate(names):
+        results.append(_RUNNERS[name](doc, built))
+        if i in drop_after:
+            del built[drop_after[i]]  # after its last reader
     overall = True
     summary = {
         "scenario": doc["name"],
@@ -630,7 +688,7 @@ def cmd_run(args) -> int:
         "rng_stream_version": RNG_STREAM_VERSION,
         "analyses": {},
     }
-    # single writer, fixed order: output bytes do not depend on thread timing
+    # fixed order: the output bytes depend on the scenario only
     for name, (files, info, passed) in zip(names, results):
         for fname in sorted(files):
             _write_atomic(os.path.join(out_dir, fname), files[fname])
@@ -680,7 +738,7 @@ def main(argv=None) -> int:
     p_run.add_argument("scenario", help="scenario file or bundled scenario name")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument(
-        "--threads", type=int, default=1, help="compute analyses concurrently"
+        "--threads", type=int, default=1, help="accepted and ignored: analyses run in turn"
     )
     p_run.set_defaults(fn=cmd_run)
     p_val = sub.add_parser("validate", help="check a scenario file without running it")

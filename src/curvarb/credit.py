@@ -36,6 +36,7 @@ from .paths import (
     _cumulative_trapezoid,
     _gauss_legendre,
     _integrate,
+    _kernel_on_grid,
     _keyed_rows,
     _mean_se,
     _se_gate,
@@ -686,6 +687,35 @@ def credit_gauge(market: CreditMarket) -> CreditGauge:
 # Constructed markets and holonomy residuals
 
 
+# a price or kernel that overflows is rejected, not warned about
+@np.errstate(all="ignore")
+def _thm1_curves(grid: TimeGrid, offsets, lam, lgd_value, gov_rate, spread_shift) -> tuple:
+    """The government and corporate surfaces and the (1, n_times) kernel of
+    build_thm1_market; raises ConfigurationError unless all are finite and
+    positive."""
+    times = grid.times
+    # integrated hazard over [t, t+h] for every node/offset pair
+    if callable(lam):
+        # Lambda(x), the hazard integrated from the first node, once at each
+        # distinct point t + h, then differenced
+        ends = times[:, None] + offsets[None, :]
+        points, at = np.unique(ends, return_inverse=True)
+        cum = np.concatenate(([0.0], np.cumsum(_hazard_integrals(lam, points))))
+        at = at.reshape(ends.shape)
+        ih = cum[at] - cum[at[:, :1]]  # offsets[0] is 0: column 0 is t itself
+    else:
+        ih = np.broadcast_to(float(lam) * offsets[None, :], (times.size, offsets.size))
+    surv = np.exp(-ih)
+    p_corp = np.exp(-(gov_rate + spread_shift) * offsets)[None, :] * (
+        1.0 - lgd_value * (1.0 - surv)
+    )
+    p_corp = p_corp[None, :, :].copy()
+    p_corp[:, :, 0] = 1.0
+    corp_curve = TermStructureSurface(grid, offsets, p_corp)
+    beta = _kernel_on_grid(np.exp(-gov_rate * times), grid)
+    return flat_term_structure(grid, gov_rate, offsets), corp_curve, beta
+
+
 def build_thm1_market(
     lam: float | Callable,
     lgd_value: float,
@@ -719,30 +749,14 @@ def build_thm1_market(
     lgd = LGDProcess("constant", value=lgd_value)
     times = grid.times
     offsets = offset_step * np.arange(n_offsets)
-    # integrated hazard over [t, t+h] for every node/offset pair
-    if callable(lam):
-        # Lambda(x), the hazard integrated from the first node, once at each
-        # distinct point t + h, then differenced
-        ends = times[:, None] + offsets[None, :]
-        points, at = np.unique(ends, return_inverse=True)
-        cum = np.concatenate(([0.0], np.cumsum(_hazard_integrals(lam, points))))
-        at = at.reshape(ends.shape)
-        ih = cum[at] - cum[at[:, :1]]  # offsets[0] is 0: column 0 is t itself
-    else:
-        ih = np.broadcast_to(float(lam) * offsets[None, :], (times.size, offsets.size))
-    surv = np.exp(-ih)
-    p_corp = np.exp(-(gov_rate + spread_shift) * offsets)[None, :] * (
-        1.0 - lgd_value * (1.0 - surv)
+    gov_curve, corp_curve, beta = _thm1_curves(
+        grid, offsets, lam, lgd_value, gov_rate, spread_shift
     )
-    p_corp = p_corp[None, :, :].copy()
-    p_corp[:, :, 0] = 1.0
-    corp_curve = TermStructureSurface(grid, offsets, p_corp)
-    gov_curve = flat_term_structure(grid, gov_rate, offsets)
     ones = np.ones((1, times.size))
     gov = Gauge(PathEnsemble(grid, ones), gov_curve, label="gov")
     defl = np.where(times[None, :] >= sample.tau[:, None], 1.0 - lgd_value, 1.0)
     corp = Gauge(PathEnsemble(grid, defl), corp_curve, label="corp")
-    beta = PathEnsemble(grid, np.exp(-gov_rate * times)[None, :])
+    beta = PathEnsemble(grid, beta)
     lam_t = model.hazard_values(times)[0]
     corp_rates = gov_rate + lgd_value * lam_t + spread_shift
     gov_rates = np.full(times.size, gov_rate)

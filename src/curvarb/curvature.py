@@ -37,6 +37,7 @@ from .paths import (
     TimeGrid,
     _brownian_rows,
     _integrate,
+    _kernel_on_grid,
     _mean_se,
     _se_gate,
     _symmetric_quotient,
@@ -201,6 +202,8 @@ class ZCReport:
         return bool(self.passed.all())
 
 
+# a non-finite residual or threshold is reported as a NumericalError, not warned about
+@np.errstate(all="ignore")
 def zc_residual(
     alpha,
     sigma,
@@ -215,7 +218,8 @@ def zc_residual(
     defaults to zero for deterministic checks).  Each time slice solves the
     least-squares system sigma theta = v; the Euclidean residual passes below
     _ZC_RTOL * (1 + |v|), widened to three propagated standard errors when the
-    covariation carries estimation noise.
+    covariation carries estimation noise.  A residual or threshold that is
+    not finite raises NumericalError naming the first such time.
     """
     alpha, sigma, r, c = _coerce_zc_inputs(alpha, sigma, rates, covariation)
     n_t, n_assets, _ = sigma.shape
@@ -243,6 +247,12 @@ def zc_residual(
         if cse is not None:
             tol = max(tol, 3.0 * 0.5 * float(np.linalg.norm(cse[i])))
         threshold[i] = tol
+    bad = ~(np.isfinite(residual) & np.isfinite(threshold))
+    if bad.any():
+        t = float(times[np.argmax(bad)])
+        raise NumericalError(
+            f"zc residual or threshold is non-finite at t = {t!r}", diagnostics={"t": t}
+        )
     passed = residual <= threshold
     return ZCReport(times, residual, threshold, mpr, passed)
 
@@ -341,8 +351,9 @@ class KernelCheckReport:
 def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
     """Conditional pricing-kernel residuals for each gauge and (t, s) pair.
 
-    beta is the kernel on the gauge grid: an array shaped (n_times,) for a
-    deterministic kernel or (n_paths, n_times) for one sampled per path.
+    beta is the kernel on the gauge grid, finite and positive: an array shaped
+    (n_times,) for a deterministic kernel or (n_paths, n_times) for one
+    sampled per path.
 
     For each path the discounted claim beta_s D_s is compared with its stored
     price P(t, s) beta_t D_t; residuals are averaged within equal-count bins
@@ -354,11 +365,7 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
     if not gauges:
         raise ConfigurationError("need at least one gauge")
     grid = gauges[0].grid
-    b = np.atleast_2d(np.asarray(beta, dtype=np.float64))
-    if b.shape[-1] != grid.n_times:
-        raise ConfigurationError("beta must be sampled on the gauge grid")
-    if np.any(b <= 0):
-        raise ConfigurationError("the pricing kernel must stay positive")
+    b = _kernel_on_grid(beta, grid)
     rows = []
     for g in gauges:
         d = g.deflator.series

@@ -153,6 +153,17 @@ def _symmetric_quotient(x: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return 0.5 * (fwd + bwd)
 
 
+def _kernel_on_grid(beta, grid: TimeGrid) -> np.ndarray:
+    """A pricing kernel beta as a 2-d array; raises unless it is sampled on
+    ``grid`` and is finite and positive there."""
+    b = np.atleast_2d(np.asarray(beta, dtype=np.float64))
+    if b.shape[-1] != grid.n_times:
+        raise ConfigurationError("beta must be sampled on the gauge grid")
+    if not np.all(np.isfinite(b) & (b > 0)):
+        raise ConfigurationError("the pricing kernel must stay finite and positive")
+    return b
+
+
 def _check_finite(values: np.ndarray, what: str) -> None:
     if np.all(np.isfinite(values)):
         return

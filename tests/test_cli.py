@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curvarb
 from curvarb.cli import (
@@ -173,15 +174,9 @@ def test_bundled_outputs_match_pinned_digests(tmp_path, name):
         )
 
 
-def test_threads_match_serial(tmp_path):
-    a, b = tmp_path / "serial", tmp_path / "threaded"
-    assert main(["run", "flat_market", "--out", str(a)]) == 0
-    assert main(["run", "flat_market", "--out", str(b), "--threads", "4"]) == 0
-    assert _read_tree(a) == _read_tree(b)
-
-
-def test_threads_match_serial_with_intensity_thresholds(tmp_path):
-    a, b = tmp_path / "serial", tmp_path / "threaded"
+def test_threads_flag_is_accepted_and_ignored(tmp_path):
+    """--threads N still parses, and the run writes the bytes of one without it."""
+    a, b = tmp_path / "plain", tmp_path / "threads"
     assert main(["run", "thm1_constructed", "--out", str(a)]) == 0
     assert main(["run", "thm1_constructed", "--out", str(b), "--threads", "4"]) == 0
     assert _read_tree(a) == _read_tree(b)
@@ -335,7 +330,7 @@ def test_import_loads_no_scipy(tmp_path):
 
 def test_import_loads_no_keyed_row_machinery(tmp_path):
     """numpy.random, curvarb._philox and its ziggurat tables load on first
-    use, not with the CLI; concurrent.futures loads only for --threads > 1."""
+    use, not with the CLI; the CLI imports no concurrent.futures."""
     probe = (
         "import sys, curvarb.cli; "
         "loaded = [m for m in ('numpy.random', 'curvarb._philox', 'concurrent.futures') "
@@ -516,6 +511,103 @@ def test_validate_rejects_what_run_cannot_read(tmp_path, capsys, scenario, path,
     err = capsys.readouterr().err
     assert f"invalid scenario: {field}: " in err
     assert "Traceback" not in err
+
+
+# Each case passed ``validate`` at one time, yet ``run`` rejected a
+# deterministic piece it builds, or failed on it: a kernel rate of -1000 and
+# a government rate of -100 overflow the pricing kernel.
+@pytest.mark.parametrize(
+    "scenario, changes, field",
+    [
+        ("flat_market", {"assets.0.rate": -400}, "assets[0].rate"),
+        ("flat_market", {"kernel.rate": 1000}, "kernel.rate"),
+        ("flat_market", {"kernel.rate": -1000}, "kernel.rate"),
+        ("novikov_capped", {"credit.lambda": 50}, "credit.lambda"),
+        ("thm1_constructed", {"credit.gov_rate": -1000}, "credit.gov_rate"),
+        ("thm1_constructed", {"credit.spread_shift": 400}, "credit.spread_shift"),
+        ("thm1_constructed", {"credit.lambda": 1e6, "credit.lgd": 1.0}, "credit.lambda"),
+        ("thm1_constructed", {"credit.gov_rate": -100}, "credit.gov_rate"),
+    ],
+)
+def test_validate_builds_what_run_builds(tmp_path, capsys, scenario, changes, field):
+    doc = load_scenario(scenario)
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        node = doc
+        for p in parents:
+            node = node[int(p)] if p.isdigit() else node[p]
+        node[key] = value
+    scen = tmp_path / "built.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["validate", str(scen)]) == 2
+    assert capsys.readouterr().out.startswith(f"{field}: ")
+    assert main(["run", str(scen), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid scenario: {field}: ")
+
+
+def test_zc_overflow_exits_three_without_warnings(tmp_path):
+    # |alpha| overflows np.linalg.norm: the residual and its threshold are inf
+    doc = load_scenario("flat_market")
+    doc["zc"] = {"alpha": [1e300, -1e300], "sigma": [[1.0], [1.0]]}
+    doc["analyses"] = ["zc"]
+    scen = tmp_path / "zc_overflow.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvarb", "run", str(scen), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical error: zc residual or threshold is non-finite")
+    assert "at t = 0.0" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert os.listdir(out) == []  # a run that raises writes no result file
+
+
+def _ranged(moderate, extreme):
+    return st.floats(*moderate) | st.floats(*extreme)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    asset_rate=_ranged((-0.1, 0.1), (-500.0, 500.0)),
+    kernel_rate=_ranged((-0.1, 0.1), (-200.0, 200.0)),
+    gov_rate=_ranged((-0.1, 0.1), (-500.0, 500.0)),
+    spread_shift=_ranged((-0.1, 0.1), (-500.0, 500.0)),
+    lam=_ranged((1e-3, 1.0), (1.0, 1e6)),
+    lgd=st.floats(0.0, 1.0) | st.just(1.0),
+    horizon=st.floats(0.5, 8.0),
+)
+def test_validate_clean_implies_run_reads_its_inputs(
+    tmp_path_factory, asset_rate, kernel_rate, gov_rate, spread_shift, lam, lgd, horizon
+):
+    """A scenario that validates never makes run exit 2: whatever else fails
+    at these extremes is a numerical failure (3) or a failed check (1)."""
+    doc = {
+        "name": "extremes",
+        "grid": {"horizon": horizon, "steps": 4},
+        "seed": 5,
+        "n_paths": 64,
+        "offsets": {"step": 0.25, "count": 9},
+        "assets": [{"label": "a", "x0": 1.0, "drift": 0.0, "sigma": 0.2, "rate": asset_rate}],
+        "kernel": {"rate": kernel_rate, "pairs": [[0.0, horizon / 4]]},
+        "credit": {"lambda": lam, "lgd": lgd, "gov_rate": gov_rate, "spread_shift": spread_shift},
+        "thm1": {"pairs": [[0.0, horizon / 4]]},
+        "price": {"pairs": [[0.0, horizon / 4]]},
+        "novikov": {"k": 4, "mode": "quadrature"},
+        # the analyses that build from these fields first, the estimators that
+        # may starve at 64 paths last
+        "analyses": ["curvature", "kernel", "novikov", "thm1", "bond"],
+    }
+    if validate_scenario(doc):
+        return
+    root = tmp_path_factory.mktemp("extremes")
+    scen = root / "extremes.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["run", str(scen), "--out", str(root / "o")]) != 2
 
 
 def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):

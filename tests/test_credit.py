@@ -393,6 +393,16 @@ def test_constructed_market_bond_price():
         corporate_bond_price(market, 0.0, 5.0, normalization="forward")
 
 
+@pytest.mark.parametrize(
+    "gov_rate, spread_shift, message",
+    [(-100.0, 0.0, "pricing kernel"), (0.0, 400.0, "term-structure prices")],
+)
+def test_constructed_market_rejects_prices_that_leave_float_range(gov_rate, spread_shift, message):
+    # e^{1000} overflows the kernel at the horizon; e^{-2000} underflows the corporate price
+    with pytest.raises(ConfigurationError, match=message):
+        build_thm1_market(0.02, 0.4, gov_rate=gov_rate, spread_shift=spread_shift, n_paths=10)
+
+
 def test_constructed_market_holds_one_deflator_array():
     tracemalloc.start()
     try:

@@ -129,6 +129,14 @@ def test_zc_residual_shapes_and_rates():
         zc_residual(alpha, sigma, times=[0.0, 1.0])
 
 
+def test_zc_residual_that_overflows_is_a_numerical_error():
+    # the norms of [1e300, -1e300] overflow: residual and threshold are inf
+    alpha = np.array([[0.0, 0.0], [1e300, -1e300]])
+    with pytest.raises(NumericalError, match="non-finite at t = 0.5") as err:
+        zc_residual(alpha, np.array([[1.0], [1.0]]), times=[0.0, 0.5])
+    assert err.value.diagnostics == {"t": 0.5}
+
+
 def test_covariation_estimated_consistency():
     grid = TimeGrid.regular(1.0, 100)
     n = 2000
@@ -264,3 +272,5 @@ def test_kernel_check_validation():
         kernel_check([gauge], np.ones(3), [(0.0, 1.0)])
     with pytest.raises(ConfigurationError):
         kernel_check([gauge], np.zeros(grid.n_times), [(0.0, 1.0)])
+    with pytest.raises(ConfigurationError, match="finite and positive"):
+        kernel_check([gauge], np.full(grid.n_times, np.inf), [(0.0, 1.0)])
