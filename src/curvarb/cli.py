@@ -45,6 +45,7 @@ from .novikov import (
     novikov_quadrature,
 )
 from .paths import (
+    _PATH_BLOCK,
     RNG_STREAM_VERSION,
     ItoSpec,
     PathEnsemble,
@@ -382,14 +383,21 @@ def _spec(section) -> ItoSpec:
 
 
 def _asset_gauges(doc) -> list:
+    """One gauge per asset; each deflator is filled one block of _PATH_BLOCK
+    paths at a time, so only one block of increments exists at once."""
     grid = _grid(doc)
     offsets = _offsets(doc)
-    paths = np.arange(int(doc["n_paths"]))
+    n_paths = int(doc["n_paths"])
     seed = int(doc["seed"])
     gauges = []
     for j, a in enumerate(doc["assets"]):
-        dw = _brownian_rows(grid, paths, 1, seed, ASSET_TAG_BASE + j)
-        deflator = PathEnsemble(grid, _integrate(_spec(a), grid, dw))
+        spec = _spec(a)
+        values = np.empty((n_paths, grid.n_times, 1))
+        for lo in range(0, n_paths, _PATH_BLOCK):
+            hi = min(lo + _PATH_BLOCK, n_paths)
+            dw = _brownian_rows(grid, np.arange(lo, hi), 1, seed, ASSET_TAG_BASE + j)
+            values[lo:hi] = _integrate(spec, grid, dw)
+        deflator = PathEnsemble(grid, values)
         gauges.append(
             Gauge(deflator, flat_term_structure(grid, float(a["rate"]), offsets), a["label"])
         )

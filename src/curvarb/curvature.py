@@ -60,6 +60,10 @@ __all__ = [
 _ZC_RTOL = 1e-8
 _KERNEL_ATOL = 1e-10
 
+# curvature_components works on blocks of this many to twice as many interior
+# time columns of one deflator at a time
+_COLUMN_BLOCK = 16
+
 
 # ---------------------------------------------------------------------------
 # Deflator acceleration spread
@@ -88,6 +92,18 @@ class CurvatureReport:
         return float(self.norm.max())
 
 
+def _column_blocks(m: int):
+    """Balanced [start, stop) blocks of m columns, each _COLUMN_BLOCK to
+    2 * _COLUMN_BLOCK - 1 wide, or one block when m is narrower.
+
+    No block is one column wide unless m is 1: numpy sums a single column
+    over axis 0 pairwise but wider arrays row by row, so blocks of two or more
+    columns reproduce the sums over all m columns bit for bit."""
+    nb = max(1, m // _COLUMN_BLOCK)
+    edges = [i * m // nb for i in range(nb + 1)]
+    return zip(edges[:-1], edges[1:])
+
+
 # a non-finite statistic is reported as a NumericalError, not warned about
 @np.errstate(all="ignore")
 def curvature_components(gauges) -> CurvatureReport:
@@ -112,31 +128,36 @@ def curvature_components(gauges) -> CurvatureReport:
         raise ConfigurationError("need at least three grid times")
     interior = times[1:-1]
     labels = [g.label for g in gauges]
-    comps, ses, weights = [], [], []
-    for g in gauges:
+    components = np.empty((len(gauges), interior.size))
+    component_se = np.empty_like(components)
+    w = np.empty_like(components)
+    for j, g in enumerate(gauges):
         d = g.deflator.series
-        n = d.shape[0]
-        gone = np.any(d == 0, axis=0)
-        if gone.any():
-            t = float(times[np.argmax(gone)])
-            raise NumericalError(
-                f"deflator of asset {g.label!r} reaches 0 at t = {t!r}",
-                diagnostics={"label": g.label, "t": t},
-            )
-        quot = _symmetric_quotient(d, grid) / d[:, 1:-1]
         r = short_rate(g.curve)
-        a = quot + np.broadcast_to(r, (n, times.size))[:, 1:-1]
-        comps.append(a.mean(axis=0))
-        ses.append(_mean_se(a))
-        weights.append(np.abs(d).mean(axis=0)[1:-1])
-    components = np.stack(comps)
-    component_se = np.stack(ses)
+        for start, stop in _column_blocks(interior.size):
+            # interior columns start..stop-1 with their two neighbours
+            x = d[:, start : stop + 2]
+            size = np.abs(x)
+            gone = size.min(axis=0) == 0
+            if gone.any():
+                t = float(times[start + np.argmax(gone)])
+                raise NumericalError(
+                    f"deflator of asset {g.label!r} reaches 0 at t = {t!r}",
+                    diagnostics={"label": g.label, "t": t},
+                )
+            w[j, start:stop] = size.mean(axis=0)[1:-1]
+            del size
+            a = _symmetric_quotient(x, grid.steps[start : stop + 1])
+            a /= x[:, 1:-1]
+            a += r[:, start + 1 : stop + 1]
+            components[j, start:stop] = a.mean(axis=0)
+            component_se[j, start:stop] = _mean_se(a)
+            del a  # before the next block allocates its own
     hi = np.argmax(components, axis=0)
     lo = np.argmin(components, axis=0)
     cols = np.arange(interior.size)
     norm = components[hi, cols] - components[lo, cols]
     norm_se = np.sqrt(component_se[hi, cols] ** 2 + component_se[lo, cols] ** 2)
-    w = np.stack(weights)
     w = w / w.sum(axis=0, keepdims=True)
     mean_w = (w * components).sum(axis=0)
     weighted_std = np.sqrt((w * (components - mean_w) ** 2).sum(axis=0))
@@ -297,10 +318,12 @@ def novikov_sharpe(
     """E[exp(1/2 int (x alpha)^2 / |x sigma|^2 dt)] along simulated paths.
 
     The short rate is zero, so the spec's drift alpha is the excess return.
-    Deterministic coefficient fields need a single path (the integrand is the
-    same on all of them); state-dependent fields average over the ensemble.
-    A vanishing portfolio volatility anywhere is a hard error: the Sharpe
-    ratio is undefined there, not merely large.  n_used is n_paths.
+    State-dependent (callable) fields average over n_paths simulated paths.
+    Constant fields never read the state: the integrand is evaluated on one
+    row, and its exponent stands for every one of the n_paths, so nothing
+    is simulated.  A vanishing portfolio volatility anywhere is a hard error:
+    the Sharpe ratio is undefined there, not merely large.  n_used is
+    n_paths.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != spec.dim:
@@ -309,9 +332,13 @@ def novikov_sharpe(
         raise ConfigurationError("need n_paths >= 1")
     grid = TimeGrid.regular(horizon, steps)
     k = spec.driver_dim()
-    state = _integrate(spec, grid, _brownian_rows(grid, np.arange(n_paths), k, seed, 0))
     times = grid.times
-    ratio_sq = np.empty((n_paths, times.size))
+    if callable(spec.drift) or callable(spec.sigma):
+        state = _integrate(spec, grid, _brownian_rows(grid, np.arange(n_paths), k, seed, 0))
+    else:
+        state = np.broadcast_to(spec.x0, (1, times.size, spec.dim))
+    rows = state.shape[0]
+    ratio_sq = np.empty((rows, times.size))
     for i, t in enumerate(times):
         st = state[:, i, :]
         a = spec.eval_drift(t, st)
@@ -321,12 +348,15 @@ def novikov_sharpe(
         den = np.sum(sx * sx, axis=1)
         bad = den <= 0
         if np.any(bad):
+            # each row stands for n_paths // rows paths
             raise NumericalError(
                 "portfolio volatility vanishes",
-                diagnostics={"time_index": i, "paths": int(bad.sum())},
+                diagnostics={"time_index": i, "paths": int(bad.sum()) * (n_paths // rows)},
             )
         ratio_sq[:, i] = num * num / den
     exponents = 0.5 * np.trapezoid(ratio_sq, times, axis=1)
+    if rows < n_paths:
+        exponents = np.full(n_paths, exponents[0])
     estimate, se, tail, verdict = _exp_moment(exponents)
     return NovikovEstimate(estimate, se, n_paths, 0.0, exponents, tail, verdict)
 
@@ -348,6 +378,8 @@ class KernelCheckReport:
         return max(self.rows, key=lambda r: abs(r["residual"]))
 
 
+# a non-finite bin statistic is reported as a NumericalError, not warned about
+@np.errstate(all="ignore")
 def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
     """Conditional pricing-kernel residuals for each gauge and (t, s) pair.
 
@@ -360,6 +392,7 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
     of the time-t discounted state and scaled by the mean discounted state,
     and the worst bin is reported.  A pair passes when that residual is
     within three standard errors (or _KERNEL_ATOL for deterministic sceneries).
+    A scale, bin mean or bin SE that is not finite raises NumericalError.
     """
     gauges = list(gauges)
     if not gauges:
@@ -384,6 +417,12 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
                     diagnostics={"label": g.label, "t": t},
                 )
             worst = _worst_bin(m_t, y / scale)
+            stats = [scale] + [v for b in worst.bins for v in (b["mean"], b["se"])]
+            if not np.all(np.isfinite(stats)):
+                raise NumericalError(
+                    f"kernel residual of asset {g.label!r} is non-finite for pair ({t!r}, {s!r})",
+                    diagnostics={"label": g.label, "t": float(t), "s": float(s)},
+                )
             z, passed = _se_gate(worst.residual, worst.se, atol=_KERNEL_ATOL)
             rows.append(
                 {

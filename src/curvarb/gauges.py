@@ -447,8 +447,8 @@ def self_financing_residual(gauges: list[Gauge], strategy) -> SelfFinancingRepor
     t = grid.times
     hp = (t[2:] - t[1:-1])[None, :]
     hm = (t[1:-1] - t[:-2])[None, :]
-    dv = _symmetric_quotient(v, grid)
-    dd = _symmetric_quotient(d, grid)  # (n_paths, interior, N)
+    dv = _symmetric_quotient(v, grid.steps)
+    dd = _symmetric_quotient(d, grid.steps)  # (n_paths, interior, N)
     xd = np.einsum("tj,ptj->pt", x[1:-1], dd)
     dx_fwd = (x[2:] - x[1:-1])[None, :, :]
     dx_bwd = (x[1:-1] - x[:-2])[None, :, :]

@@ -144,13 +144,18 @@ class TimeGrid:
         return idx
 
 
-def _symmetric_quotient(x: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _symmetric_quotient(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Mean of the forward and backward difference quotients along axis 1,
-    each over its own step, at the interior grid times."""
-    h = grid.steps.reshape(-1, *(1,) * (x.ndim - 2))
-    fwd = (x[:, 2:] - x[:, 1:-1]) / h[1:]
-    bwd = (x[:, 1:-1] - x[:, :-2]) / h[:-1]
-    return 0.5 * (fwd + bwd)
+    each over its own step, at the interior nodes of x; steps holds the
+    x.shape[1] - 1 node spacings.  Holds two interior-sized arrays."""
+    h = steps.reshape(-1, *(1,) * (x.ndim - 2))
+    quot = x[:, 2:] - x[:, 1:-1]
+    quot /= h[1:]
+    bwd = x[:, 1:-1] - x[:, :-2]
+    bwd /= h[:-1]
+    quot += bwd
+    quot *= 0.5
+    return quot
 
 
 def _kernel_on_grid(beta, grid: TimeGrid) -> np.ndarray:

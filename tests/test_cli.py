@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -567,6 +568,66 @@ def test_zc_overflow_exits_three_without_warnings(tmp_path):
     assert os.listdir(out) == []  # a run that raises writes no result file
 
 
+def test_kernel_overflow_exits_three_without_warnings(tmp_path):
+    # a -340 flat rate prices the 2-year offset near 1e295: the bin variances overflow
+    doc = load_scenario("flat_market")
+    doc["assets"][0]["rate"] = -340
+    doc["n_paths"] = 64
+    doc["kernel"]["pairs"] = [[0.5, 2.5], [1.0, 3.0]]
+    doc["analyses"] = ["kernel"]
+    scen = tmp_path / "kernel_overflow.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvarb", "run", str(scen), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(
+        "numerical error: kernel residual of asset 'alpha' is non-finite for pair (0.5, 2.5)"
+    )
+    assert "RuntimeWarning" not in proc.stderr
+    assert os.listdir(out) == []
+
+
+def _asset_doc(n_paths, n_assets):
+    doc = load_scenario("flat_market")
+    doc["n_paths"] = n_paths
+    doc["grid"] = {"horizon": 5.0, "steps": 50}
+    doc["assets"] = [dict(doc["assets"][0], label=f"a{j}") for j in range(n_assets)]
+    return doc
+
+
+def test_asset_gauges_do_not_depend_on_the_block_size(monkeypatch):
+    import curvarb.cli as cli
+
+    doc = _asset_doc(1000, 2)
+    whole = cli._asset_gauges(doc)
+    monkeypatch.setattr(cli, "_PATH_BLOCK", 97)  # leaves a remainder block of 30 paths
+    blocked = cli._asset_gauges(doc)
+    for a, b in zip(whole, blocked):
+        assert a.deflator.values.tobytes() == b.deflator.values.tobytes()
+
+
+def test_asset_gauges_hold_one_block_of_increments():
+    import curvarb.cli as cli
+
+    doc = _asset_doc(20_000, 2)
+    cli._asset_gauges(_asset_doc(10, 2))  # first-call allocations stay outside the count
+    tracemalloc.start()
+    try:
+        cli._asset_gauges(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    deflator = 20_000 * 51 * 8  # bytes of one (n_paths, n_times) deflator
+    # whole-ensemble increments and paths held about one deflator more
+    assert peak < 2 * deflator + 0.5 * deflator
+
+
 def _ranged(moderate, extreme):
     return st.floats(*moderate) | st.floats(*extreme)
 
@@ -613,19 +674,29 @@ def test_validate_clean_implies_run_reads_its_inputs(
 def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):
     import curvarb.cli as cli
 
-    calls = {"build_thm1_market": 0, "_brownian_rows": 0}
-    for name in calls:
-        original = getattr(cli, name)
+    markets = []
+    drawn = {}  # stream tag -> path indices drawn on it, in call order
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted_market(*args, **kwargs):
+        markets.append(1)
+        return build_market(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+    def counted_rows(grid, paths, dim, seed, tag):
+        drawn.setdefault(tag, []).extend(paths.tolist())
+        return brownian_rows(grid, paths, dim, seed, tag)
+
+    build_market, brownian_rows = cli.build_thm1_market, cli._brownian_rows
+    monkeypatch.setattr(cli, "build_thm1_market", counted_market)
+    monkeypatch.setattr(cli, "_brownian_rows", counted_rows)
     assert main(["run", "thm1_constructed", "--out", str(tmp_path / "thm1")]) == 0
-    assert calls["build_thm1_market"] == 1  # read by thm1 and bond
+    assert len(markets) == 1  # read by thm1 and bond
     assert main(["run", "flat_market", "--out", str(tmp_path / "flat")]) == 0
-    assert calls["_brownian_rows"] == 2  # one driver per asset, read by curvature and kernel
+    # one driver per asset, read by curvature and kernel: every path of each
+    # asset's stream is drawn exactly once
+    n_paths = load_scenario("flat_market")["n_paths"]
+    assert sorted(drawn) == [cli.ASSET_TAG_BASE, cli.ASSET_TAG_BASE + 1]
+    for rows in drawn.values():
+        assert sorted(rows) == list(range(n_paths))
 
 
 def test_summary_is_strict_json_with_nonfinite_values(tmp_path):

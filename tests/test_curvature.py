@@ -1,8 +1,12 @@
 """Tests for cross-asset consistency diagnostics."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+import curvarb.curvature
 from curvarb.curvature import (
     covariation_rates,
     curvature_components,
@@ -11,9 +15,17 @@ from curvarb.curvature import (
     zc_residual,
 )
 from curvarb.errors import ConfigurationError, NumericalError
-from curvarb.gauges import Gauge, flat_term_structure
-from curvarb.novikov import NovikovEstimate
-from curvarb.paths import ItoSpec, PathEnsemble, TimeGrid, simulate_brownian, simulate_ito
+from curvarb.gauges import Gauge, TermStructureSurface, flat_term_structure, short_rate
+from curvarb.novikov import NovikovEstimate, _exp_moment
+from curvarb.paths import (
+    ItoSpec,
+    PathEnsemble,
+    TimeGrid,
+    _brownian_rows,
+    _integrate,
+    simulate_brownian,
+    simulate_ito,
+)
 
 OFFSETS = 0.25 * np.arange(9)
 
@@ -61,6 +73,80 @@ def test_flat_stochastic_market_spread_within_noise():
     assert np.all(report.norm <= 4.0 * report.norm_se)
     assert np.mean(report.norm <= 3.0 * report.norm_se) >= 0.8
     assert np.all(report.norm_se < 1e-2)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _simulated_gauges(grid, n, rates):
+    """One geometric deflator per flat rate, each on its own seed."""
+    spec = ItoSpec(x0=1.0, drift=0.01, sigma=0.3, form="geometric")
+    gauges = []
+    for j, rate in enumerate(rates):
+        d = simulate_ito(spec, simulate_brownian(grid, n, 1, seed=60 + j))
+        gauges.append(_flat_gauge(grid, rate, d.values, f"g{j}"))
+    return gauges
+
+
+def _reference_components(gauges):
+    """curvature_components' statistics from whole (n_paths, interior) arrays."""
+    grid = gauges[0].grid
+    h = grid.steps
+    comps, ses, weights = [], [], []
+    for g in gauges:
+        d = g.deflator.series
+        n = d.shape[0]
+        fwd = (d[:, 2:] - d[:, 1:-1]) / h[1:]
+        bwd = (d[:, 1:-1] - d[:, :-2]) / h[:-1]
+        quot = 0.5 * (fwd + bwd) / d[:, 1:-1]
+        a = quot + np.broadcast_to(short_rate(g.curve), (n, grid.n_times))[:, 1:-1]
+        comps.append(a.mean(axis=0))
+        ses.append(a.std(axis=0, ddof=1) / np.sqrt(n))
+        weights.append(np.abs(d).mean(axis=0)[1:-1])
+    components, component_se = np.stack(comps), np.stack(ses)
+    hi, lo = np.argmax(components, axis=0), np.argmin(components, axis=0)
+    cols = np.arange(components.shape[1])
+    norm = components[hi, cols] - components[lo, cols]
+    norm_se = np.sqrt(component_se[hi, cols] ** 2 + component_se[lo, cols] ** 2)
+    w = np.stack(weights)
+    w = w / w.sum(axis=0, keepdims=True)
+    mean_w = (w * components).sum(axis=0)
+    weighted_std = np.sqrt((w * (components - mean_w) ** 2).sum(axis=0))
+    return components, component_se, norm, norm_se, weighted_std
+
+
+@pytest.mark.parametrize("column_block", [2, curvarb.curvature._COLUMN_BLOCK])
+@pytest.mark.parametrize("interior", [1, 17, 33, 49])
+def test_curvature_blocks_match_whole_array_reference(monkeypatch, interior, column_block):
+    monkeypatch.setattr(curvarb.curvature, "_COLUMN_BLOCK", column_block)
+    grid = TimeGrid.regular(5.0, interior + 1)
+    n = 3001
+    gauges = _simulated_gauges(grid, n, [0.0, 0.02, 0.05])
+    # a per-path curve: the last short rate varies by path and time
+    path_rates = np.random.default_rng(7).uniform(0.0, 0.1, (n, grid.n_times))
+    curve = TermStructureSurface(grid, OFFSETS, np.exp(-path_rates[:, :, None] * OFFSETS))
+    gauges[-1] = Gauge(gauges[-1].deflator, curve, gauges[-1].label)
+    report = curvature_components(gauges)
+    got = (report.components, report.component_se, report.norm, report.norm_se)
+    for a, b in zip(got + (report.weighted_std,), _reference_components(gauges)):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_curvature_holds_a_block_of_columns():
+    grid = TimeGrid.regular(5.0, 200)
+    n = 4000
+    gauges = _simulated_gauges(grid, n, [0.0, 0.03])
+    curvature_components(gauges[:1])  # first-call allocations stay outside the count
+    peak = _traced_peak(lambda: curvature_components(gauges))
+    # one (n, n_times) deflator is 6.4 MB; whole-array statistics took about three
+    assert peak < 0.5 * n * grid.n_times * 8
 
 
 def test_curvature_input_validation():
@@ -218,6 +304,70 @@ def test_sharpe_integral_overflow_is_divergence_evidence(n_paths):
     assert (est.tail is None) == (n_paths < 20)
 
 
+def _reference_sharpe_exponents(spec, x, horizon, n_paths, steps, seed):
+    """The integrand on every simulated path, as for state-dependent fields."""
+    grid = TimeGrid.regular(horizon, steps)
+    k = spec.driver_dim()
+    state = _integrate(spec, grid, _brownian_rows(grid, np.arange(n_paths), k, seed, 0))
+    ratio_sq = np.empty((n_paths, grid.n_times))
+    for i, t in enumerate(grid.times):
+        a = spec.eval_drift(t, state[:, i, :])
+        s = spec.eval_sigma(t, state[:, i, :], k)
+        sx = np.einsum("pnk,n->pk", s, x)
+        ratio_sq[:, i] = (a @ x) ** 2 / np.sum(sx * sx, axis=1)
+    return 0.5 * np.trapezoid(ratio_sq, grid.times, axis=1)
+
+
+@pytest.mark.parametrize(
+    "spec, x, n_paths, steps",
+    [
+        (ItoSpec(1.0, 0.06, 0.2, "geometric"), [1.0], 2000, 1024),
+        (ItoSpec(0.5, 0.03, 0.25, "arithmetic"), [1.0], 500, 256),
+        (
+            ItoSpec(np.array([1.0, 2.0]), np.array([0.05, 0.02]),
+                    np.array([[0.2, 0.05], [0.1, 0.3]]), "geometric"),
+            [1.0, -0.5],
+            700,
+            300,
+        ),
+    ],
+)
+def test_sharpe_constant_fields_match_the_simulated_route(spec, x, n_paths, steps):
+    x = np.asarray(x)
+    est = novikov_sharpe(spec, x, 1.0, n_paths=n_paths, steps=steps, seed=5)
+    exponents = _reference_sharpe_exponents(spec, x, 1.0, n_paths, steps, 5)
+    estimate, se, tail, verdict = _exp_moment(exponents)
+    assert est.exponents.tobytes() == exponents.tobytes()
+    assert (est.estimate, est.se, est.verdict) == (estimate, se, verdict)
+    assert vars(est.tail) == vars(tail)
+
+
+def test_sharpe_constant_fields_simulate_nothing():
+    spec = ItoSpec(1.0, 0.06, 0.2, "geometric")
+    novikov_sharpe(spec, [1.0], 1.0, n_paths=20, steps=8)  # first-call allocations
+    peak = _traced_peak(lambda: novikov_sharpe(spec, [1.0], 1.0, n_paths=2000, steps=1024))
+    # simulating the 2000 x 1025 state and its driver took 62.7 MiB
+    assert peak < 2**20
+
+
+def test_sharpe_constant_fields_never_read_the_state():
+    # drift 800 overflows a simulated geometric state, but the integrand
+    # (0.5 * 800^2 = 320000 per unit time) never reads it
+    spec = ItoSpec(1.0, 800.0, 1.0, "geometric")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = novikov_sharpe(spec, [1.0], 1.0, n_paths=40)
+    assert (est.estimate, est.se, est.verdict) == (np.inf, np.inf, "divergence_evidence")
+
+
+@pytest.mark.parametrize("sigma", [0.2, lambda t, x: np.full(x.shape + (1,), 0.2)])
+def test_sharpe_vanishing_volatility_counts_every_path(sigma):
+    spec = ItoSpec(1.0, 0.06, sigma, "geometric")
+    with pytest.raises(NumericalError) as err:
+        novikov_sharpe(spec, [0.0], 1.0, n_paths=40)
+    assert err.value.diagnostics == {"time_index": 0, "paths": 40}
+
+
 def test_sharpe_integral_vanishing_volatility():
     # both assets load the first factor only: x = (1, -2) kills the row span
     two = ItoSpec(
@@ -261,6 +411,19 @@ def test_kernel_check_martingale_deflator_passes():
     assert report.all_passed
     for row in report.rows:
         assert row["se"] > 0
+
+
+def test_kernel_check_nonfinite_bin_is_a_numerical_error():
+    # a -340 flat rate prices the 2-year offset near 1e295: the bin variances overflow
+    grid = TimeGrid.regular(5.0, 20)
+    spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.2, form="geometric")
+    d = simulate_ito(spec, simulate_brownian(grid, 64, 1, seed=42))
+    gauge = _flat_gauge(grid, -340.0, d.values, "hot")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite") as err:
+            kernel_check([gauge], np.ones(grid.n_times), [(0.5, 2.5)])
+    assert err.value.diagnostics == {"label": "hot", "t": 0.5, "s": 2.5}
 
 
 def test_kernel_check_validation():
