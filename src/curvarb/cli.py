@@ -45,13 +45,11 @@ from .novikov import (
     novikov_quadrature,
 )
 from .paths import (
-    _PATH_BLOCK,
     RNG_STREAM_VERSION,
     ItoSpec,
     PathEnsemble,
     TimeGrid,
-    _brownian_rows,
-    _integrate,
+    _ito_rows,
     _kernel_on_grid,
     _se_gate,
     _write_csv,
@@ -296,6 +294,11 @@ def _check_across(doc: dict, v: list) -> None:
                     v.append((field, f"{d} = {x} is not a grid node"))
             if s - t > span * (1 + _REL_TOL) + _REL_TOL:
                 v.append((field, f"s - t = {s - t} exceeds the offset span {span}"))
+    # thm1 and bond read the default sample up to s, which ends at the horizon
+    for section in ("thm1", "price"):
+        for i, (_, s) in enumerate(doc.get(section, {}).get("pairs", [])):
+            if s > grid.horizon:
+                v.append((f"{section}.pairs[{i}]", f"s = {s} exceeds grid.horizon {grid.horizon}"))
 
 
 def _fails(build, *args, **kwargs) -> str | None:
@@ -383,21 +386,15 @@ def _spec(section) -> ItoSpec:
 
 
 def _asset_gauges(doc) -> list:
-    """One gauge per asset; each deflator is filled one block of _PATH_BLOCK
-    paths at a time, so only one block of increments exists at once."""
+    """One gauge per asset; each deflator is filled one block of paths at a
+    time (paths._ito_rows), so only one block of increments exists at once."""
     grid = _grid(doc)
     offsets = _offsets(doc)
-    n_paths = int(doc["n_paths"])
+    rows = np.arange(int(doc["n_paths"]))
     seed = int(doc["seed"])
     gauges = []
     for j, a in enumerate(doc["assets"]):
-        spec = _spec(a)
-        values = np.empty((n_paths, grid.n_times, 1))
-        for lo in range(0, n_paths, _PATH_BLOCK):
-            hi = min(lo + _PATH_BLOCK, n_paths)
-            dw = _brownian_rows(grid, np.arange(lo, hi), 1, seed, ASSET_TAG_BASE + j)
-            values[lo:hi] = _integrate(spec, grid, dw)
-        deflator = PathEnsemble(grid, values)
+        deflator = PathEnsemble(grid, _ito_rows(_spec(a), grid, rows, seed, ASSET_TAG_BASE + j))
         gauges.append(
             Gauge(deflator, flat_term_structure(grid, float(a["rate"]), offsets), a["label"])
         )

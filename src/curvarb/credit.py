@@ -25,17 +25,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimationError
+from .errors import ConfigurationError, DomainError, EstimationError
 from .gauges import Gauge, TermStructureSurface, flat_term_structure, forward_rates, short_rate
 from .paths import (
-    _PATH_BLOCK,
     ItoSpec,
     PathEnsemble,
     TimeGrid,
-    _brownian_rows,
     _cumulative_trapezoid,
     _gauss_legendre,
-    _integrate,
+    _ito_blocks,
+    _ito_rows,
     _kernel_on_grid,
     _keyed_rows,
     _mean_se,
@@ -140,8 +139,8 @@ class StructuralModel:
     barrier: float
 
     def __post_init__(self):
-        if self.equity.dim != 1:
-            raise ConfigurationError("structural equity must be one-dimensional")
+        if self.equity.dim != 1 or self.equity.driver_dim() != 1:
+            raise ConfigurationError("structural equity must be one-dimensional with one driver")
         if float(self.equity.x0[0]) <= self.barrier:
             raise ConfigurationError("equity must start strictly above the barrier")
 
@@ -184,8 +183,8 @@ class LGDProcess:
         path indices; row i is bit for bit row paths[i] of the whole ensemble."""
         if self.kind != "stochastic":
             raise ConfigurationError("sample_paths applies to stochastic LGD only")
-        dw = _brownian_rows(grid, paths, self.spec.driver_dim(), seed, TAG_LGD)
-        return np.clip(_integrate(self.spec, grid, dw)[:, :, 0], 0.0, 1.0)
+        x = _ito_rows(self.spec, grid, paths, seed, TAG_LGD)[:, :, 0]
+        return np.clip(x, 0.0, 1.0, out=x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,6 +222,12 @@ def _survivors(sample: DefaultSample, at: float, minimum: int, message: str, **d
     return alive, n_alive
 
 
+def _check_sampled(sample: DefaultSample, s: float) -> None:
+    """Defaults by s are read off the sample only up to its horizon."""
+    if s > sample.grid.horizon:
+        raise DomainError(f"s = {s} is past the sample horizon {sample.grid.horizon}")
+
+
 def _share(hit: np.ndarray):
     """Share of the paths in hit (a boolean array) and its binomial SE; the SE stays a numpy
     scalar, since implied_intensity squares it and Python's float ** 2 may round otherwise."""
@@ -240,20 +245,9 @@ def _hazard_paths(model: IntensityModel, grid: TimeGrid, n_paths: int, seed: int
     if model.is_deterministic():
         lam = model.hazard_values(grid.times)
     else:
-        dw = _brownian_rows(grid, np.arange(n_paths), model.lam.driver_dim(), seed, TAG_LAMBDA)
-        lam = np.maximum(_integrate(model.lam, grid, dw)[:, :, 0], 0.0)
+        lam = _ito_rows(model.lam, grid, np.arange(n_paths), seed, TAG_LAMBDA)[:, :, 0]
+        np.maximum(lam, 0.0, out=lam)
     return lam, _cumulative_trapezoid(lam, grid.steps)
-
-
-def _equity_blocks(model: StructuralModel, grid: TimeGrid, n_paths: int, seed: int):
-    """(rows, equity) for one block of _PATH_BLOCK paths at a time: equity is
-    the (rows.size, n_times) equity of a structural model on those paths,
-    driven by TAG_DRIVER, bit for bit their rows of the whole ensemble."""
-    for lo in range(0, n_paths, _PATH_BLOCK):
-        rows = np.arange(lo, min(lo + _PATH_BLOCK, n_paths))
-        # left unnamed, the increments are freed before the caller reads the equity
-        equity = _integrate(model.equity, grid, _brownian_rows(grid, rows, 1, seed, TAG_DRIVER))
-        yield rows, equity[:, :, 0]
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -323,18 +317,18 @@ def simulate_default(
         dt = grid.steps
         m = dt.size
         tau = np.full(n_paths, np.inf)
-        for rows, e in _equity_blocks(model, grid, n_paths, seed):
-            a, c = e[:, :-1], e[:, 1:]
+        for rows, e in _ito_blocks(model.equity, grid, np.arange(n_paths), seed, TAG_DRIVER):
+            a, c = e[:, :-1, 0], e[:, 1:, 0]
             crossed = c <= b
             if bridge:
                 u = _keyed_rows(seed, TAG_BRIDGE, rows, (m,), np.random.Generator.random)
                 if callable(model.equity.sigma):
                     sig = np.empty(u.shape)
                     for i in range(m):
-                        sig[:, i] = model.equity.eval_sigma(times[i], e[:, i : i + 1], 1)[:, 0, 0]
+                        sig[:, i] = model.equity.eval_sigma(times[i], e[:, i], 1)[:, 0, 0]
                 else:
                     # a constant or array sigma is the same at every step
-                    sig = model.equity.eval_sigma(times[0], e[:, :1], 1)[:, :, 0]
+                    sig = model.equity.eval_sigma(times[0], e[:, 0], 1)[:, :, 0]
                 valid = (a > b) & (c > b)
                 if geometric:
                     with np.errstate(invalid="ignore", divide="ignore"):
@@ -492,9 +486,9 @@ def implied_intensity(
         b = model.barrier
         alive = np.empty(n_paths, dtype=bool)
         event = np.empty((n_paths, dates.size), dtype=bool)
-        for rows, e in _equity_blocks(model, grid, n_paths, seed):
-            alive[rows] = np.all(e[:, watch] > b, axis=1)
-            event[rows] = e[:, cols] <= b
+        for rows, e in _ito_blocks(model.equity, grid, np.arange(n_paths), seed, TAG_DRIVER):
+            alive[rows] = np.all(e[:, watch, 0] > b, axis=1)
+            event[rows] = e[:, cols, 0] <= b
     else:
         sample = simulate_default(model, grid, n_paths, seed)  # rejects unknown models
         alive = sample.survivors_at(t)
@@ -621,6 +615,7 @@ def corporate_bond_price(
     if normalization not in ("terminal", "deflator"):
         raise ConfigurationError(f"unknown normalization {normalization!r}")
     sample = market.defaults
+    _check_sampled(sample, s)
     alive, n_alive = _survivors(sample, t, 2, "no survivors at t")
     if normalization == "terminal":
         lgd = realized_lgd_at_default(market)
@@ -871,6 +866,7 @@ def thm1_residuals(
     shape = (sample.n_paths, times.size)
     rows_iii = []
     for t, s in pairs:
+        _check_sampled(sample, s)
         alive, n_alive = _survivors(
             sample, t, 10, "too few survivors for the bond-difference residual", t=t
         )

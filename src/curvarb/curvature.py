@@ -35,8 +35,7 @@ from .paths import (
     ItoSpec,
     PathEnsemble,
     TimeGrid,
-    _brownian_rows,
-    _integrate,
+    _ito_rows,
     _kernel_on_grid,
     _mean_se,
     _se_gate,
@@ -334,7 +333,7 @@ def novikov_sharpe(
     k = spec.driver_dim()
     times = grid.times
     if callable(spec.drift) or callable(spec.sigma):
-        state = _integrate(spec, grid, _brownian_rows(grid, np.arange(n_paths), k, seed, 0))
+        state = _ito_rows(spec, grid, np.arange(n_paths), seed, 0)
     else:
         state = np.broadcast_to(spec.x0, (1, times.size, spec.dim))
     rows = state.shape[0]

@@ -107,26 +107,16 @@ class TailDiagnostics:
     verdict: str
 
 
-def tail_diagnostics(
-    samples: np.ndarray | None = None, log_samples: np.ndarray | None = None
-) -> TailDiagnostics:
-    """Hill estimator on the top summands, safe against overflowed values.
+def tail_diagnostics(log_samples: np.ndarray) -> TailDiagnostics:
+    """Hill estimator on the top summands, given by their logs.
 
-    Works on log summands so that astronomically large exponentials keep
-    exact relative order.  Summands at or below 1 never enter; fewer than
-    five usable entries (for example all summands equal, or equal up to
-    rounding) count as evidence of a bounded summand, reported with an
-    infinite index.
+    Working on log summands keeps astronomically large exponentials, even
+    overflowed ones, in exact relative order.  Summands at or below 1 never
+    enter; fewer than five usable entries (for example all summands equal, or
+    equal up to rounding) count as evidence of a bounded summand, reported
+    with an infinite index.
     """
-    if (samples is None) == (log_samples is None):
-        raise ConfigurationError("pass exactly one of samples or log_samples")
-    if log_samples is None:
-        s = np.asarray(samples, dtype=np.float64)
-        if np.any(s <= 0):
-            raise ConfigurationError("summands must be positive")
-        ls = np.log(s)
-    else:
-        ls = np.asarray(log_samples, dtype=np.float64)
+    ls = np.asarray(log_samples, dtype=np.float64)
     n = ls.size
     if n < 20:
         raise EstimationError(
@@ -166,7 +156,7 @@ def _exp_moment(exponents: np.ndarray) -> tuple[float, float, TailDiagnostics | 
         mean = float(summands.mean())
     finite = bool(np.isfinite(mean))
     se = float(_mean_se(summands)) if finite and exponents.max() < _SE_MAX_EXPONENT else np.inf
-    tail = tail_diagnostics(log_samples=exponents) if exponents.size >= 20 else None
+    tail = tail_diagnostics(exponents) if exponents.size >= 20 else None
     verdict = tail.verdict if tail is not None else "finite_evidence"
     return (mean, se, tail, verdict) if finite else (np.inf, se, tail, "divergence_evidence")
 

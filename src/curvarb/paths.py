@@ -56,7 +56,7 @@ _N_BINS = 10
 _MIN_BIN = 50
 _MIN_EFFECTIVE = 30.0
 
-# the structural default routes hold this many paths at a time
+# every Ito path family (_ito_blocks) holds this many paths at a time
 _PATH_BLOCK = 2048
 
 
@@ -169,11 +169,12 @@ def _kernel_on_grid(beta, grid: TimeGrid) -> np.ndarray:
     return b
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
+def _check_finite(values: np.ndarray, what: str, rows: np.ndarray | None = None) -> None:
     if np.all(np.isfinite(values)):
         return
     bad = np.argwhere(~np.isfinite(values))
     path, step = int(bad[0][0]), int(bad[0][1])
+    path = path if rows is None else int(rows[path])
     raise NumericalError(
         f"{what} contains non-finite values (first at path {path}, step {step})",
         diagnostics={"path": path, "step": step, "count": int(bad.shape[0])},
@@ -419,9 +420,11 @@ class ItoSpec:
         return 1 if s.ndim == 0 else s.shape[-1]
 
 
+@np.errstate(over="ignore")
 def _integrate(spec: ItoSpec, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
-    """(rows, n_times, dim) Ito paths of spec driven by the Brownian
-    increments dw, shaped (rows, n_times - 1, k); non-finite paths raise."""
+    """(rows, n_times, dim) Ito paths of spec driven by the Brownian increments
+    dw, shaped (rows, n_times - 1, k); an overflow leaves inf, not a warning,
+    for the caller's finiteness check to report."""
     n_paths, n_steps, k = dw.shape
     dt = grid.steps
     x = np.empty((n_paths, grid.n_times, spec.dim))
@@ -443,8 +446,27 @@ def _integrate(spec: ItoSpec, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
             log_state = log_state + (a - 0.5 * quad) * dt[i] + noise
             state = np.exp(log_state)
         x[:, i + 1, :] = state
-    _check_finite(x, "simulated paths")
     return x
+
+
+def _ito_blocks(spec: ItoSpec, grid: TimeGrid, rows: np.ndarray, seed: int, tag: int):
+    """(block, paths): each run of at most _PATH_BLOCK path indices of rows and their
+    Ito paths of spec on stream tag, bit for bit as in the whole ensemble."""
+    k = spec.driver_dim()
+    for lo in range(0, rows.size, _PATH_BLOCK):
+        block = rows[lo : lo + _PATH_BLOCK]
+        # left unnamed, the increments are freed before the paths are read
+        x = _integrate(spec, grid, _brownian_rows(grid, block, k, seed, tag))
+        _check_finite(x, "simulated paths", block)  # names a path by its own index
+        yield block, x
+
+
+def _ito_rows(spec: ItoSpec, grid: TimeGrid, rows: np.ndarray, seed: int, tag: int):
+    """(rows.size, n_times, dim) Ito paths of _ito_blocks in one array."""
+    out = np.empty((rows.size, grid.n_times, spec.dim))
+    for i, (_, x) in enumerate(_ito_blocks(spec, grid, rows, seed, tag)):
+        out[i * _PATH_BLOCK : (i + 1) * _PATH_BLOCK] = x
+    return out
 
 
 def simulate_ito(spec: ItoSpec, driver: PathEnsemble) -> PathEnsemble:

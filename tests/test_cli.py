@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvarb
+import curvarb.paths
 from curvarb.cli import (
     bundled_scenarios,
     load_scenario,
@@ -487,6 +488,9 @@ def test_csv_cells_are_quoted_when_needed(tmp_path):
         ("flat_market", "kernel.pairs", [[0.5, 3.0]], "kernel.pairs[0]"),
         ("thm1_constructed", "thm1.pairs", [[0.1, 1.0]], "thm1.pairs[0]"),
         ("thm1_constructed", "thm1.pairs", [[0.0, 7.0]], "thm1.pairs[0]"),
+        # s past the simulated horizon of 10
+        ("thm1_constructed", "thm1.pairs", [[8.0, 13.0]], "thm1.pairs[0]"),
+        ("thm1_constructed", "price.pairs", [[8.0, 13.0]], "price.pairs[0]"),
         ("novikov_capped", "novikov.mode", "mc", "novikov.expect"),
         ("novikov_capped", "novikov.mode", "quadrature", "novikov.expect"),
         (
@@ -593,6 +597,27 @@ def test_kernel_overflow_exits_three_without_warnings(tmp_path):
     assert os.listdir(out) == []
 
 
+def test_asset_overflow_exits_three_without_warnings(tmp_path):
+    # a geometric drift of 1000 overflows exp within the 5-year grid
+    doc = load_scenario("flat_market")
+    doc["assets"][1]["drift"] = 1000.0
+    doc["analyses"] = ["curvature"]
+    scen = tmp_path / "asset_overflow.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvarb", "run", str(scen), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical error: simulated paths contains non-finite values")
+    assert "RuntimeWarning" not in proc.stderr
+    assert os.listdir(out) == []
+
+
 def _asset_doc(n_paths, n_assets):
     doc = load_scenario("flat_market")
     doc["n_paths"] = n_paths
@@ -606,7 +631,7 @@ def test_asset_gauges_do_not_depend_on_the_block_size(monkeypatch):
 
     doc = _asset_doc(1000, 2)
     whole = cli._asset_gauges(doc)
-    monkeypatch.setattr(cli, "_PATH_BLOCK", 97)  # leaves a remainder block of 30 paths
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)  # leaves a remainder block of 30 paths
     blocked = cli._asset_gauges(doc)
     for a, b in zip(whole, blocked):
         assert a.deflator.values.tobytes() == b.deflator.values.tobytes()
@@ -685,9 +710,9 @@ def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):
         drawn.setdefault(tag, []).extend(paths.tolist())
         return brownian_rows(grid, paths, dim, seed, tag)
 
-    build_market, brownian_rows = cli.build_thm1_market, cli._brownian_rows
+    build_market, brownian_rows = cli.build_thm1_market, curvarb.paths._brownian_rows
     monkeypatch.setattr(cli, "build_thm1_market", counted_market)
-    monkeypatch.setattr(cli, "_brownian_rows", counted_rows)
+    monkeypatch.setattr(curvarb.paths, "_brownian_rows", counted_rows)
     assert main(["run", "thm1_constructed", "--out", str(tmp_path / "thm1")]) == 0
     assert len(markets) == 1  # read by thm1 and bond
     assert main(["run", "flat_market", "--out", str(tmp_path / "flat")]) == 0

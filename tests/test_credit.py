@@ -7,7 +7,7 @@ import pytest
 from dataclasses import replace
 from scipy import integrate, stats
 
-import curvarb.credit
+import curvarb.paths
 from curvarb import _laws
 from curvarb.credit import (
     BondPrice,
@@ -29,15 +29,17 @@ from curvarb.credit import (
     TAG_BRIDGE,
     TAG_DRIVER,
     TAG_EXP,
+    TAG_LAMBDA,
     TAG_LGD,
-    _equity_blocks,
+    _hazard_paths,
     _interp_rows,
 )
-from curvarb.errors import ConfigurationError, EstimationError
+from curvarb.errors import ConfigurationError, DomainError, EstimationError, NumericalError
 from curvarb.paths import (
     ItoSpec,
     PathEnsemble,
     TimeGrid,
+    _ito_blocks,
     path_rng,
     simulate_brownian,
     simulate_ito,
@@ -120,8 +122,8 @@ def test_first_passage_monotone_under_refinement():
     grid = TimeGrid.regular(1.0, 1024)
     # the equity simulate_default(StructuralModel(spec, 0.75), grid, 50_000, seed=9) reads
     hits = np.zeros(3, dtype=np.int64)
-    for _, e in _equity_blocks(StructuralModel(spec, 0.75), grid, 50_000, 9):
-        hits += [int((np.min(e[:, ::stride], axis=1) <= 0.75).sum()) for stride in (4, 2, 1)]
+    for _, e in _ito_blocks(spec, grid, np.arange(50_000), 9, TAG_DRIVER):
+        hits += [int((np.min(e[:, ::stride, 0], axis=1) <= 0.75).sum()) for stride in (4, 2, 1)]
     p_coarse, p_mid, p_fine = hits / 50_000
     assert p_coarse < p_mid < p_fine
 
@@ -196,7 +198,7 @@ def _small_and_whole_blocks(monkeypatch, n_paths, run):
     """run() with blocks of 97 paths, then with one block holding all n_paths."""
     out = []
     for block in (97, n_paths):
-        monkeypatch.setattr(curvarb.credit, "_PATH_BLOCK", block)
+        monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", block)
         out.append(run())
     return out
 
@@ -249,7 +251,7 @@ def test_structural_default_times_match_a_step_by_step_reference(monkeypatch, eq
     reference = _reference_structural_tau(model, grid, n, 13, bridge)
     assert np.isfinite(reference).sum() > 100
     for block in (97, n):
-        monkeypatch.setattr(curvarb.credit, "_PATH_BLOCK", block)
+        monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", block)
         tau = simulate_default(model, grid, n, seed=13, bridge=bridge).tau
         assert tau.tobytes() == reference.tobytes()
 
@@ -312,6 +314,35 @@ def test_structural_implied_intensity_holds_one_block_of_equity():
     peak = _traced_peak(lambda: run(n))
     # 301 nodes: the whole (n, n_times) equity array would be 92 MiB
     assert peak < 0.5 * n * 301 * 8
+
+
+def test_stochastic_hazard_and_lgd_hold_little_beyond_their_output():
+    grid = TimeGrid.regular(1.0, 100)
+    n = 40_000
+    hazard = IntensityModel(ItoSpec(x0=0.05, drift=0.01, sigma=np.array([[0.02, 0.03]])))
+    lgd = LGDProcess("stochastic", spec=ItoSpec(x0=0.4, drift=0.0, sigma=0.5))
+    _hazard_paths(hazard, grid, 10, 3)  # lazy imports happen outside the count
+    lgd.sample_paths(grid, np.arange(10), 3)
+    paths = n * grid.n_times * 8  # bytes of one (n, n_times) path family
+    # the hazard returns two such families: its paths and its cumulative hazard
+    assert _traced_peak(lambda: _hazard_paths(hazard, grid, n, 3)) < 2.5 * (2 * paths)
+    assert _traced_peak(lambda: lgd.sample_paths(grid, np.arange(n), 3)) < 2.5 * paths
+
+
+def test_lgd_numerical_error_names_the_paths_own_index(monkeypatch):
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
+    grid = TimeGrid.regular(1.0, 10)
+    # drift 0 keeps the state at 0.4 + 0.5 W until it passes 1.6; a step later it is inf
+    spec = ItoSpec(x0=0.4, drift=lambda t, x: np.where(x > 1.6, np.inf, 0.0), sigma=0.5)
+    rows = np.arange(3, 3000, 7)
+    w = simulate_brownian(grid, 3000, 1, 5, TAG_LGD).series[rows]
+    over = 0.4 + 0.5 * w[:, :-1] > 1.6
+    first = int(np.argmax(over.any(axis=1)))
+    assert first >= 97  # outside the first block
+    with pytest.raises(NumericalError) as err:
+        LGDProcess("stochastic", spec=spec).sample_paths(grid, rows, seed=5)
+    assert err.value.diagnostics["path"] == rows[first]
+    assert err.value.diagnostics["step"] == int(np.argmax(over[first])) + 1
 
 
 def test_implied_intensity_coarse_observation_positive():
@@ -553,6 +584,21 @@ def test_stochastic_hazard_and_lgd_specs_are_one_dimensional():
         IntensityModel(two)
     with pytest.raises(ConfigurationError, match="one-dimensional"):
         LGDProcess("stochastic", spec=two)
+
+
+def test_structural_equity_has_one_driver():
+    two_factor = ItoSpec(x0=1.0, sigma=np.array([[0.2, 0.1]]))
+    with pytest.raises(ConfigurationError, match="one driver"):
+        StructuralModel(two_factor, 0.5)
+
+
+def test_bond_price_and_thm1_reject_s_past_the_sample_horizon():
+    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=7)
+    with pytest.raises(DomainError, match="past the sample horizon"):
+        corporate_bond_price(market, 8.0, 13.0)
+    with pytest.raises(DomainError, match="past the sample horizon"):
+        thm1_residuals(market, [(0.0, 5.0), (8.0, 13.0)])
+    assert corporate_bond_price(market, 8.0, 10.0).n_used > 0  # the horizon itself is sampled
 
 
 def test_lgd_validation():

@@ -41,7 +41,6 @@ from curvarb.credit import (
     IntensityModel,
     LGDProcess,
     StructuralModel,
-    _equity_blocks,
     _hazard_paths,
 )
 from curvarb.curvature import novikov_sharpe
@@ -49,7 +48,7 @@ import curvarb._philox
 import curvarb.cli
 import curvarb.paths
 from curvarb._philox import _draws, _ziggurat
-from curvarb.paths import _keyed_rows
+from curvarb.paths import _ito_blocks, _keyed_rows
 
 
 def test_grid_validation():
@@ -529,9 +528,11 @@ def _public_pair(spec, dim, tag, n=_ROUTE_PATHS, grid=_ROUTE_GRID) -> np.ndarray
 
 def _equity_route(form):
     spec = _EQUITY_SPECS[form]
-    blocks = _equity_blocks(StructuralModel(spec, 0.5), _ROUTE_GRID, _ROUTE_PATHS, _ROUTE_SEED)
+    # the equity route of simulate_default and implied_intensity
+    equity = StructuralModel(spec, 0.5).equity
+    blocks = _ito_blocks(equity, _ROUTE_GRID, np.arange(_ROUTE_PATHS), _ROUTE_SEED, TAG_DRIVER)
     internal = np.concatenate([e for _, e in blocks])
-    return internal, _public_pair(spec, 1, TAG_DRIVER)[:, :, 0]
+    return internal, _public_pair(spec, 1, TAG_DRIVER)
 
 
 def _hazard_route():
@@ -600,3 +601,23 @@ def test_internal_routes_equal_the_public_pair(route):
     internal, public = _ROUTES[route]()
     assert internal.shape == public.shape
     assert internal.tobytes() == public.tobytes()
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_internal_routes_equal_the_public_pair_across_small_blocks(monkeypatch, route):
+    # blocks of 97 paths: every route, the LGD row subset among them, crosses
+    # block edges, and the last block is short
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
+    test_internal_routes_equal_the_public_pair(route)
+
+
+def test_only_paths_draws_blocks_and_integrates_ito_paths():
+    # every other module reaches keyed increments through _ito_blocks / _ito_rows
+    owned = re.compile(r"\b(_brownian_rows|_integrate|_PATH_BLOCK)\b")
+    src = os.path.dirname(curvarb.paths.__file__)
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "paths.py":
+            with open(os.path.join(src, name)) as fh:
+                offenders += [name] if owned.search(fh.read()) else []
+    assert offenders == []
