@@ -80,7 +80,11 @@ def _cumulative_trapezoid(y: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Trapezoid integral of y from the first node to every node along the
     last axis; steps holds the node spacings."""
     out = np.zeros(y.shape)
-    np.cumsum(0.5 * (y[..., 1:] + y[..., :-1]) * steps, axis=-1, out=out[..., 1:])
+    # one temporary, scaled in place in the order of 0.5 * (y1 + y0) * steps
+    area = y[..., 1:] + y[..., :-1]
+    area *= 0.5
+    area *= steps
+    np.cumsum(area, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -316,7 +320,11 @@ def _looped_rows(
     One Philox serves the whole batch: for each path its state is reset to the
     path's key, counter 0 and an empty buffer, which is exactly the state a
     fresh path_rng generator starts in, without building one per path.
+    numpy's float64 random, standard_normal and standard_exponential fill
+    each row in place; any other draw is copied into it.
     """
+    from ._philox import SHORT_ROW_DRAWS
+
     # Python ints and lists: the state setter reads them element by element,
     # which is cheaper than reading numpy scalars out of arrays
     key = [0, seed & _SEED_MASK]
@@ -332,10 +340,18 @@ def _looped_rows(
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     out = np.empty((paths.size, *shape))
-    for i, p in enumerate(paths):
-        key[0] = high | int(p)
-        bitgen.state = state
-        out[i] = draw(gen, shape)
+    # math.prod, not -1: reshape(0, -1) raises
+    rows = out.reshape(paths.size, math.prod(shape))
+    if draw in SHORT_ROW_DRAWS:
+        fill = getattr(gen, draw.__name__)
+    else:
+        fill = lambda out: np.copyto(out, np.ravel(draw(gen, shape)))  # noqa: E731
+    # Python ints one block at a time: a list of all paths would stay resident
+    for lo in range(0, paths.size, _PATH_BLOCK):
+        for i, p in enumerate(paths[lo : lo + _PATH_BLOCK].tolist(), lo):
+            key[0] = high | p
+            bitgen.state = state
+            fill(out=rows[i])
     return out
 
 
@@ -432,18 +448,23 @@ def _integrate(spec: ItoSpec, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
     state = x[:, 0, :].copy()
     if spec.form == "geometric":
         log_state = np.log(state)
+    # constant coefficients are read at the first step only; a callable one
+    # makes both be read at every step, as the corrected drift needs both
+    per_step = callable(spec.drift) or callable(spec.sigma)
     for i in range(n_steps):
-        t = float(grid.times[i])
-        a = spec.eval_drift(t, state)
-        s = spec.eval_sigma(t, state, k)
+        if per_step or i == 0:
+            t = float(grid.times[i])
+            a = spec.eval_drift(t, state)
+            s = spec.eval_sigma(t, state, k)
+            if spec.form == "geometric":
+                # proportional coefficients; Ito correction keeps the law
+                # exact for constant (a, s)
+                a = a - 0.5 * np.einsum("pnk,pnk->pn", s, s)
         noise = np.einsum("pnk,pk->pn", s, dw[:, i, :])
         if spec.form == "arithmetic":
             state = state + a * dt[i] + noise
         else:
-            # proportional coefficients; Ito correction keeps the law exact
-            # for constant (a, s)
-            quad = np.einsum("pnk,pnk->pn", s, s)
-            log_state = log_state + (a - 0.5 * quad) * dt[i] + noise
+            log_state = log_state + a * dt[i] + noise
             state = np.exp(log_state)
         x[:, i + 1, :] = state
     return x

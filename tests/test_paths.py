@@ -9,6 +9,7 @@ conditional expectations for difference quotients of Brownian motion
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ import curvarb._philox
 import curvarb.cli
 import curvarb.paths
 from curvarb._philox import _draws, _ziggurat
-from curvarb.paths import _ito_blocks, _keyed_rows
+from curvarb.paths import _cumulative_trapezoid, _integrate, _ito_blocks, _ito_rows, _keyed_rows
 
 
 def test_grid_validation():
@@ -108,6 +109,11 @@ KEYED_DRAWS = {
     ),
     # a subset of paths in no particular order, like the defaulted rows
     "normal_subset": (np.array([41, 3, 17, 1 << 40, 9, 4]), (3,), G.standard_normal),
+    # rows of more than four draws, which numpy's generator fills in place
+    "exponential_row": (np.arange(30), (7,), G.standard_exponential),
+    # about one row in seven has a draw off the ziggurat's fast path partway
+    "normal_long_rows": (np.arange(600), (12,), G.standard_normal),
+    "long_rows_of_no_paths": (np.array([], dtype=np.int64), (2, 5), G.standard_normal),
 }
 
 
@@ -257,6 +263,55 @@ def test_arithmetic_euler_exact_for_constant_coefficients():
     paths = simulate_ito(spec, driver)
     closed = 0.3 + 0.1 * grid.times[None, :] + 0.5 * driver.series
     assert np.allclose(paths.series, closed, rtol=0, atol=1e-12)
+
+
+# constant coefficients, which _integrate evaluates once; as callables it
+# evaluates them at every step
+_SIGMA_K2 = np.array([[0.2, 0.1], [0.0, 0.3]])
+_CONSTANT_SPECS = {
+    "arithmetic-k1": dict(x0=0.3, drift=0.1, sigma=0.5, form="arithmetic"),
+    "geometric-k1": dict(x0=1.0, drift=0.05, sigma=0.2, form="geometric"),
+    "arithmetic-k2": dict(x0=[0.3, 1.0], drift=[0.1, -0.2], sigma=_SIGMA_K2, form="arithmetic"),
+    "geometric-k2": dict(x0=[1.0, 2.0], drift=[0.05, 0.0], sigma=_SIGMA_K2, form="geometric"),
+}
+
+
+@pytest.mark.parametrize("callables", [("drift", "sigma"), ("drift",), ("sigma",)], ids="+".join)
+@pytest.mark.parametrize("name", sorted(_CONSTANT_SPECS))
+def test_constant_coefficients_integrate_like_callables_bit_for_bit(monkeypatch, name, callables):
+    kw = _CONSTANT_SPECS[name]
+    const = ItoSpec(**kw)
+    per_step = ItoSpec(**{**kw, **{c: (lambda t, x, v=kw[c]: v) for c in callables}})
+    # 250 paths in blocks of 97: the last block ends partway
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
+    grid, rows = TimeGrid.regular(2.0, 20), np.arange(250)
+    x = _ito_rows(const, grid, rows, 3, 5)
+    assert x.shape == (250, grid.n_times, const.dim)
+    assert x.tobytes() == _ito_rows(per_step, grid, rows, 3, 5).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.2, lambda t, x: 0.2], ids=["constant", "callable"])
+def test_scalar_sigma_rejects_a_two_dim_driver(sigma):
+    grid = TimeGrid.regular(1.0, 4)
+    dw = simulate_brownian(grid, 5, dim=2, seed=1).driver_increments
+    with pytest.raises(ConfigurationError, match="scalar sigma"):
+        _integrate(ItoSpec(x0=1.0, sigma=sigma), grid, dw)
+
+
+def test_cumulative_trapezoid_holds_one_temporary_and_is_bit_equal():
+    y = np.random.default_rng(4).standard_normal((40_000, 101))
+    steps = np.random.default_rng(5).uniform(0.01, 0.1, 100)
+    tracemalloc.start()
+    try:
+        out = _cumulative_trapezoid(y, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two-temporary formula
+    ref = np.zeros(y.shape)
+    np.cumsum(0.5 * (y[:, 1:] + y[:, :-1]) * steps, axis=-1, out=ref[:, 1:])
+    assert out.tobytes() == ref.tobytes()
+    assert peak <= 2.2 * out.nbytes
 
 
 def test_ito_output_carries_no_increments_and_cannot_drive():
