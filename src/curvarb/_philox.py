@@ -1,10 +1,10 @@
 """numpy's Philox4x64-10 and the fast path of its ziggurat, on arrays of keys.
 
-A fresh keyed stream (``paths.path_rng``) has counter 0 and an empty buffer,
-so numpy increments the counter and serves its first four 64-bit words from
-the Philox block at counter (1, 0, 0, 0) (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11).  ``first_block`` computes that block
-for many keys at once and applies numpy's float64 transforms to its words:
+A fresh Philox stream has counter 0 and an empty buffer, so numpy increments
+the counter and serves its first four 64-bit words from the Philox block at
+counter (1, 0, 0, 0) (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11).  ``first_block`` computes that block for many keys at once
+and applies numpy's float64 transforms to its words:
 
 - ``random``: ``(w >> 11) * 2**-53``, never rejected;
 - ``standard_exponential``: layer ``(w >> 3) & 0xff``, ``m = w >> 11``;
@@ -15,7 +15,8 @@ A ziggurat draw is ``m * width[layer]`` when ``m < threshold[layer]``
 (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000).  Any other draw reads
 further words, so its whole row is flagged for the caller to redraw on
 numpy's own generator.  The 256-entry tables are read out of the installed
-numpy on first use, by feeding chosen words through a Philox buffer.
+numpy on first use, by feeding chosen words through a Philox buffer.  The
+keys come from the caller, which owns their layout.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ _LAYOUT = {
 
 _SENTINEL = 0x0123456789ABCDEF
 
-# the Generator methods whose first four draws first_block computes
-SHORT_ROW_DRAWS = (
-    np.random.Generator.random,
-    np.random.Generator.standard_normal,
-    np.random.Generator.standard_exponential,
-)
-
 
 def _mulhi(a: int, b: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit products a * b, from 32-bit halves."""
@@ -57,10 +51,9 @@ def _mulhi(a: int, b: np.ndarray) -> np.ndarray:
     return a_hi * b_hi + (u >> np.uint64(32)) + (v >> np.uint64(32))
 
 
-def _philox_words(seed: int, key0: np.ndarray) -> list[np.ndarray]:
+def _philox_words(k0: np.ndarray, k1: int) -> list[np.ndarray]:
     """The four words of Philox4x64-10 at counter (1, 0, 0, 0) under the
-    keys (key0, seed)."""
-    k0, k1 = key0, seed & _MASK64
+    keys (k0, k1)."""
     m0, m1 = np.uint64(_MUL[0]), np.uint64(_MUL[1])
     # round 1 on counter (1, 0, 0, 0): the products are M0 and 0
     c0, c1, c2, c3 = k0, 0, np.full(k0.shape, k1, np.uint64), np.full(k0.shape, m0)
@@ -148,17 +141,15 @@ def _draws(w: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
     return x, m < threshold[layer]
 
 
-def first_block(
-    seed: int, tag: int, paths: np.ndarray, method: str, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+def first_block(key0: np.ndarray, key1: int, method: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(out, fast): out[i] holds the n <= 4 float64 draws of numpy's
-    Generator method on the stream keyed by (seed, tag, paths[i]) where
+    Generator method on the fresh stream keyed by (key0[i], key1) where
     fast[i]; a row with fast[i] False needs words past the first block."""
-    out = np.empty((paths.size, n))
-    fast = np.empty(paths.size, dtype=bool)
-    for lo in range(0, paths.size, _KEY_BLOCK):
+    out = np.empty((key0.size, n))
+    fast = np.empty(key0.size, dtype=bool)
+    for lo in range(0, key0.size, _KEY_BLOCK):
         block = slice(lo, lo + _KEY_BLOCK)
-        key0 = paths[block].astype(np.uint64) | np.uint64(tag << 48)
-        out[block], on_path = _draws(np.stack(_philox_words(seed, key0)[:n], axis=1), method)
-        fast[block] = on_path.all(axis=1)
+        words = _philox_words(key0[block], key1)[:n]
+        out[block], on_fast = _draws(np.stack(words, axis=1), method)
+        fast[block] = on_fast.all(axis=1)
     return out, fast

@@ -46,6 +46,7 @@ from .novikov import (
 )
 from .paths import (
     RNG_STREAM_VERSION,
+    TAG_ASSET_BASE,
     ItoSpec,
     PathEnsemble,
     TimeGrid,
@@ -56,7 +57,10 @@ from .paths import (
 )
 
 ANALYSES = ("curvature", "kernel", "zc", "thm1", "bond", "novikov", "sharpe")
-ASSET_TAG_BASE = 16  # asset drivers sit above the tags used inside credit
+# the curvature gate: |norm| within _CURVATURE_GATE_SE standard errors, or
+# _CURVATURE_GATE_ATOL for a norm with zero standard error
+_CURVATURE_GATE_SE = 4.0
+_CURVATURE_GATE_ATOL = 1e-10
 
 OUTPUT_DIR_ENV = "CURVARB_OUTPUT_DIR"
 
@@ -153,6 +157,7 @@ _GT0 = (lambda x: x > 0, "must be > 0")
 _GE0 = (lambda x: x >= 0, "must be >= 0")
 _GE1 = (lambda x: x >= 1, "must be >= 1")
 _GE2 = (lambda x: x >= 2, "must be >= 2")
+_SEED = (lambda x: 0 <= x < 1 << 64, "must be a 64-bit stream key, 0 <= seed < 2**64")
 _PAIRS = (_pairs_ok, "must be [t, s] pairs with s > t >= 0")
 _NUMBERS = (_numbers, "must be a nonempty list of numbers")
 _RATES = (lambda r: _numbers(r if isinstance(r, list) else [r]), "must be one or more numbers")
@@ -175,7 +180,7 @@ SCHEMA = {
     "name": (str, _FILE_NAME, EVERY),
     "grid.horizon": (float, _GT0, EVERY),
     "grid.steps": (int, _GE2, EVERY),
-    "seed": (int, _GE0, EVERY),
+    "seed": (int, _SEED, EVERY),
     "analyses": (list, (len, "must name at least one analysis"), EVERY),
     "analyses[]": (str, _one_of(*ANALYSES), EVERY),
     "n_paths": (int, _GE2, ASSET_ANALYSES | CREDIT_ANALYSES),
@@ -394,7 +399,7 @@ def _asset_gauges(doc) -> list:
     seed = int(doc["seed"])
     gauges = []
     for j, a in enumerate(doc["assets"]):
-        deflator = PathEnsemble(grid, _ito_rows(_spec(a), grid, rows, seed, ASSET_TAG_BASE + j))
+        deflator = PathEnsemble(grid, _ito_rows(_spec(a), grid, rows, seed, TAG_ASSET_BASE + j))
         gauges.append(
             Gauge(deflator, flat_term_structure(grid, float(a["rate"]), offsets), a["label"])
         )
@@ -470,7 +475,10 @@ def _run_curvature(doc, built):
     if tol is not None:
         passed = bool(report.norm.max() <= float(tol))
     else:
-        passed = all(_se_gate(n, se, 4.0, 1e-10)[1] for n, se in zip(report.norm, report.norm_se))
+        passed = all(
+            _se_gate(n, se, _CURVATURE_GATE_SE, _CURVATURE_GATE_ATOL)[1]
+            for n, se in zip(report.norm, report.norm_se)
+        )
     summary = {
         "max_norm": report.max_norm,
         "max_norm_se": float(report.norm_se.max()),

@@ -28,6 +28,11 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, EstimationError
 from .gauges import Gauge, TermStructureSurface, flat_term_structure, forward_rates, short_rate
 from .paths import (
+    TAG_BRIDGE,
+    TAG_DRIVER,
+    TAG_EXP,
+    TAG_LAMBDA,
+    TAG_LGD,
     ItoSpec,
     PathEnsemble,
     TimeGrid,
@@ -68,13 +73,6 @@ __all__ = [
 # _HAZARD_NODES Gauss-Legendre nodes per interval
 _HAZARD_PANELS = 8
 _HAZARD_NODES = 8
-
-# stream tags: keep every random purpose on its own keyed family
-TAG_DRIVER = 1
-TAG_LAMBDA = 2
-TAG_EXP = 3
-TAG_BRIDGE = 4
-TAG_LGD = 5
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +302,7 @@ def simulate_default(
     times = grid.times
     if isinstance(model, IntensityModel):
         lam, cum = _hazard_paths(model, grid, n_paths, seed)
-        thresholds = _keyed_rows(
-            seed, TAG_EXP, np.arange(n_paths), (), np.random.Generator.standard_exponential
-        )
+        thresholds = _keyed_rows(seed, TAG_EXP, np.arange(n_paths), (), "standard_exponential")
         tau = _intensity_default_times(cum, times, thresholds)
         return DefaultSample(grid, tau, cum, thresholds, lam)
     if isinstance(model, StructuralModel):
@@ -321,14 +317,14 @@ def simulate_default(
             a, c = e[:, :-1, 0], e[:, 1:, 0]
             crossed = c <= b
             if bridge:
-                u = _keyed_rows(seed, TAG_BRIDGE, rows, (m,), np.random.Generator.random)
-                if callable(model.equity.sigma):
+                u = _keyed_rows(seed, TAG_BRIDGE, rows, (m,), "random")
+                if model.equity.constant:
+                    # sigma is the same at every step
+                    sig = model.equity.eval_sigma(times[0], e[:, 0], 1)[:, :, 0]
+                else:
                     sig = np.empty(u.shape)
                     for i in range(m):
                         sig[:, i] = model.equity.eval_sigma(times[i], e[:, i], 1)[:, 0, 0]
-                else:
-                    # a constant or array sigma is the same at every step
-                    sig = model.equity.eval_sigma(times[0], e[:, 0], 1)[:, :, 0]
                 valid = (a > b) & (c > b)
                 if geometric:
                     with np.errstate(invalid="ignore", divide="ignore"):
@@ -461,7 +457,10 @@ def implied_intensity(
     observation_times, conditioning uses the observed information: survival
     means "above the barrier at every observation node <= t", which leaves
     default-state uncertainty between observations and a strictly positive
-    implied hazard there.
+    implied hazard there.  A structural default state at a query date is the
+    equity at or below the barrier at that node (the level law), whereas
+    simulate_default and default_probability use first passage; the two give
+    different hazards (README "Fixed settings").
 
     A vanishing estimated probability at some dt marks the result degenerate
     (the hazard collapses to zero faster than any power, as for a fully
@@ -870,7 +869,7 @@ def thm1_residuals(
         alive, n_alive = _survivors(
             sample, t, 10, "too few survivors for the bond-difference residual", t=t
         )
-        p_hat, p_se = _share((sample.tau[alive] > t) & (sample.tau[alive] <= s))
+        p_hat, p_se = _share(sample.tau[alive] <= s)
         surv_hat = 1.0 - p_hat
         i_t = grid.index_of(t)
         p_corp = float(market.corp.curve.price(t, s).mean())

@@ -32,6 +32,7 @@ from .errors import ConfigurationError, NumericalError
 from .gauges import Gauge, short_rate
 from .novikov import NovikovEstimate, _exp_moment
 from .paths import (
+    TAG_SHARPE,
     ItoSpec,
     PathEnsemble,
     TimeGrid,
@@ -318,11 +319,11 @@ def novikov_sharpe(
 
     The short rate is zero, so the spec's drift alpha is the excess return.
     State-dependent (callable) fields average over n_paths simulated paths.
-    Constant fields never read the state: the integrand is evaluated on one
-    row, and its exponent stands for every one of the n_paths, so nothing
-    is simulated.  A vanishing portfolio volatility anywhere is a hard error:
-    the Sharpe ratio is undefined there, not merely large.  n_used is
-    n_paths.
+    Constant fields (spec.constant) read no time and no state: the integrand
+    is evaluated once, on one row, and its exponent stands for every one of
+    the n_paths, so nothing is simulated.  A vanishing portfolio volatility
+    anywhere is a hard error: the Sharpe ratio is undefined there, not merely
+    large.  n_used is n_paths.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != spec.dim:
@@ -332,13 +333,14 @@ def novikov_sharpe(
     grid = TimeGrid.regular(horizon, steps)
     k = spec.driver_dim()
     times = grid.times
-    if callable(spec.drift) or callable(spec.sigma):
-        state = _ito_rows(spec, grid, np.arange(n_paths), seed, 0)
+    if spec.constant:
+        state = spec.x0[None, None, :]
     else:
-        state = np.broadcast_to(spec.x0, (1, times.size, spec.dim))
+        state = _ito_rows(spec, grid, np.arange(n_paths), seed, TAG_SHARPE)
     rows = state.shape[0]
     ratio_sq = np.empty((rows, times.size))
-    for i, t in enumerate(times):
+    # a constant integrand is evaluated at the first node and fills the row
+    for i, t in enumerate(times[:1] if spec.constant else times):
         st = state[:, i, :]
         a = spec.eval_drift(t, st)
         s = spec.eval_sigma(t, st, k)
@@ -353,6 +355,8 @@ def novikov_sharpe(
                 diagnostics={"time_index": i, "paths": int(bad.sum()) * (n_paths // rows)},
             )
         ratio_sq[:, i] = num * num / den
+    if spec.constant:
+        ratio_sq[:, 1:] = ratio_sq[:, :1]
     exponents = 0.5 * np.trapezoid(ratio_sq, times, axis=1)
     if rows < n_paths:
         exponents = np.full(n_paths, exponents[0])
@@ -401,14 +405,12 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
     rows = []
     for g in gauges:
         d = g.deflator.series
-        n = d.shape[0]
-        bb = np.broadcast_to(b, (n, grid.n_times))
+        if b.shape[0] not in (1, d.shape[0]):
+            raise ConfigurationError("beta must hold one row or one row per deflator path")
         for t, s in pairs:
             i_t, i_s = grid.index_of(t), grid.index_of(s)
-            price = g.curve.price(t, s)
-            price = np.broadcast_to(price, (n,))
-            m_t = bb[:, i_t] * d[:, i_t]
-            y = bb[:, i_s] * d[:, i_s] - price * m_t
+            m_t = b[:, i_t] * d[:, i_t]
+            y = b[:, i_s] * d[:, i_s] - g.curve.price(t, s) * m_t
             scale = float(np.abs(m_t).mean())
             if scale <= 0:
                 raise NumericalError(

@@ -311,10 +311,7 @@ def gauge_transform(gauge: Gauge, pi: CashflowVector) -> Gauge:
     new_curve = TermStructureSurface(
         curve.grid, curve.offsets[:keep], num / denom[:, :, None]
     )
-    scale = denom if denom.shape[0] == gauge.n_paths else np.broadcast_to(
-        denom, (gauge.n_paths, denom.shape[1])
-    )
-    new_deflator = PathEnsemble(gauge.grid, gauge.deflator.series * scale)
+    new_deflator = PathEnsemble(gauge.grid, gauge.deflator.series * denom)
     return Gauge(new_deflator, new_curve, label=gauge.label)
 
 
@@ -401,16 +398,7 @@ def numeraire_change(gauges: list[Gauge], numeraire: int | Gauge) -> list[Gauge]
         )
     out = []
     for g in gauges:
-        ratio = np.broadcast_to(g.deflator.series, np.broadcast_shapes(
-            g.deflator.series.shape, d_num.shape
-        )) / d_num
-        out.append(
-            Gauge(
-                PathEnsemble(g.grid, ratio),
-                g.curve,
-                label=g.label,
-            )
-        )
+        out.append(Gauge(PathEnsemble(g.grid, g.deflator.series / d_num), g.curve, label=g.label))
     return out
 
 

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EstimationError
-from .paths import PathEnsemble, _gauss_legendre, _keyed_rows, _mean_se
+from .paths import TAG_NOVIKOV_DRIVER, PathEnsemble, _gauss_legendre, _keyed_rows, _mean_se
 from .credit import CreditMarket, realized_lgd_at_default
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "capped_lgd_tq",
     "capped_lgd_driver",
 ]
-
-TAG_NOVIKOV_DRIVER = 7
 
 _Q_FORMS = ("consistent", "printed")
 
@@ -204,9 +202,7 @@ def novikov_mc(
         )
     rows = np.nonzero(mask)[0]
     tau_d = sample.tau[rows]
-    z = _keyed_rows(
-        market.seed, TAG_NOVIKOV_DRIVER, rows, (k,), np.random.Generator.standard_normal
-    )
+    z = _keyed_rows(market.seed, TAG_NOVIKOV_DRIVER, rows, (k,), "standard_normal")
     w_tau = np.sqrt(tau_d)[:, None] * z
     q = np.sum(w_tau * w_tau, axis=1) / tau_d
     if q_form == "printed":

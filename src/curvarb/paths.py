@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -59,6 +60,9 @@ _MIN_EFFECTIVE = 30.0
 # every Ito path family (_ito_blocks) holds this many paths at a time
 _PATH_BLOCK = 2048
 
+# _se_gate passes a residual within _GATE_SE standard errors by default
+_GATE_SE = 3.0
+
 
 def _mean_se(x: np.ndarray):
     """Standard error of the mean over the first axis; 0 with one sample."""
@@ -66,7 +70,9 @@ def _mean_se(x: np.ndarray):
     return x.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(x.shape[1:])
 
 
-def _se_gate(residual: float, se: float, k: float = 3.0, atol: float = 0.0) -> tuple[float, bool]:
+def _se_gate(
+    residual: float, se: float, k: float = _GATE_SE, atol: float = 0.0
+) -> tuple[float, bool]:
     """|z| of a residual and whether |residual| <= max(k * se, atol).
 
     With a zero standard error z is 0 for a residual within atol, else inf.
@@ -249,18 +255,36 @@ class PathEnsemble:
 # Seeded streams
 
 
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
-
 # Version of the keyed draws behind the simulated outputs, written to
 # summary.json: bump it with any change to the draws an output reads
 RNG_STREAM_VERSION = 2
 
+# Stream tags, one keyed family per random purpose (README "Determinism");
+# 6 is unused and 8 retired (version 1 bridged the Novikov driver on it)
+TAG_SHARPE = 0  # novikov_sharpe's state; the default tag of simulate_brownian and path_rng
+TAG_DRIVER = 1  # structural equity
+TAG_LAMBDA = 2  # stochastic hazard
+TAG_EXP = 3  # default thresholds
+TAG_BRIDGE = 4  # bridge uniforms
+TAG_LGD = 5  # stochastic LGD
+TAG_NOVIKOV_DRIVER = 7  # Novikov driver at the default time
+TAG_ASSET_BASE = 16  # the CLI's asset j draws on TAG_ASSET_BASE + j
 
-def _check_stream(tag: int, lowest_path: int, highest_path: int) -> None:
-    if lowest_path < 0 or highest_path >= 1 << 48:
+
+def _stream_keys(seed: int, tag: int, paths) -> tuple[np.ndarray, int]:
+    """(key0, key1): the Philox key words of the streams of paths on tag, with
+    key0 = tag << 48 | path (uint64, shaped like paths) and key1 = seed.
+
+    A seed, tag or path index the key cannot hold is a ConfigurationError.
+    """
+    seed, paths = operator.index(seed), np.asarray(paths, dtype=np.int64)
+    if not 0 <= seed < 1 << 64:
+        raise ConfigurationError(f"seed {seed} is not a 64-bit stream key (0 <= seed < 2**64)")
+    if paths.min(initial=0) < 0 or paths.max(initial=0) >= 1 << 48:
         raise ConfigurationError("path index out of range for stream keying")
     if tag < 0 or tag >= 1 << 16:
         raise ConfigurationError("stream tag out of range")
+    return paths.astype(np.uint64) | np.uint64(tag << 48), seed
 
 
 def path_rng(seed: int, path_index: int, tag: int = 0) -> np.random.Generator:
@@ -268,66 +292,52 @@ def path_rng(seed: int, path_index: int, tag: int = 0) -> np.random.Generator:
 
     The Philox key packs (seed, tag, path index), so any path of any stream can
     be regenerated in isolation and results are invariant under parallel
-    scheduling.  Tags separate independent uses of the same scenario seed
-    (equity driver, default thresholds, barrier-bridge uniforms, the Novikov
-    driver at default, ...).
+    scheduling.  Tags (the TAG_* constants) separate independent uses of the
+    same scenario seed.
     """
-    _check_stream(tag, path_index, path_index)
-    key = ((seed & _SEED_MASK) << 64) | (tag << 48) | path_index
-    return np.random.Generator(np.random.Philox(key=key))
+    key0, key1 = _stream_keys(seed, tag, path_index)
+    return np.random.Generator(np.random.Philox(key=key1 << 64 | int(key0)))
 
 
 def _keyed_rows(
-    seed: int,
-    tag: int,
-    paths: np.ndarray,
-    shape: tuple[int, ...],
-    draw: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray],
+    seed: int, tag: int, paths: np.ndarray, shape: tuple[int, ...], method: str
 ) -> np.ndarray:
-    """Row i holds draw(gen, shape) on the stream path_rng(seed, paths[i], tag).
+    """Row i holds numpy's float64 Generator.<method>(shape) on the stream
+    path_rng(seed, paths[i], tag); method is "random", "standard_normal" or
+    "standard_exponential".
 
-    Rows of at most four draws of numpy's float64 random, standard_normal or
-    standard_exponential fit in the first Philox block of their stream and
-    are computed for all paths at once; a row that leaves the ziggurat's fast
-    path, and any other row, is drawn on numpy's own generator.
+    Rows of at most four draws fit in the first Philox block of their stream
+    and are computed for all paths at once; a row that leaves the ziggurat's
+    fast path, and any longer row, is drawn on numpy's own generator.
     """
-    paths = np.asarray(paths, dtype=np.int64)
-    _check_stream(tag, int(paths.min(initial=0)), int(paths.max(initial=0)))
+    key0, key1 = _stream_keys(seed, tag, paths)
+    n = math.prod(shape)
+    if n > 4:
+        return _looped_rows(key0, key1, shape, method)
     # imported here, not at the top: it loads numpy.random, which
     # `import curvarb` otherwise does not
-    from ._philox import SHORT_ROW_DRAWS, first_block
+    from ._philox import first_block
 
-    n = math.prod(shape)
-    if n > 4 or draw not in SHORT_ROW_DRAWS:
-        return _looped_rows(seed, tag, paths, shape, draw)
-    out, fast = first_block(seed, tag, paths, draw.__name__, n)
-    out = out.reshape(paths.size, *shape)
+    out, fast = first_block(key0, key1, method, n)
+    out = out.reshape(key0.size, *shape)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        out[slow] = _looped_rows(seed, tag, paths[slow], shape, draw)
+        out[slow] = _looped_rows(key0[slow], key1, shape, method)
     return out
 
 
-def _looped_rows(
-    seed: int,
-    tag: int,
-    paths: np.ndarray,
-    shape: tuple[int, ...],
-    draw: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray],
-) -> np.ndarray:
-    """_keyed_rows one path at a time, on numpy's generator.
+def _looped_rows(key0: np.ndarray, key1: int, shape: tuple[int, ...], method: str) -> np.ndarray:
+    """Row i holds Generator.<method>(shape) on the fresh Philox stream keyed
+    by (key0[i], key1), drawn one row at a time on numpy's generator.
 
-    One Philox serves the whole batch: for each path its state is reset to the
-    path's key, counter 0 and an empty buffer, which is exactly the state a
-    fresh path_rng generator starts in, without building one per path.
-    numpy's float64 random, standard_normal and standard_exponential fill
-    each row in place; any other draw is copied into it.
+    One Philox serves the whole batch: for each row its state is reset to the
+    row's key, counter 0 and an empty buffer, which is exactly the state a
+    fresh path_rng generator starts in, without building one per row.  Each
+    row is filled in place.
     """
-    from ._philox import SHORT_ROW_DRAWS
-
     # Python ints and lists: the state setter reads them element by element,
     # which is cheaper than reading numpy scalars out of arrays
-    key = [0, seed & _SEED_MASK]
+    key = [0, key1]
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": key},
@@ -336,20 +346,15 @@ def _looped_rows(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    high = tag << 48
     bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    out = np.empty((paths.size, *shape))
+    fill = getattr(np.random.Generator(bitgen), method)
+    out = np.empty((key0.size, *shape))
     # math.prod, not -1: reshape(0, -1) raises
-    rows = out.reshape(paths.size, math.prod(shape))
-    if draw in SHORT_ROW_DRAWS:
-        fill = getattr(gen, draw.__name__)
-    else:
-        fill = lambda out: np.copyto(out, np.ravel(draw(gen, shape)))  # noqa: E731
-    # Python ints one block at a time: a list of all paths would stay resident
-    for lo in range(0, paths.size, _PATH_BLOCK):
-        for i, p in enumerate(paths[lo : lo + _PATH_BLOCK].tolist(), lo):
-            key[0] = high | p
+    rows = out.reshape(key0.size, math.prod(shape))
+    # Python ints one block at a time: a list of all keys would stay resident
+    for lo in range(0, key0.size, _PATH_BLOCK):
+        for i, k in enumerate(key0[lo : lo + _PATH_BLOCK].tolist(), lo):
+            key[0] = k
             bitgen.state = state
             fill(out=rows[i])
     return out
@@ -365,7 +370,7 @@ def _brownian_rows(
     reads a few paths draws only those.
     """
     shape = (grid.n_times - 1, dim)
-    dw = _keyed_rows(seed, tag, paths, shape, np.random.Generator.standard_normal)
+    dw = _keyed_rows(seed, tag, paths, shape, "standard_normal")
     dw *= np.sqrt(grid.steps)[None, :, None]
     return dw
 
@@ -416,6 +421,11 @@ class ItoSpec:
     def dim(self) -> int:
         return self.x0.size
 
+    @property
+    def constant(self) -> bool:
+        """Neither drift nor sigma is callable: both read no time and no state."""
+        return not (callable(self.drift) or callable(self.sigma))
+
     def eval_drift(self, t: float, x: np.ndarray) -> np.ndarray:
         a = self.drift(t, x) if callable(self.drift) else self.drift
         return np.broadcast_to(np.asarray(a, dtype=np.float64), x.shape)
@@ -450,9 +460,8 @@ def _integrate(spec: ItoSpec, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
         log_state = np.log(state)
     # constant coefficients are read at the first step only; a callable one
     # makes both be read at every step, as the corrected drift needs both
-    per_step = callable(spec.drift) or callable(spec.sigma)
     for i in range(n_steps):
-        if per_step or i == 0:
+        if i == 0 or not spec.constant:
             t = float(grid.times[i])
             a = spec.eval_drift(t, state)
             s = spec.eval_sigma(t, state, k)

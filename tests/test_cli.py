@@ -21,7 +21,7 @@ from curvarb.cli import (
     validate_scenario,
 )
 from curvarb.errors import ConfigurationError
-from curvarb.paths import RNG_STREAM_VERSION
+from curvarb.paths import RNG_STREAM_VERSION, TAG_ASSET_BASE
 
 
 def _read_tree(root):
@@ -493,6 +493,8 @@ def test_csv_cells_are_quoted_when_needed(tmp_path):
         ("thm1_constructed", "price.pairs", [[8.0, 13.0]], "price.pairs[0]"),
         ("novikov_capped", "novikov.mode", "mc", "novikov.expect"),
         ("novikov_capped", "novikov.mode", "quadrature", "novikov.expect"),
+        # seeds are 64-bit stream keys: 2**64 would alias seed 0
+        ("flat_market", "seed", 1 << 64, "seed"),
         (
             "thm1_constructed",
             "thm1",
@@ -719,7 +721,7 @@ def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):
     # one driver per asset, read by curvature and kernel: every path of each
     # asset's stream is drawn exactly once
     n_paths = load_scenario("flat_market")["n_paths"]
-    assert sorted(drawn) == [cli.ASSET_TAG_BASE, cli.ASSET_TAG_BASE + 1]
+    assert sorted(drawn) == [TAG_ASSET_BASE, TAG_ASSET_BASE + 1]
     for rows in drawn.values():
         assert sorted(rows) == list(range(n_paths))
 

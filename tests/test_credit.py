@@ -25,17 +25,14 @@ from curvarb.credit import (
     simulate_default,
     thm1_residuals,
 )
-from curvarb.credit import (
+from curvarb.credit import _hazard_paths, _interp_rows
+from curvarb.errors import ConfigurationError, DomainError, EstimationError, NumericalError
+from curvarb.paths import (
     TAG_BRIDGE,
     TAG_DRIVER,
     TAG_EXP,
     TAG_LAMBDA,
     TAG_LGD,
-    _hazard_paths,
-    _interp_rows,
-)
-from curvarb.errors import ConfigurationError, DomainError, EstimationError, NumericalError
-from curvarb.paths import (
     ItoSpec,
     PathEnsemble,
     TimeGrid,

@@ -18,6 +18,7 @@ from curvarb.errors import ConfigurationError, NumericalError
 from curvarb.gauges import Gauge, TermStructureSurface, flat_term_structure, short_rate
 from curvarb.novikov import NovikovEstimate, _exp_moment
 from curvarb.paths import (
+    TAG_SHARPE,
     ItoSpec,
     PathEnsemble,
     TimeGrid,
@@ -308,7 +309,7 @@ def _reference_sharpe_exponents(spec, x, horizon, n_paths, steps, seed):
     """The integrand on every simulated path, as for state-dependent fields."""
     grid = TimeGrid.regular(horizon, steps)
     k = spec.driver_dim()
-    state = _integrate(spec, grid, _brownian_rows(grid, np.arange(n_paths), k, seed, 0))
+    state = _integrate(spec, grid, _brownian_rows(grid, np.arange(n_paths), k, seed, TAG_SHARPE))
     ratio_sq = np.empty((n_paths, grid.n_times))
     for i, t in enumerate(grid.times):
         a = spec.eval_drift(t, state[:, i, :])
@@ -348,6 +349,35 @@ def test_sharpe_constant_fields_simulate_nothing():
     peak = _traced_peak(lambda: novikov_sharpe(spec, [1.0], 1.0, n_paths=2000, steps=1024))
     # simulating the 2000 x 1025 state and its driver took 62.7 MiB
     assert peak < 2**20
+
+
+def test_sharpe_constant_fields_evaluate_the_integrand_once(monkeypatch):
+    calls, eval_drift = [], ItoSpec.eval_drift
+
+    def counting(self, t, x):
+        calls.append(t)
+        return eval_drift(self, t, x)
+
+    monkeypatch.setattr(ItoSpec, "eval_drift", counting)
+    novikov_sharpe(ItoSpec(1.0, 0.06, 0.2, "geometric"), [1.0], 1.0, n_paths=50, steps=64)
+    assert calls == [0.0]  # once, not at each of the 65 nodes
+
+
+_SIGMA_2 = np.array([[0.2, 0.05], [0.1, 0.3]])
+
+
+@pytest.mark.parametrize(
+    "x0, drift, sigma, x",
+    [(1.0, 0.06, 0.2, [1.0]), (np.array([1.0, 2.0]), np.array([0.05, 0.02]), _SIGMA_2, [1.0, -0.5])],
+    ids=["dim1", "dim2"],
+)
+def test_sharpe_constant_integrand_equals_a_callable_constant_drift(x0, drift, sigma, x):
+    once = novikov_sharpe(ItoSpec(x0, drift, sigma, "geometric"), x, 1.0, 300, 64, seed=5)
+    # a callable drift is read at every node of 300 simulated paths
+    per_node = ItoSpec(x0, lambda t, state: drift, sigma, "geometric")
+    every = novikov_sharpe(per_node, x, 1.0, 300, 64, seed=5)
+    assert once.exponents.tobytes() == every.exponents.tobytes()
+    assert (once.estimate, once.se, once.verdict) == (every.estimate, every.se, every.verdict)
 
 
 def test_sharpe_constant_fields_never_read_the_state():
@@ -437,3 +467,6 @@ def test_kernel_check_validation():
         kernel_check([gauge], np.zeros(grid.n_times), [(0.0, 1.0)])
     with pytest.raises(ConfigurationError, match="finite and positive"):
         kernel_check([gauge], np.full(grid.n_times, np.inf), [(0.0, 1.0)])
+    # a per-path kernel of two paths for a deflator of one
+    with pytest.raises(ConfigurationError, match="one row per deflator path"):
+        kernel_check([gauge], np.ones((2, grid.n_times)), [(0.0, 1.0)])

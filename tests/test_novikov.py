@@ -11,7 +11,6 @@ from curvarb import _laws, novikov
 from curvarb.credit import LGDProcess, build_thm1_market
 from curvarb.errors import ConfigurationError, DomainError, EstimationError
 from curvarb.novikov import (
-    TAG_NOVIKOV_DRIVER,
     DensitySpec,
     capped_lgd_driver,
     capped_lgd_tq,
@@ -20,7 +19,7 @@ from curvarb.novikov import (
     q2_statistic,
     tail_diagnostics,
 )
-from curvarb.paths import TimeGrid, path_rng, simulate_brownian
+from curvarb.paths import TAG_NOVIKOV_DRIVER, TimeGrid, path_rng, simulate_brownian
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,8 @@ conditional expectations for difference quotients of Brownian motion
 (E[(W_t - W_{t-h})/h | W_t = q] = q/t for any step h).
 """
 
+import ast
+import hashlib
 import os
 import re
 import tempfile
@@ -35,21 +37,28 @@ from curvarb import (
     write_ensemble,
     write_ensemble_csv,
 )
-from curvarb.credit import (
-    TAG_DRIVER,
-    TAG_LAMBDA,
-    TAG_LGD,
-    IntensityModel,
-    LGDProcess,
-    StructuralModel,
-    _hazard_paths,
-)
+from curvarb.credit import IntensityModel, LGDProcess, StructuralModel, _hazard_paths
 from curvarb.curvature import novikov_sharpe
 import curvarb._philox
 import curvarb.cli
 import curvarb.paths
 from curvarb._philox import _draws, _ziggurat
-from curvarb.paths import _cumulative_trapezoid, _integrate, _ito_blocks, _ito_rows, _keyed_rows
+from curvarb.paths import (
+    RNG_STREAM_VERSION,
+    TAG_ASSET_BASE,
+    TAG_BRIDGE,
+    TAG_DRIVER,
+    TAG_EXP,
+    TAG_LAMBDA,
+    TAG_LGD,
+    TAG_NOVIKOV_DRIVER,
+    TAG_SHARPE,
+    _cumulative_trapezoid,
+    _integrate,
+    _ito_blocks,
+    _ito_rows,
+    _keyed_rows,
+)
 
 
 def test_grid_validation():
@@ -97,80 +106,146 @@ def test_per_path_streams_are_order_independent():
     assert not np.array_equal(full.values, other_tag.values)
 
 
-G = np.random.Generator
+def _path_rng_rows(seed, tag, paths, shape, method):
+    """The rows of _keyed_rows, one fresh path_rng generator per path."""
+    rows = [getattr(path_rng(seed, int(p), tag), method)(shape) for p in paths]
+    return np.array(rows, dtype=float).reshape(len(paths), *shape)
+
 
 KEYED_DRAWS = {
-    "normal_block": (np.arange(30), (6, 2), G.standard_normal),
-    "exponential": (np.arange(30), (), G.standard_exponential),
-    "uniform_row": (np.arange(30), (9,), G.random),
-    # 32-bit draws read the half-word cache that a reset must clear
-    "uniform_float32": (
-        np.arange(30), (5,), lambda gen, size: gen.random(size, dtype=np.float32)
-    ),
+    "normal_block": (np.arange(30), (6, 2), "standard_normal"),
+    "exponential": (np.arange(30), (), "standard_exponential"),
+    "uniform_row": (np.arange(30), (9,), "random"),
     # a subset of paths in no particular order, like the defaulted rows
-    "normal_subset": (np.array([41, 3, 17, 1 << 40, 9, 4]), (3,), G.standard_normal),
+    "normal_subset": (np.array([41, 3, 17, 1 << 40, 9, 4]), (3,), "standard_normal"),
     # rows of more than four draws, which numpy's generator fills in place
-    "exponential_row": (np.arange(30), (7,), G.standard_exponential),
+    "exponential_row": (np.arange(30), (7,), "standard_exponential"),
     # about one row in seven has a draw off the ziggurat's fast path partway
-    "normal_long_rows": (np.arange(600), (12,), G.standard_normal),
-    "long_rows_of_no_paths": (np.array([], dtype=np.int64), (2, 5), G.standard_normal),
+    "normal_long_rows": (np.arange(600), (12,), "standard_normal"),
+    "long_rows_of_no_paths": (np.array([], dtype=np.int64), (2, 5), "standard_normal"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(KEYED_DRAWS))
 @pytest.mark.parametrize("seed", [5, (1 << 63) + 11])
 def test_batch_streams_match_path_rng_bit_for_bit(kind, seed):
-    paths, shape, draw = KEYED_DRAWS[kind]
-    batch = _keyed_rows(seed, 6, paths, shape, draw)
-    single = np.array([draw(path_rng(seed, int(p), tag=6), shape) for p in paths], dtype=float)
+    paths, shape, method = KEYED_DRAWS[kind]
+    batch = _keyed_rows(seed, 6, paths, shape, method)
     assert batch.shape == (paths.size, *shape)
-    assert batch.tobytes() == single.tobytes()
+    assert batch.tobytes() == _path_rng_rows(seed, 6, paths, shape, method).tobytes()
 
 
 def test_batch_streams_check_ranges_like_path_rng():
     for tag, paths in [(1 << 16, [0]), (-1, [0]), (0, [3, -1]), (0, [1 << 48, 2])]:
         with pytest.raises(ConfigurationError):
-            _keyed_rows(1, tag, np.array(paths), (), G.random)
+            _keyed_rows(1, tag, np.array(paths), (), "random")
         with pytest.raises(ConfigurationError):
             for p in paths:
                 path_rng(1, p, tag)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seeds_are_64_bit_stream_keys(seed):
+    # a seed outside [0, 2**64) would alias another seed's streams
+    with pytest.raises(ConfigurationError, match="64-bit stream key"):
+        path_rng(seed, 0)
+    for shape in [(), (8,)]:  # the short-row and the looped route
+        with pytest.raises(ConfigurationError, match="64-bit stream key"):
+            _keyed_rows(seed, 0, np.arange(3), shape, "standard_normal")
+
+
+# the draw method of each tabled stream (README "Determinism") and the
+# SHA-256 of its first keyed rows at seed 0
+STREAM_DIGESTS = {
+    TAG_SHARPE: (
+        "standard_normal",
+        "e29eb225f5ca76caffed9608a56ae3d92ab33b7519e08a88dce0da0341c432db",
+    ),
+    TAG_DRIVER: (
+        "standard_normal",
+        "4d534bb1a8b7f242be4d302eb7f2b062308b0802b82a1f207687a1076ed2606b",
+    ),
+    TAG_LAMBDA: (
+        "standard_normal",
+        "b5719704b0a17250801a4551c9a45b041a3b8ce4931cf7ec504ebd54fdc7669b",
+    ),
+    TAG_EXP: (
+        "standard_exponential",
+        "d3f821e9345982c24c0f5a7c0dcef6b99ab26253c0827c2eb101c348fe72e5a8",
+    ),
+    TAG_BRIDGE: (
+        "random",
+        "766b4ea8c76503c3d4c9390ad82e5090c619ca6e00e5287fb617b6d2e9398766",
+    ),
+    TAG_LGD: (
+        "standard_normal",
+        "9ac602a134c60b009cdd016f7e2e232c37bf78b66049c11a21ef42bef6e00725",
+    ),
+    TAG_NOVIKOV_DRIVER: (
+        "standard_normal",
+        "478b29cff0f4bc0aa537ae07b72a2d93df83e43710cdabb8a81e33ad38b7b738",
+    ),
+    TAG_ASSET_BASE: (
+        "standard_normal",
+        "56087ad388e9ab92201068657ae013453dc3f067db16f0e6549bfba0f32a5feb",
+    ),
+    TAG_ASSET_BASE + 1: (
+        "standard_normal",
+        "3929796df142e03546fcca866ea59af6a8b76bd3c4faed34c25dc16515321993",
+    ),
+}
+
+
+def test_stream_tags_are_distinct_and_below_the_asset_tags():
+    tags = {n: v for n, v in vars(curvarb.paths).items() if n.startswith("TAG_")}
+    assert len(set(tags.values())) == len(tags) == 8
+    assert max(v for n, v in tags.items() if n != "TAG_ASSET_BASE") < TAG_ASSET_BASE
+    assert set(tags.values()) <= set(STREAM_DIGESTS)
+
+
+@pytest.mark.parametrize("tag", sorted(STREAM_DIGESTS))
+def test_first_keyed_rows_of_each_stream_are_pinned(tag):
+    # a change to any digest is a change of stream: bump RNG_STREAM_VERSION
+    assert RNG_STREAM_VERSION == 2
+    method, digest = STREAM_DIGESTS[tag]
+    paths = np.array([0, 1, (1 << 48) - 1])
+    long = _keyed_rows(0, tag, paths, (8,), method)
+    # a stream is one sequence: its first four draws head its longer rows
+    assert _keyed_rows(0, tag, paths, (4,), method).tobytes() == long[:, :4].tobytes()
+    assert hashlib.sha256(long.tobytes()).hexdigest() == digest
+
+
 # rows of at most four draws, which _keyed_rows computes for all paths at once
 SHORT_ROWS = [
-    *[(G.standard_normal, (k,)) for k in range(1, 5)],
-    (G.standard_normal, (2, 2)),
-    (G.standard_exponential, ()),
-    *[(G.random, (k,)) for k in range(1, 5)],
+    *[("standard_normal", (k,)) for k in range(1, 5)],
+    ("standard_normal", (2, 2)),
+    ("standard_exponential", ()),
+    *[("random", (k,)) for k in range(1, 5)],
 ]
 # unsorted, with duplicates and the highest path index; 600 rows leave some
 # draws off the ziggurat's fast path
 SHORT_PATHS = np.concatenate([[(1 << 48) - 1, 7, 7], np.arange(600)[::-1], [3, 599]])
 
 
-def _path_rng_rows(seed, tag, paths, shape, draw):
-    return np.array([draw(path_rng(seed, int(p), tag), shape) for p in paths], dtype=float)
-
-
 @pytest.mark.parametrize(
-    "draw, shape", SHORT_ROWS, ids=lambda v: v.__name__ if callable(v) else str(v).replace(" ", "")
+    "method, shape", SHORT_ROWS, ids=lambda v: v if isinstance(v, str) else str(v).replace(" ", "")
 )
 @pytest.mark.parametrize("tag", [0, 65535])
 @pytest.mark.parametrize("seed", [0, 5, (1 << 63) + 11, (1 << 64) - 1])
-def test_short_rows_match_path_rng_bit_for_bit(seed, tag, draw, shape):
-    batch = _keyed_rows(seed, tag, SHORT_PATHS, shape, draw)
+def test_short_rows_match_path_rng_bit_for_bit(seed, tag, method, shape):
+    batch = _keyed_rows(seed, tag, SHORT_PATHS, shape, method)
     assert batch.shape == (SHORT_PATHS.size, *shape)
-    assert batch.tobytes() == _path_rng_rows(seed, tag, SHORT_PATHS, shape, draw).tobytes()
+    assert batch.tobytes() == _path_rng_rows(seed, tag, SHORT_PATHS, shape, method).tobytes()
 
 
 def test_short_rows_do_not_depend_on_the_key_block(monkeypatch):
-    whole = _keyed_rows(3, 9, SHORT_PATHS, (4,), G.standard_normal)
+    whole = _keyed_rows(3, 9, SHORT_PATHS, (4,), "standard_normal")
     monkeypatch.setattr(curvarb._philox, "_KEY_BLOCK", 7)
-    assert _keyed_rows(3, 9, SHORT_PATHS, (4,), G.standard_normal).tobytes() == whole.tobytes()
+    assert _keyed_rows(3, 9, SHORT_PATHS, (4,), "standard_normal").tobytes() == whole.tobytes()
 
 
 def test_short_rows_of_no_paths():
-    empty = _keyed_rows(3, 9, np.array([], dtype=np.int64), (3,), G.standard_normal)
+    empty = _keyed_rows(3, 9, np.array([], dtype=np.int64), (3,), "standard_normal")
     assert empty.shape == (0, 3)
 
 
@@ -221,13 +296,13 @@ def test_random_words_match_numpy_without_rejection():
 def test_most_short_rows_skip_the_per_path_loop(monkeypatch):
     looped, loop = [], curvarb.paths._looped_rows
 
-    def counting(seed, tag, paths, shape, draw):
-        looped.append(paths.size)
-        return loop(seed, tag, paths, shape, draw)
+    def counting(key0, key1, shape, method):
+        looped.append(key0.size)
+        return loop(key0, key1, shape, method)
 
     monkeypatch.setattr(curvarb.paths, "_looped_rows", counting)
     n = 100_000
-    _keyed_rows(11, 3, np.arange(n), (), G.standard_exponential)
+    _keyed_rows(11, 3, np.arange(n), (), "standard_exponential")
     # a full fallback would loop over all n rows; numpy's fast path misses ~2%
     assert len(looped) == 1 and 0 < looped[0] <= 0.05 * n
 
@@ -238,12 +313,12 @@ def test_most_short_rows_skip_the_per_path_loop(monkeypatch):
     tag=st.integers(0, (1 << 16) - 1),
     paths=st.lists(st.integers(0, (1 << 48) - 1), max_size=12),
     k=st.integers(1, 4),
-    draw=st.sampled_from([G.standard_normal, G.standard_exponential, G.random]),
+    method=st.sampled_from(["standard_normal", "standard_exponential", "random"]),
 )
-def test_short_rows_match_path_rng_property(seed, tag, paths, k, draw):
+def test_short_rows_match_path_rng_property(seed, tag, paths, k, method):
     paths = np.array(paths, dtype=np.int64)
-    batch = _keyed_rows(seed, tag, paths, (k,), draw)
-    assert batch.tobytes() == _path_rng_rows(seed, tag, paths, (k,), draw).tobytes()
+    batch = _keyed_rows(seed, tag, paths, (k,), method)
+    assert batch.tobytes() == _path_rng_rows(seed, tag, paths, (k,), method).tobytes()
 
 
 def test_log_euler_matches_lognormal_closed_form_pathwise():
@@ -613,7 +688,7 @@ def _sharpe_route():
     n, horizon, steps = 300, 1.0, 64
     est = novikov_sharpe(spec, x, horizon, n_paths=n, steps=steps, seed=_ROUTE_SEED)
     grid = TimeGrid.regular(horizon, steps)
-    state = _public_pair(spec, 1, 0, n=n, grid=grid)
+    state = _public_pair(spec, 1, TAG_SHARPE, n=n, grid=grid)
     ratio_sq = np.empty((n, grid.n_times))
     for i, t in enumerate(grid.times):
         a = spec.eval_drift(t, state[:, i, :])
@@ -638,7 +713,7 @@ def _cli_asset_route():
         ItoSpec(x0=1.0, drift=0.03, sigma=0.2, form="geometric"),
         ItoSpec(x0=2.0, drift=0.0, sigma=0.4, form="arithmetic"),
     ]
-    tags = curvarb.cli.ASSET_TAG_BASE + np.arange(len(specs))
+    tags = TAG_ASSET_BASE + np.arange(len(specs))
     return internal, np.stack([_public_pair(s, 1, int(tag)) for s, tag in zip(specs, tags)])
 
 
@@ -676,3 +751,28 @@ def test_only_paths_draws_blocks_and_integrates_ito_paths():
             with open(os.path.join(src, name)) as fh:
                 offenders += [name] if owned.search(fh.read()) else []
     assert offenders == []
+
+
+def test_only_paths_forms_stream_keys_and_defines_tags():
+    # key layout, draw methods and tags live in paths alone
+    owned = re.compile(r"<< 48|np\.random\.Generator\.\w|^\s*\w*TAG_\w*\s*=", re.M)
+    src = os.path.dirname(curvarb.paths.__file__)
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "paths.py":
+            with open(os.path.join(src, name)) as fh:
+                offenders += [name] if owned.search(fh.read()) else []
+    assert offenders == []
+
+
+def test_philox_takes_keys_and_names_no_tag_path_or_seed():
+    with open(curvarb._philox.__file__) as fh:
+        tree = ast.parse(fh.read())
+    # every argument, and every name the module binds at its top level
+    names = [a.arg for a in ast.walk(tree) if isinstance(a, ast.arg)]
+    for node in tree.body:
+        names += [node.name] if isinstance(node, ast.FunctionDef) else []
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        names += [t.id for t in targets if isinstance(t, ast.Name)]
+    assert "key0" in names and "key1" in names
+    assert [n for n in names if re.search("tag|path|seed", n, re.I)] == []
