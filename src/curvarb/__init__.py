@@ -51,7 +51,6 @@ from .paths import (
     conditional_bin_table,
     martingale_residual,
     nelson_derivative,
-    path_rng,
     read_ensemble,
     read_ensemble_csv,
     realized_covariation,

@@ -179,10 +179,11 @@ def novikov_mc(
 
     The summand reads a fresh k-dimensional driver, keyed apart from the
     default thresholds, only at the default time, where given tau it is
-    exactly N(0, tau I_k): each defaulted path draws one row of k normals on
-    its own keyed stream, scaled by sqrt(tau), so no path and no time grid is
-    built.  A driver_linked LGD rule is called once, on all defaulted paths:
-    fn(t, w) with t of shape (n,) and w of shape (n, k) returns the n losses.
+    exactly N(0, tau I_k): each defaulted path reads one row of k normals
+    from its keyed stream block, scaled by sqrt(tau), so no path and no time
+    grid is built.  A driver_linked LGD rule is called once, on all defaulted
+    paths: fn(t, w) with t of shape (n,) and w of shape (n, k) returns the n
+    losses.
     Paths that never default inside the horizon are censored and excluded;
     the estimate is the conditional expectation given default before the
     horizon, which is what the quadrature cross-check integrates when its

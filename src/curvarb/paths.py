@@ -1,10 +1,13 @@
 """Path ensembles, seeded simulation, and stochastic-derivative estimators.
 
 Everything downstream (gauges, curvature diagnostics, credit analytics) runs on
-the containers defined here.  Simulation is deterministic: every path draws
-from its own counter-based stream keyed by ``(seed, stream tag, path index)``,
-so results do not depend on execution order or on how work is split across
-workers.
+the containers defined here.  Simulation is deterministic: each block of
+``_STREAM_BLOCK`` consecutive paths draws from one counter-based Philox stream
+keyed by ``(seed, stream tag, stream block)``, and path p reads row
+``p % _STREAM_BLOCK`` of that block's fill (RNG stream version 3).  A fill is
+prefix-stable, so any subset of paths is drawn bit for bit as in the whole
+ensemble, and results do not depend on execution order, on the memory block
+size or on how work is split.
 
 The derivative estimators implement forward, backward, and mean difference
 quotients conditioned on the present state (valid for Markov processes), with
@@ -36,7 +39,6 @@ __all__ = [
     "NelsonEstimator",
     "CovariationResult",
     "MartingaleResidual",
-    "path_rng",
     "simulate_brownian",
     "simulate_ito",
     "realized_covariation",
@@ -257,11 +259,16 @@ class PathEnsemble:
 
 # Version of the keyed draws behind the simulated outputs, written to
 # summary.json: bump it with any change to the draws an output reads
-RNG_STREAM_VERSION = 2
+RNG_STREAM_VERSION = 3
+
+# Consecutive path indices that share one keyed stream: path p reads row
+# p % _STREAM_BLOCK of its block's fill.  A constant of the stream version,
+# not a knob: changing it changes every keyed draw (README "Determinism")
+_STREAM_BLOCK = 256
 
 # Stream tags, one keyed family per random purpose (README "Determinism");
 # 6 is unused and 8 retired (version 1 bridged the Novikov driver on it)
-TAG_SHARPE = 0  # novikov_sharpe's state; the default tag of simulate_brownian and path_rng
+TAG_SHARPE = 0  # novikov_sharpe's state; the default tag of simulate_brownian
 TAG_DRIVER = 1  # structural equity
 TAG_LAMBDA = 2  # stochastic hazard
 TAG_EXP = 3  # default thresholds
@@ -272,8 +279,9 @@ TAG_ASSET_BASE = 16  # the CLI's asset j draws on TAG_ASSET_BASE + j
 
 
 def _stream_keys(seed: int, tag: int, paths) -> tuple[np.ndarray, int]:
-    """(key0, key1): the Philox key words of the streams of paths on tag, with
-    key0 = tag << 48 | path (uint64, shaped like paths) and key1 = seed.
+    """(key0, key1): the Philox key words of the streams that hold paths on
+    tag, with key0 = tag << 48 | path // _STREAM_BLOCK (uint64, shaped like
+    paths) and key1 = seed.
 
     A seed, tag or path index the key cannot hold is a ConfigurationError.
     """
@@ -284,59 +292,27 @@ def _stream_keys(seed: int, tag: int, paths) -> tuple[np.ndarray, int]:
         raise ConfigurationError("path index out of range for stream keying")
     if tag < 0 or tag >= 1 << 16:
         raise ConfigurationError("stream tag out of range")
-    return paths.astype(np.uint64) | np.uint64(tag << 48), seed
-
-
-def path_rng(seed: int, path_index: int, tag: int = 0) -> np.random.Generator:
-    """Counter-based generator for one path of one logical stream.
-
-    The Philox key packs (seed, tag, path index), so any path of any stream can
-    be regenerated in isolation and results are invariant under parallel
-    scheduling.  Tags (the TAG_* constants) separate independent uses of the
-    same scenario seed.
-    """
-    key0, key1 = _stream_keys(seed, tag, path_index)
-    return np.random.Generator(np.random.Philox(key=key1 << 64 | int(key0)))
+    return (paths // _STREAM_BLOCK).astype(np.uint64) | np.uint64(tag << 48), seed
 
 
 def _keyed_rows(
     seed: int, tag: int, paths: np.ndarray, shape: tuple[int, ...], method: str
 ) -> np.ndarray:
-    """Row i holds numpy's float64 Generator.<method>(shape) on the stream
-    path_rng(seed, paths[i], tag); method is "random", "standard_normal" or
-    "standard_exponential".
+    """Row i holds row paths[i] % _STREAM_BLOCK of numpy's float64
+    Generator.<method>((rows, *shape)) on the Philox stream keyed by
+    _stream_keys(seed, tag, paths[i]); method is "random", "standard_normal"
+    or "standard_exponential".
 
-    Rows of at most four draws fit in the first Philox block of their stream
-    and are computed for all paths at once; a row that leaves the ziggurat's
-    fast path, and any longer row, is drawn on numpy's own generator.
+    A block's fill is prefix-stable, so each block that paths touch is drawn
+    by one numpy call up to its last row read, and its rows are gathered
+    from there: any subset, order or repetition of paths reads the same rows.
     """
     key0, key1 = _stream_keys(seed, tag, paths)
-    n = math.prod(shape)
-    if n > 4:
-        return _looped_rows(key0, key1, shape, method)
-    # imported here, not at the top: it loads numpy.random, which
-    # `import curvarb` otherwise does not
-    from ._philox import first_block
-
-    out, fast = first_block(key0, key1, method, n)
-    out = out.reshape(key0.size, *shape)
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        out[slow] = _looped_rows(key0[slow], key1, shape, method)
-    return out
-
-
-def _looped_rows(key0: np.ndarray, key1: int, shape: tuple[int, ...], method: str) -> np.ndarray:
-    """Row i holds Generator.<method>(shape) on the fresh Philox stream keyed
-    by (key0[i], key1), drawn one row at a time on numpy's generator.
-
-    One Philox serves the whole batch: for each row its state is reset to the
-    row's key, counter 0 and an empty buffer, which is exactly the state a
-    fresh path_rng generator starts in, without building one per row.  Each
-    row is filled in place.
-    """
-    # Python ints and lists: the state setter reads them element by element,
-    # which is cheaper than reading numpy scalars out of arrays
+    offset = np.asarray(paths, dtype=np.int64) % _STREAM_BLOCK
+    # One Philox serves every block: its state is reset to the block's key,
+    # counter 0 and an empty buffer, which is exactly the state of a fresh
+    # Philox(key=key1 << 64 | key0), without building one per block.  Python
+    # ints and lists: the state setter reads them element by element
     key = [0, key1]
     state = {
         "bit_generator": "Philox",
@@ -351,12 +327,17 @@ def _looped_rows(key0: np.ndarray, key1: int, shape: tuple[int, ...], method: st
     out = np.empty((key0.size, *shape))
     # math.prod, not -1: reshape(0, -1) raises
     rows = out.reshape(key0.size, math.prod(shape))
-    # Python ints one block at a time: a list of all keys would stay resident
-    for lo in range(0, key0.size, _PATH_BLOCK):
-        for i, k in enumerate(key0[lo : lo + _PATH_BLOCK].tolist(), lo):
-            key[0] = k
-            bitgen.state = state
-            fill(out=rows[i])
+    block = np.empty((_STREAM_BLOCK, rows.shape[1]))
+    # the positions in paths of each block's rows, one block at a time
+    order = np.argsort(key0, kind="stable")
+    keys, first = np.unique(key0[order], return_index=True)
+    for k, at in zip(keys.tolist(), np.split(order, first[1:])):
+        key[0] = k
+        bitgen.state = state
+        read = offset[at]
+        drawn = block[: read.max() + 1]
+        fill(out=drawn)
+        rows[at] = drawn[read]
     return out
 
 
@@ -367,7 +348,7 @@ def _brownian_rows(
     given indices, scaled by sqrt(dt).
 
     Row i is bit for bit row paths[i] of the full ensemble, so a caller that
-    reads a few paths draws only those.
+    reads a few paths draws only the stream blocks they touch.
     """
     shape = (grid.n_times - 1, dim)
     dw = _keyed_rows(seed, tag, paths, shape, "standard_normal")

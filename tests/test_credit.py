@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dataclasses import replace
+from block_reference import reference_rows
 from scipy import integrate, stats
 
 import curvarb.paths
@@ -37,7 +38,6 @@ from curvarb.paths import (
     PathEnsemble,
     TimeGrid,
     _ito_blocks,
-    path_rng,
     simulate_brownian,
     simulate_ito,
 )
@@ -214,13 +214,13 @@ def test_structural_default_times_do_not_depend_on_the_block_size(monkeypatch, e
 
 
 def _reference_structural_tau(model, grid, n, seed, bridge):
-    """simulate_default's structural tau from whole-ensemble equity, one
-    path_rng stream per bridged path and sigma evaluated step by step."""
+    """simulate_default's structural tau from whole-ensemble equity, bridge
+    uniforms read from whole stream blocks and sigma evaluated step by step."""
     e = simulate_ito(model.equity, simulate_brownian(grid, n, 1, seed, TAG_DRIVER)).series
     a, c, b, dt = e[:, :-1], e[:, 1:], model.barrier, grid.steps
     crossed = c <= b
     if bridge:
-        u = np.array([path_rng(seed, p, TAG_BRIDGE).random(dt.size) for p in range(n)])
+        u = reference_rows(seed, TAG_BRIDGE, range(n), (dt.size,), "random")
         sig = np.empty(u.shape)
         for i in range(dt.size):
             sig[:, i] = model.equity.eval_sigma(grid.times[i], e[:, i : i + 1], 1)[:, 0, 0]
@@ -255,8 +255,8 @@ def test_structural_default_times_match_a_step_by_step_reference(monkeypatch, eq
 
 def test_intensity_thresholds_are_the_keyed_exponentials():
     sample = simulate_default(IntensityModel(0.05), TimeGrid.regular(5.0, 20), 3000, seed=21)
-    reference = [path_rng(21, p, TAG_EXP).standard_exponential() for p in range(3000)]
-    assert sample.thresholds.tobytes() == np.array(reference).tobytes()
+    reference = reference_rows(21, TAG_EXP, range(3000), (), "standard_exponential")
+    assert sample.thresholds.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("observation_times", [None, [0.0], [0.0, 0.25, 0.375]])
@@ -334,6 +334,10 @@ def test_lgd_numerical_error_names_the_paths_own_index(monkeypatch):
     rows = np.arange(3, 3000, 7)
     w = simulate_brownian(grid, 3000, 1, 5, TAG_LGD).series[rows]
     over = 0.4 + 0.5 * w[:, :-1] > 1.6
+    # the rows that stay finite go first, so the first overflow lies past the
+    # first block and its position in rows is not its path index
+    order = np.argsort(over.any(axis=1), kind="stable")
+    rows, over = rows[order], over[order]
     first = int(np.argmax(over.any(axis=1)))
     assert first >= 97  # outside the first block
     with pytest.raises(NumericalError) as err:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from block_reference import reference_rows
 from dataclasses import replace
 from scipy import stats
 
@@ -19,7 +20,7 @@ from curvarb.novikov import (
     q2_statistic,
     tail_diagnostics,
 )
-from curvarb.paths import TAG_NOVIKOV_DRIVER, TimeGrid, path_rng, simulate_brownian
+from curvarb.paths import TAG_NOVIKOV_DRIVER, TimeGrid, simulate_brownian
 
 
 @pytest.fixture(scope="module")
@@ -104,18 +105,14 @@ def test_novikov_mc_constant_lgd_diverges(base_market):
 
 
 def _reference_exponents(market, k, cap=None):
-    """One defaulted row at a time: the driver at default is regenerated from
-    the row's own keyed stream, scaled by sqrt(tau), and a driver-linked rule
-    is called on that row alone, through np.dot."""
+    """One defaulted row at a time: the driver at default is read from the
+    whole fill of the row's stream block, scaled by sqrt(tau), and a
+    driver-linked rule is called on that row alone, through np.dot."""
     sample = market.defaults
     rows = np.nonzero(sample.defaulted())[0]
     tau = sample.tau[rows]
-    w_tau = np.array(
-        [
-            np.sqrt(t) * path_rng(market.seed, int(r), TAG_NOVIKOV_DRIVER).standard_normal(k)
-            for r, t in zip(rows, tau)
-        ]
-    )
+    z = reference_rows(market.seed, TAG_NOVIKOV_DRIVER, rows, (k,), "standard_normal")
+    w_tau = np.array([np.sqrt(t) * zr for zr, t in zip(z, tau)])
     q = np.sum(w_tau * w_tau, axis=1) / tau
     if cap is None:
         l = np.full(tau.size, market.lgd.value)

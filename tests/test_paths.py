@@ -6,7 +6,6 @@ conditional expectations for difference quotients of Brownian motion
 (E[(W_t - W_{t-h})/h | W_t = q] = q/t for any step h).
 """
 
-import ast
 import hashlib
 import os
 import re
@@ -15,8 +14,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from block_reference import STREAM_BLOCK, reference_rows
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from curvarb import (
     ConfigurationError,
@@ -28,7 +29,6 @@ from curvarb import (
     TimeGrid,
     martingale_residual,
     nelson_derivative,
-    path_rng,
     read_ensemble,
     read_ensemble_csv,
     realized_covariation,
@@ -39,10 +39,8 @@ from curvarb import (
 )
 from curvarb.credit import IntensityModel, LGDProcess, StructuralModel, _hazard_paths
 from curvarb.curvature import novikov_sharpe
-import curvarb._philox
 import curvarb.cli
 import curvarb.paths
-from curvarb._philox import _draws, _ziggurat
 from curvarb.paths import (
     RNG_STREAM_VERSION,
     TAG_ASSET_BASE,
@@ -53,6 +51,7 @@ from curvarb.paths import (
     TAG_LGD,
     TAG_NOVIKOV_DRIVER,
     TAG_SHARPE,
+    _STREAM_BLOCK,
     _cumulative_trapezoid,
     _integrate,
     _ito_blocks,
@@ -76,28 +75,46 @@ def test_grid_validation():
         g.index_of(0.7)
 
 
-def test_brownian_marginals_match_gaussian_law():
-    grid = TimeGrid.regular(2.0, 8)
-    n = 20000
-    w = simulate_brownian(grid, n, dim=2, seed=11)
+def _sidak_z(family_level: float, comparisons: int) -> float:
+    """Two-sided normal critical value at which independent comparisons all
+    pass with probability 1 - family_level under their null law (Sidak)."""
+    return float(stats.norm.isf((1.0 - (1.0 - family_level) ** (1.0 / comparisons)) / 2.0))
+
+
+# design false-alarm rate of test_brownian_marginals_match_gaussian_law over
+# all its comparisons; CHANGES.md logs its null rate and power over seeds
+BROWNIAN_LAW_FAMILY_LEVEL = 0.01
+
+
+def brownian_law_z(w: PathEnsemble) -> np.ndarray:
+    """z-scores of a dim-2 Brownian ensemble on TimeGrid.regular(2.0, 8): the
+    mean and variance of each dim at t = 0.5, 1 and 2 (SE sqrt(t / n) and
+    t sqrt(2 / n)), and the correlation of two disjoint increments of dim 0
+    (SE 1 / sqrt(n)); 13 comparisons."""
+    n = w.n_paths
+    z = []
     for t in (0.5, 1.0, 2.0):
         x = w.at_time(t)
-        se_mean = np.sqrt(t / n)
-        assert np.all(np.abs(x.mean(axis=0)) < 3 * se_mean)
-        # sample variance of N(0,t): SE ~ t * sqrt(2/n)
-        assert np.all(np.abs(x.var(axis=0, ddof=1) - t) < 3 * t * np.sqrt(2.0 / n))
-    # disjoint increments are uncorrelated
+        z.extend(x.mean(axis=0) / np.sqrt(t / n))
+        z.extend((x.var(axis=0, ddof=1) - t) / (t * np.sqrt(2.0 / n)))
     a = w.at_time(1.0) - w.at_time(0.5)
     b = w.at_time(2.0) - w.at_time(1.5)
-    corr = np.corrcoef(a[:, 0], b[:, 0])[0, 1]
-    assert abs(corr) < 3 / np.sqrt(n)
+    z.append(np.corrcoef(a[:, 0], b[:, 0])[0, 1] * np.sqrt(n))
+    return np.array(z)
+
+
+def test_brownian_marginals_match_gaussian_law():
+    w = simulate_brownian(TimeGrid.regular(2.0, 8), 20000, dim=2, seed=11)
+    z = brownian_law_z(w)
+    # the largest |z| of 13 comparisons, at a 1% family-wise level (3.36 SE)
+    assert np.abs(z).max() < _sidak_z(BROWNIAN_LAW_FAMILY_LEVEL, z.size)
 
 
 def test_per_path_streams_are_order_independent():
     grid = TimeGrid.regular(1.0, 4)
     full = simulate_brownian(grid, 50, dim=1, seed=99)
-    # regenerate one path in isolation with the same keyed stream
-    z = path_rng(99, 37, tag=0).standard_normal((4, 1))
+    # regenerate one path in isolation from its stream block
+    z = reference_rows(99, 0, [37], (4, 1), "standard_normal")[0]
     w37 = np.concatenate([[0.0], np.cumsum(z[:, 0] * 0.5)])
     assert np.array_equal(full.series[37], w37)
     again = simulate_brownian(grid, 50, dim=1, seed=99)
@@ -106,21 +123,14 @@ def test_per_path_streams_are_order_independent():
     assert not np.array_equal(full.values, other_tag.values)
 
 
-def _path_rng_rows(seed, tag, paths, shape, method):
-    """The rows of _keyed_rows, one fresh path_rng generator per path."""
-    rows = [getattr(path_rng(seed, int(p), tag), method)(shape) for p in paths]
-    return np.array(rows, dtype=float).reshape(len(paths), *shape)
-
-
 KEYED_DRAWS = {
     "normal_block": (np.arange(30), (6, 2), "standard_normal"),
     "exponential": (np.arange(30), (), "standard_exponential"),
     "uniform_row": (np.arange(30), (9,), "random"),
     # a subset of paths in no particular order, like the defaulted rows
     "normal_subset": (np.array([41, 3, 17, 1 << 40, 9, 4]), (3,), "standard_normal"),
-    # rows of more than four draws, which numpy's generator fills in place
     "exponential_row": (np.arange(30), (7,), "standard_exponential"),
-    # about one row in seven has a draw off the ziggurat's fast path partway
+    # three stream blocks, the last one read only in part
     "normal_long_rows": (np.arange(600), (12,), "standard_normal"),
     "long_rows_of_no_paths": (np.array([], dtype=np.int64), (2, 5), "standard_normal"),
 }
@@ -128,30 +138,24 @@ KEYED_DRAWS = {
 
 @pytest.mark.parametrize("kind", sorted(KEYED_DRAWS))
 @pytest.mark.parametrize("seed", [5, (1 << 63) + 11])
-def test_batch_streams_match_path_rng_bit_for_bit(kind, seed):
+def test_batch_streams_match_the_block_reference_bit_for_bit(kind, seed):
     paths, shape, method = KEYED_DRAWS[kind]
     batch = _keyed_rows(seed, 6, paths, shape, method)
     assert batch.shape == (paths.size, *shape)
-    assert batch.tobytes() == _path_rng_rows(seed, 6, paths, shape, method).tobytes()
+    assert batch.tobytes() == reference_rows(seed, 6, paths, shape, method).tobytes()
 
 
-def test_batch_streams_check_ranges_like_path_rng():
+def test_batch_streams_check_ranges():
     for tag, paths in [(1 << 16, [0]), (-1, [0]), (0, [3, -1]), (0, [1 << 48, 2])]:
         with pytest.raises(ConfigurationError):
             _keyed_rows(1, tag, np.array(paths), (), "random")
-        with pytest.raises(ConfigurationError):
-            for p in paths:
-                path_rng(1, p, tag)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_seeds_are_64_bit_stream_keys(seed):
     # a seed outside [0, 2**64) would alias another seed's streams
     with pytest.raises(ConfigurationError, match="64-bit stream key"):
-        path_rng(seed, 0)
-    for shape in [(), (8,)]:  # the short-row and the looped route
-        with pytest.raises(ConfigurationError, match="64-bit stream key"):
-            _keyed_rows(seed, 0, np.arange(3), shape, "standard_normal")
+        _keyed_rows(seed, 0, np.arange(3), (8,), "standard_normal")
 
 
 # the draw method of each tabled stream (README "Determinism") and the
@@ -159,39 +163,39 @@ def test_seeds_are_64_bit_stream_keys(seed):
 STREAM_DIGESTS = {
     TAG_SHARPE: (
         "standard_normal",
-        "e29eb225f5ca76caffed9608a56ae3d92ab33b7519e08a88dce0da0341c432db",
+        "9127bfa6f0ecbebea33fa022f922c4012223fc565a3dd7d4d61b3028e26e0944",
     ),
     TAG_DRIVER: (
         "standard_normal",
-        "4d534bb1a8b7f242be4d302eb7f2b062308b0802b82a1f207687a1076ed2606b",
+        "701c8c7f5a5df4650eebaeef0d946458196e1c7be1b2d4a9f30a93b338888054",
     ),
     TAG_LAMBDA: (
         "standard_normal",
-        "b5719704b0a17250801a4551c9a45b041a3b8ce4931cf7ec504ebd54fdc7669b",
+        "00c4f0b1a0eb8951a3de6d4e5e75ccd9f2e55279b67ef5edb87f00d4883a8afe",
     ),
     TAG_EXP: (
         "standard_exponential",
-        "d3f821e9345982c24c0f5a7c0dcef6b99ab26253c0827c2eb101c348fe72e5a8",
+        "fe336095b349403e667814fc8f834e7a2e2aeae87f91030ac750c3efb34334d8",
     ),
     TAG_BRIDGE: (
         "random",
-        "766b4ea8c76503c3d4c9390ad82e5090c619ca6e00e5287fb617b6d2e9398766",
+        "5fc0d3747c506e20f5fd4240b9a199615a1b7495189bdc910bb6aee4cf39bffb",
     ),
     TAG_LGD: (
         "standard_normal",
-        "9ac602a134c60b009cdd016f7e2e232c37bf78b66049c11a21ef42bef6e00725",
+        "9e86c85c46a8bc12dc73f752ec1a9cb35add3bfb78c739482ae920ae436e6bb1",
     ),
     TAG_NOVIKOV_DRIVER: (
         "standard_normal",
-        "478b29cff0f4bc0aa537ae07b72a2d93df83e43710cdabb8a81e33ad38b7b738",
+        "d845fd18547b9fbb4525a8cb07271110bd33cf86ccfa843ddb8676f37f9467fa",
     ),
     TAG_ASSET_BASE: (
         "standard_normal",
-        "56087ad388e9ab92201068657ae013453dc3f067db16f0e6549bfba0f32a5feb",
+        "6eb1e63b55b52a7303f280a23b414e97d9185f97a7049c5aef38b1cb7972c723",
     ),
     TAG_ASSET_BASE + 1: (
         "standard_normal",
-        "3929796df142e03546fcca866ea59af6a8b76bd3c4faed34c25dc16515321993",
+        "9deb5e95d7e8ae22015f7b95ff14c113bcc1700508c0830665a51c80deaed387",
     ),
 }
 
@@ -206,105 +210,82 @@ def test_stream_tags_are_distinct_and_below_the_asset_tags():
 @pytest.mark.parametrize("tag", sorted(STREAM_DIGESTS))
 def test_first_keyed_rows_of_each_stream_are_pinned(tag):
     # a change to any digest is a change of stream: bump RNG_STREAM_VERSION
-    assert RNG_STREAM_VERSION == 2
+    assert RNG_STREAM_VERSION == 3
+    assert _STREAM_BLOCK == STREAM_BLOCK
     method, digest = STREAM_DIGESTS[tag]
     paths = np.array([0, 1, (1 << 48) - 1])
-    long = _keyed_rows(0, tag, paths, (8,), method)
-    # a stream is one sequence: its first four draws head its longer rows
-    assert _keyed_rows(0, tag, paths, (4,), method).tobytes() == long[:, :4].tobytes()
-    assert hashlib.sha256(long.tobytes()).hexdigest() == digest
+    rows = _keyed_rows(0, tag, paths, (8,), method)
+    # a block's fill is prefix-stable: the rows read from the head of a block
+    # head the rows of the whole block
+    whole = _keyed_rows(0, tag, np.arange(STREAM_BLOCK), (8,), method)
+    assert rows[:2].tobytes() == whole[:2].tobytes()
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
-# rows of at most four draws, which _keyed_rows computes for all paths at once
-SHORT_ROWS = [
-    *[("standard_normal", (k,)) for k in range(1, 5)],
+ROW_SHAPES = [
+    *[("standard_normal", (k,)) for k in (1, 2, 3, 4, 5, 50)],
     ("standard_normal", (2, 2)),
     ("standard_exponential", ()),
-    *[("random", (k,)) for k in range(1, 5)],
+    ("standard_exponential", (7,)),
+    *[("random", (k,)) for k in (1, 2, 3, 4, 9)],
 ]
-# unsorted, with duplicates and the highest path index; 600 rows leave some
-# draws off the ziggurat's fast path
-SHORT_PATHS = np.concatenate([[(1 << 48) - 1, 7, 7], np.arange(600)[::-1], [3, 599]])
+# unsorted, with duplicates and the highest path index; 600 paths cover two
+# whole stream blocks and part of a third
+SUBSET_PATHS = np.concatenate([[(1 << 48) - 1, 7, 7], np.arange(600)[::-1], [3, 599]])
 
 
 @pytest.mark.parametrize(
-    "method, shape", SHORT_ROWS, ids=lambda v: v if isinstance(v, str) else str(v).replace(" ", "")
+    "method, shape", ROW_SHAPES, ids=lambda v: v if isinstance(v, str) else str(v).replace(" ", "")
 )
 @pytest.mark.parametrize("tag", [0, 65535])
 @pytest.mark.parametrize("seed", [0, 5, (1 << 63) + 11, (1 << 64) - 1])
-def test_short_rows_match_path_rng_bit_for_bit(seed, tag, method, shape):
-    batch = _keyed_rows(seed, tag, SHORT_PATHS, shape, method)
-    assert batch.shape == (SHORT_PATHS.size, *shape)
-    assert batch.tobytes() == _path_rng_rows(seed, tag, SHORT_PATHS, shape, method).tobytes()
-
-
-def test_short_rows_do_not_depend_on_the_key_block(monkeypatch):
-    whole = _keyed_rows(3, 9, SHORT_PATHS, (4,), "standard_normal")
-    monkeypatch.setattr(curvarb._philox, "_KEY_BLOCK", 7)
-    assert _keyed_rows(3, 9, SHORT_PATHS, (4,), "standard_normal").tobytes() == whole.tobytes()
+def test_keyed_rows_match_the_block_reference_bit_for_bit(seed, tag, method, shape):
+    batch = _keyed_rows(seed, tag, SUBSET_PATHS, shape, method)
+    assert batch.shape == (SUBSET_PATHS.size, *shape)
+    assert batch.tobytes() == reference_rows(seed, tag, SUBSET_PATHS, shape, method).tobytes()
 
 
 def test_short_rows_of_no_paths():
-    empty = _keyed_rows(3, 9, np.array([], dtype=np.int64), (3,), "standard_normal")
-    assert empty.shape == (0, 3)
+    for shape in [(), (3,), (2, 5)]:
+        empty = _keyed_rows(3, 9, np.array([], dtype=np.int64), shape, "standard_normal")
+        assert empty.shape == (0, *shape)
 
 
-def _numpy_draw(method, word):
-    """numpy's draw of method from a Philox buffer that starts with word, and
-    whether it read that one word only."""
-    bitgen = np.random.Philox(0)
-    state = bitgen.state
-    state["buffer"], state["buffer_pos"] = [word, 1, 2, 3], 0
-    bitgen.state = state
-    x = getattr(np.random.Generator(bitgen), method)()
-    after = bitgen.state
-    # a draw that ran past the buffer refilled it from the next counter
-    return x, after["buffer_pos"] == 1 and not after["state"]["counter"].any()
+def test_subsets_read_the_rows_of_the_full_ensemble_bit_for_bit():
+    # the whole first 5000 paths, past two _PATH_BLOCKs, and the last block
+    last = np.arange((1 << 48) - STREAM_BLOCK, 1 << 48)
+    ensemble = np.concatenate([np.arange(5000), last])
+    full = _keyed_rows(7, 12, ensemble, (3,), "standard_normal")
+    position = {int(p): i for i, p in enumerate(ensemble)}
+    # unsorted, with duplicates, across stream-block and path-block edges
+    subset = np.array(
+        [(1 << 48) - 1, 2049, 255, 256, 2047, 2048, 4999, 255, 4095, 4096, 0, 511, 2049]
+        + [*range(300, 200, -7)]
+        + [(1 << 48) - STREAM_BLOCK, 3000]
+    )
+    rows = _keyed_rows(7, 12, subset, (3,), "standard_normal")
+    assert rows.tobytes() == full[[position[int(p)] for p in subset]].tobytes()
+    # each block in isolation, as a caller that reads one path block does
+    for lo in range(0, 5000, 97):
+        hi = min(lo + 97, 5000)
+        piece = _keyed_rows(7, 12, np.arange(lo, hi), (3,), "standard_normal")
+        assert piece.tobytes() == full[lo:hi].tobytes()
+    assert _keyed_rows(7, 12, subset[:0], (3,), "standard_normal").shape == (0, 3)
 
 
-# (layer shift, mantissa shift, sign bit) of numpy's ziggurat words
-ZIGGURAT_WORDS = {"standard_exponential": (3, 11, 0), "standard_normal": (0, 9, 1 << 8)}
+def test_a_path_draws_one_block_prefix(monkeypatch):
+    # regenerating one path reads its block's fill up to its own row
+    drawn = []
 
+    class Counting(np.random.Generator):
+        def standard_normal(self, *args, out=None, **kwargs):
+            drawn.append(out.shape[0])
+            return super().standard_normal(*args, out=out, **kwargs)
 
-@pytest.mark.parametrize("method", sorted(ZIGGURAT_WORDS))
-def test_ziggurat_words_at_every_layer_and_threshold_match_numpy(method):
-    layer_shift, m_shift, sign = ZIGGURAT_WORDS[method]
-    _, threshold = _ziggurat(method)
-    words = []
-    for layer in range(256):
-        k = int(threshold[layer])
-        # just below, at and just above the threshold; layer 1's is 0
-        for m in [k - 1, k, k + 1] if k else [0, 1]:
-            for s in {0, sign}:
-                words.append((m << m_shift) | s | (layer << layer_shift))
-    x, fast = _draws(np.array(words, dtype=np.uint64), method)
-    for word, xi, fi in zip(words, x, fast):
-        ref, one_word = _numpy_draw(method, word)
-        assert fi == one_word, hex(word)
-        if fi:
-            assert xi == ref and np.signbit(xi) == np.signbit(ref), hex(word)
-    assert 0 < fast.sum() < fast.size
-
-
-def test_random_words_match_numpy_without_rejection():
-    words = np.array([0, 1, (1 << 11) - 1, 1 << 11, (1 << 64) - 1, 0x0123456789ABCDEF], np.uint64)
-    x, fast = _draws(words, "random")
-    assert fast.all()
-    assert [float(v) for v in x] == [_numpy_draw("random", int(w))[0] for w in words]
-
-
-def test_most_short_rows_skip_the_per_path_loop(monkeypatch):
-    looped, loop = [], curvarb.paths._looped_rows
-
-    def counting(key0, key1, shape, method):
-        looped.append(key0.size)
-        return loop(key0, key1, shape, method)
-
-    monkeypatch.setattr(curvarb.paths, "_looped_rows", counting)
-    n = 100_000
-    _keyed_rows(11, 3, np.arange(n), (), "standard_exponential")
-    # a full fallback would loop over all n rows; numpy's fast path misses ~2%
-    assert len(looped) == 1 and 0 < looped[0] <= 0.05 * n
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    _keyed_rows(1, 2, np.array([3 * STREAM_BLOCK + 9]), (4,), "standard_normal")
+    _keyed_rows(1, 2, np.array([5, 700, 1, 600]), (4,), "standard_normal")
+    assert drawn == [10, 6, 189]
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,13 +293,13 @@ def test_most_short_rows_skip_the_per_path_loop(monkeypatch):
     seed=st.integers(0, (1 << 64) - 1),
     tag=st.integers(0, (1 << 16) - 1),
     paths=st.lists(st.integers(0, (1 << 48) - 1), max_size=12),
-    k=st.integers(1, 4),
+    k=st.integers(1, 6),
     method=st.sampled_from(["standard_normal", "standard_exponential", "random"]),
 )
-def test_short_rows_match_path_rng_property(seed, tag, paths, k, method):
+def test_keyed_rows_match_the_block_reference_property(seed, tag, paths, k, method):
     paths = np.array(paths, dtype=np.int64)
     batch = _keyed_rows(seed, tag, paths, (k,), method)
-    assert batch.tobytes() == _path_rng_rows(seed, tag, paths, (k,), method).tobytes()
+    assert batch.tobytes() == reference_rows(seed, tag, paths, (k,), method).tobytes()
 
 
 def test_log_euler_matches_lognormal_closed_form_pathwise():
@@ -763,16 +744,3 @@ def test_only_paths_forms_stream_keys_and_defines_tags():
             with open(os.path.join(src, name)) as fh:
                 offenders += [name] if owned.search(fh.read()) else []
     assert offenders == []
-
-
-def test_philox_takes_keys_and_names_no_tag_path_or_seed():
-    with open(curvarb._philox.__file__) as fh:
-        tree = ast.parse(fh.read())
-    # every argument, and every name the module binds at its top level
-    names = [a.arg for a in ast.walk(tree) if isinstance(a, ast.arg)]
-    for node in tree.body:
-        names += [node.name] if isinstance(node, ast.FunctionDef) else []
-        targets = node.targets if isinstance(node, ast.Assign) else []
-        names += [t.id for t in targets if isinstance(t, ast.Name)]
-    assert "key0" in names and "key1" in names
-    assert [n for n in names if re.search("tag|path|seed", n, re.I)] == []
