@@ -71,7 +71,7 @@ OUTPUT_DIR_ENV = "CURVARB_OUTPUT_DIR"
 
 def _csv(header: list, rows: list) -> str:
     buf = io.StringIO()
-    _write_csv(buf, header, rows)
+    _write_csv(buf, header, zip(*rows))
     return buf.getvalue()
 
 

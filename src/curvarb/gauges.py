@@ -33,6 +33,7 @@ from .paths import (
     TimeGrid,
     _cumulative_trapezoid,
     _mean_se,
+    _path_slices,
     _read_long_csv,
     _symmetric_quotient,
     _write_csv,
@@ -84,7 +85,8 @@ class TermStructureSurface:
             raise ConfigurationError(
                 "term-structure values must have shape (n_paths, n_times, n_offsets)"
             )
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
+        # NaN propagates through min, so it fails the first test
+        if v.size and not (v.min() > 0 and v.max() < np.inf):
             raise ConfigurationError("term-structure prices must be finite and positive")
         if np.any(v[:, :, 0] != 1.0):
             raise ConfigurationError("P(t, t) must equal 1 at offset zero")
@@ -352,29 +354,31 @@ def portfolio_gauge(gauges: list[Gauge], nominals) -> Gauge:
     dx = np.einsum("tj,jpt->pt", x, deflators)
     if np.any(np.abs(dx) <= 1e-300):
         raise SingularTransformError("portfolio deflator vanishes somewhere")
-    weights = x.T[:, None, :] * deflators / dx[None, :, :]  # (N, n_paths, n_times)
     curve_paths = max(g.curve.n_paths for g in gauges)
     if curve_paths not in (1, n_paths):
         raise ConfigurationError("curve path counts are incompatible")
+    shape = (n_paths, grid.n_times, offsets.size)
     logp = np.stack(
-        [
-            np.broadcast_to(
-                np.log(g.curve.values), (curve_paths, grid.n_times, offsets.size)
-            )
-            for g in gauges
-        ]
+        [np.broadcast_to(np.log(g.curve.values), (curve_paths,) + shape[1:]) for g in gauges]
     )
-    w_spread = (
-        float(np.max(np.abs(weights - weights[:, :1, :]))) if n_paths > 1 else 0.0
-    )
-    if curve_paths == 1 and w_spread <= 1e-14:
-        logpx = np.einsum("jt,jth->th", weights[:, 0, :], logp[:, 0])[None, :, :]
+
+    def weights(b: slice) -> np.ndarray:  # (N, paths of b, n_times)
+        return x.T[:, None, :] * deflators[:, b] / dx[None, b]
+
+    # weights, weighted sums and exp one block of paths at a time, into the curve
+    blocks = _path_slices(n_paths)
+    w0 = weights(slice(0, 1))
+    # path-constant weights: no block strays from path 0's by more than 1e-14
+    if curve_paths == 1 and all(np.max(np.abs(weights(b) - w0)) <= 1e-14 for b in blocks):
+        values = np.einsum("jt,jth->th", w0[:, 0], logp[:, 0])[None, :, :]
+        np.exp(values, out=values)
     else:
-        full = np.broadcast_to(
-            logp, (n_assets, n_paths, grid.n_times, offsets.size)
-        )
-        logpx = np.einsum("jpt,jpth->pth", weights, full)
-    values = np.exp(logpx, out=logpx)
+        values = np.empty(shape)
+        full = np.broadcast_to(logp, (n_assets,) + shape)
+        for b in blocks:
+            out = values[b]
+            np.einsum("jpt,jpth->pth", weights(b), full[:, b], out=out)
+            np.exp(out, out=out)
     values[:, :, 0] = 1.0
     curve = TermStructureSurface(grid, offsets, values)
     deflator = PathEnsemble(grid, dx)
@@ -458,13 +462,11 @@ def self_financing_residual(gauges: list[Gauge], strategy) -> SelfFinancingRepor
 
 def write_term_structure_csv(path: str | os.PathLike, curve: TermStructureSurface) -> None:
     """Long format: path, t, s, P with shortest-round-trip floats."""
-    times, offsets = curve.grid.times, curve.offsets
-    rows = (
-        [p, times[i], times[i] + offsets[j], v]
-        for (p, i, j), v in np.ndenumerate(curve.values)
-    )
+    times = curve.grid.times
+    p, i, j = (ix.ravel() for ix in np.indices(curve.values.shape))
+    columns = [p, times[i], times[i] + curve.offsets[j], curve.values.ravel()]
     with open(path, "w", newline="\n") as fh:
-        _write_csv(fh, ["path", "t", "s", "P"], rows)
+        _write_csv(fh, ["path", "t", "s", "P"], columns)
 
 
 def read_term_structure_csv(path: str | os.PathLike) -> TermStructureSurface:

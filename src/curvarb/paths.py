@@ -59,7 +59,8 @@ _N_BINS = 10
 _MIN_BIN = 50
 _MIN_EFFECTIVE = 30.0
 
-# every Ito path family (_ito_blocks) holds this many paths at a time
+# every Ito path family (_ito_blocks), the portfolio curve and the CSV
+# writer hold this many paths (rows) at a time: see _path_slices
 _PATH_BLOCK = 2048
 
 # _se_gate passes a residual within _GATE_SE standard errors by default
@@ -460,12 +461,17 @@ def _integrate(spec: ItoSpec, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
     return x
 
 
+def _path_slices(n: int) -> list:
+    """Slices of at most _PATH_BLOCK consecutive indices that cover range(n)."""
+    return [slice(lo, lo + _PATH_BLOCK) for lo in range(0, n, _PATH_BLOCK)]
+
+
 def _ito_blocks(spec: ItoSpec, grid: TimeGrid, rows: np.ndarray, seed: int, tag: int):
     """(block, paths): each run of at most _PATH_BLOCK path indices of rows and their
     Ito paths of spec on stream tag, bit for bit as in the whole ensemble."""
     k = spec.driver_dim()
-    for lo in range(0, rows.size, _PATH_BLOCK):
-        block = rows[lo : lo + _PATH_BLOCK]
+    for b in _path_slices(rows.size):
+        block = rows[b]
         # left unnamed, the increments are freed before the paths are read
         x = _integrate(spec, grid, _brownian_rows(grid, block, k, seed, tag))
         _check_finite(x, "simulated paths", block)  # names a path by its own index
@@ -475,8 +481,8 @@ def _ito_blocks(spec: ItoSpec, grid: TimeGrid, rows: np.ndarray, seed: int, tag:
 def _ito_rows(spec: ItoSpec, grid: TimeGrid, rows: np.ndarray, seed: int, tag: int):
     """(rows.size, n_times, dim) Ito paths of _ito_blocks in one array."""
     out = np.empty((rows.size, grid.n_times, spec.dim))
-    for i, (_, x) in enumerate(_ito_blocks(spec, grid, rows, seed, tag)):
-        out[i * _PATH_BLOCK : (i + 1) * _PATH_BLOCK] = x
+    for b, (_, x) in zip(_path_slices(rows.size), _ito_blocks(spec, grid, rows, seed, tag)):
+        out[b] = x
     return out
 
 
@@ -775,13 +781,37 @@ def _format_cell(x) -> str:
     return str(x)
 
 
-def _write_csv(fh, header: list, rows) -> None:
-    """Header and rows as CSV with "\\n" line ends; cells go through
-    _format_cell and are quoted, as in RFC 4180, only when they hold a
-    comma, a quote or a line break."""
+def _format_column(column) -> list:
+    """The cells of one CSV column as _format_cell writes them: a float64 or
+    int64 array in one pass (the repr of a Python int is its str), any other
+    sequence cell by cell."""
+    if isinstance(column, np.ndarray) and column.dtype in (np.float64, np.int64):
+        return list(map(repr, column.tolist()))
+    return [_format_cell(x) for x in column]
+
+
+def _write_csv(fh, header: list, columns) -> None:
+    """Header and columns as CSV with "\\n" line ends, _PATH_BLOCK rows at a
+    time; cells are written as _format_cell writes them and are quoted, as in
+    RFC 4180, only when they hold a comma, a quote or a line break."""
+    columns = list(columns)
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_format_cell(x) for x in row] for row in rows)
+    for b in _path_slices(len(columns[0]) if columns else 0):
+        writer.writerows(zip(*(_format_column(col[b]) for col in columns)))
+
+
+def _first_bad_line(rows: list, kinds: tuple, what: str) -> ConfigurationError:
+    """The error naming the first of rows (line 2 on) with the wrong number of
+    cells or a cell that its column's kind does not parse."""
+    for line, r in enumerate(rows, start=2):
+        try:
+            if len(r) != len(kinds):
+                raise ValueError(f"{len(r)} cells, not {len(kinds)}")
+            for kind, x in zip(kinds, r):
+                kind(x)
+        except ValueError as err:
+            return ConfigurationError(f"{what} CSV line {line}: {err}")
 
 
 def _read_long_csv(path, header: list, what: str, kinds: tuple, third: Callable):
@@ -796,15 +826,13 @@ def _read_long_csv(path, header: list, what: str, kinds: tuple, third: Callable)
         raise ConfigurationError(f"unrecognized {what} CSV header")
     if len(rows) == 1:
         raise ConfigurationError(f"{what} CSV has no data rows")
-    parsed = []
-    for line, r in enumerate(rows[1:], start=2):
-        try:
-            if len(r) != len(header):
-                raise ValueError(f"{len(r)} cells, not {len(header)}")
-            parsed.append([kind(x) for kind, x in zip(kinds, r)])
-        except ValueError as err:
-            raise ConfigurationError(f"{what} CSV line {line}: {err}") from None
-    p, t, c, v = (np.array(col) for col in zip(*parsed))
+    data = rows[1:]
+    try:
+        if set(map(len, data)) != {len(header)}:
+            raise ValueError
+        p, t, c, v = (np.array(list(map(kind, col))) for kind, col in zip(kinds, zip(*data)))
+    except ValueError:
+        raise _first_bad_line(data, kinds, what) from None
     k = np.asarray(third(t, c))
     rank = np.unique(k, return_inverse=True)[1]
     for bad, problem in (
@@ -836,10 +864,10 @@ def _read_long_csv(path, header: list, what: str, kinds: tuple, third: Callable)
 
 def write_ensemble_csv(path: str | os.PathLike, ensemble: PathEnsemble) -> None:
     """Long-format CSV (path, t, component, value) for small ensembles."""
-    times = ensemble.grid.times
-    rows = ([p, times[i], j, v] for (p, i, j), v in np.ndenumerate(ensemble.values))
+    p, i, j = (ix.ravel() for ix in np.indices(ensemble.values.shape))
+    columns = [p, ensemble.grid.times[i], j, ensemble.values.ravel()]
     with open(path, "w", newline="\n") as fh:
-        _write_csv(fh, ["path", "t", "component", "value"], rows)
+        _write_csv(fh, ["path", "t", "component", "value"], columns)
 
 
 def read_ensemble_csv(path: str | os.PathLike) -> PathEnsemble:

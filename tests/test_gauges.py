@@ -41,6 +41,7 @@ from curvarb import (
     write_term_structure_csv,
 )
 from curvarb.gauges import TermStructureSurface
+import curvarb.paths
 
 
 def unit_deflator(grid, n_paths=1, value=1.0):
@@ -68,6 +69,16 @@ def test_surface_validation():
     bad[0, 1, 0] = 0.99  # P(t,t) != 1
     with pytest.raises(ConfigurationError):
         TermStructureSurface(grid, np.array([0.0, 1.0]), bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+def test_surface_rejects_a_price_that_is_not_finite_and_positive(bad):
+    grid = TimeGrid.regular(1.0, 2)
+    values = np.full((2, 3, 3), 0.9)
+    values[:, :, 0] = 1.0
+    values[1, 2, 1] = bad
+    with pytest.raises(ConfigurationError, match="prices must be finite and positive"):
+        TermStructureSurface(grid, np.array([0.0, 0.5, 1.0]), values)
 
 
 def test_forward_rates_exact_for_flat_exponential():
@@ -231,6 +242,73 @@ def test_portfolio_with_vanishing_deflator_is_singular():
     grid = TimeGrid.regular(1.0, 2)
     offsets = 0.5 * np.arange(4)
     g = Gauge(unit_deflator(grid), flat_term_structure(grid, 0.01, offsets))
+    with pytest.raises(SingularTransformError):
+        portfolio_gauge([g, g], np.array([1.0, -1.0]))
+
+
+def _one_shot_portfolio(gauges, x):
+    """Portfolio deflator and curve with every path in one einsum: the
+    reference the blocked portfolio_gauge must equal bit for bit."""
+    grid, offsets = gauges[0].grid, gauges[0].curve.offsets
+    x = np.broadcast_to(np.asarray(x, dtype=np.float64), (grid.n_times, len(gauges)))
+    n_paths = max(g.n_paths for g in gauges)
+    d = np.stack([np.broadcast_to(g.deflator.series, (n_paths, grid.n_times)) for g in gauges])
+    dx = np.einsum("tj,jpt->pt", x, d)
+    w = x.T[:, None, :] * d / dx[None, :, :]
+    curve_paths = max(g.curve.n_paths for g in gauges)
+    shape = (curve_paths, grid.n_times, offsets.size)
+    logp = np.stack([np.broadcast_to(np.log(g.curve.values), shape) for g in gauges])
+    if curve_paths == 1 and np.max(np.abs(w - w[:, :1, :])) <= 1e-14:
+        logpx = np.einsum("jt,jth->th", w[:, 0, :], logp[:, 0])[None, :, :]
+    else:
+        full = np.broadcast_to(logp, (len(gauges), n_paths, grid.n_times, offsets.size))
+        logpx = np.einsum("jpt,jpth->pth", w, full)
+    values = np.exp(logpx)
+    values[:, :, 0] = 1.0
+    return dx, values
+
+
+def _portfolio_case(case):
+    grid = TimeGrid.regular(2.0, 6)
+    offsets = 0.25 * np.arange(5)
+    rng = np.random.default_rng(9)
+    n_paths = 10
+
+    def curve(paths):
+        forwards = 0.01 + 0.05 * rng.random((paths, grid.n_times, offsets.size))
+        return term_structure_from_forwards(grid, offsets, forwards)
+
+    def deflator(constant):
+        d = rng.uniform(0.5, 2.0, size=(1 if constant else n_paths, grid.n_times, 1))
+        return PathEnsemble(grid, np.broadcast_to(d, (n_paths, grid.n_times, 1)))
+
+    if case == "shared-curves":
+        return [Gauge(deflator(False), curve(1)) for _ in range(3)], np.array([0.5, 1.5, -0.3])
+    if case == "time-varying-nominals":
+        nominals = rng.uniform(0.2, 1.0, size=(grid.n_times, 3))
+        return [Gauge(deflator(False), curve(n_paths)) for _ in range(3)], nominals
+    # path-constant weights on shared curves: the portfolio curve has one row
+    return [Gauge(deflator(True), curve(1)) for _ in range(3)], np.array([0.4, 0.6, 1.0])
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("case", ["shared-curves", "time-varying-nominals", "path-constant"])
+def test_portfolio_blocks_equal_the_one_shot_einsum(monkeypatch, case, block):
+    gauges, nominals = _portfolio_case(case)
+    dx, values = _one_shot_portfolio(gauges, nominals)
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", block)
+    port = portfolio_gauge(gauges, nominals)
+    assert port.curve.values.shape == values.shape
+    assert port.curve.values.shape[0] == (1 if case == "path-constant" else 10)
+    assert port.curve.values.tobytes() == values.tobytes()
+    assert port.deflator.series.tobytes() == dx.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_blocked_portfolio_with_vanishing_deflator_is_singular(monkeypatch, block):
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", block)
+    grid = TimeGrid.regular(1.0, 2)
+    g = Gauge(unit_deflator(grid, n_paths=10), flat_term_structure(grid, 0.01, 0.5 * np.arange(4)))
     with pytest.raises(SingularTransformError):
         portfolio_gauge([g, g], np.array([1.0, -1.0]))
 

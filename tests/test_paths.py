@@ -6,11 +6,14 @@ conditional expectations for difference quotients of Brownian motion
 (E[(W_t - W_{t-h})/h | W_t = q] = q/t for any step h).
 """
 
+import csv
 import hashlib
+import io
 import os
 import re
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from curvarb import (
     ItoSpec,
     NumericalError,
     PathEnsemble,
+    TermStructureSurface,
     TimeGrid,
     martingale_residual,
     nelson_derivative,
@@ -36,6 +40,7 @@ from curvarb import (
     simulate_ito,
     write_ensemble,
     write_ensemble_csv,
+    write_term_structure_csv,
 )
 from curvarb.credit import IntensityModel, LGDProcess, StructuralModel, _hazard_paths
 from curvarb.curvature import novikov_sharpe
@@ -52,7 +57,9 @@ from curvarb.paths import (
     TAG_NOVIKOV_DRIVER,
     TAG_SHARPE,
     _STREAM_BLOCK,
+    _PATH_BLOCK,
     _cumulative_trapezoid,
+    _format_cell,
     _integrate,
     _ito_blocks,
     _ito_rows,
@@ -597,8 +604,14 @@ _CSV_ROWS = ["0,0.0,0,0.0", "0,0.0,1,0.0", "0,1.0,0,0.5", "0,1.0,1,-0.5"]
         ({1: "0,0.0,2,0.0", 3: "0,1.0,2,-0.5"}, "line 3: gap in the component numbers"),
         ({3: "0,1.0,0,0.7"}, "line 5: repeated (path, t, component) cell"),
         ({3: None}, "missing cells, first at path 0, t 1.0, component index 1"),
+        # columns are parsed whole, path column first, yet the first bad line is named
+        ({1: "0,0.0,1,zero", 3: "x,1.0,1,-0.5"}, "line 3: could not convert string to float: 'zero'"),
+        ({1: "0,0.0,1,zero", 3: "0,1.0,1"}, "line 3: could not convert string to float: 'zero'"),
     ],
-    ids=["non-numeric", "short", "negative", "gap", "duplicate", "missing"],
+    ids=[
+        "non-numeric", "short", "negative", "gap", "duplicate", "missing",
+        "bad-value-before-bad-path", "non-numeric-before-short",
+    ],
 )
 def test_csv_reader_names_what_is_malformed(tmp_path, edits, message):
     rows = [edits.get(i, row) for i, row in enumerate(_CSV_ROWS)]
@@ -606,6 +619,81 @@ def test_csv_reader_names_what_is_malformed(tmp_path, edits, message):
     target.write_text(_CSV_HEADER + "".join(f"{row}\n" for row in rows if row is not None))
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         read_ensemble_csv(target)
+
+
+def _cell_by_cell(header: list, rows) -> str:
+    """The CSV text of rows written one cell at a time through _format_cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_cell(x) for x in row] for row in rows)
+    return buf.getvalue()
+
+
+def _ensemble_rows(ens):
+    return ([p, ens.grid.times[i], j, v] for (p, i, j), v in np.ndenumerate(ens.values))
+
+
+def _curve_rows(curve):
+    times, offsets = curve.grid.times, curve.offsets
+    return (
+        [p, times[i], times[i] + offsets[j], v] for (p, i, j), v in np.ndenumerate(curve.values)
+    )
+
+
+# each format's writer, header and rows built cell by cell
+_FORMATS = {
+    "ensemble": (write_ensemble_csv, ["path", "t", "component", "value"], _ensemble_rows),
+    "curve": (write_term_structure_csv, ["path", "t", "s", "P"], _curve_rows),
+}
+# signed zeros, subnormals and the ends of the double range
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e300, -1e300, 0.1, 1 / 3]
+
+
+def _writer_matches_cell_by_cell(name: str, obj) -> None:
+    write, header, rows = _FORMATS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "out.csv")
+        write(target, obj)
+        with open(target, newline="") as fh:
+            text = fh.read()
+    assert text == _cell_by_cell(header, rows(obj))
+
+
+@st.composite
+def _csv_objects(draw):
+    """An ensemble or a term structure; its row count falls anywhere around
+    the edges of the writer's chunks."""
+    grid = draw(_grids)
+    n_paths = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        shape = (n_paths, grid.n_times, draw(st.integers(1, 3)))
+        cells = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+        return "ensemble", PathEnsemble(grid, draw(arrays(np.float64, shape, elements=cells)))
+    h = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4, unique=True))
+    offsets = np.array([0.0, *sorted(h)])
+    shape = (n_paths, grid.n_times, offsets.size)
+    positive = [x for x in _EDGE_FLOATS if x > 0]
+    cells = st.sampled_from(positive) | st.floats(5e-324, 1e300)
+    values = draw(arrays(np.float64, shape, elements=cells))
+    values[:, :, 0] = 1.0
+    return "curve", TermStructureSurface(grid, offsets, values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_csv_objects(), st.integers(1, 12))
+def test_csv_writers_match_the_cell_by_cell_rows(obj, chunk):
+    with mock.patch.object(curvarb.paths, "_PATH_BLOCK", chunk):
+        _writer_matches_cell_by_cell(*obj)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_csv_writer_at_the_chunk_edge(extra):
+    # two rows per path: _PATH_BLOCK // 2 paths fill one chunk exactly
+    grid = TimeGrid(np.array([0.0, 0.5]))
+    n_paths = _PATH_BLOCK // 2 + extra
+    values = np.resize(np.array(_EDGE_FLOATS), (n_paths, 2, 1))
+    _writer_matches_cell_by_cell("ensemble", PathEnsemble(grid, values))
 
 
 def test_truncated_binary_rejected(tmp_path):
