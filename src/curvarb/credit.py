@@ -21,6 +21,7 @@ vanishes.  See thm1_residuals for the details.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -101,7 +102,7 @@ class IntensityModel:
             vals = np.array([float(self.lam(t)) for t in times])
         else:
             vals = np.full(times.size, float(self.lam))
-        if np.any(vals < 0):
+        if not np.all(vals >= 0):  # NaN fails too
             raise ConfigurationError("hazard rates must be nonnegative")
         return vals[None, :]
 
@@ -263,17 +264,28 @@ def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
 def _intensity_default_times(
     cum: np.ndarray, times: np.ndarray, thresholds: np.ndarray
 ) -> np.ndarray:
-    c = np.broadcast_to(cum, (thresholds.size, times.size))
-    crossed = c >= thresholds[:, None]
-    has = crossed.any(axis=1)
-    idx = np.argmax(crossed, axis=1)
-    tau = np.full(thresholds.size, np.inf)
-    i1 = idx[has]
+    """Each path's first node i1 where the cumulative hazard reaches its
+    threshold, interpolated back into [times[i1 - 1], times[i1]]; inf if none.
+
+    One row of cum (a deterministic hazard) is nondecreasing, since the hazard
+    is nonnegative, so one searchsorted finds every first crossing; per-path
+    rows are compared in full.
+    """
+    if cum.shape[0] == 1:
+        i1 = np.searchsorted(cum[0], thresholds, side="left")
+        has = i1 < times.size
+        i1 = i1[has]
+        c0, c1 = cum[0, i1 - 1], cum[0, i1]
+    else:
+        crossed = cum >= thresholds[:, None]
+        has = crossed.any(axis=1)
+        rows = np.nonzero(has)[0]
+        i1 = np.argmax(crossed[rows], axis=1)
+        c0, c1 = cum[rows, i1 - 1], cum[rows, i1]
     i0 = i1 - 1
-    rows = np.nonzero(has)[0]
-    c0 = c[rows, i0]
-    dc = c[rows, i1] - c0
+    dc = c1 - c0
     frac = np.where(dc > 0, (thresholds[has] - c0) / np.where(dc > 0, dc, 1.0), 1.0)
+    tau = np.full(thresholds.size, np.inf)
     tau[has] = times[i0] + frac * (times[i1] - times[i0])
     return tau
 
@@ -560,21 +572,47 @@ class CreditMarket:
 
     gov_rates / corp_rates hold the instantaneous short-rate curves the market
     was constructed with; thm1_residuals reads its spread off them.
+
+    The corporate gauge corp pairs corp_curve with corp_deflator when one is
+    supplied.  Otherwise its deflator is 1 - deflator_lgd * 1{t >= tau} on the
+    default times, built on the first read of corp and then kept.  deflator_lgd
+    is the LGD the market was built with; replacing lgd does not change it.
     """
 
     gov: Gauge
-    corp: Gauge
+    corp_curve: TermStructureSurface
     lgd: LGDProcess
+    deflator_lgd: float
     beta: PathEnsemble
     defaults: DefaultSample
     corp_predefault: PathEnsemble
     gov_rates: np.ndarray
     corp_rates: np.ndarray
     seed: int = 0
+    corp_deflator: PathEnsemble | None = None
 
     @property
     def grid(self) -> TimeGrid:
         return self.gov.grid
+
+    @cached_property
+    def corp(self) -> Gauge:
+        deflator = self.corp_deflator
+        if deflator is None:
+            times, tau = self.grid.times, self.defaults.tau
+            defl = np.where(times[None, :] >= tau[:, None], 1.0 - self.deflator_lgd, 1.0)
+            deflator = PathEnsemble(self.grid, defl)
+        return Gauge(deflator, self.corp_curve, label="corp")
+
+
+def _corp_column(market: CreditMarket, i: int) -> np.ndarray:
+    """(n_paths,) corporate deflator at grid node i: from tau, without the
+    whole deflator, unless one was supplied."""
+    if market.corp_deflator is None:
+        tau = market.defaults.tau
+        return np.where(market.grid.times[i] >= tau, 1.0 - market.deflator_lgd, 1.0)
+    d = market.corp.deflator.series
+    return np.broadcast_to(d, (market.defaults.n_paths, market.grid.n_times))[:, i]
 
 
 def realized_lgd_at_default(market: CreditMarket) -> np.ndarray:
@@ -607,7 +645,7 @@ def corporate_bond_price(
 
     With terminal normalization the payoff is 1 - LGD_tau on default before s
     and 1 otherwise, averaged over paths alive at t.  With "deflator"
-    normalization the payoff is the stored corporate deflator at s over its
+    normalization the payoff is the corporate deflator at s over its
     value at t, which prices the bond off the market's own bookkeeping; on a
     consistently built market the two agree path by path.
     """
@@ -621,12 +659,11 @@ def corporate_bond_price(
         hit = (sample.tau > t) & (sample.tau <= s)
         payoff = np.ones(sample.n_paths)
         payoff[hit] = 1.0 - lgd[hit]
+        vals = payoff[alive]
     else:
-        d = market.corp.deflator.series
-        d = np.broadcast_to(d, (sample.n_paths, market.grid.n_times))
+        # alive paths only: a path dead at t holds a zero deflator under LGD 1
         i_t, i_s = market.grid.index_of(t), market.grid.index_of(s)
-        payoff = d[:, i_s] / d[:, i_t]
-    vals = payoff[alive]
+        vals = _corp_column(market, i_s)[alive] / _corp_column(market, i_t)[alive]
     return BondPrice(float(vals.mean()), float(_mean_se(vals)), n_alive)
 
 
@@ -726,7 +763,8 @@ def build_thm1_market(
 
     The government bond is default-free with flat rate gov_rate and unit
     deflator, so the kernel is beta_t = exp(-gov_rate t).  The corporate
-    deflator is 1 - LGD X_t and the corporate surface is the kernel price
+    deflator is 1 - LGD X_t, derived from the default times when read (see
+    CreditMarket), and the corporate surface is the kernel price
 
         P_Corp(t, t+h) = e^{-gov_rate h} (1 - LGD (1 - e^{-int lambda})),
 
@@ -748,16 +786,15 @@ def build_thm1_market(
     )
     ones = np.ones((1, times.size))
     gov = Gauge(PathEnsemble(grid, ones), gov_curve, label="gov")
-    defl = np.where(times[None, :] >= sample.tau[:, None], 1.0 - lgd_value, 1.0)
-    corp = Gauge(PathEnsemble(grid, defl), corp_curve, label="corp")
     beta = PathEnsemble(grid, beta)
     lam_t = model.hazard_values(times)[0]
     corp_rates = gov_rate + lgd_value * lam_t + spread_shift
     gov_rates = np.full(times.size, gov_rate)
     return CreditMarket(
         gov=gov,
-        corp=corp,
+        corp_curve=corp_curve,
         lgd=lgd,
+        deflator_lgd=lgd_value,
         beta=beta,
         defaults=sample,
         corp_predefault=PathEnsemble(grid, ones),
@@ -872,12 +909,10 @@ def thm1_residuals(
         p_hat, p_se = _share(sample.tau[alive] <= s)
         surv_hat = 1.0 - p_hat
         i_t = grid.index_of(t)
-        p_corp = float(market.corp.curve.price(t, s).mean())
+        p_corp = float(market.corp_curve.price(t, s).mean())
         p_gov = float(market.gov.curve.price(t, s).mean())
-        d_corp, d_gov = (
-            float(np.broadcast_to(g.deflator.series, shape)[alive, i_t].mean())
-            for g in (market.corp, market.gov)
-        )
+        d_corp = float(_corp_column(market, i_t)[alive].mean())
+        d_gov = float(np.broadcast_to(market.gov.deflator.series, shape)[alive, i_t].mean())
         lgd_t = float(market.lgd.deterministic_at(t))
         b_t = float(beta[i_t])
         lhs = p_corp * d_corp - p_gov * d_gov

@@ -17,6 +17,7 @@ Gaussian-kernel local regression over the cross-section of paths.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 import os
@@ -97,10 +98,18 @@ def _cumulative_trapezoid(y: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only n-point Gauss-Legendre rule on [-1, 1], solved once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_legendre(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [a, b]; a and b may be
     arrays shaped to broadcast against the trailing node axis."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

@@ -26,8 +26,9 @@ from curvarb.credit import (
     simulate_default,
     thm1_residuals,
 )
-from curvarb.credit import _hazard_paths, _interp_rows
+from curvarb.credit import _corp_column, _hazard_paths, _intensity_default_times, _interp_rows
 from curvarb.errors import ConfigurationError, DomainError, EstimationError, NumericalError
+from curvarb.novikov import capped_lgd_driver
 from curvarb.paths import (
     TAG_BRIDGE,
     TAG_DRIVER,
@@ -529,14 +530,149 @@ def test_credit_gauge_reads_the_node_where_the_deflator_jumps():
     times = market.grid.times
     tau = market.defaults.tau.copy()
     tau[np.argmax(market.defaults.defaulted())] = times[8] + 1e-13  # just after a node
-    # the corporate deflator as build_thm1_market writes it: it jumps at times >= tau
+    # the corporate deflator as build_thm1_market derives it: it jumps at times >= tau
     defl = np.where(times[None, :] >= tau[:, None], 1.0 - 0.4, 1.0)
     moved = replace(
         market,
         defaults=replace(market.defaults, tau=tau),
-        corp=replace(market.corp, deflator=PathEnsemble(market.grid, defl)),
+        corp_deflator=PathEnsemble(market.grid, defl),
     )
     assert credit_gauge(moved).jump_deviation <= 1e-12
+
+
+def _stored_deflator(market, lgd_value):
+    """The (n, n_times) corporate deflator as build_thm1_market once stored it."""
+    times, tau = market.grid.times, market.defaults.tau
+    return np.where(times[None, :] >= tau[:, None], 1.0 - lgd_value, 1.0)
+
+
+def _market_with_edge_defaults(lgd_value):
+    """A small market with one default exactly on a node, one just after it
+    and one path that never defaults."""
+    market = build_thm1_market(0.05, lgd_value, horizon=10.0, steps=40, n_paths=2000, seed=3)
+    times = market.grid.times
+    tau = market.defaults.tau.copy()
+    tau[:3] = times[8], times[8] + 1e-13, np.inf
+    return replace(market, defaults=replace(market.defaults, tau=tau))
+
+
+@pytest.mark.parametrize("lgd_value", [0.0, 0.4, 1.0])
+def test_derived_corp_deflator_equals_the_stored_array(lgd_value):
+    market = _market_with_edge_defaults(lgd_value)
+    stored = _stored_deflator(market, lgd_value)
+    assert np.isfinite(market.defaults.tau).sum() > 100
+    for i in range(market.grid.n_times):
+        assert _corp_column(market, i).tobytes() == stored[:, i].tobytes()
+    assert market.corp.deflator.series.tobytes() == stored.tobytes()
+    assert market.corp is market.corp  # built once, then kept
+    assert market.corp.curve is market.corp_curve
+
+
+def test_replacing_the_lgd_keeps_the_construction_deflator():
+    market = build_thm1_market(0.05, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=3)
+    linked = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(0.1)))
+    stored = _stored_deflator(market, 0.4)
+    assert linked.corp.deflator.series.tobytes() == stored.tobytes()
+    assert _corp_column(linked, 40).tobytes() == stored[:, 40].tobytes()
+
+
+@pytest.mark.parametrize("lgd_value", [0.0, 0.4, 1.0])
+def test_column_readers_match_the_stored_deflator_route(lgd_value):
+    market = _market_with_edge_defaults(lgd_value)
+    supplied = replace(market, corp_deflator=PathEnsemble(market.grid, _stored_deflator(market, lgd_value)))
+    pairs = [(0.0, 5.0), (2.0, 4.0), (2.5, 5.0)]  # t = 2.0 is the node of the edge defaults
+    for source in ("model", "simulated"):
+        derived = thm1_residuals(market, pairs, lambda_source=source)
+        stored = thm1_residuals(supplied, pairs, lambda_source=source)
+        assert derived.rows_ii == stored.rows_ii
+        assert derived.rows_iii == stored.rows_iii
+    for t, s in pairs:
+        for normalization in ("terminal", "deflator"):
+            assert vars(corporate_bond_price(market, t, s, normalization)) == vars(
+                corporate_bond_price(supplied, t, s, normalization)
+            )
+
+
+def test_a_supplied_corp_deflator_is_read():
+    market = build_thm1_market(0.05, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=3)
+    defl = _stored_deflator(market, 0.4)
+    defl[:, 20:] *= np.linspace(1.0, 2.0, market.defaults.n_paths)[:, None]
+    supplied = replace(market, corp_deflator=PathEnsemble(market.grid, defl))
+    assert supplied.corp.deflator.series.tobytes() == defl.tobytes()
+    alive = market.defaults.tau > 5.0
+    expected = (defl[:, 40] / defl[:, 20])[alive]
+    assert corporate_bond_price(supplied, 5.0, 10.0, "deflator").value == expected.mean()
+    row = thm1_residuals(supplied, [(5.0, 10.0)]).rows_iii[0]
+    assert row["general"] != thm1_residuals(market, [(5.0, 10.0)]).rows_iii[0]["general"]
+
+
+def test_column_readers_hold_less_than_one_deflator_array():
+    n = 100_000
+    flow_pairs = [(0.0, 5.0), (1.0, 3.0), (2.0, 7.0)]
+
+    def flow(n_paths):
+        market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=n_paths, seed=11)
+        thm1_residuals(market, flow_pairs, lambda_source="simulated", window=1.0)
+        corporate_bond_price(market, 0.0, 5.0)
+        corporate_bond_price(market, 1.0, 4.0)
+
+    flow(100)  # lazy imports happen outside the count
+    # one (n, n_times) float64 corporate deflator is 32.8 MB
+    assert _traced_peak(lambda: flow(n)) < n * 41 * 8 / 3
+
+
+def _broadcast_default_times(cum, times, thresholds):
+    """The first crossing by a full (n, n_times) compare, as for per-path hazards."""
+    c = np.broadcast_to(cum, (thresholds.size, times.size))
+    crossed = c >= thresholds[:, None]
+    has = crossed.any(axis=1)
+    idx = np.argmax(crossed, axis=1)
+    tau = np.full(thresholds.size, np.inf)
+    i1 = idx[has]
+    i0 = i1 - 1
+    rows = np.nonzero(has)[0]
+    c0 = c[rows, i0]
+    dc = c[rows, i1] - c0
+    frac = np.where(dc > 0, (thresholds[has] - c0) / np.where(dc > 0, dc, 1.0), 1.0)
+    tau[has] = times[i0] + frac * (times[i1] - times[i0])
+    return tau
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        lambda t: 0.3 * (t < 2.0) + 0.5 * (t > 3.0),  # a zero-hazard stretch: dc = 0 there
+        lambda t: 0.0,
+        lambda t: 0.02 + 0.01 * t,
+    ],
+    ids=["zero_stretch", "all_zero", "linear"],
+)
+def test_one_row_default_times_equal_the_broadcast_route(lam):
+    grid = TimeGrid.regular(5.0, 20)
+    lam_row, cum = _hazard_paths(IntensityModel(lam), grid, 1, 0)
+    assert cum.shape == (1, grid.n_times)
+    thresholds = np.concatenate(
+        [
+            cum[0],  # every node's cumulative hazard, the first crossing exactly on it
+            cum[0, -1] + np.array([1e-12, 0.5, 40.0]),  # past the last node: no default
+            reference_rows(7, TAG_EXP, range(2000), (), "standard_exponential"),
+        ]
+    )
+    one_row = _intensity_default_times(cum, grid.times, thresholds)
+    broadcast = _broadcast_default_times(cum, grid.times, thresholds)
+    per_path = _intensity_default_times(
+        np.repeat(cum, thresholds.size, axis=0), grid.times, thresholds
+    )
+    assert one_row.tobytes() == broadcast.tobytes()
+    assert per_path.tobytes() == broadcast.tobytes()
+    assert np.isinf(one_row[grid.n_times : grid.n_times + 3]).all()
+    if not lam_row.any():
+        assert np.isinf(one_row[grid.n_times :]).all()
+
+
+def test_a_hazard_that_is_not_a_number_is_rejected():
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        IntensityModel(lambda t: np.nan).hazard_values(np.linspace(0.0, 1.0, 5))
 
 
 def test_stochastic_lgd_draws_the_defaulted_rows_only():

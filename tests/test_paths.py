@@ -60,10 +60,12 @@ from curvarb.paths import (
     _PATH_BLOCK,
     _cumulative_trapezoid,
     _format_cell,
+    _gauss_legendre,
     _integrate,
     _ito_blocks,
     _ito_rows,
     _keyed_rows,
+    _legendre_rule,
 )
 
 
@@ -375,6 +377,22 @@ def test_cumulative_trapezoid_holds_one_temporary_and_is_bit_equal():
     np.cumsum(0.5 * (y[:, 1:] + y[:, :-1]) * steps, axis=-1, out=ref[:, 1:])
     assert out.tobytes() == ref.tobytes()
     assert peak <= 2.2 * out.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 8, 24, 64])
+def test_gauss_legendre_rule_is_solved_once_and_read_only(n):
+    x, w = _legendre_rule(n)
+    fresh_x, fresh_w = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == fresh_x.tobytes() and w.tobytes() == fresh_w.tobytes()
+    assert _legendre_rule(n)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # callers get new, writable nodes and weights on their interval
+    nodes, weights = _gauss_legendre(1.0, 3.0, n)
+    assert nodes.tobytes() == (2.0 + 1.0 * fresh_x).tobytes()
+    assert weights.tobytes() == (1.0 * fresh_w).tobytes()
+    nodes[0] = weights[0] = 0.0
 
 
 def test_ito_output_carries_no_increments_and_cannot_drive():
