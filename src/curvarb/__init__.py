@@ -2,8 +2,8 @@
 
 The package is organized around six modules:
 
-- paths: seeded path ensembles, Ito simulation, stochastic-derivative and
-  martingale estimators.
+- paths: seeded path ensembles, Ito simulation, the stochastic-derivative
+  estimator, conditional bin tables and interchange formats.
 - gauges: deflator/term-structure pairs, cashflow-vector transforms, portfolio
   aggregation, numeraire changes.
 - curvature: arbitrage curvature reports, zero-curvature residuals, pricing
@@ -42,18 +42,14 @@ from .gauges import (
     write_term_structure_csv,
 )
 from .paths import (
-    CovariationResult,
     ItoSpec,
-    MartingaleResidual,
     NelsonEstimator,
     PathEnsemble,
     TimeGrid,
     conditional_bin_table,
-    martingale_residual,
     nelson_derivative,
     read_ensemble,
     read_ensemble_csv,
-    realized_covariation,
     simulate_brownian,
     simulate_ito,
     write_ensemble,
@@ -64,7 +60,6 @@ from .credit import (
     CreditGauge,
     CreditMarket,
     DefaultSample,
-    ImpliedIntensity,
     IntensityModel,
     LGDProcess,
     ProbabilityEstimate,
@@ -75,8 +70,6 @@ from .credit import (
     cox_uniformity,
     credit_gauge,
     default_probability,
-    implied_intensity,
-    nelson_default_derivative,
     realized_lgd_at_default,
     simulate_default,
     thm1_residuals,
@@ -85,7 +78,6 @@ from .curvature import (
     CurvatureReport,
     KernelCheckReport,
     ZCReport,
-    covariation_rates,
     curvature_components,
     kernel_check,
     novikov_sharpe,

@@ -55,14 +55,11 @@ __all__ = [
     "CreditMarket",
     "CreditGauge",
     "ProbabilityEstimate",
-    "ImpliedIntensity",
     "BondPrice",
     "Thm1Report",
     "simulate_default",
     "cox_uniformity",
     "default_probability",
-    "implied_intensity",
-    "nelson_default_derivative",
     "corporate_bond_price",
     "credit_gauge",
     "thm1_residuals",
@@ -228,8 +225,7 @@ def _check_sampled(sample: DefaultSample, s: float) -> None:
 
 
 def _share(hit: np.ndarray):
-    """Share of the paths in hit (a boolean array) and its binomial SE; the SE stays a numpy
-    scalar, since implied_intensity squares it and Python's float ** 2 may round otherwise."""
+    """Share of the paths in hit (a boolean array) and its binomial SE."""
     p = float(hit.mean())
     return p, np.sqrt(p * (1 - p) / hit.size)
 
@@ -384,7 +380,7 @@ def cox_uniformity(sample: DefaultSample) -> tuple[float, float, int]:
 
 
 # ---------------------------------------------------------------------------
-# Default probabilities and hazard recovery
+# Default probabilities
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,128 +434,6 @@ def default_probability(
         p, se = _share(sample.tau[alive] <= s)
         return ProbabilityEstimate(p, float(se), n_alive)
     raise ConfigurationError(f"unknown default model {type(model).__name__}")
-
-
-@dataclass(frozen=True, eq=False)
-class ImpliedIntensity:
-    """Short-horizon hazard implied by conditional default probabilities."""
-
-    lambda0: float
-    se: float
-    dt: np.ndarray
-    lambda_dt: np.ndarray
-    lambda_dt_se: np.ndarray
-    degenerate: bool
-
-
-def implied_intensity(
-    model,
-    t: float,
-    dt_seq,
-    n_paths: int = 100_000,
-    seed: int = 0,
-    steps_per_unit: int = 400,
-    observation_times: np.ndarray | None = None,
-) -> ImpliedIntensity:
-    """Recover the hazard -d/ds log(1 - p(t, s)) at s -> t+.
-
-    The conditional default probability is estimated at t + dt for each dt in
-    dt_seq, converted to a per-dt hazard, and extrapolated linearly in dt to
-    dt = 0 (first-order Richardson).  For structural models observed only at
-    observation_times, conditioning uses the observed information: survival
-    means "above the barrier at every observation node <= t", which leaves
-    default-state uncertainty between observations and a strictly positive
-    implied hazard there.  A structural default state at a query date is the
-    equity at or below the barrier at that node (the level law), whereas
-    simulate_default and default_probability use first passage; the two give
-    different hazards (README "Fixed settings").
-
-    A vanishing estimated probability at some dt marks the result degenerate
-    (the hazard collapses to zero faster than any power, as for a fully
-    observed structural model strictly above its barrier).
-    """
-    dt_seq = np.sort(np.asarray(dt_seq, dtype=np.float64))
-    if dt_seq.size < 2 or np.any(dt_seq <= 0):
-        raise ConfigurationError("need at least two positive dt values")
-    horizon = t + float(dt_seq[-1])
-    steps = max(8, int(round(horizon * steps_per_unit)))
-    grid = TimeGrid.regular(horizon, steps)
-    dates = np.concatenate([[t], t + dt_seq])
-    cols = [grid.index_of(x) for x in dates]  # all query dates must be nodes
-    # event[path, j]: in the default state at dates[j]
-    if isinstance(model, StructuralModel):
-        if observation_times is None:
-            watch = slice(0, cols[0] + 1)
-        else:
-            watch = [grid.index_of(x) for x in observation_times if x <= t + 1e-12]
-            if not watch:
-                raise ConfigurationError("no observation times at or before t")
-        b = model.barrier
-        alive = np.empty(n_paths, dtype=bool)
-        event = np.empty((n_paths, dates.size), dtype=bool)
-        for rows, e in _ito_blocks(model.equity, grid, np.arange(n_paths), seed, TAG_DRIVER):
-            alive[rows] = np.all(e[:, watch, 0] > b, axis=1)
-            event[rows] = e[:, cols, 0] <= b
-    else:
-        sample = simulate_default(model, grid, n_paths, seed)  # rejects unknown models
-        alive = sample.survivors_at(t)
-        event = sample.tau[:, None] <= dates[None, :]
-    n_alive = int(alive.sum())
-    if n_alive < 100:
-        raise EstimationError(
-            "too few conditioning paths", diagnostics={"alive": n_alive}
-        )
-    event = event[alive]
-    # baseline default-state mass at t itself; nonzero under coarse observation
-    p0, p0_se = _share(event[:, 0]) if t > 0 else (0.0, 0.0)
-    lam_dt = np.empty(dt_seq.size)
-    lam_se = np.empty(dt_seq.size)
-    degenerate = False
-    for j, dt in enumerate(dt_seq):
-        p, pse = _share(event[:, j + 1])
-        if p <= p0:
-            degenerate = True
-            lam_dt[j] = 0.0
-            lam_se[j] = 0.0
-            continue
-        lam_dt[j] = -(np.log1p(-p) - np.log1p(-p0)) / dt
-        lam_se[j] = np.sqrt((pse / (1 - p)) ** 2 + (p0_se / (1 - p0)) ** 2) / dt
-    if degenerate:
-        return ImpliedIntensity(0.0, 0.0, dt_seq, lam_dt, lam_se, True)
-    # weighted linear fit lambda(dt) = lambda0 + c dt
-    w = 1.0 / np.maximum(lam_se, 1e-300) ** 2
-    x = np.stack([np.ones_like(dt_seq), dt_seq], axis=1)
-    cov = np.linalg.inv(x.T @ (x * w[:, None]))
-    coef = cov @ (x.T @ (w * lam_dt))
-    return ImpliedIntensity(
-        float(coef[0]), float(np.sqrt(cov[0, 0])), dt_seq, lam_dt, lam_se, False
-    )
-
-
-def nelson_default_derivative(
-    model,
-    t: float,
-    h: float,
-    n_paths: int = 100_000,
-    seed: int = 0,
-    steps_per_unit: int = 200,
-) -> tuple[float, float]:
-    """Forward difference quotient of the default indicator on survivors.
-
-    Returns (estimate, standard error).  For intensity models the estimate
-    approaches the hazard at t; far above a structural barrier it collapses
-    to zero.  On the defaulted set the indicator is frozen at one, so the
-    quotient there is identically zero and is not returned.
-    """
-    horizon = t + h
-    steps = max(4, int(round(horizon * steps_per_unit)))
-    grid = TimeGrid.regular(horizon, steps)
-    if t > 0:
-        grid.index_of(t)
-    sample = simulate_default(model, grid, n_paths, seed)
-    alive, _ = _survivors(sample, t, 100, "too few survivors at t")
-    p, se = _share(sample.tau[alive] <= t + h)
-    return p / h, float(se / h)
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,13 @@ from .novikov import NovikovEstimate, _exp_moment
 from .paths import (
     TAG_SHARPE,
     ItoSpec,
-    PathEnsemble,
     TimeGrid,
     _ito_rows,
     _kernel_on_grid,
     _mean_se,
     _se_gate,
     _symmetric_quotient,
-    _worst_bin,
+    conditional_bin_table,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "curvature_components",
     "ZCReport",
     "zc_residual",
-    "covariation_rates",
     "novikov_sharpe",
     "KernelCheckReport",
     "kernel_check",
@@ -278,31 +276,6 @@ def zc_residual(
     return ZCReport(times, residual, threshold, mpr, passed)
 
 
-def covariation_rates(
-    sigma_paths: np.ndarray, driver: PathEnsemble
-) -> tuple[np.ndarray, np.ndarray]:
-    """Realized covariation rate of volatility rows with the driver.
-
-    sigma_paths has shape (n_paths, n_times, n_assets, k) holding the
-    volatility actually realized along each path; the returned per-interval
-    rates (n_times - 1, n_assets) estimate sum_k d<sigma_jk, W_k>/dt with
-    their cross-path standard errors.
-    """
-    sig = np.asarray(sigma_paths, dtype=np.float64)
-    if sig.ndim != 4:
-        raise ConfigurationError("sigma_paths must be (paths, times, assets, k)")
-    n, t, _, k = sig.shape
-    if driver.n_paths != n or driver.n_times != t or driver.dim != k:
-        raise ConfigurationError("driver shape does not match sigma_paths")
-    dw = np.diff(driver.values, axis=1)
-    ds = np.diff(sig, axis=1)
-    h = driver.grid.steps
-    prod = np.einsum("pink,pik->pin", ds, dw) / h[None, :, None]
-    rate = prod.mean(axis=0)
-    se = _mean_se(prod)
-    return rate, se
-
-
 # ---------------------------------------------------------------------------
 # Integrated squared Sharpe ratio
 
@@ -417,24 +390,25 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
                     "discounted state collapsed to zero",
                     diagnostics={"label": g.label, "t": t},
                 )
-            worst = _worst_bin(m_t, y / scale)
-            stats = [scale] + [v for b in worst.bins for v in (b["mean"], b["se"])]
+            bins = conditional_bin_table(m_t, y / scale)
+            worst = max(bins, key=lambda row: abs(row["mean"]))
+            stats = [scale] + [v for row in bins for v in (row["mean"], row["se"])]
             if not np.all(np.isfinite(stats)):
                 raise NumericalError(
                     f"kernel residual of asset {g.label!r} is non-finite for pair ({t!r}, {s!r})",
                     diagnostics={"label": g.label, "t": float(t), "s": float(s)},
                 )
-            z, passed = _se_gate(worst.residual, worst.se, atol=_KERNEL_ATOL)
+            z, passed = _se_gate(worst["mean"], worst["se"], atol=_KERNEL_ATOL)
             rows.append(
                 {
                     "label": g.label,
                     "t": float(t),
                     "s": float(s),
-                    "residual": worst.residual,
-                    "se": worst.se,
+                    "residual": worst["mean"],
+                    "se": worst["se"],
                     "z": z,
                     "passed": passed,
-                    "bins": worst.bins,
+                    "bins": bins,
                 }
             )
     return KernelCheckReport(rows)

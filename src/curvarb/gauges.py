@@ -358,26 +358,37 @@ def portfolio_gauge(gauges: list[Gauge], nominals) -> Gauge:
     if curve_paths not in (1, n_paths):
         raise ConfigurationError("curve path counts are incompatible")
     shape = (n_paths, grid.n_times, offsets.size)
-    logp = np.stack(
-        [np.broadcast_to(np.log(g.curve.values), (curve_paths,) + shape[1:]) for g in gauges]
-    )
 
     def weights(b: slice) -> np.ndarray:  # (N, paths of b, n_times)
         return x.T[:, None, :] * deflators[:, b] / dx[None, b]
 
-    # weights, weighted sums and exp one block of paths at a time, into the curve
+    # weights, log-prices, weighted sums and exp one block of paths at a time
     blocks = _path_slices(n_paths)
     w0 = weights(slice(0, 1))
+    if curve_paths == 1:
+        logp = np.stack([np.log(g.curve.values) for g in gauges])  # (N, 1, n_times, H)
     # path-constant weights: no block strays from path 0's by more than 1e-14
     if curve_paths == 1 and all(np.max(np.abs(weights(b) - w0)) <= 1e-14 for b in blocks):
         values = np.einsum("jt,jth->th", w0[:, 0], logp[:, 0])[None, :, :]
         np.exp(values, out=values)
     else:
         values = np.empty(shape)
-        full = np.broadcast_to(logp, (n_assets,) + shape)
+        if curve_paths == 1:
+            full = np.broadcast_to(logp, (n_assets,) + shape)  # a view, copied nowhere
+        else:
+            full = np.empty((n_assets,) + values[blocks[0]].shape)  # one block's log-prices
         for b in blocks:
             out = values[b]
-            np.einsum("jpt,jpth->pth", weights(b), full[:, b], out=out)
+            if curve_paths == 1:
+                logs_b = full[:, b]
+            else:
+                logs_b = full[:, : out.shape[0]]
+                for j, g in enumerate(gauges):
+                    if g.curve.n_paths == 1:
+                        logs_b[j] = np.log(g.curve.values)
+                    else:
+                        np.log(g.curve.values[b], out=logs_b[j])
+            np.einsum("jpt,jpth->pth", weights(b), logs_b, out=out)
             np.exp(out, out=out)
     values[:, :, 0] = 1.0
     curve = TermStructureSurface(grid, offsets, values)

@@ -38,14 +38,10 @@ __all__ = [
     "PathEnsemble",
     "ItoSpec",
     "NelsonEstimator",
-    "CovariationResult",
-    "MartingaleResidual",
     "simulate_brownian",
     "simulate_ito",
-    "realized_covariation",
     "nelson_derivative",
     "conditional_bin_table",
-    "martingale_residual",
     "write_ensemble",
     "read_ensemble",
     "write_ensemble_csv",
@@ -258,9 +254,6 @@ class PathEnsemble:
 
     def at_time(self, t: float) -> np.ndarray:
         return self.values[:, self.grid.index_of(t), :]
-
-    def component(self, j: int) -> "PathEnsemble":
-        return PathEnsemble(self.grid, self.values[:, :, j : j + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -508,38 +501,6 @@ def simulate_ito(spec: ItoSpec, driver: PathEnsemble) -> PathEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# Covariation
-
-
-@dataclass(frozen=True, eq=False)
-class CovariationResult:
-    """Realized covariation between two scalar path families."""
-
-    grid: TimeGrid
-    cumulative: np.ndarray        # (n_paths, n_times)
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.cumulative[:, -1]
-
-
-def realized_covariation(a: PathEnsemble, b: PathEnsemble) -> CovariationResult:
-    """Quadratic covariation sum of products of increments, per path.
-
-    Takes two dim-1 PathEnsembles on one grid.
-    """
-    if not (isinstance(a, PathEnsemble) and isinstance(b, PathEnsemble)):
-        raise ConfigurationError("realized_covariation takes two dim-1 PathEnsembles")
-    if a.n_paths != b.n_paths or not np.array_equal(a.grid.times, b.grid.times):
-        raise ConfigurationError("the two ensembles differ in path count or grid")
-    sa, sb = a.series, b.series
-    prod = np.diff(sa, axis=1) * np.diff(sb, axis=1)
-    cum = np.zeros_like(sa)
-    np.cumsum(prod, axis=1, out=cum[:, 1:])
-    return CovariationResult(a.grid, cum)
-
-
-# ---------------------------------------------------------------------------
 # Nelson-style derivative estimation
 
 
@@ -681,19 +642,6 @@ def nelson_derivative(
 # Martingale diagnostics
 
 
-@dataclass(frozen=True, eq=False)
-class MartingaleResidual:
-    residual: float
-    se: float
-    bins: list
-
-    @property
-    def z(self) -> float:
-        if self.se == 0.0:
-            return float("inf") if self.residual != 0.0 else 0.0
-        return self.residual / self.se
-
-
 def conditional_bin_table(states: np.ndarray, samples: np.ndarray) -> list:
     """Equal-count state bins with the per-bin sample mean and its SE.
 
@@ -724,30 +672,6 @@ def conditional_bin_table(states: np.ndarray, samples: np.ndarray) -> list:
         se = float(_mean_se(d))
         table.append({"lo": lo, "hi": hi, "count": int(d.size), "mean": m, "se": se})
     return table
-
-
-def _worst_bin(states: np.ndarray, samples: np.ndarray):
-    """The conditional_bin_table bin whose mean is largest in magnitude, as a
-    MartingaleResidual that also carries the whole table."""
-    table = conditional_bin_table(states, samples)
-    worst = max(table, key=lambda row: abs(row["mean"]))
-    return MartingaleResidual(worst["mean"], worst["se"], table)
-
-
-def martingale_residual(ensemble: PathEnsemble, t: float, s: float) -> MartingaleResidual:
-    """Worst conditional drift E[Q_s - Q_t | Q_t in bin] across state bins.
-
-    Bins are equal-count in the time-t state.  A degenerate state (all paths
-    equal, e.g. t = 0) collapses to the unconditional mean.  Returns the
-    largest-magnitude bin residual with its standard error.
-    """
-    if ensemble.dim != 1:
-        raise ConfigurationError("martingale_residual expects a dim-1 ensemble")
-    if not s > t:
-        raise ConfigurationError("need s > t")
-    qt = ensemble.at_time(t)[:, 0]
-    qs = ensemble.at_time(s)[:, 0]
-    return _worst_bin(qt, qs - qt)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -291,6 +292,26 @@ def test_version_and_scenarios_commands(capsys):
     assert capsys.readouterr().out.startswith("curvarb ")
     assert main(["scenarios"]) == 0
     assert "flat_market" in capsys.readouterr().out
+
+
+# public names deleted because no run reached them
+_DELETED = [
+    "realized_covariation", "CovariationResult", "martingale_residual", "MartingaleResidual",
+    "covariation_rates", "nelson_default_derivative", "implied_intensity", "ImpliedIntensity",
+]
+
+
+def test_public_names_exist_and_are_reexported():
+    """Each __all__ entry is defined in its module and re-exported by the
+    package: the benchmark tracer reads every entry with getattr."""
+    for module in ("paths", "gauges", "curvature", "credit", "novikov"):
+        mod = importlib.import_module(f"curvarb.{module}")
+        for name in mod.__all__:
+            assert getattr(curvarb, name) is getattr(mod, name), name
+        assert not [n for n in _DELETED if hasattr(mod, n)]
+    assert not [n for n in _DELETED if hasattr(curvarb, n)]
+    assert not hasattr(curvarb.paths, "_worst_bin")
+    assert not hasattr(curvarb.PathEnsemble, "component")
 
 
 def _child_env():

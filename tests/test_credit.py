@@ -20,8 +20,6 @@ from curvarb.credit import (
     cox_uniformity,
     credit_gauge,
     default_probability,
-    implied_intensity,
-    nelson_default_derivative,
     realized_lgd_at_default,
     simulate_default,
     thm1_residuals,
@@ -126,49 +124,6 @@ def test_first_passage_monotone_under_refinement():
     assert p_coarse < p_mid < p_fine
 
 
-def test_implied_intensity_recovers_constant_hazard():
-    est = implied_intensity(
-        IntensityModel(0.05),
-        t=1.0,
-        dt_seq=[0.25, 0.5, 1.0],
-        n_paths=100_000,
-        seed=21,
-        steps_per_unit=4,
-    )
-    assert not est.degenerate
-    # constant hazard makes the log-survival transform exact at every dt
-    assert abs(est.lambda0 - 0.05) < 3 * est.se + 1e-3
-    assert np.all(np.abs(est.lambda_dt - 0.05) < 5 * est.lambda_dt_se + 1e-3)
-
-
-def test_implied_intensity_structural_fully_observed_degenerates():
-    spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.1, form="arithmetic")
-    est = implied_intensity(
-        StructuralModel(spec, 0.5),
-        t=0.5,
-        dt_seq=[0.125, 0.25],
-        n_paths=20_000,
-        seed=4,
-        steps_per_unit=16,
-    )
-    # far above the barrier the announced default arrives slower than any power
-    assert est.degenerate
-    assert est.lambda0 == 0.0
-
-
-def test_structural_implied_intensity_draws_no_default_times(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("simulate_default called")
-
-    monkeypatch.setattr(curvarb.credit, "simulate_default", refuse)
-    spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.1, form="arithmetic")
-    est = implied_intensity(
-        StructuralModel(spec, 0.5), t=0.5, dt_seq=[0.125, 0.25], n_paths=2000, seed=4,
-        steps_per_unit=16,
-    )
-    assert est.degenerate
-
-
 def test_structural_sample_holds_only_default_times():
     model = StructuralModel(ItoSpec(x0=1.0, drift=0.0, sigma=0.3, form="geometric"), 0.75)
     grid = TimeGrid.regular(1.0, 200)
@@ -260,25 +215,6 @@ def test_intensity_thresholds_are_the_keyed_exponentials():
     assert sample.thresholds.tobytes() == reference.tobytes()
 
 
-@pytest.mark.parametrize("observation_times", [None, [0.0], [0.0, 0.25, 0.375]])
-def test_structural_implied_intensity_does_not_depend_on_the_block_size(
-    monkeypatch, observation_times
-):
-    model = StructuralModel(ItoSpec(x0=1.0, drift=0.0, sigma=1.0, form="arithmetic"), 0.0)
-    n = 1000
-    small, whole = _small_and_whole_blocks(
-        monkeypatch,
-        n,
-        lambda: implied_intensity(
-            model, t=0.5, dt_seq=[0.125, 0.25], n_paths=n, seed=4, steps_per_unit=16,
-            observation_times=observation_times,
-        ),
-    )
-    assert not small.degenerate
-    for field in ("lambda0", "se", "lambda_dt", "lambda_dt_se"):
-        assert np.asarray(getattr(small, field)).tobytes() == np.asarray(getattr(whole, field)).tobytes()
-
-
 def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
@@ -296,22 +232,6 @@ def test_bridged_structural_defaults_hold_one_block_of_equity():
     peak = _traced_peak(lambda: simulate_default(model, grid, n, seed=9, bridge=True))
     # the whole (n, n_times) equity array would be 122 MiB
     assert peak < 0.5 * n * grid.n_times * 8
-
-
-def test_structural_implied_intensity_holds_one_block_of_equity():
-    model = StructuralModel(ItoSpec(x0=1.0, drift=0.0, sigma=1.0, form="arithmetic"), 0.0)
-    n = 40_000
-
-    def run(n_paths):
-        return implied_intensity(
-            model, t=0.5, dt_seq=[0.125, 0.25], n_paths=n_paths, seed=4, steps_per_unit=400,
-            observation_times=[0.0],
-        )
-
-    run(1000)
-    peak = _traced_peak(lambda: run(n))
-    # 301 nodes: the whole (n, n_times) equity array would be 92 MiB
-    assert peak < 0.5 * n * 301 * 8
 
 
 def test_stochastic_hazard_and_lgd_hold_little_beyond_their_output():
@@ -347,28 +267,6 @@ def test_lgd_numerical_error_names_the_paths_own_index(monkeypatch):
     assert err.value.diagnostics["step"] == int(np.argmax(over[first])) + 1
 
 
-def test_implied_intensity_coarse_observation_positive():
-    # observed only at time 0, the default state at t carries fresh mass and
-    # the implied hazard is the positive rate q'(s)/(1 - q(s)) of the level law
-    spec = ItoSpec(x0=1.0, drift=0.0, sigma=1.0, form="arithmetic")
-    t = 0.5
-    est = implied_intensity(
-        StructuralModel(spec, 0.2),
-        t=t,
-        dt_seq=[0.0625, 0.125, 0.25],
-        n_paths=200_000,
-        seed=17,
-        steps_per_unit=16,
-        observation_times=np.array([0.0]),
-    )
-    assert not est.degenerate
-    z = (0.2 - 1.0) / np.sqrt(t)
-    q = stats.norm.cdf(z)
-    rate = stats.norm.pdf(z) * (1.0 - 0.2) / (2.0 * t**1.5) / (1.0 - q)
-    assert est.lambda0 > 0.15
-    assert abs(est.lambda0 - rate) < 3 * est.se + 0.02
-
-
 def _interp_loop(x, xp, fp):
     """The reference: one np.interp call per row."""
     return np.array([np.interp(x[i], xp, fp[i]) for i in range(x.size)])
@@ -397,22 +295,6 @@ def test_interp_rows_matches_np_interp_at_default_times():
     assert rows.size > 1000
     x, fp = sample.tau[rows], sample.cumulative_hazard[rows]
     assert _interp_rows(x, grid.times, fp).tobytes() == _interp_loop(x, grid.times, fp).tobytes()
-
-
-def test_nelson_default_derivative_matches_hazard():
-    est, se = nelson_default_derivative(
-        IntensityModel(0.05), t=1.0, h=0.05, n_paths=200_000, seed=8
-    )
-    assert abs(est - 0.05) < 3 * se + 1e-3
-    assert se < 0.004
-
-
-def test_nelson_default_derivative_above_barrier_vanishes():
-    spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.05, form="arithmetic")
-    est, se = nelson_default_derivative(
-        StructuralModel(spec, 0.5), t=0.25, h=0.05, n_paths=20_000, seed=8
-    )
-    assert est == 0.0 and se == 0.0
 
 
 def test_constructed_market_bond_price():
@@ -762,13 +644,10 @@ def test_error_paths():
     with pytest.raises(ConfigurationError):
         cox_uniformity(structural)
     with pytest.raises(ConfigurationError):
-        implied_intensity(IntensityModel(0.02), 1.0, [0.5], n_paths=1000)
-    with pytest.raises(ConfigurationError):
         StructuralModel(spec, barrier=1.5)
-    with pytest.raises(EstimationError):
-        nelson_default_derivative(
-            IntensityModel(5.0), t=4.0, h=0.25, n_paths=500, seed=0, steps_per_unit=20
-        )
+    falling = StructuralModel(ItoSpec(x0=1.0, drift=-1.0, sigma=0.3, form="arithmetic"), 0.7)
+    with pytest.raises(EstimationError, match="no survivors"):  # all default before t
+        default_probability(falling, 4.0, 4.5, n_paths=50, steps=90)
 
 
 def test_bond_price_reports_sample_size():

@@ -8,7 +8,6 @@ import pytest
 
 import curvarb.curvature
 from curvarb.curvature import (
-    covariation_rates,
     curvature_components,
     kernel_check,
     novikov_sharpe,
@@ -227,10 +226,11 @@ def test_zc_residual_that_overflows_is_a_numerical_error():
 def test_covariation_estimated_consistency():
     grid = TimeGrid.regular(1.0, 100)
     n = 2000
-    driver = simulate_brownian(grid, n, 1, seed=77)
-    sigma_paths = 0.1 * driver.values[:, :, :, None]  # vol row = 0.1 W
-    rate, se = covariation_rates(sigma_paths, driver)
-    assert rate.shape == (100, 1)
+    w = simulate_brownian(grid, n, 1, seed=77).series
+    # realized covariation rate of the vol row 0.1 W with the driver W, per interval
+    prod = np.diff(0.1 * w, axis=1) * np.diff(w, axis=1) / grid.steps
+    rate = prod.mean(axis=0)
+    se = prod.std(axis=0, ddof=1) / np.sqrt(n)
     c_bar = float(rate.mean())
     c_se = float(np.sqrt(np.sum(se**2)) / rate.size)
     assert abs(c_bar - 0.1) < 3 * c_se
@@ -247,15 +247,6 @@ def test_covariation_estimated_consistency():
     assert report.all_passed
     strict = zc_residual(alpha, sigma, covariation=np.array([[c_bar, 0.1]]))
     assert not strict.all_passed
-
-
-def test_covariation_shape_validation():
-    grid = TimeGrid.regular(1.0, 10)
-    driver = simulate_brownian(grid, 50, 2, seed=1)
-    with pytest.raises(ConfigurationError):
-        covariation_rates(np.zeros((50, 11, 1, 1)), driver)
-    with pytest.raises(ConfigurationError):
-        covariation_rates(np.zeros((50, 11)), driver)
 
 
 def test_sharpe_integral_constant_coefficients():

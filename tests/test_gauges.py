@@ -215,15 +215,16 @@ def test_portfolio_weighted_short_rate_and_identity():
     assert np.allclose(same.deflator.series, g1.deflator.series, rtol=1e-15)
 
 
-def test_portfolio_gauge_holds_little_beyond_its_curve():
-    # per-path weights on one shared curve per asset: the portfolio curve is
-    # 4000 x 51 x 21 doubles (32.7 MiB), exponentiated where it is built
+def _traced_portfolio(curve_paths):
+    """A portfolio of 3 gauges with per-path weights on curves of curve_paths
+    paths, and the tracemalloc peak of building it: the portfolio curve is
+    4000 x 51 x 21 doubles (32.7 MiB), exponentiated where it is built."""
     grid = TimeGrid.regular(5.0, 50)
     offsets = 0.25 * np.arange(21)
     rng = np.random.default_rng(5)
     gauges = []
     for j in range(3):
-        forwards = 0.02 + 0.04 * rng.random((1, grid.n_times, offsets.size))
+        forwards = 0.02 + 0.04 * rng.random((curve_paths, grid.n_times, offsets.size))
         curve = term_structure_from_forwards(grid, offsets, forwards)
         spec = ItoSpec(x0=1.0, drift=0.01 * j, sigma=0.1 + 0.05 * j, form="geometric")
         driver = simulate_brownian(grid, 4000, 1, seed=5, tag=50 + j)
@@ -235,7 +236,19 @@ def test_portfolio_gauge_holds_little_beyond_its_curve():
     finally:
         tracemalloc.stop()
     assert port.curve.values.shape == (4000, grid.n_times, offsets.size)
+    return port, peak
+
+
+def test_portfolio_gauge_holds_little_beyond_its_curve():
+    # one shared curve per asset: its log-prices are one broadcast row
+    port, peak = _traced_portfolio(1)
     assert peak < 1.75 * port.curve.values.nbytes
+
+
+def test_portfolio_gauge_takes_per_path_log_prices_one_block_at_a_time():
+    # stacking every asset's whole log-price curve traced 202 MiB at these sizes
+    port, peak = _traced_portfolio(4000)
+    assert peak < 3.0 * port.curve.values.nbytes
 
 
 def test_portfolio_with_vanishing_deflator_is_singular():
@@ -287,12 +300,17 @@ def _portfolio_case(case):
     if case == "time-varying-nominals":
         nominals = rng.uniform(0.2, 1.0, size=(grid.n_times, 3))
         return [Gauge(deflator(False), curve(n_paths)) for _ in range(3)], nominals
+    if case == "mixed-curves":
+        gauges = [Gauge(deflator(False), curve(n_paths)), Gauge(deflator(True), curve(1))]
+        return gauges + [Gauge(deflator(False), curve(n_paths))], np.array([0.7, -0.2, 0.5])
     # path-constant weights on shared curves: the portfolio curve has one row
     return [Gauge(deflator(True), curve(1)) for _ in range(3)], np.array([0.4, 0.6, 1.0])
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
-@pytest.mark.parametrize("case", ["shared-curves", "time-varying-nominals", "path-constant"])
+@pytest.mark.parametrize(
+    "case", ["shared-curves", "time-varying-nominals", "mixed-curves", "path-constant"]
+)
 def test_portfolio_blocks_equal_the_one_shot_einsum(monkeypatch, case, block):
     gauges, nominals = _portfolio_case(case)
     dx, values = _one_shot_portfolio(gauges, nominals)

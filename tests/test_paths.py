@@ -31,11 +31,10 @@ from curvarb import (
     PathEnsemble,
     TermStructureSurface,
     TimeGrid,
-    martingale_residual,
     nelson_derivative,
     read_ensemble,
     read_ensemble_csv,
-    realized_covariation,
+    read_term_structure_csv,
     simulate_brownian,
     simulate_ito,
     write_ensemble,
@@ -416,30 +415,6 @@ def test_state_dependent_coefficients_are_fed_the_state():
     assert abs(paths.at_time(1.0).mean() - np.exp(-2.0)) < 0.01
 
 
-def test_covariation_of_brownian_recovers_time():
-    grid = TimeGrid.regular(1.0, 50)
-    w = simulate_brownian(grid, 4000, dim=2, seed=5)
-    w0, w1 = w.component(0), w.component(1)
-    same = realized_covariation(w0, w0)
-    # <W,W>_1 = 1; total per path has variance ~ 2 dt
-    se = same.total.std(ddof=1) / np.sqrt(same.total.size)
-    assert abs(same.total.mean() - 1.0) < 3 * se
-    cross = realized_covariation(w0, w1)
-    se = cross.total.std(ddof=1) / np.sqrt(cross.total.size)
-    assert abs(cross.total.mean()) < 3 * se
-
-
-def test_covariation_takes_ensembles_only():
-    grid = TimeGrid.regular(1.0, 4)
-    w = simulate_brownian(grid, 10, seed=5)
-    with pytest.raises(ConfigurationError):
-        realized_covariation(w.series, w.series)
-    with pytest.raises(ConfigurationError):
-        realized_covariation(w, w.series)
-    with pytest.raises(ConfigurationError):
-        realized_covariation(simulate_brownian(grid, 10, dim=2, seed=5), w)
-
-
 def test_derivative_modes_on_deterministic_path():
     grid = TimeGrid.regular(2.0, 200)
     t = grid.times
@@ -542,22 +517,6 @@ def test_non_finite_values_are_rejected_with_location():
         PathEnsemble(grid, values)
     assert exc.value.diagnostics["path"] == 2
     assert exc.value.diagnostics["step"] == 1
-
-
-def test_martingale_residual_detects_drift_and_passes_driftless():
-    grid = TimeGrid.regular(1.0, 20)
-    driver = simulate_brownian(grid, 20000, seed=23)
-    driftless = simulate_ito(ItoSpec(1.0, 0.0, 0.2, form="geometric"), driver)
-    r0 = martingale_residual(driftless, 0.0, 1.0)
-    assert abs(r0.residual) <= 3 * r0.se
-    drifted = simulate_ito(ItoSpec(1.0, 0.05, 0.2, form="geometric"), driver)
-    r1 = martingale_residual(drifted, 0.0, 1.0)
-    # E Q_1 - Q_0 = e^0.05 - 1 = 0.0512711
-    assert abs(r1.residual - 0.0512711) < 3 * r1.se
-    assert r1.z > 3
-    # conditional version at an interior date still sees the drift
-    r2 = martingale_residual(drifted, 0.5, 1.0)
-    assert r2.residual > 0
 
 
 def test_binary_round_trip_is_bit_exact(tmp_path):
@@ -714,6 +673,39 @@ def test_csv_writer_at_the_chunk_edge(extra):
     _writer_matches_cell_by_cell("ensemble", PathEnsemble(grid, values))
 
 
+# cells that neither int nor float parses
+_NOT_NUMBERS = ["", "x", "half", "0x1", "1.2.3", "--1", "1e"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_csv_objects(), st.data())
+def test_csv_readers_name_the_line_of_a_corrupted_cell(obj, data):
+    name, value = obj
+    write, read = {
+        "ensemble": (write_ensemble_csv, read_ensemble_csv),
+        "curve": (write_term_structure_csv, read_term_structure_csv),
+    }[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "in.csv")
+        write(target, value)
+        with open(target, newline="") as fh:
+            lines = fh.read().splitlines()
+        row = data.draw(st.integers(1, len(lines) - 1), label="row")
+        cells = lines[row].split(",")
+        col = data.draw(st.integers(0, len(cells) - 1), label="cell")
+        bad = data.draw(st.sampled_from(_NOT_NUMBERS) | st.none(), label="replacement")
+        if bad is None:
+            del cells[col]  # drop the cell
+        else:
+            cells[col] = bad
+        lines[row] = ",".join(cells)
+        with open(target, "w", newline="") as fh:
+            fh.write("".join(f"{line}\n" for line in lines))
+        # lines[0] is the header, line 1 of the file
+        with pytest.raises(ConfigurationError, match=rf"CSV line {row + 1}: "):
+            read(target)
+
+
 def test_truncated_binary_rejected(tmp_path):
     grid = TimeGrid.regular(1.0, 2)
     w = simulate_brownian(grid, 3, seed=6)
@@ -745,7 +737,7 @@ def _public_pair(spec, dim, tag, n=_ROUTE_PATHS, grid=_ROUTE_GRID) -> np.ndarray
 
 def _equity_route(form):
     spec = _EQUITY_SPECS[form]
-    # the equity route of simulate_default and implied_intensity
+    # the equity route of simulate_default
     equity = StructuralModel(spec, 0.5).equity
     blocks = _ito_blocks(equity, _ROUTE_GRID, np.arange(_ROUTE_PATHS), _ROUTE_SEED, TAG_DRIVER)
     internal = np.concatenate([e for _, e in blocks])
