@@ -184,6 +184,16 @@ def curvature_components(gauges) -> CurvatureReport:
 # Coefficient-level consistency
 
 
+def _per_asset(name, value, shape):
+    """value broadcast to the (t, n) shape of alpha, or ConfigurationError."""
+    try:
+        return np.broadcast_to(np.asarray(value, dtype=np.float64), shape)
+    except ValueError:
+        raise ConfigurationError(
+            f"{name} of shape {np.shape(value)} does not broadcast to alpha's {shape}"
+        ) from None
+
+
 def _coerce_zc_inputs(alpha, sigma, rates, covariation):
     alpha = np.asarray(alpha, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -198,9 +208,8 @@ def _coerce_zc_inputs(alpha, sigma, rates, covariation):
     sigma = np.broadcast_to(sigma, (n_t,) + sigma.shape[1:])
     if sigma.shape[1] != alpha.shape[1]:
         raise ConfigurationError("alpha and sigma disagree on the asset count")
-    r = np.broadcast_to(np.asarray(rates, dtype=np.float64), alpha.shape)
-    c = 0.0 if covariation is None else np.asarray(covariation, dtype=np.float64)
-    c = np.broadcast_to(c, alpha.shape)
+    r = _per_asset("rates", rates, alpha.shape)
+    c = _per_asset("covariation", 0.0 if covariation is None else covariation, alpha.shape)
     return alpha, sigma, r, c
 
 
@@ -248,12 +257,9 @@ def zc_residual(
         times = np.asarray(times, dtype=np.float64)
         if times.size != n_t:
             raise ConfigurationError("times length must match the slice count")
+    cse = None
     if covariation_se is not None:
-        cse = np.broadcast_to(
-            np.asarray(covariation_se, dtype=np.float64), alpha.shape
-        )
-    else:
-        cse = None
+        cse = _per_asset("covariation_se", covariation_se, alpha.shape)
     v = alpha + r - 0.5 * c
     residual = np.empty(n_t)
     threshold = np.empty(n_t)

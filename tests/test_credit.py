@@ -124,6 +124,44 @@ def test_first_passage_monotone_under_refinement():
     assert p_coarse < p_mid < p_fine
 
 
+def _implied_intensity(tau, t, dt_seq):
+    """-log(1 - p)/dt for p the share of the paths alive at t that default by
+    t + dt, with its delta-method SE; constant hazard makes it exact at every dt."""
+    alive = tau[tau > t]
+    p = np.array([(alive <= t + dt).mean() for dt in dt_seq])
+    dt = np.asarray(dt_seq)
+    se_p = np.sqrt(p * (1 - p) / alive.size)
+    return -np.log1p(-p) / dt, se_p / ((1 - p) * dt)
+
+
+def test_implied_intensity_recovers_constant_hazard():
+    grid = TimeGrid.regular(2.0, 8)
+    tau = simulate_default(IntensityModel(0.05), grid, 100_000, seed=21).tau
+    lam, se = _implied_intensity(tau, 1.0, [0.25, 0.5, 1.0])
+    assert np.all(se > 0)
+    assert np.all(np.abs(lam - 0.05) < 5 * se + 1e-3)
+
+
+def test_implied_intensity_structural_fully_observed_degenerates():
+    # far above the barrier the announced default arrives slower than any power
+    spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.1, form="arithmetic")
+    model = StructuralModel(spec, 0.5)
+    for dt in (0.125, 0.25):
+        est = default_probability(model, 0.5, 0.5 + dt, n_paths=20_000, seed=4, steps=12)
+        assert est.value == 0.0 and est.se == 0.0
+        assert est.n_used == 20_000
+
+
+def test_structural_default_probability_is_the_first_passage_share():
+    model = StructuralModel(ItoSpec(x0=1.0, drift=0.0, sigma=0.3, form="geometric"), 0.75)
+    t, s, n = 0.5, 1.0, 5000
+    est = default_probability(model, t, s, n_paths=n, seed=6, steps=40)
+    tau = simulate_default(model, TimeGrid.regular(s, 40), n, seed=6).tau
+    alive = tau > t
+    assert est.n_used == int(alive.sum()) < n
+    assert est.value == float((tau[alive] <= s).mean()) > 0
+
+
 def test_structural_sample_holds_only_default_times():
     model = StructuralModel(ItoSpec(x0=1.0, drift=0.0, sigma=0.3, form="geometric"), 0.75)
     grid = TimeGrid.regular(1.0, 200)
@@ -295,6 +333,21 @@ def test_interp_rows_matches_np_interp_at_default_times():
     assert rows.size > 1000
     x, fp = sample.tau[rows], sample.cumulative_hazard[rows]
     assert _interp_rows(x, grid.times, fp).tobytes() == _interp_loop(x, grid.times, fp).tobytes()
+
+
+def test_nelson_default_derivative_matches_hazard():
+    # the default derivative P[default by t + h | alive at t] / h of a constant hazard
+    h = 0.05
+    est = default_probability(IntensityModel(0.05), 1.0, 1.0 + h)
+    assert est.se == 0.0
+    assert est.value / h == pytest.approx(-np.expm1(-0.05 * h) / h, rel=1e-12)
+    assert abs(est.value / h - 0.05) < 1e-3
+
+
+def test_nelson_default_derivative_above_barrier_vanishes():
+    spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.05, form="arithmetic")
+    est = default_probability(StructuralModel(spec, 0.5), 0.25, 0.3, n_paths=20_000, seed=8)
+    assert est.value / 0.05 == 0.0 and est.se == 0.0
 
 
 def test_constructed_market_bond_price():

@@ -249,6 +249,19 @@ def test_covariation_estimated_consistency():
     assert not strict.all_passed
 
 
+def test_covariation_shape_validation():
+    alpha, sigma = np.zeros((11, 2)), np.ones((11, 2, 1))
+    with pytest.raises(ConfigurationError, match=r"covariation of shape \(11, 3\)"):
+        zc_residual(alpha, sigma, covariation=np.zeros((11, 3)))
+    with pytest.raises(ConfigurationError, match=r"covariation_se of shape \(5,\)"):
+        zc_residual(alpha, sigma, covariation=np.zeros(2), covariation_se=np.zeros(5))
+    with pytest.raises(ConfigurationError, match=r"rates of shape \(4,\)"):
+        zc_residual(alpha, sigma, rates=np.zeros(4))
+    # one value per asset, or one per time and asset, broadcasts
+    report = zc_residual(alpha, sigma, covariation=np.zeros(2), covariation_se=np.ones((11, 2)))
+    assert report.all_passed
+
+
 def test_sharpe_integral_constant_coefficients():
     spec = ItoSpec(x0=1.0, drift=0.06, sigma=0.2, form="geometric")
     est = novikov_sharpe(spec, [1.0], horizon=1.0)

@@ -65,6 +65,7 @@ from curvarb.paths import (
     _ito_rows,
     _keyed_rows,
     _legendre_rule,
+    conditional_bin_table,
 )
 
 
@@ -415,6 +416,17 @@ def test_state_dependent_coefficients_are_fed_the_state():
     assert abs(paths.at_time(1.0).mean() - np.exp(-2.0)) < 0.01
 
 
+def test_covariation_of_brownian_recovers_time():
+    grid = TimeGrid.regular(1.0, 50)
+    w = simulate_brownian(grid, 4000, dim=2, seed=5).values
+    dw0, dw1 = np.diff(w[:, :, 0], axis=1), np.diff(w[:, :, 1], axis=1)
+    # <W,W>_1 = 1; the realized total per path has variance ~ 2 dt
+    same = (dw0 * dw0).sum(axis=1)
+    assert abs(same.mean() - 1.0) < 3 * same.std(ddof=1) / np.sqrt(same.size)
+    cross = (dw0 * dw1).sum(axis=1)
+    assert abs(cross.mean()) < 3 * cross.std(ddof=1) / np.sqrt(cross.size)
+
+
 def test_derivative_modes_on_deterministic_path():
     grid = TimeGrid.regular(2.0, 200)
     t = grid.times
@@ -517,6 +529,28 @@ def test_non_finite_values_are_rejected_with_location():
         PathEnsemble(grid, values)
     assert exc.value.diagnostics["path"] == 2
     assert exc.value.diagnostics["step"] == 1
+
+
+def _worst_drift_bin(ensemble, t, s):
+    """The conditional drift E[Q_s - Q_t | Q_t in bin] of largest magnitude."""
+    qt, qs = ensemble.at_time(t)[:, 0], ensemble.at_time(s)[:, 0]
+    return max(conditional_bin_table(qt, qs - qt), key=lambda row: abs(row["mean"]))
+
+
+def test_martingale_residual_detects_drift_and_passes_driftless():
+    grid = TimeGrid.regular(1.0, 20)
+    driver = simulate_brownian(grid, 20000, seed=23)
+    driftless = simulate_ito(ItoSpec(1.0, 0.0, 0.2, form="geometric"), driver)
+    r0 = _worst_drift_bin(driftless, 0.0, 1.0)
+    assert abs(r0["mean"]) <= 3 * r0["se"]
+    drifted = simulate_ito(ItoSpec(1.0, 0.05, 0.2, form="geometric"), driver)
+    r1 = _worst_drift_bin(drifted, 0.0, 1.0)
+    # E Q_1 - Q_0 = e^0.05 - 1 = 0.0512711
+    assert abs(r1["mean"] - 0.0512711) < 3 * r1["se"]
+    assert r1["mean"] / r1["se"] > 3
+    # conditional version at an interior date still sees the drift
+    r2 = _worst_drift_bin(drifted, 0.5, 1.0)
+    assert r2["mean"] > 0
 
 
 def test_binary_round_trip_is_bit_exact(tmp_path):
