@@ -707,11 +707,13 @@ _SPREAD_ATOL = 1e-14
 
 
 def _empirical_hazard(
-    sample: DefaultSample, t: float, window: float
+    ordered_tau: np.ndarray, t: float, window: float
 ) -> tuple[float, float]:
-    """Hazard over [t, t+window] from nested survival counts, with SE."""
-    n_t = int(sample.survivors_at(t).sum())
-    n_s = int(sample.survivors_at(t + window).sum())
+    """Hazard over [t, t+window] from nested survival counts, with SE;
+    ordered_tau is the sample's np.sort(tau), without NaN, and the paths
+    alive at a time are those whose default comes after it."""
+    alive = ordered_tau.size - np.searchsorted(ordered_tau, [t, t + window], side="right")
+    n_t, n_s = (int(c) for c in alive)
     if n_s < 10:
         raise EstimationError(
             "too few survivors for a hazard estimate",
@@ -747,6 +749,9 @@ def thm1_residuals(
         )
     spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
     beta = market.beta.series.mean(axis=0)
+    if lambda_source == "simulated":
+        tau = market.defaults.tau
+        ordered_tau = np.sort(tau[~np.isnan(tau)])
     rows_ii = []
     for i, t in enumerate(times):
         if lambda_source == "model":
@@ -758,7 +763,7 @@ def thm1_residuals(
         else:
             if t + window > grid.horizon + _WINDOW_TOL:
                 continue
-            lam_hat, lam_se = _empirical_hazard(market.defaults, t, window)
+            lam_hat, lam_se = _empirical_hazard(ordered_tau, t, window)
         lgd_t = market.lgd.deterministic_at(t)
         residual = float(spread[i] - beta[i] * lgd_t * lam_hat)
         se = float(beta[i] * lgd_t * lam_se)

@@ -38,6 +38,7 @@ from .paths import (
     _ito_rows,
     _kernel_on_grid,
     _mean_se,
+    _path_slices,
     _se_gate,
     _symmetric_quotient,
     conditional_bin_table,
@@ -131,23 +132,35 @@ def curvature_components(gauges) -> CurvatureReport:
     w = np.empty_like(components)
     for j, g in enumerate(gauges):
         d = g.deflator.series
+        n = d.shape[0]
         r = short_rate(g.curve)
         for start, stop in _column_blocks(interior.size):
-            # interior columns start..stop-1 with their two neighbours
+            # interior columns start..stop-1 with their two neighbours, read
+            # one block of paths at a time
             x = d[:, start : stop + 2]
-            size = np.abs(x)
-            gone = size.min(axis=0) == 0
+            steps = grid.steps[start : stop + 1]
+            rates = r[:, start + 1 : stop + 1]
+            a = np.empty((n, stop - start))
+            least = np.full(x.shape[1], np.inf)
+            total = np.zeros(x.shape[1])
+            for b in _path_slices(n):
+                xb = x[b]
+                size = np.abs(xb)
+                np.minimum(least, size.min(axis=0), out=least)
+                # numpy sums axis 0 row by row: carry the sum into the next rows
+                size[0] += total
+                total = size.sum(axis=0)
+                q = _symmetric_quotient(xb, steps, out=a[b])
+                q /= xb[:, 1:-1]
+                q += rates[b] if rates.shape[0] > 1 else rates
+            gone = least == 0
             if gone.any():
                 t = float(times[start + np.argmax(gone)])
                 raise NumericalError(
                     f"deflator of asset {g.label!r} reaches 0 at t = {t!r}",
                     diagnostics={"label": g.label, "t": t},
                 )
-            w[j, start:stop] = size.mean(axis=0)[1:-1]
-            del size
-            a = _symmetric_quotient(x, grid.steps[start : stop + 1])
-            a /= x[:, 1:-1]
-            a += r[:, start + 1 : stop + 1]
+            w[j, start:stop] = (total / n)[1:-1]
             components[j, start:stop] = a.mean(axis=0)
             component_se[j, start:stop] = _mean_se(a)
             del a  # before the next block allocates its own
@@ -396,14 +409,15 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
                     "discounted state collapsed to zero",
                     diagnostics={"label": g.label, "t": t},
                 )
-            bins = conditional_bin_table(m_t, y / scale)
-            worst = max(bins, key=lambda row: abs(row["mean"]))
+            # a finite scale means finite states, which the bins require
+            bins = conditional_bin_table(m_t, y / scale) if np.isfinite(scale) else []
             stats = [scale] + [v for row in bins for v in (row["mean"], row["se"])]
             if not np.all(np.isfinite(stats)):
                 raise NumericalError(
                     f"kernel residual of asset {g.label!r} is non-finite for pair ({t!r}, {s!r})",
                     diagnostics={"label": g.label, "t": float(t), "s": float(s)},
                 )
+            worst = max(bins, key=lambda row: abs(row["mean"]))
             z, passed = _se_gate(worst["mean"], worst["se"], atol=_KERNEL_ATOL)
             rows.append(
                 {

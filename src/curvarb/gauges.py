@@ -31,6 +31,7 @@ from .errors import (
 from .paths import (
     PathEnsemble,
     TimeGrid,
+    _cells,
     _cumulative_trapezoid,
     _mean_se,
     _path_slices,
@@ -446,22 +447,25 @@ def self_financing_residual(gauges: list[Gauge], strategy) -> SelfFinancingRepor
     """
     grid = gauges[0].grid
     x, d = _holdings(gauges, strategy, "strategy", axis=2)  # d: (n_paths, n_times, N)
-    v = np.einsum("tj,ptj->pt", x, d)
     t = grid.times
     hp = (t[2:] - t[1:-1])[None, :]
     hm = (t[1:-1] - t[:-2])[None, :]
-    dv = _symmetric_quotient(v, grid.steps)
-    dd = _symmetric_quotient(d, grid.steps)  # (n_paths, interior, N)
-    xd = np.einsum("tj,ptj->pt", x[1:-1], dd)
     dx_fwd = (x[2:] - x[1:-1])[None, :, :]
     dx_bwd = (x[1:-1] - x[:-2])[None, :, :]
-    dD_fwd = d[:, 2:, :] - d[:, 1:-1, :]
-    dD_bwd = d[:, 1:-1, :] - d[:, :-2, :]
-    cov_rate = 0.5 * (
-        np.einsum("ptj,ptj->pt", dx_fwd, dD_fwd) / hp
-        + np.einsum("ptj,ptj->pt", dx_bwd, dD_bwd) / hm
-    )
-    resid = dv - xd + 0.5 * cov_rate
+    resid = np.empty((d.shape[0], t.size - 2))
+    # the per-path residual, one block of paths at a time
+    for b in _path_slices(d.shape[0]):
+        db = d[b]
+        dv = _symmetric_quotient(np.einsum("tj,ptj->pt", x, db), grid.steps)
+        dd = _symmetric_quotient(db, grid.steps)  # (paths of b, interior, N)
+        xd = np.einsum("tj,ptj->pt", x[1:-1], dd)
+        dD_fwd = db[:, 2:, :] - db[:, 1:-1, :]
+        dD_bwd = db[:, 1:-1, :] - db[:, :-2, :]
+        cov_rate = 0.5 * (
+            np.einsum("ptj,ptj->pt", dx_fwd, dD_fwd) / hp
+            + np.einsum("ptj,ptj->pt", dx_bwd, dD_bwd) / hm
+        )
+        resid[b] = dv - xd + 0.5 * cov_rate
     mean = resid.mean(axis=0)
     se = _mean_se(resid)
     return SelfFinancingReport(t[1:-1], mean, se)
@@ -475,7 +479,8 @@ def write_term_structure_csv(path: str | os.PathLike, curve: TermStructureSurfac
     """Long format: path, t, s, P with shortest-round-trip floats."""
     times = curve.grid.times
     p, i, j = (ix.ravel() for ix in np.indices(curve.values.shape))
-    columns = [p, times[i], times[i] + curve.offsets[j], curve.values.ravel()]
+    s = times[:, None] + curve.offsets
+    columns = [p, _cells(times)[i], _cells(s)[i, j], curve.values.ravel()]
     with open(path, "w", newline="\n") as fh:
         _write_csv(fh, ["path", "t", "s", "P"], columns)
 

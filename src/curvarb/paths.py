@@ -162,12 +162,13 @@ class TimeGrid:
         return idx
 
 
-def _symmetric_quotient(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def _symmetric_quotient(x: np.ndarray, steps: np.ndarray, out=None) -> np.ndarray:
     """Mean of the forward and backward difference quotients along axis 1,
-    each over its own step, at the interior nodes of x; steps holds the
-    x.shape[1] - 1 node spacings.  Holds two interior-sized arrays."""
+    each over its own step, at the interior nodes of x, into out if given;
+    steps holds the x.shape[1] - 1 node spacings.  Holds two interior-sized
+    arrays."""
     h = steps.reshape(-1, *(1,) * (x.ndim - 2))
-    quot = x[:, 2:] - x[:, 1:-1]
+    quot = np.subtract(x[:, 2:], x[:, 1:-1], out=out)
     quot /= h[1:]
     bwd = x[:, 1:-1] - x[:, :-2]
     bwd /= h[:-1]
@@ -642,28 +643,69 @@ def nelson_derivative(
 # Martingale diagnostics
 
 
+def _sorted_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.quantile(x, q) bit for bit, read off ordered = np.sort(x) (1-d,
+    without NaN): numpy's "linear" rule, virtual index (n - 1) q between the
+    floor and next order statistics (both the last one from n - 1 on), and
+    numpy's lerp, which interpolates from the nearer end."""
+    n = ordered.size
+    v = (n - 1) * q
+    prev = np.floor(v).astype(np.intp)
+    nxt = prev + 1
+    above = v >= n - 1
+    prev[above] = nxt[above] = -1
+    gamma = v - prev
+    a, b = ordered[prev], ordered[nxt]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def conditional_bin_table(states: np.ndarray, samples: np.ndarray) -> list:
     """Equal-count state bins with the per-bin sample mean and its SE.
 
-    A degenerate state (all values equal within rounding) collapses to one
-    unconditional bin.  Bins are always nonempty.
+    states and samples are 1-d, of one nonzero length (else
+    ConfigurationError), and the states finite (else NumericalError).  The
+    k + 1 bin edges are the np.quantile of the states at k + 1 equally
+    spaced levels, the last nudged up one ulp; a bin holds the states from
+    its lower edge up to, not including, its upper edge.  A degenerate state
+    (all values equal within rounding) collapses to one unconditional bin.
+    Bins are always nonempty, and each bin's samples are reduced in index
+    order.  One sort of the states yields the edges and every bin.
     """
+    states = np.asarray(states, dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64)
+    if states.ndim != 1 or samples.ndim != 1:
+        raise ConfigurationError("bin states and samples must be 1-d")
+    if states.size != samples.size:
+        raise ConfigurationError(
+            f"{states.size} bin states but {samples.size} samples: one sample per state"
+        )
+    if states.size == 0:
+        raise ConfigurationError("bin states and samples must be non-empty")
+    if not np.all(np.isfinite(states)):
+        i = int(np.argmax(~np.isfinite(states)))
+        raise NumericalError(f"bin state {i} is non-finite", diagnostics={"index": i})
     n = samples.size
-    spread = states.max() - states.min()
-    if spread <= 1e-12 * (1.0 + abs(states[0])):
+    order = np.argsort(states)
+    ordered = states[order]
+    if ordered[-1] - ordered[0] <= 1e-12 * (1.0 + abs(states[0])):
+        # min and max, not the sorted ends: the sort may put -0.0 or 0.0 first
         groups = [np.arange(n)]
         edges = [(float(states.min()), float(states.max()))]
     else:
         k = min(_N_BINS, max(1, n // _MIN_BIN))
-        qs_edges = np.quantile(states, np.linspace(0, 1, k + 1))
+        qs_edges = _sorted_quantiles(ordered, np.linspace(0, 1, k + 1))
         qs_edges[-1] = np.nextafter(qs_edges[-1], np.inf)
-        which = np.clip(np.digitize(states, qs_edges) - 1, 0, k - 1)
+        # bin b holds the sorted states in [edge b, edge b + 1), and the
+        # outer edges bracket them all
+        cuts = np.concatenate(([0], np.searchsorted(ordered, qs_edges[1:-1]), [n]))
         groups, edges = [], []
         for b in range(k):
-            members = np.nonzero(which == b)[0]
-            if members.size == 0:
+            if cuts[b] == cuts[b + 1]:
                 continue
-            groups.append(members)
+            groups.append(np.sort(order[cuts[b] : cuts[b + 1]]))
             edges.append((float(qs_edges[b]), float(qs_edges[b + 1])))
     table = []
     for (lo, hi), members in zip(edges, groups):
@@ -716,11 +758,21 @@ def _format_cell(x) -> str:
 
 def _format_column(column) -> list:
     """The cells of one CSV column as _format_cell writes them: a float64 or
-    int64 array in one pass (the repr of a Python int is its str), any other
-    sequence cell by cell."""
-    if isinstance(column, np.ndarray) and column.dtype in (np.float64, np.int64):
-        return list(map(repr, column.tolist()))
+    int64 array in one pass (the repr of a Python int is its str), an object
+    array from _cells as it stands, any other sequence cell by cell."""
+    if isinstance(column, np.ndarray):
+        if column.dtype in (np.float64, np.int64):
+            return list(map(repr, column.tolist()))
+        if column.dtype == object:
+            return column.tolist()
     return [_format_cell(x) for x in column]
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """values as formatted CSV cells, an object array of values' shape: a
+    column that repeats few distinct values formats each once and gathers
+    its cells from here."""
+    return np.array(_format_column(values.ravel()), dtype=object).reshape(values.shape)
 
 
 def _write_csv(fh, header: list, columns) -> None:
@@ -798,7 +850,7 @@ def _read_long_csv(path, header: list, what: str, kinds: tuple, third: Callable)
 def write_ensemble_csv(path: str | os.PathLike, ensemble: PathEnsemble) -> None:
     """Long-format CSV (path, t, component, value) for small ensembles."""
     p, i, j = (ix.ravel() for ix in np.indices(ensemble.values.shape))
-    columns = [p, ensemble.grid.times[i], j, ensemble.values.ravel()]
+    columns = [p, _cells(ensemble.grid.times)[i], j, ensemble.values.ravel()]
     with open(path, "w", newline="\n") as fh:
         _write_csv(fh, ["path", "t", "component", "value"], columns)
 

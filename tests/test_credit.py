@@ -432,6 +432,26 @@ def test_thm1_unperturbed_simulated_source_quiet():
     assert abs(sim.rows_ii[0]["z"]) < 4
 
 
+def test_thm1_simulated_hazard_counts_the_paths_alive_after_t():
+    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=3)
+    grid = market.grid
+    rng = np.random.default_rng(8)
+    # defaults on grid nodes tie with t and t + window; inf and NaN are never
+    # at or before either, and NaN is never alive
+    tau = np.where(rng.random(2000) < 0.6, rng.choice(grid.times, 2000), np.inf)
+    tau[:3] = np.nan
+    tied = replace(market, defaults=replace(market.defaults, tau=tau))
+    rows = thm1_residuals(tied, [], lambda_source="simulated", window=1.0).rows_ii
+    assert [r["t"] for r in rows] == grid.times[grid.times <= 9.0].tolist()
+    spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
+    beta = market.beta.series.mean(axis=0)
+    for i, r in enumerate(rows):
+        n_t, n_s = int(np.sum(tau > r["t"])), int(np.sum(tau > r["t"] + 1.0))
+        lam = float(-np.log(n_s / n_t) / 1.0)
+        assert r["residual"] == float(spread[i] - beta[i] * 0.4 * lam)
+        assert r["se"] == float(beta[i] * 0.4 * np.sqrt(max(1.0 / n_s - 1.0 / n_t, 0.0)))
+
+
 def test_thm1_simulated_window_must_fit_the_horizon():
     market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=3)
     for window in (0.0, -1.0, 10.5, np.nan):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import curvarb.curvature
+import curvarb.paths
 from curvarb.curvature import (
     curvature_components,
     kernel_check,
@@ -137,6 +138,23 @@ def test_curvature_blocks_match_whole_array_reference(monkeypatch, interior, col
     for a, b in zip(got + (report.weighted_std,), _reference_components(gauges)):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("steps", [2, 6])  # 2 steps: one interior column
+def test_curvature_path_blocks_match_whole_array_reference(monkeypatch, block, steps):
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", block)
+    grid = TimeGrid.regular(5.0, steps)
+    # path counts below, at and straddling one and several blocks
+    for n in sorted({max(2, block - 1), max(2, block), block + 1, 2 * block + 1, 3 * block + 2}):
+        gauges = _simulated_gauges(grid, n, [0.0, 0.02, 0.05])
+        path_rates = np.random.default_rng(n).uniform(0.0, 0.1, (n, grid.n_times))
+        curve = TermStructureSurface(grid, OFFSETS, np.exp(-path_rates[:, :, None] * OFFSETS))
+        gauges[-1] = Gauge(gauges[-1].deflator, curve, gauges[-1].label)
+        report = curvature_components(gauges)
+        got = (report.components, report.component_se, report.norm, report.norm_se)
+        for a, b in zip(got + (report.weighted_std,), _reference_components(gauges)):
+            assert a.tobytes() == b.tobytes(), n
 
 
 def test_curvature_holds_a_block_of_columns():
@@ -445,6 +463,19 @@ def test_kernel_check_martingale_deflator_passes():
     assert report.all_passed
     for row in report.rows:
         assert row["se"] > 0
+
+
+def test_kernel_check_overflowing_state_names_the_asset_and_pair():
+    # beta_t D_t = 1e400 overflows: the discounted state is not finite
+    grid = TimeGrid.regular(1.0, 4)
+    d = np.full((200, grid.n_times), 1e200)
+    d[:, 1] *= np.linspace(1.0, 2.0, 200)
+    gauge = _flat_gauge(grid, 0.0, d, "big")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        match = r"asset 'big' is non-finite for pair \(0\.25, 0\.5\)"
+        with pytest.raises(NumericalError, match=match):
+            kernel_check([gauge], np.full(grid.n_times, 1e200), [(0.25, 0.5)])
 
 
 def test_kernel_check_nonfinite_bin_is_a_numerical_error():

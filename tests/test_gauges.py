@@ -398,6 +398,58 @@ def test_self_financing_rebalanced_residual_vanishes_with_refinement():
     assert 1.6 < w50 / w100 < 2.4  # first-order shrink
 
 
+def _whole_array_self_financing(gauges, x):
+    """self_financing_residual's mean and SE from whole (n_paths, ...) arrays:
+    the reference its blocked form must equal bit for bit."""
+    grid = gauges[0].grid
+    x = np.broadcast_to(np.asarray(x, dtype=np.float64), (grid.n_times, len(gauges)))
+    n_paths = max(g.n_paths for g in gauges)
+    d = np.stack(
+        [np.broadcast_to(g.deflator.series, (n_paths, grid.n_times)) for g in gauges], axis=2
+    )
+    t, h = grid.times, grid.steps
+    hp, hm = h[1:][None, :], h[:-1][None, :]
+    v = np.einsum("tj,ptj->pt", x, d)
+    dv = 0.5 * ((v[:, 2:] - v[:, 1:-1]) / hp + (v[:, 1:-1] - v[:, :-2]) / hm)
+    dd = 0.5 * (
+        (d[:, 2:] - d[:, 1:-1]) / hp[:, :, None] + (d[:, 1:-1] - d[:, :-2]) / hm[:, :, None]
+    )
+    xd = np.einsum("tj,ptj->pt", x[1:-1], dd)
+    cov_rate = 0.5 * (
+        np.einsum("ptj,ptj->pt", (x[2:] - x[1:-1])[None], d[:, 2:] - d[:, 1:-1]) / hp
+        + np.einsum("ptj,ptj->pt", (x[1:-1] - x[:-2])[None], d[:, 1:-1] - d[:, :-2]) / hm
+    )
+    resid = dv - xd + 0.5 * cov_rate
+    se = resid.std(axis=0, ddof=1) / np.sqrt(n_paths)
+    return t[1:-1], resid.mean(axis=0), se
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("steps", [2, 6])  # 2 steps: one interior column
+@pytest.mark.parametrize("strategy", ["constant", "per-time"])
+def test_self_financing_path_blocks_match_whole_array_reference(
+    monkeypatch, block, steps, strategy
+):
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", block)
+    grid = TimeGrid.regular(2.0, steps)
+    offsets = 0.25 * np.arange(3)
+    rng = np.random.default_rng(block * 10 + steps)
+    x = rng.uniform(-1.0, 2.0, (grid.n_times, 3))
+    if strategy == "constant":
+        x = x[0]
+    # path counts below, at and straddling one and several blocks
+    for n in sorted({max(2, block - 1), max(2, block), block + 1, 2 * block + 1, 3 * block + 2}):
+        d = rng.uniform(0.5, 2.0, (n, grid.n_times, 1))
+        gauges = [
+            Gauge(PathEnsemble(grid, d), flat_term_structure(grid, 0.01, offsets)),
+            Gauge(PathEnsemble(grid, d[:1] ** 2), flat_term_structure(grid, 0.02, offsets)),
+            Gauge(PathEnsemble(grid, 1.0 / d), flat_term_structure(grid, 0.03, offsets)),
+        ]
+        rep = self_financing_residual(gauges, x)
+        for a, b in zip((rep.times, rep.residual, rep.se), _whole_array_self_financing(gauges, x)):
+            assert a.tobytes() == b.tobytes(), n
+
+
 def test_term_structure_csv_round_trip(tmp_path):
     grid = TimeGrid(np.array([0.0, 0.3, 0.55]))
     offsets = np.array([0.0, 0.25, 0.5, 1.0])

@@ -17,6 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from bin_reference import MIN_BIN, N_BINS, reference_bins
 from block_reference import STREAM_BLOCK, reference_rows
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -55,6 +56,8 @@ from curvarb.paths import (
     TAG_LGD,
     TAG_NOVIKOV_DRIVER,
     TAG_SHARPE,
+    _MIN_BIN,
+    _N_BINS,
     _STREAM_BLOCK,
     _PATH_BLOCK,
     _cumulative_trapezoid,
@@ -65,6 +68,7 @@ from curvarb.paths import (
     _ito_rows,
     _keyed_rows,
     _legendre_rule,
+    _sorted_quantiles,
     conditional_bin_table,
 )
 
@@ -551,6 +555,80 @@ def test_martingale_residual_detects_drift_and_passes_driftless():
     # conditional version at an interior date still sees the drift
     r2 = _worst_drift_bin(drifted, 0.5, 1.0)
     assert r2["mean"] > 0
+
+
+def test_bin_reference_uses_the_bin_settings():
+    assert (N_BINS, MIN_BIN) == (_N_BINS, _MIN_BIN)
+
+
+def _bin_inputs(seed: int, n: int, law: str, decimals: int | None):
+    """States and samples for one bin table; rounding the states ties them.
+    Adding 0.0 turns a rounded -0.0 into 0.0: which zero heads a run of
+    zeros is up to the sort, in numpy's quantile partition as here."""
+    rng = np.random.default_rng(seed)
+    states = {
+        "normal": lambda: rng.normal(size=n),
+        "lognormal": lambda: rng.lognormal(0.0, 2.0, size=n),
+        "few": lambda: rng.integers(0, 3, size=n).astype(float),
+    }[law]()
+    if decimals is not None:
+        states = np.round(states, decimals) + 0.0
+    return states, rng.normal(size=n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bins=st.integers(0, 2 * _N_BINS + 1),
+    offset=st.integers(-3, 3),
+    law=st.sampled_from(["normal", "lognormal", "few"]),
+    decimals=st.sampled_from([None, 0, 1, 2]),
+)
+def test_bin_table_equals_the_reference_bit_for_bit(seed, bins, offset, law, decimals):
+    # sizes around multiples of _MIN_BIN, where the bin count steps
+    n = max(1, bins * _MIN_BIN + offset)
+    states, samples = _bin_inputs(seed, n, law, decimals)
+    got, want = conditional_bin_table(states, samples), reference_bins(states, samples)
+    assert repr(got) == repr(want)
+    assert sum(row["count"] for row in got) == n
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3000),
+    decimals=st.sampled_from([None, 0, 2]),
+    levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+)
+def test_sorted_quantiles_equal_np_quantile_bit_for_bit(seed, n, decimals, levels):
+    states, _ = _bin_inputs(seed, n, "normal", decimals)
+    # quarter levels put gamma at exactly 0.5 for some n: lerp's switch point
+    quarters = np.array([0.25, 0.5, 0.75])
+    edges = np.linspace(0, 1, min(_N_BINS, max(1, n // _MIN_BIN)) + 1)
+    for q in (np.array(levels), quarters, edges):
+        got = _sorted_quantiles(np.sort(states), q)
+        assert got.tobytes() == np.quantile(states, q).tobytes()
+
+
+def test_bin_table_rejects_mismatched_empty_and_non_1d_inputs():
+    rng = np.random.default_rng(4)
+    states = rng.normal(size=1000)
+    for samples in (rng.normal(size=1200), rng.normal(size=800)):
+        with pytest.raises(ConfigurationError, match="one sample per state"):
+            conditional_bin_table(states, samples)
+    with pytest.raises(ConfigurationError, match="non-empty"):
+        conditional_bin_table(np.array([]), np.array([]))
+    with pytest.raises(ConfigurationError, match="1-d"):
+        conditional_bin_table(states.reshape(10, 100), states.reshape(10, 100))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bin_table_non_finite_state_is_a_numerical_error(bad):
+    states = np.linspace(0.0, 1.0, 500)
+    states[123] = bad
+    with pytest.raises(NumericalError, match="bin state 123 is non-finite") as exc:
+        conditional_bin_table(states, np.zeros(500))
+    assert exc.value.diagnostics == {"index": 123}
 
 
 def test_binary_round_trip_is_bit_exact(tmp_path):
