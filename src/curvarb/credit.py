@@ -7,6 +7,9 @@ grid nodes.  Intensity (Cox) models default when the integrated hazard first
 exceeds an independent unit-exponential threshold: the default time carries no
 announcement and lands between nodes via linear interpolation of the
 piecewise-linear cumulative hazard (exact for piecewise-constant hazards).
+The hazard is a deterministic function of time, and so is the loss given
+default outside the integrability module's driver-linked stress rules: the
+holonomy identities read both at grid times.
 
 Test markets are built directly under the pricing measure, so plain ensemble
 averages play the role of risk-neutral expectations and the pricing kernel of
@@ -20,6 +23,7 @@ vanishes.  See thm1_residuals for the details.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -32,15 +36,12 @@ from .paths import (
     TAG_BRIDGE,
     TAG_DRIVER,
     TAG_EXP,
-    TAG_LAMBDA,
-    TAG_LGD,
     ItoSpec,
     PathEnsemble,
     TimeGrid,
     _cumulative_trapezoid,
     _gauss_legendre,
     _ito_blocks,
-    _ito_rows,
     _kernel_on_grid,
     _keyed_rows,
     _mean_se,
@@ -79,22 +80,19 @@ _HAZARD_NODES = 8
 
 @dataclass(frozen=True, eq=False)
 class IntensityModel:
-    """Cox default model with hazard lam: constant, deterministic t -> rate,
-    or an ItoSpec for a stochastic hazard path (clipped at zero)."""
+    """Cox default model with a deterministic hazard lam: a constant rate or
+    a callable t -> rate."""
 
-    lam: float | Callable | ItoSpec
+    lam: float | Callable
 
     def __post_init__(self):
-        if isinstance(self.lam, ItoSpec) and self.lam.dim != 1:
-            raise ConfigurationError("a stochastic hazard must be one-dimensional")
-
-    def is_deterministic(self) -> bool:
-        return not isinstance(self.lam, ItoSpec)
+        if not (callable(self.lam) or isinstance(self.lam, numbers.Real)):
+            raise ConfigurationError(
+                f"a hazard is a real number or a callable, not {type(self.lam).__name__}"
+            )
 
     def hazard_values(self, times: np.ndarray) -> np.ndarray:
-        """Deterministic hazard sampled on a grid; shape (1, n_times)."""
-        if isinstance(self.lam, ItoSpec):
-            raise ConfigurationError("stochastic hazard has no deterministic values")
+        """The hazard sampled on a grid; shape (1, n_times)."""
         if callable(self.lam):
             vals = np.array([float(self.lam(t)) for t in times])
         else:
@@ -104,10 +102,8 @@ class IntensityModel:
         return vals[None, :]
 
     def integrated_hazard(self, t: float, s: float) -> float:
-        """Integral of a deterministic hazard over [t, s]: exact for a
-        constant, the fixed rule of _hazard_integrals for a callable."""
-        if isinstance(self.lam, ItoSpec):
-            raise ConfigurationError("stochastic hazard needs simulation")
+        """Integral of the hazard over [t, s]: exact for a constant, the
+        fixed rule of _hazard_integrals for a callable."""
         if callable(self.lam):
             return float(_hazard_integrals(self.lam, np.array([t, s]))[0])
         return float(self.lam) * (s - t)
@@ -145,27 +141,22 @@ class StructuralModel:
 class LGDProcess:
     """Loss given default in [0, 1].
 
-    kind "constant" uses value; "deterministic" uses fn(t); "stochastic"
-    samples an ItoSpec clipped into [0, 1] and reads it at the default time by
-    linear interpolation; "driver_linked" evaluates fn(t, w) on the driving
-    Brownian state at default (used by stress families in the integrability
-    module).
+    kind "constant" uses value; "deterministic" uses fn(t); "driver_linked"
+    evaluates fn(t, w) on the driving Brownian state at default (used by
+    stress families in the integrability module).
     """
 
     kind: str = "constant"
     value: float = 0.0
     fn: Callable | None = None
-    spec: ItoSpec | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "deterministic", "stochastic", "driver_linked"):
+        if self.kind not in ("constant", "deterministic", "driver_linked"):
             raise ConfigurationError(f"unknown LGD kind {self.kind!r}")
         if self.kind == "constant" and not 0.0 <= self.value <= 1.0:
             raise ConfigurationError("constant LGD must lie in [0, 1]")
         if self.kind in ("deterministic", "driver_linked") and self.fn is None:
             raise ConfigurationError("deterministic/driver_linked LGD needs fn")
-        if self.kind == "stochastic" and (self.spec is None or self.spec.dim != 1):
-            raise ConfigurationError("stochastic LGD needs a one-dimensional ItoSpec")
 
     def deterministic_at(self, t: float | np.ndarray):
         if self.kind == "constant":
@@ -174,14 +165,6 @@ class LGDProcess:
             return np.clip(np.vectorize(self.fn)(t), 0.0, 1.0)
         raise ConfigurationError(f"LGD kind {self.kind!r} is not deterministic")
 
-    def sample_paths(self, grid: TimeGrid, paths: np.ndarray, seed: int) -> np.ndarray:
-        """(paths.size, n_times) LGD paths of the stochastic kind for the given
-        path indices; row i is bit for bit row paths[i] of the whole ensemble."""
-        if self.kind != "stochastic":
-            raise ConfigurationError("sample_paths applies to stochastic LGD only")
-        x = _ito_rows(self.spec, grid, paths, seed, TAG_LGD)[:, :, 0]
-        return np.clip(x, 0.0, 1.0, out=x)
-
 
 @dataclass(frozen=True, eq=False)
 class DefaultSample:
@@ -189,9 +172,9 @@ class DefaultSample:
 
     grid: TimeGrid
     tau: np.ndarray                       # (n,) defaults; inf if none in horizon
-    cumulative_hazard: np.ndarray | None  # (m, n_times), m in {1, n}
+    cumulative_hazard: np.ndarray | None  # (1, n_times)
     thresholds: np.ndarray | None         # (n,) unit-exponential draws
-    lambda_paths: np.ndarray | None       # (m, n_times)
+    lambda_paths: np.ndarray | None       # (1, n_times): the hazard on the grid
 
     @property
     def n_paths(self) -> int:
@@ -234,51 +217,19 @@ def _share(hit: np.ndarray):
 # Simulation
 
 
-def _hazard_paths(model: IntensityModel, grid: TimeGrid, n_paths: int, seed: int):
-    """(lam, cum): the hazard on the grid, clipped at zero and one row when
-    deterministic, and its trapezoidal cumulative hazard."""
-    if model.is_deterministic():
-        lam = model.hazard_values(grid.times)
-    else:
-        lam = _ito_rows(model.lam, grid, np.arange(n_paths), seed, TAG_LAMBDA)[:, :, 0]
-        np.maximum(lam, 0.0, out=lam)
-    return lam, _cumulative_trapezoid(lam, grid.steps)
-
-
-def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """Entry i is np.interp(x[i], xp, fp[i]) bit for bit (x without NaN):
-    the same bracketing node and formula, for all rows at once."""
-    rows = np.arange(x.size)
-    j = np.searchsorted(xp, x, side="right") - 1  # xp[j] <= x < xp[j + 1]
-    k = np.clip(j, 0, xp.size - 2)
-    slope = (fp[rows, k + 1] - fp[rows, k]) / (xp[k + 1] - xp[k])
-    at_node = (j < 0) | (j == xp.size - 1) | (xp[k] == x)
-    node = fp[rows, np.clip(j, 0, xp.size - 1)]
-    return np.where(at_node, node, slope * (x - xp[k]) + fp[rows, k])
-
-
 def _intensity_default_times(
     cum: np.ndarray, times: np.ndarray, thresholds: np.ndarray
 ) -> np.ndarray:
-    """Each path's first node i1 where the cumulative hazard reaches its
-    threshold, interpolated back into [times[i1 - 1], times[i1]]; inf if none.
-
-    One row of cum (a deterministic hazard) is nondecreasing, since the hazard
-    is nonnegative, so one searchsorted finds every first crossing; per-path
-    rows are compared in full.
+    """Each path's first node i1 where the (1, n_times) cumulative hazard cum
+    reaches its threshold, interpolated back into [times[i1 - 1], times[i1]];
+    inf if none.  cum is nondecreasing, since the hazard is nonnegative, so
+    one searchsorted finds every first crossing.
     """
-    if cum.shape[0] == 1:
-        i1 = np.searchsorted(cum[0], thresholds, side="left")
-        has = i1 < times.size
-        i1 = i1[has]
-        c0, c1 = cum[0, i1 - 1], cum[0, i1]
-    else:
-        crossed = cum >= thresholds[:, None]
-        has = crossed.any(axis=1)
-        rows = np.nonzero(has)[0]
-        i1 = np.argmax(crossed[rows], axis=1)
-        c0, c1 = cum[rows, i1 - 1], cum[rows, i1]
+    i1 = np.searchsorted(cum[0], thresholds, side="left")
+    has = i1 < times.size
+    i1 = i1[has]
     i0 = i1 - 1
+    c0, c1 = cum[0, i0], cum[0, i1]
     dc = c1 - c0
     frac = np.where(dc > 0, (thresholds[has] - c0) / np.where(dc > 0, dc, 1.0), 1.0)
     tau = np.full(thresholds.size, np.inf)
@@ -309,7 +260,8 @@ def simulate_default(
         raise ConfigurationError("need n_paths >= 1")
     times = grid.times
     if isinstance(model, IntensityModel):
-        lam, cum = _hazard_paths(model, grid, n_paths, seed)
+        lam = model.hazard_values(times)
+        cum = _cumulative_trapezoid(lam, grid.steps)
         thresholds = _keyed_rows(seed, TAG_EXP, np.arange(n_paths), (), "standard_exponential")
         tau = _intensity_default_times(cum, times, thresholds)
         return DefaultSample(grid, tau, cum, thresholds, lam)
@@ -356,19 +308,15 @@ def cox_uniformity(sample: DefaultSample) -> tuple[float, float, int]:
     """
     if sample.cumulative_hazard is None:
         raise ConfigurationError("hazard-law check applies to intensity samples")
-    times = sample.grid.times
-    cum = np.broadcast_to(
-        sample.cumulative_hazard, (sample.n_paths, times.size)
-    )
+    cum = sample.cumulative_hazard[0]
     mask = sample.defaulted()
     if mask.sum() < 10:
         raise EstimationError(
             "too few defaults for a distribution test",
             diagnostics={"defaulted": int(mask.sum())},
         )
-    rows = np.nonzero(mask)[0]
-    lam_tau = _interp_rows(sample.tau[rows], times, cum[rows])
-    total = cum[rows, -1]
+    lam_tau = np.interp(sample.tau[mask], sample.grid.times, cum)
+    total = cum[-1]
     u = np.sort(-np.expm1(-lam_tau) / -np.expm1(-total))
     n = u.size
     d_plus = np.max(np.arange(1.0, n + 1) / n - u)
@@ -401,39 +349,23 @@ def default_probability(
 ) -> ProbabilityEstimate:
     """P[default by s | alive at t] for either model family.
 
-    Deterministic intensities integrate exactly; stochastic intensities use
-    the survival-ratio estimator E[exp(-H_s)] / E[exp(-H_t)]; structural
-    models count barrier states among paths that survived to t.
+    Intensity models integrate their hazard exactly; structural models count
+    barrier states among n_paths simulated paths that survived to t.
     """
     if not s > t >= 0:
         raise ConfigurationError("need 0 <= t < s")
-    if isinstance(model, IntensityModel) and model.is_deterministic():
+    if isinstance(model, IntensityModel):
         p = -np.expm1(-model.integrated_hazard(t, s))
         return ProbabilityEstimate(float(p), 0.0)
+    if not isinstance(model, StructuralModel):
+        raise ConfigurationError(f"unknown default model {type(model).__name__}")
     if n_paths < 2:
         raise ConfigurationError("simulation estimate needs n_paths >= 2")
     grid = TimeGrid.regular(s, steps)
-    if isinstance(model, IntensityModel):
-        _, cum = _hazard_paths(model, grid, n_paths, seed)
-        it = grid.index_of(t) if t > 0 else 0
-        st_ = grid.index_of(s)
-        a = np.exp(-cum[:, st_])
-        bvals = np.exp(-cum[:, it]) if t > 0 else np.ones(n_paths)
-        ratio = a.mean() / bvals.mean()
-        n = n_paths
-        var = (
-            a.var(ddof=1) / n
-            + ratio**2 * bvals.var(ddof=1) / n
-            - 2 * ratio * np.cov(a, bvals, ddof=1)[0, 1] / n
-        ) / bvals.mean() ** 2
-        se = float(np.sqrt(max(var, 0.0)))
-        return ProbabilityEstimate(float(1.0 - ratio), se, n)
-    if isinstance(model, StructuralModel):
-        sample = simulate_default(model, grid, n_paths, seed, bridge=bridge)
-        alive, n_alive = _survivors(sample, t, 2, "no survivors to condition on")
-        p, se = _share(sample.tau[alive] <= s)
-        return ProbabilityEstimate(p, float(se), n_alive)
-    raise ConfigurationError(f"unknown default model {type(model).__name__}")
+    sample = simulate_default(model, grid, n_paths, seed, bridge=bridge)
+    alive, n_alive = _survivors(sample, t, 2, "no survivors to condition on")
+    p, se = _share(sample.tau[alive] <= s)
+    return ProbabilityEstimate(p, float(se), n_alive)
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +423,13 @@ def _corp_column(market: CreditMarket, i: int) -> np.ndarray:
 
 def realized_lgd_at_default(market: CreditMarket) -> np.ndarray:
     """Per-path loss given default read off at the default time (nan if none)."""
-    sample = market.defaults
-    tau = sample.tau
+    if market.lgd.kind == "driver_linked":
+        raise ConfigurationError("driver_linked LGD is realized by the caller")
+    tau = market.defaults.tau
     out = np.full(tau.size, np.nan)
-    rows = np.nonzero(sample.defaulted())[0]
-    if market.lgd.kind in ("constant", "deterministic"):
-        out[rows] = np.asarray(market.lgd.deterministic_at(tau[rows]), dtype=np.float64)
-        return out
-    if market.lgd.kind == "stochastic":
-        paths = market.lgd.sample_paths(sample.grid, rows, market.seed)
-        out[rows] = _interp_rows(tau[rows], sample.grid.times, paths)
-        return out
-    raise ConfigurationError("driver_linked LGD is realized by the caller")
+    rows = np.nonzero(market.defaults.defaulted())[0]
+    out[rows] = np.asarray(market.lgd.deterministic_at(tau[rows]), dtype=np.float64)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -732,12 +659,11 @@ def thm1_residuals(
 ) -> Thm1Report:
     """Evaluate the no-arbitrage spread and bond-difference identities.
 
-    lambda_source "model" uses the hazard paths of the market's default sample
-    (one exact row for deterministic hazards, so residual standard errors are
-    zero and a residual beyond _SPREAD_ATOL is a detection); "simulated"
-    re-estimates the hazard from the market's own default sample over
-    [t, t+window], which attaches Monte Carlo standard errors and gives the
-    detection test statistical power.
+    lambda_source "model" reads the exact hazard row of the market's default
+    sample, so residual standard errors are zero and a residual beyond
+    _SPREAD_ATOL is a detection; "simulated" re-estimates the hazard from the
+    market's own default sample over [t, t+window], which attaches Monte Carlo
+    standard errors and gives the detection test statistical power.
     """
     if lambda_source not in ("model", "simulated"):
         raise ConfigurationError(f"unknown lambda_source {lambda_source!r}")
@@ -752,14 +678,12 @@ def thm1_residuals(
     if lambda_source == "simulated":
         tau = market.defaults.tau
         ordered_tau = np.sort(tau[~np.isnan(tau)])
+    elif market.defaults.lambda_paths is None:
+        raise ConfigurationError("market model carries no hazard")
     rows_ii = []
     for i, t in enumerate(times):
         if lambda_source == "model":
-            if market.defaults.lambda_paths is None:
-                raise ConfigurationError("market model carries no hazard")
-            col = market.defaults.lambda_paths[:, i]
-            lam_hat = float(col.mean())
-            lam_se = float(_mean_se(col))
+            lam_hat, lam_se = float(market.defaults.lambda_paths[0, i]), 0.0
         else:
             if t + window > grid.horizon + _WINDOW_TOL:
                 continue

@@ -184,15 +184,6 @@ class CashflowVector:
         object.__setattr__(self, "offsets", off)
         object.__setattr__(self, "weights", wts)
 
-    @classmethod
-    def unit(cls, step: float) -> "CashflowVector":
-        """The identity of the convolution semigroup: one unit at offset 0."""
-        return cls(step, np.array([0]), np.array([1.0]))
-
-    def is_invertible(self) -> bool:
-        """Leading-coefficient test: a nonzero weight at offset zero."""
-        return bool(self.offsets[0] == 0 and self.weights[0] != 0.0)
-
     def dense(self) -> np.ndarray:
         out = np.zeros(int(self.offsets[-1]) + 1)
         out[self.offsets] = self.weights
@@ -201,7 +192,7 @@ class CashflowVector:
 
 def convolve(a: CashflowVector, b: CashflowVector) -> CashflowVector:
     """Convolution product of two cashflow vectors (Cauchy product on the
-    lattice); the unit vector is its identity."""
+    lattice); one unit at offset 0 is its identity."""
     if abs(a.step - b.step) > _REL_TOL * max(a.step, b.step):
         raise ConfigurationError(
             f"incommensurable cashflow lattices (steps {a.step} and {b.step})"

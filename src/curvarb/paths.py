@@ -271,13 +271,12 @@ RNG_STREAM_VERSION = 3
 _STREAM_BLOCK = 256
 
 # Stream tags, one keyed family per random purpose (README "Determinism");
-# 6 is unused and 8 retired (version 1 bridged the Novikov driver on it)
+# 6 is unused, and 2, 5 and 8 are retired (the stochastic hazard, the
+# stochastic LGD, and version 1's bridged Novikov driver drew on them)
 TAG_SHARPE = 0  # novikov_sharpe's state; the default tag of simulate_brownian
 TAG_DRIVER = 1  # structural equity
-TAG_LAMBDA = 2  # stochastic hazard
 TAG_EXP = 3  # default thresholds
 TAG_BRIDGE = 4  # bridge uniforms
-TAG_LGD = 5  # stochastic LGD
 TAG_NOVIKOV_DRIVER = 7  # Novikov driver at the default time
 TAG_ASSET_BASE = 16  # the CLI's asset j draws on TAG_ASSET_BASE + j
 
@@ -525,18 +524,15 @@ def _silverman_bandwidth(states: np.ndarray) -> np.ndarray:
 class NelsonEstimator:
     """Conditional difference-quotient estimator returned by nelson_derivative.
 
-    Calling it with one state (d,) or a batch (m, d) yields the estimated
-    derivative vectors.  evaluate() also returns standard errors and effective
-    kernel sample sizes.
+    evaluate() at one state (d,) or a batch (m, d) returns the estimated
+    derivative vectors, their standard errors and effective kernel sample
+    sizes.
     """
 
     states: np.ndarray            # (n_paths, d) conditioning states
     quotients: np.ndarray         # (n_paths, out_dim)
     bandwidth: np.ndarray         # (d,) zero entries mean "uniform weights"
     conditioning: str
-
-    def __call__(self, state) -> np.ndarray:
-        return self.evaluate(state)[0]
 
     def evaluate(self, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q = np.atleast_2d(np.asarray(state, dtype=np.float64))

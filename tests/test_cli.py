@@ -161,6 +161,24 @@ BUNDLED_DIGESTS = {
 }
 
 
+def _numpy_build() -> str:
+    """The numpy version and, where numpy reports them, its active CPU
+    dispatch targets: the pinned bytes hold for one of each (README
+    "Determinism")."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        active = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    except (ImportError, AttributeError):
+        return f"numpy {np.__version__}"
+    return f"numpy {np.__version__}, CPU dispatch {' '.join(active) or 'baseline only'}"
+
+
+def test_numpy_build_names_the_numpy_version():
+    # the digest test's failure message is built without an error
+    assert _numpy_build().startswith(f"numpy {np.__version__}")
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
 def test_bundled_outputs_match_pinned_digests(tmp_path, name):
     assert set(BUNDLED_DIGESTS) == set(bundled_scenarios())
@@ -173,7 +191,7 @@ def test_bundled_outputs_match_pinned_digests(tmp_path, name):
     for fname, digest in expected.items():
         assert digests[fname] == digest, (
             f"{name}/{fname}: SHA-256 {digests[fname]} is not the pinned {digest}"
-            f" (numpy {np.__version__})"
+            f" ({_numpy_build()})"
         )
 
 

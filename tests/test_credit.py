@@ -24,15 +24,13 @@ from curvarb.credit import (
     simulate_default,
     thm1_residuals,
 )
-from curvarb.credit import _corp_column, _hazard_paths, _intensity_default_times, _interp_rows
-from curvarb.errors import ConfigurationError, DomainError, EstimationError, NumericalError
+from curvarb.credit import _corp_column, _intensity_default_times
+from curvarb.errors import ConfigurationError, DomainError, EstimationError
 from curvarb.novikov import capped_lgd_driver
 from curvarb.paths import (
     TAG_BRIDGE,
     TAG_DRIVER,
     TAG_EXP,
-    TAG_LAMBDA,
-    TAG_LGD,
     ItoSpec,
     PathEnsemble,
     TimeGrid,
@@ -90,16 +88,6 @@ def test_default_probability_deterministic_intensity():
     lam = lambda t: 0.01 + 0.002 * t  # noqa: E731
     p2 = default_probability(IntensityModel(lam), 2.0, 4.0)
     assert p2.value == pytest.approx(-np.expm1(-(0.02 + 0.001 * (16 - 4))), rel=1e-10)
-
-
-def test_default_probability_stochastic_intensity():
-    spec = ItoSpec(x0=0.02, drift=0.0, sigma=0.001, form="arithmetic")
-    est = default_probability(
-        IntensityModel(spec), 1.0, 3.0, n_paths=40_000, seed=5, steps=300
-    )
-    # nearly deterministic hazard: conditional probability about 1 - e^{-0.04}
-    assert est.se > 0
-    assert abs(est.value - -np.expm1(-0.04)) < 3 * est.se + 2e-4
 
 
 def test_first_passage_probability_bridge():
@@ -270,69 +258,6 @@ def test_bridged_structural_defaults_hold_one_block_of_equity():
     peak = _traced_peak(lambda: simulate_default(model, grid, n, seed=9, bridge=True))
     # the whole (n, n_times) equity array would be 122 MiB
     assert peak < 0.5 * n * grid.n_times * 8
-
-
-def test_stochastic_hazard_and_lgd_hold_little_beyond_their_output():
-    grid = TimeGrid.regular(1.0, 100)
-    n = 40_000
-    hazard = IntensityModel(ItoSpec(x0=0.05, drift=0.01, sigma=np.array([[0.02, 0.03]])))
-    lgd = LGDProcess("stochastic", spec=ItoSpec(x0=0.4, drift=0.0, sigma=0.5))
-    _hazard_paths(hazard, grid, 10, 3)  # lazy imports happen outside the count
-    lgd.sample_paths(grid, np.arange(10), 3)
-    paths = n * grid.n_times * 8  # bytes of one (n, n_times) path family
-    # the hazard returns two such families: its paths and its cumulative hazard
-    assert _traced_peak(lambda: _hazard_paths(hazard, grid, n, 3)) < 2.5 * (2 * paths)
-    assert _traced_peak(lambda: lgd.sample_paths(grid, np.arange(n), 3)) < 2.5 * paths
-
-
-def test_lgd_numerical_error_names_the_paths_own_index(monkeypatch):
-    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
-    grid = TimeGrid.regular(1.0, 10)
-    # drift 0 keeps the state at 0.4 + 0.5 W until it passes 1.6; a step later it is inf
-    spec = ItoSpec(x0=0.4, drift=lambda t, x: np.where(x > 1.6, np.inf, 0.0), sigma=0.5)
-    rows = np.arange(3, 3000, 7)
-    w = simulate_brownian(grid, 3000, 1, 5, TAG_LGD).series[rows]
-    over = 0.4 + 0.5 * w[:, :-1] > 1.6
-    # the rows that stay finite go first, so the first overflow lies past the
-    # first block and its position in rows is not its path index
-    order = np.argsort(over.any(axis=1), kind="stable")
-    rows, over = rows[order], over[order]
-    first = int(np.argmax(over.any(axis=1)))
-    assert first >= 97  # outside the first block
-    with pytest.raises(NumericalError) as err:
-        LGDProcess("stochastic", spec=spec).sample_paths(grid, rows, seed=5)
-    assert err.value.diagnostics["path"] == rows[first]
-    assert err.value.diagnostics["step"] == int(np.argmax(over[first])) + 1
-
-
-def _interp_loop(x, xp, fp):
-    """The reference: one np.interp call per row."""
-    return np.array([np.interp(x[i], xp, fp[i]) for i in range(x.size)])
-
-
-@pytest.mark.parametrize("case", ["interior", "nodes", "right_end", "outside", "empty"])
-def test_interp_rows_matches_np_interp_bit_for_bit(case):
-    rng = np.random.default_rng(3)
-    xp = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.7, 40))])
-    x = {
-        "interior": rng.uniform(xp[0], xp[-1], 500),
-        "nodes": xp[rng.integers(0, xp.size, 500)],
-        "right_end": np.full(500, xp[-1]),
-        "outside": np.concatenate([xp[0] - rng.random(250), xp[-1] + rng.random(250)]),
-        "empty": np.empty(0),
-    }[case]
-    fp = np.cumsum(rng.uniform(0.0, 0.3, (x.size, xp.size)), axis=1)
-    assert _interp_rows(x, xp, fp).tobytes() == _interp_loop(x, xp, fp).tobytes()
-
-
-def test_interp_rows_matches_np_interp_at_default_times():
-    grid = TimeGrid.regular(10.0, 40)
-    spec = ItoSpec(x0=0.05, drift=0.0, sigma=0.03, form="arithmetic")
-    sample = simulate_default(IntensityModel(spec), grid, 20_000, seed=5)
-    rows = np.nonzero(sample.defaulted())[0]
-    assert rows.size > 1000
-    x, fp = sample.tau[rows], sample.cumulative_hazard[rows]
-    assert _interp_rows(x, grid.times, fp).tobytes() == _interp_loop(x, grid.times, fp).tobytes()
 
 
 def test_nelson_default_derivative_matches_hazard():
@@ -604,7 +529,8 @@ def _broadcast_default_times(cum, times, thresholds):
 )
 def test_one_row_default_times_equal_the_broadcast_route(lam):
     grid = TimeGrid.regular(5.0, 20)
-    lam_row, cum = _hazard_paths(IntensityModel(lam), grid, 1, 0)
+    sample = simulate_default(IntensityModel(lam), grid, 1, seed=0)
+    lam_row, cum = sample.lambda_paths, sample.cumulative_hazard
     assert cum.shape == (1, grid.n_times)
     thresholds = np.concatenate(
         [
@@ -615,11 +541,7 @@ def test_one_row_default_times_equal_the_broadcast_route(lam):
     )
     one_row = _intensity_default_times(cum, grid.times, thresholds)
     broadcast = _broadcast_default_times(cum, grid.times, thresholds)
-    per_path = _intensity_default_times(
-        np.repeat(cum, thresholds.size, axis=0), grid.times, thresholds
-    )
     assert one_row.tobytes() == broadcast.tobytes()
-    assert per_path.tobytes() == broadcast.tobytes()
     assert np.isinf(one_row[grid.n_times : grid.n_times + 3]).all()
     if not lam_row.any():
         assert np.isinf(one_row[grid.n_times :]).all()
@@ -628,27 +550,6 @@ def test_one_row_default_times_equal_the_broadcast_route(lam):
 def test_a_hazard_that_is_not_a_number_is_rejected():
     with pytest.raises(ConfigurationError, match="nonnegative"):
         IntensityModel(lambda t: np.nan).hazard_values(np.linspace(0.0, 1.0, 5))
-
-
-def test_stochastic_lgd_draws_the_defaulted_rows_only():
-    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=100_000, seed=3)
-    spec = ItoSpec(0.4, 0.0, 0.1)
-    stochastic = replace(market, lgd=LGDProcess("stochastic", spec=spec))
-    sample = market.defaults
-    rows = np.nonzero(sample.defaulted())[0]
-    whole = simulate_ito(spec, simulate_brownian(market.grid, sample.n_paths, 1, 3, TAG_LGD))
-    whole_nbytes = whole.values.nbytes
-    expected = _interp_rows(sample.tau[rows], market.grid.times, np.clip(whole.series[rows], 0, 1))
-    del whole
-    lgd = realized_lgd_at_default(stochastic)
-    assert lgd[rows].tobytes() == expected.tobytes()
-    assert np.isnan(lgd[~sample.defaulted()]).all()
-    payoff = np.ones(sample.n_paths)
-    payoff[rows] = 1.0 - expected  # every default lies within the horizon
-    peak = _traced_peak(lambda: corporate_bond_price(stochastic, 0.0, 10.0))
-    assert corporate_bond_price(stochastic, 0.0, 10.0).value == payoff.mean()
-    # 18k defaulted rows of 100k: less than one (n, n_times) LGD array
-    assert peak < 0.75 * whole_nbytes
 
 
 def test_realized_lgd_deterministic_rule():
@@ -661,21 +562,18 @@ def test_realized_lgd_deterministic_rule():
     assert lgd[mask] == pytest.approx(rule(market.defaults.tau[mask]), abs=1e-12)
 
 
-def test_stochastic_lgd_paths_clipped():
-    spec = ItoSpec(x0=0.4, drift=0.0, sigma=0.8, form="arithmetic")
-    proc = LGDProcess("stochastic", spec=spec)
-    grid = TimeGrid.regular(2.0, 16)
-    paths = proc.sample_paths(grid, np.arange(500), seed=3)
-    assert paths.min() >= 0.0 and paths.max() <= 1.0
-    assert paths[:, 0] == pytest.approx(0.4)
+@pytest.mark.parametrize(
+    "lam", [ItoSpec(x0=0.05, drift=0.0, sigma=0.01), "0.02", None, np.array([0.02])]
+)
+def test_a_hazard_that_is_not_a_number_or_a_callable_is_rejected(lam):
+    # hazards are deterministic: a hazard process is refused at construction
+    with pytest.raises(ConfigurationError, match="real number or a callable"):
+        IntensityModel(lam)
 
 
-def test_stochastic_hazard_and_lgd_specs_are_one_dimensional():
-    two = ItoSpec(x0=[0.4, 0.5], sigma=np.eye(2))
-    with pytest.raises(ConfigurationError, match="one-dimensional"):
-        IntensityModel(two)
-    with pytest.raises(ConfigurationError, match="one-dimensional"):
-        LGDProcess("stochastic", spec=two)
+def test_a_stochastic_lgd_is_an_unknown_kind():
+    with pytest.raises(ConfigurationError, match="unknown LGD kind 'stochastic'"):
+        LGDProcess("stochastic")
 
 
 def test_structural_equity_has_one_driver():
@@ -744,9 +642,9 @@ def test_ks_statistic_bit_equal_to_scipy():
         sample = simulate_default(IntensityModel(lam), grid, 5_000, seed=seed)
         stat, pvalue, n_def = cox_uniformity(sample)
         rows = np.nonzero(sample.defaulted())[0]
-        cum = np.broadcast_to(sample.cumulative_hazard, (sample.n_paths, grid.n_times))
-        lam_tau = _interp_rows(sample.tau[rows], grid.times, cum[rows])
-        u = -np.expm1(-lam_tau) / -np.expm1(-cum[rows, -1])
+        cum = sample.cumulative_hazard[0]
+        lam_tau = np.array([np.interp(tau, grid.times, cum) for tau in sample.tau[rows]])
+        u = -np.expm1(-lam_tau) / -np.expm1(-cum[-1])
         reference = stats.kstest(u, "uniform")
         assert stat == reference.statistic
         assert n_def == rows.size

@@ -42,7 +42,7 @@ from curvarb import (
     write_ensemble_csv,
     write_term_structure_csv,
 )
-from curvarb.credit import IntensityModel, LGDProcess, StructuralModel, _hazard_paths
+from curvarb.credit import StructuralModel
 from curvarb.curvature import novikov_sharpe
 import curvarb.cli
 import curvarb.paths
@@ -52,8 +52,6 @@ from curvarb.paths import (
     TAG_BRIDGE,
     TAG_DRIVER,
     TAG_EXP,
-    TAG_LAMBDA,
-    TAG_LGD,
     TAG_NOVIKOV_DRIVER,
     TAG_SHARPE,
     _MIN_BIN,
@@ -182,10 +180,6 @@ STREAM_DIGESTS = {
         "standard_normal",
         "701c8c7f5a5df4650eebaeef0d946458196e1c7be1b2d4a9f30a93b338888054",
     ),
-    TAG_LAMBDA: (
-        "standard_normal",
-        "00c4f0b1a0eb8951a3de6d4e5e75ccd9f2e55279b67ef5edb87f00d4883a8afe",
-    ),
     TAG_EXP: (
         "standard_exponential",
         "fe336095b349403e667814fc8f834e7a2e2aeae87f91030ac750c3efb34334d8",
@@ -193,10 +187,6 @@ STREAM_DIGESTS = {
     TAG_BRIDGE: (
         "random",
         "5fc0d3747c506e20f5fd4240b9a199615a1b7495189bdc910bb6aee4cf39bffb",
-    ),
-    TAG_LGD: (
-        "standard_normal",
-        "9e86c85c46a8bc12dc73f752ec1a9cb35add3bfb78c739482ae920ae436e6bb1",
     ),
     TAG_NOVIKOV_DRIVER: (
         "standard_normal",
@@ -215,9 +205,28 @@ STREAM_DIGESTS = {
 
 def test_stream_tags_are_distinct_and_below_the_asset_tags():
     tags = {n: v for n, v in vars(curvarb.paths).items() if n.startswith("TAG_")}
-    assert len(set(tags.values())) == len(tags) == 8
+    assert len(set(tags.values())) == len(tags) == 6
     assert max(v for n, v in tags.items() if n != "TAG_ASSET_BASE") < TAG_ASSET_BASE
     assert set(tags.values()) <= set(STREAM_DIGESTS)
+
+
+def test_tag_constants_digests_and_readme_table_name_the_same_tags():
+    # a tag added, retired or renumbered in one place is so in all three
+    constants = {n: v for n, v in vars(curvarb.paths).items() if n.startswith("TAG_")}
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Determinism", 1)[1]
+    row = r"^\s*\| (\d+)(?: \+ j)? \| (?:`(TAG_\w+)`(?: \+ j)?)? \| [^|]* \| (?:`(\w+)`)? \|$"
+    rows = re.findall(row, section, re.M)
+    assert {name: int(tag) for tag, name, _ in rows if name} == constants
+    # the unused and retired rows hold no constant, and no constant's tag
+    assert {int(tag) for tag, name, _ in rows if not name}.isdisjoint(constants.values())
+    # every constant's stream is pinned, with the tabled draw; the asset
+    # base pins assets 0 and 1
+    assert {min(tag, TAG_ASSET_BASE) for tag in STREAM_DIGESTS} == set(constants.values())
+    draws = {int(tag): draw for tag, name, draw in rows if name}
+    for tag, (method, _) in STREAM_DIGESTS.items():
+        assert method == draws[min(tag, TAG_ASSET_BASE)]
 
 
 @pytest.mark.parametrize("tag", sorted(STREAM_DIGESTS))
@@ -437,9 +446,9 @@ def test_derivative_modes_on_deterministic_path():
     values = np.tile((t**2)[None, :, None], (3, 1, 1))
     ens = PathEnsemble(grid, values)
     h = 0.01
-    est_mean = nelson_derivative(ens, 1.0, mode="mean")(np.array([1.0]))
-    est_fwd = nelson_derivative(ens, 1.0, mode="forward")(np.array([1.0]))
-    est_bwd = nelson_derivative(ens, 1.0, mode="backward")(np.array([1.0]))
+    est_mean = nelson_derivative(ens, 1.0, mode="mean").evaluate(np.array([1.0]))[0]
+    est_fwd = nelson_derivative(ens, 1.0, mode="forward").evaluate(np.array([1.0]))[0]
+    est_bwd = nelson_derivative(ens, 1.0, mode="backward").evaluate(np.array([1.0]))[0]
     # central difference of t^2 is exact; one-sided are off by +-h
     assert abs(est_mean[0, 0] - 2.0) < 1e-10
     assert abs(est_fwd[0, 0] - (2.0 + h)) < 1e-10
@@ -521,7 +530,7 @@ def test_kernel_starvation_raises_with_diagnostics():
     w = simulate_brownian(grid, 200, seed=17)
     est = nelson_derivative(w, 1.0, mode="mean")
     with pytest.raises(EstimationError) as exc:
-        est(np.array([50.0]))  # far outside the support of W_1
+        est.evaluate(np.array([50.0]))  # far outside the support of W_1
     assert "n_effective" in exc.value.diagnostics
 
 
@@ -856,17 +865,20 @@ def _equity_route(form):
     return internal, _public_pair(spec, 1, TAG_DRIVER)
 
 
-def _hazard_route():
+def _two_driver_route():
+    # one state driven by two Brownian components
     spec = ItoSpec(x0=0.05, drift=0.01, sigma=np.array([[0.02, 0.03]]))
-    lam, _ = _hazard_paths(IntensityModel(spec), _ROUTE_GRID, _ROUTE_PATHS, _ROUTE_SEED)
-    return lam, np.maximum(_public_pair(spec, 2, TAG_LAMBDA)[:, :, 0], 0.0)
+    rows = np.arange(_ROUTE_PATHS)
+    internal = _ito_rows(spec, _ROUTE_GRID, rows, _ROUTE_SEED, TAG_SHARPE)
+    return internal, _public_pair(spec, 2, TAG_SHARPE)
 
 
-def _lgd_route():
+def _row_subset_route():
+    # a sparse subset: every 7th path, so most blocks are read for a few rows
     spec = ItoSpec(x0=0.4, drift=0.0, sigma=0.5)
     rows = np.arange(3, _ROUTE_PATHS, 7)
-    internal = LGDProcess("stochastic", spec=spec).sample_paths(_ROUTE_GRID, rows, _ROUTE_SEED)
-    return internal, np.clip(_public_pair(spec, 1, TAG_LGD)[rows, :, 0], 0.0, 1.0)
+    internal = _ito_rows(spec, _ROUTE_GRID, rows, _ROUTE_SEED, TAG_DRIVER)
+    return internal, _public_pair(spec, 1, TAG_DRIVER)[rows]
 
 
 def _sharpe_route():
@@ -910,8 +922,8 @@ def _cli_asset_route():
 
 _ROUTES = {
     **{f"equity-{form}": (lambda form=form: _equity_route(form)) for form in _EQUITY_SPECS},
-    "stochastic-hazard-2d-driver": _hazard_route,
-    "lgd-row-subset": _lgd_route,
+    "ito-rows-2d-driver": _two_driver_route,
+    "ito-rows-row-subset": _row_subset_route,
     "novikov-sharpe-exponents": _sharpe_route,
     "cli-asset-deflators": _cli_asset_route,
 }
@@ -926,10 +938,45 @@ def test_internal_routes_equal_the_public_pair(route):
 
 @pytest.mark.parametrize("route", list(_ROUTES))
 def test_internal_routes_equal_the_public_pair_across_small_blocks(monkeypatch, route):
-    # blocks of 97 paths: every route, the LGD row subset among them, crosses
+    # blocks of 97 paths: every route, the row subset among them, crosses
     # block edges, and the last block is short
     monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
     test_internal_routes_equal_the_public_pair(route)
+
+
+def test_ito_rows_numerical_error_names_the_paths_own_index(monkeypatch):
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
+    grid = TimeGrid.regular(1.0, 10)
+    # drift 0 keeps the state at 0.4 + 0.5 W until it passes 1.6; a step later it is inf
+    spec = ItoSpec(x0=0.4, drift=lambda t, x: np.where(x > 1.6, np.inf, 0.0), sigma=0.5)
+    rows = np.arange(3, 3000, 7)
+    w = simulate_brownian(grid, 3000, 1, 5, TAG_DRIVER).series[rows]
+    over = 0.4 + 0.5 * w[:, :-1] > 1.6
+    # the rows that stay finite go first, so the first overflow lies past the
+    # first block and its position in rows is not its path index
+    order = np.argsort(over.any(axis=1), kind="stable")
+    rows, over = rows[order], over[order]
+    first = int(np.argmax(over.any(axis=1)))
+    assert first >= 97  # outside the first block
+    with pytest.raises(NumericalError) as err:
+        _ito_rows(spec, grid, rows, 5, TAG_DRIVER)
+    assert err.value.diagnostics["path"] == rows[first]
+    assert err.value.diagnostics["step"] == int(np.argmax(over[first])) + 1
+
+
+def test_ito_rows_hold_little_beyond_their_output():
+    grid = TimeGrid.regular(1.0, 100)
+    n = 40_000
+    spec = ItoSpec(x0=0.4, drift=0.0, sigma=0.5)
+    _ito_rows(spec, grid, np.arange(10), 3, TAG_DRIVER)  # lazy imports happen outside the count
+    tracemalloc.start()
+    try:
+        _ito_rows(spec, grid, np.arange(n), 3, TAG_DRIVER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # bytes of one (n, n_times) path family, the output
+    assert peak < 2.5 * n * grid.n_times * 8
 
 
 def test_only_paths_draws_blocks_and_integrates_ito_paths():
