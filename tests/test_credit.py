@@ -547,6 +547,66 @@ def test_one_row_default_times_equal_the_broadcast_route(lam):
         assert np.isinf(one_row[grid.n_times :]).all()
 
 
+def _scan_default_times(cum, times, thresholds):
+    """The reference: one scalar scan of the cumulative hazard per threshold."""
+    tau = np.full(thresholds.size, np.inf)
+    for k, x in enumerate(thresholds.tolist()):
+        i1 = next((i for i, c in enumerate(cum.tolist()) if c >= x), None)
+        if i1 is None:
+            continue
+        c0, c1 = cum[i1 - 1], cum[i1]
+        frac = (x - c0) / (c1 - c0) if c1 - c0 > 0 else 1.0
+        tau[k] = times[i1 - 1] + frac * (times[i1] - times[i1 - 1])
+    return tau
+
+
+@pytest.mark.parametrize("case", ["interior", "nodes", "right_end", "outside", "empty"])
+def test_default_times_equal_a_per_threshold_scan(case):
+    grid = TimeGrid.regular(5.0, 20)
+    # a zero-hazard stretch puts repeated values, and so ties, in the row
+    lam = lambda t: 0.3 * (t < 2.0) + 0.5 * (t > 3.0)  # noqa: E731
+    cum = simulate_default(IntensityModel(lam), grid, 1, seed=0).cumulative_hazard
+    rng = np.random.default_rng(3)
+    thresholds = {
+        "interior": rng.uniform(0.0, cum[0, -1], 500),
+        "nodes": cum[0, rng.integers(0, grid.n_times, 500)],
+        "right_end": np.full(500, cum[0, -1]),
+        "outside": np.concatenate([np.zeros(5), cum[0, -1] + rng.random(250)]),
+        "empty": np.empty(0),
+    }[case]
+    tau = _intensity_default_times(cum, grid.times, thresholds)
+    assert tau.shape == thresholds.shape
+    assert tau.tobytes() == _scan_default_times(cum[0], grid.times, thresholds).tobytes()
+    if case == "outside":
+        assert (tau[:5] == 0.0).all() and np.isinf(tau[5:]).all()
+    if case == "right_end":
+        assert tau == pytest.approx(grid.times[-1], rel=1e-15)
+
+
+def test_intensity_default_times_hit_their_thresholds():
+    # the crossing is interpolated on the piecewise-linear cumulative hazard,
+    # so reading it back at tau returns each defaulted path's own threshold
+    grid = TimeGrid.regular(10.0, 40)
+    sample = simulate_default(IntensityModel(lambda t: 0.05 + 0.01 * t), grid, 20_000, seed=5)
+    mask = sample.defaulted()
+    assert 1000 < mask.sum() < mask.size
+    cum = sample.cumulative_hazard[0]
+    hit = np.interp(sample.tau[mask], grid.times, cum)
+    assert hit == pytest.approx(sample.thresholds[mask], rel=1e-12)
+    assert (sample.thresholds[~mask] > cum[-1]).all()
+
+
+def test_only_structural_probabilities_need_paths():
+    exact = default_probability(IntensityModel(0.02), 1.0, 3.0, n_paths=0)
+    assert (exact.value, exact.se, exact.n_used) == (-np.expm1(-0.04), 0.0, 0)
+    spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.3, form="arithmetic")
+    for n_paths in (0, 1):
+        with pytest.raises(ConfigurationError, match="n_paths >= 2"):
+            default_probability(StructuralModel(spec, 0.7), 0.0, 1.0, n_paths=n_paths)
+    with pytest.raises(ConfigurationError, match="unknown default model"):
+        default_probability(ItoSpec(x0=0.02, drift=0.0, sigma=0.01), 0.0, 1.0, n_paths=10)
+
+
 def test_a_hazard_that_is_not_a_number_is_rejected():
     with pytest.raises(ConfigurationError, match="nonnegative"):
         IntensityModel(lambda t: np.nan).hazard_values(np.linspace(0.0, 1.0, 5))
