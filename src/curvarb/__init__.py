@@ -3,7 +3,7 @@
 The package is organized around six modules:
 
 - paths: seeded path ensembles, Ito simulation, the stochastic-derivative
-  estimator, conditional bin tables and interchange formats.
+  estimator, conditional bin tables, interchange formats and the record base.
 - gauges: deflator/term-structure pairs, cashflow-vector transforms, portfolio
   aggregation, numeraire changes.
 - curvature: arbitrage curvature reports, zero-curvature residuals, pricing
@@ -13,87 +13,87 @@ The package is organized around six modules:
 - novikov: integrability estimates for the loss-given-default Sharpe bound,
   by Monte Carlo and by direct quadrature.
 - cli: scenario files, batch runner, validation.
+
+The package re-exports the ``__all__`` of each of the first five modules and
+of errors.  ``import curvarb`` loads errors, paths and gauges, which every
+run needs; the analysis modules curvature, credit and novikov load on the
+first read of a name they define (PEP 562), so a run loads only those it calls.
 """
 
-from .errors import (
-    ConfigurationError,
-    CurvarbError,
-    DomainError,
-    EstimationError,
-    NumeraireError,
-    NumericalError,
-    SingularTransformError,
-)
-from .gauges import (
-    CashflowVector,
-    Gauge,
-    SelfFinancingReport,
-    TermStructureSurface,
-    convolve,
-    flat_term_structure,
-    forward_rates,
-    gauge_transform,
-    numeraire_change,
-    portfolio_gauge,
-    read_term_structure_csv,
-    self_financing_residual,
-    short_rate,
-    term_structure_from_forwards,
-    write_term_structure_csv,
-)
-from .paths import (
-    ItoSpec,
-    NelsonEstimator,
-    PathEnsemble,
-    TimeGrid,
-    conditional_bin_table,
-    nelson_derivative,
-    read_ensemble,
-    read_ensemble_csv,
-    simulate_brownian,
-    simulate_ito,
-    write_ensemble,
-    write_ensemble_csv,
-)
-from .credit import (
-    BondPrice,
-    CreditGauge,
-    CreditMarket,
-    DefaultSample,
-    IntensityModel,
-    LGDProcess,
-    ProbabilityEstimate,
-    StructuralModel,
-    Thm1Report,
-    build_thm1_market,
-    corporate_bond_price,
-    cox_uniformity,
-    credit_gauge,
-    default_probability,
-    realized_lgd_at_default,
-    simulate_default,
-    thm1_residuals,
-)
-from .curvature import (
-    CurvatureReport,
-    KernelCheckReport,
-    ZCReport,
-    curvature_components,
-    kernel_check,
-    novikov_sharpe,
-    zc_residual,
-)
-from .novikov import (
-    DensitySpec,
-    NovikovEstimate,
-    QuadratureResult,
-    TailDiagnostics,
-    capped_lgd_driver,
-    capped_lgd_tq,
-    novikov_mc,
-    novikov_quadrature,
-    q2_statistic,
-    tail_diagnostics,
-)
+from . import errors, gauges, paths
+from .errors import *  # noqa: F403
+from .gauges import *  # noqa: F403
+from .paths import *  # noqa: F403
+
+# analysis module -> the names the package re-exports from it
+_LAZY = {
+    "credit": (
+        "IntensityModel",
+        "StructuralModel",
+        "LGDProcess",
+        "DefaultSample",
+        "CreditMarket",
+        "CreditGauge",
+        "ProbabilityEstimate",
+        "BondPrice",
+        "Thm1Report",
+        "simulate_default",
+        "cox_uniformity",
+        "default_probability",
+        "corporate_bond_price",
+        "credit_gauge",
+        "thm1_residuals",
+        "build_thm1_market",
+        "realized_lgd_at_default",
+    ),
+    "curvature": (
+        "CurvatureReport",
+        "curvature_components",
+        "ZCReport",
+        "zc_residual",
+        "novikov_sharpe",
+        "KernelCheckReport",
+        "kernel_check",
+    ),
+    "novikov": (
+        "q2_statistic",
+        "TailDiagnostics",
+        "tail_diagnostics",
+        "NovikovEstimate",
+        "novikov_mc",
+        "DensitySpec",
+        "QuadratureResult",
+        "novikov_quadrature",
+        "capped_lgd_tq",
+        "capped_lgd_driver",
+    ),
+}
+
+__all__ = [
+    *errors.__all__,
+    *gauges.__all__,
+    *paths.__all__,
+    *(name for names in _LAZY.values() for name in names),
+]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import an analysis module, or the module defining a re-exported name,
+    on first use; the name is then bound here like an eager import."""
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            # the import statement's route, which -X importtime reports (unlike
+            # importlib.import_module); it binds the module in globals()
+            __import__(f"{__name__}.{module}")
+            mod = globals()[module]
+            if name == module:
+                return mod
+            value = globals()[name] = getattr(mod, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY})

@@ -21,29 +21,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .credit import (
-    LGDProcess,
-    _thm1_curves,
-    build_thm1_market,
-    corporate_bond_price,
-    thm1_residuals,
-)
-from .curvature import curvature_components, kernel_check, novikov_sharpe, zc_residual
 from .errors import ConfigurationError, CurvarbError, DomainError, NumericalError
 from .gauges import _REL_TOL, Gauge, flat_term_structure
-from .novikov import (
-    DensitySpec,
-    capped_lgd_driver,
-    capped_lgd_tq,
-    novikov_mc,
-    novikov_quadrature,
-)
 from .paths import (
     RNG_STREAM_VERSION,
     TAG_ASSET_BASE,
@@ -54,7 +39,13 @@ from .paths import (
     _kernel_on_grid,
     _se_gate,
     _write_csv,
+    replace,
 )
+
+# the analysis modules are imported by the functions that call them, so a
+# run loads only the modules its analyses need
+if TYPE_CHECKING:
+    from .novikov import DensitySpec
 
 ANALYSES = ("curvature", "kernel", "zc", "thm1", "bond", "novikov", "sharpe")
 # the curvature gate: |norm| within _CURVATURE_GATE_SE standard errors, or
@@ -335,7 +326,11 @@ def _check_builds(doc: dict, wanted: set, v: list) -> None:
         message = _fails(build, *args)
         if message is not None:
             v.append((field, message))
-    message = "market" in inputs and _fails(_thm1_curves, grid, offsets, **_credit_params(doc))
+    if "market" not in inputs:
+        return
+    from .credit import _thm1_curves
+
+    message = _fails(_thm1_curves, grid, offsets, **_credit_params(doc))
     if message:
         # the credit curves mix every credit field: name the first of
         # spread_shift and gov_rate whose reset to 0, with those before it,
@@ -419,6 +414,8 @@ def _credit_params(doc, reset=None) -> dict:
 
 
 def _credit_market(doc):
+    from .credit import build_thm1_market
+
     offsets = _offsets(doc)
     return build_thm1_market(
         **_credit_params(doc),
@@ -438,6 +435,8 @@ def _beta(doc) -> np.ndarray:
 
 def _density_spec(doc) -> DensitySpec:
     """The closed-form scenery of the Novikov quadrature route."""
+    from .novikov import DensitySpec, capped_lgd_tq
+
     credit, section = doc["credit"], doc["novikov"]
     lgd = {"lgd_value": float(credit["lgd"])}
     if section.get("lgd_rule", "constant") == "capped":
@@ -459,6 +458,8 @@ def _shared_inputs(doc) -> dict:
 
 
 def _run_curvature(doc, built):
+    from .curvature import curvature_components
+
     report = curvature_components(built["gauges"])
     header = ["t"]
     for lab in report.labels:
@@ -488,6 +489,8 @@ def _run_curvature(doc, built):
 
 
 def _run_kernel(doc, built):
+    from .curvature import kernel_check
+
     pairs = [tuple(p) for p in doc["kernel"]["pairs"]]
     report = kernel_check(built["gauges"], _beta(doc), pairs)
     cols = ["label", "t", "s", "residual", "se", "z", "passed"]
@@ -501,6 +504,8 @@ def _run_kernel(doc, built):
 
 
 def _run_zc(doc, built):
+    from .curvature import zc_residual
+
     z = doc["zc"]
     report = zc_residual(
         np.asarray(z["alpha"], dtype=np.float64),
@@ -521,6 +526,8 @@ def _run_zc(doc, built):
 
 
 def _run_thm1(doc, built):
+    from .credit import thm1_residuals
+
     section = doc["thm1"]
     report = thm1_residuals(
         built["market"],
@@ -554,6 +561,8 @@ def _run_thm1(doc, built):
 
 
 def _run_bond(doc, built):
+    from .credit import corporate_bond_price
+
     section = doc["price"]
     pairs = [tuple(p) for p in section["pairs"]]
     expected = section.get("expected")
@@ -576,6 +585,8 @@ def _run_bond(doc, built):
 
 
 def _run_novikov(doc, built):
+    from .novikov import capped_lgd_driver, novikov_mc, novikov_quadrature
+
     section = doc["novikov"]
     k = int(section["k"])
     mode = section.get("mode", "both")
@@ -588,6 +599,8 @@ def _run_novikov(doc, built):
     if mode in ("mc", "both"):
         market = built["market"]
         if capped:
+            from .credit import LGDProcess
+
             market = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap)))
         mc_est = novikov_mc(market, k)
         cols = ["estimate", "se", "n_used", "censored_fraction"]
@@ -625,6 +638,8 @@ def _run_novikov(doc, built):
 
 
 def _run_sharpe(doc, built):
+    from .curvature import novikov_sharpe
+
     section = doc["sharpe"]
     est = novikov_sharpe(
         _spec(section),

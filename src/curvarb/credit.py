@@ -24,7 +24,6 @@ vanishes.  See thm1_residuals for the details.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -39,6 +38,7 @@ from .paths import (
     ItoSpec,
     PathEnsemble,
     TimeGrid,
+    _Record,
     _cumulative_trapezoid,
     _gauss_legendre,
     _ito_blocks,
@@ -78,8 +78,7 @@ _HAZARD_NODES = 8
 # Model types
 
 
-@dataclass(frozen=True, eq=False)
-class IntensityModel:
+class IntensityModel(_Record):
     """Cox default model with a deterministic hazard lam: a constant rate or
     a callable t -> rate."""
 
@@ -123,8 +122,7 @@ def _hazard_integrals(lam: Callable, edges: np.ndarray) -> np.ndarray:
     return np.sum(vals * w, axis=(1, 2))
 
 
-@dataclass(frozen=True, eq=False)
-class StructuralModel:
+class StructuralModel(_Record):
     """First-passage default: the equity state hitting the barrier from above."""
 
     equity: ItoSpec
@@ -137,8 +135,7 @@ class StructuralModel:
             raise ConfigurationError("equity must start strictly above the barrier")
 
 
-@dataclass(frozen=True, eq=False)
-class LGDProcess:
+class LGDProcess(_Record):
     """Loss given default in [0, 1].
 
     kind "constant" uses value; "deterministic" uses fn(t); "driver_linked"
@@ -166,8 +163,7 @@ class LGDProcess:
         raise ConfigurationError(f"LGD kind {self.kind!r} is not deterministic")
 
 
-@dataclass(frozen=True, eq=False)
-class DefaultSample:
+class DefaultSample(_Record):
     """Default times; an intensity sample also keeps its hazard scenery."""
 
     grid: TimeGrid
@@ -331,8 +327,7 @@ def cox_uniformity(sample: DefaultSample) -> tuple[float, float, int]:
 # Default probabilities
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilityEstimate:
+class ProbabilityEstimate(_Record):
     value: float
     se: float
     n_used: int = 0
@@ -372,8 +367,7 @@ def default_probability(
 # Markets, bonds, credit gauge
 
 
-@dataclass(frozen=True, eq=False)
-class CreditMarket:
+class CreditMarket(_Record):
     """A government/corporate gauge pair with its default scenery.
 
     gov_rates / corp_rates hold the instantaneous short-rate curves the market
@@ -432,8 +426,7 @@ def realized_lgd_at_default(market: CreditMarket) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class BondPrice:
+class BondPrice(_Record):
     value: float
     se: float
     n_used: int
@@ -468,8 +461,7 @@ def corporate_bond_price(
     return BondPrice(float(vals.mean()), float(_mean_se(vals)), n_alive)
 
 
-@dataclass(frozen=True, eq=False)
-class CreditGauge:
+class CreditGauge(_Record):
     """Difference gauge of a corporate/government pair.
 
     The deflator is signed (it starts at zero for equal initial deflators),
@@ -605,8 +597,7 @@ def build_thm1_market(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Thm1Report:
+class Thm1Report(_Record):
     """Spread and bond-difference residuals of the holonomy identities.
 
     rows_ii: per grid time, residual of (corporate - government short rate)

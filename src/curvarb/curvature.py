@@ -24,8 +24,6 @@ overflow as divergence evidence, and returns a NovikovEstimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
@@ -35,6 +33,7 @@ from .paths import (
     TAG_SHARPE,
     ItoSpec,
     TimeGrid,
+    _Record,
     _ito_rows,
     _kernel_on_grid,
     _mean_se,
@@ -68,8 +67,7 @@ _COLUMN_BLOCK = 16
 # Deflator acceleration spread
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureReport:
+class CurvatureReport(_Record):
     """Per-asset acceleration components on interior grid times.
 
     norm is the max-min spread across assets per time; norm_se combines the
@@ -226,8 +224,7 @@ def _coerce_zc_inputs(alpha, sigma, rates, covariation):
     return alpha, sigma, r, c
 
 
-@dataclass(frozen=True, eq=False)
-class ZCReport:
+class ZCReport(_Record):
     times: np.ndarray
     residual: np.ndarray        # (t,) distance of alpha + r - c/2 from span(sigma)
     threshold: np.ndarray       # (t,) pass level actually applied
@@ -360,8 +357,7 @@ def novikov_sharpe(
 # Pricing-kernel check
 
 
-@dataclass(frozen=True, eq=False)
-class KernelCheckReport:
+class KernelCheckReport(_Record):
     rows: list
 
     @property

@@ -8,6 +8,16 @@ the former to exit code 2 and the latter to exit code 3.
 
 from __future__ import annotations
 
+__all__ = [
+    "CurvarbError",
+    "ConfigurationError",
+    "DomainError",
+    "NumericalError",
+    "SingularTransformError",
+    "NumeraireError",
+    "EstimationError",
+]
+
 
 class CurvarbError(Exception):
     """Base class for all errors raised by this package."""

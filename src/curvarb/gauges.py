@@ -18,7 +18,6 @@ combinations exact.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .errors import (
 from .paths import (
     PathEnsemble,
     TimeGrid,
+    _Record,
     _cells,
     _cumulative_trapezoid,
     _mean_se,
@@ -61,8 +61,7 @@ __all__ = [
 _REL_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class TermStructureSurface:
+class TermStructureSurface(_Record):
     """P(t, t+h) on a grid of valuation dates and maturity offsets.
 
     values has shape (n_paths, n_times, n_offsets); offsets start at 0 where
@@ -131,8 +130,7 @@ class TermStructureSurface:
         return np.exp(logp)
 
 
-@dataclass(frozen=True, eq=False)
-class Gauge:
+class Gauge(_Record):
     """A deflator ensemble together with its term-structure surface."""
 
     deflator: PathEnsemble
@@ -158,8 +156,7 @@ class Gauge:
         return self.deflator.n_paths
 
 
-@dataclass(frozen=True, eq=False)
-class CashflowVector:
+class CashflowVector(_Record):
     """Signed cashflow weights on an integer offset lattice with spacing step.
 
     offsets are lattice indices (>= 0, strictly increasing); physical maturity
@@ -413,8 +410,7 @@ def numeraire_change(gauges: list[Gauge], numeraire: int | Gauge) -> list[Gauge]
 # Self-financing diagnostics
 
 
-@dataclass(frozen=True, eq=False)
-class SelfFinancingReport:
+class SelfFinancingReport(_Record):
     times: np.ndarray
     residual: np.ndarray
     se: np.ndarray

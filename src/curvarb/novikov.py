@@ -21,14 +21,22 @@ statistic actually has the chi-square law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EstimationError
-from .paths import TAG_NOVIKOV_DRIVER, PathEnsemble, _gauss_legendre, _keyed_rows, _mean_se
-from .credit import CreditMarket, realized_lgd_at_default
+from .paths import (
+    TAG_NOVIKOV_DRIVER,
+    PathEnsemble,
+    _Record,
+    _gauss_legendre,
+    _keyed_rows,
+    _mean_se,
+)
+
+if TYPE_CHECKING:
+    from .credit import CreditMarket
 
 __all__ = [
     "q2_statistic",
@@ -89,8 +97,7 @@ def q2_statistic(driver: PathEnsemble, t: float, q_form: str = "consistent") -> 
 # Heavy-tail diagnostics
 
 
-@dataclass(frozen=True, eq=False)
-class TailDiagnostics:
+class TailDiagnostics(_Record):
     """Hill tail index of the summand distribution with a one-sided 90% band.
 
     A tail index at or below one means the summand has no finite mean.
@@ -159,8 +166,7 @@ def _exp_moment(exponents: np.ndarray) -> tuple[float, float, TailDiagnostics | 
     return (mean, se, tail, verdict) if finite else (np.inf, se, tail, "divergence_evidence")
 
 
-@dataclass(frozen=True, eq=False)
-class NovikovEstimate:
+class NovikovEstimate(_Record):
     """E[exp(X)] from n_used sampled exponents; tail is None below 20."""
 
     estimate: float
@@ -215,6 +221,8 @@ def novikov_mc(
                 "a driver_linked LGD rule must map t (n,) and w (n, k) to n values"
             )
     else:
+        from .credit import realized_lgd_at_default
+
         l = realized_lgd_at_default(market)[rows]
     if np.any((l < 0) | (l >= 2)):
         raise ConfigurationError("LGD values must lie in [0, 2) for the summand")
@@ -231,8 +239,7 @@ def novikov_mc(
 # Quadrature route
 
 
-@dataclass(frozen=True, eq=False)
-class DensitySpec:
+class DensitySpec(_Record):
     """Closed-form scenery for the quadrature route.
 
     tau_pdf is a density on [0, t_max]; the chi-square degrees of freedom k
@@ -322,8 +329,7 @@ def capped_lgd_driver(cap: float = 0.1) -> Callable:
     return lambda t, w: rule(t, np.vecdot(w, w) / t)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureResult:
+class QuadratureResult(_Record):
     """Outcome of the moving-cutoff quadrature.
 
     Exactly one of converged / diverged is set on a clean run: converged

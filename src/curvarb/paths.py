@@ -21,7 +21,6 @@ import functools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,6 +45,7 @@ __all__ = [
     "read_ensemble",
     "write_ensemble_csv",
     "read_ensemble_csv",
+    "replace",
 ]
 
 _NODE_ATOL = 1e-9
@@ -117,8 +117,70 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class TimeGrid:
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields by class annotation, in order; a class
+    attribute of the same name is that field's default.  Construction binds
+    positional and keyword arguments to the fields, then calls __post_init__,
+    which may check the fields and normalize one with object.__setattr__.
+    Records refuse assignment and deletion, compare and hash by identity, and
+    keep their fields in the instance __dict__, so functools.cached_property
+    works on them.  No class is built with exec.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {n: vars(cls)[n] for n in cls._fields if n in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(fields)} fields, {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{type(self).__name__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{type(self).__name__} got field {name!r} twice")
+            values[name] = value
+        state = self.__dict__
+        for name in fields:
+            if name in values:
+                state[name] = values[name]
+            elif name in self._defaults:
+                state[name] = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={self.__dict__[n]!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+def replace(record: _Record, /, **changes) -> _Record:
+    """A new record of the same type with the named fields changed, built
+    through __init__, so __post_init__ checks and normalizes it again."""
+    return type(record)(**{**{n: record.__dict__[n] for n in record._fields}, **changes})
+
+
+class TimeGrid(_Record):
     """Strictly increasing observation times starting at 0."""
 
     times: np.ndarray
@@ -200,8 +262,7 @@ def _check_finite(values: np.ndarray, what: str, rows: np.ndarray | None = None)
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PathEnsemble:
+class PathEnsemble(_Record):
     """Immutable block of sampled paths on a common grid.
 
     values has shape (n_paths, n_times, dim).  driver_increments is set only
@@ -375,8 +436,7 @@ def simulate_brownian(
 # Ito simulation
 
 
-@dataclass(frozen=True, eq=False)
-class ItoSpec:
+class ItoSpec(_Record):
     """Coefficient specification for an Ito process.
 
     drift and sigma may be constants, arrays, or callables of (t, state) where
@@ -520,8 +580,7 @@ def _silverman_bandwidth(states: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class NelsonEstimator:
+class NelsonEstimator(_Record):
     """Conditional difference-quotient estimator returned by nelson_derivative.
 
     evaluate() at one state (d,) or a batch (m, d) returns the estimated

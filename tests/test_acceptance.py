@@ -16,7 +16,7 @@ delivers, and the bridge-corrected estimator removes the bias entirely.
 import functools
 import os
 import time
-from dataclasses import replace
+from curvarb import replace
 
 import numpy as np
 import pytest

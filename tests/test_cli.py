@@ -387,6 +387,69 @@ def test_import_loads_no_keyed_row_machinery(tmp_path):
     assert proc.stdout == "[]\n", proc.stderr
 
 
+_ANALYSIS_MODULES = ("curvarb.credit", "curvarb.curvature", "curvarb.novikov")
+
+
+def _analysis_modules_loaded(args, cwd):
+    """The analysis modules a fresh interpreter run with ``args`` imports,
+    read off its ``-X importtime`` report."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "curvarb.paths" in names, proc.stderr  # the report was read
+    return sorted(names & set(_ANALYSIS_MODULES))
+
+
+def test_a_run_loads_only_the_modules_it_calls(tmp_path):
+    """import curvarb and the CLI load no analysis module; a market run loads
+    no credit, a credit run neither curvature nor novikov, and reading an
+    analysis module off the package loads that module alone."""
+    assert _analysis_modules_loaded(["-c", "import curvarb, curvarb.cli"], tmp_path) == []
+    probe = ["-c", "import curvarb; curvarb.credit.build_thm1_market"]
+    assert _analysis_modules_loaded(probe, tmp_path) == ["curvarb.credit"]
+    assert _analysis_modules_loaded(["-m", "curvarb", "version"], tmp_path) == []
+    flat = ["-m", "curvarb", "run", "flat_market", "--out", "flat"]
+    assert "curvarb.credit" not in _analysis_modules_loaded(flat, tmp_path)
+    thm1 = ["-m", "curvarb", "run", "thm1_constructed", "--out", "thm1"]
+    assert _analysis_modules_loaded(thm1, tmp_path) == ["curvarb.credit"]
+
+
+def test_lazy_names_resolve_to_their_modules_objects(tmp_path):
+    """In a fresh interpreter each re-exported name, read before its module is
+    imported by name, is that module's own object, and a star import binds
+    every name in the package's __all__."""
+    probe = (
+        "import importlib, sys\n"
+        "import curvarb\n"
+        "assert not [m for m in %r if m in sys.modules]\n"
+        "first = {name: getattr(curvarb, name) for name in curvarb.__all__}\n"
+        "for m in ('errors', 'paths', 'gauges', 'credit', 'curvature', 'novikov'):\n"
+        "    mod = importlib.import_module('curvarb.' + m)\n"
+        "    assert getattr(curvarb, m) is mod, m\n"
+        "    for name in mod.__all__:\n"
+        "        assert first.pop(name) is getattr(mod, name), name\n"
+        "assert first == {}, sorted(first)\n"
+        "from curvarb import *\n"
+        "assert [name for name in curvarb.__all__ if name not in globals()] == []\n"
+        "print('ok')\n"
+    ) % (_ANALYSIS_MODULES,)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
 def test_bundled_runs_load_no_scipy_stats_or_integrate(tmp_path):
     """No bundled run and no library call imports SciPy at all: the child
     blocks the package, so any SciPy import raises."""
@@ -736,7 +799,7 @@ def test_validate_clean_implies_run_reads_its_inputs(
 
 
 def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):
-    import curvarb.cli as cli
+    import curvarb.credit
 
     markets = []
     drawn = {}  # stream tag -> path indices drawn on it, in call order
@@ -749,8 +812,8 @@ def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):
         drawn.setdefault(tag, []).extend(paths.tolist())
         return brownian_rows(grid, paths, dim, seed, tag)
 
-    build_market, brownian_rows = cli.build_thm1_market, curvarb.paths._brownian_rows
-    monkeypatch.setattr(cli, "build_thm1_market", counted_market)
+    build_market, brownian_rows = curvarb.credit.build_thm1_market, curvarb.paths._brownian_rows
+    monkeypatch.setattr(curvarb.credit, "build_thm1_market", counted_market)
     monkeypatch.setattr(curvarb.paths, "_brownian_rows", counted_rows)
     assert main(["run", "thm1_constructed", "--out", str(tmp_path / "thm1")]) == 0
     assert len(markets) == 1  # read by thm1 and bond

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from curvarb import replace
 from block_reference import reference_rows
 from scipy import integrate, stats
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from block_reference import reference_rows
-from dataclasses import replace
+from curvarb import replace
 from scipy import stats
 
 from curvarb import _laws, novikov

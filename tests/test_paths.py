@@ -41,8 +41,9 @@ from curvarb import (
     write_ensemble,
     write_ensemble_csv,
     write_term_structure_csv,
+    replace,
 )
-from curvarb.credit import StructuralModel
+from curvarb.credit import StructuralModel, build_thm1_market
 from curvarb.curvature import novikov_sharpe
 import curvarb.cli
 import curvarb.paths
@@ -1001,3 +1002,71 @@ def test_only_paths_forms_stream_keys_and_defines_tags():
             with open(os.path.join(src, name)) as fh:
                 offenders += [name] if owned.search(fh.read()) else []
     assert offenders == []
+
+
+# ---------------------------------------------------------------------------
+# The record contract every specification and result type shares
+
+
+def test_records_refuse_assignment_and_deletion():
+    grid = TimeGrid.regular(1.0, 4)
+    with pytest.raises(AttributeError):
+        grid.times = np.zeros(5)
+    with pytest.raises(AttributeError):
+        grid.label = "new"
+    with pytest.raises(AttributeError):
+        del grid.times
+    assert grid.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_records_compare_and_hash_by_identity():
+    a, b = ItoSpec(1.0), ItoSpec(1.0)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+
+
+def test_records_bind_positional_keyword_and_default_fields():
+    by_position = ItoSpec(1.0, 0.1, 0.2, "geometric")
+    by_keyword = ItoSpec(form="geometric", sigma=0.2, drift=0.1, x0=1.0)
+    for spec in (by_position, by_keyword):
+        assert (spec.x0.tolist(), spec.drift, spec.sigma, spec.form) == (
+            [1.0], 0.1, 0.2, "geometric"
+        )
+    default = ItoSpec(2.0)
+    assert (default.drift, default.sigma, default.form) == (0.0, 0.0, "arithmetic")
+    assert list(vars(default)) == ["x0", "drift", "sigma", "form"]
+    assert repr(default) == "ItoSpec(x0=array([2.]), drift=0.0, sigma=0.0, form='arithmetic')"
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((), {}),  # x0 missing
+        ((1.0,), {"bogus": 0.0}),  # no such field
+        ((1.0,), {"x0": 2.0}),  # x0 twice
+        ((1.0, 0.0, 0.0, "arithmetic", 0.0), {}),  # one positional too many
+    ],
+    ids=["missing", "unknown", "repeated", "too-many"],
+)
+def test_records_reject_a_missing_unknown_or_repeated_field(args, kwargs):
+    with pytest.raises(TypeError):
+        ItoSpec(*args, **kwargs)
+
+
+def test_replace_rebuilds_through_post_init():
+    spec = ItoSpec(1.0, sigma=0.3)
+    moved = replace(spec, x0=2.0)
+    assert type(moved) is ItoSpec and moved is not spec
+    assert moved.x0.tolist() == [2.0] and moved.sigma == 0.3  # x0 normalized again
+    assert spec.x0.tolist() == [1.0]
+    with pytest.raises(ConfigurationError):
+        replace(ItoSpec(1.0), form="bogus")
+    with pytest.raises(TypeError):
+        replace(spec, bogus=0.0)
+
+
+def test_cached_property_is_built_once_per_record():
+    market = build_thm1_market(0.02, 0.4, n_paths=10)
+    assert market.corp is market.corp
+    assert replace(market).corp is not market.corp  # a rebuilt record builds its own
