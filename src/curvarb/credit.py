@@ -284,7 +284,9 @@ def simulate_default(
                 valid = (a > b) & (c > b)
                 if geometric:
                     with np.errstate(invalid="ignore", divide="ignore"):
-                        expo = -2.0 * np.log(a / b) * np.log(c / b) / (sig**2 * dt)
+                        # one log per node, read as both ends of its steps
+                        log_ratio = np.log(e[:, :, 0] / b)
+                        expo = -2.0 * log_ratio[:, :-1] * log_ratio[:, 1:] / (sig**2 * dt)
                 else:
                     expo = -2.0 * (a - b) * (c - b) / (sig**2 * dt)
                 crossed |= valid & (u < np.exp(np.where(valid, expo, -np.inf)))

@@ -36,7 +36,6 @@ from .paths import (
     _Record,
     _ito_rows,
     _kernel_on_grid,
-    _mean_se,
     _path_slices,
     _se_gate,
     _symmetric_quotient,
@@ -60,7 +59,7 @@ _KERNEL_ATOL = 1e-10
 
 # curvature_components works on blocks of this many to twice as many interior
 # time columns of one deflator at a time
-_COLUMN_BLOCK = 16
+_COLUMN_BLOCK = 24
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +100,47 @@ def _column_blocks(m: int):
     return zip(edges[:-1], edges[1:])
 
 
+def _quotient_block(x: np.ndarray, steps: np.ndarray, rates: np.ndarray):
+    """(a, least, total) for the columns of x, read one block of paths at a
+    time: a holds the symmetric quotient over the current value plus rates at
+    the interior columns, least and total the smallest and the summed |x| of
+    every column.  a is returned as its only reference, so it is freed as
+    soon as the caller drops it."""
+    n = x.shape[0]
+    a = np.empty((n, x.shape[1] - 2))
+    least = np.full(x.shape[1], np.inf)
+    total = np.zeros(x.shape[1])
+    for b in _path_slices(n):
+        xb = x[b]
+        size = np.abs(xb)
+        np.minimum(least, size.min(axis=0), out=least)
+        # numpy sums axis 0 row by row: carry the sum into the next rows
+        size[0] += total
+        total = size.sum(axis=0)
+        q = _symmetric_quotient(xb, steps, out=a[b])
+        q /= xb[:, 1:-1]
+        q += rates[b] if rates.shape[0] > 1 else rates
+    return a, least, total
+
+
+def _mean_se_in_place(a: np.ndarray):
+    """a.mean(axis=0) and _mean_se(a) bit for bit, in numpy's own order
+    (sum / n, subtract, square, sum / (n - 1), sqrt), with a overwritten by
+    its squared deviations."""
+    n = a.shape[0]
+    mean = a.sum(axis=0)
+    mean /= n
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    a -= mean
+    np.square(a, out=a)
+    se = a.sum(axis=0)
+    se /= n - 1
+    np.sqrt(se, out=se)
+    se /= np.sqrt(n)
+    return mean, se
+
+
 # a non-finite statistic is reported as a NumericalError, not warned about
 @np.errstate(all="ignore")
 def curvature_components(gauges) -> CurvatureReport:
@@ -133,24 +173,10 @@ def curvature_components(gauges) -> CurvatureReport:
         n = d.shape[0]
         r = short_rate(g.curve)
         for start, stop in _column_blocks(interior.size):
-            # interior columns start..stop-1 with their two neighbours, read
-            # one block of paths at a time
-            x = d[:, start : stop + 2]
-            steps = grid.steps[start : stop + 1]
-            rates = r[:, start + 1 : stop + 1]
-            a = np.empty((n, stop - start))
-            least = np.full(x.shape[1], np.inf)
-            total = np.zeros(x.shape[1])
-            for b in _path_slices(n):
-                xb = x[b]
-                size = np.abs(xb)
-                np.minimum(least, size.min(axis=0), out=least)
-                # numpy sums axis 0 row by row: carry the sum into the next rows
-                size[0] += total
-                total = size.sum(axis=0)
-                q = _symmetric_quotient(xb, steps, out=a[b])
-                q /= xb[:, 1:-1]
-                q += rates[b] if rates.shape[0] > 1 else rates
+            # interior columns start..stop-1 with their two neighbours
+            a, least, total = _quotient_block(
+                d[:, start : stop + 2], grid.steps[start : stop + 1], r[:, start + 1 : stop + 1]
+            )
             gone = least == 0
             if gone.any():
                 t = float(times[start + np.argmax(gone)])
@@ -159,8 +185,7 @@ def curvature_components(gauges) -> CurvatureReport:
                     diagnostics={"label": g.label, "t": t},
                 )
             w[j, start:stop] = (total / n)[1:-1]
-            components[j, start:stop] = a.mean(axis=0)
-            component_se[j, start:stop] = _mean_se(a)
+            components[j, start:stop], component_se[j, start:stop] = _mean_se_in_place(a)
             del a  # before the next block allocates its own
     hi = np.argmax(components, axis=0)
     lo = np.argmin(components, axis=0)

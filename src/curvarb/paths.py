@@ -490,36 +490,67 @@ class ItoSpec(_Record):
         return 1 if s.ndim == 0 else s.shape[-1]
 
 
+def _first_row_if_shared(v: np.ndarray) -> np.ndarray:
+    """v[:1] when every row of v is one broadcast row, else v."""
+    return v[:1] if v.shape[0] and v.strides[0] == 0 else v
+
+
 @np.errstate(over="ignore")
-def _integrate(spec: ItoSpec, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
+def _integrate(spec: ItoSpec, grid: TimeGrid, dw: np.ndarray, out=None) -> np.ndarray:
     """(rows, n_times, dim) Ito paths of spec driven by the Brownian increments
-    dw, shaped (rows, n_times - 1, k); an overflow leaves inf, not a warning,
-    for the caller's finiteness check to report."""
+    dw, shaped (rows, n_times - 1, k), into out if given; dw is only read.  An
+    overflow leaves inf, not a warning, for the caller's finiteness check to
+    report.
+
+    Each step is (level + a dt) + noise, on the level for the arithmetic form
+    and on the log level for the geometric one.  Constant coefficients are
+    read once: one einsum writes every step's noise into the output, the
+    recurrence adds the drift and the previous level in place, and the
+    geometric form exponentiates the whole block at the end, bit for bit as
+    step by step.  With a callable coefficient both are read at every step,
+    as the corrected drift needs both."""
     n_paths, n_steps, k = dw.shape
     dt = grid.steps
-    x = np.empty((n_paths, grid.n_times, spec.dim))
+    x = np.empty((n_paths, grid.n_times, spec.dim)) if out is None else out
     x[:, 0, :] = spec.x0[None, :]
     state = x[:, 0, :].copy()
-    if spec.form == "geometric":
-        log_state = np.log(state)
-    # constant coefficients are read at the first step only; a callable one
-    # makes both be read at every step, as the corrected drift needs both
-    for i in range(n_steps):
-        if i == 0 or not spec.constant:
+    geometric = spec.form == "geometric"
+    if not spec.constant:
+        log_state = np.log(state) if geometric else None
+        for i in range(n_steps):
             t = float(grid.times[i])
             a = spec.eval_drift(t, state)
             s = spec.eval_sigma(t, state, k)
-            if spec.form == "geometric":
+            if geometric:
                 # proportional coefficients; Ito correction keeps the law
                 # exact for constant (a, s)
                 a = a - 0.5 * np.einsum("pnk,pnk->pn", s, s)
-        noise = np.einsum("pnk,pk->pn", s, dw[:, i, :])
-        if spec.form == "arithmetic":
-            state = state + a * dt[i] + noise
-        else:
-            log_state = log_state + a * dt[i] + noise
-            state = np.exp(log_state)
-        x[:, i + 1, :] = state
+            noise = np.einsum("pnk,pk->pn", s, dw[:, i, :])
+            if geometric:
+                log_state = log_state + a * dt[i] + noise
+                state = np.exp(log_state)
+            else:
+                state = state + a * dt[i] + noise
+            x[:, i + 1, :] = state
+        return x
+    t = float(grid.times[0])
+    a = _first_row_if_shared(spec.eval_drift(t, state))
+    s = spec.eval_sigma(t, state, k)
+    if geometric:
+        s1 = _first_row_if_shared(s)
+        a = a - 0.5 * np.einsum("pnk,pnk->pn", s1, s1)
+    # a dt for every step, one row when the drift is shared by all rows
+    drift = a[:, None, :] * dt[None, :, None]
+    levels = x[:, 1:, :]
+    np.einsum("pnk,pik->pin", s, dw, out=levels)
+    level = np.log(state) if geometric else state
+    for i in range(n_steps):
+        # state takes level + a dt_i, which is added to the step's noise
+        np.add(level, drift[:, i], out=state)
+        level = levels[:, i]
+        level += state
+    if geometric:
+        np.exp(levels, out=levels)
     return x
 
 
@@ -528,23 +559,29 @@ def _path_slices(n: int) -> list:
     return [slice(lo, lo + _PATH_BLOCK) for lo in range(0, n, _PATH_BLOCK)]
 
 
-def _ito_blocks(spec: ItoSpec, grid: TimeGrid, rows: np.ndarray, seed: int, tag: int):
+def _ito_blocks(
+    spec: ItoSpec, grid: TimeGrid, rows: np.ndarray, seed: int, tag: int, out=None
+):
     """(block, paths): each run of at most _PATH_BLOCK path indices of rows and their
-    Ito paths of spec on stream tag, bit for bit as in the whole ensemble."""
+    Ito paths of spec on stream tag, bit for bit as in the whole ensemble; with
+    out, a (rows.size, n_times, dim) array, each block's paths are its slice of out."""
     k = spec.driver_dim()
     for b in _path_slices(rows.size):
         block = rows[b]
         # left unnamed, the increments are freed before the paths are read
-        x = _integrate(spec, grid, _brownian_rows(grid, block, k, seed, tag))
+        x = _integrate(
+            spec, grid, _brownian_rows(grid, block, k, seed, tag), None if out is None else out[b]
+        )
         _check_finite(x, "simulated paths", block)  # names a path by its own index
         yield block, x
 
 
 def _ito_rows(spec: ItoSpec, grid: TimeGrid, rows: np.ndarray, seed: int, tag: int):
-    """(rows.size, n_times, dim) Ito paths of _ito_blocks in one array."""
+    """(rows.size, n_times, dim) Ito paths of _ito_blocks, each block
+    integrated in place into one array."""
     out = np.empty((rows.size, grid.n_times, spec.dim))
-    for b, (_, x) in zip(_path_slices(rows.size), _ito_blocks(spec, grid, rows, seed, tag)):
-        out[b] = x
+    for _ in _ito_blocks(spec, grid, rows, seed, tag, out):
+        pass
     return out
 
 

@@ -140,7 +140,7 @@ def test_curvature_blocks_match_whole_array_reference(monkeypatch, interior, col
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, curvarb.paths._PATH_BLOCK])
 @pytest.mark.parametrize("steps", [2, 6])  # 2 steps: one interior column
 def test_curvature_path_blocks_match_whole_array_reference(monkeypatch, block, steps):
     monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", block)
@@ -165,6 +165,34 @@ def test_curvature_holds_a_block_of_columns():
     peak = _traced_peak(lambda: curvature_components(gauges))
     # one (n, n_times) deflator is 6.4 MB; whole-array statistics took about three
     assert peak < 0.5 * n * grid.n_times * 8
+
+
+def test_curvature_holds_one_quotient_block():
+    grid = TimeGrid.regular(5.0, 200)
+    n = 4000
+    gauges = _simulated_gauges(grid, n, [0.0, 0.03])
+    curvature_components(gauges[:1])  # first-call allocations stay outside the count
+    peak = _traced_peak(lambda: curvature_components(gauges))
+    m = grid.n_times - 2
+    widest = max(stop - start for start, stop in curvarb.curvature._column_blocks(m))
+    block = curvarb.paths._PATH_BLOCK
+    # the widest quotient block, two |D| arrays of one path block while one
+    # replaces the other, and 256 KiB for numpy's iteration buffers; a block
+    # kept alive into the next would add a second quotient block
+    assert peak < 8 * (n * widest + 2 * block * (widest + 2)) + 256 * 1024
+
+
+def test_curvature_se_of_one_path_is_zero():
+    grid = TimeGrid.regular(5.0, 40)  # 39 interior columns: one block
+    gauges = _simulated_gauges(grid, 1, [0.0, 0.02])
+    report = curvature_components(gauges)
+    assert np.all(report.component_se == 0.0) and np.all(report.norm_se == 0.0)
+    h = grid.steps
+    for row, g in zip(report.components, gauges):
+        d = g.deflator.series
+        quot = 0.5 * ((d[:, 2:] - d[:, 1:-1]) / h[1:] + (d[:, 1:-1] - d[:, :-2]) / h[:-1])
+        expected = quot / d[:, 1:-1] + short_rate(g.curve)[:, 1:-1]
+        assert row.tobytes() == expected[0].tobytes()
 
 
 def test_curvature_input_validation():

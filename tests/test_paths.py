@@ -13,6 +13,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 from bin_reference import MIN_BIN, N_BINS, reference_bins
 from block_reference import STREAM_BLOCK, reference_rows
 from hypothesis import given, settings, strategies as st
+from ito_reference import reference_paths
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
@@ -67,6 +69,7 @@ from curvarb.paths import (
     _ito_rows,
     _keyed_rows,
     _legendre_rule,
+    _path_slices,
     _sorted_quantiles,
     conditional_bin_table,
 )
@@ -375,6 +378,70 @@ def test_scalar_sigma_rejects_a_two_dim_driver(sigma):
     dw = simulate_brownian(grid, 5, dim=2, seed=1).driver_increments
     with pytest.raises(ConfigurationError, match="scalar sigma"):
         _integrate(ItoSpec(x0=1.0, sigma=sigma), grid, dw)
+
+
+# constant coefficients by driver dim k: dim 1 with a scalar sigma, as the
+# CLI's assets, and vector states with full volatility matrices
+_REFERENCE_COEFFICIENTS = {
+    1: dict(x0=1.2, drift=0.05, sigma=0.3),
+    2: dict(x0=[0.8, 1.5], drift=[0.04, -0.02], sigma=[[0.2, 0.1], [-0.05, 0.3]]),
+    4: dict(
+        x0=[1.0, 0.5, 2.0],
+        drift=[0.03, 0.0, -0.01],
+        sigma=[[0.1, 0.0, 0.2, -0.1], [0.05, 0.15, 0.0, 0.1], [0.2, -0.1, 0.1, 0.05]],
+    ),
+}
+
+
+@pytest.mark.parametrize("steps", [1, 3, 50, 1024])
+@pytest.mark.parametrize("k", sorted(_REFERENCE_COEFFICIENTS))
+@pytest.mark.parametrize("form", ["arithmetic", "geometric"])
+def test_integrate_matches_the_per_step_reference(form, k, steps):
+    coefficients = _REFERENCE_COEFFICIENTS[k]
+    grid = TimeGrid.regular(1.0, steps)
+    driver = simulate_brownian(grid, 300, k, seed=steps, tag=k)
+    dw = driver.driver_increments.copy()
+    x = simulate_ito(ItoSpec(**coefficients, form=form), driver).values
+    assert driver.driver_increments.tobytes() == dw.tobytes()  # the driver is only read
+    assert x.tobytes() == reference_paths(**coefficients, form=form, steps=grid.steps, dw=dw).tobytes()
+
+
+@pytest.mark.parametrize("form", ["arithmetic", "geometric"])
+def test_integrate_per_row_constants_match_the_per_step_reference(form):
+    # constants with one row per path: no row is shared
+    grid = TimeGrid.regular(1.0, 20)
+    driver = simulate_brownian(grid, 40, 1, seed=3)
+    rng = np.random.default_rng(3)
+    drift, sigma = rng.uniform(-0.1, 0.1, (40, 1)), rng.uniform(0.1, 0.4, (40, 1, 1))
+    x = simulate_ito(ItoSpec(x0=1.0, drift=drift, sigma=sigma, form=form), driver).values
+    ref = reference_paths(1.0, drift, sigma, form, grid.steps, driver.driver_increments)
+    assert x.tobytes() == ref.tobytes()
+
+
+def test_integrate_overflow_leaves_inf_without_a_warning():
+    grid = TimeGrid.regular(1.0, 50)
+    driver = simulate_brownian(grid, 20, 1, seed=4)
+    spec = ItoSpec(x0=1.0, drift=800.0, sigma=1.0, form="geometric")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # an ensemble would reject the inf: the finiteness check is the caller's
+        x = _integrate(spec, grid, driver.driver_increments)
+    # the log level passes log(float max) ~ 709.8 before the horizon
+    assert np.isinf(x[:, -1]).all() and np.isfinite(x[:, :2]).all()
+    ref = reference_paths(1.0, 800.0, 1.0, "geometric", grid.steps, driver.driver_increments)
+    assert x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANT_SPECS))
+def test_ito_rows_equal_ito_blocks_block_by_block(monkeypatch, name):
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
+    spec, grid, rows = ItoSpec(**_CONSTANT_SPECS[name]), TimeGrid.regular(2.0, 20), np.arange(3, 260)
+    out = _ito_rows(spec, grid, rows, 3, 5)
+    blocks = list(_ito_blocks(spec, grid, rows, 3, 5))
+    assert len(blocks) == len(_path_slices(rows.size)) == 3
+    for b, (block, x) in zip(_path_slices(rows.size), blocks):
+        assert np.array_equal(block, rows[b])
+        assert x.tobytes() == out[b].tobytes()
 
 
 def test_cumulative_trapezoid_holds_one_temporary_and_is_bit_equal():
