@@ -40,6 +40,7 @@ from .paths import (
     TimeGrid,
     _Record,
     _cumulative_trapezoid,
+    _first_row_if_shared,
     _gauss_legendre,
     _ito_blocks,
     _kernel_on_grid,
@@ -275,21 +276,33 @@ def simulate_default(
             if bridge:
                 u = _keyed_rows(seed, TAG_BRIDGE, rows, (m,), "random")
                 if model.equity.constant:
-                    # sigma is the same at every step
-                    sig = model.equity.eval_sigma(times[0], e[:, 0], 1)[:, :, 0]
+                    # sigma is the same at every step: sigma^2 dt is one row
+                    # when every path shares sigma
+                    sig = _first_row_if_shared(
+                        model.equity.eval_sigma(times[0], e[:, 0], 1)[:, :, 0]
+                    )
                 else:
                     sig = np.empty(u.shape)
                     for i in range(m):
                         sig[:, i] = model.equity.eval_sigma(times[i], e[:, i], 1)[:, 0, 0]
                 valid = (a > b) & (c > b)
+                # -2 g(a) g(c) / (sigma^2 dt), built in place, with the gap g
+                # to the barrier on the log scale for the geometric form
                 if geometric:
                     with np.errstate(invalid="ignore", divide="ignore"):
                         # one log per node, read as both ends of its steps
-                        log_ratio = np.log(e[:, :, 0] / b)
-                        expo = -2.0 * log_ratio[:, :-1] * log_ratio[:, 1:] / (sig**2 * dt)
+                        gap = np.log(e[:, :, 0] / b)
+                        expo = np.multiply(gap[:, :-1], -2.0)
+                        expo *= gap[:, 1:]
+                        expo /= sig**2 * dt
                 else:
-                    expo = -2.0 * (a - b) * (c - b) / (sig**2 * dt)
-                crossed |= valid & (u < np.exp(np.where(valid, expo, -np.inf)))
+                    expo = np.subtract(a, b)
+                    expo *= -2.0
+                    expo *= c - b
+                    expo /= sig**2 * dt
+                # a valid step crosses when u < exp(expo)
+                np.exp(expo, out=expo, where=valid)
+                crossed |= np.less(u, expo, out=valid, where=valid)
             hit = crossed.any(axis=1)
             tau[rows[hit]] = times[np.argmax(crossed[hit], axis=1) + 1]
         return DefaultSample(grid, tau, None, None, None)

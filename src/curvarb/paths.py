@@ -251,8 +251,11 @@ def _kernel_on_grid(beta, grid: TimeGrid) -> np.ndarray:
 
 
 def _check_finite(values: np.ndarray, what: str, rows: np.ndarray | None = None) -> None:
-    if np.all(np.isfinite(values)):
-        return
+    # a finite sum has no inf or NaN term; a non-finite one, an overflow of
+    # finite terms included, falls through to the exact scan
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.add.reduce(values, axis=None)) or np.all(np.isfinite(values)):
+            return
     bad = np.argwhere(~np.isfinite(values))
     path, step = int(bad[0][0]), int(bad[0][1])
     path = path if rows is None else int(rows[path])
@@ -360,19 +363,23 @@ def _stream_keys(seed: int, tag: int, paths) -> tuple[np.ndarray, int]:
 
 
 def _keyed_rows(
-    seed: int, tag: int, paths: np.ndarray, shape: tuple[int, ...], method: str
+    seed: int, tag: int, paths: np.ndarray, shape: tuple[int, ...], method: str, out=None
 ) -> np.ndarray:
     """Row i holds row paths[i] % _STREAM_BLOCK of numpy's float64
     Generator.<method>((rows, *shape)) on the Philox stream keyed by
     _stream_keys(seed, tag, paths[i]); method is "random", "standard_normal"
-    or "standard_exponential".
+    or "standard_exponential".  The rows are written into out, a C-contiguous
+    (paths.size, *shape) array, if given.
 
     A block's fill is prefix-stable, so each block that paths touch is drawn
-    by one numpy call up to its last row read, and its rows are gathered
-    from there: any subset, order or repetition of paths reads the same rows.
+    by one numpy call up to its last row read.  A dense request, a run of
+    consecutive paths from a block's first row, fills each block's prefix
+    straight into its own rows; any other subset, order or repetition of
+    paths gathers its rows from the fills and reads the same rows.
     """
+    paths = np.asarray(paths, dtype=np.int64)
     key0, key1 = _stream_keys(seed, tag, paths)
-    offset = np.asarray(paths, dtype=np.int64) % _STREAM_BLOCK
+    offset = paths % _STREAM_BLOCK
     # One Philox serves every block: its state is reset to the block's key,
     # counter 0 and an empty buffer, which is exactly the state of a fresh
     # Philox(key=key1 << 64 | key0), without building one per block.  Python
@@ -388,9 +395,16 @@ def _keyed_rows(
     }
     bitgen = np.random.Philox(0)
     fill = getattr(np.random.Generator(bitgen), method)
-    out = np.empty((key0.size, *shape))
+    out = np.empty((key0.size, *shape)) if out is None else out
     # math.prod, not -1: reshape(0, -1) raises
     rows = out.reshape(key0.size, math.prod(shape))
+    if paths.size and offset[0] == 0 and np.all(np.diff(paths) == 1):
+        # the run's paths lo to lo + _STREAM_BLOCK - 1 are the head of one block
+        for lo, k in zip(range(0, key0.size, _STREAM_BLOCK), key0[::_STREAM_BLOCK].tolist()):
+            key[0] = k
+            bitgen.state = state
+            fill(out=rows[lo : lo + _STREAM_BLOCK])
+        return out
     block = np.empty((_STREAM_BLOCK, rows.shape[1]))
     # the positions in paths of each block's rows, one block at a time
     order = np.argsort(key0, kind="stable")
@@ -406,16 +420,16 @@ def _keyed_rows(
 
 
 def _brownian_rows(
-    grid: TimeGrid, paths: np.ndarray, dim: int, seed: int, tag: int
+    grid: TimeGrid, paths: np.ndarray, dim: int, seed: int, tag: int, out=None
 ) -> np.ndarray:
     """(paths.size, n_times - 1, dim) Brownian increments of the paths with the
-    given indices, scaled by sqrt(dt).
+    given indices, scaled by sqrt(dt), into out if given.
 
     Row i is bit for bit row paths[i] of the full ensemble, so a caller that
     reads a few paths draws only the stream blocks they touch.
     """
     shape = (grid.n_times - 1, dim)
-    dw = _keyed_rows(seed, tag, paths, shape, "standard_normal")
+    dw = _keyed_rows(seed, tag, paths, shape, "standard_normal", out)
     dw *= np.sqrt(grid.steps)[None, :, None]
     return dw
 
@@ -563,14 +577,19 @@ def _ito_blocks(
     spec: ItoSpec, grid: TimeGrid, rows: np.ndarray, seed: int, tag: int, out=None
 ):
     """(block, paths): each run of at most _PATH_BLOCK path indices of rows and their
-    Ito paths of spec on stream tag, bit for bit as in the whole ensemble; with
-    out, a (rows.size, n_times, dim) array, each block's paths are its slice of out."""
-    k = spec.driver_dim()
+    Ito paths of spec on stream tag, bit for bit as in the whole ensemble.  With
+    out, a (rows.size, n_times, dim) array, each block's paths are its slice of
+    out; without, they are the head of one array that the next block overwrites.
+    Every block's increments are drawn into one array too."""
+    k, size = spec.driver_dim(), min(rows.size, _PATH_BLOCK)
+    dw = np.empty((size, grid.n_times - 1, k))
+    paths = np.empty((size, grid.n_times, spec.dim)) if out is None else None
     for b in _path_slices(rows.size):
         block = rows[b]
-        # left unnamed, the increments are freed before the paths are read
+        n = block.size
         x = _integrate(
-            spec, grid, _brownian_rows(grid, block, k, seed, tag), None if out is None else out[b]
+            spec, grid, _brownian_rows(grid, block, k, seed, tag, dw[:n]),
+            paths[:n] if out is None else out[b],
         )
         _check_finite(x, "simulated paths", block)  # names a path by its own index
         yield block, x

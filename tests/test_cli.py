@@ -808,9 +808,9 @@ def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):
         markets.append(1)
         return build_market(*args, **kwargs)
 
-    def counted_rows(grid, paths, dim, seed, tag):
+    def counted_rows(grid, paths, dim, seed, tag, out=None):
         drawn.setdefault(tag, []).extend(paths.tolist())
-        return brownian_rows(grid, paths, dim, seed, tag)
+        return brownian_rows(grid, paths, dim, seed, tag, out)
 
     build_market, brownian_rows = curvarb.credit.build_thm1_market, curvarb.paths._brownian_rows
     monkeypatch.setattr(curvarb.credit, "build_thm1_market", counted_market)

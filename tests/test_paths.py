@@ -45,7 +45,7 @@ from curvarb import (
     write_term_structure_csv,
     replace,
 )
-from curvarb.credit import StructuralModel, build_thm1_market
+from curvarb.credit import StructuralModel, build_thm1_market, simulate_default
 from curvarb.curvature import novikov_sharpe
 import curvarb.cli
 import curvarb.paths
@@ -61,6 +61,7 @@ from curvarb.paths import (
     _N_BINS,
     _STREAM_BLOCK,
     _PATH_BLOCK,
+    _check_finite,
     _cumulative_trapezoid,
     _format_cell,
     _gauss_legendre,
@@ -311,7 +312,118 @@ def test_a_path_draws_one_block_prefix(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", Counting)
     _keyed_rows(1, 2, np.array([3 * STREAM_BLOCK + 9]), (4,), "standard_normal")
     _keyed_rows(1, 2, np.array([5, 700, 1, 600]), (4,), "standard_normal")
-    assert drawn == [10, 6, 189]
+    # a dense run fills each block it touches up to its own last row; so does
+    # a run that starts mid-block, which gathers its rows
+    _keyed_rows(1, 2, np.arange(600), (4,), "standard_normal")
+    _keyed_rows(1, 2, np.arange(100, 400), (4,), "standard_normal")
+    assert drawn == [10, 6, 189, 256, 256, 88, 256, 144]
+
+
+# requests by route: dense runs of consecutive paths from a block's first
+# row, and runs that are not (they gather their rows from the block fills)
+DENSE_REQUESTS = {
+    "whole-blocks": (np.arange(2 * STREAM_BLOCK), True),
+    "partial-last-block": (np.arange(600), True),
+    "from-a-later-block": (np.arange(STREAM_BLOCK, 1000), True),
+    "one-path": (np.array([3 * STREAM_BLOCK]), True),
+    "last-block-of-the-keys": (np.arange((1 << 48) - STREAM_BLOCK, 1 << 48), True),
+    "mid-block-start": (np.arange(100, 700), False),
+    "one-row-late": (np.arange(1, 600), False),
+    "gap": (np.r_[0:STREAM_BLOCK, STREAM_BLOCK + 1 : 600], False),
+    "descending": (np.arange(600)[::-1], False),
+}
+
+
+@pytest.mark.parametrize(
+    "method, shape",
+    [("standard_normal", (50, 1)), ("random", (9,)), ("standard_exponential", ())],
+    ids=["normal", "uniform", "exponential"],
+)
+@pytest.mark.parametrize("request_kind", sorted(DENSE_REQUESTS))
+def test_dense_requests_fill_in_place_like_the_block_reference(monkeypatch, request_kind, method, shape):
+    paths, dense = DENSE_REQUESTS[request_kind]
+    expected = reference_rows(23, 9, paths, shape, method).tobytes()
+    # without out, the rows are the same
+    assert _keyed_rows(23, 9, paths, shape, method).tobytes() == expected
+    fills = []  # the address of every block fill's output
+
+    class Recording(np.random.Generator):
+        def _record(self, name, out):
+            fills.append(out.__array_interface__["data"][0])
+            return getattr(super(), name)(out=out)
+
+        def standard_normal(self, *, out):
+            return self._record("standard_normal", out)
+
+        def random(self, *, out):
+            return self._record("random", out)
+
+        def standard_exponential(self, *, out):
+            return self._record("standard_exponential", out)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    # the caller's rows head a longer buffer whose tail must stay untouched
+    buffer = np.full((paths.size + 3, *shape), np.nan)
+    rows = _keyed_rows(23, 9, paths, shape, method, out=buffer[: paths.size])
+    assert rows.base is buffer and rows.shape == (paths.size, *shape)
+    assert rows.tobytes() == expected
+    assert np.isnan(buffer[paths.size :]).all()
+    # a dense request draws each block straight into its own rows, any other
+    # into a scratch block
+    start = buffer.__array_interface__["data"][0]
+    row_bytes = buffer[0].nbytes
+    heads = [start + lo * row_bytes for lo in range(0, paths.size, STREAM_BLOCK)]
+    assert (fills == heads) is dense
+
+
+def _reference_check(values, rows):
+    """The exact scan: (path, step, count) of the first non-finite value of a
+    (paths, steps, ...) array, or None."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size == 0:
+        return None
+    path = int(bad[0][0]) if rows is None else int(rows[bad[0][0]])
+    return path, int(bad[0][1]), int(bad.shape[0])
+
+
+def _non_finite(shape, cells):
+    values = np.random.default_rng(2).standard_normal(shape)
+    for at, v in cells:
+        values[at] = v
+    return values
+
+
+FINITE_CHECKS = {
+    "nan": _non_finite((40, 9, 2), [((7, 3, 1), np.nan)]),
+    "+inf": _non_finite((40, 9, 2), [((12, 0, 0), np.inf)]),
+    "-inf": _non_finite((40, 9, 2), [((39, 8, 1), -np.inf)]),
+    # the sum is NaN, though no term is
+    "+inf-and-inf": _non_finite((40, 9, 2), [((30, 2, 0), np.inf), ((5, 6, 1), -np.inf)]),
+    "nan-and-inf": _non_finite((40, 9), [((3, 4), np.inf), ((3, 2), np.nan), ((0, 8), np.nan)]),
+    # finite terms whose sum overflows to inf, and to -inf: no error
+    "sum-overflows": np.full((40, 9, 2), 1e308),
+    "sum-overflows-below": np.full((40, 9), -1e308),
+    "finite": _non_finite((40, 9, 2), []),
+    "no-paths": np.empty((0, 9, 2)),
+    "no-steps": np.empty((40, 0)),
+}
+
+
+@pytest.mark.parametrize("rows", [None, np.arange(1000, 1040)[::-1]], ids=["own", "rows"])
+@pytest.mark.parametrize("kind", sorted(FINITE_CHECKS))
+def test_check_finite_matches_the_exact_scan(kind, rows):
+    values = FINITE_CHECKS[kind]
+    expected = _reference_check(values, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing sum warns about nothing
+        if expected is None:
+            _check_finite(values, "paths", rows)
+            return
+        with pytest.raises(NumericalError) as err:
+            _check_finite(values, "paths", rows)
+    path, step, count = expected
+    assert err.value.diagnostics == {"path": path, "step": step, "count": count}
+    assert str(err.value) == f"paths contains non-finite values (first at path {path}, step {step})"
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,7 +549,8 @@ def test_ito_rows_equal_ito_blocks_block_by_block(monkeypatch, name):
     monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
     spec, grid, rows = ItoSpec(**_CONSTANT_SPECS[name]), TimeGrid.regular(2.0, 20), np.arange(3, 260)
     out = _ito_rows(spec, grid, rows, 3, 5)
-    blocks = list(_ito_blocks(spec, grid, rows, 3, 5))
+    # without out, each block is read before the next one overwrites it
+    blocks = [(block, x.copy()) for block, x in _ito_blocks(spec, grid, rows, 3, 5)]
     assert len(blocks) == len(_path_slices(rows.size)) == 3
     for b, (block, x) in zip(_path_slices(rows.size), blocks):
         assert np.array_equal(block, rows[b])
@@ -929,7 +1042,7 @@ def _equity_route(form):
     # the equity route of simulate_default
     equity = StructuralModel(spec, 0.5).equity
     blocks = _ito_blocks(equity, _ROUTE_GRID, np.arange(_ROUTE_PATHS), _ROUTE_SEED, TAG_DRIVER)
-    internal = np.concatenate([e for _, e in blocks])
+    internal = np.concatenate([e.copy() for _, e in blocks])  # each block overwrites the last
     return internal, _public_pair(spec, 1, TAG_DRIVER)
 
 
@@ -1010,6 +1123,62 @@ def test_internal_routes_equal_the_public_pair_across_small_blocks(monkeypatch, 
     # block edges, and the last block is short
     monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
     test_internal_routes_equal_the_public_pair(route)
+
+
+@pytest.mark.parametrize("n", [97, 250, 300])
+def test_ito_blocks_reuse_one_buffer_without_stale_rows(monkeypatch, n):
+    # blocks of 97 paths, the last one 97, 56 or 9 rows long
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
+    spec = _EQUITY_SPECS["geometric"]
+    public = _public_pair(spec, 1, TAG_DRIVER, n=n)
+    first = None
+    for b, (block, x) in zip(_path_slices(n), _ito_blocks(spec, _ROUTE_GRID, np.arange(n), _ROUTE_SEED, TAG_DRIVER)):
+        first = x if first is None else first
+        # every block's paths head the first block's array
+        assert x.base is first.base and x.__array_interface__["data"] == first.__array_interface__["data"]
+        assert x.shape == (block.size, _ROUTE_GRID.n_times, 1)
+        assert x.tobytes() == public[b].tobytes()
+
+
+def _bridged_reference(model, grid, n, seed):
+    """Bridged structural default times, step by step from the public
+    equity paths and the reference bridge uniforms, by the formula of
+    simulate_default: a step crosses when it ends at or below the barrier,
+    or when both ends lie above it and u < exp(-2 g(a) g(c) / (sigma^2 dt)),
+    g the gap to the barrier, on the log scale for the geometric form."""
+    spec, b = model.equity, model.barrier
+    e = simulate_ito(spec, simulate_brownian(grid, n, 1, seed, TAG_DRIVER)).series
+    m = grid.n_times - 1
+    u = reference_rows(seed, TAG_BRIDGE, range(n), (m,), "random")
+    crossed = np.zeros((n, m), dtype=bool)
+    for i in range(m):
+        a, c = e[:, i].copy(), e[:, i + 1].copy()
+        sig = spec.eval_sigma(grid.times[i], e[:, i : i + 1], 1)[:, 0, 0]
+        valid = (a > b) & (c > b)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if spec.form == "geometric":
+                expo = -2.0 * np.log(a / b) * np.log(c / b) / (sig**2 * grid.steps[i])
+            else:
+                expo = -2.0 * (a - b) * (c - b) / (sig**2 * grid.steps[i])
+        crossed[:, i] = (c <= b) | (valid & (u[:, i] < np.exp(np.where(valid, expo, -np.inf))))
+    tau = np.full(n, np.inf)
+    hit = crossed.any(axis=1)
+    tau[hit] = grid.times[np.argmax(crossed[hit], axis=1) + 1]
+    return tau
+
+
+@pytest.mark.parametrize("block", [97, _PATH_BLOCK])
+@pytest.mark.parametrize("form", sorted(_EQUITY_SPECS))
+def test_bridged_defaults_match_the_per_step_reference(monkeypatch, form, block):
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", block)
+    # the barrier crosses the equity's range: paths hit, paths stay above,
+    # and the bridge term decides many steps
+    model = StructuralModel(_EQUITY_SPECS[form], 0.8)
+    tau = simulate_default(model, _ROUTE_GRID, 600, _ROUTE_SEED, bridge=True).tau
+    ref = _bridged_reference(model, _ROUTE_GRID, 600, _ROUTE_SEED)
+    plain = simulate_default(model, _ROUTE_GRID, 600, _ROUTE_SEED).tau
+    assert 50 < np.isfinite(tau).sum() < 550 and (tau < plain).sum() > 10
+    assert tau.tobytes() == ref.tobytes()
 
 
 def test_ito_rows_numerical_error_names_the_paths_own_index(monkeypatch):
