@@ -390,11 +390,10 @@ def _asset_gauges(doc) -> list:
     time (paths._ito_rows), so only one block of increments exists at once."""
     grid = _grid(doc)
     offsets = _offsets(doc)
-    rows = np.arange(int(doc["n_paths"]))
-    seed = int(doc["seed"])
+    n_paths, seed = int(doc["n_paths"]), int(doc["seed"])
     gauges = []
     for j, a in enumerate(doc["assets"]):
-        deflator = PathEnsemble(grid, _ito_rows(_spec(a), grid, rows, seed, TAG_ASSET_BASE + j))
+        deflator = PathEnsemble(grid, _ito_rows(_spec(a), grid, n_paths, seed, TAG_ASSET_BASE + j))
         gauges.append(
             Gauge(deflator, flat_term_structure(grid, float(a["rate"]), offsets), a["label"])
         )

@@ -259,7 +259,7 @@ def simulate_default(
     if isinstance(model, IntensityModel):
         lam = model.hazard_values(times)
         cum = _cumulative_trapezoid(lam, grid.steps)
-        thresholds = _keyed_rows(seed, TAG_EXP, np.arange(n_paths), (), "standard_exponential")
+        thresholds = _keyed_rows(seed, TAG_EXP, range(n_paths), (), "standard_exponential")
         tau = _intensity_default_times(cum, times, thresholds)
         return DefaultSample(grid, tau, cum, thresholds, lam)
     if isinstance(model, StructuralModel):
@@ -270,7 +270,7 @@ def simulate_default(
         dt = grid.steps
         m = dt.size
         tau = np.full(n_paths, np.inf)
-        for rows, e in _ito_blocks(model.equity, grid, np.arange(n_paths), seed, TAG_DRIVER):
+        for rows, e in _ito_blocks(model.equity, grid, n_paths, seed, TAG_DRIVER):
             a, c = e[:, :-1, 0], e[:, 1:, 0]
             crossed = c <= b
             if bridge:
@@ -304,7 +304,7 @@ def simulate_default(
                 np.exp(expo, out=expo, where=valid)
                 crossed |= np.less(u, expo, out=valid, where=valid)
             hit = crossed.any(axis=1)
-            tau[rows[hit]] = times[np.argmax(crossed[hit], axis=1) + 1]
+            tau[rows.start : rows.stop][hit] = times[np.argmax(crossed[hit], axis=1) + 1]
         return DefaultSample(grid, tau, None, None, None)
     raise ConfigurationError(f"unknown default model {type(model).__name__}")
 
@@ -388,10 +388,10 @@ class CreditMarket(_Record):
     gov_rates / corp_rates hold the instantaneous short-rate curves the market
     was constructed with; thm1_residuals reads its spread off them.
 
-    The corporate gauge corp pairs corp_curve with corp_deflator when one is
-    supplied.  Otherwise its deflator is 1 - deflator_lgd * 1{t >= tau} on the
-    default times, built on the first read of corp and then kept.  deflator_lgd
-    is the LGD the market was built with; replacing lgd does not change it.
+    The corporate gauge corp pairs corp_curve with the deflator
+    1 - deflator_lgd * 1{t >= tau} on the default times, built on the first
+    read of corp and then kept.  deflator_lgd is the LGD the market was
+    built with; replacing lgd does not change it.
     """
 
     gov: Gauge
@@ -404,7 +404,6 @@ class CreditMarket(_Record):
     gov_rates: np.ndarray
     corp_rates: np.ndarray
     seed: int = 0
-    corp_deflator: PathEnsemble | None = None
 
     @property
     def grid(self) -> TimeGrid:
@@ -412,22 +411,16 @@ class CreditMarket(_Record):
 
     @cached_property
     def corp(self) -> Gauge:
-        deflator = self.corp_deflator
-        if deflator is None:
-            times, tau = self.grid.times, self.defaults.tau
-            defl = np.where(times[None, :] >= tau[:, None], 1.0 - self.deflator_lgd, 1.0)
-            deflator = PathEnsemble(self.grid, defl)
-        return Gauge(deflator, self.corp_curve, label="corp")
+        times, tau = self.grid.times, self.defaults.tau
+        defl = np.where(times[None, :] >= tau[:, None], 1.0 - self.deflator_lgd, 1.0)
+        return Gauge(PathEnsemble(self.grid, defl), self.corp_curve, label="corp")
 
 
 def _corp_column(market: CreditMarket, i: int) -> np.ndarray:
     """(n_paths,) corporate deflator at grid node i: from tau, without the
-    whole deflator, unless one was supplied."""
-    if market.corp_deflator is None:
-        tau = market.defaults.tau
-        return np.where(market.grid.times[i] >= tau, 1.0 - market.deflator_lgd, 1.0)
-    d = market.corp.deflator.series
-    return np.broadcast_to(d, (market.defaults.n_paths, market.grid.n_times))[:, i]
+    whole deflator."""
+    tau = market.defaults.tau
+    return np.where(market.grid.times[i] >= tau, 1.0 - market.deflator_lgd, 1.0)
 
 
 def realized_lgd_at_default(market: CreditMarket) -> np.ndarray:

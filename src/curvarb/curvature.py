@@ -350,7 +350,7 @@ def novikov_sharpe(
     if spec.constant:
         state = spec.x0[None, None, :]
     else:
-        state = _ito_rows(spec, grid, np.arange(n_paths), seed, TAG_SHARPE)
+        state = _ito_rows(spec, grid, n_paths, seed, TAG_SHARPE)
     rows = state.shape[0]
     ratio_sq = np.empty((rows, times.size))
     # a constant integrand is evaluated at the first node and fills the row

@@ -185,11 +185,11 @@ def novikov_mc(
 
     The summand reads a fresh k-dimensional driver, keyed apart from the
     default thresholds, only at the default time, where given tau it is
-    exactly N(0, tau I_k): each defaulted path reads one row of k normals
-    from its keyed stream block, scaled by sqrt(tau), so no path and no time
-    grid is built.  A driver_linked LGD rule is called once, on all defaulted
-    paths: fn(t, w) with t of shape (n,) and w of shape (n, k) returns the n
-    losses.
+    exactly N(0, tau I_k): one row of k normals is drawn for every path and
+    each defaulted path keeps its own, scaled by sqrt(tau), so no path and
+    no time grid is built.  A driver_linked LGD rule is called once, on all
+    defaulted paths: fn(t, w) with t of shape (n,) and w of shape (n, k)
+    returns the n losses.
     Paths that never default inside the horizon are censored and excluded;
     the estimate is the conditional expectation given default before the
     horizon, which is what the quadrature cross-check integrates when its
@@ -207,9 +207,9 @@ def novikov_mc(
             "too few defaults for the integrability estimate",
             diagnostics={"defaulted": n_def},
         )
-    rows = np.nonzero(mask)[0]
-    tau_d = sample.tau[rows]
-    z = _keyed_rows(market.seed, TAG_NOVIKOV_DRIVER, rows, (k,), "standard_normal")
+    tau_d = sample.tau[mask]
+    z = _keyed_rows(market.seed, TAG_NOVIKOV_DRIVER, range(sample.n_paths), (k,), "standard_normal")
+    z = z[mask]
     w_tau = np.sqrt(tau_d)[:, None] * z
     q = np.sum(w_tau * w_tau, axis=1) / tau_d
     if q_form == "printed":
@@ -223,7 +223,7 @@ def novikov_mc(
     else:
         from .credit import realized_lgd_at_default
 
-        l = realized_lgd_at_default(market)[rows]
+        l = realized_lgd_at_default(market)[mask]
     if np.any((l < 0) | (l >= 2)):
         raise ConfigurationError("LGD values must lie in [0, 2) for the summand")
     coef = (2.0 * l / (2.0 - l)) ** 2

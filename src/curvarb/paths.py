@@ -4,10 +4,11 @@ Everything downstream (gauges, curvature diagnostics, credit analytics) runs on
 the containers defined here.  Simulation is deterministic: each block of
 ``_STREAM_BLOCK`` consecutive paths draws from one counter-based Philox stream
 keyed by ``(seed, stream tag, stream block)``, and path p reads row
-``p % _STREAM_BLOCK`` of that block's fill (RNG stream version 3).  A fill is
-prefix-stable, so any subset of paths is drawn bit for bit as in the whole
-ensemble, and results do not depend on execution order, on the memory block
-size or on how work is split.
+``p % _STREAM_BLOCK`` of that block's fill (RNG stream version 3).  Every
+keyed request is a range of consecutive paths, and a fill is prefix-stable,
+so any range is drawn bit for bit as in the whole ensemble, and results do
+not depend on execution order, on the memory block size or on how work is
+split.
 
 The derivative estimators implement forward, backward, and mean difference
 quotients conditioned on the present state (valid for Markov processes), with
@@ -250,15 +251,16 @@ def _kernel_on_grid(beta, grid: TimeGrid) -> np.ndarray:
     return b
 
 
-def _check_finite(values: np.ndarray, what: str, rows: np.ndarray | None = None) -> None:
+def _check_finite(values: np.ndarray, what: str, first: int = 0) -> None:
+    """Raise a NumericalError naming the first non-finite value's step and
+    path: first + its row."""
     # a finite sum has no inf or NaN term; a non-finite one, an overflow of
     # finite terms included, falls through to the exact scan
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(np.add.reduce(values, axis=None)) or np.all(np.isfinite(values)):
             return
     bad = np.argwhere(~np.isfinite(values))
-    path, step = int(bad[0][0]), int(bad[0][1])
-    path = path if rows is None else int(rows[path])
+    path, step = first + int(bad[0][0]), int(bad[0][1])
     raise NumericalError(
         f"{what} contains non-finite values (first at path {path}, step {step})",
         diagnostics={"path": path, "step": step, "count": int(bad.shape[0])},
@@ -345,41 +347,40 @@ TAG_NOVIKOV_DRIVER = 7  # Novikov driver at the default time
 TAG_ASSET_BASE = 16  # the CLI's asset j draws on TAG_ASSET_BASE + j
 
 
-def _stream_keys(seed: int, tag: int, paths) -> tuple[np.ndarray, int]:
-    """(key0, key1): the Philox key words of the streams that hold paths on
-    tag, with key0 = tag << 48 | path // _STREAM_BLOCK (uint64, shaped like
-    paths) and key1 = seed.
+def _stream_keys(seed: int, tag: int, rows: range) -> tuple[list, int]:
+    """(key0, key1): word 0 of the Philox key of each stream block that the
+    range of paths rows touches on tag, tag << 48 | block in block order,
+    and word 1, the seed.
 
     A seed, tag or path index the key cannot hold is a ConfigurationError.
     """
-    seed, paths = operator.index(seed), np.asarray(paths, dtype=np.int64)
+    seed = operator.index(seed)
     if not 0 <= seed < 1 << 64:
         raise ConfigurationError(f"seed {seed} is not a 64-bit stream key (0 <= seed < 2**64)")
-    if paths.min(initial=0) < 0 or paths.max(initial=0) >= 1 << 48:
+    if rows and (rows.start < 0 or rows.stop > 1 << 48):
         raise ConfigurationError("path index out of range for stream keying")
     if tag < 0 or tag >= 1 << 16:
         raise ConfigurationError("stream tag out of range")
-    return (paths // _STREAM_BLOCK).astype(np.uint64) | np.uint64(tag << 48), seed
+    blocks = range(rows.start // _STREAM_BLOCK, -(-rows.stop // _STREAM_BLOCK)) if rows else ()
+    return [tag << 48 | b for b in blocks], seed
 
 
 def _keyed_rows(
-    seed: int, tag: int, paths: np.ndarray, shape: tuple[int, ...], method: str, out=None
+    seed: int, tag: int, rows: range, shape: tuple[int, ...], method: str, out=None
 ) -> np.ndarray:
-    """Row i holds row paths[i] % _STREAM_BLOCK of numpy's float64
-    Generator.<method>((rows, *shape)) on the Philox stream keyed by
-    _stream_keys(seed, tag, paths[i]); method is "random", "standard_normal"
-    or "standard_exponential".  The rows are written into out, a C-contiguous
-    (paths.size, *shape) array, if given.
+    """Row i holds row rows[i] % _STREAM_BLOCK of numpy's float64
+    Generator.<method>((_STREAM_BLOCK, *shape)) on the Philox stream keyed by
+    _stream_keys for path rows[i], where rows is a range of consecutive
+    paths; method is "random", "standard_normal" or "standard_exponential".
+    The rows are written into out, a C-contiguous (len(rows), *shape) array,
+    if given.
 
-    A block's fill is prefix-stable, so each block that paths touch is drawn
-    by one numpy call up to its last row read.  A dense request, a run of
-    consecutive paths from a block's first row, fills each block's prefix
-    straight into its own rows; any other subset, order or repetition of
-    paths gathers its rows from the fills and reads the same rows.
+    A block's fill is prefix-stable, so each block the range touches is
+    drawn by one numpy call straight into its own rows, up to the range's
+    last row in it.  A range that starts inside a block draws that block's
+    head into a small array and drops its leading rows.
     """
-    paths = np.asarray(paths, dtype=np.int64)
-    key0, key1 = _stream_keys(seed, tag, paths)
-    offset = paths % _STREAM_BLOCK
+    key0s, key1 = _stream_keys(seed, tag, rows)
     # One Philox serves every block: its state is reset to the block's key,
     # counter 0 and an empty buffer, which is exactly the state of a fresh
     # Philox(key=key1 << 64 | key0), without building one per block.  Python
@@ -395,41 +396,38 @@ def _keyed_rows(
     }
     bitgen = np.random.Philox(0)
     fill = getattr(np.random.Generator(bitgen), method)
-    out = np.empty((key0.size, *shape)) if out is None else out
+    n = len(rows)
+    out = np.empty((n, *shape)) if out is None else out
     # math.prod, not -1: reshape(0, -1) raises
-    rows = out.reshape(key0.size, math.prod(shape))
-    if paths.size and offset[0] == 0 and np.all(np.diff(paths) == 1):
-        # the run's paths lo to lo + _STREAM_BLOCK - 1 are the head of one block
-        for lo, k in zip(range(0, key0.size, _STREAM_BLOCK), key0[::_STREAM_BLOCK].tolist()):
-            key[0] = k
-            bitgen.state = state
-            fill(out=rows[lo : lo + _STREAM_BLOCK])
-        return out
-    block = np.empty((_STREAM_BLOCK, rows.shape[1]))
-    # the positions in paths of each block's rows, one block at a time
-    order = np.argsort(key0, kind="stable")
-    keys, first = np.unique(key0[order], return_index=True)
-    for k, at in zip(keys.tolist(), np.split(order, first[1:])):
+    flat = out.reshape(n, math.prod(shape))
+    # lo: the position in out of the block's row 0, before out for a
+    # range that starts inside its first block
+    lo = -(rows.start % _STREAM_BLOCK)
+    for k in key0s:
         key[0] = k
         bitgen.state = state
-        read = offset[at]
-        drawn = block[: read.max() + 1]
-        fill(out=drawn)
-        rows[at] = drawn[read]
+        hi = min(lo + _STREAM_BLOCK, n)
+        if lo < 0:
+            head = np.empty((hi - lo, flat.shape[1]))
+            fill(out=head)
+            flat[:hi] = head[-lo:]
+        else:
+            fill(out=flat[lo:hi])
+        lo += _STREAM_BLOCK
     return out
 
 
 def _brownian_rows(
-    grid: TimeGrid, paths: np.ndarray, dim: int, seed: int, tag: int, out=None
+    grid: TimeGrid, rows: range, dim: int, seed: int, tag: int, out=None
 ) -> np.ndarray:
-    """(paths.size, n_times - 1, dim) Brownian increments of the paths with the
-    given indices, scaled by sqrt(dt), into out if given.
+    """(len(rows), n_times - 1, dim) Brownian increments of the range of
+    paths rows, scaled by sqrt(dt), into out if given.
 
-    Row i is bit for bit row paths[i] of the full ensemble, so a caller that
-    reads a few paths draws only the stream blocks they touch.
+    Row i is bit for bit row rows[i] of the full ensemble, so a caller that
+    reads a block of paths draws only the stream blocks it touches.
     """
     shape = (grid.n_times - 1, dim)
-    dw = _keyed_rows(seed, tag, paths, shape, "standard_normal", out)
+    dw = _keyed_rows(seed, tag, rows, shape, "standard_normal", out)
     dw *= np.sqrt(grid.steps)[None, :, None]
     return dw
 
@@ -440,7 +438,7 @@ def simulate_brownian(
     """Standard Brownian motion started at 0, increments scaled by sqrt(dt)."""
     if n_paths < 1 or dim < 1:
         raise ConfigurationError("need n_paths >= 1 and dim >= 1")
-    dw = _brownian_rows(grid, np.arange(n_paths), dim, seed, tag)
+    dw = _brownian_rows(grid, range(n_paths), dim, seed, tag)
     w = np.zeros((n_paths, grid.n_times, dim))
     np.cumsum(dw, axis=1, out=w[:, 1:, :])
     return PathEnsemble(grid, w, driver_increments=dw)
@@ -574,32 +572,33 @@ def _path_slices(n: int) -> list:
 
 
 def _ito_blocks(
-    spec: ItoSpec, grid: TimeGrid, rows: np.ndarray, seed: int, tag: int, out=None
+    spec: ItoSpec, grid: TimeGrid, n_paths: int, seed: int, tag: int, out=None
 ):
-    """(block, paths): each run of at most _PATH_BLOCK path indices of rows and their
-    Ito paths of spec on stream tag, bit for bit as in the whole ensemble.  With
-    out, a (rows.size, n_times, dim) array, each block's paths are its slice of
-    out; without, they are the head of one array that the next block overwrites.
-    Every block's increments are drawn into one array too."""
-    k, size = spec.driver_dim(), min(rows.size, _PATH_BLOCK)
+    """(rows, paths): each range of at most _PATH_BLOCK of the first n_paths
+    paths and their Ito paths of spec on stream tag, bit for bit as in the
+    whole ensemble.  With out, an (n_paths, n_times, dim) array, each block's
+    paths are its slice of out; without, they are the head of one array that
+    the next block overwrites.  Every block's increments are drawn into one
+    array too."""
+    k, size = spec.driver_dim(), min(n_paths, _PATH_BLOCK)
     dw = np.empty((size, grid.n_times - 1, k))
     paths = np.empty((size, grid.n_times, spec.dim)) if out is None else None
-    for b in _path_slices(rows.size):
-        block = rows[b]
-        n = block.size
+    for b in _path_slices(n_paths):
+        rows = range(n_paths)[b]
+        n = len(rows)
         x = _integrate(
-            spec, grid, _brownian_rows(grid, block, k, seed, tag, dw[:n]),
+            spec, grid, _brownian_rows(grid, rows, k, seed, tag, dw[:n]),
             paths[:n] if out is None else out[b],
         )
-        _check_finite(x, "simulated paths", block)  # names a path by its own index
-        yield block, x
+        _check_finite(x, "simulated paths", rows.start)  # names a path by its own index
+        yield rows, x
 
 
-def _ito_rows(spec: ItoSpec, grid: TimeGrid, rows: np.ndarray, seed: int, tag: int):
-    """(rows.size, n_times, dim) Ito paths of _ito_blocks, each block
+def _ito_rows(spec: ItoSpec, grid: TimeGrid, n_paths: int, seed: int, tag: int):
+    """(n_paths, n_times, dim) Ito paths of _ito_blocks, each block
     integrated in place into one array."""
-    out = np.empty((rows.size, grid.n_times, spec.dim))
-    for _ in _ito_blocks(spec, grid, rows, seed, tag, out):
+    out = np.empty((n_paths, grid.n_times, spec.dim))
+    for _ in _ito_blocks(spec, grid, n_paths, seed, tag, out):
         pass
     return out
 

@@ -218,7 +218,7 @@ def _nested_monitoring_biases():
     n_chunk, n_chunks = 50_000, 2
     for c in range(n_chunks):
         for lo in range(0, n_chunk, _PATH_BLOCK):
-            rows = np.arange(lo, min(lo + _PATH_BLOCK, n_chunk))
+            rows = range(lo, min(lo + _PATH_BLOCK, n_chunk))
             # the levels at nodes 1, 2, ..., 2000; node 0 sits at 0, above the barrier
             levels = np.cumsum(_brownian_rows(grid, rows, 1, 31, 64 + c)[:, :, 0], axis=1)
             hits_fine += int((levels.min(axis=1) <= -1.0).sum())

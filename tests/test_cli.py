@@ -161,6 +161,30 @@ BUNDLED_DIGESTS = {
 }
 
 
+# The files of BUNDLED_DIGESTS that differ at the AVX2 dispatch level (numpy
+# 2.4.6 with NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"), where
+# float64 exp and log take other kernels; every other pin holds at both levels
+AVX2_DIGESTS = {
+    "flat_market": {
+        "curvature.csv": "25c087e9051ce52faccebf3547afe1c9fc3f21ef49c662804d6c8d5607e81984",
+        "kernel.csv": "fcaa4e1fa14a4699b1fe9d7a9fdfb3d9074acf72d994f4a6f02c6c137ab060fb",
+        "summary.json": "8ea236aaa4f2c4a0d220dde54b8a3c7e3efe6d9f1bd6937f5f12d84aa7f76abf",
+    },
+}
+
+
+def _dispatch_level() -> str:
+    """The pin set's dispatch level: "AVX-512" when numpy's X86_V4 targets
+    are active (AVX512_SKX on numpy 2.0, which has no X86_V4), else "AVX2"."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        features = umath.__cpu_features__
+    except (ImportError, AttributeError):
+        return "AVX-512"
+    return "AVX-512" if features.get("X86_V4", features.get("AVX512_SKX")) else "AVX2"
+
+
 def _numpy_build() -> str:
     """The numpy version and, where numpy reports them, its active CPU
     dispatch targets: the pinned bytes hold for one of each (README
@@ -177,6 +201,10 @@ def _numpy_build() -> str:
 def test_numpy_build_names_the_numpy_version():
     # the digest test's failure message is built without an error
     assert _numpy_build().startswith(f"numpy {np.__version__}")
+    assert _dispatch_level() in ("AVX-512", "AVX2")
+    # the AVX2 set replaces pins of bundled files only
+    for name, pins in AVX2_DIGESTS.items():
+        assert set(pins) < set(BUNDLED_DIGESTS[name])
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
@@ -186,11 +214,12 @@ def test_bundled_outputs_match_pinned_digests(tmp_path, name):
     digests = {
         fname: hashlib.sha256(data).hexdigest() for fname, data in _read_tree(tmp_path).items()
     }
-    expected = BUNDLED_DIGESTS[name]
+    level = _dispatch_level()
+    expected = {**BUNDLED_DIGESTS[name], **(AVX2_DIGESTS.get(name, {}) if level == "AVX2" else {})}
     assert sorted(digests) == sorted(expected), f"{name}: files {sorted(digests)}"
     for fname, digest in expected.items():
         assert digests[fname] == digest, (
-            f"{name}/{fname}: SHA-256 {digests[fname]} is not the pinned {digest}"
+            f"{name}/{fname}: SHA-256 {digests[fname]} is not the {level}-level pin {digest}"
             f" ({_numpy_build()})"
         )
 
@@ -808,9 +837,9 @@ def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):
         markets.append(1)
         return build_market(*args, **kwargs)
 
-    def counted_rows(grid, paths, dim, seed, tag, out=None):
-        drawn.setdefault(tag, []).extend(paths.tolist())
-        return brownian_rows(grid, paths, dim, seed, tag, out)
+    def counted_rows(grid, rows, dim, seed, tag, out=None):
+        drawn.setdefault(tag, []).extend(rows)
+        return brownian_rows(grid, rows, dim, seed, tag, out)
 
     build_market, brownian_rows = curvarb.credit.build_thm1_market, curvarb.paths._brownian_rows
     monkeypatch.setattr(curvarb.credit, "build_thm1_market", counted_market)

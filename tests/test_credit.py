@@ -32,7 +32,6 @@ from curvarb.paths import (
     TAG_DRIVER,
     TAG_EXP,
     ItoSpec,
-    PathEnsemble,
     TimeGrid,
     _ito_blocks,
     simulate_brownian,
@@ -106,7 +105,7 @@ def test_first_passage_monotone_under_refinement():
     grid = TimeGrid.regular(1.0, 1024)
     # the equity simulate_default(StructuralModel(spec, 0.75), grid, 50_000, seed=9) reads
     hits = np.zeros(3, dtype=np.int64)
-    for _, e in _ito_blocks(spec, grid, np.arange(50_000), 9, TAG_DRIVER):
+    for _, e in _ito_blocks(spec, grid, 50_000, 9, TAG_DRIVER):
         hits += [int((np.min(e[:, ::stride, 0], axis=1) <= 0.75).sum()) for stride in (4, 2, 1)]
     p_coarse, p_mid, p_fine = hits / 50_000
     assert p_coarse < p_mid < p_fine
@@ -410,13 +409,8 @@ def test_credit_gauge_reads_the_node_where_the_deflator_jumps():
     times = market.grid.times
     tau = market.defaults.tau.copy()
     tau[np.argmax(market.defaults.defaulted())] = times[8] + 1e-13  # just after a node
-    # the corporate deflator as build_thm1_market derives it: it jumps at times >= tau
-    defl = np.where(times[None, :] >= tau[:, None], 1.0 - 0.4, 1.0)
-    moved = replace(
-        market,
-        defaults=replace(market.defaults, tau=tau),
-        corp_deflator=PathEnsemble(market.grid, defl),
-    )
+    # the corporate deflator, derived from the moved tau, jumps at times >= tau
+    moved = replace(market, defaults=replace(market.defaults, tau=tau))
     assert credit_gauge(moved).jump_deviation <= 1e-12
 
 
@@ -459,31 +453,25 @@ def test_replacing_the_lgd_keeps_the_construction_deflator():
 @pytest.mark.parametrize("lgd_value", [0.0, 0.4, 1.0])
 def test_column_readers_match_the_stored_deflator_route(lgd_value):
     market = _market_with_edge_defaults(lgd_value)
-    supplied = replace(market, corp_deflator=PathEnsemble(market.grid, _stored_deflator(market, lgd_value)))
+    stored = _stored_deflator(market, lgd_value)
+    grid, tau = market.grid, market.defaults.tau
+    d_gov = np.broadcast_to(market.gov.deflator.series, stored.shape)
+    beta = market.beta.series.mean(axis=0)
     pairs = [(0.0, 5.0), (2.0, 4.0), (2.5, 5.0)]  # t = 2.0 is the node of the edge defaults
-    for source in ("model", "simulated"):
-        derived = thm1_residuals(market, pairs, lambda_source=source)
-        stored = thm1_residuals(supplied, pairs, lambda_source=source)
-        assert derived.rows_ii == stored.rows_ii
-        assert derived.rows_iii == stored.rows_iii
-    for t, s in pairs:
-        for normalization in ("terminal", "deflator"):
-            assert vars(corporate_bond_price(market, t, s, normalization)) == vars(
-                corporate_bond_price(supplied, t, s, normalization)
-            )
-
-
-def test_a_supplied_corp_deflator_is_read():
-    market = build_thm1_market(0.05, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=3)
-    defl = _stored_deflator(market, 0.4)
-    defl[:, 20:] *= np.linspace(1.0, 2.0, market.defaults.n_paths)[:, None]
-    supplied = replace(market, corp_deflator=PathEnsemble(market.grid, defl))
-    assert supplied.corp.deflator.series.tobytes() == defl.tobytes()
-    alive = market.defaults.tau > 5.0
-    expected = (defl[:, 40] / defl[:, 20])[alive]
-    assert corporate_bond_price(supplied, 5.0, 10.0, "deflator").value == expected.mean()
-    row = thm1_residuals(supplied, [(5.0, 10.0)]).rows_iii[0]
-    assert row["general"] != thm1_residuals(market, [(5.0, 10.0)]).rows_iii[0]["general"]
+    reports = [thm1_residuals(market, pairs, lambda_source=source) for source in ("model", "simulated")]
+    for (t, s), *rows in zip(pairs, *(report.rows_iii for report in reports)):
+        alive, i_t, i_s = tau > t, grid.index_of(t), grid.index_of(s)
+        # the bond-difference row, by thm1_residuals' arithmetic, off the stored deflator
+        p_corp = float(market.corp_curve.price(t, s).mean())
+        p_gov = float(market.gov.curve.price(t, s).mean())
+        lhs = p_corp * float(stored[alive, i_t].mean()) - p_gov * float(d_gov[alive, i_t].mean())
+        scale = float(beta[i_t]) * float(market.lgd.deterministic_at(t))
+        general = lhs + scale * float((tau[alive] <= s).mean())
+        assert [row["general"] for row in rows] == [general, general]
+        price = corporate_bond_price(market, t, s, "deflator")
+        vals = stored[alive, i_s] / stored[alive, i_t]
+        assert (price.value, price.n_used) == (float(vals.mean()), int(alive.sum()))
+        assert price.se == float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 
 def test_column_readers_hold_less_than_one_deflator_array():

@@ -359,7 +359,7 @@ def _reference_sharpe_exponents(spec, x, horizon, n_paths, steps, seed):
     """The integrand on every simulated path, as for state-dependent fields."""
     grid = TimeGrid.regular(horizon, steps)
     k = spec.driver_dim()
-    state = _integrate(spec, grid, _brownian_rows(grid, np.arange(n_paths), k, seed, TAG_SHARPE))
+    state = _integrate(spec, grid, _brownian_rows(grid, range(n_paths), k, seed, TAG_SHARPE))
     ratio_sq = np.empty((n_paths, grid.n_times))
     for i, t in enumerate(grid.times):
         a = spec.eval_drift(t, state[:, i, :])

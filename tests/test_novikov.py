@@ -139,6 +139,26 @@ def test_novikov_mc_matches_keyed_per_row_reference(small_market, cap, k):
     assert est.estimate == np.exp(ref).mean()
 
 
+def test_novikov_mc_draws_every_row_in_one_fill_per_block(small_market, monkeypatch):
+    sample, k = small_market.defaults, 4
+    rows = np.nonzero(sample.defaulted())[0]
+    reference = reference_rows(small_market.seed, TAG_NOVIKOV_DRIVER, rows, (k,), "standard_normal")
+    fills = []  # the output of every block fill
+
+    class Recording(np.random.Generator):
+        def standard_normal(self, *, out):
+            fills.append(out)
+            return super().standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    novikov_mc(small_market, k)
+    # one fill per stream block of the n_paths rows, each from its block's row 0
+    assert len(fills) == -(-sample.n_paths // 256)
+    drawn = np.concatenate(fills)
+    assert drawn.shape == (sample.n_paths, k)
+    assert drawn[rows].tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize("cap", [None, 0.1])
 def test_novikov_mc_rows_do_not_depend_on_other_defaults(small_market, cap):
     market = _capped(small_market, cap)

@@ -61,6 +61,7 @@ from curvarb.paths import (
     _N_BINS,
     _STREAM_BLOCK,
     _PATH_BLOCK,
+    _brownian_rows,
     _check_finite,
     _cumulative_trapezoid,
     _format_cell,
@@ -140,38 +141,40 @@ def test_per_path_streams_are_order_independent():
 
 
 KEYED_DRAWS = {
-    "normal_block": (np.arange(30), (6, 2), "standard_normal"),
-    "exponential": (np.arange(30), (), "standard_exponential"),
-    "uniform_row": (np.arange(30), (9,), "random"),
-    # a subset of paths in no particular order, like the defaulted rows
-    "normal_subset": (np.array([41, 3, 17, 1 << 40, 9, 4]), (3,), "standard_normal"),
-    "exponential_row": (np.arange(30), (7,), "standard_exponential"),
+    "normal_block": (range(30), (6, 2), "standard_normal"),
+    "exponential": (range(30), (), "standard_exponential"),
+    "uniform_row": (range(30), (9,), "random"),
+    # a short range far from path 0 that starts inside its block
+    "normal_far_range": (range((1 << 40) + 3, (1 << 40) + 9), (3,), "standard_normal"),
+    "exponential_row": (range(30), (7,), "standard_exponential"),
     # three stream blocks, the last one read only in part
-    "normal_long_rows": (np.arange(600), (12,), "standard_normal"),
-    "long_rows_of_no_paths": (np.array([], dtype=np.int64), (2, 5), "standard_normal"),
+    "normal_long_rows": (range(600), (12,), "standard_normal"),
+    "long_rows_of_no_paths": (range(0), (2, 5), "standard_normal"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(KEYED_DRAWS))
 @pytest.mark.parametrize("seed", [5, (1 << 63) + 11])
 def test_batch_streams_match_the_block_reference_bit_for_bit(kind, seed):
-    paths, shape, method = KEYED_DRAWS[kind]
-    batch = _keyed_rows(seed, 6, paths, shape, method)
-    assert batch.shape == (paths.size, *shape)
-    assert batch.tobytes() == reference_rows(seed, 6, paths, shape, method).tobytes()
+    rows, shape, method = KEYED_DRAWS[kind]
+    batch = _keyed_rows(seed, 6, rows, shape, method)
+    assert batch.shape == (len(rows), *shape)
+    assert batch.tobytes() == reference_rows(seed, 6, rows, shape, method).tobytes()
 
 
 def test_batch_streams_check_ranges():
-    for tag, paths in [(1 << 16, [0]), (-1, [0]), (0, [3, -1]), (0, [1 << 48, 2])]:
+    for tag, rows in [(1 << 16, range(1)), (-1, range(1)), (0, range(-1, 3)), (0, range(2, (1 << 48) + 1))]:
         with pytest.raises(ConfigurationError):
-            _keyed_rows(1, tag, np.array(paths), (), "random")
+            _keyed_rows(1, tag, rows, (), "random")
+    # the last path a key can hold
+    assert _keyed_rows(1, 0, range((1 << 48) - 1, 1 << 48), (), "random").shape == (1,)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_seeds_are_64_bit_stream_keys(seed):
     # a seed outside [0, 2**64) would alias another seed's streams
     with pytest.raises(ConfigurationError, match="64-bit stream key"):
-        _keyed_rows(seed, 0, np.arange(3), (8,), "standard_normal")
+        _keyed_rows(seed, 0, range(3), (8,), "standard_normal")
 
 
 # the draw method of each tabled stream (README "Determinism") and the
@@ -240,11 +243,13 @@ def test_first_keyed_rows_of_each_stream_are_pinned(tag):
     assert RNG_STREAM_VERSION == 3
     assert _STREAM_BLOCK == STREAM_BLOCK
     method, digest = STREAM_DIGESTS[tag]
-    paths = np.array([0, 1, (1 << 48) - 1])
-    rows = _keyed_rows(0, tag, paths, (8,), method)
+    # paths 0 and 1, then the last path a key can hold
+    rows = np.concatenate(
+        [_keyed_rows(0, tag, r, (8,), method) for r in (range(2), range((1 << 48) - 1, 1 << 48))]
+    )
     # a block's fill is prefix-stable: the rows read from the head of a block
     # head the rows of the whole block
-    whole = _keyed_rows(0, tag, np.arange(STREAM_BLOCK), (8,), method)
+    whole = _keyed_rows(0, tag, range(STREAM_BLOCK), (8,), method)
     assert rows[:2].tobytes() == whole[:2].tobytes()
     assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
@@ -256,9 +261,10 @@ ROW_SHAPES = [
     ("standard_exponential", (7,)),
     *[("random", (k,)) for k in (1, 2, 3, 4, 9)],
 ]
-# unsorted, with duplicates and the highest path index; 600 paths cover two
-# whole stream blocks and part of a third
-SUBSET_PATHS = np.concatenate([[(1 << 48) - 1, 7, 7], np.arange(600)[::-1], [3, 599]])
+# ranges of paths: 600 paths cover two whole stream blocks and part of a
+# third; one row inside a block; a range that starts inside a block and ends
+# inside a later one; and the last path a key can hold
+KEYED_RANGES = [range(600), range(7, 8), range(100, 700), range((1 << 48) - 1, 1 << 48)]
 
 
 @pytest.mark.parametrize(
@@ -267,37 +273,36 @@ SUBSET_PATHS = np.concatenate([[(1 << 48) - 1, 7, 7], np.arange(600)[::-1], [3, 
 @pytest.mark.parametrize("tag", [0, 65535])
 @pytest.mark.parametrize("seed", [0, 5, (1 << 63) + 11, (1 << 64) - 1])
 def test_keyed_rows_match_the_block_reference_bit_for_bit(seed, tag, method, shape):
-    batch = _keyed_rows(seed, tag, SUBSET_PATHS, shape, method)
-    assert batch.shape == (SUBSET_PATHS.size, *shape)
-    assert batch.tobytes() == reference_rows(seed, tag, SUBSET_PATHS, shape, method).tobytes()
+    for rows in KEYED_RANGES:
+        batch = _keyed_rows(seed, tag, rows, shape, method)
+        assert batch.shape == (len(rows), *shape)
+        assert batch.tobytes() == reference_rows(seed, tag, rows, shape, method).tobytes()
 
 
 def test_short_rows_of_no_paths():
     for shape in [(), (3,), (2, 5)]:
-        empty = _keyed_rows(3, 9, np.array([], dtype=np.int64), shape, "standard_normal")
-        assert empty.shape == (0, *shape)
+        for rows in [range(0), range(300, 300)]:
+            empty = _keyed_rows(3, 9, rows, shape, "standard_normal")
+            assert empty.shape == (0, *shape)
 
 
 def test_subsets_read_the_rows_of_the_full_ensemble_bit_for_bit():
     # the whole first 5000 paths, past two _PATH_BLOCKs, and the last block
-    last = np.arange((1 << 48) - STREAM_BLOCK, 1 << 48)
-    ensemble = np.concatenate([np.arange(5000), last])
-    full = _keyed_rows(7, 12, ensemble, (3,), "standard_normal")
-    position = {int(p): i for i, p in enumerate(ensemble)}
-    # unsorted, with duplicates, across stream-block and path-block edges
-    subset = np.array(
-        [(1 << 48) - 1, 2049, 255, 256, 2047, 2048, 4999, 255, 4095, 4096, 0, 511, 2049]
-        + [*range(300, 200, -7)]
-        + [(1 << 48) - STREAM_BLOCK, 3000]
-    )
-    rows = _keyed_rows(7, 12, subset, (3,), "standard_normal")
-    assert rows.tobytes() == full[[position[int(p)] for p in subset]].tobytes()
+    full = _keyed_rows(7, 12, range(5000), (3,), "standard_normal")
+    last_lo = (1 << 48) - STREAM_BLOCK
+    last = _keyed_rows(7, 12, range(last_lo, 1 << 48), (3,), "standard_normal")
+    # ranges across stream-block and path-block edges
+    for lo, hi in [(255, 257), (2047, 2049), (4095, 4097), (300, 200), (0, 511), (4990, 5000)]:
+        piece = _keyed_rows(7, 12, range(lo, hi), (3,), "standard_normal")
+        assert piece.tobytes() == full[lo:hi].tobytes()
+    for lo in [last_lo, last_lo + 1, (1 << 48) - 1]:
+        piece = _keyed_rows(7, 12, range(lo, 1 << 48), (3,), "standard_normal")
+        assert piece.tobytes() == last[lo - last_lo :].tobytes()
     # each block in isolation, as a caller that reads one path block does
     for lo in range(0, 5000, 97):
         hi = min(lo + 97, 5000)
-        piece = _keyed_rows(7, 12, np.arange(lo, hi), (3,), "standard_normal")
+        piece = _keyed_rows(7, 12, range(lo, hi), (3,), "standard_normal")
         assert piece.tobytes() == full[lo:hi].tobytes()
-    assert _keyed_rows(7, 12, subset[:0], (3,), "standard_normal").shape == (0, 3)
 
 
 def test_a_path_draws_one_block_prefix(monkeypatch):
@@ -310,27 +315,27 @@ def test_a_path_draws_one_block_prefix(monkeypatch):
             return super().standard_normal(*args, out=out, **kwargs)
 
     monkeypatch.setattr(np.random, "Generator", Counting)
-    _keyed_rows(1, 2, np.array([3 * STREAM_BLOCK + 9]), (4,), "standard_normal")
-    _keyed_rows(1, 2, np.array([5, 700, 1, 600]), (4,), "standard_normal")
-    # a dense run fills each block it touches up to its own last row; so does
-    # a run that starts mid-block, which gathers its rows
-    _keyed_rows(1, 2, np.arange(600), (4,), "standard_normal")
-    _keyed_rows(1, 2, np.arange(100, 400), (4,), "standard_normal")
-    assert drawn == [10, 6, 189, 256, 256, 88, 256, 144]
+    _keyed_rows(1, 2, range(3 * STREAM_BLOCK + 9, 3 * STREAM_BLOCK + 10), (4,), "standard_normal")
+    # a range fills each block it touches up to its own last row, from the
+    # block's row 0 when it starts inside the block
+    _keyed_rows(1, 2, range(600), (4,), "standard_normal")
+    _keyed_rows(1, 2, range(100, 400), (4,), "standard_normal")
+    assert drawn == [10, 256, 256, 88, 256, 144]
 
 
-# requests by route: dense runs of consecutive paths from a block's first
-# row, and runs that are not (they gather their rows from the block fills)
-DENSE_REQUESTS = {
-    "whole-blocks": (np.arange(2 * STREAM_BLOCK), True),
-    "partial-last-block": (np.arange(600), True),
-    "from-a-later-block": (np.arange(STREAM_BLOCK, 1000), True),
-    "one-path": (np.array([3 * STREAM_BLOCK]), True),
-    "last-block-of-the-keys": (np.arange((1 << 48) - STREAM_BLOCK, 1 << 48), True),
-    "mid-block-start": (np.arange(100, 700), False),
-    "one-row-late": (np.arange(1, 600), False),
-    "gap": (np.r_[0:STREAM_BLOCK, STREAM_BLOCK + 1 : 600], False),
-    "descending": (np.arange(600)[::-1], False),
+# ranges of paths: from a block's first row, each block is filled straight
+# into its own rows; from inside a block, the first block's head is drawn
+# apart and its leading rows dropped
+KEYED_REQUESTS = {
+    "whole-blocks": range(2 * STREAM_BLOCK),
+    "partial-last-block": range(600),
+    "from-a-later-block": range(STREAM_BLOCK, 1000),
+    "one-path": range(3 * STREAM_BLOCK, 3 * STREAM_BLOCK + 1),
+    "last-block-of-the-keys": range((1 << 48) - STREAM_BLOCK, 1 << 48),
+    "mid-block-start": range(100, 700),
+    "one-row-late": range(1, 600),
+    "one-row-mid-block": range(STREAM_BLOCK + 40, STREAM_BLOCK + 41),
+    "empty": range(STREAM_BLOCK + 40, STREAM_BLOCK + 40),
 }
 
 
@@ -339,12 +344,13 @@ DENSE_REQUESTS = {
     [("standard_normal", (50, 1)), ("random", (9,)), ("standard_exponential", ())],
     ids=["normal", "uniform", "exponential"],
 )
-@pytest.mark.parametrize("request_kind", sorted(DENSE_REQUESTS))
-def test_dense_requests_fill_in_place_like_the_block_reference(monkeypatch, request_kind, method, shape):
-    paths, dense = DENSE_REQUESTS[request_kind]
-    expected = reference_rows(23, 9, paths, shape, method).tobytes()
+@pytest.mark.parametrize("request_kind", sorted(KEYED_REQUESTS))
+def test_range_requests_fill_in_place_like_the_block_reference(monkeypatch, request_kind, method, shape):
+    rows = KEYED_REQUESTS[request_kind]
+    n = len(rows)
+    expected = reference_rows(23, 9, rows, shape, method).tobytes()
     # without out, the rows are the same
-    assert _keyed_rows(23, 9, paths, shape, method).tobytes() == expected
+    assert _keyed_rows(23, 9, rows, shape, method).tobytes() == expected
     fills = []  # the address of every block fill's output
 
     class Recording(np.random.Generator):
@@ -363,26 +369,33 @@ def test_dense_requests_fill_in_place_like_the_block_reference(monkeypatch, requ
 
     monkeypatch.setattr(np.random, "Generator", Recording)
     # the caller's rows head a longer buffer whose tail must stay untouched
-    buffer = np.full((paths.size + 3, *shape), np.nan)
-    rows = _keyed_rows(23, 9, paths, shape, method, out=buffer[: paths.size])
-    assert rows.base is buffer and rows.shape == (paths.size, *shape)
-    assert rows.tobytes() == expected
-    assert np.isnan(buffer[paths.size :]).all()
-    # a dense request draws each block straight into its own rows, any other
-    # into a scratch block
+    buffer = np.full((n + 3, *shape), np.nan)
+    drawn = _keyed_rows(23, 9, rows, shape, method, out=buffer[:n])
+    assert drawn.base is buffer and drawn.shape == (n, *shape)
+    assert drawn.tobytes() == expected
+    assert np.isnan(buffer[n:]).all()
+    # every block is drawn straight into its own rows, but for the head of
+    # a first block that the range starts inside
     start = buffer.__array_interface__["data"][0]
     row_bytes = buffer[0].nbytes
-    heads = [start + lo * row_bytes for lo in range(0, paths.size, STREAM_BLOCK)]
-    assert (fills == heads) is dense
+    skip = rows.start % STREAM_BLOCK
+    heads = [start + lo * row_bytes for lo in range(-skip, n, STREAM_BLOCK)] if n else []
+    assert len(fills) == len(heads)
+    assert fills[1:] == heads[1:]
+    if skip and n:
+        # the head is drawn into an array of its own, outside the buffer
+        assert not start <= fills[0] < start + buffer.nbytes
+    else:
+        assert fills[:1] == heads[:1]
 
 
-def _reference_check(values, rows):
+def _reference_check(values, first):
     """The exact scan: (path, step, count) of the first non-finite value of a
-    (paths, steps, ...) array, or None."""
+    (paths, steps, ...) array whose row 0 is path first, or None."""
     bad = np.argwhere(~np.isfinite(values))
     if bad.size == 0:
         return None
-    path = int(bad[0][0]) if rows is None else int(rows[bad[0][0]])
+    path = first + int(bad[0][0])
     return path, int(bad[0][1]), int(bad.shape[0])
 
 
@@ -409,18 +422,18 @@ FINITE_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("rows", [None, np.arange(1000, 1040)[::-1]], ids=["own", "rows"])
+@pytest.mark.parametrize("first", [0, 1000], ids=["own", "offset"])
 @pytest.mark.parametrize("kind", sorted(FINITE_CHECKS))
-def test_check_finite_matches_the_exact_scan(kind, rows):
+def test_check_finite_matches_the_exact_scan(kind, first):
     values = FINITE_CHECKS[kind]
-    expected = _reference_check(values, rows)
+    expected = _reference_check(values, first)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflowing sum warns about nothing
         if expected is None:
-            _check_finite(values, "paths", rows)
+            _check_finite(values, "paths", first)
             return
         with pytest.raises(NumericalError) as err:
-            _check_finite(values, "paths", rows)
+            _check_finite(values, "paths", first)
     path, step, count = expected
     assert err.value.diagnostics == {"path": path, "step": step, "count": count}
     assert str(err.value) == f"paths contains non-finite values (first at path {path}, step {step})"
@@ -430,14 +443,15 @@ def test_check_finite_matches_the_exact_scan(kind, rows):
 @given(
     seed=st.integers(0, (1 << 64) - 1),
     tag=st.integers(0, (1 << 16) - 1),
-    paths=st.lists(st.integers(0, (1 << 48) - 1), max_size=12),
+    start=st.integers(0, (1 << 48) - 1),
+    length=st.integers(0, 3 * STREAM_BLOCK),
     k=st.integers(1, 6),
     method=st.sampled_from(["standard_normal", "standard_exponential", "random"]),
 )
-def test_keyed_rows_match_the_block_reference_property(seed, tag, paths, k, method):
-    paths = np.array(paths, dtype=np.int64)
-    batch = _keyed_rows(seed, tag, paths, (k,), method)
-    assert batch.tobytes() == reference_rows(seed, tag, paths, (k,), method).tobytes()
+def test_keyed_rows_match_the_block_reference_property(seed, tag, start, length, k, method):
+    rows = range(start, min(start + length, 1 << 48))
+    batch = _keyed_rows(seed, tag, rows, (k,), method)
+    assert batch.tobytes() == reference_rows(seed, tag, rows, (k,), method).tobytes()
 
 
 def test_log_euler_matches_lognormal_closed_form_pathwise():
@@ -478,10 +492,10 @@ def test_constant_coefficients_integrate_like_callables_bit_for_bit(monkeypatch,
     per_step = ItoSpec(**{**kw, **{c: (lambda t, x, v=kw[c]: v) for c in callables}})
     # 250 paths in blocks of 97: the last block ends partway
     monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
-    grid, rows = TimeGrid.regular(2.0, 20), np.arange(250)
-    x = _ito_rows(const, grid, rows, 3, 5)
+    grid = TimeGrid.regular(2.0, 20)
+    x = _ito_rows(const, grid, 250, 3, 5)
     assert x.shape == (250, grid.n_times, const.dim)
-    assert x.tobytes() == _ito_rows(per_step, grid, rows, 3, 5).tobytes()
+    assert x.tobytes() == _ito_rows(per_step, grid, 250, 3, 5).tobytes()
 
 
 @pytest.mark.parametrize("sigma", [0.2, lambda t, x: 0.2], ids=["constant", "callable"])
@@ -547,13 +561,13 @@ def test_integrate_overflow_leaves_inf_without_a_warning():
 @pytest.mark.parametrize("name", sorted(_CONSTANT_SPECS))
 def test_ito_rows_equal_ito_blocks_block_by_block(monkeypatch, name):
     monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
-    spec, grid, rows = ItoSpec(**_CONSTANT_SPECS[name]), TimeGrid.regular(2.0, 20), np.arange(3, 260)
-    out = _ito_rows(spec, grid, rows, 3, 5)
+    spec, grid, n = ItoSpec(**_CONSTANT_SPECS[name]), TimeGrid.regular(2.0, 20), 257
+    out = _ito_rows(spec, grid, n, 3, 5)
     # without out, each block is read before the next one overwrites it
-    blocks = [(block, x.copy()) for block, x in _ito_blocks(spec, grid, rows, 3, 5)]
-    assert len(blocks) == len(_path_slices(rows.size)) == 3
-    for b, (block, x) in zip(_path_slices(rows.size), blocks):
-        assert np.array_equal(block, rows[b])
+    blocks = [(rows, x.copy()) for rows, x in _ito_blocks(spec, grid, n, 3, 5)]
+    assert len(blocks) == len(_path_slices(n)) == 3
+    for b, (rows, x) in zip(_path_slices(n), blocks):
+        assert rows == range(n)[b]
         assert x.tobytes() == out[b].tobytes()
 
 
@@ -1041,7 +1055,7 @@ def _equity_route(form):
     spec = _EQUITY_SPECS[form]
     # the equity route of simulate_default
     equity = StructuralModel(spec, 0.5).equity
-    blocks = _ito_blocks(equity, _ROUTE_GRID, np.arange(_ROUTE_PATHS), _ROUTE_SEED, TAG_DRIVER)
+    blocks = _ito_blocks(equity, _ROUTE_GRID, _ROUTE_PATHS, _ROUTE_SEED, TAG_DRIVER)
     internal = np.concatenate([e.copy() for _, e in blocks])  # each block overwrites the last
     return internal, _public_pair(spec, 1, TAG_DRIVER)
 
@@ -1049,17 +1063,22 @@ def _equity_route(form):
 def _two_driver_route():
     # one state driven by two Brownian components
     spec = ItoSpec(x0=0.05, drift=0.01, sigma=np.array([[0.02, 0.03]]))
-    rows = np.arange(_ROUTE_PATHS)
-    internal = _ito_rows(spec, _ROUTE_GRID, rows, _ROUTE_SEED, TAG_SHARPE)
+    internal = _ito_rows(spec, _ROUTE_GRID, _ROUTE_PATHS, _ROUTE_SEED, TAG_SHARPE)
     return internal, _public_pair(spec, 2, TAG_SHARPE)
 
 
-def _row_subset_route():
-    # a sparse subset: every 7th path, so most blocks are read for a few rows
+def _row_range_route():
+    # a range of paths that starts inside a stream block, read one path
+    # block at a time: most blocks then start inside a stream block too
     spec = ItoSpec(x0=0.4, drift=0.0, sigma=0.5)
-    rows = np.arange(3, _ROUTE_PATHS, 7)
-    internal = _ito_rows(spec, _ROUTE_GRID, rows, _ROUTE_SEED, TAG_DRIVER)
-    return internal, _public_pair(spec, 1, TAG_DRIVER)[rows]
+    rows = range(100, _ROUTE_PATHS - 3)
+    internal = np.concatenate(
+        [
+            _integrate(spec, _ROUTE_GRID, _brownian_rows(_ROUTE_GRID, rows[b], 1, _ROUTE_SEED, TAG_DRIVER))
+            for b in _path_slices(len(rows))
+        ]
+    )
+    return internal, _public_pair(spec, 1, TAG_DRIVER)[rows.start : rows.stop]
 
 
 def _sharpe_route():
@@ -1104,7 +1123,7 @@ def _cli_asset_route():
 _ROUTES = {
     **{f"equity-{form}": (lambda form=form: _equity_route(form)) for form in _EQUITY_SPECS},
     "ito-rows-2d-driver": _two_driver_route,
-    "ito-rows-row-subset": _row_subset_route,
+    "brownian-rows-mid-block-range": _row_range_route,
     "novikov-sharpe-exponents": _sharpe_route,
     "cli-asset-deflators": _cli_asset_route,
 }
@@ -1119,8 +1138,8 @@ def test_internal_routes_equal_the_public_pair(route):
 
 @pytest.mark.parametrize("route", list(_ROUTES))
 def test_internal_routes_equal_the_public_pair_across_small_blocks(monkeypatch, route):
-    # blocks of 97 paths: every route, the row subset among them, crosses
-    # block edges, and the last block is short
+    # blocks of 97 paths: every route crosses block edges, and the last
+    # block is short
     monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
     test_internal_routes_equal_the_public_pair(route)
 
@@ -1132,11 +1151,11 @@ def test_ito_blocks_reuse_one_buffer_without_stale_rows(monkeypatch, n):
     spec = _EQUITY_SPECS["geometric"]
     public = _public_pair(spec, 1, TAG_DRIVER, n=n)
     first = None
-    for b, (block, x) in zip(_path_slices(n), _ito_blocks(spec, _ROUTE_GRID, np.arange(n), _ROUTE_SEED, TAG_DRIVER)):
+    for b, (rows, x) in zip(_path_slices(n), _ito_blocks(spec, _ROUTE_GRID, n, _ROUTE_SEED, TAG_DRIVER)):
         first = x if first is None else first
         # every block's paths head the first block's array
         assert x.base is first.base and x.__array_interface__["data"] == first.__array_interface__["data"]
-        assert x.shape == (block.size, _ROUTE_GRID.n_times, 1)
+        assert x.shape == (len(rows), _ROUTE_GRID.n_times, 1)
         assert x.tobytes() == public[b].tobytes()
 
 
@@ -1186,18 +1205,15 @@ def test_ito_rows_numerical_error_names_the_paths_own_index(monkeypatch):
     grid = TimeGrid.regular(1.0, 10)
     # drift 0 keeps the state at 0.4 + 0.5 W until it passes 1.6; a step later it is inf
     spec = ItoSpec(x0=0.4, drift=lambda t, x: np.where(x > 1.6, np.inf, 0.0), sigma=0.5)
-    rows = np.arange(3, 3000, 7)
-    w = simulate_brownian(grid, 3000, 1, 5, TAG_DRIVER).series[rows]
+    w = simulate_brownian(grid, 600, 1, 8, TAG_DRIVER).series
     over = 0.4 + 0.5 * w[:, :-1] > 1.6
-    # the rows that stay finite go first, so the first overflow lies past the
-    # first block and its position in rows is not its path index
-    order = np.argsort(over.any(axis=1), kind="stable")
-    rows, over = rows[order], over[order]
+    # at seed 8 the first overflow lies past the first block, so its row in
+    # its block is not its path index
     first = int(np.argmax(over.any(axis=1)))
-    assert first >= 97  # outside the first block
+    assert first >= 97 and over[first].any()  # outside the first block
     with pytest.raises(NumericalError) as err:
-        _ito_rows(spec, grid, rows, 5, TAG_DRIVER)
-    assert err.value.diagnostics["path"] == rows[first]
+        _ito_rows(spec, grid, 600, 8, TAG_DRIVER)
+    assert err.value.diagnostics["path"] == first
     assert err.value.diagnostics["step"] == int(np.argmax(over[first])) + 1
 
 
@@ -1205,10 +1221,10 @@ def test_ito_rows_hold_little_beyond_their_output():
     grid = TimeGrid.regular(1.0, 100)
     n = 40_000
     spec = ItoSpec(x0=0.4, drift=0.0, sigma=0.5)
-    _ito_rows(spec, grid, np.arange(10), 3, TAG_DRIVER)  # lazy imports happen outside the count
+    _ito_rows(spec, grid, 10, 3, TAG_DRIVER)  # lazy imports happen outside the count
     tracemalloc.start()
     try:
-        _ito_rows(spec, grid, np.arange(n), 3, TAG_DRIVER)
+        _ito_rows(spec, grid, n, 3, TAG_DRIVER)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
