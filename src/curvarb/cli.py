@@ -60,15 +60,16 @@ OUTPUT_DIR_ENV = "CURVARB_OUTPUT_DIR"
 # Deterministic serialization
 
 
-def _csv(header: list, rows: list) -> str:
+def _csv(columns: dict) -> str:
+    """CSV of named columns, each an array or a sequence, in their order."""
     buf = io.StringIO()
-    _write_csv(buf, header, zip(*rows))
+    _write_csv(buf, list(columns), columns.values())
     return buf.getvalue()
 
 
 def _table(cols: list, rows: list) -> str:
     """CSV of the entries ``cols`` names in each row dict."""
-    return _csv(cols, [[row[c] for c in cols] for row in rows])
+    return _csv({c: [row[c] for row in rows] for c in cols})
 
 
 def _plain(obj):
@@ -453,38 +454,30 @@ def _shared_inputs(doc) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Analyses: each reads (doc, built inputs) and returns (files, summary, passed)
+# Analyses: each reads (doc, built inputs) and returns (files, summary); the
+# summary's "passed" is the analysis' verdict
 
 
 def _run_curvature(doc, built):
     from .curvature import curvature_components
 
     report = curvature_components(built["gauges"])
-    header = ["t"]
-    for lab in report.labels:
-        header += [f"a_{lab}", f"se_{lab}"]
-    header += ["norm", "norm_se", "weighted_std"]
-    rows = []
-    for i, t in enumerate(report.times):
-        row = [t]
-        for j in range(len(report.labels)):
-            row += [report.components[j, i], report.component_se[j, i]]
-        row += [report.norm[i], report.norm_se[i], report.weighted_std[i]]
-        rows.append(row)
+    columns = {"t": report.times}
+    for lab, a, se in zip(report.labels, report.components, report.component_se):
+        columns[f"a_{lab}"], columns[f"se_{lab}"] = a, se
+    columns.update(norm=report.norm, norm_se=report.norm_se, weighted_std=report.weighted_std)
     tol = doc.get("tolerances", {}).get("curvature_max_norm")
     if tol is not None:
         passed = bool(report.norm.max() <= float(tol))
     else:
-        passed = all(
-            _se_gate(n, se, _CURVATURE_GATE_SE, _CURVATURE_GATE_ATOL)[1]
-            for n, se in zip(report.norm, report.norm_se)
-        )
+        gate = _se_gate(report.norm, report.norm_se, _CURVATURE_GATE_SE, _CURVATURE_GATE_ATOL)
+        passed = bool(gate[1].all())
     summary = {
         "max_norm": report.max_norm,
         "max_norm_se": float(report.norm_se.max()),
         "passed": passed,
     }
-    return {"curvature.csv": _csv(header, rows)}, summary, passed
+    return {"curvature.csv": _csv(columns)}, summary
 
 
 def _run_kernel(doc, built):
@@ -499,7 +492,7 @@ def _run_kernel(doc, built):
         "worst_label": worst["label"],
         "passed": report.all_passed,
     }
-    return {"kernel.csv": _table(cols, report.rows)}, summary, report.all_passed
+    return {"kernel.csv": _table(cols, report.rows)}, summary
 
 
 def _run_zc(doc, built):
@@ -511,17 +504,11 @@ def _run_zc(doc, built):
         np.asarray(z["sigma"], dtype=np.float64),
         rates=np.asarray(z.get("rates", 0.0), dtype=np.float64),
     )
-    k = report.mpr.shape[1]
-    header = ["t", "residual", "threshold"] + [f"mpr_{i}" for i in range(k)] + ["passed"]
-    rows = []
-    for i in range(report.times.size):
-        rows.append(
-            [report.times[i], report.residual[i], report.threshold[i]]
-            + list(report.mpr[i])
-            + [bool(report.passed[i])]
-        )
+    columns = {"t": report.times, "residual": report.residual, "threshold": report.threshold}
+    columns.update({f"mpr_{i}": theta for i, theta in enumerate(report.mpr.T)})
+    columns["passed"] = report.passed
     summary = {"max_residual": report.max_residual, "passed": report.all_passed}
-    return {"zc.csv": _csv(header, rows)}, summary, report.all_passed
+    return {"zc.csv": _csv(columns)}, summary
 
 
 def _run_thm1(doc, built):
@@ -530,24 +517,22 @@ def _run_thm1(doc, built):
     section = doc["thm1"]
     report = thm1_residuals(
         built["market"],
-        [tuple(p) for p in section["pairs"]],
+        section["pairs"],
         lambda_source=section.get("lambda_source", "model"),
         window=float(section.get("window", 1.0)),
     )
     bond_cols = ["t", "s", "general_printed", "general", "numeraire_printed"]
     bond_cols += ["numeraire_rederived", "se", "n_alive"]
+    bond = {c: [r[c] for r in report.rows_iii] for c in bond_cols}
     files = {
         "thm1_spread.csv": _table(["t", "residual", "se", "z", "detected"], report.rows_ii),
-        "thm1_bond.csv": _table(bond_cols, report.rows_iii),
+        "thm1_bond.csv": _csv(bond),
     }
     expect_detection = bool(section.get("expect_detection", False))
     any_detected = any(r["detected"] for r in report.rows_ii)
     spread_ok = any_detected if expect_detection else not any_detected
-    bond_ok = all(
-        _se_gate(r[name], r["se"])[1]
-        for r in report.rows_iii
-        for name in ("general", "numeraire_rederived")
-    )
+    variants = ("general", "numeraire_rederived")
+    bond_ok = all(_se_gate(bond[v], bond["se"])[1].all() for v in variants)
     passed = spread_ok and bond_ok
     summary = {
         "max_spread_residual": max(abs(r["residual"]) for r in report.rows_ii),
@@ -556,31 +541,27 @@ def _run_thm1(doc, built):
         "lambda_source": report.lambda_source,
         "passed": passed,
     }
-    return files, summary, passed
+    return files, summary
 
 
 def _run_bond(doc, built):
     from .credit import corporate_bond_price
 
     section = doc["price"]
-    pairs = [tuple(p) for p in section["pairs"]]
-    expected = section.get("expected")
-    rows = []
+    # the pair dates stay JSON numbers: an integer date is written as one
+    ts, ss = zip(*section["pairs"])
+    prices = [corporate_bond_price(built["market"], t, s) for t, s in zip(ts, ss)]
+    columns = {"t": ts, "s": ss}
+    for field in ("value", "se", "n_used"):
+        columns[field] = [getattr(price, field) for price in prices]
     passed = True
-    for i, (t, s) in enumerate(pairs):
-        price = corporate_bond_price(built["market"], t, s)
-        row = [t, s, price.value, price.se, price.n_used]
-        if expected is not None:
-            tgt = float(expected[i])
-            ok = _se_gate(price.value - tgt, price.se)[1]
-            row += [tgt, ok]
-            passed = passed and ok
-        rows.append(row)
-    header = ["t", "s", "value", "se", "n_used"]
-    if expected is not None:
-        header += ["expected", "within_3se"]
-    summary = {"first_value": rows[0][2], "passed": passed}
-    return {"bond.csv": _csv(header, rows)}, summary, passed
+    if "expected" in section:
+        expected = np.asarray(section["expected"], dtype=np.float64)
+        within = _se_gate(np.subtract(columns["value"], expected), columns["se"])[1]
+        columns.update(expected=expected, within_3se=within)
+        passed = bool(within.all())
+    summary = {"first_value": prices[0].value, "passed": passed}
+    return {"bond.csv": _csv(columns)}, summary
 
 
 def _run_novikov(doc, built):
@@ -611,9 +592,9 @@ def _run_novikov(doc, built):
         summary["mc_verdict"] = mc_est.verdict
     if mode in ("quadrature", "both"):
         quad = novikov_quadrature(_density_spec(doc))
+        q_min, log_value = zip(*quad.trace)
         files["novikov_quadrature.csv"] = _csv(
-            ["level", "q_min", "log_value"],
-            [[i, qm, lv] for i, (qm, lv) in enumerate(quad.trace)],
+            {"level": range(len(q_min)), "q_min": q_min, "log_value": log_value}
         )
         summary["quadrature_converged"] = quad.converged
         summary["quadrature_diverged"] = quad.diverged
@@ -629,11 +610,11 @@ def _run_novikov(doc, built):
             quad is None or quad.converged
         )
     elif expect == "match":  # validate_scenario admits it with mode "both" only
-        passed = quad.converged and _se_gate(mc_est.estimate - quad.value, mc_est.se)[1]
+        passed = quad.converged and bool(_se_gate(mc_est.estimate - quad.value, mc_est.se)[1])
     else:
         passed = True
     summary["passed"] = passed
-    return files, summary, passed
+    return files, summary
 
 
 def _run_sharpe(doc, built):
@@ -654,9 +635,9 @@ def _run_sharpe(doc, built):
         passed = abs(est.estimate - float(expected)) <= rtol * abs(float(expected))
     else:
         passed = True
-    rows = [[est.estimate, est.se, est.verdict, passed]]
+    columns = {"estimate": [est.estimate], "se": [est.se], "verdict": [est.verdict]}
     summary = {"estimate": est.estimate, "passed": passed}
-    return {"sharpe.csv": _csv(["estimate", "se", "verdict", "passed"], rows)}, summary, passed
+    return {"sharpe.csv": _csv({**columns, "passed": [passed]})}, summary
 
 
 _RUNNERS = {
@@ -716,11 +697,11 @@ def cmd_run(args) -> int:
         "analyses": {},
     }
     # fixed order: the output bytes depend on the scenario only
-    for name, (files, info, passed) in zip(names, results):
+    for name, (files, info) in zip(names, results):
         for fname in sorted(files):
             _write_atomic(os.path.join(out_dir, fname), files[fname])
         summary["analyses"][name] = _plain(info)
-        overall = overall and passed
+        overall = overall and info["passed"]
     summary["overall"] = "pass" if overall else "fail"
     _write_atomic(
         os.path.join(out_dir, "summary.json"),

@@ -160,7 +160,7 @@ class LGDProcess(_Record):
         if self.kind == "constant":
             return np.broadcast_to(self.value, np.shape(t)) if np.ndim(t) else self.value
         if self.kind == "deterministic":
-            return np.clip(np.vectorize(self.fn)(t), 0.0, 1.0)
+            return np.clip(np.vectorize(self.fn, otypes=[np.float64])(t), 0.0, 1.0)
         raise ConfigurationError(f"LGD kind {self.kind!r} is not deterministic")
 
 
@@ -633,21 +633,23 @@ _SPREAD_ATOL = 1e-14
 
 
 def _empirical_hazard(
-    ordered_tau: np.ndarray, t: float, window: float
-) -> tuple[float, float]:
-    """Hazard over [t, t+window] from nested survival counts, with SE;
-    ordered_tau is the sample's np.sort(tau), without NaN, and the paths
-    alive at a time are those whose default comes after it."""
-    alive = ordered_tau.size - np.searchsorted(ordered_tau, [t, t + window], side="right")
-    n_t, n_s = (int(c) for c in alive)
-    if n_s < 10:
+    ordered_tau: np.ndarray, t: np.ndarray, window: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hazard over [t, t+window] at each of the times t from nested survival
+    counts, with SE; ordered_tau is the sample's np.sort(tau), without NaN,
+    and the paths alive at a time are those whose default comes after it.
+    The first time with fewer than 10 survivors at t+window raises."""
+    n_t, n_s = ordered_tau.size - np.searchsorted(ordered_tau, [t, t + window], side="right")
+    starved = n_s < 10
+    if starved.any():
+        i = int(np.argmax(starved))
         raise EstimationError(
             "too few survivors for a hazard estimate",
-            diagnostics={"at_t": n_t, "at_t_plus": n_s},
+            diagnostics={"at_t": int(n_t[i]), "at_t_plus": int(n_s[i])},
         )
     lam_hat = -np.log(n_s / n_t) / window
-    se = np.sqrt(max(1.0 / n_s - 1.0 / n_t, 0.0)) / window
-    return float(lam_hat), float(se)
+    se = np.sqrt(np.maximum(1.0 / n_s - 1.0 / n_t, 0.0)) / window
+    return lam_hat, se
 
 
 def thm1_residuals(
@@ -675,31 +677,24 @@ def thm1_residuals(
     spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
     beta = market.beta.series.mean(axis=0)
     if lambda_source == "simulated":
+        # the times whose window [t, t+window] lies inside the grid
+        at = np.flatnonzero(times + window <= grid.horizon + _WINDOW_TOL)
         tau = market.defaults.tau
-        ordered_tau = np.sort(tau[~np.isnan(tau)])
+        lam_hat, lam_se = _empirical_hazard(np.sort(tau[~np.isnan(tau)]), times[at], window)
     elif market.defaults.lambda_paths is None:
         raise ConfigurationError("market model carries no hazard")
-    rows_ii = []
-    for i, t in enumerate(times):
-        if lambda_source == "model":
-            lam_hat, lam_se = float(market.defaults.lambda_paths[0, i]), 0.0
-        else:
-            if t + window > grid.horizon + _WINDOW_TOL:
-                continue
-            lam_hat, lam_se = _empirical_hazard(ordered_tau, t, window)
-        lgd_t = market.lgd.deterministic_at(t)
-        residual = float(spread[i] - beta[i] * lgd_t * lam_hat)
-        se = float(beta[i] * lgd_t * lam_se)
-        z, within = _se_gate(residual, se, atol=_SPREAD_ATOL)
-        rows_ii.append(
-            {
-                "t": float(t),
-                "residual": residual,
-                "se": se,
-                "z": z,
-                "detected": not within,
-            }
-        )
+    else:
+        at = np.arange(times.size)
+        lam_hat, lam_se = market.defaults.lambda_paths[0], np.zeros(times.size)
+    scale = beta[at] * market.lgd.deterministic_at(times[at])
+    residual = spread[at] - scale * lam_hat
+    se = scale * lam_se
+    z, within = _se_gate(residual, se, atol=_SPREAD_ATOL)
+    columns = (times[at], residual, se, z, ~within)
+    rows_ii = [
+        dict(zip(("t", "residual", "se", "z", "detected"), row))
+        for row in zip(*(c.tolist() for c in columns))
+    ]
     sample = market.defaults
     shape = (sample.n_paths, times.size)
     rows_iii = []

@@ -31,6 +31,7 @@ from .gauges import Gauge, short_rate
 from .novikov import NovikovEstimate, _exp_moment
 from .paths import (
     TAG_SHARPE,
+    _GATE_SE,
     ItoSpec,
     TimeGrid,
     _Record,
@@ -280,8 +281,8 @@ def zc_residual(
     The tested vector is v = alpha + rates - covariation/2 (covariation
     defaults to zero for deterministic checks).  Each time slice solves the
     least-squares system sigma theta = v; the Euclidean residual passes below
-    _ZC_RTOL * (1 + |v|), widened to three propagated standard errors when the
-    covariation carries estimation noise.  A residual or threshold that is
+    _ZC_RTOL * (1 + |v|), widened to _GATE_SE propagated standard errors when
+    the covariation carries estimation noise.  A residual or threshold that is
     not finite raises NumericalError naming the first such time.
     """
     alpha, sigma, r, c = _coerce_zc_inputs(alpha, sigma, rates, covariation)
@@ -305,7 +306,7 @@ def zc_residual(
         residual[i] = float(np.linalg.norm(sigma[i] @ theta - v[i]))
         tol = _ZC_RTOL * (1.0 + float(np.linalg.norm(v[i])))
         if cse is not None:
-            tol = max(tol, 3.0 * 0.5 * float(np.linalg.norm(cse[i])))
+            tol = max(tol, _GATE_SE * 0.5 * float(np.linalg.norm(cse[i])))
         threshold[i] = tol
     bad = ~(np.isfinite(residual) & np.isfinite(threshold))
     if bad.any():
@@ -447,8 +448,8 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
                     "s": float(s),
                     "residual": worst["mean"],
                     "se": worst["se"],
-                    "z": z,
-                    "passed": passed,
+                    "z": float(z),
+                    "passed": bool(passed),
                     "bins": bins,
                 }
             )

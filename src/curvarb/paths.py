@@ -72,15 +72,17 @@ def _mean_se(x: np.ndarray):
 
 
 def _se_gate(
-    residual: float, se: float, k: float = _GATE_SE, atol: float = 0.0
-) -> tuple[float, bool]:
-    """|z| of a residual and whether |residual| <= max(k * se, atol).
+    residual, se, k: float = _GATE_SE, atol: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise |z| of residuals and whether |residual| <= max(k * se, atol).
 
-    With a zero standard error z is 0 for a residual within atol, else inf.
+    With a zero standard error z is 0 for a residual within atol, else inf;
+    a NaN standard error is never within.
     """
-    r = abs(residual)
-    z = r / se if se > 0 else (np.inf if r > atol else 0.0)
-    return float(z), bool(r <= max(k * se, atol))
+    r, se = np.abs(residual), np.asarray(se, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0, r / se, np.where(r > atol, np.inf, 0.0))
+    return z, r <= np.maximum(k * se, atol)
 
 
 def _cumulative_trapezoid(y: np.ndarray, steps: np.ndarray) -> np.ndarray:

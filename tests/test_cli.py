@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -22,7 +23,7 @@ from curvarb.cli import (
     validate_scenario,
 )
 from curvarb.errors import ConfigurationError
-from curvarb.paths import RNG_STREAM_VERSION, TAG_ASSET_BASE
+from curvarb.paths import RNG_STREAM_VERSION, TAG_ASSET_BASE, _format_cell
 
 
 def _read_tree(root):
@@ -207,6 +208,7 @@ def test_numpy_build_names_the_numpy_version():
         assert set(pins) < set(BUNDLED_DIGESTS[name])
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
 def test_bundled_outputs_match_pinned_digests(tmp_path, name):
     assert set(BUNDLED_DIGESTS) == set(bundled_scenarios())
@@ -297,21 +299,185 @@ def test_name_that_is_not_one_file_name_is_rejected(tmp_path, monkeypatch, capsy
     assert sorted(os.listdir(tmp_path)) == ["named.json"]  # nothing written anywhere
 
 
-def test_curvature_default_gate_is_four_standard_errors(tmp_path, capsys):
-    # without a tolerances section every time's spread must lie within 4 SE
+def _run_doc(tmp_path, doc):
+    """Exit code and summary.json of a run of ``doc``; outputs in tmp_path/out."""
+    scen = tmp_path / "doc.json"
+    scen.write_text(json.dumps(doc))
+    code = main(["run", str(scen), "--out", str(tmp_path / "out")])
+    return code, json.loads((tmp_path / "out" / "summary.json").read_text())
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize(
+    "drift, z_range, code",
+    [(0.016, (3.9, 4.0), 0), (0.0166, (4.0, 4.1), 1)],
+    ids=["z-3.96", "z-4.05"],
+)
+def test_curvature_default_gate_is_four_standard_errors(tmp_path, drift, z_range, code):
+    # without a tolerances section every time's spread must lie within 4 SE:
+    # a drift gap plants the largest z just below or just above 4
     doc = load_scenario("flat_market")
     del doc["tolerances"]
     doc["analyses"] = ["curvature"]
-    scen = tmp_path / "gate.json"
-    scen.write_text(json.dumps(doc))
-    assert main(["run", str(scen), "--out", str(tmp_path / "flat")]) == 0
-    doc["assets"][1]["drift"] = 0.3  # a spread of about 0.3 against an SE of about 0.0065
-    scen.write_text(json.dumps(doc))
-    out = tmp_path / "drift"
-    assert main(["run", str(scen), "--out", str(out)]) == 1
-    assert "curvature: fail" in capsys.readouterr().out
-    curvature = json.loads((out / "summary.json").read_text())["analyses"]["curvature"]
-    assert curvature["max_norm"] > 4 * curvature["max_norm_se"]
+    doc["assets"][1]["drift"] = drift
+    assert _run_doc(tmp_path, doc)[0] == code
+    rows = _csv_rows(tmp_path / "out" / "curvature.csv")
+    z = max(float(r["norm"]) / float(r["norm_se"]) for r in rows)
+    assert z_range[0] < z < z_range[1]
+
+
+def _planted_curvature(monkeypatch, norm, norm_se):
+    """Make the CLI's curvature analysis report these norms and SEs."""
+    import curvarb.curvature
+    from curvarb.curvature import CurvatureReport
+
+    m = len(norm)
+    report = CurvatureReport(
+        0.25 * np.arange(1, m + 1), ["alpha", "beta"], np.zeros((2, m)), np.zeros((2, m)),
+        np.asarray(norm, dtype=np.float64), np.asarray(norm_se, dtype=np.float64), np.zeros(m),
+    )
+    monkeypatch.setattr(curvarb.curvature, "curvature_components", lambda gauges: report)
+
+
+def _curvature_doc(**tolerances):
+    doc = load_scenario("flat_market")
+    doc.update(n_paths=100, analyses=["curvature"], tolerances=tolerances)
+    return doc
+
+
+@pytest.mark.parametrize("factor, code", [(0.99, 0), (1.01, 1)])
+@pytest.mark.parametrize("se, width", [(0.01, 0.04), (0.0, 1e-10)], ids=["four-se", "zero-se"])
+def test_curvature_gate_width(tmp_path, monkeypatch, se, width, factor, code):
+    # every norm within 4 standard errors, or 1e-10 where the SE is zero
+    _planted_curvature(monkeypatch, [0.0, factor * width, 0.5 * width], [se] * 3)
+    code_run, summary = _run_doc(tmp_path, _curvature_doc())
+    assert code_run == code
+    assert summary["analyses"]["curvature"]["passed"] is (code == 0)
+
+
+@pytest.mark.parametrize("above, code", [(False, 0), (True, 1)])
+def test_curvature_max_norm_tolerance_is_inclusive(tmp_path, monkeypatch, above, code):
+    _planted_curvature(monkeypatch, [0.01, 0.02], [1.0, 1.0])
+    tolerance = np.nextafter(0.02, -np.inf) if above else 0.02
+    assert _run_doc(tmp_path, _curvature_doc(curvature_max_norm=float(tolerance)))[0] == code
+
+
+@pytest.mark.parametrize("variant", ["general", "numeraire_rederived"])
+@pytest.mark.parametrize("factor, code", [(0.99, 0), (1.01, 1)])
+def test_thm1_bond_gate_is_three_standard_errors(tmp_path, monkeypatch, variant, factor, code):
+    import curvarb.credit
+
+    def planted(market, pairs, lambda_source="model", window=1.0):
+        spread = {"t": 0.0, "residual": 0.0, "se": 0.0, "z": 0.0, "detected": False}
+        bond = {"t": 0.0, "s": 5.0, "general_printed": 0.0, "general": 0.0}
+        bond.update(numeraire_printed=0.0, numeraire_rederived=0.0, se=0.002, n_alive=100)
+        bond[variant] = -factor * 3 * 0.002
+        return curvarb.credit.Thm1Report([spread], [bond], lambda_source, "")
+
+    monkeypatch.setattr(curvarb.credit, "thm1_residuals", planted)
+    doc = load_scenario("thm1_constructed")
+    doc.update(n_paths=2000, analyses=["thm1"])
+    code_run, summary = _run_doc(tmp_path, doc)
+    assert code_run == code
+    assert summary["analyses"]["thm1"]["bond_ok"] is (code == 0)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["below", "above"])
+@pytest.mark.parametrize("factor, code", [(2.99, 0), (3.01, 1)])
+def test_bond_price_gate_is_three_standard_errors(tmp_path, sign, factor, code):
+    from curvarb.cli import _credit_market
+    from curvarb.credit import corporate_bond_price
+
+    doc = load_scenario("thm1_constructed")
+    doc.update(n_paths=5000, analyses=["bond"])
+    price = corporate_bond_price(_credit_market(doc), 0.0, 5.0)
+    doc["price"]["expected"] = [price.value + sign * factor * price.se]
+    assert _run_doc(tmp_path, doc)[0] == code
+    (row,) = _csv_rows(tmp_path / "out" / "bond.csv")
+    assert row["within_3se"] == ("true" if code == 0 else "false")
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["below", "above"])
+@pytest.mark.parametrize("factor, code", [(2.99, 0), (3.01, 1)])
+def test_novikov_match_gate_is_three_standard_errors(tmp_path, monkeypatch, sign, factor, code):
+    import curvarb.novikov
+    from curvarb.novikov import QuadratureResult
+
+    estimates, novikov_mc = [], curvarb.novikov.novikov_mc
+
+    def recorded(*args, **kwargs):
+        estimates.append(novikov_mc(*args, **kwargs))
+        return estimates[-1]
+
+    def planted(spec):
+        # a converged quadrature value off the MC estimate by factor MC SEs
+        value = estimates[-1].estimate + sign * factor * estimates[-1].se
+        return QuadratureResult(True, False, value, float(np.log(value)), [(1.0, np.log(value))])
+
+    monkeypatch.setattr(curvarb.novikov, "novikov_mc", recorded)
+    monkeypatch.setattr(curvarb.novikov, "novikov_quadrature", planted)
+    doc = load_scenario("novikov_capped")
+    doc["n_paths"] = 4000
+    code_run, summary = _run_doc(tmp_path, doc)
+    assert estimates[-1].se > 0
+    assert code_run == code
+    assert summary["analyses"]["novikov"]["passed"] is (code == 0)
+
+
+def test_each_runner_returns_files_and_a_summary_holding_its_verdict(tmp_path, monkeypatch, capsys):
+    import curvarb.cli as cli
+
+    returned = {}
+    for name, runner in cli._RUNNERS.items():
+
+        def recorded(doc, built, name=name, runner=runner):
+            returned[name] = runner(doc, built)
+            return returned[name]
+
+        monkeypatch.setitem(cli._RUNNERS, name, recorded)
+    for scenario in bundled_scenarios():
+        assert main(["run", scenario, "--out", str(tmp_path / scenario)]) == 0
+    assert sorted(returned) == sorted(cli.ANALYSES)
+    for name, (files, summary) in returned.items():
+        assert files and summary["passed"], name
+    # the run's verdict is read from the summary alone
+    zc = cli._RUNNERS["zc"]
+    monkeypatch.setitem(cli._RUNNERS, "zc", lambda doc, built: (zc(doc, built)[0], {"passed": False}))
+    capsys.readouterr()
+    assert main(["run", "flat_market", "--out", str(tmp_path / "failed")]) == 1
+    assert "zc: fail" in capsys.readouterr().out
+    assert json.loads((tmp_path / "failed" / "summary.json").read_text())["overall"] == "fail"
+
+
+def _row_wise_csv(header, rows):
+    """CSV text written one row at a time, each cell through _format_cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_cell(x) for x in row] for row in rows)
+    return buf.getvalue()
+
+
+def test_csv_columns_equal_a_row_wise_writer():
+    from curvarb.cli import _csv, _table
+
+    columns = {
+        "t": [1, 2.5, 3],  # JSON numbers: an integer is written as one
+        "value": np.array([0.1, -1e-300, np.inf]),
+        "n": np.array([1, 20, 300]),
+        "ok": np.array([True, False, True]),
+        "flag": [True, np.bool_(False), False],
+        'a,"x"': ["plain", 'a,"x"', "line\nbreak"],
+    }
+    text = _csv(columns)
+    assert text == _row_wise_csv(list(columns), zip(*columns.values()))
+    assert text.splitlines()[:2] == ['t,value,n,ok,flag,"a,""x"""', "1,0.1,1,true,true,plain"]
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    assert _table(list(columns), rows) == text
 
 
 @pytest.mark.parametrize(

@@ -389,6 +389,95 @@ def test_thm1_simulated_window_must_fit_the_horizon():
     assert len(model.rows_ii) == 41
 
 
+def _reference_spread_rows(market, lambda_source, window):
+    """thm1_residuals' spread rows computed one grid time at a time."""
+    grid = market.grid
+    spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
+    beta = market.beta.series.mean(axis=0)
+    tau = market.defaults.tau
+    ordered = np.sort(tau[~np.isnan(tau)])
+    rows = []
+    for i, t in enumerate(grid.times):
+        if lambda_source == "model":
+            lam_hat, lam_se = float(market.defaults.lambda_paths[0, i]), 0.0
+        else:
+            if t + window > grid.horizon + 1e-12:
+                continue
+            alive = ordered.size - np.searchsorted(ordered, [t, t + window], side="right")
+            n_t, n_s = (int(c) for c in alive)
+            if n_s < 10:
+                raise EstimationError(
+                    "too few survivors for a hazard estimate",
+                    diagnostics={"at_t": n_t, "at_t_plus": n_s},
+                )
+            lam_hat = float(-np.log(n_s / n_t) / window)
+            lam_se = float(np.sqrt(max(1.0 / n_s - 1.0 / n_t, 0.0)) / window)
+        lgd_t = market.lgd.deterministic_at(t)
+        residual = float(spread[i] - beta[i] * lgd_t * lam_hat)
+        se = float(beta[i] * lgd_t * lam_se)
+        r = abs(residual)
+        z = r / se if se > 0 else (np.inf if r > 1e-14 else 0.0)
+        detected = not r <= max(3.0 * se, 1e-14)
+        rows.append({"t": float(t), "residual": residual, "se": se, "z": z, "detected": detected})
+    return rows
+
+
+# a rule whose first value is the int 0 must not make the whole LGD row integral
+DETERMINISTIC_LGD = {"linear": lambda t: 0.3 + 0.02 * t, "step": lambda t: 0 if t < 1 else 0.5}
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("window", [1.0, 2.5])
+@pytest.mark.parametrize("lgd", ["constant", *DETERMINISTIC_LGD])
+@pytest.mark.parametrize("lambda_source", ["model", "simulated"])
+def test_thm1_spread_rows_equal_the_per_time_reference(lambda_source, lgd, window):
+    market = build_thm1_market(
+        0.05, 0.4, horizon=10.0, steps=40, n_paths=5000, seed=19, gov_rate=0.01
+    )
+    if lgd in DETERMINISTIC_LGD:
+        market = replace(market, lgd=LGDProcess("deterministic", fn=DETERMINISTIC_LGD[lgd]))
+    rows = thm1_residuals(market, [], lambda_source=lambda_source, window=window).rows_ii
+    reference = _reference_spread_rows(market, lambda_source, window)
+    # repr tells every bit of a float and a Python float or bool from a numpy one
+    assert repr(rows) == repr(reference)
+    kept = 41 if lambda_source == "model" else int(40 - 4 * window) + 1
+    assert len(rows) == kept
+
+
+def test_thm1_simulated_hazard_raises_at_the_first_starved_window():
+    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=3)
+    # 1991 defaults at 6.1 leave 9 paths alive after it: every window that
+    # reaches past 6.1 is starved, the first one at t = 5.25 with 2000 alive
+    tau = np.full(2000, np.inf)
+    tau[:1991] = 6.1
+    starved = replace(market, defaults=replace(market.defaults, tau=tau))
+    with pytest.raises(EstimationError, match="too few survivors") as err:
+        thm1_residuals(starved, [], lambda_source="simulated", window=1.0)
+    with pytest.raises(EstimationError) as ref:
+        _reference_spread_rows(starved, "simulated", 1.0)
+    assert err.value.diagnostics == ref.value.diagnostics == {"at_t": 2000, "at_t_plus": 9}
+
+
+@pytest.mark.parametrize("factor, detected", [(0.99, False), (1.01, True)])
+def test_thm1_spread_detection_width(factor, detected):
+    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=20_000, seed=5)
+    i = 8
+    # the model hazard has zero SE: a residual is detected beyond 1e-14
+    rates = np.array(market.corp_rates)
+    rates[i] += factor * 1e-14
+    rows = thm1_residuals(replace(market, corp_rates=rates), [], lambda_source="model").rows_ii
+    assert rows[i]["residual"] == pytest.approx(factor * 1e-14, rel=1e-3)
+    assert [r["detected"] for r in rows] == [detected and j == i for j in range(len(rows))]
+    # the simulated hazard is detected beyond 3 standard errors
+    base = thm1_residuals(market, [], lambda_source="simulated").rows_ii[i]
+    assert base["se"] > 0
+    rates = np.array(market.corp_rates)
+    rates[i] += factor * 3 * base["se"] - base["residual"]
+    row = thm1_residuals(replace(market, corp_rates=rates), [], lambda_source="simulated").rows_ii[i]
+    assert row["z"] == pytest.approx(3 * factor, rel=1e-6)
+    assert row["detected"] is detected
+
+
 def test_credit_gauge_bookkeeping():
     market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=20_000, seed=2)
     gauge = credit_gauge(market)

@@ -140,6 +140,7 @@ def test_curvature_blocks_match_whole_array_reference(monkeypatch, interior, col
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, curvarb.paths._PATH_BLOCK])
 @pytest.mark.parametrize("steps", [2, 6])  # 2 steps: one interior column
 def test_curvature_path_blocks_match_whole_array_reference(monkeypatch, block, steps):
@@ -182,6 +183,7 @@ def test_curvature_holds_one_quotient_block():
     assert peak < 8 * (n * widest + 2 * block * (widest + 2)) + 256 * 1024
 
 
+@pytest.mark.bitexact
 def test_curvature_se_of_one_path_is_zero():
     grid = TimeGrid.regular(5.0, 40)  # 39 interior columns: one block
     gauges = _simulated_gauges(grid, 1, [0.0, 0.02])
@@ -480,6 +482,20 @@ def test_kernel_check_wrong_kernel_detected():
     assert not row["passed"]
     assert row["z"] == np.inf
     assert row["residual"] == pytest.approx(-np.expm1(-0.02), abs=1e-12)
+
+
+@pytest.mark.parametrize("factor, passed", [(0.99, True), (1.01, False)])
+@pytest.mark.parametrize("se, width", [(0.01, 0.03), (0.0, 1e-10)], ids=["three-se", "zero-se"])
+def test_kernel_check_gate_width(monkeypatch, se, width, factor, passed):
+    # the worst bin passes within 3 standard errors, or 1e-10 at zero SE
+    bins = [{"mean": 0.5 * width, "se": se}, {"mean": -factor * width, "se": se}]
+    monkeypatch.setattr(curvarb.curvature, "conditional_bin_table", lambda states, y: bins)
+    grid = TimeGrid.regular(5.0, 20)
+    gauge = _flat_gauge(grid, 0.02, np.ones((1, grid.n_times)), "flat")
+    row = kernel_check([gauge], np.exp(-0.02 * grid.times), [(1.0, 2.0)]).rows[0]
+    assert row["residual"] == -factor * width
+    assert row["passed"] is passed
+    assert row["z"] == (pytest.approx(3 * factor) if se else (0.0 if passed else np.inf))
 
 
 def test_kernel_check_martingale_deflator_passes():

@@ -72,6 +72,7 @@ from curvarb.paths import (
     _keyed_rows,
     _legendre_rule,
     _path_slices,
+    _se_gate,
     _sorted_quantiles,
     conditional_bin_table,
 )
@@ -339,6 +340,7 @@ KEYED_REQUESTS = {
 }
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize(
     "method, shape",
     [("standard_normal", (50, 1)), ("random", (9,)), ("standard_exponential", ())],
@@ -422,6 +424,7 @@ FINITE_CHECKS = {
 }
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("first", [0, 1000], ids=["own", "offset"])
 @pytest.mark.parametrize("kind", sorted(FINITE_CHECKS))
 def test_check_finite_matches_the_exact_scan(kind, first):
@@ -519,6 +522,7 @@ _REFERENCE_COEFFICIENTS = {
 }
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("steps", [1, 3, 50, 1024])
 @pytest.mark.parametrize("k", sorted(_REFERENCE_COEFFICIENTS))
 @pytest.mark.parametrize("form", ["arithmetic", "geometric"])
@@ -532,6 +536,7 @@ def test_integrate_matches_the_per_step_reference(form, k, steps):
     assert x.tobytes() == reference_paths(**coefficients, form=form, steps=grid.steps, dw=dw).tobytes()
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("form", ["arithmetic", "geometric"])
 def test_integrate_per_row_constants_match_the_per_step_reference(form):
     # constants with one row per path: no row is shared
@@ -544,6 +549,7 @@ def test_integrate_per_row_constants_match_the_per_step_reference(form):
     assert x.tobytes() == ref.tobytes()
 
 
+@pytest.mark.bitexact
 def test_integrate_overflow_leaves_inf_without_a_warning():
     grid = TimeGrid.regular(1.0, 50)
     driver = simulate_brownian(grid, 20, 1, seed=4)
@@ -558,6 +564,7 @@ def test_integrate_overflow_leaves_inf_without_a_warning():
     assert x.tobytes() == ref.tobytes()
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("name", sorted(_CONSTANT_SPECS))
 def test_ito_rows_equal_ito_blocks_block_by_block(monkeypatch, name):
     monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
@@ -569,6 +576,33 @@ def test_ito_rows_equal_ito_blocks_block_by_block(monkeypatch, name):
     for b, (rows, x) in zip(_path_slices(n), blocks):
         assert rows == range(n)[b]
         assert x.tobytes() == out[b].tobytes()
+
+
+def test_se_gate_pins_its_default_width_and_zero_se_rule():
+    # |r| = 3 se is within; the next float above is not
+    assert [float(x) for x in _se_gate(3.0, 1.0)] == [3.0, 1.0]
+    assert not _se_gate(np.nextafter(3.0, np.inf), 1.0)[1]
+    assert not _se_gate(-np.nextafter(3.0, np.inf), 1.0)[1]
+    # zero SE: within atol is z 0, beyond it z inf; a NaN SE is never within
+    assert [float(x) for x in _se_gate(1e-10, 0.0, atol=1e-10)] == [0.0, 1.0]
+    assert [float(x) for x in _se_gate(np.nextafter(1e-10, 1.0), 0.0, atol=1e-10)] == [np.inf, 0.0]
+    assert not _se_gate(0.0, np.nan)[1]
+    # an explicit width
+    assert _se_gate(4.0, 1.0, k=4.0)[1] and not _se_gate(np.nextafter(4.0, 5.0), 1.0, k=4.0)[1]
+
+
+def test_se_gate_applies_the_same_rules_elementwise():
+    above, atol = np.nextafter(3.0, np.inf), 1e-10
+    r = np.array([3.0, -above, atol, -np.nextafter(atol, 1.0), 0.0, -6.0, 0.0])
+    se = np.array([1.0, 1.0, 0.0, 0.0, np.nan, 2.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, within = _se_gate(r, se, atol=atol)
+    np.testing.assert_array_equal(within, [True, False, True, False, False, True, True])
+    np.testing.assert_array_equal(z, [3.0, above, 0.0, np.inf, 0.0, 3.0, 0.0])
+    # each element as its own scalar call
+    for i in range(r.size):
+        assert [float(x) for x in _se_gate(r[i], se[i], atol=atol)] == [z[i], within[i]]
 
 
 def test_cumulative_trapezoid_holds_one_temporary_and_is_bit_equal():
@@ -1144,6 +1178,7 @@ def test_internal_routes_equal_the_public_pair_across_small_blocks(monkeypatch, 
     test_internal_routes_equal_the_public_pair(route)
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("n", [97, 250, 300])
 def test_ito_blocks_reuse_one_buffer_without_stale_rows(monkeypatch, n):
     # blocks of 97 paths, the last one 97, 56 or 9 rows long
@@ -1186,6 +1221,7 @@ def _bridged_reference(model, grid, n, seed):
     return tau
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("block", [97, _PATH_BLOCK])
 @pytest.mark.parametrize("form", sorted(_EQUITY_SPECS))
 def test_bridged_defaults_match_the_per_step_reference(monkeypatch, form, block):
