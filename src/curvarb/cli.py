@@ -67,11 +67,6 @@ def _csv(columns: dict) -> str:
     return buf.getvalue()
 
 
-def _table(cols: list, rows: list) -> str:
-    """CSV of the entries ``cols`` names in each row dict."""
-    return _csv({c: [row[c] for row in rows] for c in cols})
-
-
 def _plain(obj):
     """Recursively convert the numpy scalars of a summary dict for json.dump.
 
@@ -485,14 +480,13 @@ def _run_kernel(doc, built):
 
     pairs = [tuple(p) for p in doc["kernel"]["pairs"]]
     report = kernel_check(built["gauges"], _beta(doc), pairs)
-    cols = ["label", "t", "s", "residual", "se", "z", "passed"]
-    worst = report.worst
+    table, worst = report.table, report.worst
     summary = {
-        "worst_residual": worst["residual"],
-        "worst_label": worst["label"],
+        "worst_residual": table["residual"][worst],
+        "worst_label": table["label"][worst],
         "passed": report.all_passed,
     }
-    return {"kernel.csv": _table(cols, report.rows)}, summary
+    return {"kernel.csv": _csv(table)}, summary
 
 
 def _run_zc(doc, built):
@@ -521,21 +515,16 @@ def _run_thm1(doc, built):
         lambda_source=section.get("lambda_source", "model"),
         window=float(section.get("window", 1.0)),
     )
-    bond_cols = ["t", "s", "general_printed", "general", "numeraire_printed"]
-    bond_cols += ["numeraire_rederived", "se", "n_alive"]
-    bond = {c: [r[c] for r in report.rows_iii] for c in bond_cols}
-    files = {
-        "thm1_spread.csv": _table(["t", "residual", "se", "z", "detected"], report.rows_ii),
-        "thm1_bond.csv": _csv(bond),
-    }
+    spread, bond = report.spread, report.bond
+    files = {"thm1_spread.csv": _csv(spread), "thm1_bond.csv": _csv(bond)}
     expect_detection = bool(section.get("expect_detection", False))
-    any_detected = any(r["detected"] for r in report.rows_ii)
+    any_detected = bool(spread["detected"].any())
     spread_ok = any_detected if expect_detection else not any_detected
     variants = ("general", "numeraire_rederived")
     bond_ok = all(_se_gate(bond[v], bond["se"])[1].all() for v in variants)
     passed = spread_ok and bond_ok
     summary = {
-        "max_spread_residual": max(abs(r["residual"]) for r in report.rows_ii),
+        "max_spread_residual": np.abs(spread["residual"]).max(),
         "spread_detected": any_detected,
         "bond_ok": bond_ok,
         "lambda_source": report.lambda_source,
@@ -587,7 +576,7 @@ def _run_novikov(doc, built):
         cols += ["tail_index", "ci_low", "ci_high", "k_used", "verdict"]
         # the estimate's own verdict overrides that of its tail
         row = {**vars(mc_est.tail), **vars(mc_est)}
-        files["novikov_mc.csv"] = _table(cols, [row])
+        files["novikov_mc.csv"] = _csv({c: [row[c]] for c in cols})
         summary["mc_estimate"] = mc_est.estimate
         summary["mc_verdict"] = mc_est.verdict
     if mode in ("quadrature", "both"):

@@ -608,10 +608,12 @@ def build_thm1_market(
 class Thm1Report(_Record):
     """Spread and bond-difference residuals of the holonomy identities.
 
-    rows_ii: per grid time, residual of (corporate - government short rate)
-    minus beta * LGD * lambda, with the standard error of the lambda source.
+    spread: the columns t, residual, se, z and detected, per grid time: the
+    residual of (corporate - government short rate) minus beta * LGD *
+    lambda, with the standard error of the lambda source.
 
-    rows_iii: per (t, s) pair, four residual variants:
+    bond: the columns t, s, the four residual variants below, se and n_alive
+    (int64), per (t, s) pair:
       - general_printed: bond difference plus beta*LGD*(estimated survival)
       - general: bond difference plus beta*LGD*(estimated default probability)
       - numeraire_printed: 1 - (1 + P_Cred) D_Cred minus beta*LGD*p
@@ -621,8 +623,8 @@ class Thm1Report(_Record):
     resolution.
     """
 
-    rows_ii: list
-    rows_iii: list
+    spread: dict
+    bond: dict
     lambda_source: str
     resolution: str
 
@@ -674,7 +676,7 @@ def thm1_residuals(
         raise ConfigurationError(
             f"window must lie in (0, {grid.horizon}] for the simulated hazard, got {window}"
         )
-    spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
+    rate_gap = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
     beta = market.beta.series.mean(axis=0)
     if lambda_source == "simulated":
         # the times whose window [t, t+window] lies inside the grid
@@ -687,17 +689,13 @@ def thm1_residuals(
         at = np.arange(times.size)
         lam_hat, lam_se = market.defaults.lambda_paths[0], np.zeros(times.size)
     scale = beta[at] * market.lgd.deterministic_at(times[at])
-    residual = spread[at] - scale * lam_hat
+    residual = rate_gap[at] - scale * lam_hat
     se = scale * lam_se
     z, within = _se_gate(residual, se, atol=_SPREAD_ATOL)
-    columns = (times[at], residual, se, z, ~within)
-    rows_ii = [
-        dict(zip(("t", "residual", "se", "z", "detected"), row))
-        for row in zip(*(c.tolist() for c in columns))
-    ]
+    spread = {"t": times[at], "residual": residual, "se": se, "z": z, "detected": ~within}
     sample = market.defaults
     shape = (sample.n_paths, times.size)
-    rows_iii = []
+    rows = []
     for t, s in pairs:
         _check_sampled(sample, s)
         alive, n_alive = _survivors(
@@ -716,18 +714,10 @@ def thm1_residuals(
         p_cred = p_corp / p_gov
         d_cred = d_corp - d_gov
         scale = b_t * lgd_t
-        rows_iii.append(
-            {
-                "t": float(t),
-                "s": float(s),
-                "general_printed": lhs + scale * surv_hat,
-                "general": lhs + scale * p_hat,
-                "numeraire_printed": (1.0 - (1.0 + p_cred) * d_cred) - scale * p_hat,
-                "numeraire_rederived": (1.0 - p_cred * (1.0 + d_cred)) - scale * p_hat,
-                "se": scale * float(p_se),
-                "n_alive": n_alive,
-            }
-        )
+        general = (lhs + scale * surv_hat, lhs + scale * p_hat)
+        printed = (1.0 - (1.0 + p_cred) * d_cred) - scale * p_hat
+        rederived = (1.0 - p_cred * (1.0 + d_cred)) - scale * p_hat
+        rows.append((t, s, *general, printed, rederived, scale * float(p_se), n_alive))
     resolution = (
         "bond-difference identity holds with the default-probability factor "
         "1 - E[exp(-int lambda)] (variant 'general'); in numeraire units the "
@@ -735,4 +725,7 @@ def thm1_residuals(
         "'numeraire_rederived'); the printed companions are reported for "
         "comparison and do not vanish on consistently built markets"
     )
-    return Thm1Report(rows_ii, rows_iii, lambda_source, resolution)
+    names = ("t", "s", "general_printed", "general", "numeraire_printed", "numeraire_rederived")
+    bond = dict(zip(names + ("se", "n_alive"), np.array(rows, dtype=np.float64).reshape(-1, 8).T))
+    bond["n_alive"] = bond["n_alive"].astype(np.int64)
+    return Thm1Report(spread, bond, lambda_source, resolution)

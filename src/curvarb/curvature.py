@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .gauges import Gauge, short_rate
+from .gauges import Gauge, _common_grid, short_rate
 from .novikov import NovikovEstimate, _exp_moment
 from .paths import (
     TAG_SHARPE,
@@ -153,14 +153,7 @@ def curvature_components(gauges) -> CurvatureReport:
     a consistent market all assets share the resulting profile.
     """
     gauges = list(gauges)
-    if not gauges:
-        raise ConfigurationError("need at least one gauge")
-    grid = gauges[0].grid
-    for g in gauges[1:]:
-        if g.grid.n_times != grid.n_times or not np.array_equal(
-            g.grid.times, grid.times
-        ):
-            raise ConfigurationError("gauges must share one time grid")
+    grid = _common_grid(gauges)
     times = grid.times
     if times.size < 3:
         raise ConfigurationError("need at least three grid times")
@@ -384,15 +377,21 @@ def novikov_sharpe(
 
 
 class KernelCheckReport(_Record):
-    rows: list
+    """Per (gauge, pair) row: table holds the columns label, t, s, residual,
+    se, z and passed of the worst bin, in kernel.csv order; bins holds each
+    row's conditional_bin_table."""
+
+    table: dict
+    bins: list
 
     @property
     def all_passed(self) -> bool:
-        return all(r["passed"] for r in self.rows)
+        return bool(self.table["passed"].all())
 
     @property
-    def worst(self) -> dict:
-        return max(self.rows, key=lambda r: abs(r["residual"]))
+    def worst(self) -> int:
+        """Row index of the largest |residual|, the first of equals."""
+        return int(np.argmax(np.abs(self.table["residual"])))
 
 
 # a non-finite bin statistic is reported as a NumericalError, not warned about
@@ -400,23 +399,22 @@ class KernelCheckReport(_Record):
 def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
     """Conditional pricing-kernel residuals for each gauge and (t, s) pair.
 
-    beta is the kernel on the gauge grid, finite and positive: an array shaped
-    (n_times,) for a deterministic kernel or (n_paths, n_times) for one
-    sampled per path.
+    beta is the kernel on the gauges' common grid, finite and positive: an
+    array shaped (n_times,) for a deterministic kernel or (n_paths, n_times)
+    for one sampled per path.
 
     For each path the discounted claim beta_s D_s is compared with its stored
     price P(t, s) beta_t D_t; residuals are averaged within equal-count bins
     of the time-t discounted state and scaled by the mean discounted state,
-    and the worst bin is reported.  A pair passes when that residual is
-    within three standard errors (or _KERNEL_ATOL for deterministic sceneries).
-    A scale, bin mean or bin SE that is not finite raises NumericalError.
+    and the worst bin (the first of equal |mean|) is reported.  A pair passes
+    when that residual is within three standard errors (or _KERNEL_ATOL for
+    deterministic sceneries).  A scale, bin mean or bin SE that is not finite
+    raises NumericalError.
     """
     gauges = list(gauges)
-    if not gauges:
-        raise ConfigurationError("need at least one gauge")
-    grid = gauges[0].grid
+    grid = _common_grid(gauges)
     b = _kernel_on_grid(beta, grid)
-    rows = []
+    labels, rows, bins = [], [], []
     for g in gauges:
         d = g.deflator.series
         if b.shape[0] not in (1, d.shape[0]):
@@ -432,25 +430,18 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
                     diagnostics={"label": g.label, "t": t},
                 )
             # a finite scale means finite states, which the bins require
-            bins = conditional_bin_table(m_t, y / scale) if np.isfinite(scale) else []
-            stats = [scale] + [v for row in bins for v in (row["mean"], row["se"])]
-            if not np.all(np.isfinite(stats)):
+            table = conditional_bin_table(m_t, y / scale) if np.isfinite(scale) else None
+            if table is None or not np.all(np.isfinite([table["mean"], table["se"]])):
                 raise NumericalError(
                     f"kernel residual of asset {g.label!r} is non-finite for pair ({t!r}, {s!r})",
                     diagnostics={"label": g.label, "t": float(t), "s": float(s)},
                 )
-            worst = max(bins, key=lambda row: abs(row["mean"]))
-            z, passed = _se_gate(worst["mean"], worst["se"], atol=_KERNEL_ATOL)
-            rows.append(
-                {
-                    "label": g.label,
-                    "t": float(t),
-                    "s": float(s),
-                    "residual": worst["mean"],
-                    "se": worst["se"],
-                    "z": float(z),
-                    "passed": bool(passed),
-                    "bins": bins,
-                }
-            )
-    return KernelCheckReport(rows)
+            w = np.argmax(np.abs(table["mean"]))
+            labels.append(g.label)
+            rows.append((t, s, table["mean"][w], table["se"][w]))
+            bins.append(table)
+    t, s, residual, se = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    z, passed = _se_gate(residual, se, atol=_KERNEL_ATOL)
+    columns = {"label": np.array(labels, dtype=str), "t": t, "s": s, "residual": residual}
+    columns.update(se=se, z=z, passed=passed)
+    return KernelCheckReport(columns, bins)

@@ -306,6 +306,17 @@ def gauge_transform(gauge: Gauge, pi: CashflowVector) -> Gauge:
     return Gauge(new_deflator, new_curve, label=gauge.label)
 
 
+def _common_grid(gauges: list[Gauge]) -> TimeGrid:
+    """The time grid all of gauges live on; ConfigurationError for none or
+    for gauges on different grids."""
+    if not gauges:
+        raise ConfigurationError("need at least one gauge")
+    grid = gauges[0].grid
+    if not all(np.array_equal(g.grid.times, grid.times) for g in gauges[1:]):
+        raise ConfigurationError("gauges must share one time grid")
+    return grid
+
+
 def _holdings(gauges: list[Gauge], x, name: str, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Holdings x as (n_times, N) from (N,) or (n_times, N), and the asset
     deflators stacked along axis with a common path count."""
@@ -329,15 +340,10 @@ def portfolio_gauge(gauges: list[Gauge], nominals) -> Gauge:
 
     nominals may be a constant vector (N,) or a path (n_times, N).
     """
-    if not gauges:
-        raise ConfigurationError("portfolio needs at least one gauge")
-    grid = gauges[0].grid
+    grid = _common_grid(gauges)
     offsets = gauges[0].curve.offsets
-    for g in gauges[1:]:
-        if not np.array_equal(g.grid.times, grid.times):
-            raise ConfigurationError("portfolio gauges live on different grids")
-        if not np.array_equal(g.curve.offsets, offsets):
-            raise ConfigurationError("portfolio gauges use different maturity lattices")
+    if not all(np.array_equal(g.curve.offsets, offsets) for g in gauges[1:]):
+        raise ConfigurationError("portfolio gauges use different maturity lattices")
     x, deflators = _holdings(gauges, nominals, "nominals", axis=0)
     n_assets, n_paths = deflators.shape[:2]  # deflators: (N, n_paths, n_times)
     dx = np.einsum("tj,jpt->pt", x, deflators)
@@ -390,9 +396,11 @@ def numeraire_change(gauges: list[Gauge], numeraire: int | Gauge) -> list[Gauge]
 
     The numeraire's own deflator becomes identically 1; every other deflator
     becomes the exchange ratio D^j / D^Num.  Term structures are untouched.
-    A non-positive numeraire deflator anywhere on the ensemble is an error.
+    A non-positive numeraire deflator anywhere on the ensemble is an error,
+    as are gauges and numeraire that do not share one time grid.
     """
     num = gauges[numeraire] if isinstance(numeraire, int) else numeraire
+    _common_grid([*gauges, num])
     d_num = num.deflator.series
     if np.any(d_num <= 0):
         where = np.argwhere(d_num <= 0)[0]
@@ -430,9 +438,10 @@ def self_financing_residual(gauges: list[Gauge], strategy) -> SelfFinancingRepor
     estimated pathwise with symmetric difference quotients and averaged over
     the ensemble.  It vanishes identically for constant strategies, converges
     to zero under grid refinement when the strategy is rebalanced in a
-    self-financing way, and spikes at discrete rebalancing jumps.
+    self-financing way, and spikes at discrete rebalancing jumps.  The
+    gauges must share one time grid.
     """
-    grid = gauges[0].grid
+    grid = _common_grid(gauges)
     x, d = _holdings(gauges, strategy, "strategy", axis=2)  # d: (n_paths, n_times, N)
     t = grid.times
     hp = (t[2:] - t[1:-1])[None, :]

@@ -774,8 +774,9 @@ def _sorted_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def conditional_bin_table(states: np.ndarray, samples: np.ndarray) -> list:
-    """Equal-count state bins with the per-bin sample mean and its SE.
+def conditional_bin_table(states: np.ndarray, samples: np.ndarray) -> dict:
+    """Equal-count state bins with the per-bin sample mean and its SE, as the
+    columns lo, hi, count (int64), mean and se, one entry per bin.
 
     states and samples are 1-d, of one nonzero length (else
     ConfigurationError), and the states finite (else NumericalError).  The
@@ -804,8 +805,8 @@ def conditional_bin_table(states: np.ndarray, samples: np.ndarray) -> list:
     ordered = states[order]
     if ordered[-1] - ordered[0] <= 1e-12 * (1.0 + abs(states[0])):
         # min and max, not the sorted ends: the sort may put -0.0 or 0.0 first
-        groups = [np.arange(n)]
-        edges = [(float(states.min()), float(states.max()))]
+        qs_edges = np.array([states.min(), states.max()])
+        cuts = np.array([0, n])
     else:
         k = min(_N_BINS, max(1, n // _MIN_BIN))
         qs_edges = _sorted_quantiles(ordered, np.linspace(0, 1, k + 1))
@@ -813,19 +814,13 @@ def conditional_bin_table(states: np.ndarray, samples: np.ndarray) -> list:
         # bin b holds the sorted states in [edge b, edge b + 1), and the
         # outer edges bracket them all
         cuts = np.concatenate(([0], np.searchsorted(ordered, qs_edges[1:-1]), [n]))
-        groups, edges = [], []
-        for b in range(k):
-            if cuts[b] == cuts[b + 1]:
-                continue
-            groups.append(np.sort(order[cuts[b] : cuts[b + 1]]))
-            edges.append((float(qs_edges[b]), float(qs_edges[b + 1])))
-    table = []
-    for (lo, hi), members in zip(edges, groups):
-        d = samples[members]
-        m = float(d.mean())
-        se = float(_mean_se(d))
-        table.append({"lo": lo, "hi": hi, "count": int(d.size), "mean": m, "se": se})
-    return table
+    full = np.flatnonzero(cuts[1:] > cuts[:-1])
+    mean, se = np.empty(full.size), np.empty(full.size)
+    for i, b in enumerate(full):
+        d = samples[np.sort(order[cuts[b] : cuts[b + 1]])]
+        mean[i], se[i] = d.mean(), _mean_se(d)
+    count = (cuts[full + 1] - cuts[full]).astype(np.int64)
+    return {"lo": qs_edges[full], "hi": qs_edges[full + 1], "count": count, "mean": mean, "se": se}
 
 
 # ---------------------------------------------------------------------------

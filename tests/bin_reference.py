@@ -6,6 +6,9 @@ last nudged up one ulp; np.digitize places each state, and each bin's samples
 are read in index order through np.nonzero.  A degenerate state (spread
 within 1e-12 of the first state's scale) is one bin over all samples.  The
 reference uses nothing of curvarb.
+
+assert_columns_equal_rows compares a table of columns with such per-row
+dicts bit for bit.
 """
 
 import numpy as np
@@ -39,3 +42,13 @@ def reference_bins(states: np.ndarray, samples: np.ndarray) -> list:
             {"lo": lo, "hi": hi, "count": int(d.size), "mean": float(d.mean()), "se": float(se)}
         )
     return table
+
+
+def assert_columns_equal_rows(columns: dict, rows: list) -> None:
+    """columns hold the entries of rows, a nonempty list of dicts, bit for
+    bit: the rows' names in order, and each column the dtype and bytes of
+    np.array of its entries."""
+    assert list(columns) == list(rows[0])
+    for name, column in columns.items():
+        want = np.array([row[name] for row in rows])
+        assert column.dtype == want.dtype and column.tobytes() == want.tobytes(), name

@@ -261,16 +261,16 @@ def test_06_bias_halves_when_steps_double():
 def test_07_spread_identity_and_detection(thm1_market):
     start = time.perf_counter()
     report = thm1_residuals(thm1_market, [(0.0, 5.0)], lambda_source="model")
-    worst = max(abs(r["residual"]) for r in report.rows_ii)
+    worst = np.abs(report.spread["residual"]).max()
     assert worst <= 1e-14, f"spread residual {worst:.2e}"
-    assert not any(r["detected"] for r in report.rows_ii)
+    assert not report.spread["detected"].any()
     # a 10 bp shift must be flagged at 3 standard errors from the sample alone
     shifted = build_thm1_market(
         0.02, 0.4, horizon=10.0, steps=40, spread_shift=0.001, n_paths=100_000, seed=11
     )
     flagged = thm1_residuals(shifted, [(0.0, 5.0)], lambda_source="simulated", window=1.0)
-    detected = [r["detected"] for r in flagged.rows_ii]
-    assert max(abs(r["z"]) for r in flagged.rows_ii) >= 3.0
+    detected = flagged.spread["detected"].tolist()
+    assert np.abs(flagged.spread["z"]).max() >= 3.0
     assert sum(detected) >= 0.5 * len(detected), (
         f"only {sum(detected)}/{len(detected)} rows detected the shift"
     )
@@ -281,7 +281,7 @@ def test_07_spread_identity_and_detection(thm1_market):
 def test_08_bond_difference_variants(thm1_market):
     start = time.perf_counter()
     report = thm1_residuals(thm1_market, [(0.0, 5.0)], lambda_source="model")
-    row = report.rows_iii[0]
+    row = {name: column[0] for name, column in report.bond.items()}
     assert abs(row["numeraire_rederived"]) <= 3.0 * row["se"]
     assert abs(row["general"]) <= 3.0 * row["se"]
     # the printed companions are reported but do not vanish on this market

@@ -376,7 +376,8 @@ def test_thm1_bond_gate_is_three_standard_errors(tmp_path, monkeypatch, variant,
         bond = {"t": 0.0, "s": 5.0, "general_printed": 0.0, "general": 0.0}
         bond.update(numeraire_printed=0.0, numeraire_rederived=0.0, se=0.002, n_alive=100)
         bond[variant] = -factor * 3 * 0.002
-        return curvarb.credit.Thm1Report([spread], [bond], lambda_source, "")
+        spread, bond = ({k: np.array([v]) for k, v in rows.items()} for rows in (spread, bond))
+        return curvarb.credit.Thm1Report(spread, bond, lambda_source, "")
 
     monkeypatch.setattr(curvarb.credit, "thm1_residuals", planted)
     doc = load_scenario("thm1_constructed")
@@ -384,6 +385,30 @@ def test_thm1_bond_gate_is_three_standard_errors(tmp_path, monkeypatch, variant,
     code_run, summary = _run_doc(tmp_path, doc)
     assert code_run == code
     assert summary["analyses"]["thm1"]["bond_ok"] is (code == 0)
+
+
+@pytest.mark.parametrize("first", [1.0, -1.0], ids=["plus-first", "minus-first"])
+def test_kernel_worst_row_is_the_first_of_equal_residuals(tmp_path, monkeypatch, first):
+    # one pair and two assets: the worst bins of the two rows tie in |residual|
+    import itertools
+
+    import curvarb.curvature
+    from curvarb.cli import _asset_gauges, _beta
+
+    means = itertools.cycle([first * 0.01, -first * 0.01])
+    monkeypatch.setattr(
+        curvarb.curvature,
+        "conditional_bin_table",
+        lambda states, y: {"mean": np.array([next(means)]), "se": np.array([0.01])},
+    )
+    doc = load_scenario("flat_market")
+    doc.update(n_paths=500, analyses=["kernel"])
+    doc["kernel"]["pairs"] = [[1.0, 2.0]]
+    report = curvarb.curvature.kernel_check(_asset_gauges(doc), _beta(doc), [(1.0, 2.0)])
+    assert report.worst == 0
+    assert report.table["label"].tolist() == ["alpha", "beta"]
+    kernel = _run_doc(tmp_path, doc)[1]["analyses"]["kernel"]
+    assert (kernel["worst_label"], kernel["worst_residual"]) == ("alpha", first * 0.01)
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["below", "above"])
@@ -463,7 +488,7 @@ def _row_wise_csv(header, rows):
 
 
 def test_csv_columns_equal_a_row_wise_writer():
-    from curvarb.cli import _csv, _table
+    from curvarb.cli import _csv
 
     columns = {
         "t": [1, 2.5, 3],  # JSON numbers: an integer is written as one
@@ -476,8 +501,6 @@ def test_csv_columns_equal_a_row_wise_writer():
     text = _csv(columns)
     assert text == _row_wise_csv(list(columns), zip(*columns.values()))
     assert text.splitlines()[:2] == ['t,value,n,ok,flag,"a,""x"""', "1,0.1,1,true,true,plain"]
-    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    assert _table(list(columns), rows) == text
 
 
 @pytest.mark.parametrize(

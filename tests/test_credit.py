@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from curvarb import replace
+from bin_reference import assert_columns_equal_rows
 from block_reference import reference_rows
 from scipy import integrate, stats
 
@@ -319,14 +320,15 @@ def test_constructed_market_deflator_form_agrees():
 def test_thm1_spread_identity_exact():
     market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=50_000, seed=11)
     report = thm1_residuals(market, [(0.0, 5.0)], lambda_source="model")
-    worst = max(abs(r["residual"]) for r in report.rows_ii)
+    worst = np.abs(report.spread["residual"]).max()
     assert worst <= 1e-14
-    assert not any(r["detected"] for r in report.rows_ii)
+    assert not report.spread["detected"].any()
 
 
 def test_thm1_bond_difference_variants():
     market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=100_000, seed=11)
-    row = thm1_residuals(market, [(0.0, 5.0)], lambda_source="model").rows_iii[0]
+    bond = thm1_residuals(market, [(0.0, 5.0)], lambda_source="model").bond
+    row = {name: column[0] for name, column in bond.items()}
     assert abs(row["general"]) < 3 * row["se"]
     assert abs(row["numeraire_rederived"]) < 3 * row["se"]
     # the printed companions miss by the full survival mass
@@ -340,20 +342,20 @@ def test_thm1_perturbed_spread_detected():
         0.02, 0.4, horizon=10.0, steps=40, n_paths=100_000, seed=31, spread_shift=0.001
     )
     exact = thm1_residuals(market, [(0.0, 5.0)], lambda_source="model")
-    assert all(abs(r["residual"] - 0.001) < 1e-14 for r in exact.rows_ii)
-    assert all(r["detected"] for r in exact.rows_ii)
+    assert (np.abs(exact.spread["residual"] - 0.001) < 1e-14).all()
+    assert exact.spread["detected"].all()
     sim = thm1_residuals(market, [(0.0, 5.0)], lambda_source="simulated", window=1.0)
-    first = sim.rows_ii[0]
+    first = {name: column[0] for name, column in sim.spread.items()}
     assert first["se"] > 0
     assert first["detected"] and first["z"] > 3
-    detected = np.mean([r["detected"] for r in sim.rows_ii])
+    detected = np.mean(sim.spread["detected"])
     assert detected > 0.9
 
 
 def test_thm1_unperturbed_simulated_source_quiet():
     market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=100_000, seed=37)
     sim = thm1_residuals(market, [(0.0, 5.0)], lambda_source="simulated", window=1.0)
-    assert abs(sim.rows_ii[0]["z"]) < 4
+    assert abs(sim.spread["z"][0]) < 4
 
 
 def test_thm1_simulated_hazard_counts_the_paths_alive_after_t():
@@ -365,15 +367,15 @@ def test_thm1_simulated_hazard_counts_the_paths_alive_after_t():
     tau = np.where(rng.random(2000) < 0.6, rng.choice(grid.times, 2000), np.inf)
     tau[:3] = np.nan
     tied = replace(market, defaults=replace(market.defaults, tau=tau))
-    rows = thm1_residuals(tied, [], lambda_source="simulated", window=1.0).rows_ii
-    assert [r["t"] for r in rows] == grid.times[grid.times <= 9.0].tolist()
+    columns = thm1_residuals(tied, [], lambda_source="simulated", window=1.0).spread
+    assert columns["t"].tolist() == grid.times[grid.times <= 9.0].tolist()
     spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
     beta = market.beta.series.mean(axis=0)
-    for i, r in enumerate(rows):
-        n_t, n_s = int(np.sum(tau > r["t"])), int(np.sum(tau > r["t"] + 1.0))
+    for i, (t, residual, se) in enumerate(zip(columns["t"], columns["residual"], columns["se"])):
+        n_t, n_s = int(np.sum(tau > t)), int(np.sum(tau > t + 1.0))
         lam = float(-np.log(n_s / n_t) / 1.0)
-        assert r["residual"] == float(spread[i] - beta[i] * 0.4 * lam)
-        assert r["se"] == float(beta[i] * 0.4 * np.sqrt(max(1.0 / n_s - 1.0 / n_t, 0.0)))
+        assert residual == float(spread[i] - beta[i] * 0.4 * lam)
+        assert se == float(beta[i] * 0.4 * np.sqrt(max(1.0 / n_s - 1.0 / n_t, 0.0)))
 
 
 def test_thm1_simulated_window_must_fit_the_horizon():
@@ -383,10 +385,19 @@ def test_thm1_simulated_window_must_fit_the_horizon():
             thm1_residuals(market, [], lambda_source="simulated", window=window)
     # the whole horizon still leaves the row at t = 0
     full = thm1_residuals(market, [], lambda_source="simulated", window=10.0)
-    assert [r["t"] for r in full.rows_ii] == [0.0]
+    assert full.spread["t"].tolist() == [0.0]
     # the model hazard never reads the window
     model = thm1_residuals(market, [], lambda_source="model", window=10.5)
-    assert len(model.rows_ii) == 41
+    assert len(model.spread["t"]) == 41
+
+
+def test_thm1_without_pairs_has_empty_bond_columns():
+    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=3)
+    bond = thm1_residuals(market, []).bond
+    names = ["t", "s", "general_printed", "general", "numeraire_printed", "numeraire_rederived"]
+    assert list(bond) == names + ["se", "n_alive"]
+    assert [len(column) for column in bond.values()] == [0] * 8
+    assert [column.dtype for column in bond.values()] == [np.float64] * 7 + [np.int64]
 
 
 def _reference_spread_rows(market, lambda_source, window):
@@ -436,12 +447,11 @@ def test_thm1_spread_rows_equal_the_per_time_reference(lambda_source, lgd, windo
     )
     if lgd in DETERMINISTIC_LGD:
         market = replace(market, lgd=LGDProcess("deterministic", fn=DETERMINISTIC_LGD[lgd]))
-    rows = thm1_residuals(market, [], lambda_source=lambda_source, window=window).rows_ii
+    columns = thm1_residuals(market, [], lambda_source=lambda_source, window=window).spread
     reference = _reference_spread_rows(market, lambda_source, window)
-    # repr tells every bit of a float and a Python float or bool from a numpy one
-    assert repr(rows) == repr(reference)
+    assert_columns_equal_rows(columns, reference)
     kept = 41 if lambda_source == "model" else int(40 - 4 * window) + 1
-    assert len(rows) == kept
+    assert len(columns["t"]) == kept
 
 
 def test_thm1_simulated_hazard_raises_at_the_first_starved_window():
@@ -465,17 +475,18 @@ def test_thm1_spread_detection_width(factor, detected):
     # the model hazard has zero SE: a residual is detected beyond 1e-14
     rates = np.array(market.corp_rates)
     rates[i] += factor * 1e-14
-    rows = thm1_residuals(replace(market, corp_rates=rates), [], lambda_source="model").rows_ii
-    assert rows[i]["residual"] == pytest.approx(factor * 1e-14, rel=1e-3)
-    assert [r["detected"] for r in rows] == [detected and j == i for j in range(len(rows))]
+    spread = thm1_residuals(replace(market, corp_rates=rates), [], lambda_source="model").spread
+    assert spread["residual"][i] == pytest.approx(factor * 1e-14, rel=1e-3)
+    n = len(spread["detected"])
+    assert spread["detected"].tolist() == [detected and j == i for j in range(n)]
     # the simulated hazard is detected beyond 3 standard errors
-    base = thm1_residuals(market, [], lambda_source="simulated").rows_ii[i]
-    assert base["se"] > 0
+    base = thm1_residuals(market, [], lambda_source="simulated").spread
+    assert base["se"][i] > 0
     rates = np.array(market.corp_rates)
-    rates[i] += factor * 3 * base["se"] - base["residual"]
-    row = thm1_residuals(replace(market, corp_rates=rates), [], lambda_source="simulated").rows_ii[i]
-    assert row["z"] == pytest.approx(3 * factor, rel=1e-6)
-    assert row["detected"] is detected
+    rates[i] += factor * 3 * base["se"][i] - base["residual"][i]
+    spread = thm1_residuals(replace(market, corp_rates=rates), [], lambda_source="simulated").spread
+    assert spread["z"][i] == pytest.approx(3 * factor, rel=1e-6)
+    assert spread["detected"][i] == detected
 
 
 def test_credit_gauge_bookkeeping():
@@ -548,7 +559,7 @@ def test_column_readers_match_the_stored_deflator_route(lgd_value):
     beta = market.beta.series.mean(axis=0)
     pairs = [(0.0, 5.0), (2.0, 4.0), (2.5, 5.0)]  # t = 2.0 is the node of the edge defaults
     reports = [thm1_residuals(market, pairs, lambda_source=source) for source in ("model", "simulated")]
-    for (t, s), *rows in zip(pairs, *(report.rows_iii for report in reports)):
+    for k, (t, s) in enumerate(pairs):
         alive, i_t, i_s = tau > t, grid.index_of(t), grid.index_of(s)
         # the bond-difference row, by thm1_residuals' arithmetic, off the stored deflator
         p_corp = float(market.corp_curve.price(t, s).mean())
@@ -556,7 +567,7 @@ def test_column_readers_match_the_stored_deflator_route(lgd_value):
         lhs = p_corp * float(stored[alive, i_t].mean()) - p_gov * float(d_gov[alive, i_t].mean())
         scale = float(beta[i_t]) * float(market.lgd.deterministic_at(t))
         general = lhs + scale * float((tau[alive] <= s).mean())
-        assert [row["general"] for row in rows] == [general, general]
+        assert [report.bond["general"][k] for report in reports] == [general, general]
         price = corporate_bond_price(market, t, s, "deflator")
         vals = stored[alive, i_s] / stored[alive, i_t]
         assert (price.value, price.n_used) == (float(vals.mean()), int(alive.sum()))

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from bin_reference import assert_columns_equal_rows, reference_bins
 
 import curvarb.curvature
 import curvarb.paths
@@ -471,14 +472,14 @@ def test_kernel_check_flat_market_passes():
     beta = np.exp(-0.02 * grid.times)
     report = kernel_check([gauge], beta, [(0.0, 1.0), (1.0, 3.0), (2.0, 4.0)])
     assert report.all_passed
-    assert abs(report.worst["residual"]) < 1e-12
+    assert abs(report.table["residual"][report.worst]) < 1e-12
 
 
 def test_kernel_check_wrong_kernel_detected():
     grid = TimeGrid.regular(5.0, 20)
     gauge = _flat_gauge(grid, 0.02, np.ones((1, grid.n_times)), "flat")
     report = kernel_check([gauge], np.ones(grid.n_times), [(1.0, 2.0)])
-    row = report.rows[0]
+    row = {name: column[0] for name, column in report.table.items()}
     assert not row["passed"]
     assert row["z"] == np.inf
     assert row["residual"] == pytest.approx(-np.expm1(-0.02), abs=1e-12)
@@ -488,14 +489,79 @@ def test_kernel_check_wrong_kernel_detected():
 @pytest.mark.parametrize("se, width", [(0.01, 0.03), (0.0, 1e-10)], ids=["three-se", "zero-se"])
 def test_kernel_check_gate_width(monkeypatch, se, width, factor, passed):
     # the worst bin passes within 3 standard errors, or 1e-10 at zero SE
-    bins = [{"mean": 0.5 * width, "se": se}, {"mean": -factor * width, "se": se}]
+    bins = {"mean": np.array([0.5 * width, -factor * width]), "se": np.array([se, se])}
     monkeypatch.setattr(curvarb.curvature, "conditional_bin_table", lambda states, y: bins)
     grid = TimeGrid.regular(5.0, 20)
     gauge = _flat_gauge(grid, 0.02, np.ones((1, grid.n_times)), "flat")
-    row = kernel_check([gauge], np.exp(-0.02 * grid.times), [(1.0, 2.0)]).rows[0]
+    table = kernel_check([gauge], np.exp(-0.02 * grid.times), [(1.0, 2.0)]).table
+    row = {name: column[0] for name, column in table.items()}
     assert row["residual"] == -factor * width
-    assert row["passed"] is passed
+    assert row["passed"] == passed
     assert row["z"] == (pytest.approx(3 * factor) if se else (0.0 if passed else np.inf))
+
+
+def test_kernel_check_without_pairs_is_empty_and_passes():
+    # all([]) is True: no pair, no failure
+    grid = TimeGrid.regular(5.0, 20)
+    gauge = _flat_gauge(grid, 0.02, np.ones((1, grid.n_times)), "flat")
+    report = kernel_check([gauge], np.exp(-0.02 * grid.times), [])
+    assert list(report.table) == ["label", "t", "s", "residual", "se", "z", "passed"]
+    assert [len(column) for column in report.table.values()] == [0] * 7
+    assert report.bins == []
+    assert report.all_passed
+
+
+def _reference_kernel_rows(gauges, beta, pairs):
+    """kernel_check's rows and bin tables one (gauge, pair) at a time: the
+    reference bins, the bin of largest |mean| as max picks it (the first of
+    equals) and the gate written for one scalar residual."""
+    grid, b = gauges[0].grid, np.atleast_2d(beta)
+    rows, bins = [], []
+    for g in gauges:
+        d = g.deflator.series
+        for t, s in pairs:
+            i_t, i_s = grid.index_of(t), grid.index_of(s)
+            m_t = b[:, i_t] * d[:, i_t]
+            y = b[:, i_s] * d[:, i_s] - g.curve.price(t, s) * m_t
+            table = reference_bins(m_t, y / float(np.abs(m_t).mean()))
+            worst = max(table, key=lambda row: abs(row["mean"]))
+            r, se = abs(worst["mean"]), worst["se"]
+            z = r / se if se > 0 else (np.inf if r > 1e-10 else 0.0)
+            row = {"label": g.label, "t": float(t), "s": float(s), "residual": worst["mean"]}
+            rows.append({**row, "se": se, "z": z, "passed": r <= max(3.0 * se, 1e-10)})
+            bins.append(table)
+    return rows, bins
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("case", ["sampled", "deterministic"])
+def test_kernel_check_columns_equal_the_per_row_reference(case):
+    grid = TimeGrid.regular(2.0, 8)
+    pairs = [(0.0, 1.0), (0.5, 1.0), (1.0, 1.5), (0.25, 2.0)]
+    if case == "sampled":
+        # martingale deflators under a kernel sampled per path
+        driver = simulate_brownian(grid, 3000, 1, seed=15)
+        gauges = [
+            Gauge(
+                simulate_ito(ItoSpec(x0=1.0, drift=0.0, sigma=sigma, form="geometric"), driver),
+                flat_term_structure(grid, 0.0, OFFSETS),
+                label,
+            )
+            for label, sigma in (("a", 0.3), ("bb", 0.1))
+        ]
+        rng = np.random.default_rng(6)
+        beta = np.exp(-0.01 * grid.times + 0.05 * rng.normal(size=(3000, 1)))
+    else:
+        # one frozen path: a kernel that prices one asset and misprices the other
+        ones = np.ones((1, grid.n_times))
+        gauges = [_flat_gauge(grid, 0.02, ones, "right"), _flat_gauge(grid, 0.03, ones, "wrong")]
+        beta = np.exp(-0.02 * grid.times)
+    report = kernel_check(gauges, beta, pairs)
+    rows, bins = _reference_kernel_rows(gauges, beta, pairs)
+    assert_columns_equal_rows(report.table, rows)
+    assert len(report.bins) == len(bins)
+    for got, want in zip(report.bins, bins):
+        assert_columns_equal_rows(got, want)
 
 
 def test_kernel_check_martingale_deflator_passes():
@@ -505,8 +571,7 @@ def test_kernel_check_martingale_deflator_passes():
     gauge = Gauge(d, flat_term_structure(grid, 0.0, OFFSETS), "mart")
     report = kernel_check([gauge], np.ones(grid.n_times), [(0.5, 1.0), (1.0, 1.5)])
     assert report.all_passed
-    for row in report.rows:
-        assert row["se"] > 0
+    assert (report.table["se"] > 0).all()
 
 
 def test_kernel_check_overflowing_state_names_the_asset_and_pair():

@@ -508,3 +508,35 @@ def test_price_lookup_interpolates_log_linearly():
     assert np.allclose(curve.price(0.0, 1.5), np.exp(-0.06), rtol=1e-12)
     with pytest.raises(DomainError):
         curve.price(0.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "other", [TimeGrid.regular(10.0, 50), TimeGrid.regular(5.0, 25)], ids=["times", "nodes"]
+)
+def test_functions_combining_gauges_require_one_time_grid(other):
+    # equal node counts at other times, or other node counts: each function
+    # would read the second gauge at the first gauge's indices
+    from curvarb.curvature import curvature_components, kernel_check
+
+    def gauge(grid):
+        d = PathEnsemble(grid, np.exp(0.03 * grid.times)[None, :, None])
+        return Gauge(d, flat_term_structure(grid, 0.03, 0.25 * np.arange(5)))
+
+    grid = TimeGrid.regular(5.0, 50)
+    g1, g2 = gauge(grid), gauge(other)
+    calls = {
+        "curvature_components": lambda: curvature_components([g1, g2]),
+        "kernel_check": lambda: kernel_check([g1, g2], np.exp(-0.03 * grid.times), [(1.0, 2.0)]),
+        "portfolio_gauge": lambda: portfolio_gauge([g1, g2], [1.0, 1.0]),
+        "self_financing_residual": lambda: self_financing_residual([g1, g2], [1.0, 1.0]),
+        "numeraire_change": lambda: numeraire_change([g1, g2], 0),
+        "numeraire_change, numeraire gauge": lambda: numeraire_change([g1], g2),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ConfigurationError, match="gauges must share one time grid"):
+            call()
+            pytest.fail(name)
+    # one gauge, or none, has nothing to disagree with
+    assert len(numeraire_change([g1], g1)) == 1
+    with pytest.raises(ConfigurationError, match="at least one gauge"):
+        portfolio_gauge([], [])
