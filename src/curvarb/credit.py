@@ -92,14 +92,14 @@ class IntensityModel(_Record):
             )
 
     def hazard_values(self, times: np.ndarray) -> np.ndarray:
-        """The hazard sampled on a grid; shape (1, n_times)."""
+        """The hazard sampled on a grid; shape (n_times,)."""
         if callable(self.lam):
             vals = np.array([float(self.lam(t)) for t in times])
         else:
             vals = np.full(times.size, float(self.lam))
         if not np.all(vals >= 0):  # NaN fails too
             raise ConfigurationError("hazard rates must be nonnegative")
-        return vals[None, :]
+        return vals
 
     def integrated_hazard(self, t: float, s: float) -> float:
         """Integral of the hazard over [t, s]: exact for a constant, the
@@ -168,19 +168,13 @@ class DefaultSample(_Record):
     """Default times; an intensity sample also keeps its hazard scenery."""
 
     grid: TimeGrid
-    tau: np.ndarray                       # (n,) defaults; inf if none in horizon
-    cumulative_hazard: np.ndarray | None  # (1, n_times)
-    thresholds: np.ndarray | None         # (n,) unit-exponential draws
-    lambda_paths: np.ndarray | None       # (1, n_times): the hazard on the grid
+    tau: np.ndarray                 # (n,) defaults; inf if none in horizon
+    thresholds: np.ndarray | None   # (n,) unit-exponential draws
+    hazard: np.ndarray | None       # (n_times,) the hazard on the grid
 
     @property
     def n_paths(self) -> int:
         return self.tau.size
-
-    @property
-    def indicator(self) -> np.ndarray:
-        """(n, n_times) 0/1 default state at the grid nodes, derived from tau."""
-        return (self.grid.times[None, :] >= self.tau[:, None]).astype(np.float64)
 
     def defaulted(self) -> np.ndarray:
         return np.isfinite(self.tau)
@@ -217,16 +211,16 @@ def _share(hit: np.ndarray):
 def _intensity_default_times(
     cum: np.ndarray, times: np.ndarray, thresholds: np.ndarray
 ) -> np.ndarray:
-    """Each path's first node i1 where the (1, n_times) cumulative hazard cum
+    """Each path's first node i1 where the (n_times,) cumulative hazard cum
     reaches its threshold, interpolated back into [times[i1 - 1], times[i1]];
     inf if none.  cum is nondecreasing, since the hazard is nonnegative, so
     one searchsorted finds every first crossing.
     """
-    i1 = np.searchsorted(cum[0], thresholds, side="left")
+    i1 = np.searchsorted(cum, thresholds, side="left")
     has = i1 < times.size
     i1 = i1[has]
     i0 = i1 - 1
-    c0, c1 = cum[0, i0], cum[0, i1]
+    c0, c1 = cum[i0], cum[i1]
     dc = c1 - c0
     frac = np.where(dc > 0, (thresholds[has] - c0) / np.where(dc > 0, dc, 1.0), 1.0)
     tau = np.full(thresholds.size, np.inf)
@@ -261,7 +255,7 @@ def simulate_default(
         cum = _cumulative_trapezoid(lam, grid.steps)
         thresholds = _keyed_rows(seed, TAG_EXP, range(n_paths), (), "standard_exponential")
         tau = _intensity_default_times(cum, times, thresholds)
-        return DefaultSample(grid, tau, cum, thresholds, lam)
+        return DefaultSample(grid, tau, thresholds, lam)
     if isinstance(model, StructuralModel):
         b = model.barrier
         geometric = model.equity.form == "geometric"
@@ -305,7 +299,7 @@ def simulate_default(
                 crossed |= np.less(u, expo, out=valid, where=valid)
             hit = crossed.any(axis=1)
             tau[rows.start : rows.stop][hit] = times[np.argmax(crossed[hit], axis=1) + 1]
-        return DefaultSample(grid, tau, None, None, None)
+        return DefaultSample(grid, tau, None, None)
     raise ConfigurationError(f"unknown default model {type(model).__name__}")
 
 
@@ -317,9 +311,9 @@ def cox_uniformity(sample: DefaultSample) -> tuple[float, float, int]:
     truncated Exp(1), so their truncated CDF values are uniform.  Returns the
     KS statistic, p-value, and the number of defaulted paths.
     """
-    if sample.cumulative_hazard is None:
+    if sample.hazard is None:
         raise ConfigurationError("hazard-law check applies to intensity samples")
-    cum = sample.cumulative_hazard[0]
+    cum = _cumulative_trapezoid(sample.hazard, sample.grid.steps)
     mask = sample.defaulted()
     if mask.sum() < 10:
         raise EstimationError(
@@ -388,6 +382,8 @@ class CreditMarket(_Record):
     gov_rates / corp_rates hold the instantaneous short-rate curves the market
     was constructed with; thm1_residuals reads its spread off them.
 
+    beta is the deterministic pricing kernel on the grid, shape (n_times,).
+
     The corporate gauge corp pairs corp_curve with the deflator
     1 - deflator_lgd * 1{t >= tau} on the default times, built on the first
     read of corp and then kept.  deflator_lgd is the LGD the market was
@@ -398,9 +394,8 @@ class CreditMarket(_Record):
     corp_curve: TermStructureSurface
     lgd: LGDProcess
     deflator_lgd: float
-    beta: PathEnsemble
+    beta: np.ndarray
     defaults: DefaultSample
-    corp_predefault: PathEnsemble
     gov_rates: np.ndarray
     corp_rates: np.ndarray
     seed: int = 0
@@ -411,16 +406,15 @@ class CreditMarket(_Record):
 
     @cached_property
     def corp(self) -> Gauge:
-        times, tau = self.grid.times, self.defaults.tau
-        defl = np.where(times[None, :] >= tau[:, None], 1.0 - self.deflator_lgd, 1.0)
+        defl = _corp_deflator(self, slice(None))
         return Gauge(PathEnsemble(self.grid, defl), self.corp_curve, label="corp")
 
 
-def _corp_column(market: CreditMarket, i: int) -> np.ndarray:
-    """(n_paths,) corporate deflator at grid node i: from tau, without the
-    whole deflator."""
-    tau = market.defaults.tau
-    return np.where(market.grid.times[i] >= tau, 1.0 - market.deflator_lgd, 1.0)
+def _corp_deflator(market: CreditMarket, i: int | slice) -> np.ndarray:
+    """The corporate deflator from tau at grid node(s) i: (n_paths,) at one
+    node, (n_paths, k) at a slice of k."""
+    at = np.less_equal.outer(market.defaults.tau, market.grid.times[i])
+    return np.where(at, 1.0 - market.deflator_lgd, 1.0)
 
 
 def realized_lgd_at_default(market: CreditMarket) -> np.ndarray:
@@ -465,8 +459,9 @@ def corporate_bond_price(
     else:
         # alive paths only: a path dead at t holds a zero deflator under LGD 1
         i_t, i_s = market.grid.index_of(t), market.grid.index_of(s)
-        vals = _corp_column(market, i_s)[alive] / _corp_column(market, i_t)[alive]
-    return BondPrice(float(vals.mean()), float(_mean_se(vals)), n_alive)
+        vals = _corp_deflator(market, i_s)[alive] / _corp_deflator(market, i_t)[alive]
+    mean, se = _mean_se(vals)
+    return BondPrice(float(mean), float(se), n_alive)
 
 
 class CreditGauge(_Record):
@@ -504,13 +499,12 @@ def credit_gauge(market: CreditMarket) -> CreditGauge:
         / np.abs(corp.curve.values)
     )
     # bookkeeping at default nodes: the credit deflator right after default is
-    # (1 - LGD) * pre-default corporate value minus the government deflator
+    # (1 - LGD) times the unit pre-default corporate value, minus the government deflator
     sample = market.defaults
     lgd = realized_lgd_at_default(market)
-    pre = np.broadcast_to(market.corp_predefault.series, (n, market.grid.n_times))
     p = np.nonzero(sample.defaulted())[0]
     i = np.searchsorted(market.grid.times, sample.tau[p])  # the deflator jumps at times >= tau
-    expected = (1.0 - lgd[p]) * pre[p, i] - d_gov[p, i]
+    expected = (1.0 - lgd[p]) - d_gov[p, i]
     jump_dev = np.max(np.abs(deflator.series[p, i] - expected), initial=0.0)
     return CreditGauge(deflator, curve, f, r, float(check), float(jump_dev))
 
@@ -522,7 +516,7 @@ def credit_gauge(market: CreditMarket) -> CreditGauge:
 # a price or kernel that overflows is rejected, not warned about
 @np.errstate(all="ignore")
 def _thm1_curves(grid: TimeGrid, offsets, lam, lgd_value, gov_rate, spread_shift) -> tuple:
-    """The government and corporate surfaces and the (1, n_times) kernel of
+    """The government and corporate surfaces and the (n_times,) kernel of
     build_thm1_market; raises ConfigurationError unless all are finite and
     positive."""
     times = grid.times
@@ -544,7 +538,7 @@ def _thm1_curves(grid: TimeGrid, offsets, lam, lgd_value, gov_rate, spread_shift
     p_corp = p_corp[None, :, :].copy()
     p_corp[:, :, 0] = 1.0
     corp_curve = TermStructureSurface(grid, offsets, p_corp)
-    beta = _kernel_on_grid(np.exp(-gov_rate * times), grid)
+    beta = _kernel_on_grid(np.exp(-gov_rate * times), grid)[0]
     return flat_term_structure(grid, gov_rate, offsets), corp_curve, beta
 
 
@@ -577,19 +571,15 @@ def build_thm1_market(
     if not 0.0 <= lgd_value <= 1.0:
         raise ConfigurationError("LGD must lie in [0, 1]")
     grid = TimeGrid.regular(horizon, steps)
-    model = IntensityModel(lam)
-    sample = simulate_default(model, grid, n_paths, seed)
+    sample = simulate_default(IntensityModel(lam), grid, n_paths, seed)
     lgd = LGDProcess("constant", value=lgd_value)
     times = grid.times
     offsets = offset_step * np.arange(n_offsets)
     gov_curve, corp_curve, beta = _thm1_curves(
         grid, offsets, lam, lgd_value, gov_rate, spread_shift
     )
-    ones = np.ones((1, times.size))
-    gov = Gauge(PathEnsemble(grid, ones), gov_curve, label="gov")
-    beta = PathEnsemble(grid, beta)
-    lam_t = model.hazard_values(times)[0]
-    corp_rates = gov_rate + lgd_value * lam_t + spread_shift
+    gov = Gauge(PathEnsemble(grid, np.ones((1, times.size))), gov_curve, label="gov")
+    corp_rates = gov_rate + lgd_value * sample.hazard + spread_shift
     gov_rates = np.full(times.size, gov_rate)
     return CreditMarket(
         gov=gov,
@@ -598,7 +588,6 @@ def build_thm1_market(
         deflator_lgd=lgd_value,
         beta=beta,
         defaults=sample,
-        corp_predefault=PathEnsemble(grid, ones),
         gov_rates=gov_rates,
         corp_rates=corp_rates,
         seed=seed,
@@ -677,17 +666,17 @@ def thm1_residuals(
             f"window must lie in (0, {grid.horizon}] for the simulated hazard, got {window}"
         )
     rate_gap = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
-    beta = market.beta.series.mean(axis=0)
+    beta = market.beta
     if lambda_source == "simulated":
         # the times whose window [t, t+window] lies inside the grid
         at = np.flatnonzero(times + window <= grid.horizon + _WINDOW_TOL)
         tau = market.defaults.tau
         lam_hat, lam_se = _empirical_hazard(np.sort(tau[~np.isnan(tau)]), times[at], window)
-    elif market.defaults.lambda_paths is None:
+    elif market.defaults.hazard is None:
         raise ConfigurationError("market model carries no hazard")
     else:
         at = np.arange(times.size)
-        lam_hat, lam_se = market.defaults.lambda_paths[0], np.zeros(times.size)
+        lam_hat, lam_se = market.defaults.hazard, np.zeros(times.size)
     scale = beta[at] * market.lgd.deterministic_at(times[at])
     residual = rate_gap[at] - scale * lam_hat
     se = scale * lam_se
@@ -706,7 +695,7 @@ def thm1_residuals(
         i_t = grid.index_of(t)
         p_corp = float(market.corp_curve.price(t, s).mean())
         p_gov = float(market.gov.curve.price(t, s).mean())
-        d_corp = float(_corp_column(market, i_t)[alive].mean())
+        d_corp = float(_corp_deflator(market, i_t)[alive].mean())
         d_gov = float(np.broadcast_to(market.gov.deflator.series, shape)[alive, i_t].mean())
         lgd_t = float(market.lgd.deterministic_at(t))
         b_t = float(beta[i_t])

@@ -37,6 +37,7 @@ from .paths import (
     _Record,
     _ito_rows,
     _kernel_on_grid,
+    _mean_se,
     _path_slices,
     _se_gate,
     _symmetric_quotient,
@@ -124,24 +125,6 @@ def _quotient_block(x: np.ndarray, steps: np.ndarray, rates: np.ndarray):
     return a, least, total
 
 
-def _mean_se_in_place(a: np.ndarray):
-    """a.mean(axis=0) and _mean_se(a) bit for bit, in numpy's own order
-    (sum / n, subtract, square, sum / (n - 1), sqrt), with a overwritten by
-    its squared deviations."""
-    n = a.shape[0]
-    mean = a.sum(axis=0)
-    mean /= n
-    if n == 1:
-        return mean, np.zeros_like(mean)
-    a -= mean
-    np.square(a, out=a)
-    se = a.sum(axis=0)
-    se /= n - 1
-    np.sqrt(se, out=se)
-    se /= np.sqrt(n)
-    return mean, se
-
-
 # a non-finite statistic is reported as a NumericalError, not warned about
 @np.errstate(all="ignore")
 def curvature_components(gauges) -> CurvatureReport:
@@ -179,7 +162,7 @@ def curvature_components(gauges) -> CurvatureReport:
                     diagnostics={"label": g.label, "t": t},
                 )
             w[j, start:stop] = (total / n)[1:-1]
-            components[j, start:stop], component_se[j, start:stop] = _mean_se_in_place(a)
+            components[j, start:stop], component_se[j, start:stop] = _mean_se(a)
             del a  # before the next block allocates its own
     hi = np.argmax(components, axis=0)
     lo = np.argmin(components, axis=0)

@@ -197,8 +197,9 @@ def convolve(a: CashflowVector, b: CashflowVector) -> CashflowVector:
     dense = np.convolve(a.dense(), b.dense())
     offsets = np.nonzero(dense)[0]
     if offsets.size == 0:
-        # exact cancellation; keep a single zero weight at the combined front
-        offsets = np.array([int(a.offsets[0] + b.offsets[0])])
+        raise ConfigurationError(
+            "the convolution underflows to zero: no weight of the product is nonzero"
+        )
     return CashflowVector(a.step, offsets, dense[offsets])
 
 
@@ -462,8 +463,7 @@ def self_financing_residual(gauges: list[Gauge], strategy) -> SelfFinancingRepor
             + np.einsum("ptj,ptj->pt", dx_bwd, dD_bwd) / hm
         )
         resid[b] = dv - xd + 0.5 * cov_rate
-    mean = resid.mean(axis=0)
-    se = _mean_se(resid)
+    mean, se = _mean_se(resid)
     return SelfFinancingReport(t[1:-1], mean, se)
 
 

@@ -156,11 +156,11 @@ def _exp_moment(exponents: np.ndarray) -> tuple[float, float, TailDiagnostics | 
     An overflowed summand makes the estimate inf and counts as divergence
     evidence; the tail works on the exponents, so it stays meaningful.
     """
-    with np.errstate(over="ignore"):
-        summands = np.exp(exponents)
-        mean = float(summands.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se = (float(x) for x in _mean_se(np.exp(exponents)))
     finite = bool(np.isfinite(mean))
-    se = float(_mean_se(summands)) if finite and exponents.max() < _SE_MAX_EXPONENT else np.inf
+    if not (finite and exponents.max() < _SE_MAX_EXPONENT):
+        se = np.inf
     tail = tail_diagnostics(exponents) if exponents.size >= 20 else None
     verdict = tail.verdict if tail is not None else "finite_evidence"
     return (mean, se, tail, verdict) if finite else (np.inf, se, tail, "divergence_evidence")

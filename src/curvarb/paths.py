@@ -65,10 +65,23 @@ _PATH_BLOCK = 2048
 _GATE_SE = 3.0
 
 
-def _mean_se(x: np.ndarray):
-    """Standard error of the mean over the first axis; 0 with one sample."""
-    n = x.shape[0]
-    return x.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(x.shape[1:])
+def _mean_se(a: np.ndarray):
+    """a.mean(axis=0) and a.std(axis=0, ddof=1) / sqrt(n) bit for bit (SE 0
+    for one sample), in numpy's own order (sum / n, subtract, square,
+    sum / (n - 1), sqrt); for n > 1, a is overwritten by its squared deviations."""
+    n = a.shape[0]
+    mean = a.sum(axis=0)
+    mean /= n
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    a -= mean
+    np.square(a, out=a)
+    se = a.sum(axis=0)
+    se /= n - 1
+    # a 1-d a reduces to numpy scalars, which take no out=
+    se = np.sqrt(se)
+    se /= np.sqrt(n)
+    return mean, se
 
 
 def _se_gate(
@@ -667,7 +680,7 @@ class NelsonEstimator(_Record):
         x, y = self.states, self.quotients
         n = x.shape[0]
         if self.conditioning == "analytic" or np.all(self.bandwidth == 0):
-            return y.mean(axis=0), _mean_se(y), float(n)
+            return (*_mean_se(y.copy()), float(n))
         u = (x - point[None, :]) / self.bandwidth[None, :]
         logw = -0.5 * np.einsum("ij,ij->i", u, u)
         w = np.exp(logw - logw.max())
@@ -818,7 +831,7 @@ def conditional_bin_table(states: np.ndarray, samples: np.ndarray) -> dict:
     mean, se = np.empty(full.size), np.empty(full.size)
     for i, b in enumerate(full):
         d = samples[np.sort(order[cuts[b] : cuts[b + 1]])]
-        mean[i], se[i] = d.mean(), _mean_se(d)
+        mean[i], se[i] = _mean_se(d)
     count = (cuts[full + 1] - cuts[full]).astype(np.int64)
     return {"lo": qs_edges[full], "hi": qs_edges[full + 1], "count": count, "mean": mean, "se": se}
 
@@ -843,11 +856,15 @@ def read_ensemble(path: str | os.PathLike) -> PathEnsemble:
     raw = np.fromfile(path, dtype=np.float64)
     if raw.size < 5:
         raise ConfigurationError("ensemble file too short")
-    n_paths, n_times, dim = (int(round(x)) for x in raw[:3])
-    expected = 3 + n_times + n_paths * n_times * dim
-    if n_paths < 1 or n_times < 2 or dim < 1 or raw.size != expected:
+    head = raw[:3]  # three whole counts, none above the file's number of floats
+    if not np.all((head >= 1) & (head <= raw.size) & (head == np.floor(head))):
+        raise ConfigurationError(f"ensemble header {head.tolist()} is not three whole counts")
+    n_paths, n_times, dim = (int(x) for x in head)
+    expected, size = 8 * (3 + n_times + n_paths * n_times * dim), os.path.getsize(path)
+    if n_times < 2 or size != expected:
         raise ConfigurationError(
-            f"ensemble file is inconsistent (header says {n_paths}x{n_times}x{dim})"
+            f"ensemble file is inconsistent: header says {n_paths}x{n_times}x{dim}, "
+            f"which needs {expected} bytes; the file holds {size}"
         )
     grid = TimeGrid(raw[3 : 3 + n_times])
     values = raw[3 + n_times :].reshape(n_paths, n_times, dim)

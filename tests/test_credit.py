@@ -25,7 +25,7 @@ from curvarb.credit import (
     simulate_default,
     thm1_residuals,
 )
-from curvarb.credit import _corp_column, _intensity_default_times
+from curvarb.credit import _corp_deflator, _intensity_default_times
 from curvarb.errors import ConfigurationError, DomainError, EstimationError
 from curvarb.novikov import capped_lgd_driver
 from curvarb.paths import (
@@ -34,6 +34,7 @@ from curvarb.paths import (
     TAG_EXP,
     ItoSpec,
     TimeGrid,
+    _cumulative_trapezoid,
     _ito_blocks,
     simulate_brownian,
     simulate_ito,
@@ -305,7 +306,8 @@ def test_constructed_market_holds_one_deflator_array():
         tracemalloc.stop()
     defl = market.corp.deflator.series
     assert peak < 1.5 * defl.nbytes
-    expected = 1.0 - 0.4 * market.defaults.indicator
+    times, tau = market.grid.times, market.defaults.tau
+    expected = 1.0 - 0.4 * (times[None, :] >= tau[:, None])
     assert defl.tobytes() == expected.tobytes()
 
 
@@ -370,7 +372,7 @@ def test_thm1_simulated_hazard_counts_the_paths_alive_after_t():
     columns = thm1_residuals(tied, [], lambda_source="simulated", window=1.0).spread
     assert columns["t"].tolist() == grid.times[grid.times <= 9.0].tolist()
     spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
-    beta = market.beta.series.mean(axis=0)
+    beta = market.beta
     for i, (t, residual, se) in enumerate(zip(columns["t"], columns["residual"], columns["se"])):
         n_t, n_s = int(np.sum(tau > t)), int(np.sum(tau > t + 1.0))
         lam = float(-np.log(n_s / n_t) / 1.0)
@@ -404,13 +406,13 @@ def _reference_spread_rows(market, lambda_source, window):
     """thm1_residuals' spread rows computed one grid time at a time."""
     grid = market.grid
     spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
-    beta = market.beta.series.mean(axis=0)
+    beta = market.beta
     tau = market.defaults.tau
     ordered = np.sort(tau[~np.isnan(tau)])
     rows = []
     for i, t in enumerate(grid.times):
         if lambda_source == "model":
-            lam_hat, lam_se = float(market.defaults.lambda_paths[0, i]), 0.0
+            lam_hat, lam_se = float(market.defaults.hazard[i]), 0.0
         else:
             if t + window > grid.horizon + 1e-12:
                 continue
@@ -536,7 +538,7 @@ def test_derived_corp_deflator_equals_the_stored_array(lgd_value):
     stored = _stored_deflator(market, lgd_value)
     assert np.isfinite(market.defaults.tau).sum() > 100
     for i in range(market.grid.n_times):
-        assert _corp_column(market, i).tobytes() == stored[:, i].tobytes()
+        assert _corp_deflator(market, i).tobytes() == stored[:, i].tobytes()
     assert market.corp.deflator.series.tobytes() == stored.tobytes()
     assert market.corp is market.corp  # built once, then kept
     assert market.corp.curve is market.corp_curve
@@ -547,7 +549,7 @@ def test_replacing_the_lgd_keeps_the_construction_deflator():
     linked = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(0.1)))
     stored = _stored_deflator(market, 0.4)
     assert linked.corp.deflator.series.tobytes() == stored.tobytes()
-    assert _corp_column(linked, 40).tobytes() == stored[:, 40].tobytes()
+    assert _corp_deflator(linked, 40).tobytes() == stored[:, 40].tobytes()
 
 
 @pytest.mark.parametrize("lgd_value", [0.0, 0.4, 1.0])
@@ -556,7 +558,7 @@ def test_column_readers_match_the_stored_deflator_route(lgd_value):
     stored = _stored_deflator(market, lgd_value)
     grid, tau = market.grid, market.defaults.tau
     d_gov = np.broadcast_to(market.gov.deflator.series, stored.shape)
-    beta = market.beta.series.mean(axis=0)
+    beta = market.beta
     pairs = [(0.0, 5.0), (2.0, 4.0), (2.5, 5.0)]  # t = 2.0 is the node of the edge defaults
     reports = [thm1_residuals(market, pairs, lambda_source=source) for source in ("model", "simulated")]
     for k, (t, s) in enumerate(pairs):
@@ -618,12 +620,13 @@ def _broadcast_default_times(cum, times, thresholds):
 def test_one_row_default_times_equal_the_broadcast_route(lam):
     grid = TimeGrid.regular(5.0, 20)
     sample = simulate_default(IntensityModel(lam), grid, 1, seed=0)
-    lam_row, cum = sample.lambda_paths, sample.cumulative_hazard
-    assert cum.shape == (1, grid.n_times)
+    lam_row = sample.hazard
+    cum = _cumulative_trapezoid(lam_row, grid.steps)
+    assert lam_row.shape == cum.shape == (grid.n_times,)
     thresholds = np.concatenate(
         [
-            cum[0],  # every node's cumulative hazard, the first crossing exactly on it
-            cum[0, -1] + np.array([1e-12, 0.5, 40.0]),  # past the last node: no default
+            cum,  # every node's cumulative hazard, the first crossing exactly on it
+            cum[-1] + np.array([1e-12, 0.5, 40.0]),  # past the last node: no default
             reference_rows(7, TAG_EXP, range(2000), (), "standard_exponential"),
         ]
     )
@@ -653,18 +656,19 @@ def test_default_times_equal_a_per_threshold_scan(case):
     grid = TimeGrid.regular(5.0, 20)
     # a zero-hazard stretch puts repeated values, and so ties, in the row
     lam = lambda t: 0.3 * (t < 2.0) + 0.5 * (t > 3.0)  # noqa: E731
-    cum = simulate_default(IntensityModel(lam), grid, 1, seed=0).cumulative_hazard
+    hazard = simulate_default(IntensityModel(lam), grid, 1, seed=0).hazard
+    cum = _cumulative_trapezoid(hazard, grid.steps)
     rng = np.random.default_rng(3)
     thresholds = {
-        "interior": rng.uniform(0.0, cum[0, -1], 500),
-        "nodes": cum[0, rng.integers(0, grid.n_times, 500)],
-        "right_end": np.full(500, cum[0, -1]),
-        "outside": np.concatenate([np.zeros(5), cum[0, -1] + rng.random(250)]),
+        "interior": rng.uniform(0.0, cum[-1], 500),
+        "nodes": cum[rng.integers(0, grid.n_times, 500)],
+        "right_end": np.full(500, cum[-1]),
+        "outside": np.concatenate([np.zeros(5), cum[-1] + rng.random(250)]),
         "empty": np.empty(0),
     }[case]
     tau = _intensity_default_times(cum, grid.times, thresholds)
     assert tau.shape == thresholds.shape
-    assert tau.tobytes() == _scan_default_times(cum[0], grid.times, thresholds).tobytes()
+    assert tau.tobytes() == _scan_default_times(cum, grid.times, thresholds).tobytes()
     if case == "outside":
         assert (tau[:5] == 0.0).all() and np.isinf(tau[5:]).all()
     if case == "right_end":
@@ -678,7 +682,7 @@ def test_intensity_default_times_hit_their_thresholds():
     sample = simulate_default(IntensityModel(lambda t: 0.05 + 0.01 * t), grid, 20_000, seed=5)
     mask = sample.defaulted()
     assert 1000 < mask.sum() < mask.size
-    cum = sample.cumulative_hazard[0]
+    cum = _cumulative_trapezoid(sample.hazard, grid.steps)
     hit = np.interp(sample.tau[mask], grid.times, cum)
     assert hit == pytest.approx(sample.thresholds[mask], rel=1e-12)
     assert (sample.thresholds[~mask] > cum[-1]).all()
@@ -790,7 +794,7 @@ def test_ks_statistic_bit_equal_to_scipy():
         sample = simulate_default(IntensityModel(lam), grid, 5_000, seed=seed)
         stat, pvalue, n_def = cox_uniformity(sample)
         rows = np.nonzero(sample.defaulted())[0]
-        cum = sample.cumulative_hazard[0]
+        cum = _cumulative_trapezoid(sample.hazard, grid.steps)
         lam_tau = np.array([np.interp(tau, grid.times, cum) for tau in sample.tau[rows]])
         u = -np.expm1(-lam_tau) / -np.expm1(-cum[-1])
         reference = stats.kstest(u, "uniform")

@@ -142,6 +142,13 @@ def test_convolution_examples():
         convolve(ann, CashflowVector(0.3, np.array([0]), np.array([1.0])))
 
 
+def test_convolution_that_underflows_to_zero_is_rejected():
+    a = CashflowVector(0.5, np.array([0]), np.array([1e-200]))
+    b = CashflowVector(0.5, np.array([1]), np.array([1e-200]))
+    with pytest.raises(ConfigurationError, match="convolution underflows to zero"):
+        convolve(a, b)
+
+
 def test_transform_scales_deflator_by_cashflow_value():
     grid = TimeGrid.regular(1.0, 2)
     offsets = 0.5 * np.arange(6)

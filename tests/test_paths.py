@@ -71,6 +71,7 @@ from curvarb.paths import (
     _ito_rows,
     _keyed_rows,
     _legendre_rule,
+    _mean_se,
     _path_slices,
     _se_gate,
     _sorted_quantiles,
@@ -834,6 +835,31 @@ def test_bin_table_equals_the_reference_bit_for_bit(seed, bins, offset, law, dec
     assert got["count"].sum() == n
 
 
+@pytest.mark.bitexact
+@pytest.mark.parametrize("n", [1, 2, 3, 129, 4097])
+@pytest.mark.parametrize("layout", ["1d", "2d", "strided_1d", "strided_2d"])
+def test_mean_se_equals_numpy_mean_and_std_bit_for_bit(n, layout):
+    rng = np.random.default_rng(n)
+    # an offset far from zero makes the order of the deviation arithmetic show
+    big = 1e3 + rng.lognormal(size=(n, 6)) * rng.choice([-1.0, 1.0], size=(n, 6))
+    layouts = {"1d": big[:, 0].copy(), "2d": big.copy(), "strided_1d": big[:, 3]}
+    a = big[:, ::2] if layout == "strided_2d" else layouts[layout]
+    original = a.copy()
+    want_mean = original.mean(axis=0)
+    want_se = original.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(want_mean)
+    mean, se = _mean_se(a)
+    assert np.shape(mean) == np.shape(se) == original.shape[1:]
+    assert np.asarray(mean).tobytes() == np.asarray(want_mean).tobytes()
+    assert np.asarray(se).tobytes() == np.asarray(want_se).tobytes()
+    if n > 1:
+        # overwritten by the squared deviations from the mean
+        assert a.tobytes() == np.square(original - want_mean).tobytes()
+        if layout.startswith("strided"):
+            assert np.shares_memory(a, big)
+    else:
+        assert a.tobytes() == original.tobytes()
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -1068,6 +1094,29 @@ def test_truncated_binary_rejected(tmp_path):
     target.write_bytes(data[:-8])
     with pytest.raises(ConfigurationError):
         read_ensemble(target)
+
+
+@pytest.mark.parametrize(
+    "first, tail, message",
+    [
+        (np.nan, b"", "not three whole counts"),
+        (np.inf, b"", "not three whole counts"),
+        (2.5, b"", "not three whole counts"),
+        (1e300, b"", r"\[1e\+300, 3\.0, 1\.0\] is not three whole counts"),
+        (3.0, b"\x00\x00\x00", "needs 120 bytes; the file holds 123"),
+    ],
+    ids=["nan", "inf", "fractional", "huge", "stray_bytes"],
+)
+def test_malformed_binary_header_rejected(tmp_path, first, tail, message):
+    # 3 paths on 3 times in one dimension: 3 + 3 + 9 floats, 120 bytes
+    target = tmp_path / "ens.bin"
+    write_ensemble(target, simulate_brownian(TimeGrid.regular(1.0, 2), 3, seed=6))
+    data = bytearray(target.read_bytes())
+    data[:8] = np.float64(first).tobytes()
+    target.write_bytes(bytes(data) + tail)
+    with pytest.raises(ConfigurationError, match=message) as info:
+        read_ensemble(target)
+    assert len(str(info.value)) < 200
 
 
 # Every internal path family integrates keyed increments through paths._integrate
