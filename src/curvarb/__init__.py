@@ -30,7 +30,6 @@ _LAZY = {
     "credit": (
         "IntensityModel",
         "StructuralModel",
-        "LGDProcess",
         "DefaultSample",
         "CreditMarket",
         "CreditGauge",
@@ -44,7 +43,6 @@ _LAZY = {
         "credit_gauge",
         "thm1_residuals",
         "build_thm1_market",
-        "realized_lgd_at_default",
     ),
     "curvature": (
         "CurvatureReport",

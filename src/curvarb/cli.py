@@ -39,7 +39,6 @@ from .paths import (
     _kernel_on_grid,
     _se_gate,
     _write_csv,
-    replace,
 )
 
 # the analysis modules are imported by the functions that call them, so a
@@ -54,6 +53,8 @@ _CURVATURE_GATE_SE = 4.0
 _CURVATURE_GATE_ATOL = 1e-10
 
 OUTPUT_DIR_ENV = "CURVARB_OUTPUT_DIR"
+# time steps of the sharpe section's grid when it names none
+_SHARPE_STEPS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +294,19 @@ def _check_across(doc: dict, v: list) -> None:
                 v.append((f"{section}.pairs[{i}]", f"s = {s} exceeds grid.horizon {grid.horizon}"))
 
 
+def _check_grids(doc: dict, wanted: set, v: list) -> None:
+    """Build the time grids of a run; a horizon so small that its times
+    coincide is reported against its field."""
+    grids = {"grid.horizon": (doc["grid"]["horizon"], doc["grid"]["steps"])}
+    if "sharpe" in wanted:
+        sharpe = doc["sharpe"]
+        grids["sharpe.horizon"] = (sharpe["horizon"], sharpe.get("steps", _SHARPE_STEPS))
+    for field, (horizon, steps) in grids.items():
+        message = _fails(TimeGrid.regular, float(horizon), int(steps))
+        if message is not None:
+            v.append((field, message))
+
+
 def _fails(build, *args, **kwargs) -> str | None:
     """The message of the ConfigurationError that ``build`` raises, or None."""
     try:
@@ -351,6 +365,8 @@ def validate_scenario(doc: dict) -> list:
     wanted = {a for a in analyses if a in ANALYSES} if isinstance(analyses, list) else set()
     _check_object(doc, "", "", wanted, v)
     if not v:
+        _check_grids(doc, wanted, v)
+    if not v:
         _check_across(doc, v)
     if not v:
         _check_builds(doc, wanted, v)
@@ -365,6 +381,8 @@ def _grid(doc) -> TimeGrid:
     return TimeGrid.regular(float(doc["grid"]["horizon"]), int(doc["grid"]["steps"]))
 
 
+# a lattice that overflows holds inf, which the term-structure builds reject
+@np.errstate(over="ignore")
 def _offsets(doc) -> np.ndarray:
     # without an "offsets" section, the lattice build_thm1_market defaults to
     spec = doc.get("offsets", {})
@@ -566,12 +584,8 @@ def _run_novikov(doc, built):
     mc_est = None
     quad = None
     if mode in ("mc", "both"):
-        market = built["market"]
-        if capped:
-            from .credit import LGDProcess
-
-            market = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap)))
-        mc_est = novikov_mc(market, k)
+        rule = capped_lgd_driver(cap) if capped else None
+        mc_est = novikov_mc(built["market"], k, lgd_rule=rule)
         cols = ["estimate", "se", "n_used", "censored_fraction"]
         cols += ["tail_index", "ci_low", "ci_high", "k_used", "verdict"]
         # the estimate's own verdict overrides that of its tail
@@ -615,7 +629,7 @@ def _run_sharpe(doc, built):
         np.asarray(section["x"], dtype=np.float64),
         float(section["horizon"]),
         n_paths=int(section.get("n_paths", 1)),
-        steps=int(section.get("steps", 256)),
+        steps=int(section.get("steps", _SHARPE_STEPS)),
         seed=int(doc["seed"]),
     )
     expected = section.get("expected")

@@ -7,9 +7,9 @@ grid nodes.  Intensity (Cox) models default when the integrated hazard first
 exceeds an independent unit-exponential threshold: the default time carries no
 announcement and lands between nodes via linear interpolation of the
 piecewise-linear cumulative hazard (exact for piecewise-constant hazards).
-The hazard is a deterministic function of time, and so is the loss given
-default outside the integrability module's driver-linked stress rules: the
-holonomy identities read both at grid times.
+The hazard is a deterministic function of time and the loss given default
+is one number per market: the holonomy identities read the hazard at grid
+times.
 
 Test markets are built directly under the pricing measure, so plain ensemble
 averages play the role of risk-neutral expectations and the pricing kernel of
@@ -52,7 +52,6 @@ from .paths import (
 __all__ = [
     "IntensityModel",
     "StructuralModel",
-    "LGDProcess",
     "DefaultSample",
     "CreditMarket",
     "CreditGauge",
@@ -66,7 +65,6 @@ __all__ = [
     "credit_gauge",
     "thm1_residuals",
     "build_thm1_market",
-    "realized_lgd_at_default",
 ]
 
 # callable hazards are integrated on _HAZARD_PANELS equal panels of
@@ -134,34 +132,6 @@ class StructuralModel(_Record):
             raise ConfigurationError("structural equity must be one-dimensional with one driver")
         if float(self.equity.x0[0]) <= self.barrier:
             raise ConfigurationError("equity must start strictly above the barrier")
-
-
-class LGDProcess(_Record):
-    """Loss given default in [0, 1].
-
-    kind "constant" uses value; "deterministic" uses fn(t); "driver_linked"
-    evaluates fn(t, w) on the driving Brownian state at default (used by
-    stress families in the integrability module).
-    """
-
-    kind: str = "constant"
-    value: float = 0.0
-    fn: Callable | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "deterministic", "driver_linked"):
-            raise ConfigurationError(f"unknown LGD kind {self.kind!r}")
-        if self.kind == "constant" and not 0.0 <= self.value <= 1.0:
-            raise ConfigurationError("constant LGD must lie in [0, 1]")
-        if self.kind in ("deterministic", "driver_linked") and self.fn is None:
-            raise ConfigurationError("deterministic/driver_linked LGD needs fn")
-
-    def deterministic_at(self, t: float | np.ndarray):
-        if self.kind == "constant":
-            return np.broadcast_to(self.value, np.shape(t)) if np.ndim(t) else self.value
-        if self.kind == "deterministic":
-            return np.clip(np.vectorize(self.fn, otypes=[np.float64])(t), 0.0, 1.0)
-        raise ConfigurationError(f"LGD kind {self.kind!r} is not deterministic")
 
 
 class DefaultSample(_Record):
@@ -376,6 +346,11 @@ def default_probability(
 # Markets, bonds, credit gauge
 
 
+def _check_lgd(lgd) -> None:
+    if not (isinstance(lgd, numbers.Real) and 0.0 <= lgd <= 1.0):  # NaN fails too
+        raise ConfigurationError(f"LGD must be a real number in [0, 1], not {lgd!r}")
+
+
 class CreditMarket(_Record):
     """A government/corporate gauge pair with its default scenery.
 
@@ -384,21 +359,22 @@ class CreditMarket(_Record):
 
     beta is the deterministic pricing kernel on the grid, shape (n_times,).
 
-    The corporate gauge corp pairs corp_curve with the deflator
-    1 - deflator_lgd * 1{t >= tau} on the default times, built on the first
-    read of corp and then kept.  deflator_lgd is the LGD the market was
-    built with; replacing lgd does not change it.
+    lgd is the loss given default, a real number in [0, 1].  The corporate
+    gauge corp pairs corp_curve with the deflator 1 - lgd * 1{t >= tau} on
+    the default times, built on the first read of corp and then kept.
     """
 
     gov: Gauge
     corp_curve: TermStructureSurface
-    lgd: LGDProcess
-    deflator_lgd: float
+    lgd: float
     beta: np.ndarray
     defaults: DefaultSample
     gov_rates: np.ndarray
     corp_rates: np.ndarray
     seed: int = 0
+
+    def __post_init__(self):
+        _check_lgd(self.lgd)
 
     @property
     def grid(self) -> TimeGrid:
@@ -414,18 +390,7 @@ def _corp_deflator(market: CreditMarket, i: int | slice) -> np.ndarray:
     """The corporate deflator from tau at grid node(s) i: (n_paths,) at one
     node, (n_paths, k) at a slice of k."""
     at = np.less_equal.outer(market.defaults.tau, market.grid.times[i])
-    return np.where(at, 1.0 - market.deflator_lgd, 1.0)
-
-
-def realized_lgd_at_default(market: CreditMarket) -> np.ndarray:
-    """Per-path loss given default read off at the default time (nan if none)."""
-    if market.lgd.kind == "driver_linked":
-        raise ConfigurationError("driver_linked LGD is realized by the caller")
-    tau = market.defaults.tau
-    out = np.full(tau.size, np.nan)
-    rows = np.nonzero(market.defaults.defaulted())[0]
-    out[rows] = np.asarray(market.lgd.deterministic_at(tau[rows]), dtype=np.float64)
-    return out
+    return np.where(at, 1.0 - market.lgd, 1.0)
 
 
 class BondPrice(_Record):
@@ -439,7 +404,7 @@ def corporate_bond_price(
 ) -> BondPrice:
     """Defaultable zero-coupon price by ensemble average.
 
-    With terminal normalization the payoff is 1 - LGD_tau on default before s
+    With terminal normalization the payoff is 1 - LGD on default before s
     and 1 otherwise, averaged over paths alive at t.  With "deflator"
     normalization the payoff is the corporate deflator at s over its
     value at t, which prices the bond off the market's own bookkeeping; on a
@@ -451,10 +416,9 @@ def corporate_bond_price(
     _check_sampled(sample, s)
     alive, n_alive = _survivors(sample, t, 2, "no survivors at t")
     if normalization == "terminal":
-        lgd = realized_lgd_at_default(market)
         hit = (sample.tau > t) & (sample.tau <= s)
         payoff = np.ones(sample.n_paths)
-        payoff[hit] = 1.0 - lgd[hit]
+        payoff[hit] = 1.0 - market.lgd
         vals = payoff[alive]
     else:
         # alive paths only: a path dead at t holds a zero deflator under LGD 1
@@ -501,10 +465,9 @@ def credit_gauge(market: CreditMarket) -> CreditGauge:
     # bookkeeping at default nodes: the credit deflator right after default is
     # (1 - LGD) times the unit pre-default corporate value, minus the government deflator
     sample = market.defaults
-    lgd = realized_lgd_at_default(market)
     p = np.nonzero(sample.defaulted())[0]
     i = np.searchsorted(market.grid.times, sample.tau[p])  # the deflator jumps at times >= tau
-    expected = (1.0 - lgd[p]) - d_gov[p, i]
+    expected = (1.0 - market.lgd) - d_gov[p, i]
     jump_dev = np.max(np.abs(deflator.series[p, i] - expected), initial=0.0)
     return CreditGauge(deflator, curve, f, r, float(check), float(jump_dev))
 
@@ -568,11 +531,9 @@ def build_thm1_market(
     the corporate surface (and to the recorded corporate short rate), which
     breaks the construction on purpose.
     """
-    if not 0.0 <= lgd_value <= 1.0:
-        raise ConfigurationError("LGD must lie in [0, 1]")
+    _check_lgd(lgd_value)
     grid = TimeGrid.regular(horizon, steps)
     sample = simulate_default(IntensityModel(lam), grid, n_paths, seed)
-    lgd = LGDProcess("constant", value=lgd_value)
     times = grid.times
     offsets = offset_step * np.arange(n_offsets)
     gov_curve, corp_curve, beta = _thm1_curves(
@@ -584,8 +545,7 @@ def build_thm1_market(
     return CreditMarket(
         gov=gov,
         corp_curve=corp_curve,
-        lgd=lgd,
-        deflator_lgd=lgd_value,
+        lgd=lgd_value,
         beta=beta,
         defaults=sample,
         gov_rates=gov_rates,
@@ -677,7 +637,7 @@ def thm1_residuals(
     else:
         at = np.arange(times.size)
         lam_hat, lam_se = market.defaults.hazard, np.zeros(times.size)
-    scale = beta[at] * market.lgd.deterministic_at(times[at])
+    scale = beta[at] * market.lgd
     residual = rate_gap[at] - scale * lam_hat
     se = scale * lam_se
     z, within = _se_gate(residual, se, atol=_SPREAD_ATOL)
@@ -697,7 +657,7 @@ def thm1_residuals(
         p_gov = float(market.gov.curve.price(t, s).mean())
         d_corp = float(_corp_deflator(market, i_t)[alive].mean())
         d_gov = float(np.broadcast_to(market.gov.deflator.series, shape)[alive, i_t].mean())
-        lgd_t = float(market.lgd.deterministic_at(t))
+        lgd_t = float(market.lgd)
         b_t = float(beta[i_t])
         lhs = p_corp * d_corp - p_gov * d_gov
         p_cred = p_corp / p_gov

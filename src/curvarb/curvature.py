@@ -314,11 +314,18 @@ def novikov_sharpe(
     is evaluated once, on one row, and its exponent stands for every one of
     the n_paths, so nothing is simulated.  A vanishing portfolio volatility
     anywhere is a hard error: the Sharpe ratio is undefined there, not merely
-    large.  n_used is n_paths.
+    large.  n_used is n_paths.  The ratio does not change when x is scaled,
+    so x is first divided by its largest |entry| (a one-asset x becomes
+    exactly +-1), and each row of x alpha and x sigma is scaled by a power of
+    two, exactly, so that the ratio neither overflows nor underflows on the
+    way.  A ratio that overflows all the same is read as infinite.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != spec.dim:
         raise ConfigurationError("x must be a vector with one weight per asset")
+    top = np.max(np.abs(x))
+    if top > 0:
+        x = x / top
     if n_paths < 1:
         raise ConfigurationError("need n_paths >= 1")
     grid = TimeGrid.regular(horizon, steps)
@@ -337,6 +344,10 @@ def novikov_sharpe(
         s = spec.eval_sigma(t, st, k)
         num = a @ x
         sx = np.einsum("pnk,n->pk", s, x)
+        # the same exact step per row: the power of two that brings the
+        # largest |x sigma| into [0.5, 1) keeps |x sigma|^2 in float range
+        e = -np.frexp(np.max(np.abs(sx), axis=1))[1]
+        sx = np.ldexp(sx, e[:, None])
         den = np.sum(sx * sx, axis=1)
         bad = den <= 0
         if np.any(bad):
@@ -345,10 +356,13 @@ def novikov_sharpe(
                 "portfolio volatility vanishes",
                 diagnostics={"time_index": i, "paths": int(bad.sum()) * (n_paths // rows)},
             )
-        ratio_sq[:, i] = num * num / den
+        with np.errstate(over="ignore"):
+            num = np.ldexp(num, e)
+            ratio_sq[:, i] = num * num / den
     if spec.constant:
         ratio_sq[:, 1:] = ratio_sq[:, :1]
-    exponents = 0.5 * np.trapezoid(ratio_sq, times, axis=1)
+    with np.errstate(over="ignore"):  # an integral past float range reads inf
+        exponents = 0.5 * np.trapezoid(ratio_sq, times, axis=1)
     if rows < n_paths:
         exponents = np.full(n_paths, exponents[0])
     estimate, se, tail, verdict = _exp_moment(exponents)

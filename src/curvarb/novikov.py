@@ -66,12 +66,11 @@ _TIE_ULPS = 16
 _SE_MAX_EXPONENT = 350.0
 _CAP_U_MAX = 2.0
 
-# Quadrature rule: Gauss-Legendre nodes in default time and in LGD, geometric
-# panels in the chi-square direction; the cutoff ladder stops after two steps
-# below _REL_TOL in the log integral, and growth beyond
-# _CERTIFICATE_LOG_GROWTH certifies divergence
+# Quadrature rule: Gauss-Legendre nodes in default time, geometric panels in
+# the chi-square direction; the cutoff ladder stops after two steps below
+# _REL_TOL in the log integral, and growth beyond _CERTIFICATE_LOG_GROWTH
+# certifies divergence
 _T_NODES = 64
-_L_NODES = 24
 _Q_PANELS_PER_DECADE = 12
 _Q_NODES_PER_PANEL = 24
 _REL_TOL = 1e-4
@@ -179,7 +178,7 @@ class NovikovEstimate(_Record):
 
 
 def novikov_mc(
-    market: CreditMarket, k: int, q_form: str = "consistent"
+    market: CreditMarket, k: int, q_form: str = "consistent", lgd_rule: Callable | None = None
 ) -> NovikovEstimate:
     """Average the integrability summand over the market's default sample.
 
@@ -187,9 +186,11 @@ def novikov_mc(
     default thresholds, only at the default time, where given tau it is
     exactly N(0, tau I_k): one row of k normals is drawn for every path and
     each defaulted path keeps its own, scaled by sqrt(tau), so no path and
-    no time grid is built.  A driver_linked LGD rule is called once, on all
-    defaulted paths: fn(t, w) with t of shape (n,) and w of shape (n, k)
-    returns the n losses.
+    no time grid is built.  The loss is the market's LGD unless a stress
+    rule lgd_rule is given (an integrability device, such as
+    capped_lgd_driver): it is called once, on all defaulted paths, and
+    lgd_rule(t, w) with t of shape (n,) and w of shape (n, k) returns the n
+    losses.
     Paths that never default inside the horizon are censored and excluded;
     the estimate is the conditional expectation given default before the
     horizon, which is what the quadrature cross-check integrates when its
@@ -214,19 +215,18 @@ def novikov_mc(
     q = np.sum(w_tau * w_tau, axis=1) / tau_d
     if q_form == "printed":
         q = np.sqrt(q)
-    if market.lgd.kind == "driver_linked":
-        l = np.asarray(market.lgd.fn(tau_d, w_tau), dtype=np.float64)
+    if lgd_rule is None:
+        l = market.lgd
+    else:
+        l = np.asarray(lgd_rule(tau_d, w_tau), dtype=np.float64)
         if l.shape != tau_d.shape:
             raise ConfigurationError(
-                "a driver_linked LGD rule must map t (n,) and w (n, k) to n values"
+                "an LGD rule must map t (n,) and w (n, k) to n values"
             )
-    else:
-        from .credit import realized_lgd_at_default
-
-        l = realized_lgd_at_default(market)[mask]
-    if np.any((l < 0) | (l >= 2)):
-        raise ConfigurationError("LGD values must lie in [0, 2) for the summand")
-    coef = (2.0 * l / (2.0 - l)) ** 2
+        if np.any((l < 0) | (l >= 2)):
+            raise ConfigurationError("LGD values must lie in [0, 2) for the summand")
+    u = 2.0 * l / (2.0 - l)
+    coef = u * u  # one rounding for a scalar LGD too, as numpy squares arrays
     with np.errstate(divide="ignore"):
         exponents = coef * tau_d / q
     estimate, se, tail, verdict = _exp_moment(exponents)
@@ -244,17 +244,15 @@ class DensitySpec(_Record):
 
     tau_pdf is a density on [0, t_max]; the chi-square degrees of freedom k
     set the law of the normalized driver norm.  Loss given default enters as
-    exactly one of a point mass (lgd_value), a density on lgd_support
-    (lgd_pdf), or a deterministic function of time and the chi-square value
-    (lgd_given_tq), the last matching driver-linked Monte Carlo sceneries.
+    exactly one of a point mass (lgd_value) or a deterministic function of
+    time and the chi-square value (lgd_given_tq), the latter matching Monte
+    Carlo runs under an LGD rule such as capped_lgd_driver.
     """
 
     k: int
     tau_pdf: Callable
     t_max: float
     lgd_value: float | None = None
-    lgd_pdf: Callable | None = None
-    lgd_support: tuple = (0.0, 1.0)
     lgd_given_tq: Callable | None = None
     q_form: str = "consistent"
 
@@ -265,27 +263,17 @@ class DensitySpec(_Record):
             raise ConfigurationError("t_max must be positive")
         if self.q_form not in _Q_FORMS:
             raise ConfigurationError(f"unknown q_form {self.q_form!r}")
-        provided = sum(
-            x is not None for x in (self.lgd_value, self.lgd_pdf, self.lgd_given_tq)
-        )
-        if provided != 1:
-            raise ConfigurationError(
-                "provide exactly one of lgd_value, lgd_pdf, lgd_given_tq"
-            )
+        if (self.lgd_value is None) == (self.lgd_given_tq is None):
+            raise ConfigurationError("provide exactly one of lgd_value, lgd_given_tq")
         if self.lgd_value is not None and not 0.0 <= self.lgd_value < 2.0:
             raise ConfigurationError("lgd_value must lie in [0, 2)")
-        # the masses on the nodes the quadrature route integrates on
-        for what, pdf, (lo, hi), n in (
-            ("tau", self.tau_pdf, (0.0, self.t_max), _T_NODES),
-            ("LGD", self.lgd_pdf, self.lgd_support, _L_NODES),
-        ):
-            if pdf is not None:
-                x, w = _gauss_legendre(lo, hi, n)
-                mass = float(np.dot(np.asarray(pdf(x), dtype=np.float64), w))
-                if abs(mass - 1.0) > 1e-6:
-                    raise ConfigurationError(
-                        f"{what} density integrates to {mass:.8f}, not 1 within 1e-6"
-                    )
+        # the mass on the nodes the quadrature route integrates on
+        x, w = _gauss_legendre(0.0, self.t_max, _T_NODES)
+        mass = float(np.dot(np.asarray(self.tau_pdf(x), dtype=np.float64), w))
+        if abs(mass - 1.0) > 1e-6:
+            raise ConfigurationError(
+                f"tau density integrates to {mass:.8f}, not 1 within 1e-6"
+            )
 
     @classmethod
     def truncated_exponential(
@@ -316,7 +304,8 @@ def capped_lgd_tq(cap: float = 0.1) -> Callable:
         raise ConfigurationError("need cap > 0")
 
     def rule(t, q):
-        u = np.minimum(_CAP_U_MAX, np.sqrt(cap * np.asarray(q) / t))
+        with np.errstate(over="ignore"):  # cap q / t past float range: u is capped
+            u = np.minimum(_CAP_U_MAX, np.sqrt(cap * np.asarray(q) / t))
         return 2.0 * u / (2.0 + u)
 
     return rule
@@ -381,14 +370,6 @@ def novikov_quadrature(density: DensitySpec, halvings: int = 20) -> QuadratureRe
     q_min = min(chi2_ppf(k, 0.01), q_max / 100.0)
     t_x, t_w = _gauss_legendre(0.0, density.t_max, _T_NODES)
     log_t = _log_masses(density.tau_pdf, t_x, t_w)
-    # (t, LGD, q) table; the LGD axis has one node for a point mass and for
-    # lgd_given_tq, which sets the LGD at each (t, q) node
-    log_l = np.zeros(1)
-    if density.lgd_pdf is not None:
-        l_x, l_w = _gauss_legendre(*density.lgd_support, _L_NODES)
-        log_l = _log_masses(density.lgd_pdf, l_x, l_w)
-    elif density.lgd_value is not None:
-        l_x = np.array([density.lgd_value])
 
     def level_log_value(q_min: float) -> float:
         decades = np.log10(q_max / q_min)
@@ -398,12 +379,14 @@ def novikov_quadrature(density: DensitySpec, halvings: int = 20) -> QuadratureRe
         q_x, q_w = q_x.ravel(), q_w.ravel()
         log_q = chi2_logpdf(k, q_x) + np.log(q_w)
         q_eff = np.sqrt(q_x) if density.q_form == "printed" else q_x
+        # (t, q) table; lgd_given_tq sets the LGD at each node
         if density.lgd_given_tq is None:
-            l = l_x[None, :, None]
+            l = density.lgd_value
         else:
-            l = np.clip(density.lgd_given_tq(t_x[:, None, None], q_x[None, None, :]), 0.0, 1.999)
-        expo = (2.0 * l / (2.0 - l)) ** 2 * (t_x[:, None, None] / q_eff[None, None, :])
-        return _logsumexp(log_t[:, None, None] + log_l[None, :, None] + log_q + expo)
+            l = np.clip(density.lgd_given_tq(t_x[:, None], q_x[None, :]), 0.0, 1.999)
+        u = 2.0 * l / (2.0 - l)
+        expo = u * u * (t_x[:, None] / q_eff[None, :])
+        return _logsumexp(log_t[:, None] + log_q + expo)
 
     trace = []
     small_steps = 0
@@ -419,5 +402,6 @@ def novikov_quadrature(density: DensitySpec, halvings: int = 20) -> QuadratureRe
     monotone = bool(np.all(np.diff([v for _, v in trace]) >= -_REL_TOL))
     growth = log_value - trace[0][1]
     diverged = not converged and monotone and growth > _CERTIFICATE_LOG_GROWTH
-    value = float(np.exp(log_value)) if converged else np.inf
+    with np.errstate(over="ignore"):  # a converged value past float range reads inf
+        value = float(np.exp(log_value)) if converged else np.inf
     return QuadratureResult(converged, diverged, value, float(log_value), trace)

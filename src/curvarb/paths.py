@@ -90,17 +90,19 @@ def _se_gate(
     """Elementwise |z| of residuals and whether |residual| <= max(k * se, atol).
 
     With a zero standard error z is 0 for a residual within atol, else inf;
-    a NaN standard error is never within.
+    a NaN standard error is never within, and a z past float range is inf.
     """
     r, se = np.abs(residual), np.asarray(se, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = np.where(se > 0, r / se, np.where(r > atol, np.inf, 0.0))
-    return z, r <= np.maximum(k * se, atol)
+        return z, r <= np.maximum(k * se, atol)
 
 
+@np.errstate(over="ignore")
 def _cumulative_trapezoid(y: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Trapezoid integral of y from the first node to every node along the
-    last axis; steps holds the node spacings."""
+    last axis; steps holds the node spacings.  An integral past float range
+    reads inf, without a warning."""
     out = np.zeros(y.shape)
     # one temporary, scaled in place in the order of 0.5 * (y1 + y0) * steps
     area = y[..., 1:] + y[..., :-1]
@@ -217,7 +219,10 @@ class TimeGrid(_Record):
     def regular(cls, horizon: float, steps: int) -> "TimeGrid":
         if steps < 1 or horizon <= 0:
             raise ConfigurationError("need steps >= 1 and horizon > 0")
-        return cls(np.linspace(0.0, float(horizon), steps + 1))
+        # near float max the last time may overflow before linspace sets it
+        # to the horizon
+        with np.errstate(over="ignore"):
+            return cls(np.linspace(0.0, float(horizon), steps + 1))
 
     @property
     def n_times(self) -> int:
@@ -522,12 +527,12 @@ def _first_row_if_shared(v: np.ndarray) -> np.ndarray:
     return v[:1] if v.shape[0] and v.strides[0] == 0 else v
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate(spec: ItoSpec, grid: TimeGrid, dw: np.ndarray, out=None) -> np.ndarray:
     """(rows, n_times, dim) Ito paths of spec driven by the Brownian increments
     dw, shaped (rows, n_times - 1, k), into out if given; dw is only read.  An
-    overflow leaves inf, not a warning, for the caller's finiteness check to
-    report.
+    overflow leaves inf, or NaN where two overflows cancel, not a warning,
+    for the caller's finiteness check to report.
 
     Each step is (level + a dt) + noise, on the level for the arithmetic form
     and on the log level for the geometric one.  Constant coefficients are

@@ -16,7 +16,6 @@ delivers, and the bridge-corrected estimator removes the bias entirely.
 import functools
 import os
 import time
-from curvarb import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from scipy import stats
 from curvarb.cli import bundled_scenarios, main
 from curvarb.credit import (
     IntensityModel,
-    LGDProcess,
     StructuralModel,
     build_thm1_market,
     corporate_bond_price,
@@ -328,8 +326,7 @@ def test_10_novikov_divergence(novikov_market):
 @pytest.mark.acceptance(criterion=11, label="integrability cross-validation, capped LGD")
 def test_11_novikov_cross_validation(novikov_market):
     start = time.perf_counter()
-    capped = replace(novikov_market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(0.1)))
-    mc = novikov_mc(capped, 4)
+    mc = novikov_mc(novikov_market, 4, lgd_rule=capped_lgd_driver(0.1))
     density = DensitySpec.truncated_exponential(
         0.02, horizon=30.0, k=4, lgd_given_tq=capped_lgd_tq(0.1)
     )

@@ -1,5 +1,6 @@
 """Scenario runner: validation messages, exit codes, reproducible outputs."""
 
+import contextlib
 import csv
 import hashlib
 import importlib
@@ -8,15 +9,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import curvarb
 import curvarb.paths
 from curvarb.cli import (
+    _is_number,
     bundled_scenarios,
     load_scenario,
     main,
@@ -534,6 +538,7 @@ def test_version_and_scenarios_commands(capsys):
 _DELETED = [
     "realized_covariation", "CovariationResult", "martingale_residual", "MartingaleResidual",
     "covariation_rates", "nelson_default_derivative", "implied_intensity", "ImpliedIntensity",
+    "LGDProcess", "realized_lgd_at_default",
 ]
 
 
@@ -1014,6 +1019,97 @@ def test_validate_clean_implies_run_reads_its_inputs(
     scen = root / "extremes.json"
     scen.write_text(json.dumps(doc))
     assert main(["run", str(scen), "--out", str(root / "o")]) != 2
+
+
+def _numeric_leaves(node, path=()):
+    """The key paths of the numbers in a scenario document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if _is_number(node) else []
+    return [leaf for key, value in items for leaf in _numeric_leaves(value, path + (key,))]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# sizes are never set free; paths and steps above these caps are drawn anew
+_SIZES = ("n_paths", "steps", "count", "k")
+_SIZE_CAPS = {"n_paths": 400, "steps": 40}
+_FREE_NUMBERS = {
+    int: st.integers(-(1 << 64), 1 << 64),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """A bundled scenario with small sizes and up to three of its other
+    numbers replaced by arbitrary finite ones."""
+    doc = load_scenario(draw(st.sampled_from(bundled_scenarios())))
+    leaves = _numeric_leaves(doc)
+    changes = [
+        (leaf, draw(st.integers(2, _SIZE_CAPS[leaf[-1]])))
+        for leaf in leaves
+        if leaf[-1] in _SIZE_CAPS and _at(doc, leaf) > _SIZE_CAPS[leaf[-1]]
+    ]
+    free = [leaf for leaf in leaves if leaf[-1] not in _SIZES]
+    for leaf in draw(st.lists(st.sampled_from(free), max_size=3, unique=True)):
+        changes.append((leaf, draw(_FREE_NUMBERS[type(_at(doc, leaf))])))
+    for (*parents, key), value in changes:
+        _at(doc, parents)[key] = value
+    return doc
+
+
+def _small(name, changes):
+    """A bundled scenario at the strategy's sizes, with the numbers at the
+    key paths of changes set."""
+    doc = load_scenario(name)
+    for leaf in _numeric_leaves(doc):
+        if leaf[-1] in _SIZE_CAPS:
+            changes = {leaf: min(_at(doc, leaf), _SIZE_CAPS[leaf[-1]]), **changes}
+    for (*parents, key), value in changes.items():
+        _at(doc, parents)[key] = value
+    return doc
+
+
+# each example warned, or failed internally, before its fix
+@example(_small("flat_market", {("sharpe", "drift"): 1e300}))
+@example(_small("flat_market", {("sharpe", "x", 0): 1e300}))
+@example(_small("flat_market", {("sharpe", "sigma"): 2.7e154}))
+@example(
+    _small("flat_market", {("sharpe", "horizon"): sys.float_info.max, ("sharpe", "steps"): 3})
+)
+@example(_small("flat_market", {("assets", 0, "sigma"): 1.79e308}))
+@example(_small("thm1_constructed", {("offsets", "step"): 1e307}))
+@example(_small("thm1_constructed", {("grid", "horizon"): 5e-324}))
+@example(_small("thm1_constructed", {("credit", "lambda"): 1e308}))
+@example(_small("thm1_constructed", {("credit", "lambda"): 50.0, ("price", "expected", 0): 1e300}))
+@example(_small("novikov_capped", {("novikov", "cap"): 2170.0}))
+@example(_small("novikov_capped", {("novikov", "cap"): 1e307}))
+@settings(max_examples=300, deadline=None)
+@given(_mutated_scenarios())
+def test_a_validated_scenario_runs_without_warnings(doc):
+    """Neither validate nor run warns, and run never fails internally on a
+    scenario that validates: it passes (0), fails a check (1) or reports a
+    numerical failure (3)."""
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as root, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if validate_scenario(doc):
+            return
+        scen = os.path.join(root, "mutated.json")
+        with open(scen, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stderr(stderr):
+            code = main(["run", scen, "--out", os.path.join(root, "out")])
+    assert code in (0, 1, 3), stderr.getvalue()
+    assert "internal error" not in stderr.getvalue(), stderr.getvalue()
 
 
 def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):

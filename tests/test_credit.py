@@ -14,20 +14,17 @@ from curvarb import _laws
 from curvarb.credit import (
     BondPrice,
     IntensityModel,
-    LGDProcess,
     StructuralModel,
     build_thm1_market,
     corporate_bond_price,
     cox_uniformity,
     credit_gauge,
     default_probability,
-    realized_lgd_at_default,
     simulate_default,
     thm1_residuals,
 )
 from curvarb.credit import _corp_deflator, _intensity_default_times
 from curvarb.errors import ConfigurationError, DomainError, EstimationError
-from curvarb.novikov import capped_lgd_driver
 from curvarb.paths import (
     TAG_BRIDGE,
     TAG_DRIVER,
@@ -425,7 +422,7 @@ def _reference_spread_rows(market, lambda_source, window):
                 )
             lam_hat = float(-np.log(n_s / n_t) / window)
             lam_se = float(np.sqrt(max(1.0 / n_s - 1.0 / n_t, 0.0)) / window)
-        lgd_t = market.lgd.deterministic_at(t)
+        lgd_t = market.lgd
         residual = float(spread[i] - beta[i] * lgd_t * lam_hat)
         se = float(beta[i] * lgd_t * lam_se)
         r = abs(residual)
@@ -435,20 +432,20 @@ def _reference_spread_rows(market, lambda_source, window):
     return rows
 
 
-# a rule whose first value is the int 0 must not make the whole LGD row integral
-DETERMINISTIC_LGD = {"linear": lambda t: 0.3 + 0.02 * t, "step": lambda t: 0 if t < 1 else 0.5}
+# an LGD given as the int 0 or 1 must not make the spread rows integral
+REPLACED_LGD = {"replaced": 0.25, "int-0": 0, "int-1": 1}
 
 
 @pytest.mark.bitexact
 @pytest.mark.parametrize("window", [1.0, 2.5])
-@pytest.mark.parametrize("lgd", ["constant", *DETERMINISTIC_LGD])
+@pytest.mark.parametrize("lgd", ["constant", *REPLACED_LGD])
 @pytest.mark.parametrize("lambda_source", ["model", "simulated"])
 def test_thm1_spread_rows_equal_the_per_time_reference(lambda_source, lgd, window):
     market = build_thm1_market(
         0.05, 0.4, horizon=10.0, steps=40, n_paths=5000, seed=19, gov_rate=0.01
     )
-    if lgd in DETERMINISTIC_LGD:
-        market = replace(market, lgd=LGDProcess("deterministic", fn=DETERMINISTIC_LGD[lgd]))
+    if lgd in REPLACED_LGD:
+        market = replace(market, lgd=REPLACED_LGD[lgd])
     columns = thm1_residuals(market, [], lambda_source=lambda_source, window=window).spread
     reference = _reference_spread_rows(market, lambda_source, window)
     assert_columns_equal_rows(columns, reference)
@@ -544,12 +541,14 @@ def test_derived_corp_deflator_equals_the_stored_array(lgd_value):
     assert market.corp.curve is market.corp_curve
 
 
-def test_replacing_the_lgd_keeps_the_construction_deflator():
+def test_replacing_the_lgd_moves_the_deflator():
+    # a market has one LGD: the corporate deflator follows it
     market = build_thm1_market(0.05, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=3)
-    linked = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(0.1)))
-    stored = _stored_deflator(market, 0.4)
-    assert linked.corp.deflator.series.tobytes() == stored.tobytes()
-    assert _corp_deflator(linked, 40).tobytes() == stored[:, 40].tobytes()
+    replaced = replace(market, lgd=0.2)
+    stored = _stored_deflator(market, 0.2)
+    assert replaced.corp.deflator.series.tobytes() == stored.tobytes()
+    assert _corp_deflator(replaced, 40).tobytes() == stored[:, 40].tobytes()
+    assert market.corp.deflator.series.tobytes() == _stored_deflator(market, 0.4).tobytes()
 
 
 @pytest.mark.parametrize("lgd_value", [0.0, 0.4, 1.0])
@@ -567,7 +566,7 @@ def test_column_readers_match_the_stored_deflator_route(lgd_value):
         p_corp = float(market.corp_curve.price(t, s).mean())
         p_gov = float(market.gov.curve.price(t, s).mean())
         lhs = p_corp * float(stored[alive, i_t].mean()) - p_gov * float(d_gov[alive, i_t].mean())
-        scale = float(beta[i_t]) * float(market.lgd.deterministic_at(t))
+        scale = float(beta[i_t]) * float(market.lgd)
         general = lhs + scale * float((tau[alive] <= s).mean())
         assert [report.bond["general"][k] for report in reports] == [general, general]
         price = corporate_bond_price(market, t, s, "deflator")
@@ -704,16 +703,6 @@ def test_a_hazard_that_is_not_a_number_is_rejected():
         IntensityModel(lambda t: np.nan).hazard_values(np.linspace(0.0, 1.0, 5))
 
 
-def test_realized_lgd_deterministic_rule():
-    market = build_thm1_market(0.05, 0.4, horizon=10.0, steps=40, n_paths=5_000, seed=13)
-    rule = lambda t: 0.2 + 0.01 * t  # noqa: E731
-    varied = replace(market, lgd=LGDProcess("deterministic", fn=rule))
-    lgd = realized_lgd_at_default(varied)
-    mask = market.defaults.defaulted()
-    assert np.all(np.isnan(lgd[~mask]))
-    assert lgd[mask] == pytest.approx(rule(market.defaults.tau[mask]), abs=1e-12)
-
-
 @pytest.mark.parametrize(
     "lam", [ItoSpec(x0=0.05, drift=0.0, sigma=0.01), "0.02", None, np.array([0.02])]
 )
@@ -721,11 +710,6 @@ def test_a_hazard_that_is_not_a_number_or_a_callable_is_rejected(lam):
     # hazards are deterministic: a hazard process is refused at construction
     with pytest.raises(ConfigurationError, match="real number or a callable"):
         IntensityModel(lam)
-
-
-def test_a_stochastic_lgd_is_an_unknown_kind():
-    with pytest.raises(ConfigurationError, match="unknown LGD kind 'stochastic'"):
-        LGDProcess("stochastic")
 
 
 def test_structural_equity_has_one_driver():
@@ -744,12 +728,15 @@ def test_bond_price_and_thm1_reject_s_past_the_sample_horizon():
 
 
 def test_lgd_validation():
-    with pytest.raises(ConfigurationError):
-        LGDProcess("constant", value=1.2)
-    with pytest.raises(ConfigurationError):
-        LGDProcess("deterministic")
-    with pytest.raises(ConfigurationError):
-        LGDProcess("sometimes")
+    # a market's LGD is a real number in [0, 1], however the market is made
+    market = build_thm1_market(0.02, 0.4, steps=10, n_paths=200, seed=1)
+    for v in (1.2, -0.1, np.nan, "0.4"):
+        with pytest.raises(ConfigurationError, match="real number in \\[0, 1\\]"):
+            replace(market, lgd=v)
+        with pytest.raises(ConfigurationError, match="real number in \\[0, 1\\]"):
+            build_thm1_market(0.02, v, steps=10, n_paths=200, seed=1)
+    for v in (0.0, 1.0, np.float64(0.25)):
+        assert replace(market, lgd=v).lgd == v
 
 
 def test_error_paths():

@@ -396,6 +396,39 @@ def test_sharpe_constant_fields_match_the_simulated_route(spec, x, n_paths, step
     assert vars(est.tail) == vars(tail)
 
 
+def test_sharpe_exponents_do_not_depend_on_the_scale_of_x():
+    # (x alpha)^2 / |x sigma|^2 is scale free: a one-asset x is divided by
+    # |x| to exactly +-1 before it can overflow or underflow the ratio
+    spec = ItoSpec(1.0, 0.06, 0.2, "geometric")
+    unit = novikov_sharpe(spec, [1.0], 1.0)
+    assert unit.estimate == 1.046027859908717
+    for x in (3.0, -7.5, 1e300, 1e-170, 1e-300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = novikov_sharpe(spec, [x], 1.0)
+        assert est.exponents.tobytes() == unit.exponents.tobytes(), x
+    with pytest.raises(NumericalError, match="vanishes"):
+        novikov_sharpe(spec, [0.0], 1.0)
+
+
+@pytest.mark.parametrize("scale", [2.0**900, 2.0**-900])
+def test_sharpe_exponents_do_not_depend_on_the_scale_of_drift_and_sigma(scale):
+    # the ratio of drift and volatility scaled alike by a power of two; at
+    # these scales |x sigma|^2 alone overflows or underflows
+    unit = novikov_sharpe(ItoSpec(1.0, 0.06, 0.2, "geometric"), [1.0], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = novikov_sharpe(ItoSpec(1.0, 0.06 * scale, 0.2 * scale, "geometric"), [1.0], 1.0)
+    assert est.exponents.tobytes() == unit.exponents.tobytes()
+
+
+def test_sharpe_ratio_that_overflows_is_divergence_evidence_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = novikov_sharpe(ItoSpec(1.0, 1e300, 0.2, "geometric"), [1.0], 1.0)
+    assert (est.estimate, est.se, est.verdict) == (np.inf, np.inf, "divergence_evidence")
+
+
 def test_sharpe_constant_fields_simulate_nothing():
     spec = ItoSpec(1.0, 0.06, 0.2, "geometric")
     novikov_sharpe(spec, [1.0], 1.0, n_paths=20, steps=8)  # first-call allocations

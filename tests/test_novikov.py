@@ -9,7 +9,7 @@ from curvarb import replace
 from scipy import stats
 
 from curvarb import _laws, novikov
-from curvarb.credit import LGDProcess, build_thm1_market
+from curvarb.credit import build_thm1_market
 from curvarb.errors import ConfigurationError, DomainError, EstimationError
 from curvarb.novikov import (
     DensitySpec,
@@ -115,26 +115,23 @@ def _reference_exponents(market, k, cap=None):
     w_tau = np.array([np.sqrt(t) * zr for zr, t in zip(z, tau)])
     q = np.sum(w_tau * w_tau, axis=1) / tau
     if cap is None:
-        l = np.full(tau.size, market.lgd.value)
+        l = np.full(tau.size, market.lgd)
     else:
         rule = capped_lgd_tq(cap)
         l = np.array([float(rule(t, float(np.dot(w, w)) / t)) for t, w in zip(tau, w_tau)])
     return (2.0 * l / (2.0 - l)) ** 2 * tau / q
 
 
-def _capped(market, cap):
-    if cap is None:
-        return market
-    return replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(cap)))
+def _capped(cap):
+    return None if cap is None else capped_lgd_driver(cap)
 
 
 @pytest.mark.parametrize(
     "cap, k", [(None, 4), (0.1, 1), (0.1, 2), (0.1, 4), (0.1, 7), (0.1, 16)]
 )
 def test_novikov_mc_matches_keyed_per_row_reference(small_market, cap, k):
-    market = _capped(small_market, cap)
-    est = novikov_mc(market, k)
-    ref = _reference_exponents(market, k, cap)
+    est = novikov_mc(small_market, k, lgd_rule=_capped(cap))
+    ref = _reference_exponents(small_market, k, cap)
     assert np.array_equal(est.exponents, ref)
     assert est.estimate == np.exp(ref).mean()
 
@@ -161,15 +158,14 @@ def test_novikov_mc_draws_every_row_in_one_fill_per_block(small_market, monkeypa
 
 @pytest.mark.parametrize("cap", [None, 0.1])
 def test_novikov_mc_rows_do_not_depend_on_other_defaults(small_market, cap):
-    market = _capped(small_market, cap)
-    sample = market.defaults
+    sample = small_market.defaults
     rows = np.nonzero(sample.defaulted())[0]
     censored = rows[::2]
     tau = sample.tau.copy()
     tau[censored] = np.inf
-    thinned = replace(market, defaults=replace(sample, tau=tau))
-    full = novikov_mc(market, 4)
-    kept = novikov_mc(thinned, 4)
+    thinned = replace(small_market, defaults=replace(sample, tau=tau))
+    full = novikov_mc(small_market, 4, lgd_rule=_capped(cap))
+    kept = novikov_mc(thinned, 4, lgd_rule=_capped(cap))
     assert kept.n_used == rows.size - censored.size
     assert np.array_equal(kept.exponents, full.exponents[1::2])
 
@@ -189,13 +185,12 @@ def test_novikov_mc_holds_less_than_the_full_driver():
 
 
 def test_driver_linked_rule_must_return_one_loss_per_path(small_market):
-    market = replace(small_market, lgd=LGDProcess("driver_linked", fn=lambda t, w: 0.1))
     with pytest.raises(ConfigurationError, match="n values"):
-        novikov_mc(market, 4)
+        novikov_mc(small_market, 4, lgd_rule=lambda t, w: 0.1)
 
 
 def test_novikov_mc_zero_lgd_is_unit(base_market):
-    market = replace(base_market, lgd=LGDProcess("constant", value=0.0))
+    market = replace(base_market, lgd=0.0)
     est = novikov_mc(market, k=4)
     assert est.estimate == 1.0
     assert est.se == 0.0
@@ -203,7 +198,7 @@ def test_novikov_mc_zero_lgd_is_unit(base_market):
 
 
 def test_novikov_mc_monotone_in_lgd(base_market):
-    lo = novikov_mc(replace(base_market, lgd=LGDProcess("constant", value=0.2)), k=4)
+    lo = novikov_mc(replace(base_market, lgd=0.2), k=4)
     hi = novikov_mc(base_market, k=4)
     # same paths, larger loss: every exponent moves up
     assert np.all(hi.exponents >= lo.exponents)
@@ -217,8 +212,7 @@ def test_novikov_mc_printed_form_still_diverges(base_market):
 
 def test_capped_family_mc_quadrature_cross_check():
     market = build_thm1_market(0.02, 0.4, horizon=30.0, steps=120, n_paths=60_000, seed=9)
-    market = replace(market, lgd=LGDProcess("driver_linked", fn=capped_lgd_driver(0.1)))
-    mc = novikov_mc(market, k=4)
+    mc = novikov_mc(market, k=4, lgd_rule=capped_lgd_driver(0.1))
     assert mc.verdict == "finite_evidence"
     assert mc.estimate < np.exp(0.1) + 1e-12
     dens = DensitySpec.truncated_exponential(
@@ -271,20 +265,9 @@ def test_density_spec_validation():
         DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_value=0.4, q_form="guess")
     spec = DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_value=0.4)
     assert spec.t_max == 50.0
-    half_lgd = lambda v: np.full_like(v, 1.25)  # noqa: E731  mass 1/2 on [0.2, 0.6]
-    with pytest.raises(ConfigurationError, match="LGD density integrates to 0.50000000"):
-        DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_pdf=half_lgd, lgd_support=(0.2, 0.6))
-
-
-def test_lgd_density_mode_runs():
-    # uniform loss on [0.2, 0.6] stays integrable once the exponent is capped
-    lgd_pdf = lambda v: np.full_like(np.asarray(v, dtype=float), 2.5)  # noqa: E731
-    dens = DensitySpec.truncated_exponential(
-        0.05, horizon=20.0, k=8, lgd_pdf=lgd_pdf, lgd_support=(0.2, 0.6)
-    )
-    result = novikov_quadrature(dens, halvings=10)
-    # constant positive LGD mass keeps the q -> 0 blowup: no convergence
-    assert not result.converged
+    # the loss is a point mass or a function of (t, q), never a density
+    with pytest.raises(TypeError, match="no field 'lgd_pdf'"):
+        DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_pdf=lambda v: 2.5 + 0 * v)
 
 
 def test_capped_rule_shapes():
