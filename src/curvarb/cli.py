@@ -323,6 +323,10 @@ def _check_builds(doc: dict, wanted: set, v: list) -> None:
     run's own helpers, and report each ConfigurationError against its field."""
     grid, offsets = _grid(doc), _offsets(doc)
     inputs = {key for key, (_, readers) in _shared_inputs(doc).items() if readers & wanted}
+    if inputs and not np.isfinite(offsets[-1]):
+        # every curve build would reject the inf under its own field's name
+        v.append(("offsets.step", "the offset lattice overflows: step * (count - 1) is inf"))
+        return
     pieces = []  # (field, build, args)
     if "gauges" in inputs:
         for i, a in enumerate(doc["assets"]):

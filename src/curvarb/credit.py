@@ -399,32 +399,20 @@ class BondPrice(_Record):
     n_used: int
 
 
-def corporate_bond_price(
-    market: CreditMarket, t: float, s: float, normalization: str = "terminal"
-) -> BondPrice:
+def corporate_bond_price(market: CreditMarket, t: float, s: float) -> BondPrice:
     """Defaultable zero-coupon price by ensemble average.
 
-    With terminal normalization the payoff is 1 - LGD on default before s
-    and 1 otherwise, averaged over paths alive at t.  With "deflator"
-    normalization the payoff is the corporate deflator at s over its
-    value at t, which prices the bond off the market's own bookkeeping; on a
-    consistently built market the two agree path by path.
+    The payoff is 1 - LGD on default in (t, s] and 1 otherwise, averaged
+    over the paths alive at t.  On the market's grid this is, path by path,
+    the corporate deflator at s over its value at t.
     """
-    if normalization not in ("terminal", "deflator"):
-        raise ConfigurationError(f"unknown normalization {normalization!r}")
     sample = market.defaults
     _check_sampled(sample, s)
     alive, n_alive = _survivors(sample, t, 2, "no survivors at t")
-    if normalization == "terminal":
-        hit = (sample.tau > t) & (sample.tau <= s)
-        payoff = np.ones(sample.n_paths)
-        payoff[hit] = 1.0 - market.lgd
-        vals = payoff[alive]
-    else:
-        # alive paths only: a path dead at t holds a zero deflator under LGD 1
-        i_t, i_s = market.grid.index_of(t), market.grid.index_of(s)
-        vals = _corp_deflator(market, i_s)[alive] / _corp_deflator(market, i_t)[alive]
-    mean, se = _mean_se(vals)
+    hit = (sample.tau > t) & (sample.tau <= s)
+    payoff = np.ones(sample.n_paths)
+    payoff[hit] = 1.0 - market.lgd
+    mean, se = _mean_se(payoff[alive])
     return BondPrice(float(mean), float(se), n_alive)
 
 

@@ -411,7 +411,10 @@ def numeraire_change(gauges: list[Gauge], numeraire: int | Gauge) -> list[Gauge]
         )
     out = []
     for g in gauges:
-        out.append(Gauge(PathEnsemble(g.grid, g.deflator.series / d_num), g.curve, label=g.label))
+        # D / D is exactly 1 for a finite positive D: the numeraire's own
+        # deflator is a read-only view of one 1.0, not an array
+        ratio = np.broadcast_to(1.0, d_num.shape) if g is num else g.deflator.series / d_num
+        out.append(Gauge(PathEnsemble(g.grid, ratio), g.curve, label=g.label))
     return out
 
 

@@ -4,19 +4,17 @@ The exponential moment E[exp((2 LGD / (2 - LGD))^2 tau / Q)] decides whether
 the credit market price of risk admits an equivalent martingale measure on
 horizon tau.  Q is the normalized squared driver norm |W_tau|^2 / tau, a
 chi-square variate with the driver dimension as its degrees of freedom,
-independent of tau.  Two routes are implemented and cross-validated:
+independent of tau; both routes use this one form.  Two routes are
+implemented and cross-validated:
 
 * novikov_mc averages the summand over a simulated default scenery, drawing
   the driver directly at each default time, and attaches heavy-tail
   diagnostics (Hill index on the top summands);
 * novikov_quadrature integrates the closed-form density in log space with a
-  moving lower cutoff in Q.  The integral diverges at Q -> 0 for any constant
-  LGD > 0; the quadrature certifies this by unbounded growth of the cutoff
-  trace instead of pretending to a finite value.
-
-q_form "printed" treats the chi-square variate itself as sqrt(|W|^2/t), which
-is kept selectable for comparison; "consistent" is the form under which the
-statistic actually has the chi-square law.
+  lower cutoff in Q, halved at most _HALVINGS times.  The integral diverges
+  at Q -> 0 for any constant LGD > 0; the quadrature certifies this by
+  unbounded growth of the cutoff trace instead of pretending to a finite
+  value.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ __all__ = [
     "capped_lgd_driver",
 ]
 
-_Q_FORMS = ("consistent", "printed")
-
 # Hill estimator: it reads the top 1% of the summands (at least five), and a
 # summand at or below 1 (exponent 0) never enters.  An exceedance within
 # _TIE_ULPS ulp of the threshold is a tie: a capped exponent passes through
@@ -67,29 +63,24 @@ _SE_MAX_EXPONENT = 350.0
 _CAP_U_MAX = 2.0
 
 # Quadrature rule: Gauss-Legendre nodes in default time, geometric panels in
-# the chi-square direction; the cutoff ladder stops after two steps below
-# _REL_TOL in the log integral, and growth beyond _CERTIFICATE_LOG_GROWTH
-# certifies divergence
+# the chi-square direction; the cutoff is halved at most _HALVINGS times, the
+# ladder stops after two steps below _REL_TOL in the log integral, and growth
+# beyond _CERTIFICATE_LOG_GROWTH certifies divergence
 _T_NODES = 64
 _Q_PANELS_PER_DECADE = 12
 _Q_NODES_PER_PANEL = 24
 _REL_TOL = 1e-4
 _CERTIFICATE_LOG_GROWTH = float(np.log(1e6))
+_HALVINGS = 20
 
 
-def q2_statistic(driver: PathEnsemble, t: float, q_form: str = "consistent") -> np.ndarray:
-    """Normalized squared driver norm per path at a grid time.
-
-    With q_form "consistent" this is |W_t|^2 / t, chi-square with the driver
-    dimension as degrees of freedom.  "printed" returns its square root.
-    """
-    if q_form not in _Q_FORMS:
-        raise ConfigurationError(f"unknown q_form {q_form!r}")
+def q2_statistic(driver: PathEnsemble, t: float) -> np.ndarray:
+    """Normalized squared driver norm |W_t|^2 / t per path at a grid time,
+    chi-square with the driver dimension as degrees of freedom."""
     if t <= 0:
         raise DomainError("the statistic needs t > 0")
     w = driver.at_time(t)
-    q = np.sum(w * w, axis=1) / t
-    return np.sqrt(q) if q_form == "printed" else q
+    return np.sum(w * w, axis=1) / t
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +169,7 @@ class NovikovEstimate(_Record):
 
 
 def novikov_mc(
-    market: CreditMarket, k: int, q_form: str = "consistent", lgd_rule: Callable | None = None
+    market: CreditMarket, k: int, lgd_rule: Callable | None = None
 ) -> NovikovEstimate:
     """Average the integrability summand over the market's default sample.
 
@@ -196,8 +187,6 @@ def novikov_mc(
     horizon, which is what the quadrature cross-check integrates when its
     time density is truncated to the same horizon.
     """
-    if q_form not in _Q_FORMS:
-        raise ConfigurationError(f"unknown q_form {q_form!r}")
     if k < 1:
         raise ConfigurationError("driver dimension k must be >= 1")
     sample = market.defaults
@@ -213,8 +202,6 @@ def novikov_mc(
     z = z[mask]
     w_tau = np.sqrt(tau_d)[:, None] * z
     q = np.sum(w_tau * w_tau, axis=1) / tau_d
-    if q_form == "printed":
-        q = np.sqrt(q)
     if lgd_rule is None:
         l = market.lgd
     else:
@@ -254,15 +241,12 @@ class DensitySpec(_Record):
     t_max: float
     lgd_value: float | None = None
     lgd_given_tq: Callable | None = None
-    q_form: str = "consistent"
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigurationError("chi-square degrees of freedom must be >= 1")
         if self.t_max <= 0:
             raise ConfigurationError("t_max must be positive")
-        if self.q_form not in _Q_FORMS:
-            raise ConfigurationError(f"unknown q_form {self.q_form!r}")
         if (self.lgd_value is None) == (self.lgd_given_tq is None):
             raise ConfigurationError("provide exactly one of lgd_value, lgd_given_tq")
         if self.lgd_value is not None and not 0.0 <= self.lgd_value < 2.0:
@@ -352,12 +336,12 @@ def _log_masses(pdf: Callable, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.log(np.where(vals > 0, vals, 0.0)) + np.log(w)
 
 
-def novikov_quadrature(density: DensitySpec, halvings: int = 20) -> QuadratureResult:
+def novikov_quadrature(density: DensitySpec) -> QuadratureResult:
     """Integrate the summand against its closed-form scenery in log space.
 
     The chi-square direction is integrated on geometric panels from a lower
     cutoff q_min, first the smaller of the 1% quantile and 1/100 of the top,
-    to the 1 - 1e-8 quantile; the cutoff is halved, at most halvings times,
+    to the 1 - 1e-8 quantile; the cutoff is halved, at most _HALVINGS times,
     until the log integral settles (two successive steps below _REL_TOL) or
     the certificate fires: monotone growth beyond _CERTIFICATE_LOG_GROWTH,
     which witnesses the Q -> 0 divergence without ever evaluating an
@@ -378,19 +362,18 @@ def novikov_quadrature(density: DensitySpec, halvings: int = 20) -> QuadratureRe
         q_x, q_w = _gauss_legendre(edges[:-1, None], edges[1:, None], _Q_NODES_PER_PANEL)
         q_x, q_w = q_x.ravel(), q_w.ravel()
         log_q = chi2_logpdf(k, q_x) + np.log(q_w)
-        q_eff = np.sqrt(q_x) if density.q_form == "printed" else q_x
         # (t, q) table; lgd_given_tq sets the LGD at each node
         if density.lgd_given_tq is None:
             l = density.lgd_value
         else:
             l = np.clip(density.lgd_given_tq(t_x[:, None], q_x[None, :]), 0.0, 1.999)
         u = 2.0 * l / (2.0 - l)
-        expo = u * u * (t_x[:, None] / q_eff[None, :])
+        expo = u * u * (t_x[:, None] / q_x[None, :])
         return _logsumexp(log_t[:, None] + log_q + expo)
 
     trace = []
     small_steps = 0
-    for _ in range(halvings + 1):
+    for _ in range(_HALVINGS + 1):
         lv = level_log_value(q_min)
         small_steps = small_steps + 1 if trace and abs(lv - trace[-1][1]) < _REL_TOL else 0
         trace.append((q_min, lv))

@@ -665,8 +665,7 @@ class NelsonEstimator(_Record):
 
     states: np.ndarray            # (n_paths, d) conditioning states
     quotients: np.ndarray         # (n_paths, out_dim)
-    bandwidth: np.ndarray         # (d,) zero entries mean "uniform weights"
-    conditioning: str
+    bandwidth: np.ndarray         # (d,) all zero means uniform weights
 
     def evaluate(self, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q = np.atleast_2d(np.asarray(state, dtype=np.float64))
@@ -684,7 +683,7 @@ class NelsonEstimator(_Record):
     def _at(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         x, y = self.states, self.quotients
         n = x.shape[0]
-        if self.conditioning == "analytic" or np.all(self.bandwidth == 0):
+        if np.all(self.bandwidth == 0):
             return (*_mean_se(y.copy()), float(n))
         u = (x - point[None, :]) / self.bandwidth[None, :]
         logw = -0.5 * np.einsum("ij,ij->i", u, u)
@@ -718,31 +717,23 @@ class NelsonEstimator(_Record):
         return est, se, float(neff)
 
 
-def nelson_derivative(
-    ensemble: PathEnsemble,
-    t: float,
-    mode: str = "mean",
-    conditioning: str = "present",
-) -> NelsonEstimator:
+def nelson_derivative(ensemble: PathEnsemble, t: float, mode: str = "mean") -> NelsonEstimator:
     """Forward, backward, or mean stochastic derivative estimator at time t.
 
     The forward quotient looks one grid step ahead, the backward quotient one
-    step back, and the mean averages the two.  Conditioning "present" builds a
-    Gaussian-kernel local-linear regression on the time-t state, which is the
-    valid replacement for past/future conditioning precisely in the Markov
-    case; "analytic" uses the plain cross-path average (appropriate for
-    deterministic or state-independent targets).  The kernel bandwidth is
-    Silverman's, per conditioning dimension.
+    step back, and the mean averages the two.  The estimator conditions on
+    the present: a Gaussian-kernel local-linear regression on the time-t
+    state, which is the valid replacement for past/future conditioning
+    precisely in the Markov case.  The kernel bandwidth is Silverman's, per
+    conditioning dimension; where every state coincides (t = 0 of a fixed
+    start, for one) it is zero and the estimate is the plain cross-path mean.
 
     Parameters
     ----------
     mode : {"forward", "backward", "mean"}
-    conditioning : {"present", "analytic"}
     """
     if mode not in ("forward", "backward", "mean"):
         raise ConfigurationError(f"unknown derivative mode {mode!r}")
-    if conditioning not in ("present", "analytic"):
-        raise ConfigurationError(f"unknown conditioning {conditioning!r}")
     grid = ensemble.grid
     idx = grid.index_of(t)
     need_fwd = mode in ("forward", "mean")
@@ -761,12 +752,7 @@ def nelson_derivative(
         back = (v[:, idx, :] - v[:, idx - 1, :]) / h
         quot = back if quot is None else 0.5 * (quot + back)
     states = v[:, idx, :]
-    return NelsonEstimator(
-        states=states,
-        quotients=quot,
-        bandwidth=_silverman_bandwidth(states),
-        conditioning=conditioning,
-    )
+    return NelsonEstimator(states=states, quotients=quot, bandwidth=_silverman_bandwidth(states))
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_04_nelson_brownian_law():
     start = time.perf_counter()
     grid = TimeGrid.regular(2.0, 2)
     w = simulate_brownian(grid, 100_000, 1, 5, tag=0)
-    estimator = nelson_derivative(w, 1.0, mode="mean", conditioning="present")
+    estimator = nelson_derivative(w, 1.0, mode="mean")
     points = np.linspace(-2.0, 2.0, 10)[:, None]
     values, _, n_eff = estimator.evaluate(points)
     # the mean derivative of W at t given W_t = q is q / (2t); here t = 1

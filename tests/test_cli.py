@@ -857,6 +857,9 @@ def test_validate_rejects_what_run_cannot_read(tmp_path, capsys, scenario, path,
         ("thm1_constructed", {"credit.spread_shift": 400}, "credit.spread_shift"),
         ("thm1_constructed", {"credit.lambda": 1e6, "credit.lgd": 1.0}, "credit.lambda"),
         ("thm1_constructed", {"credit.gov_rate": -100}, "credit.gov_rate"),
+        # the lattice's last offset, 1e307 * 20, overflows to inf
+        ("thm1_constructed", {"offsets.step": 1e307}, "offsets.step"),
+        ("flat_market", {"offsets.step": 1e307, "offsets.count": 21}, "offsets.step"),
     ],
 )
 def test_validate_builds_what_run_builds(tmp_path, capsys, scenario, changes, field):
@@ -873,6 +876,18 @@ def test_validate_builds_what_run_builds(tmp_path, capsys, scenario, changes, fi
     assert capsys.readouterr().out.startswith(f"{field}: ")
     assert main(["run", str(scen), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"invalid scenario: {field}: ")
+
+
+@pytest.mark.parametrize("name", ["thm1_constructed", "flat_market"])
+def test_validate_names_an_overflowing_offset_lattice(name):
+    doc = load_scenario(name)
+    doc["offsets"] = {"step": 1e307, "count": 21}
+    [violation] = validate_scenario(doc)
+    assert violation["field"] == "offsets.step"
+    assert "overflows" in violation["message"]
+    # 1e306 * 20 stays finite
+    doc["offsets"]["step"] = 1e306
+    assert validate_scenario(doc) == []
 
 
 def test_zc_overflow_exits_three_without_warnings(tmp_path):

@@ -280,8 +280,6 @@ def test_constructed_market_bond_price():
     assert exact == pytest.approx(0.9619349672143838, abs=1e-15)
     assert abs(bond.value - exact) < 3 * bond.se
     assert bond.se < 1e-3
-    with pytest.raises(ConfigurationError):
-        corporate_bond_price(market, 0.0, 5.0, normalization="forward")
 
 
 @pytest.mark.parametrize(
@@ -306,14 +304,6 @@ def test_constructed_market_holds_one_deflator_array():
     times, tau = market.grid.times, market.defaults.tau
     expected = 1.0 - 0.4 * (times[None, :] >= tau[:, None])
     assert defl.tobytes() == expected.tobytes()
-
-
-def test_constructed_market_deflator_form_agrees():
-    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=50_000, seed=29)
-    a = corporate_bond_price(market, 0.0, 5.0, normalization="terminal")
-    b = corporate_bond_price(market, 0.0, 5.0, normalization="deflator")
-    # unit initial deflator makes both normalizations identical path by path
-    assert a.value == pytest.approx(b.value, rel=1e-12)
 
 
 def test_thm1_spread_identity_exact():
@@ -569,7 +559,7 @@ def test_column_readers_match_the_stored_deflator_route(lgd_value):
         scale = float(beta[i_t]) * float(market.lgd)
         general = lhs + scale * float((tau[alive] <= s).mean())
         assert [report.bond["general"][k] for report in reports] == [general, general]
-        price = corporate_bond_price(market, t, s, "deflator")
+        price = corporate_bond_price(market, t, s)
         vals = stored[alive, i_s] / stored[alive, i_t]
         assert (price.value, price.n_used) == (float(vals.mean()), int(alive.sum()))
         assert price.se == float(vals.std(ddof=1) / np.sqrt(vals.size))

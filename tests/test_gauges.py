@@ -360,6 +360,30 @@ def test_numeraire_change_and_round_trip():
         numeraire_change([g1, neg], 1)
 
 
+def test_numeraire_own_deflator_is_a_read_only_one():
+    grid = TimeGrid.regular(5.0, 50)
+    offsets = 0.25 * np.arange(5)
+    gauges = []
+    for j in range(2):
+        spec = ItoSpec(x0=1.0, drift=0.01 * j, sigma=0.2, form="geometric")
+        driver = simulate_brownian(grid, 2000, 1, seed=5, tag=50 + j)
+        gauges.append(Gauge(simulate_ito(spec, driver), flat_term_structure(grid, 0.0, offsets)))
+    d0, d1 = gauges[0].deflator.series, gauges[1].deflator.series
+    changed = numeraire_change(gauges, 0)
+    own = changed[0].deflator.series
+    assert own.tobytes() == (d0 / d0).tobytes()
+    assert changed[1].deflator.series.tobytes() == (d1 / d0).tobytes()
+    assert not own.flags.writeable
+    # alone, the numeraire costs only its sign check: no n_paths x n_times float64 array
+    tracemalloc.start()
+    try:
+        numeraire_change(gauges[:1], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d0.nbytes / 4
+
+
 def test_self_financing_constant_strategy_is_exact():
     grid = TimeGrid.regular(1.0, 20)
     offsets = 0.25 * np.arange(3)

@@ -51,13 +51,8 @@ def test_q2_statistic_chi_square_law():
 def test_q2_statistic_forms():
     grid = TimeGrid.regular(1.0, 4)
     driver = simulate_brownian(grid, 100, 3, seed=1)
-    q = q2_statistic(driver, 1.0)
-    r = q2_statistic(driver, 1.0, q_form="printed")
-    assert r**2 == pytest.approx(q, rel=1e-14)
     with pytest.raises(DomainError):
         q2_statistic(driver, 0.0)
-    with pytest.raises(ConfigurationError):
-        q2_statistic(driver, 1.0, q_form="fancy")
 
 
 def test_tail_diagnostics_pareto():
@@ -205,11 +200,6 @@ def test_novikov_mc_monotone_in_lgd(base_market):
     assert hi.estimate >= lo.estimate
 
 
-def test_novikov_mc_printed_form_still_diverges(base_market):
-    est = novikov_mc(base_market, k=4, q_form="printed")
-    assert est.verdict == "divergence_evidence"
-
-
 def test_capped_family_mc_quadrature_cross_check():
     market = build_thm1_market(0.02, 0.4, horizon=30.0, steps=120, n_paths=60_000, seed=9)
     mc = novikov_mc(market, k=4, lgd_rule=capped_lgd_driver(0.1))
@@ -233,14 +223,6 @@ def test_quadrature_divergence_certificate():
     assert all(b >= a for a, b in zip(levels, levels[1:]))
 
 
-def test_quadrature_printed_form_diverges_too():
-    dens = DensitySpec.truncated_exponential(
-        0.02, k=4, lgd_value=0.4, q_form="printed"
-    )
-    result = novikov_quadrature(dens, halvings=14)
-    assert result.diverged
-
-
 def test_quadrature_zero_lgd_recovers_unit_mass():
     dens = DensitySpec.truncated_exponential(0.02, horizon=30.0, k=4, lgd_value=0.0)
     result = novikov_quadrature(dens)
@@ -261,8 +243,6 @@ def test_density_spec_validation():
         )
     with pytest.raises(ConfigurationError):
         DensitySpec(k=0, tau_pdf=ok_pdf, t_max=50.0, lgd_value=0.4)
-    with pytest.raises(ConfigurationError):
-        DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_value=0.4, q_form="guess")
     spec = DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_value=0.4)
     assert spec.t_max == 50.0
     # the loss is a point mass or a function of (t, q), never a density

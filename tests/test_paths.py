@@ -702,13 +702,19 @@ def test_brownian_forward_backward_and_mean_derivatives():
         assert abs(mean[i, 0] - q / 2) < 3 * mean_se[i, 0] + 0.02
 
 
-def test_analytic_conditioning_is_cross_path_mean():
+def test_zero_bandwidth_is_cross_path_mean():
+    # every path starts at 0: Silverman's bandwidth is zero and the weights uniform
     grid = TimeGrid.regular(1.0, 10)
     w = simulate_brownian(grid, 5000, seed=3)
-    est = nelson_derivative(w, 0.5, mode="forward", conditioning="analytic")
-    val, se, neff = est.evaluate(np.array([[123.0]]))  # state is ignored
+    est = nelson_derivative(w, 0.0, mode="forward")
+    assert np.all(est.bandwidth == 0)
+    quotients = est.quotients.copy()
+    val, se, neff = est.evaluate(np.array([[0.0]]))
     assert neff[0] == 5000
-    assert abs(val[0, 0]) < 3 * se[0, 0] + 1e-12
+    mean, mean_se = _mean_se(quotients.copy())
+    assert val[0].tobytes() == mean.tobytes()
+    assert se[0].tobytes() == mean_se.tobytes()
+    assert est.quotients.tobytes() == quotients.tobytes()  # the stored field is left intact
 
 
 def _weighted_least_squares(states, quotients, bandwidth, point):
