@@ -11,8 +11,8 @@ not depend on execution order, on the memory block size or on how work is
 split.
 
 The derivative estimators implement forward, backward, and mean difference
-quotients conditioned on the present state (valid for Markov processes), with
-Gaussian-kernel local regression over the cross-section of paths.
+quotients conditioned on the one-dimensional present state (valid for Markov
+processes), with closed-form Gaussian-kernel local-linear regression.
 """
 
 from __future__ import annotations
@@ -639,82 +639,76 @@ def simulate_ito(spec: ItoSpec, driver: PathEnsemble) -> PathEnsemble:
 # Nelson-style derivative estimation
 
 
-def _silverman_bandwidth(states: np.ndarray) -> np.ndarray:
-    """Rule-of-thumb bandwidth per conditioning dimension."""
-    n, d = states.shape
-    out = np.empty(d)
-    for j in range(d):
-        col = states[:, j]
-        sd = col.std(ddof=1) if n > 1 else 0.0
-        iqr = np.subtract(*np.percentile(col, [75, 25]))
-        spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-        if d == 1:
-            out[j] = 0.9 * spread * n ** (-0.2)
-        else:
-            out[j] = spread * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
-    return out
+def _silverman_bandwidth(states: np.ndarray) -> float:
+    """Silverman's rule of thumb, 0.9 spread n^(-1/5), for an (n, 1) column."""
+    col = states[:, 0]
+    n = col.size
+    sd = col.std(ddof=1) if n > 1 else 0.0
+    iqr = np.subtract(*np.percentile(col, [75, 25]))
+    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
+    return float(0.9 * spread * n ** (-0.2))
 
 
 class NelsonEstimator(_Record):
     """Conditional difference-quotient estimator returned by nelson_derivative.
 
-    evaluate() at one state (d,) or a batch (m, d) returns the estimated
-    derivative vectors, their standard errors and effective kernel sample
-    sizes.
+    evaluate() at one state (a scalar or (1,)) or a batch (m, 1) returns the
+    (m, 1) estimated derivatives, their standard errors and the (m,)
+    effective kernel sample sizes.
     """
 
-    states: np.ndarray            # (n_paths, d) conditioning states
-    quotients: np.ndarray         # (n_paths, out_dim)
-    bandwidth: np.ndarray         # (d,) all zero means uniform weights
+    states: np.ndarray            # (n_paths, 1) conditioning states
+    quotients: np.ndarray         # (n_paths, 1)
+    bandwidth: float              # zero means uniform weights
 
     def evaluate(self, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q = np.atleast_2d(np.asarray(state, dtype=np.float64))
-        if q.shape[1] != self.states.shape[1]:
-            raise ConfigurationError(
-                f"query states have dim {q.shape[1]}, expected {self.states.shape[1]}"
-            )
-        est = np.empty((q.shape[0], self.quotients.shape[1]))
+        if q.shape[1] != 1:
+            raise ConfigurationError(f"query states have dim {q.shape[1]}, expected 1")
+        bad = np.flatnonzero(~np.isfinite(q[:, 0]))
+        if bad.size:
+            raise ConfigurationError(f"query state {bad[0]} is {q[bad[0], 0]}, not finite")
+        est = np.empty((q.shape[0], 1))
         se = np.empty_like(est)
         neff = np.empty(q.shape[0])
-        for i, point in enumerate(q):
-            est[i], se[i], neff[i] = self._at(point)
+        for i, point in enumerate(q[:, 0]):
+            est[i], se[i], neff[i] = self._at(float(point))
         return est, se, neff
 
-    def _at(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        x, y = self.states, self.quotients
-        n = x.shape[0]
-        if np.all(self.bandwidth == 0):
-            return (*_mean_se(y.copy()), float(n))
-        u = (x - point[None, :]) / self.bandwidth[None, :]
-        logw = -0.5 * np.einsum("ij,ij->i", u, u)
+    def _at(self, point: float) -> tuple:
+        if self.bandwidth == 0:
+            return (*_mean_se(self.quotients.copy()), float(len(self.quotients)))
+        u = (self.states[:, 0] - point) / self.bandwidth
+        logw = -0.5 * (u * u)
         w = np.exp(logw - logw.max())
-        sw = w.sum()
-        neff = sw * sw / np.dot(w, w)
+        s0 = w.sum()
+        neff = s0 * s0 / np.dot(w, w)
         if neff < _MIN_EFFECTIVE:
             raise EstimationError(
                 "kernel window too empty for a reliable conditional estimate",
                 diagnostics={
                     "n_effective": float(neff),
-                    "query": point.tolist(),
-                    "bandwidth": self.bandwidth.tolist(),
+                    "query": point,
+                    "bandwidth": self.bandwidth,
                 },
             )
-        # local-linear fit; the intercept at the query point is the estimate
-        z = np.concatenate([np.ones((n, 1)), x - point[None, :]], axis=1)
-        zw = z * w[:, None]
-        gram = z.T @ zw
-        try:
-            theta = np.linalg.solve(gram, zw.T @ y)        # (d+1, out_dim)
-            # (n,) intercept weights, row 0 of gram^-1 zw^T, from one vector solve
-            smoother = zw @ np.linalg.solve(gram.T, np.eye(z.shape[1])[0])
-            fitted = z @ theta
-        except np.linalg.LinAlgError:
-            smoother = w / sw
-            fitted = np.broadcast_to(smoother @ y, y.shape)
-        est = smoother @ y
-        resid = y - fitted
-        se = np.sqrt(np.maximum(0.0, (smoother**2) @ (resid**2)))
-        return est, se, float(neff)
+        # the local-linear intercept weights w (S2 - u S1) / (S0 S2 - S1^2),
+        # Sk = sum w u^k, in u = (x - query) / bandwidth and centred on the
+        # weighted mean m of u: w / S0 - m w c / sum w c^2 with c = u - m
+        y = self.quotients[:, 0]
+        smoother = w / s0
+        m = np.dot(smoother, u)
+        u -= m
+        resid = y - np.dot(smoother, y)
+        wc = w * u
+        s2 = np.dot(wc, u)
+        if s2 > 0:  # else every weighted state coincides: the Nadaraya-Watson mean
+            wc /= s2
+            resid -= u * np.dot(wc, y)
+            wc *= m
+            smoother -= wc
+        resid *= smoother
+        return np.dot(smoother, y), math.sqrt(np.dot(resid, resid)), float(neff)
 
 
 def nelson_derivative(ensemble: PathEnsemble, t: float, mode: str = "mean") -> NelsonEstimator:
@@ -724,9 +718,12 @@ def nelson_derivative(ensemble: PathEnsemble, t: float, mode: str = "mean") -> N
     step back, and the mean averages the two.  The estimator conditions on
     the present: a Gaussian-kernel local-linear regression on the time-t
     state, which is the valid replacement for past/future conditioning
-    precisely in the Markov case.  The kernel bandwidth is Silverman's, per
-    conditioning dimension; where every state coincides (t = 0 of a fixed
-    start, for one) it is zero and the estimate is the plain cross-path mean.
+    precisely in the Markov case; a multi-dimensional ensemble is a
+    ConfigurationError.  The kernel bandwidth is Silverman's; where every
+    state coincides (t = 0 of a fixed start, for one) it is zero and the
+    estimate is the plain cross-path mean.  Where every state of non-zero
+    weight coincides, so no slope can be fitted, it is the kernel-weighted
+    (Nadaraya-Watson) mean.
 
     Parameters
     ----------
@@ -734,6 +731,8 @@ def nelson_derivative(ensemble: PathEnsemble, t: float, mode: str = "mean") -> N
     """
     if mode not in ("forward", "backward", "mean"):
         raise ConfigurationError(f"unknown derivative mode {mode!r}")
+    if ensemble.dim != 1:
+        raise ConfigurationError(f"nelson_derivative takes dim 1, not dim {ensemble.dim}")
     grid = ensemble.grid
     idx = grid.index_of(t)
     need_fwd = mode in ("forward", "mean")
@@ -751,7 +750,7 @@ def nelson_derivative(ensemble: PathEnsemble, t: float, mode: str = "mean") -> N
         h = grid.times[idx] - grid.times[idx - 1]
         back = (v[:, idx, :] - v[:, idx - 1, :]) / h
         quot = back if quot is None else 0.5 * (quot + back)
-    states = v[:, idx, :]
+    states = np.ascontiguousarray(v[:, idx, :])  # every query reads it whole
     return NelsonEstimator(states=states, quotients=quot, bandwidth=_silverman_bandwidth(states))
 
 

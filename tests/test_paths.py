@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from bin_reference import MIN_BIN, N_BINS, assert_columns_equal_rows, reference_bins
 from block_reference import STREAM_BLOCK, reference_rows
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from ito_reference import reference_paths
 from hypothesis.extra.numpy import arrays
 from scipy import stats
@@ -702,6 +702,7 @@ def test_brownian_forward_backward_and_mean_derivatives():
         assert abs(mean[i, 0] - q / 2) < 3 * mean_se[i, 0] + 0.02
 
 
+@pytest.mark.bitexact
 def test_zero_bandwidth_is_cross_path_mean():
     # every path starts at 0: Silverman's bandwidth is zero and the weights uniform
     grid = TimeGrid.regular(1.0, 10)
@@ -730,24 +731,120 @@ def _weighted_least_squares(states, quotients, bandwidth, point):
     return theta[0], np.sqrt(smoother**2 @ resid**2)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_nelson_estimate_and_se_equal_direct_weighted_least_squares(dim):
+def test_nelson_estimate_and_se_equal_direct_weighted_least_squares():
     grid = TimeGrid(np.array([0.0, 0.5, 1.0, 1.5]))
-    w = simulate_brownian(grid, 3000, dim=dim, seed=23)
+    w = simulate_brownian(grid, 3000, seed=23)
     est = nelson_derivative(w, 1.0, mode="mean")
     states = w.at_time(1.0)
     n = states.shape[0]
-    # Silverman's rule: 0.9 n^-1/5 in one dimension, (4 / ((d + 2) n))^(1/(d + 4)) above
+    # Silverman's rule: 0.9 spread n^-1/5
     iqr = np.subtract(*np.percentile(states, [75, 25], axis=0))
     spread = np.minimum(states.std(axis=0, ddof=1), iqr / 1.34)
-    factor = 0.9 * n**-0.2 if dim == 1 else (4.0 / ((dim + 2) * n)) ** (1.0 / (dim + 4))
-    np.testing.assert_allclose(est.bandwidth, spread * factor, rtol=1e-14)
-    queries = np.array([[-0.8, 0.4], [0.0, 0.0], [0.5, -0.3]])[:, :dim]
+    assert isinstance(est.bandwidth, float)
+    np.testing.assert_allclose(est.bandwidth, spread * 0.9 * n**-0.2, rtol=1e-14)
+    queries = np.array([[-0.8], [0.0], [0.5]])
     values, ses, _ = est.evaluate(queries)
     for point, value, se in zip(queries, values, ses):
         ref_value, ref_se = _weighted_least_squares(states, est.quotients, est.bandwidth, point)
         np.testing.assert_allclose(value, ref_value, rtol=1e-12)
         np.testing.assert_allclose(se, ref_se, rtol=1e-12)
+
+
+def test_nadaraya_watson_fallback_where_every_weighted_state_coincides():
+    # 9900 states at 0 and 100 at 1: Silverman's bandwidth is about 0.0142, so
+    # at query 0 the weights of the 100 underflow to exactly 0 and no slope
+    # can be fitted; the estimate is the plain mean of the 9900 quotients
+    rng = np.random.default_rng(4)
+    values = np.zeros((10_000, 4, 1))
+    values[9900:, 2, 0] = 1.0
+    values[:, 3, 0] = values[:, 2, 0] + rng.normal(3.0, 1.0, 10_000)
+    ensemble = PathEnsemble(TimeGrid(np.array([0.0, 0.5, 1.0, 1.5])), values)
+    est = nelson_derivative(ensemble, 1.0, mode="forward")
+    assert abs(est.bandwidth - 0.0142) < 1e-4
+    assert np.exp(-0.5 / est.bandwidth**2) == 0.0
+    y = est.quotients[:9900, 0]
+    val, se, neff = est.evaluate(0.0)
+    assert neff[0] == 9900
+    np.testing.assert_allclose(val[0, 0], y.mean(), rtol=1e-12)
+    np.testing.assert_allclose(se[0, 0], np.sqrt(np.sum((y - y.mean()) ** 2)) / 9900, rtol=1e-12)
+
+
+@st.composite
+def _nelson_inputs(draw):
+    """A one-dimensional ensemble on [0, 0.5, 1] whose states at t = 0.5 hold
+    ties, two-point clusters or one constant value, and queries inside the
+    states' range."""
+    n = draw(st.integers(30, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["ties", "clusters", "constant", "normal"]))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    if layout == "ties":  # a few distinct values, each repeated
+        states = rng.choice(rng.normal(size=draw(st.integers(1, 6))), size=n)
+    elif layout == "clusters":  # k states at a, the rest at b
+        a, b = draw(st.floats(-10, 10)), draw(st.floats(-10, 10))
+        states = np.where(np.arange(n) < draw(st.integers(0, n)), a, b)
+    elif layout == "constant":
+        states = np.full(n, draw(st.floats(-10, 10)))
+    else:
+        states = rng.normal(size=n)
+    states = states * scale
+    values = np.stack([states - rng.normal(size=n), states, states + rng.normal(size=n)], axis=1)
+    lo, hi = states.min(), states.max()
+    queries = [lo + f * (hi - lo) for f in draw(st.lists(st.floats(0, 1), min_size=1, max_size=4))]
+    return PathEnsemble(TimeGrid(np.array([0.0, 0.5, 1.0])), values[:, :, None]), queries
+
+
+def _one_apart(n):
+    """n - 1 states at 0 and one at 1, on the grid of _nelson_inputs."""
+    values = np.zeros((n, 3, 1))
+    values[0, 1:, 0] = 1.0
+    values[:, 2, 0] += np.linspace(-1.0, 1.0, n)
+    return PathEnsemble(TimeGrid(np.array([0.0, 0.5, 1.0])), values)
+
+
+# at 155 paths the lone state's weight at query 0 is subnormal (about 4e-313)
+@example((_one_apart(155), [0.0, 0.5, 1.0]))
+@settings(max_examples=150, deadline=None)
+@given(_nelson_inputs())
+def test_nelson_evaluate_is_finite_or_starved_property(inputs):
+    ensemble, queries = inputs
+    n = ensemble.n_paths
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = nelson_derivative(ensemble, 0.5, mode="mean")
+        for query in queries:
+            try:
+                val, se, neff = est.evaluate(query)
+            except EstimationError:
+                continue
+            assert np.isfinite(val).all() and np.isfinite(se).all()
+            assert se[0, 0] >= 0
+            assert 1 <= neff[0] <= n
+
+
+def test_multi_dimensional_ensemble_is_rejected():
+    # a constant component once gave a zero bandwidth in that dimension alone,
+    # and every estimate was NaN
+    grid = TimeGrid.regular(1.0, 4)
+    w = simulate_brownian(grid, 2000, seed=9)
+    values = np.concatenate([w.values, np.zeros_like(w.values)], axis=2)
+    with pytest.raises(ConfigurationError, match="dim 2"):
+        nelson_derivative(PathEnsemble(grid, values), 0.5)
+
+
+def test_evaluate_takes_one_dimensional_queries_and_rejects_non_finite_ones():
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0, 1.5]))
+    est = nelson_derivative(simulate_brownian(grid, 3000, seed=29), 1.0)
+    for query in (0.25, np.array([0.25]), np.array([[0.25]])):
+        val, se, neff = est.evaluate(query)
+        assert val.shape == se.shape == (1, 1) and neff.shape == (1,)
+    with pytest.raises(ConfigurationError, match="dim 2"):
+        est.evaluate(np.zeros((3, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match=re.escape(f"query state 1 is {bad},")):
+            est.evaluate(np.array([[0.0], [bad], [np.nan]]))
+        with pytest.raises(ConfigurationError, match="query state 0"):
+            est.evaluate(bad)
 
 
 def test_derivative_domain_and_mode_errors():
