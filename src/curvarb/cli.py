@@ -471,8 +471,9 @@ def _shared_inputs(doc) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Analyses: each reads (doc, built inputs) and returns (files, summary); the
-# summary's "passed" is the analysis' verdict
+# Analyses: each reads (doc, built inputs) and returns (files, summary,
+# checks); checks are booleans or boolean arrays, and the analysis passes
+# where every one holds everywhere
 
 
 def _run_curvature(doc, built):
@@ -485,16 +486,11 @@ def _run_curvature(doc, built):
     columns.update(norm=report.norm, norm_se=report.norm_se, weighted_std=report.weighted_std)
     tol = doc.get("tolerances", {}).get("curvature_max_norm")
     if tol is not None:
-        passed = bool(report.norm.max() <= float(tol))
+        check = report.norm.max() <= float(tol)
     else:
-        gate = _se_gate(report.norm, report.norm_se, _CURVATURE_GATE_SE, _CURVATURE_GATE_ATOL)
-        passed = bool(gate[1].all())
-    summary = {
-        "max_norm": report.max_norm,
-        "max_norm_se": float(report.norm_se.max()),
-        "passed": passed,
-    }
-    return {"curvature.csv": _csv(columns)}, summary
+        check = _se_gate(report.norm, report.norm_se, _CURVATURE_GATE_SE, _CURVATURE_GATE_ATOL)[1]
+    summary = {"max_norm": report.max_norm, "max_norm_se": float(report.norm_se.max())}
+    return {"curvature.csv": _csv(columns)}, summary, (check,)
 
 
 def _run_kernel(doc, built):
@@ -503,12 +499,8 @@ def _run_kernel(doc, built):
     pairs = [tuple(p) for p in doc["kernel"]["pairs"]]
     report = kernel_check(built["gauges"], _beta(doc), pairs)
     table, worst = report.table, report.worst
-    summary = {
-        "worst_residual": table["residual"][worst],
-        "worst_label": table["label"][worst],
-        "passed": report.all_passed,
-    }
-    return {"kernel.csv": _csv(table)}, summary
+    summary = {"worst_residual": table["residual"][worst], "worst_label": table["label"][worst]}
+    return {"kernel.csv": _csv(table)}, summary, (table["passed"],)
 
 
 def _run_zc(doc, built):
@@ -523,8 +515,7 @@ def _run_zc(doc, built):
     columns = {"t": report.times, "residual": report.residual, "threshold": report.threshold}
     columns.update({f"mpr_{i}": theta for i, theta in enumerate(report.mpr.T)})
     columns["passed"] = report.passed
-    summary = {"max_residual": report.max_residual, "passed": report.all_passed}
-    return {"zc.csv": _csv(columns)}, summary
+    return {"zc.csv": _csv(columns)}, {"max_residual": report.max_residual}, (report.passed,)
 
 
 def _run_thm1(doc, built):
@@ -544,15 +535,13 @@ def _run_thm1(doc, built):
     spread_ok = any_detected if expect_detection else not any_detected
     variants = ("general", "numeraire_rederived")
     bond_ok = all(_se_gate(bond[v], bond["se"])[1].all() for v in variants)
-    passed = spread_ok and bond_ok
     summary = {
         "max_spread_residual": np.abs(spread["residual"]).max(),
         "spread_detected": any_detected,
         "bond_ok": bond_ok,
         "lambda_source": report.lambda_source,
-        "passed": passed,
     }
-    return files, summary
+    return files, summary, (spread_ok, bond_ok)
 
 
 def _run_bond(doc, built):
@@ -565,14 +554,13 @@ def _run_bond(doc, built):
     columns = {"t": ts, "s": ss}
     for field in ("value", "se", "n_used"):
         columns[field] = [getattr(price, field) for price in prices]
-    passed = True
+    checks = ()
     if "expected" in section:
         expected = np.asarray(section["expected"], dtype=np.float64)
         within = _se_gate(np.subtract(columns["value"], expected), columns["se"])[1]
         columns.update(expected=expected, within_3se=within)
-        passed = bool(within.all())
-    summary = {"first_value": prices[0].value, "passed": passed}
-    return {"bond.csv": _csv(columns)}, summary
+        checks = (within,)
+    return {"bond.csv": _csv(columns)}, {"first_value": prices[0].value}, checks
 
 
 def _run_novikov(doc, built):
@@ -620,8 +608,7 @@ def _run_novikov(doc, built):
         passed = quad.converged and bool(_se_gate(mc_est.estimate - quad.value, mc_est.se)[1])
     else:
         passed = True
-    summary["passed"] = passed
-    return files, summary
+    return files, summary, (passed,)
 
 
 def _run_sharpe(doc, built):
@@ -643,8 +630,8 @@ def _run_sharpe(doc, built):
     else:
         passed = True
     columns = {"estimate": [est.estimate], "se": [est.se], "verdict": [est.verdict]}
-    summary = {"estimate": est.estimate, "passed": passed}
-    return {"sharpe.csv": _csv({**columns, "passed": [passed]})}, summary
+    files = {"sharpe.csv": _csv({**columns, "passed": [passed]})}
+    return files, {"estimate": est.estimate}, (passed,)
 
 
 _RUNNERS = {
@@ -704,11 +691,12 @@ def cmd_run(args) -> int:
         "analyses": {},
     }
     # fixed order: the output bytes depend on the scenario only
-    for name, (files, info) in zip(names, results):
+    for name, (files, info, checks) in zip(names, results):
         for fname in sorted(files):
             _write_atomic(os.path.join(out_dir, fname), files[fname])
-        summary["analyses"][name] = _plain(info)
-        overall = overall and info["passed"]
+        passed = all(bool(np.all(c)) for c in checks)
+        summary["analyses"][name] = _plain({**info, "passed": passed})
+        overall = overall and passed
     summary["overall"] = "pass" if overall else "fail"
     _write_atomic(
         os.path.join(out_dir, "summary.json"),

@@ -237,10 +237,6 @@ class ZCReport(_Record):
     def max_residual(self) -> float:
         return float(self.residual.max())
 
-    @property
-    def all_passed(self) -> bool:
-        return bool(self.passed.all())
-
 
 # a non-finite residual or threshold is reported as a NumericalError, not warned about
 @np.errstate(all="ignore")
@@ -380,10 +376,6 @@ class KernelCheckReport(_Record):
 
     table: dict
     bins: list
-
-    @property
-    def all_passed(self) -> bool:
-        return bool(self.table["passed"].all())
 
     @property
     def worst(self) -> int:

@@ -369,22 +369,20 @@ def portfolio_gauge(gauges: list[Gauge], nominals) -> Gauge:
         np.exp(values, out=values)
     else:
         values = np.empty(shape)
-        if curve_paths == 1:
-            full = np.broadcast_to(logp, (n_assets,) + shape)  # a view, copied nowhere
-        else:
-            full = np.empty((n_assets,) + values[blocks[0]].shape)  # one block's log-prices
+        if curve_paths > 1:
+            logs = np.empty((n_assets,) + values[blocks[0]].shape)  # one block's log-prices
         for b in blocks:
             out = values[b]
-            if curve_paths == 1:
-                logs_b = full[:, b]
+            if curve_paths == 1:  # one shared curve per asset
+                np.einsum("jpt,jth->pth", weights(b), logp[:, 0], out=out)
             else:
-                logs_b = full[:, : out.shape[0]]
+                logs_b = logs[:, : out.shape[0]]
                 for j, g in enumerate(gauges):
                     if g.curve.n_paths == 1:
                         logs_b[j] = np.log(g.curve.values)
                     else:
                         np.log(g.curve.values[b], out=logs_b[j])
-            np.einsum("jpt,jpth->pth", weights(b), logs_b, out=out)
+                np.einsum("jpt,jpth->pth", weights(b), logs_b, out=out)
             np.exp(out, out=out)
     values[:, :, 0] = 1.0
     curve = TermStructureSurface(grid, offsets, values)

@@ -678,12 +678,15 @@ class NelsonEstimator(_Record):
     def _at(self, point: float) -> tuple:
         if self.bandwidth == 0:
             return (*_mean_se(self.quotients.copy()), float(len(self.quotients)))
-        u = (self.states[:, 0] - point) / self.bandwidth
-        logw = -0.5 * (u * u)
-        w = np.exp(logw - logw.max())
-        s0 = w.sum()
-        neff = s0 * s0 / np.dot(w, w)
-        if neff < _MIN_EFFECTIVE:
+        # a bandwidth far below the distance to every state overflows u * u:
+        # every weight is then NaN, and NaN fails the effective-size test
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = (self.states[:, 0] - point) / self.bandwidth
+            logw = -0.5 * (u * u)
+            w = np.exp(logw - logw.max())
+            s0 = w.sum()
+            neff = s0 * s0 / np.dot(w, w)
+        if not neff >= _MIN_EFFECTIVE:
             raise EstimationError(
                 "kernel window too empty for a reliable conditional estimate",
                 diagnostics={

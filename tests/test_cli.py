@@ -457,7 +457,7 @@ def test_novikov_match_gate_is_three_standard_errors(tmp_path, monkeypatch, sign
     assert summary["analyses"]["novikov"]["passed"] is (code == 0)
 
 
-def test_each_runner_returns_files_and_a_summary_holding_its_verdict(tmp_path, monkeypatch, capsys):
+def test_each_runner_returns_files_a_summary_and_checks(tmp_path, monkeypatch, capsys):
     import curvarb.cli as cli
 
     returned = {}
@@ -471,15 +471,71 @@ def test_each_runner_returns_files_and_a_summary_holding_its_verdict(tmp_path, m
     for scenario in bundled_scenarios():
         assert main(["run", scenario, "--out", str(tmp_path / scenario)]) == 0
     assert sorted(returned) == sorted(cli.ANALYSES)
-    for name, (files, summary) in returned.items():
-        assert files and summary["passed"], name
-    # the run's verdict is read from the summary alone
+    for name, (files, summary, checks) in returned.items():
+        assert files and "passed" not in summary, name
+        assert isinstance(checks, tuple) and all(np.all(c) for c in checks), name
+    # the run's verdict is the conjunction of the checks, decided by cmd_run
     zc = cli._RUNNERS["zc"]
-    monkeypatch.setitem(cli._RUNNERS, "zc", lambda doc, built: (zc(doc, built)[0], {"passed": False}))
+    monkeypatch.setitem(cli._RUNNERS, "zc", lambda doc, built: (*zc(doc, built)[:2], (False,)))
     capsys.readouterr()
     assert main(["run", "flat_market", "--out", str(tmp_path / "failed")]) == 1
     assert "zc: fail" in capsys.readouterr().out
-    assert json.loads((tmp_path / "failed" / "summary.json").read_text())["overall"] == "fail"
+    summary = json.loads((tmp_path / "failed" / "summary.json").read_text())
+    assert summary["overall"] == "fail"
+    assert summary["analyses"]["zc"]["passed"] is False
+
+
+def _verdict_from_files(name, doc, out, summary):
+    """An analysis' verdict recomputed from its CSV files and the gate
+    constants, without the runner's code."""
+    from curvarb.cli import _CURVATURE_GATE_ATOL, _CURVATURE_GATE_SE
+    from curvarb.paths import _GATE_SE
+
+    def column(fname, field):
+        cells = [row[field] for row in _csv_rows(out / fname)]
+        return np.array([c == "true" if c in ("true", "false") else float(c) for c in cells])
+
+    def within(residual, se, k=_GATE_SE, atol=0.0):
+        return bool(np.all(np.abs(residual) <= np.maximum(k * se, atol)))
+
+    if name == "curvature":
+        norm = column("curvature.csv", "norm")
+        tol = doc.get("tolerances", {}).get("curvature_max_norm")
+        if tol is not None:
+            return bool(norm.max() <= tol)
+        se = column("curvature.csv", "norm_se")
+        return within(norm, se, _CURVATURE_GATE_SE, _CURVATURE_GATE_ATOL)
+    if name in ("kernel", "zc", "sharpe"):
+        return bool(column(f"{name}.csv", "passed").all())
+    if name == "bond":
+        return "expected" not in doc["price"] or bool(column("bond.csv", "within_3se").all())
+    if name == "thm1":
+        detected = bool(column("thm1_spread.csv", "detected").any())
+        se = column("thm1_bond.csv", "se")
+        variants = ("general", "numeraire_rederived")
+        bond_ok = all(within(column("thm1_bond.csv", v), se) for v in variants)
+        return detected == doc["thm1"].get("expect_detection", False) and bond_ok
+    # novikov: the bundled scenario matches the MC estimate to the quadrature value
+    assert doc["novikov"]["expect"] == "match"
+    estimate, se = (column("novikov_mc.csv", field)[0] for field in ("estimate", "se"))
+    quad = summary["analyses"]["novikov"]
+    return quad["quadrature_converged"] and within(estimate - quad["quadrature_value"], se)
+
+
+@pytest.mark.parametrize(
+    "scenario", ["flat_market", "flat_market-gated", "novikov_capped", "thm1_constructed"]
+)
+def test_summary_verdict_agrees_with_the_written_files(tmp_path, scenario):
+    # flat_market-gated drops the fixed curvature tolerance for the 4-SE gate
+    doc = load_scenario(scenario.split("-")[0])
+    if scenario.endswith("-gated"):
+        del doc["tolerances"]
+    code, summary = _run_doc(tmp_path, doc)
+    verdicts = {name: info["passed"] for name, info in summary["analyses"].items()}
+    assert sorted(verdicts) == sorted(doc["analyses"])
+    for name, passed in verdicts.items():
+        assert passed is _verdict_from_files(name, doc, tmp_path / "out", summary), name
+    assert code == (0 if all(verdicts.values()) else 1)
 
 
 def _row_wise_csv(header, rows):

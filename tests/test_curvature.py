@@ -233,10 +233,10 @@ def test_zc_residual_two_asset_example():
     assert report.residual[0] == pytest.approx(0.0141421356, abs=1e-6)
     assert report.residual[0] == pytest.approx(np.hypot(0.01, 0.01), rel=1e-12)
     assert report.mpr[0, 0] == pytest.approx(0.04, rel=1e-12)
-    assert not report.all_passed
+    assert not report.passed.all()
     aligned = zc_residual(np.array([0.04, 0.04]), sigma)
     assert aligned.residual[0] < 1e-15
-    assert aligned.all_passed
+    assert aligned.passed.all()
 
 
 def test_zc_residual_orthogonal_invariance():
@@ -293,9 +293,9 @@ def test_covariation_estimated_consistency():
         covariation=np.array([[c_bar, 0.1]]),
         covariation_se=np.array([[c_se, 0.0]]),
     )
-    assert report.all_passed
+    assert report.passed.all()
     strict = zc_residual(alpha, sigma, covariation=np.array([[c_bar, 0.1]]))
-    assert not strict.all_passed
+    assert not strict.passed.all()
 
 
 def test_covariation_shape_validation():
@@ -308,7 +308,7 @@ def test_covariation_shape_validation():
         zc_residual(alpha, sigma, rates=np.zeros(4))
     # one value per asset, or one per time and asset, broadcasts
     report = zc_residual(alpha, sigma, covariation=np.zeros(2), covariation_se=np.ones((11, 2)))
-    assert report.all_passed
+    assert report.passed.all()
 
 
 def test_sharpe_integral_constant_coefficients():
@@ -504,7 +504,7 @@ def test_kernel_check_flat_market_passes():
     gauge = _flat_gauge(grid, 0.02, np.ones((1, grid.n_times)), "flat")
     beta = np.exp(-0.02 * grid.times)
     report = kernel_check([gauge], beta, [(0.0, 1.0), (1.0, 3.0), (2.0, 4.0)])
-    assert report.all_passed
+    assert report.table["passed"].all()
     assert abs(report.table["residual"][report.worst]) < 1e-12
 
 
@@ -541,7 +541,7 @@ def test_kernel_check_without_pairs_is_empty_and_passes():
     assert list(report.table) == ["label", "t", "s", "residual", "se", "z", "passed"]
     assert [len(column) for column in report.table.values()] == [0] * 7
     assert report.bins == []
-    assert report.all_passed
+    assert report.table["passed"].all()
 
 
 def _reference_kernel_rows(gauges, beta, pairs):
@@ -603,7 +603,7 @@ def test_kernel_check_martingale_deflator_passes():
     d = simulate_ito(spec, simulate_brownian(grid, 4000, 1, seed=15))
     gauge = Gauge(d, flat_term_structure(grid, 0.0, OFFSETS), "mart")
     report = kernel_check([gauge], np.ones(grid.n_times), [(0.5, 1.0), (1.0, 1.5)])
-    assert report.all_passed
+    assert report.table["passed"].all()
     assert (report.table["se"] > 0).all()
 
 

@@ -312,6 +312,7 @@ def _portfolio_case(case):
     return [Gauge(deflator(True), curve(1)) for _ in range(3)], np.array([0.4, 0.6, 1.0])
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("block", [1, 3, 7])
 @pytest.mark.parametrize(
     "case", ["shared-curves", "time-varying-nominals", "mixed-curves", "path-constant"]

@@ -867,6 +867,21 @@ def test_kernel_starvation_raises_with_diagnostics():
     assert "n_effective" in exc.value.diagnostics
 
 
+def test_a_bandwidth_below_every_distance_starves_the_window_without_a_warning():
+    # IQR 1e-300 gives a bandwidth of 2.7e-301: at query 0.5 every u * u
+    # overflows, every weight is NaN, and the estimate once was NaN
+    states = np.repeat([0.0, 1e-300, 1.0], [60, 20, 20])
+    values = np.stack([states, states, states + np.linspace(-1.0, 1.0, 100)], axis=1)
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
+    est = nelson_derivative(PathEnsemble(grid, values[:, :, None]), 0.5)
+    assert 0 < est.bandwidth < 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="kernel window too empty") as exc:
+            est.evaluate(0.5)
+    assert exc.value.diagnostics["query"] == 0.5
+
+
 def test_non_finite_values_are_rejected_with_location():
     grid = TimeGrid.regular(1.0, 2)
     values = np.zeros((4, 3, 1))
