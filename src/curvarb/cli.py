@@ -28,13 +28,14 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, CurvarbError, DomainError, NumericalError
-from .gauges import _REL_TOL, Gauge, flat_term_structure
+from .gauges import Gauge, _in_span, flat_term_structure
 from .paths import (
     RNG_STREAM_VERSION,
     TAG_ASSET_BASE,
     ItoSpec,
     PathEnsemble,
     TimeGrid,
+    _check_lgd,
     _ito_rows,
     _kernel_on_grid,
     _se_gate,
@@ -150,6 +151,7 @@ _PAIRS = (_pairs_ok, "must be [t, s] pairs with s > t >= 0")
 _NUMBERS = (_numbers, "must be a nonempty list of numbers")
 _RATES = (lambda r: _numbers(r if isinstance(r, list) else [r]), "must be one or more numbers")
 _FORM = _one_of("geometric", "arithmetic")
+_LGD = (lambda x: not _fails(_check_lgd, x), "must be in [0, 1]")
 # the name is one directory entry below the output root, never a path
 _FILE_NAME = (
     lambda s: s not in ("", ".", "..") and not set(s) & {"/", "\\", "\0"},
@@ -188,7 +190,7 @@ SCHEMA = {
     "zc.sigma": (list, (_rows_ok, "must be equal-length rows of numbers"), {"zc"}),
     "zc.rates": (None, _RATES, OPTIONAL),
     "credit.lambda": (float, _GT0, CREDIT_ANALYSES),
-    "credit.lgd": (float, (lambda x: 0 <= x <= 1, "must be in [0, 1]"), CREDIT_ANALYSES),
+    "credit.lgd": (float, _LGD, CREDIT_ANALYSES),
     "credit.gov_rate": (float, None, OPTIONAL),
     "credit.spread_shift": (float, None, OPTIONAL),
     "thm1.pairs": (list, _PAIRS, {"thm1"}),
@@ -271,10 +273,12 @@ def _check_across(doc: dict, v: list) -> None:
     if novikov.get("expect") == "match" and novikov.get("mode", "both") != "both":
         v.append(("novikov.expect", "match compares both routes: needs novikov.mode both"))
     grid, span = _grid(doc), _offsets(doc)[-1]
-    thm1 = doc.get("thm1", {})
     # the simulated hazard needs [t, t + window] inside the grid for some t
-    if thm1.get("lambda_source") == "simulated" and thm1.get("window", 1.0) > grid.horizon:
-        v.append(("thm1.window", "must not exceed grid.horizon"))
+    if doc.get("thm1", {}).get("lambda_source") == "simulated":
+        from .credit import _window_inside
+
+        if not _window_inside(_window(doc), grid.horizon):
+            v.append(("thm1.window", "must not exceed grid.horizon"))
     # kernel reads the state at t and at s, thm1 at t only; both price (t, s)
     # off the offset lattice, within its tolerance
     for section, dates in (("kernel", "ts"), ("thm1", "t")):
@@ -285,7 +289,7 @@ def _check_across(doc: dict, v: list) -> None:
                     grid.index_of(x)
                 except DomainError:
                     v.append((field, f"{d} = {x} is not a grid node"))
-            if s - t > span * (1 + _REL_TOL) + _REL_TOL:
+            if not _in_span(s - t, span):
                 v.append((field, f"s - t = {s - t} exceeds the offset span {span}"))
     # thm1 and bond read the default sample up to s, which ends at the horizon
     for section in ("thm1", "price"):
@@ -450,14 +454,25 @@ def _beta(doc) -> np.ndarray:
     return np.exp(-float(doc["kernel"]["rate"]) * _grid(doc).times)
 
 
+def _window(doc) -> float:
+    """The simulated hazard's window: thm1.window, 1.0 by default."""
+    return float(doc["thm1"].get("window", 1.0))
+
+
+def _stress_rule(doc, capped_rule):
+    """capped_rule(novikov.cap, 0.1 by default) if novikov.lgd_rule is capped, else None."""
+    section = doc["novikov"]
+    capped = section.get("lgd_rule", "constant") == "capped"
+    return capped_rule(float(section.get("cap", 0.1))) if capped else None
+
+
 def _density_spec(doc) -> DensitySpec:
     """The closed-form scenery of the Novikov quadrature route."""
     from .novikov import DensitySpec, capped_lgd_tq
 
     credit, section = doc["credit"], doc["novikov"]
-    lgd = {"lgd_value": float(credit["lgd"])}
-    if section.get("lgd_rule", "constant") == "capped":
-        lgd = {"lgd_given_tq": capped_lgd_tq(float(section.get("cap", 0.1)))}
+    rule = _stress_rule(doc, capped_lgd_tq)
+    lgd = {"lgd_value": float(credit["lgd"])} if rule is None else {"lgd_given_tq": rule}
     return DensitySpec.truncated_exponential(
         float(credit["lambda"]), horizon=float(doc["grid"]["horizon"]), k=int(section["k"]), **lgd
     )
@@ -526,7 +541,7 @@ def _run_thm1(doc, built):
         built["market"],
         section["pairs"],
         lambda_source=section.get("lambda_source", "model"),
-        window=float(section.get("window", 1.0)),
+        window=_window(doc),
     )
     spread, bond = report.spread, report.bond
     files = {"thm1_spread.csv": _csv(spread), "thm1_bond.csv": _csv(bond)}
@@ -569,14 +584,12 @@ def _run_novikov(doc, built):
     section = doc["novikov"]
     k = int(section["k"])
     mode = section.get("mode", "both")
-    capped = section.get("lgd_rule", "constant") == "capped"
-    cap = float(section.get("cap", 0.1))
     files = {}
     summary = {}
     mc_est = None
     quad = None
     if mode in ("mc", "both"):
-        rule = capped_lgd_driver(cap) if capped else None
+        rule = _stress_rule(doc, capped_lgd_driver)
         mc_est = novikov_mc(built["market"], k, lgd_rule=rule)
         cols = ["estimate", "se", "n_used", "censored_fraction"]
         cols += ["tail_index", "ci_low", "ci_high", "k_used", "verdict"]

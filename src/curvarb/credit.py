@@ -39,6 +39,7 @@ from .paths import (
     PathEnsemble,
     TimeGrid,
     _Record,
+    _check_lgd,
     _cumulative_trapezoid,
     _first_row_if_shared,
     _gauss_legendre,
@@ -346,11 +347,6 @@ def default_probability(
 # Markets, bonds, credit gauge
 
 
-def _check_lgd(lgd) -> None:
-    if not (isinstance(lgd, numbers.Real) and 0.0 <= lgd <= 1.0):  # NaN fails too
-        raise ConfigurationError(f"LGD must be a real number in [0, 1], not {lgd!r}")
-
-
 class CreditMarket(_Record):
     """A government/corporate gauge pair with its default scenery.
 
@@ -567,6 +563,13 @@ class Thm1Report(_Record):
 
 
 _WINDOW_TOL = 1e-12
+
+
+def _window_inside(end, horizon: float):
+    """Whether hazard windows ending at end lie in the grid; validate reads it too."""
+    return end <= horizon + _WINDOW_TOL
+
+
 # a spread residual with zero standard error is detected beyond _SPREAD_ATOL
 _SPREAD_ATOL = 1e-14
 
@@ -609,7 +612,7 @@ def thm1_residuals(
         raise ConfigurationError(f"unknown lambda_source {lambda_source!r}")
     grid = market.grid
     times = grid.times
-    if lambda_source == "simulated" and not 0.0 < window <= grid.horizon + _WINDOW_TOL:
+    if lambda_source == "simulated" and not (window > 0.0 and _window_inside(window, grid.horizon)):
         raise ConfigurationError(
             f"window must lie in (0, {grid.horizon}] for the simulated hazard, got {window}"
         )
@@ -617,7 +620,7 @@ def thm1_residuals(
     beta = market.beta
     if lambda_source == "simulated":
         # the times whose window [t, t+window] lies inside the grid
-        at = np.flatnonzero(times + window <= grid.horizon + _WINDOW_TOL)
+        at = np.flatnonzero(_window_inside(times + window, grid.horizon))
         tau = market.defaults.tau
         lam_hat, lam_se = _empirical_hazard(np.sort(tau[~np.isnan(tau)]), times[at], window)
     elif market.defaults.hazard is None:

@@ -61,6 +61,11 @@ __all__ = [
 _REL_TOL = 1e-9
 
 
+def _in_span(h, span: float) -> bool:
+    """Whether offset h lies on a lattice ending at span; validate reads it too."""
+    return -_REL_TOL <= h <= span * (1 + _REL_TOL) + _REL_TOL
+
+
 class TermStructureSurface(_Record):
     """P(t, t+h) on a grid of valuation dates and maturity offsets.
 
@@ -112,7 +117,7 @@ class TermStructureSurface(_Record):
         """P(t, s) per path, log-linear in maturity between lattice offsets."""
         i = self.grid.index_of(t)
         h = s - t
-        if h < -_REL_TOL or h > self.offsets[-1] * (1 + _REL_TOL) + _REL_TOL:
+        if not _in_span(h, self.offsets[-1]):
             raise DomainError(f"maturity offset {h} outside the lattice span")
         h = min(max(h, 0.0), float(self.offsets[-1]))
         j = int(np.searchsorted(self.offsets, h))
@@ -339,7 +344,8 @@ def portfolio_gauge(gauges: list[Gauge], nominals) -> Gauge:
     log-prices directly: log P^x = sum_j w_j log P^j.  For identical gauges
     any normalized nominal vector reproduces the input gauge exactly.
 
-    nominals may be a constant vector (N,) or a path (n_times, N).
+    nominals may be a constant vector (N,) or a path (n_times, N).  The
+    curves' layout alone picks the route; the curve has one row per path.
     """
     grid = _common_grid(gauges)
     offsets = gauges[0].curve.offsets
@@ -353,37 +359,30 @@ def portfolio_gauge(gauges: list[Gauge], nominals) -> Gauge:
     curve_paths = max(g.curve.n_paths for g in gauges)
     if curve_paths not in (1, n_paths):
         raise ConfigurationError("curve path counts are incompatible")
-    shape = (n_paths, grid.n_times, offsets.size)
 
     def weights(b: slice) -> np.ndarray:  # (N, paths of b, n_times)
         return x.T[:, None, :] * deflators[:, b] / dx[None, b]
 
     # weights, log-prices, weighted sums and exp one block of paths at a time
     blocks = _path_slices(n_paths)
-    w0 = weights(slice(0, 1))
+    values = np.empty((n_paths, grid.n_times, offsets.size))
     if curve_paths == 1:
         logp = np.stack([np.log(g.curve.values) for g in gauges])  # (N, 1, n_times, H)
-    # path-constant weights: no block strays from path 0's by more than 1e-14
-    if curve_paths == 1 and all(np.max(np.abs(weights(b) - w0)) <= 1e-14 for b in blocks):
-        values = np.einsum("jt,jth->th", w0[:, 0], logp[:, 0])[None, :, :]
-        np.exp(values, out=values)
     else:
-        values = np.empty(shape)
-        if curve_paths > 1:
-            logs = np.empty((n_assets,) + values[blocks[0]].shape)  # one block's log-prices
-        for b in blocks:
-            out = values[b]
-            if curve_paths == 1:  # one shared curve per asset
-                np.einsum("jpt,jth->pth", weights(b), logp[:, 0], out=out)
-            else:
-                logs_b = logs[:, : out.shape[0]]
-                for j, g in enumerate(gauges):
-                    if g.curve.n_paths == 1:
-                        logs_b[j] = np.log(g.curve.values)
-                    else:
-                        np.log(g.curve.values[b], out=logs_b[j])
-                np.einsum("jpt,jpth->pth", weights(b), logs_b, out=out)
-            np.exp(out, out=out)
+        logs = np.empty((n_assets,) + values[blocks[0]].shape)  # one block's log-prices
+    for b in blocks:
+        out = values[b]
+        if curve_paths == 1:  # one shared curve per asset
+            np.einsum("jpt,jth->pth", weights(b), logp[:, 0], out=out)
+        else:
+            logs_b = logs[:, : out.shape[0]]
+            for j, g in enumerate(gauges):
+                if g.curve.n_paths == 1:
+                    logs_b[j] = np.log(g.curve.values)
+                else:
+                    np.log(g.curve.values[b], out=logs_b[j])
+            np.einsum("jpt,jpth->pth", weights(b), logs_b, out=out)
+        np.exp(out, out=out)
     values[:, :, 0] = 1.0
     curve = TermStructureSurface(grid, offsets, values)
     deflator = PathEnsemble(grid, dx)

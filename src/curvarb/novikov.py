@@ -28,6 +28,7 @@ from .paths import (
     TAG_NOVIKOV_DRIVER,
     PathEnsemble,
     _Record,
+    _check_lgd,
     _gauss_legendre,
     _keyed_rows,
     _mean_se,
@@ -181,7 +182,7 @@ def novikov_mc(
     rule lgd_rule is given (an integrability device, such as
     capped_lgd_driver): it is called once, on all defaulted paths, and
     lgd_rule(t, w) with t of shape (n,) and w of shape (n, k) returns the n
-    losses.
+    losses, each in [0, 1] like the market's.
     Paths that never default inside the horizon are censored and excluded;
     the estimate is the conditional expectation given default before the
     horizon, which is what the quadrature cross-check integrates when its
@@ -210,8 +211,7 @@ def novikov_mc(
             raise ConfigurationError(
                 "an LGD rule must map t (n,) and w (n, k) to n values"
             )
-        if np.any((l < 0) | (l >= 2)):
-            raise ConfigurationError("LGD values must lie in [0, 2) for the summand")
+        _check_lgd(l, scalar=False)
     u = 2.0 * l / (2.0 - l)
     coef = u * u  # one rounding for a scalar LGD too, as numpy squares arrays
     with np.errstate(divide="ignore"):
@@ -233,7 +233,7 @@ class DensitySpec(_Record):
     set the law of the normalized driver norm.  Loss given default enters as
     exactly one of a point mass (lgd_value) or a deterministic function of
     time and the chi-square value (lgd_given_tq), the latter matching Monte
-    Carlo runs under an LGD rule such as capped_lgd_driver.
+    Carlo runs under an LGD rule such as capped_lgd_driver; both lie in [0, 1].
     """
 
     k: int
@@ -249,8 +249,8 @@ class DensitySpec(_Record):
             raise ConfigurationError("t_max must be positive")
         if (self.lgd_value is None) == (self.lgd_given_tq is None):
             raise ConfigurationError("provide exactly one of lgd_value, lgd_given_tq")
-        if self.lgd_value is not None and not 0.0 <= self.lgd_value < 2.0:
-            raise ConfigurationError("lgd_value must lie in [0, 2)")
+        if self.lgd_value is not None:
+            _check_lgd(self.lgd_value)
         # the mass on the nodes the quadrature route integrates on
         x, w = _gauss_legendre(0.0, self.t_max, _T_NODES)
         mass = float(np.dot(np.asarray(self.tau_pdf(x), dtype=np.float64), w))
@@ -260,24 +260,16 @@ class DensitySpec(_Record):
             )
 
     @classmethod
-    def truncated_exponential(
-        cls, lam: float, horizon: float | None = None, **kwargs
-    ) -> "DensitySpec":
-        """Exponential default-time density renormalized to a finite horizon.
-
-        Without an explicit horizon the cut is placed at the 1 - 1e-6
-        quantile, which keeps the truncation error far below quadrature
-        tolerances while bounding the integration domain.
-        """
+    def truncated_exponential(cls, lam: float, horizon: float, **kwargs) -> "DensitySpec":
+        """Exponential default-time density renormalized to [0, horizon]."""
         if lam <= 0:
             raise ConfigurationError("hazard must be positive")
-        t_max = horizon if horizon is not None else -np.log(1e-6) / lam
-        norm = -np.expm1(-lam * t_max)
+        norm = -np.expm1(-lam * horizon)
         pdf = lambda t: lam * np.exp(-lam * t) / norm  # noqa: E731
-        return cls(tau_pdf=pdf, t_max=float(t_max), **kwargs)
+        return cls(tau_pdf=pdf, t_max=float(horizon), **kwargs)
 
 
-def capped_lgd_tq(cap: float = 0.1) -> Callable:
+def capped_lgd_tq(cap: float) -> Callable:
     """LGD rule keeping the summand exponent at min(cap, _CAP_U_MAX^2 t / q).
 
     Solving 2l/(2-l) = u with u = min(_CAP_U_MAX, sqrt(cap q / t)) gives
@@ -295,7 +287,7 @@ def capped_lgd_tq(cap: float = 0.1) -> Callable:
     return rule
 
 
-def capped_lgd_driver(cap: float = 0.1) -> Callable:
+def capped_lgd_driver(cap: float) -> Callable:
     """Driver-linked form of capped_lgd_tq: reads t (n,) and w (n, k) and
     forms q = |w|^2 / t itself."""
     rule = capped_lgd_tq(cap)
@@ -363,10 +355,9 @@ def novikov_quadrature(density: DensitySpec) -> QuadratureResult:
         q_x, q_w = q_x.ravel(), q_w.ravel()
         log_q = chi2_logpdf(k, q_x) + np.log(q_w)
         # (t, q) table; lgd_given_tq sets the LGD at each node
-        if density.lgd_given_tq is None:
-            l = density.lgd_value
-        else:
-            l = np.clip(density.lgd_given_tq(t_x[:, None], q_x[None, :]), 0.0, 1.999)
+        rule = density.lgd_given_tq
+        l = density.lgd_value if rule is None else rule(t_x[:, None], q_x[None, :])
+        _check_lgd(l, scalar=False)
         u = 2.0 * l / (2.0 - l)
         expo = u * u * (t_x[:, None] / q_x[None, :])
         return _logsumexp(log_t[:, None] + log_q + expo)

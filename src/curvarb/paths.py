@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import numbers
 import operator
 import os
 from typing import Callable
@@ -133,6 +134,15 @@ def _as_float_array(x, name: str) -> np.ndarray:
     if arr.size == 0:
         raise ConfigurationError(f"{name} must be non-empty")
     return arr
+
+
+def _check_lgd(lgd, scalar: bool = True) -> None:
+    """The one range rule for a loss given default: a real number in [0, 1],
+    or with scalar False an array of them, such as a stress rule's losses."""
+    v = np.asarray(lgd)
+    real = isinstance(lgd, numbers.Real) if scalar else v.dtype.kind in "biuf"
+    if not (real and np.all((v >= 0.0) & (v <= 1.0))):  # NaN fails too
+        raise ConfigurationError(f"LGD must be a real number in [0, 1], not {lgd!r}")
 
 
 class _Record:
@@ -643,9 +653,14 @@ def _silverman_bandwidth(states: np.ndarray) -> float:
     """Silverman's rule of thumb, 0.9 spread n^(-1/5), for an (n, 1) column."""
     col = states[:, 0]
     n = col.size
-    sd = col.std(ddof=1) if n > 1 else 0.0
+    with np.errstate(over="ignore"):  # a state past 1e154 makes sd inf; min takes the IQR
+        sd = col.std(ddof=1) if n > 1 else 0.0
     iqr = np.subtract(*np.percentile(col, [75, 25]))
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
+    if not np.isfinite(spread):  # the IQR is 0 and sd overflowed: no sound bandwidth
+        raise EstimationError(
+            "the states' spread overflows: no finite bandwidth", diagnostics={"iqr": float(iqr)}
+        )
     return float(0.9 * spread * n ** (-0.2))
 
 

@@ -899,6 +899,27 @@ def test_validate_rejects_what_run_cannot_read(tmp_path, capsys, scenario, path,
     assert "Traceback" not in err
 
 
+# validate reads thm1_residuals' own window rule: a window past the horizon by
+# less than its tolerance is taken by both, and one past it by more by neither
+@pytest.mark.parametrize("excess, accepted", [(5e-13, True), (1e-11, False)])
+def test_validate_and_thm1_residuals_share_one_window_rule(excess, accepted):
+    from curvarb.credit import build_thm1_market, thm1_residuals
+
+    doc = load_scenario("thm1_constructed")
+    window = doc["grid"]["horizon"] + excess
+    doc["thm1"].update(lambda_source="simulated", window=window)
+    violations = validate_scenario(doc)
+    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=2000, seed=7)
+    if accepted:
+        assert violations == []
+        report = thm1_residuals(market, [], lambda_source="simulated", window=window)
+        assert report.spread["t"].tolist() == [0.0]
+    else:
+        assert violations == [{"field": "thm1.window", "message": "must not exceed grid.horizon"}]
+        with pytest.raises(ConfigurationError, match="window"):
+            thm1_residuals(market, [], lambda_source="simulated", window=window)
+
+
 # Each case passed ``validate`` at one time, yet ``run`` rejected a
 # deterministic piece it builds, or failed on it: a kernel rate of -1000 and
 # a government rate of -100 overflow the pricing kernel.
@@ -1261,3 +1282,28 @@ def test_readme_scenario_example_validates():
     section = text.split("## Scenarios", 1)[1]
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     assert validate_scenario(json.loads(example)) == []
+
+
+def test_traffic_tool_reports_the_lines_a_run_misses():
+    # coverage known by construction: a valid LGD never reaches _check_lgd's
+    # raise, and a flat_market run reaches cmd_run but runs no line of the
+    # credit module, which it does not load (the lazy-import test above)
+    import inspect
+
+    import traffic
+    from curvarb.paths import _check_lgd
+
+    executed = set()
+    with traffic._traced(executed):
+        _check_lgd(0.5)
+    source, first = inspect.getsourcelines(_check_lgd)
+    raise_line = first + next(i for i, text in enumerate(source) if "raise " in text)
+    assert traffic.report(executed)["paths._check_lgd"][1] == [raise_line]
+
+    executed, codes = traffic.trace(["flat_market"])
+    assert codes == {"validate flat_market": 0, "run flat_market": 0}
+    report = traffic.report(executed)
+    lines, missed = report["cli.cmd_run"]
+    assert len(missed) < len(lines)
+    credit = [v for key, v in report.items() if key.startswith("credit.")]
+    assert credit and all(missed == lines for lines, missed in credit)

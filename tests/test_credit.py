@@ -717,6 +717,19 @@ def test_bond_price_and_thm1_reject_s_past_the_sample_horizon():
     assert corporate_bond_price(market, 8.0, 10.0).n_used > 0  # the horizon itself is sampled
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="D13: with gov_rate r != 0 the spread residual is LGD * lambda * (1 - exp(-r t)): "
+    "the construction's spread carries no beta, but the identity multiplies by beta_t",
+)
+def test_thm1_holds_on_a_consistent_market_with_a_government_rate():
+    market = build_thm1_market(
+        0.05, 0.4, horizon=10, steps=40, n_paths=5000, seed=19, gov_rate=0.05
+    )
+    spread = thm1_residuals(market, [(0.0, 5.0)], lambda_source="model").spread
+    assert not spread["detected"].any()
+
+
 def test_lgd_validation():
     # a market's LGD is a real number in [0, 1], however the market is made
     market = build_thm1_market(0.02, 0.4, steps=10, n_paths=200, seed=1)
@@ -727,6 +740,22 @@ def test_lgd_validation():
             build_thm1_market(0.02, v, steps=10, n_paths=200, seed=1)
     for v in (0.0, 1.0, np.float64(0.25)):
         assert replace(market, lgd=v).lgd == v
+
+
+def test_a_scalar_lgd_is_one_number_not_a_list_or_an_array():
+    # the range rule takes a stress rule's array of losses, but a market's
+    # LGD and a density's lgd_value are one number each
+    from curvarb.novikov import DensitySpec
+
+    market = build_thm1_market(0.02, 0.4, steps=10, n_paths=200, seed=1)
+    pdf = lambda t: np.full(np.shape(t), 1.0 / 50.0)  # noqa: E731
+    for v in ([0.4], [], np.full(200, 0.4)):
+        with pytest.raises(ConfigurationError, match="real number in \\[0, 1\\]"):
+            replace(market, lgd=v)
+        with pytest.raises(ConfigurationError, match="real number in \\[0, 1\\]"):
+            build_thm1_market(0.02, v, steps=10, n_paths=200, seed=1)
+        with pytest.raises(ConfigurationError, match="real number in \\[0, 1\\]"):
+            DensitySpec(k=4, tau_pdf=pdf, t_max=50.0, lgd_value=v)
 
 
 def test_error_paths():

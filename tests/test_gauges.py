@@ -276,11 +276,8 @@ def _one_shot_portfolio(gauges, x):
     curve_paths = max(g.curve.n_paths for g in gauges)
     shape = (curve_paths, grid.n_times, offsets.size)
     logp = np.stack([np.broadcast_to(np.log(g.curve.values), shape) for g in gauges])
-    if curve_paths == 1 and np.max(np.abs(w - w[:, :1, :])) <= 1e-14:
-        logpx = np.einsum("jt,jth->th", w[:, 0, :], logp[:, 0])[None, :, :]
-    else:
-        full = np.broadcast_to(logp, (len(gauges), n_paths, grid.n_times, offsets.size))
-        logpx = np.einsum("jpt,jpth->pth", w, full)
+    full = np.broadcast_to(logp, (len(gauges), n_paths, grid.n_times, offsets.size))
+    logpx = np.einsum("jpt,jpth->pth", w, full)
     values = np.exp(logpx)
     values[:, :, 0] = 1.0
     return dx, values
@@ -308,7 +305,7 @@ def _portfolio_case(case):
     if case == "mixed-curves":
         gauges = [Gauge(deflator(False), curve(n_paths)), Gauge(deflator(True), curve(1))]
         return gauges + [Gauge(deflator(False), curve(n_paths))], np.array([0.7, -0.2, 0.5])
-    # path-constant weights on shared curves: the portfolio curve has one row
+    # path-constant weights on shared curves take the shared-curve route too
     return [Gauge(deflator(True), curve(1)) for _ in range(3)], np.array([0.4, 0.6, 1.0])
 
 
@@ -323,7 +320,7 @@ def test_portfolio_blocks_equal_the_one_shot_einsum(monkeypatch, case, block):
     monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", block)
     port = portfolio_gauge(gauges, nominals)
     assert port.curve.values.shape == values.shape
-    assert port.curve.values.shape[0] == (1 if case == "path-constant" else 10)
+    assert port.curve.values.shape[0] == 10
     assert port.curve.values.tobytes() == values.tobytes()
     assert port.deflator.series.tobytes() == dx.tobytes()
 

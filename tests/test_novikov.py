@@ -184,6 +184,23 @@ def test_driver_linked_rule_must_return_one_loss_per_path(small_market):
         novikov_mc(small_market, 4, lgd_rule=lambda t, w: 0.1)
 
 
+# one LGD domain, [0, 1], for the market, lgd_value and every stress rule's
+# output in both routes; nothing is clipped, and NaN is rejected
+@pytest.mark.parametrize("value", [np.nan, 1.5, -0.5])
+def test_novikov_mc_rejects_a_stress_rule_outside_the_lgd_domain(small_market, value):
+    rule = lambda t, w: np.full(t.shape, value)  # noqa: E731
+    with pytest.raises(ConfigurationError, match="real number in \\[0, 1\\]"):
+        novikov_mc(small_market, 4, lgd_rule=rule)
+
+
+@pytest.mark.parametrize("value", [2.5, -0.5, np.nan, 1.5])
+def test_novikov_quadrature_rejects_a_stress_rule_outside_the_lgd_domain(value):
+    rule = lambda t, q: np.full(np.broadcast_shapes(t.shape, q.shape), value)  # noqa: E731
+    dens = DensitySpec.truncated_exponential(0.02, horizon=30.0, k=4, lgd_given_tq=rule)
+    with pytest.raises(ConfigurationError, match="real number in \\[0, 1\\]"):
+        novikov_quadrature(dens)
+
+
 def test_novikov_mc_zero_lgd_is_unit(base_market):
     market = replace(base_market, lgd=0.0)
     est = novikov_mc(market, k=4)
@@ -214,7 +231,7 @@ def test_capped_family_mc_quadrature_cross_check():
 
 
 def test_quadrature_divergence_certificate():
-    dens = DensitySpec.truncated_exponential(0.02, k=4, lgd_value=0.4)
+    dens = DensitySpec.truncated_exponential(0.02, horizon=30.0, k=4, lgd_value=0.4)
     result = novikov_quadrature(dens)
     assert result.diverged and not result.converged
     assert result.value == np.inf
@@ -239,12 +256,17 @@ def test_density_spec_validation():
         DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0)
     with pytest.raises(ConfigurationError):
         DensitySpec(
-            k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_value=0.4, lgd_given_tq=capped_lgd_tq()
+            k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_value=0.4, lgd_given_tq=capped_lgd_tq(0.1)
         )
     with pytest.raises(ConfigurationError):
         DensitySpec(k=0, tau_pdf=ok_pdf, t_max=50.0, lgd_value=0.4)
     spec = DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_value=0.4)
     assert spec.t_max == 50.0
+    # lgd_value has the market's domain, [0, 1]: 1 is the top (u = 2)
+    for value in (1.5, -0.1, np.nan):
+        with pytest.raises(ConfigurationError, match="real number in \\[0, 1\\]"):
+            DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_value=value)
+    assert DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_value=1.0).lgd_value == 1.0
     # the loss is a point mass or a function of (t, q), never a density
     with pytest.raises(TypeError, match="no field 'lgd_pdf'"):
         DensitySpec(k=4, tau_pdf=ok_pdf, t_max=50.0, lgd_pdf=lambda v: 2.5 + 0 * v)

@@ -882,6 +882,35 @@ def test_a_bandwidth_below_every_distance_starves_the_window_without_a_warning()
     assert exc.value.diagnostics["query"] == 0.5
 
 
+def test_a_huge_state_leaves_silverman_on_the_iqr_without_a_warning():
+    # the squares of the standard deviation overflow past 1e154: the spread
+    # is inf, and Silverman's min takes the IQR of 1
+    states = np.repeat([0.0, 1.0, 1e300], [50, 50, 1])
+    values = np.stack([states, states, states + np.linspace(-1.0, 1.0, 101)], axis=1)
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = nelson_derivative(PathEnsemble(grid, values[:, :, None]), 0.5)
+        estimate, se, neff = est.evaluate(0.5)
+    assert est.bandwidth == pytest.approx(0.9 / 1.34 * 101 ** -0.2)
+    assert abs(est.bandwidth - 0.267) < 1e-3
+    assert np.isfinite(estimate).all() and np.isfinite(se).all() and neff[0] >= 30
+
+
+def test_an_overflowing_spread_with_a_zero_iqr_is_an_estimation_error():
+    # 100 states at 0 and one at 1e300: the IQR is 0 and the standard
+    # deviation overflows, so no bandwidth is sound (an infinite one turned
+    # the estimate into the unconditional mean of every quotient)
+    states = np.repeat([0.0, 1e300], [100, 1])
+    values = np.stack([states, states, states + np.linspace(-1.0, 1.0, 101)], axis=1)
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="spread overflows") as exc:
+            nelson_derivative(PathEnsemble(grid, values[:, :, None]), 0.5)
+    assert exc.value.diagnostics == {"iqr": 0.0}
+
+
 def test_non_finite_values_are_rejected_with_location():
     grid = TimeGrid.regular(1.0, 2)
     values = np.zeros((4, 3, 1))
