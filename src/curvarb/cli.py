@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, CurvarbError, DomainError, NumericalError
-from .gauges import Gauge, _in_span, flat_term_structure
+from .gauges import _OFFSET_LATTICE, Gauge, _in_span, flat_term_structure
 from .paths import (
     RNG_STREAM_VERSION,
     TAG_ASSET_BASE,
@@ -294,7 +294,9 @@ def _check_across(doc: dict, v: list) -> None:
     # thm1 and bond read the default sample up to s, which ends at the horizon
     for section in ("thm1", "price"):
         for i, (_, s) in enumerate(doc.get(section, {}).get("pairs", [])):
-            if s > grid.horizon:
+            from .credit import _past_horizon
+
+            if _past_horizon(s, grid.horizon):
                 v.append((f"{section}.pairs[{i}]", f"s = {s} exceeds grid.horizon {grid.horizon}"))
 
 
@@ -392,9 +394,8 @@ def _grid(doc) -> TimeGrid:
 # a lattice that overflows holds inf, which the term-structure builds reject
 @np.errstate(over="ignore")
 def _offsets(doc) -> np.ndarray:
-    # without an "offsets" section, the lattice build_thm1_market defaults to
-    spec = doc.get("offsets", {})
-    return float(spec.get("step", 0.25)) * np.arange(int(spec.get("count", 21)))
+    spec, (step, count) = doc.get("offsets", {}), _OFFSET_LATTICE
+    return float(spec.get("step", step)) * np.arange(int(spec.get("count", count)))
 
 
 def _spec(section) -> ItoSpec:
@@ -634,7 +635,6 @@ def _run_sharpe(doc, built):
         float(section["horizon"]),
         n_paths=int(section.get("n_paths", 1)),
         steps=int(section.get("steps", _SHARPE_STEPS)),
-        seed=int(doc["seed"]),
     )
     expected = section.get("expected")
     if expected is not None:

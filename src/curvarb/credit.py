@@ -30,7 +30,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EstimationError
-from .gauges import Gauge, TermStructureSurface, flat_term_structure, forward_rates, short_rate
+from .gauges import (
+    _OFFSET_LATTICE, Gauge, TermStructureSurface, flat_term_structure, forward_rates, short_rate,
+)
 from .paths import (
     TAG_BRIDGE,
     TAG_DRIVER,
@@ -41,7 +43,6 @@ from .paths import (
     _Record,
     _check_lgd,
     _cumulative_trapezoid,
-    _first_row_if_shared,
     _gauss_legendre,
     _ito_blocks,
     _kernel_on_grid,
@@ -163,9 +164,14 @@ def _survivors(sample: DefaultSample, at: float, minimum: int, message: str, **d
     return alive, n_alive
 
 
+def _past_horizon(s, horizon: float) -> bool:
+    """Whether defaults by s lie past a sample's horizon; validate reads it too."""
+    return s > horizon
+
+
 def _check_sampled(sample: DefaultSample, s: float) -> None:
     """Defaults by s are read off the sample only up to its horizon."""
-    if s > sample.grid.horizon:
+    if _past_horizon(s, sample.grid.horizon):
         raise DomainError(f"s = {s} is past the sample horizon {sample.grid.horizon}")
 
 
@@ -234,22 +240,14 @@ def simulate_default(
             raise ConfigurationError("geometric bridge needs a positive barrier")
         dt = grid.steps
         m = dt.size
+        # sigma^2 dt of every step, one row shared by all paths
+        var = model.equity.sigma**2 * dt
         tau = np.full(n_paths, np.inf)
         for rows, e in _ito_blocks(model.equity, grid, n_paths, seed, TAG_DRIVER):
             a, c = e[:, :-1, 0], e[:, 1:, 0]
             crossed = c <= b
             if bridge:
                 u = _keyed_rows(seed, TAG_BRIDGE, rows, (m,), "random")
-                if model.equity.constant:
-                    # sigma is the same at every step: sigma^2 dt is one row
-                    # when every path shares sigma
-                    sig = _first_row_if_shared(
-                        model.equity.eval_sigma(times[0], e[:, 0], 1)[:, :, 0]
-                    )
-                else:
-                    sig = np.empty(u.shape)
-                    for i in range(m):
-                        sig[:, i] = model.equity.eval_sigma(times[i], e[:, i], 1)[:, 0, 0]
                 valid = (a > b) & (c > b)
                 # -2 g(a) g(c) / (sigma^2 dt), built in place, with the gap g
                 # to the barrier on the log scale for the geometric form
@@ -259,12 +257,12 @@ def simulate_default(
                         gap = np.log(e[:, :, 0] / b)
                         expo = np.multiply(gap[:, :-1], -2.0)
                         expo *= gap[:, 1:]
-                        expo /= sig**2 * dt
+                        expo /= var
                 else:
                     expo = np.subtract(a, b)
                     expo *= -2.0
                     expo *= c - b
-                    expo /= sig**2 * dt
+                    expo /= var
                 # a valid step crosses when u < exp(expo)
                 np.exp(expo, out=expo, where=valid)
                 crossed |= np.less(u, expo, out=valid, where=valid)
@@ -494,8 +492,8 @@ def build_thm1_market(
     lgd_value: float,
     horizon: float = 10.0,
     steps: int = 40,
-    n_offsets: int = 21,
-    offset_step: float = 0.25,
+    n_offsets: int = _OFFSET_LATTICE[1],
+    offset_step: float = _OFFSET_LATTICE[0],
     gov_rate: float = 0.0,
     spread_shift: float = 0.0,
     n_paths: int = 10_000,

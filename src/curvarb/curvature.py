@@ -30,12 +30,10 @@ from .errors import ConfigurationError, NumericalError
 from .gauges import Gauge, _common_grid, short_rate
 from .novikov import NovikovEstimate, _exp_moment
 from .paths import (
-    TAG_SHARPE,
     _GATE_SE,
     ItoSpec,
     TimeGrid,
     _Record,
-    _ito_rows,
     _kernel_on_grid,
     _mean_se,
     _path_slices,
@@ -300,21 +298,20 @@ def novikov_sharpe(
     horizon: float,
     n_paths: int = 1,
     steps: int = 256,
-    seed: int = 0,
 ) -> NovikovEstimate:
-    """E[exp(1/2 int (x alpha)^2 / |x sigma|^2 dt)] along simulated paths.
+    """E[exp(1/2 int (x alpha)^2 / |x sigma|^2 dt)] for the portfolio x.
 
     The short rate is zero, so the spec's drift alpha is the excess return.
-    State-dependent (callable) fields average over n_paths simulated paths.
-    Constant fields (spec.constant) read no time and no state: the integrand
-    is evaluated once, on one row, and its exponent stands for every one of
-    the n_paths, so nothing is simulated.  A vanishing portfolio volatility
-    anywhere is a hard error: the Sharpe ratio is undefined there, not merely
-    large.  n_used is n_paths.  The ratio does not change when x is scaled,
-    so x is first divided by its largest |entry| (a one-asset x becomes
-    exactly +-1), and each row of x alpha and x sigma is scaled by a power of
-    two, exactly, so that the ratio neither overflows nor underflows on the
-    way.  A ratio that overflows all the same is read as infinite.
+    The coefficients read no time and no state, so nothing is simulated: the
+    integrand is evaluated once, on one row, integrated by the trapezoid rule
+    on the regular grid of steps steps, and that exponent is repeated for
+    each of the n_paths; n_used is n_paths.  A vanishing portfolio
+    volatility is a hard error: the Sharpe ratio is undefined there, not
+    merely large.  The ratio does not change when x is scaled, so x is first
+    divided by its largest |entry| (a one-asset x becomes exactly +-1), and
+    x alpha and x sigma are scaled by a power of two, exactly, so that the
+    ratio neither overflows nor underflows on the way.  A ratio that
+    overflows all the same is read as infinite.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != spec.dim:
@@ -324,43 +321,21 @@ def novikov_sharpe(
         x = x / top
     if n_paths < 1:
         raise ConfigurationError("need n_paths >= 1")
-    grid = TimeGrid.regular(horizon, steps)
-    k = spec.driver_dim()
-    times = grid.times
-    if spec.constant:
-        state = spec.x0[None, None, :]
-    else:
-        state = _ito_rows(spec, grid, n_paths, seed, TAG_SHARPE)
-    rows = state.shape[0]
-    ratio_sq = np.empty((rows, times.size))
-    # a constant integrand is evaluated at the first node and fills the row
-    for i, t in enumerate(times[:1] if spec.constant else times):
-        st = state[:, i, :]
-        a = spec.eval_drift(t, st)
-        s = spec.eval_sigma(t, st, k)
-        num = a @ x
-        sx = np.einsum("pnk,n->pk", s, x)
-        # the same exact step per row: the power of two that brings the
-        # largest |x sigma| into [0.5, 1) keeps |x sigma|^2 in float range
-        e = -np.frexp(np.max(np.abs(sx), axis=1))[1]
-        sx = np.ldexp(sx, e[:, None])
-        den = np.sum(sx * sx, axis=1)
-        bad = den <= 0
-        if np.any(bad):
-            # each row stands for n_paths // rows paths
-            raise NumericalError(
-                "portfolio volatility vanishes",
-                diagnostics={"time_index": i, "paths": int(bad.sum()) * (n_paths // rows)},
-            )
-        with np.errstate(over="ignore"):
-            num = np.ldexp(num, e)
-            ratio_sq[:, i] = num * num / den
-    if spec.constant:
-        ratio_sq[:, 1:] = ratio_sq[:, :1]
-    with np.errstate(over="ignore"):  # an integral past float range reads inf
-        exponents = 0.5 * np.trapezoid(ratio_sq, times, axis=1)
-    if rows < n_paths:
-        exponents = np.full(n_paths, exponents[0])
+    times = TimeGrid.regular(horizon, steps).times
+    sx = np.einsum("nk,n->k", spec.sigma, x)
+    # the power of two that brings the largest |x sigma| into [0.5, 1) keeps
+    # |x sigma|^2 in float range
+    e = -np.frexp(np.max(np.abs(sx)))[1]
+    sx = np.ldexp(sx, e)
+    den = np.sum(sx * sx)
+    if den <= 0:
+        raise NumericalError(
+            "portfolio volatility vanishes", diagnostics={"time_index": 0, "paths": n_paths}
+        )
+    with np.errstate(over="ignore"):  # a ratio or an integral past float range reads inf
+        num = np.ldexp(spec.drift @ x, e)
+        ratio_sq = np.full(times.size, num * num / den)
+        exponents = np.full(n_paths, 0.5 * np.trapezoid(ratio_sq, times))
     estimate, se, tail, verdict = _exp_moment(exponents)
     return NovikovEstimate(estimate, se, n_paths, 0.0, exponents, tail, verdict)
 

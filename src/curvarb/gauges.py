@@ -60,6 +60,10 @@ __all__ = [
 
 _REL_TOL = 1e-9
 
+# the default maturity offset lattice, (step, count): build_thm1_market's,
+# and a scenario's without an "offsets" section
+_OFFSET_LATTICE = (0.25, 21)
+
 
 def _in_span(h, span: float) -> bool:
     """Whether offset h lies on a lattice ending at span; validate reads it too."""

@@ -479,116 +479,99 @@ def simulate_brownian(
 
 
 class ItoSpec(_Record):
-    """Coefficient specification for an Ito process.
+    """Specification of an Ito process with constant coefficients.
 
-    drift and sigma may be constants, arrays, or callables of (t, state) where
-    state has shape (n_paths, n).  form selects the integration scheme:
-    "arithmetic" uses Euler on the level, "geometric" uses log-Euler with the
-    coefficients read as proportional drift and volatility (exact in law for
-    constant coefficients).
+    x0, drift and sigma are numbers or arrays, checked and normalized once,
+    here: x0 to a vector of dim entries, drift broadcast to (dim,) and sigma
+    to (dim, k), its last axis the k Brownian drivers (a scalar sigma needs
+    dim 1 and gives k = 1).  A callable, a non-number, an empty or
+    non-finite entry and a shape that does not broadcast are
+    ConfigurationErrors naming the field.  form selects the integration
+    scheme: "arithmetic" uses Euler on the level, "geometric" uses log-Euler
+    with the coefficients read as proportional drift and volatility (exact
+    in law).
     """
 
     x0: float | np.ndarray
-    drift: float | np.ndarray | Callable = 0.0
-    sigma: float | np.ndarray | Callable = 0.0
+    drift: float | np.ndarray = 0.0
+    sigma: float | np.ndarray = 0.0
     form: str = "arithmetic"
 
     def __post_init__(self):
         if self.form not in ("arithmetic", "geometric"):
             raise ConfigurationError(f"unknown Ito form {self.form!r}")
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=np.float64))
+        x0 = np.atleast_1d(_coefficient(self.x0, "x0"))
         if x0.ndim != 1:
             raise ConfigurationError("x0 must be a scalar or 1-d vector")
         if self.form == "geometric" and np.any(x0 <= 0):
             raise ConfigurationError("geometric dynamics need a positive start")
         object.__setattr__(self, "x0", x0)
+        drift, sigma = _coefficient(self.drift, "drift"), _coefficient(self.sigma, "sigma")
+        if sigma.ndim == 0 and x0.size != 1:
+            raise ConfigurationError("scalar sigma needs dim = driver dim = 1")
+        k = sigma.shape[-1] if sigma.ndim else 1
+        for name, a, shape in (("drift", drift, (x0.size,)), ("sigma", sigma, (x0.size, k))):
+            try:
+                object.__setattr__(self, name, np.broadcast_to(a, shape))
+            except ValueError:
+                raise ConfigurationError(
+                    f"{name} of shape {a.shape} does not broadcast to {shape}"
+                ) from None
 
     @property
     def dim(self) -> int:
         return self.x0.size
 
-    @property
-    def constant(self) -> bool:
-        """Neither drift nor sigma is callable: both read no time and no state."""
-        return not (callable(self.drift) or callable(self.sigma))
-
-    def eval_drift(self, t: float, x: np.ndarray) -> np.ndarray:
-        a = self.drift(t, x) if callable(self.drift) else self.drift
-        return np.broadcast_to(np.asarray(a, dtype=np.float64), x.shape)
-
-    def eval_sigma(self, t: float, x: np.ndarray, k: int) -> np.ndarray:
-        s = self.sigma(t, x) if callable(self.sigma) else self.sigma
-        s = np.asarray(s, dtype=np.float64)
-        target = (x.shape[0], x.shape[1], k)
-        if s.ndim == 0:
-            if x.shape[1] != 1 or k != 1:
-                raise ConfigurationError("scalar sigma needs dim = driver dim = 1")
-            return np.broadcast_to(s[None, None, None], target)
-        return np.broadcast_to(s, target)
-
     def driver_dim(self) -> int:
-        s = self.sigma(0.0, self.x0[None, :]) if callable(self.sigma) else self.sigma
-        s = np.asarray(s, dtype=np.float64)
-        return 1 if s.ndim == 0 else s.shape[-1]
+        return self.sigma.shape[1]
 
 
-def _first_row_if_shared(v: np.ndarray) -> np.ndarray:
-    """v[:1] when every row of v is one broadcast row, else v."""
-    return v[:1] if v.shape[0] and v.strides[0] == 0 else v
+def _coefficient(value, name: str) -> np.ndarray:
+    """An Ito start or coefficient as a non-empty, finite float64 array."""
+    if callable(value):
+        raise ConfigurationError(f"{name} must be a number or an array, not a callable")
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} must be real numbers, not {value!r}") from None
+    if not (a.size and np.all(np.isfinite(a))):
+        raise ConfigurationError(f"{name} must be non-empty and finite, not {value!r}")
+    return a
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate(spec: ItoSpec, grid: TimeGrid, dw: np.ndarray, out=None) -> np.ndarray:
     """(rows, n_times, dim) Ito paths of spec driven by the Brownian increments
-    dw, shaped (rows, n_times - 1, k), into out if given; dw is only read.  An
-    overflow leaves inf, or NaN where two overflows cancel, not a warning,
-    for the caller's finiteness check to report.
+    dw, shaped (rows, n_times - 1, spec.driver_dim()), into out if given; dw
+    is only read.  An overflow leaves inf, or NaN where two overflows cancel,
+    not a warning, for the caller's finiteness check to report.
 
     Each step is (level + a dt) + noise, on the level for the arithmetic form
-    and on the log level for the geometric one.  Constant coefficients are
-    read once: one einsum writes every step's noise into the output, the
+    and on the log level for the geometric one, whose drift a carries the Ito
+    correction.  One einsum writes every step's noise into the output, the
     recurrence adds the drift and the previous level in place, and the
     geometric form exponentiates the whole block at the end, bit for bit as
-    step by step.  With a callable coefficient both are read at every step,
-    as the corrected drift needs both."""
+    step by step."""
     n_paths, n_steps, k = dw.shape
+    if k != spec.driver_dim():
+        raise ConfigurationError(
+            f"sigma of shape {spec.sigma.shape} needs a driver of dim {spec.driver_dim()}, not {k}"
+        )
     dt = grid.steps
     x = np.empty((n_paths, grid.n_times, spec.dim)) if out is None else out
     x[:, 0, :] = spec.x0[None, :]
     state = x[:, 0, :].copy()
     geometric = spec.form == "geometric"
-    if not spec.constant:
-        log_state = np.log(state) if geometric else None
-        for i in range(n_steps):
-            t = float(grid.times[i])
-            a = spec.eval_drift(t, state)
-            s = spec.eval_sigma(t, state, k)
-            if geometric:
-                # proportional coefficients; Ito correction keeps the law
-                # exact for constant (a, s)
-                a = a - 0.5 * np.einsum("pnk,pnk->pn", s, s)
-            noise = np.einsum("pnk,pk->pn", s, dw[:, i, :])
-            if geometric:
-                log_state = log_state + a * dt[i] + noise
-                state = np.exp(log_state)
-            else:
-                state = state + a * dt[i] + noise
-            x[:, i + 1, :] = state
-        return x
-    t = float(grid.times[0])
-    a = _first_row_if_shared(spec.eval_drift(t, state))
-    s = spec.eval_sigma(t, state, k)
+    a = spec.drift
     if geometric:
-        s1 = _first_row_if_shared(s)
-        a = a - 0.5 * np.einsum("pnk,pnk->pn", s1, s1)
-    # a dt for every step, one row when the drift is shared by all rows
-    drift = a[:, None, :] * dt[None, :, None]
+        a = a - 0.5 * np.einsum("nk,nk->n", spec.sigma, spec.sigma)
+    drift = dt[:, None] * a  # a dt for every step
     levels = x[:, 1:, :]
-    np.einsum("pnk,pik->pin", s, dw, out=levels)
+    np.einsum("nk,pik->pin", spec.sigma, dw, out=levels)
     level = np.log(state) if geometric else state
     for i in range(n_steps):
         # state takes level + a dt_i, which is added to the step's noise
-        np.add(level, drift[:, i], out=state)
+        np.add(level, drift[i], out=state)
         level = levels[:, i]
         level += state
     if geometric:

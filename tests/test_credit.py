@@ -165,9 +165,11 @@ def test_structural_sample_holds_only_default_times():
 EQUITY = {
     "geometric": ItoSpec(x0=1.0, drift=0.02, sigma=0.3, form="geometric"),
     "arithmetic": ItoSpec(x0=1.0, drift=0.0, sigma=0.4, form="arithmetic"),
-    "callable": ItoSpec(
-        x0=1.0, drift=0.0, sigma=lambda t, x: (0.2 + 0.2 * np.abs(x) + 0.1 * t)[:, :, None]
-    ),
+}
+# the equities above and one whose sigma is given as an array
+_STRUCTURAL_EQUITY = {
+    **EQUITY,
+    "array": ItoSpec(x0=1.0, drift=0.01, sigma=np.array([0.35]), form="geometric"),
 }
 
 
@@ -181,9 +183,9 @@ def _small_and_whole_blocks(monkeypatch, n_paths, run):
 
 
 @pytest.mark.parametrize("bridge", [False, True])
-@pytest.mark.parametrize("equity", sorted(EQUITY))
+@pytest.mark.parametrize("equity", sorted(_STRUCTURAL_EQUITY))
 def test_structural_default_times_do_not_depend_on_the_block_size(monkeypatch, equity, bridge):
-    model = StructuralModel(EQUITY[equity], 0.7)
+    model = StructuralModel(_STRUCTURAL_EQUITY[equity], 0.7)
     grid = TimeGrid.regular(2.0, 50)
     n = 1000  # ten blocks of 97 and a short one
     small, whole = _small_and_whole_blocks(
@@ -195,15 +197,13 @@ def test_structural_default_times_do_not_depend_on_the_block_size(monkeypatch, e
 
 def _reference_structural_tau(model, grid, n, seed, bridge):
     """simulate_default's structural tau from whole-ensemble equity, bridge
-    uniforms read from whole stream blocks and sigma evaluated step by step."""
+    uniforms read from whole stream blocks and sigma^2 dt step by step."""
     e = simulate_ito(model.equity, simulate_brownian(grid, n, 1, seed, TAG_DRIVER)).series
     a, c, b, dt = e[:, :-1], e[:, 1:], model.barrier, grid.steps
     crossed = c <= b
     if bridge:
         u = reference_rows(seed, TAG_BRIDGE, range(n), (dt.size,), "random")
-        sig = np.empty(u.shape)
-        for i in range(dt.size):
-            sig[:, i] = model.equity.eval_sigma(grid.times[i], e[:, i : i + 1], 1)[:, 0, 0]
+        sig = np.full(u.shape, model.equity.sigma[0, 0])
         valid = (a > b) & (c > b)
         if model.equity.form == "geometric":
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -218,11 +218,9 @@ def _reference_structural_tau(model, grid, n, seed, bridge):
 
 
 @pytest.mark.parametrize("bridge", [False, True])
-@pytest.mark.parametrize("equity", [*sorted(EQUITY), "array"])
+@pytest.mark.parametrize("equity", sorted(_STRUCTURAL_EQUITY))
 def test_structural_default_times_match_a_step_by_step_reference(monkeypatch, equity, bridge):
-    array_sigma = ItoSpec(x0=1.0, drift=0.01, sigma=np.array([0.35]), form="geometric")
-    spec = EQUITY.get(equity, array_sigma)
-    model = StructuralModel(spec, 0.7)
+    model = StructuralModel(_STRUCTURAL_EQUITY[equity], 0.7)
     grid = TimeGrid.regular(2.0, 50)
     n = 1000
     reference = _reference_structural_tau(model, grid, n, 13, bridge)

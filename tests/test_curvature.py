@@ -18,16 +18,7 @@ from curvarb.curvature import (
 from curvarb.errors import ConfigurationError, NumericalError
 from curvarb.gauges import Gauge, TermStructureSurface, flat_term_structure, short_rate
 from curvarb.novikov import NovikovEstimate, _exp_moment
-from curvarb.paths import (
-    TAG_SHARPE,
-    ItoSpec,
-    PathEnsemble,
-    TimeGrid,
-    _brownian_rows,
-    _integrate,
-    simulate_brownian,
-    simulate_ito,
-)
+from curvarb.paths import ItoSpec, PathEnsemble, TimeGrid, simulate_brownian, simulate_ito
 
 OFFSETS = 0.25 * np.arange(9)
 
@@ -319,31 +310,6 @@ def test_sharpe_integral_constant_coefficients():
     assert est.verdict == "finite_evidence"
 
 
-def test_sharpe_integral_time_varying_ratio():
-    # drift 0.06 t over vol 0.2 gives the ratio 0.3 t
-    spec = ItoSpec(
-        x0=1.0,
-        drift=lambda t, x: 0.06 * t * np.ones_like(x),
-        sigma=0.2,
-        form="geometric",
-    )
-    est = novikov_sharpe(spec, [1.0], horizon=1.0, steps=512)
-    assert est.estimate == pytest.approx(np.exp(0.015), rel=1e-6)
-
-
-def test_sharpe_integral_ensemble_and_tail():
-    spec = ItoSpec(
-        x0=1.0,
-        drift=0.06,
-        sigma=lambda t, x: np.full(x.shape + (1,), 0.2),
-        form="geometric",
-    )
-    est = novikov_sharpe(spec, [1.0], horizon=1.0, n_paths=50, seed=4)
-    assert est.estimate == pytest.approx(np.exp(0.045), rel=1e-12)
-    assert est.tail is not None
-    assert est.verdict == "finite_evidence"
-
-
 @pytest.mark.parametrize("n_paths", [1, 40])
 def test_sharpe_integral_overflow_is_divergence_evidence(n_paths):
     # drift 1 over vol 0.02 gives the exponent 1250, far past float range
@@ -358,15 +324,14 @@ def test_sharpe_integral_overflow_is_divergence_evidence(n_paths):
     assert (est.tail is None) == (n_paths < 20)
 
 
-def _reference_sharpe_exponents(spec, x, horizon, n_paths, steps, seed):
-    """The integrand on every simulated path, as for state-dependent fields."""
+def _reference_sharpe_exponents(spec, x, horizon, n_paths, steps):
+    """The integrand at every node of n_paths paths, read off the
+    coefficients as a simulated route would read them on each path."""
     grid = TimeGrid.regular(horizon, steps)
-    k = spec.driver_dim()
-    state = _integrate(spec, grid, _brownian_rows(grid, range(n_paths), k, seed, TAG_SHARPE))
+    a = np.broadcast_to(spec.drift, (n_paths, spec.dim))
+    s = np.broadcast_to(spec.sigma, (n_paths, spec.dim, spec.driver_dim()))
     ratio_sq = np.empty((n_paths, grid.n_times))
-    for i, t in enumerate(grid.times):
-        a = spec.eval_drift(t, state[:, i, :])
-        s = spec.eval_sigma(t, state[:, i, :], k)
+    for i in range(grid.n_times):
         sx = np.einsum("pnk,n->pk", s, x)
         ratio_sq[:, i] = (a @ x) ** 2 / np.sum(sx * sx, axis=1)
     return 0.5 * np.trapezoid(ratio_sq, grid.times, axis=1)
@@ -388,8 +353,8 @@ def _reference_sharpe_exponents(spec, x, horizon, n_paths, steps, seed):
 )
 def test_sharpe_constant_fields_match_the_simulated_route(spec, x, n_paths, steps):
     x = np.asarray(x)
-    est = novikov_sharpe(spec, x, 1.0, n_paths=n_paths, steps=steps, seed=5)
-    exponents = _reference_sharpe_exponents(spec, x, 1.0, n_paths, steps, 5)
+    est = novikov_sharpe(spec, x, 1.0, n_paths=n_paths, steps=steps)
+    exponents = _reference_sharpe_exponents(spec, x, 1.0, n_paths, steps)
     estimate, se, tail, verdict = _exp_moment(exponents)
     assert est.exponents.tobytes() == exponents.tobytes()
     assert (est.estimate, est.se, est.verdict) == (estimate, se, verdict)
@@ -437,33 +402,15 @@ def test_sharpe_constant_fields_simulate_nothing():
     assert peak < 2**20
 
 
-def test_sharpe_constant_fields_evaluate_the_integrand_once(monkeypatch):
-    calls, eval_drift = [], ItoSpec.eval_drift
+def test_sharpe_draws_nothing_and_takes_no_seed(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("novikov_sharpe drew from a keyed stream")
 
-    def counting(self, t, x):
-        calls.append(t)
-        return eval_drift(self, t, x)
-
-    monkeypatch.setattr(ItoSpec, "eval_drift", counting)
-    novikov_sharpe(ItoSpec(1.0, 0.06, 0.2, "geometric"), [1.0], 1.0, n_paths=50, steps=64)
-    assert calls == [0.0]  # once, not at each of the 65 nodes
-
-
-_SIGMA_2 = np.array([[0.2, 0.05], [0.1, 0.3]])
-
-
-@pytest.mark.parametrize(
-    "x0, drift, sigma, x",
-    [(1.0, 0.06, 0.2, [1.0]), (np.array([1.0, 2.0]), np.array([0.05, 0.02]), _SIGMA_2, [1.0, -0.5])],
-    ids=["dim1", "dim2"],
-)
-def test_sharpe_constant_integrand_equals_a_callable_constant_drift(x0, drift, sigma, x):
-    once = novikov_sharpe(ItoSpec(x0, drift, sigma, "geometric"), x, 1.0, 300, 64, seed=5)
-    # a callable drift is read at every node of 300 simulated paths
-    per_node = ItoSpec(x0, lambda t, state: drift, sigma, "geometric")
-    every = novikov_sharpe(per_node, x, 1.0, 300, 64, seed=5)
-    assert once.exponents.tobytes() == every.exponents.tobytes()
-    assert (once.estimate, once.se, once.verdict) == (every.estimate, every.se, every.verdict)
+    monkeypatch.setattr(curvarb.paths, "_keyed_rows", no_draw)
+    est = novikov_sharpe(ItoSpec(1.0, 0.06, 0.2, "geometric"), [1.0], 1.0, n_paths=50, steps=64)
+    assert est.n_used == 50 and est.exponents.shape == (50,)
+    with pytest.raises(TypeError, match="seed"):
+        novikov_sharpe(ItoSpec(1.0, 0.06, 0.2, "geometric"), [1.0], 1.0, seed=5)
 
 
 def test_sharpe_constant_fields_never_read_the_state():
@@ -476,9 +423,8 @@ def test_sharpe_constant_fields_never_read_the_state():
     assert (est.estimate, est.se, est.verdict) == (np.inf, np.inf, "divergence_evidence")
 
 
-@pytest.mark.parametrize("sigma", [0.2, lambda t, x: np.full(x.shape + (1,), 0.2)])
-def test_sharpe_vanishing_volatility_counts_every_path(sigma):
-    spec = ItoSpec(1.0, 0.06, sigma, "geometric")
+def test_sharpe_vanishing_volatility_counts_every_path():
+    spec = ItoSpec(1.0, 0.06, 0.2, "geometric")
     with pytest.raises(NumericalError) as err:
         novikov_sharpe(spec, [0.0], 1.0, n_paths=40)
     assert err.value.diagnostics == {"time_index": 0, "paths": 40}

@@ -46,7 +46,6 @@ from curvarb import (
     replace,
 )
 from curvarb.credit import StructuralModel, build_thm1_market, simulate_default
-from curvarb.curvature import novikov_sharpe
 import curvarb.cli
 import curvarb.paths
 from curvarb.paths import (
@@ -477,8 +476,7 @@ def test_arithmetic_euler_exact_for_constant_coefficients():
     assert np.allclose(paths.series, closed, rtol=0, atol=1e-12)
 
 
-# constant coefficients, which _integrate evaluates once; as callables it
-# evaluates them at every step
+# constant coefficients, one and two drivers, both forms
 _SIGMA_K2 = np.array([[0.2, 0.1], [0.0, 0.3]])
 _CONSTANT_SPECS = {
     "arithmetic-k1": dict(x0=0.3, drift=0.1, sigma=0.5, form="arithmetic"),
@@ -488,26 +486,85 @@ _CONSTANT_SPECS = {
 }
 
 
-@pytest.mark.parametrize("callables", [("drift", "sigma"), ("drift",), ("sigma",)], ids="+".join)
+@pytest.mark.bitexact
 @pytest.mark.parametrize("name", sorted(_CONSTANT_SPECS))
-def test_constant_coefficients_integrate_like_callables_bit_for_bit(monkeypatch, name, callables):
+@pytest.mark.parametrize("block", [97, 125, _PATH_BLOCK])
+def test_ito_rows_match_the_reference_across_partial_blocks(monkeypatch, block, name):
     kw = _CONSTANT_SPECS[name]
-    const = ItoSpec(**kw)
-    per_step = ItoSpec(**{**kw, **{c: (lambda t, x, v=kw[c]: v) for c in callables}})
-    # 250 paths in blocks of 97: the last block ends partway
-    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
+    spec = ItoSpec(**kw)
+    # 250 paths in blocks of 97 (the last block ends partway), in two whole
+    # blocks of 125, and in one block longer than the ensemble
+    monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", block)
     grid = TimeGrid.regular(2.0, 20)
-    x = _ito_rows(const, grid, 250, 3, 5)
-    assert x.shape == (250, grid.n_times, const.dim)
-    assert x.tobytes() == _ito_rows(per_step, grid, 250, 3, 5).tobytes()
+    x = _ito_rows(spec, grid, 250, 3, 5)
+    assert x.shape == (250, grid.n_times, spec.dim)
+    dw = simulate_brownian(grid, 250, spec.driver_dim(), 3, 5).driver_increments
+    assert x.tobytes() == reference_paths(**kw, steps=grid.steps, dw=dw).tobytes()
 
 
-@pytest.mark.parametrize("sigma", [0.2, lambda t, x: 0.2], ids=["constant", "callable"])
+@pytest.mark.parametrize("sigma", [0.2, np.array(0.2)], ids=["constant", "0-d-array"])
 def test_scalar_sigma_rejects_a_two_dim_driver(sigma):
     grid = TimeGrid.regular(1.0, 4)
     dw = simulate_brownian(grid, 5, dim=2, seed=1).driver_increments
-    with pytest.raises(ConfigurationError, match="scalar sigma"):
+    with pytest.raises(ConfigurationError, match=r"sigma of shape \(1, 1\) needs a driver of dim 1, not 2"):
         _integrate(ItoSpec(x0=1.0, sigma=sigma), grid, dw)
+
+
+def test_a_driver_of_another_dim_than_sigma_is_rejected():
+    # one sigma column against two Brownian components: sigma is not
+    # applied to both of them
+    grid = TimeGrid.regular(1.0, 4)
+    driver = simulate_brownian(grid, 5, dim=2, seed=1)
+    with pytest.raises(ConfigurationError, match=r"sigma of shape \(1, 1\) needs a driver of dim 1, not 2"):
+        simulate_ito(ItoSpec(x0=0.0, sigma=[[0.2]]), driver)
+
+
+@pytest.mark.parametrize("name", ["drift", "sigma"])
+def test_a_callable_coefficient_is_rejected(name):
+    with pytest.raises(ConfigurationError, match=f"{name} must be a number or an array, not a callable"):
+        ItoSpec(x0=1.0, **{name: lambda t, x: 0.2})
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(x0=[1, 2], drift=[0.1, 0.2, 0.3], sigma=[[0.2], [0.1]]), r"drift of shape \(3,\) does not broadcast to \(2,\)"),
+        (dict(x0=[1, 2], sigma=[[0.2], [0.1], [0.3]]), r"sigma of shape \(3, 1\) does not broadcast to \(2, 1\)"),
+        # one drift per path is not a coefficient of the process
+        (dict(x0=1.0, drift=np.full((40, 1), 0.1), sigma=0.2), r"drift of shape \(40, 1\) does not broadcast"),
+        (dict(x0=1.0, drift="a"), "drift must be real numbers"),
+        (dict(x0=1.0, sigma="a"), "sigma must be real numbers"),
+        (dict(x0=1.0, drift=np.nan), "drift must be non-empty and finite"),
+        (dict(x0=1.0, sigma=[[np.inf]]), "sigma must be non-empty and finite"),
+        (dict(x0=1.0, sigma=np.zeros((1, 0))), "sigma must be non-empty and finite"),
+        # a start the first step would carry into every path
+        (dict(x0=np.nan, sigma=0.2), "x0 must be non-empty and finite"),
+        (dict(x0=[], sigma=0.2), "x0 must be non-empty and finite"),
+        (dict(x0=[1.0, -np.inf], sigma=0.2), "x0 must be non-empty and finite"),
+        (dict(x0=[[1.0, 2.0]], sigma=0.2), "x0 must be a scalar or 1-d vector"),
+        (dict(x0=0.0, sigma=0.2, form="geometric"), "geometric dynamics need a positive start"),
+        # one volatility matrix per path, likewise
+        (dict(x0=1.0, sigma=np.full((40, 1, 1), 0.2)), r"sigma of shape \(40, 1, 1\) does not broadcast"),
+    ],
+    ids=[
+        "drift-shape", "sigma-shape", "drift-per-path", "drift-str", "sigma-str", "drift-nan",
+        "sigma-inf", "sigma-empty", "x0-nan", "x0-empty", "x0-inf", "x0-matrix",
+        "x0-geometric-zero", "sigma-per-path",
+    ],
+)
+def test_ill_formed_coefficients_are_rejected_at_construction(kw, message):
+    with pytest.raises(ConfigurationError, match=message):
+        ItoSpec(**kw)
+
+
+def test_coefficients_are_normalized_once():
+    spec = ItoSpec(x0=[1.0, 2.0], drift=0.05, sigma=[0.2, 0.1, 0.3])
+    assert spec.drift.shape == (2,) and spec.sigma.shape == (2, 3) and spec.driver_dim() == 3
+    assert not spec.drift.flags.writeable and not spec.sigma.flags.writeable
+    one = ItoSpec(x0=1.0, drift=0.05, sigma=0.2)
+    assert one.drift.tolist() == [0.05] and one.sigma.tolist() == [[0.2]]
+    # huge finite coefficients are legal: an overflow is the simulation's to report
+    ItoSpec(x0=1.0, drift=1e308, sigma=1e308)
 
 
 # constant coefficients by driver dim k: dim 1 with a scalar sigma, as the
@@ -535,19 +592,6 @@ def test_integrate_matches_the_per_step_reference(form, k, steps):
     x = simulate_ito(ItoSpec(**coefficients, form=form), driver).values
     assert driver.driver_increments.tobytes() == dw.tobytes()  # the driver is only read
     assert x.tobytes() == reference_paths(**coefficients, form=form, steps=grid.steps, dw=dw).tobytes()
-
-
-@pytest.mark.bitexact
-@pytest.mark.parametrize("form", ["arithmetic", "geometric"])
-def test_integrate_per_row_constants_match_the_per_step_reference(form):
-    # constants with one row per path: no row is shared
-    grid = TimeGrid.regular(1.0, 20)
-    driver = simulate_brownian(grid, 40, 1, seed=3)
-    rng = np.random.default_rng(3)
-    drift, sigma = rng.uniform(-0.1, 0.1, (40, 1)), rng.uniform(0.1, 0.4, (40, 1, 1))
-    x = simulate_ito(ItoSpec(x0=1.0, drift=drift, sigma=sigma, form=form), driver).values
-    ref = reference_paths(1.0, drift, sigma, form, grid.steps, driver.driver_increments)
-    assert x.tobytes() == ref.tobytes()
 
 
 @pytest.mark.bitexact
@@ -647,16 +691,6 @@ def test_ito_output_carries_no_increments_and_cannot_drive():
     assert paths.driver_increments is None
     with pytest.raises(ConfigurationError, match="carries no increments"):
         simulate_ito(spec, paths)
-
-
-def test_state_dependent_coefficients_are_fed_the_state():
-    grid = TimeGrid.regular(1.0, 128)
-    driver = simulate_brownian(grid, 4000, seed=21)
-    # mean-reverting drift toward 0 keeps the mean below the driftless case
-    spec = ItoSpec(x0=1.0, drift=lambda t, x: -2.0 * x, sigma=0.3, form="arithmetic")
-    paths = simulate_ito(spec, driver)
-    # E X_t = exp(-2t); Euler bias O(dt) is small on this grid
-    assert abs(paths.at_time(1.0).mean() - np.exp(-2.0)) < 0.01
 
 
 def test_covariation_of_brownian_recovers_time():
@@ -1274,9 +1308,6 @@ _ROUTE_SEED = 17
 _EQUITY_SPECS = {
     "geometric": ItoSpec(x0=1.0, drift=0.02, sigma=0.3, form="geometric"),
     "arithmetic": ItoSpec(x0=1.0, drift=0.0, sigma=0.4, form="arithmetic"),
-    "callable-sigma": ItoSpec(
-        x0=1.0, drift=0.0, sigma=lambda t, x: (0.2 + 0.2 * np.abs(x) + 0.1 * t)[:, :, None]
-    ),
 }
 
 
@@ -1314,25 +1345,6 @@ def _row_range_route():
     return internal, _public_pair(spec, 1, TAG_DRIVER)[rows.start : rows.stop]
 
 
-def _sharpe_route():
-    spec = ItoSpec(
-        x0=1.0,
-        drift=lambda t, x: 0.05 * x,
-        sigma=lambda t, x: (0.2 + 0.1 * np.abs(x))[:, :, None],
-    )
-    x = np.array([1.0])
-    n, horizon, steps = 300, 1.0, 64
-    est = novikov_sharpe(spec, x, horizon, n_paths=n, steps=steps, seed=_ROUTE_SEED)
-    grid = TimeGrid.regular(horizon, steps)
-    state = _public_pair(spec, 1, TAG_SHARPE, n=n, grid=grid)
-    ratio_sq = np.empty((n, grid.n_times))
-    for i, t in enumerate(grid.times):
-        a = spec.eval_drift(t, state[:, i, :])
-        sx = np.einsum("pnk,n->pk", spec.eval_sigma(t, state[:, i, :], 1), x)
-        ratio_sq[:, i] = (a @ x) ** 2 / np.sum(sx * sx, axis=1)
-    return est.exponents, 0.5 * np.trapezoid(ratio_sq, grid.times, axis=1)
-
-
 def _cli_asset_route():
     assets = [
         {"label": "a", "x0": 1.0, "drift": 0.03, "sigma": 0.2, "rate": 0.0},
@@ -1357,7 +1369,6 @@ _ROUTES = {
     **{f"equity-{form}": (lambda form=form: _equity_route(form)) for form in _EQUITY_SPECS},
     "ito-rows-2d-driver": _two_driver_route,
     "brownian-rows-mid-block-range": _row_range_route,
-    "novikov-sharpe-exponents": _sharpe_route,
     "cli-asset-deflators": _cli_asset_route,
 }
 
@@ -1406,7 +1417,7 @@ def _bridged_reference(model, grid, n, seed):
     crossed = np.zeros((n, m), dtype=bool)
     for i in range(m):
         a, c = e[:, i].copy(), e[:, i + 1].copy()
-        sig = spec.eval_sigma(grid.times[i], e[:, i : i + 1], 1)[:, 0, 0]
+        sig = spec.sigma[0, 0]
         valid = (a > b) & (c > b)
         with np.errstate(invalid="ignore", divide="ignore"):
             if spec.form == "geometric":
@@ -1438,18 +1449,18 @@ def test_bridged_defaults_match_the_per_step_reference(monkeypatch, form, block)
 def test_ito_rows_numerical_error_names_the_paths_own_index(monkeypatch):
     monkeypatch.setattr(curvarb.paths, "_PATH_BLOCK", 97)
     grid = TimeGrid.regular(1.0, 10)
-    # drift 0 keeps the state at 0.4 + 0.5 W until it passes 1.6; a step later it is inf
-    spec = ItoSpec(x0=0.4, drift=lambda t, x: np.where(x > 1.6, np.inf, 0.0), sigma=0.5)
-    w = simulate_brownian(grid, 600, 1, 8, TAG_DRIVER).series
-    over = 0.4 + 0.5 * w[:, :-1] > 1.6
+    # 0.4 + 6e307 W overflows once |W| passes about 3, on few paths
+    kw = dict(x0=0.4, drift=0.0, sigma=6e307, form="arithmetic")
+    dw = simulate_brownian(grid, 600, 1, 8, TAG_DRIVER).driver_increments
+    over = ~np.isfinite(reference_paths(**kw, steps=grid.steps, dw=dw)[:, :, 0])
     # at seed 8 the first overflow lies past the first block, so its row in
     # its block is not its path index
     first = int(np.argmax(over.any(axis=1)))
     assert first >= 97 and over[first].any()  # outside the first block
     with pytest.raises(NumericalError) as err:
-        _ito_rows(spec, grid, 600, 8, TAG_DRIVER)
+        _ito_rows(ItoSpec(**kw), grid, 600, 8, TAG_DRIVER)
     assert err.value.diagnostics["path"] == first
-    assert err.value.diagnostics["step"] == int(np.argmax(over[first])) + 1
+    assert err.value.diagnostics["step"] == int(np.argmax(over[first]))
 
 
 def test_ito_rows_hold_little_beyond_their_output():
@@ -1517,13 +1528,16 @@ def test_records_bind_positional_keyword_and_default_fields():
     by_position = ItoSpec(1.0, 0.1, 0.2, "geometric")
     by_keyword = ItoSpec(form="geometric", sigma=0.2, drift=0.1, x0=1.0)
     for spec in (by_position, by_keyword):
-        assert (spec.x0.tolist(), spec.drift, spec.sigma, spec.form) == (
-            [1.0], 0.1, 0.2, "geometric"
+        assert (spec.x0.tolist(), spec.drift.tolist(), spec.sigma.tolist(), spec.form) == (
+            [1.0], [0.1], [[0.2]], "geometric"
         )
     default = ItoSpec(2.0)
-    assert (default.drift, default.sigma, default.form) == (0.0, 0.0, "arithmetic")
+    assert (default.drift.tolist(), default.sigma.tolist(), default.form) == ([0.0], [[0.0]], "arithmetic")
     assert list(vars(default)) == ["x0", "drift", "sigma", "form"]
-    assert repr(default) == "ItoSpec(x0=array([2.]), drift=0.0, sigma=0.0, form='arithmetic')"
+    # the fields as __post_init__ normalized them
+    assert repr(default) == (
+        "ItoSpec(x0=array([2.]), drift=array([0.]), sigma=array([[0.]]), form='arithmetic')"
+    )
 
 
 @pytest.mark.parametrize(
