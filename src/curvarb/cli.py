@@ -183,7 +183,6 @@ SCHEMA = {
     "assets[].sigma": (float, _GE0, ASSET_ANALYSES),
     "assets[].form": (str, _FORM, OPTIONAL),
     "assets[].rate": (float, None, ASSET_ANALYSES),
-    "tolerances.curvature_max_norm": (float, None, OPTIONAL),
     "kernel.rate": (float, None, {"kernel"}),
     "kernel.pairs": (list, _PAIRS, {"kernel"}),
     "zc.alpha": (list, _NUMBERS, {"zc"}),
@@ -200,7 +199,9 @@ SCHEMA = {
     "price.pairs": (list, _PAIRS, {"bond"}),
     "price.expected": (list, _NUMBERS, OPTIONAL),
     "novikov.k": (int, _GE1, {"novikov"}),
-    "novikov.mode": (str, _one_of("mc", "quadrature", "both"), OPTIONAL),
+    # both routes always run; "both" stays accepted because the benchmark's
+    # novikov input writes it
+    "novikov.mode": (str, _one_of("both"), OPTIONAL),
     "novikov.lgd_rule": (str, _one_of("constant", "capped"), OPTIONAL),
     "novikov.cap": (float, _GT0, OPTIONAL),
     "novikov.expect": (str, _one_of("divergent", "finite", "match"), OPTIONAL),
@@ -269,9 +270,6 @@ def _check_across(doc: dict, v: list) -> None:
         node = doc.get(section, {})
         if isinstance(node.get(key), list) and len(node[key]) != len(node.get(ref, [])):
             v.append((f"{section}.{key}", f"must hold one entry per entry of {section}.{ref}"))
-    novikov = doc.get("novikov", {})
-    if novikov.get("expect") == "match" and novikov.get("mode", "both") != "both":
-        v.append(("novikov.expect", "match compares both routes: needs novikov.mode both"))
     grid, span = _grid(doc), _offsets(doc)[-1]
     # the simulated hazard needs [t, t + window] inside the grid for some t
     if doc.get("thm1", {}).get("lambda_source") == "simulated":
@@ -328,7 +326,7 @@ def _check_builds(doc: dict, wanted: set, v: list) -> None:
     """Build the deterministic pieces of a run, which draw no paths, with the
     run's own helpers, and report each ConfigurationError against its field."""
     grid, offsets = _grid(doc), _offsets(doc)
-    inputs = {key for key, (_, readers) in _shared_inputs(doc).items() if readers & wanted}
+    inputs = {key for key, (_, readers) in _SHARED_INPUTS.items() if readers & wanted}
     if inputs and not np.isfinite(offsets[-1]):
         # every curve build would reject the inf under its own field's name
         v.append(("offsets.step", "the offset lattice overflows: step * (count - 1) is inf"))
@@ -340,7 +338,7 @@ def _check_builds(doc: dict, wanted: set, v: list) -> None:
             pieces.append((f"assets[{i}].rate", flat_term_structure, curve))
     if "kernel" in wanted:
         pieces.append(("kernel.rate", _kernel_on_grid, (_beta(doc), grid)))
-    if "novikov" in wanted and doc["novikov"].get("mode", "both") != "mc":
+    if "novikov" in wanted:
         pieces.append(("credit.lambda", _density_spec, (doc,)))
     for field, build, args in pieces:
         message = _fails(build, *args)
@@ -479,11 +477,11 @@ def _density_spec(doc) -> DensitySpec:
     )
 
 
-def _shared_inputs(doc) -> dict:
-    """Shared input -> (builder, the analyses that read it)."""
-    quadrature_only = doc.get("novikov", {}).get("mode") == "quadrature"
-    reads_market = CREDIT_ANALYSES - {"novikov"} if quadrature_only else CREDIT_ANALYSES
-    return {"gauges": (_asset_gauges, ASSET_ANALYSES), "market": (_credit_market, reads_market)}
+# shared input -> (builder, the analyses that read it)
+_SHARED_INPUTS = {
+    "gauges": (_asset_gauges, ASSET_ANALYSES),
+    "market": (_credit_market, CREDIT_ANALYSES),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +498,7 @@ def _run_curvature(doc, built):
     for lab, a, se in zip(report.labels, report.components, report.component_se):
         columns[f"a_{lab}"], columns[f"se_{lab}"] = a, se
     columns.update(norm=report.norm, norm_se=report.norm_se, weighted_std=report.weighted_std)
-    tol = doc.get("tolerances", {}).get("curvature_max_norm")
-    if tol is not None:
-        check = report.norm.max() <= float(tol)
-    else:
-        check = _se_gate(report.norm, report.norm_se, _CURVATURE_GATE_SE, _CURVATURE_GATE_ATOL)[1]
+    check = _se_gate(report.norm, report.norm_se, _CURVATURE_GATE_SE, _CURVATURE_GATE_ATOL)[1]
     summary = {"max_norm": report.max_norm, "max_norm_se": float(report.norm_se.max())}
     return {"curvature.csv": _csv(columns)}, summary, (check,)
 
@@ -582,43 +576,34 @@ def _run_bond(doc, built):
 def _run_novikov(doc, built):
     from .novikov import capped_lgd_driver, novikov_mc, novikov_quadrature
 
-    section = doc["novikov"]
-    k = int(section["k"])
-    mode = section.get("mode", "both")
-    files = {}
-    summary = {}
-    mc_est = None
-    quad = None
-    if mode in ("mc", "both"):
-        rule = _stress_rule(doc, capped_lgd_driver)
-        mc_est = novikov_mc(built["market"], k, lgd_rule=rule)
-        cols = ["estimate", "se", "n_used", "censored_fraction"]
-        cols += ["tail_index", "ci_low", "ci_high", "k_used", "verdict"]
-        # the estimate's own verdict overrides that of its tail
-        row = {**vars(mc_est.tail), **vars(mc_est)}
-        files["novikov_mc.csv"] = _csv({c: [row[c]] for c in cols})
-        summary["mc_estimate"] = mc_est.estimate
-        summary["mc_verdict"] = mc_est.verdict
-    if mode in ("quadrature", "both"):
-        quad = novikov_quadrature(_density_spec(doc))
-        q_min, log_value = zip(*quad.trace)
-        files["novikov_quadrature.csv"] = _csv(
+    rule = _stress_rule(doc, capped_lgd_driver)
+    mc_est = novikov_mc(built["market"], int(doc["novikov"]["k"]), lgd_rule=rule)
+    cols = ["estimate", "se", "n_used", "censored_fraction"]
+    cols += ["tail_index", "ci_low", "ci_high", "k_used", "verdict"]
+    # the estimate's own verdict overrides that of its tail
+    row = {**vars(mc_est.tail), **vars(mc_est)}
+    quad = novikov_quadrature(_density_spec(doc))
+    q_min, log_value = zip(*quad.trace)
+    files = {
+        "novikov_mc.csv": _csv({c: [row[c]] for c in cols}),
+        "novikov_quadrature.csv": _csv(
             {"level": range(len(q_min)), "q_min": q_min, "log_value": log_value}
-        )
-        summary["quadrature_converged"] = quad.converged
-        summary["quadrature_diverged"] = quad.diverged
-        summary["quadrature_value"] = quad.value
-        summary["quadrature_growth"] = quad.growth
-    expect = section.get("expect")
+        ),
+    }
+    summary = {
+        "mc_estimate": mc_est.estimate,
+        "mc_verdict": mc_est.verdict,
+        "quadrature_converged": quad.converged,
+        "quadrature_diverged": quad.diverged,
+        "quadrature_value": quad.value,
+        "quadrature_growth": quad.growth,
+    }
+    expect = doc["novikov"].get("expect")
     if expect == "divergent":
-        passed = (mc_est is None or mc_est.verdict == "divergence_evidence") and (
-            quad is None or quad.diverged
-        )
+        passed = mc_est.verdict == "divergence_evidence" and quad.diverged
     elif expect == "finite":
-        passed = (mc_est is None or mc_est.verdict == "finite_evidence") and (
-            quad is None or quad.converged
-        )
-    elif expect == "match":  # validate_scenario admits it with mode "both" only
+        passed = mc_est.verdict == "finite_evidence" and quad.converged
+    elif expect == "match":
         passed = quad.converged and bool(_se_gate(mc_est.estimate - quad.value, mc_est.se)[1])
     else:
         passed = True
@@ -684,7 +669,7 @@ def cmd_run(args) -> int:
     # each shared input is built once, before the first analysis; the runners
     # only read it
     built, drop_after = {}, {}
-    for key, (build, readers) in _shared_inputs(doc).items():
+    for key, (build, readers) in _SHARED_INPUTS.items():
         reads = [i for i, name in enumerate(names) if name in readers]
         if reads:
             built[key] = build(doc)

@@ -164,6 +164,12 @@ def _survivors(sample: DefaultSample, at: float, minimum: int, message: str, **d
     return alive, n_alive
 
 
+def _check_dates(t: float, s: float) -> None:
+    """A default by s, given survival to t, needs 0 <= t < s; NaN fails."""
+    if not s > t >= 0:
+        raise ConfigurationError("need 0 <= t < s")
+
+
 def _past_horizon(s, horizon: float) -> bool:
     """Whether defaults by s lie past a sample's horizon; validate reads it too."""
     return s > horizon
@@ -325,8 +331,7 @@ def default_probability(
     Intensity models integrate their hazard exactly; structural models count
     barrier states among n_paths simulated paths that survived to t.
     """
-    if not s > t >= 0:
-        raise ConfigurationError("need 0 <= t < s")
+    _check_dates(t, s)
     if isinstance(model, IntensityModel):
         p = -np.expm1(-model.integrated_hazard(t, s))
         return ProbabilityEstimate(float(p), 0.0)
@@ -397,9 +402,10 @@ def corporate_bond_price(market: CreditMarket, t: float, s: float) -> BondPrice:
     """Defaultable zero-coupon price by ensemble average.
 
     The payoff is 1 - LGD on default in (t, s] and 1 otherwise, averaged
-    over the paths alive at t.  On the market's grid this is, path by path,
-    the corporate deflator at s over its value at t.
+    over the paths alive at t, for 0 <= t < s.  On the market's grid this
+    is, path by path, the corporate deflator at s over its value at t.
     """
+    _check_dates(t, s)
     sample = market.defaults
     _check_sampled(sample, s)
     alive, n_alive = _survivors(sample, t, 2, "no survivors at t")

@@ -8,7 +8,7 @@ must not depend on j.  The spread between the largest and smallest component
 market price of risk can absorb all drifts.
 
 zc_residual checks the same thing at the level of coefficients: the vector
-alpha + r - c/2 must lie in the column span of the volatility matrix.  The
+alpha + r must lie in the column span of the volatility matrix.  The
 least-squares residual is reported per time together with the market price of
 risk that attains it.
 
@@ -27,10 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .gauges import Gauge, _common_grid, short_rate
+from .gauges import Gauge, _common_grid, _interior_grid, short_rate
 from .novikov import NovikovEstimate, _exp_moment
 from .paths import (
-    _GATE_SE,
     ItoSpec,
     TimeGrid,
     _Record,
@@ -134,10 +133,8 @@ def curvature_components(gauges) -> CurvatureReport:
     a consistent market all assets share the resulting profile.
     """
     gauges = list(gauges)
-    grid = _common_grid(gauges)
+    grid = _interior_grid(gauges)
     times = grid.times
-    if times.size < 3:
-        raise ConfigurationError("need at least three grid times")
     interior = times[1:-1]
     labels = [g.label for g in gauges]
     components = np.empty((len(gauges), interior.size))
@@ -195,17 +192,28 @@ def curvature_components(gauges) -> CurvatureReport:
 # Coefficient-level consistency
 
 
-def _per_asset(name, value, shape):
-    """value broadcast to the (t, n) shape of alpha, or ConfigurationError."""
-    try:
-        return np.broadcast_to(np.asarray(value, dtype=np.float64), shape)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} of shape {np.shape(value)} does not broadcast to alpha's {shape}"
-        ) from None
+class ZCReport(_Record):
+    times: np.ndarray
+    residual: np.ndarray        # (t,) distance of alpha + r from span(sigma)
+    threshold: np.ndarray       # (t,) pass level actually applied
+    mpr: np.ndarray             # (t, k) least-squares market price of risk
+    passed: np.ndarray          # (t,) bool
+
+    @property
+    def max_residual(self) -> float:
+        return float(self.residual.max())
 
 
-def _coerce_zc_inputs(alpha, sigma, rates, covariation):
+# a non-finite residual or threshold is reported as a NumericalError, not warned about
+@np.errstate(all="ignore")
+def zc_residual(alpha, sigma, rates=0.0, times=None) -> ZCReport:
+    """Distance of the drift vector from the volatility span, per time.
+
+    The tested vector is v = alpha + rates.  Each time slice solves the
+    least-squares system sigma theta = v; the Euclidean residual passes at or
+    below _ZC_RTOL * (1 + |v|).  A residual or threshold that is not finite
+    raises NumericalError naming the first such time.
+    """
     alpha = np.asarray(alpha, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     if alpha.ndim == 1:
@@ -219,54 +227,19 @@ def _coerce_zc_inputs(alpha, sigma, rates, covariation):
     sigma = np.broadcast_to(sigma, (n_t,) + sigma.shape[1:])
     if sigma.shape[1] != alpha.shape[1]:
         raise ConfigurationError("alpha and sigma disagree on the asset count")
-    r = _per_asset("rates", rates, alpha.shape)
-    c = _per_asset("covariation", 0.0 if covariation is None else covariation, alpha.shape)
-    return alpha, sigma, r, c
-
-
-class ZCReport(_Record):
-    times: np.ndarray
-    residual: np.ndarray        # (t,) distance of alpha + r - c/2 from span(sigma)
-    threshold: np.ndarray       # (t,) pass level actually applied
-    mpr: np.ndarray             # (t, k) least-squares market price of risk
-    passed: np.ndarray          # (t,) bool
-
-    @property
-    def max_residual(self) -> float:
-        return float(self.residual.max())
-
-
-# a non-finite residual or threshold is reported as a NumericalError, not warned about
-@np.errstate(all="ignore")
-def zc_residual(
-    alpha,
-    sigma,
-    rates=0.0,
-    covariation=None,
-    covariation_se=None,
-    times=None,
-) -> ZCReport:
-    """Distance of the drift vector from the volatility span, per time.
-
-    The tested vector is v = alpha + rates - covariation/2 (covariation
-    defaults to zero for deterministic checks).  Each time slice solves the
-    least-squares system sigma theta = v; the Euclidean residual passes below
-    _ZC_RTOL * (1 + |v|), widened to _GATE_SE propagated standard errors when
-    the covariation carries estimation noise.  A residual or threshold that is
-    not finite raises NumericalError naming the first such time.
-    """
-    alpha, sigma, r, c = _coerce_zc_inputs(alpha, sigma, rates, covariation)
-    n_t, n_assets, _ = sigma.shape
+    try:
+        r = np.broadcast_to(np.asarray(rates, dtype=np.float64), alpha.shape)
+    except ValueError:
+        raise ConfigurationError(
+            f"rates of shape {np.shape(rates)} does not broadcast to alpha's {alpha.shape}"
+        ) from None
     if times is None:
         times = np.arange(n_t, dtype=np.float64)
     else:
         times = np.asarray(times, dtype=np.float64)
         if times.size != n_t:
             raise ConfigurationError("times length must match the slice count")
-    cse = None
-    if covariation_se is not None:
-        cse = _per_asset("covariation_se", covariation_se, alpha.shape)
-    v = alpha + r - 0.5 * c
+    v = alpha + r
     residual = np.empty(n_t)
     threshold = np.empty(n_t)
     mpr = np.empty((n_t, sigma.shape[2]))
@@ -274,10 +247,7 @@ def zc_residual(
         theta, _, _, _ = np.linalg.lstsq(sigma[i], v[i], rcond=None)
         mpr[i] = theta
         residual[i] = float(np.linalg.norm(sigma[i] @ theta - v[i]))
-        tol = _ZC_RTOL * (1.0 + float(np.linalg.norm(v[i])))
-        if cse is not None:
-            tol = max(tol, _GATE_SE * 0.5 * float(np.linalg.norm(cse[i])))
-        threshold[i] = tol
+        threshold[i] = _ZC_RTOL * (1.0 + float(np.linalg.norm(v[i])))
     bad = ~(np.isfinite(residual) & np.isfinite(threshold))
     if bad.any():
         t = float(times[np.argmax(bad)])

@@ -327,6 +327,16 @@ def _common_grid(gauges: list[Gauge]) -> TimeGrid:
     return grid
 
 
+def _interior_grid(gauges: list[Gauge]) -> TimeGrid:
+    """The common grid of gauges, with an interior time for the symmetric
+    difference quotients of curvature_components and self_financing_residual:
+    ConfigurationError for fewer than three times."""
+    grid = _common_grid(gauges)
+    if grid.n_times < 3:
+        raise ConfigurationError("need at least three grid times")
+    return grid
+
+
 def _holdings(gauges: list[Gauge], x, name: str, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Holdings x as (n_times, N) from (N,) or (n_times, N), and the asset
     deflators stacked along axis with a common path count."""
@@ -444,9 +454,9 @@ def self_financing_residual(gauges: list[Gauge], strategy) -> SelfFinancingRepor
     the ensemble.  It vanishes identically for constant strategies, converges
     to zero under grid refinement when the strategy is rebalanced in a
     self-financing way, and spikes at discrete rebalancing jumps.  The
-    gauges must share one time grid.
+    gauges must share one time grid of at least three times.
     """
-    grid = _common_grid(gauges)
+    grid = _interior_grid(gauges)
     x, d = _holdings(gauges, strategy, "strategy", axis=2)  # d: (n_paths, n_times, N)
     t = grid.times
     hp = (t[2:] - t[1:-1])[None, :]

@@ -250,7 +250,8 @@ class TimeGrid(_Record):
     def index_of(self, t: float) -> int:
         """Index of the grid node equal to ``t`` (within a tight tolerance)."""
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > _NODE_ATOL * (1.0 + abs(t)):
+        # NaN and +-inf pass the distance test at node 0
+        if not math.isfinite(t) or abs(self.times[idx] - t) > _NODE_ATOL * (1.0 + abs(t)):
             raise DomainError(f"t = {t} is not a grid node")
         return idx
 

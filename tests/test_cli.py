@@ -239,16 +239,18 @@ def test_threads_flag_is_accepted_and_ignored(tmp_path):
 
 
 def test_failing_analysis_exits_one(tmp_path, capsys):
+    # drifts 0.05 and 0.03 on one volatility row leave a residual of 0.014
     doc = load_scenario("flat_market")
-    doc["tolerances"]["curvature_max_norm"] = 1e-6
-    scen = tmp_path / "tight.json"
+    doc["zc"]["alpha"] = [0.05, 0.03]
+    scen = tmp_path / "misaligned.json"
     scen.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["run", str(scen), "--out", str(out)]) == 1
-    assert "curvature: fail" in capsys.readouterr().out
+    assert "zc: fail" in capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())
     assert summary["overall"] == "fail"
-    assert summary["analyses"]["curvature"]["passed"] is False
+    assert summary["analyses"]["zc"]["passed"] is False
+    assert summary["analyses"]["curvature"]["passed"] is True
 
 
 def test_invalid_scenario_exits_two(tmp_path, capsys):
@@ -267,7 +269,7 @@ def test_starved_estimator_exits_three(tmp_path, capsys):
         "seed": 1,
         "n_paths": 30,
         "credit": {"lambda": 0.02, "lgd": 0.4},
-        "novikov": {"k": 4, "mode": "mc"},
+        "novikov": {"k": 4},
         "analyses": ["novikov"],
     }
     scen = tmp_path / "starved.json"
@@ -322,10 +324,9 @@ def _csv_rows(path):
     ids=["z-3.96", "z-4.05"],
 )
 def test_curvature_default_gate_is_four_standard_errors(tmp_path, drift, z_range, code):
-    # without a tolerances section every time's spread must lie within 4 SE:
-    # a drift gap plants the largest z just below or just above 4
+    # every time's spread must lie within 4 SE: a drift gap plants the
+    # largest z just below or just above 4
     doc = load_scenario("flat_market")
-    del doc["tolerances"]
     doc["analyses"] = ["curvature"]
     doc["assets"][1]["drift"] = drift
     assert _run_doc(tmp_path, doc)[0] == code
@@ -347,9 +348,9 @@ def _planted_curvature(monkeypatch, norm, norm_se):
     monkeypatch.setattr(curvarb.curvature, "curvature_components", lambda gauges: report)
 
 
-def _curvature_doc(**tolerances):
+def _curvature_doc():
     doc = load_scenario("flat_market")
-    doc.update(n_paths=100, analyses=["curvature"], tolerances=tolerances)
+    doc.update(n_paths=100, analyses=["curvature"])
     return doc
 
 
@@ -361,13 +362,6 @@ def test_curvature_gate_width(tmp_path, monkeypatch, se, width, factor, code):
     code_run, summary = _run_doc(tmp_path, _curvature_doc())
     assert code_run == code
     assert summary["analyses"]["curvature"]["passed"] is (code == 0)
-
-
-@pytest.mark.parametrize("above, code", [(False, 0), (True, 1)])
-def test_curvature_max_norm_tolerance_is_inclusive(tmp_path, monkeypatch, above, code):
-    _planted_curvature(monkeypatch, [0.01, 0.02], [1.0, 1.0])
-    tolerance = np.nextafter(0.02, -np.inf) if above else 0.02
-    assert _run_doc(tmp_path, _curvature_doc(curvature_max_norm=float(tolerance)))[0] == code
 
 
 @pytest.mark.parametrize("variant", ["general", "numeraire_rederived"])
@@ -499,11 +493,7 @@ def _verdict_from_files(name, doc, out, summary):
         return bool(np.all(np.abs(residual) <= np.maximum(k * se, atol)))
 
     if name == "curvature":
-        norm = column("curvature.csv", "norm")
-        tol = doc.get("tolerances", {}).get("curvature_max_norm")
-        if tol is not None:
-            return bool(norm.max() <= tol)
-        se = column("curvature.csv", "norm_se")
+        norm, se = column("curvature.csv", "norm"), column("curvature.csv", "norm_se")
         return within(norm, se, _CURVATURE_GATE_SE, _CURVATURE_GATE_ATOL)
     if name in ("kernel", "zc", "sharpe"):
         return bool(column(f"{name}.csv", "passed").all())
@@ -523,13 +513,14 @@ def _verdict_from_files(name, doc, out, summary):
 
 
 @pytest.mark.parametrize(
-    "scenario", ["flat_market", "flat_market-gated", "novikov_capped", "thm1_constructed"]
+    "scenario", ["flat_market", "flat_market-drifted", "novikov_capped", "thm1_constructed"]
 )
 def test_summary_verdict_agrees_with_the_written_files(tmp_path, scenario):
-    # flat_market-gated drops the fixed curvature tolerance for the 4-SE gate
+    # flat_market-drifted plants a drift gap whose largest z, 4.05, fails the
+    # curvature gate
     doc = load_scenario(scenario.split("-")[0])
-    if scenario.endswith("-gated"):
-        del doc["tolerances"]
+    if scenario.endswith("-drifted"):
+        doc["assets"][1]["drift"] = 0.0166
     code, summary = _run_doc(tmp_path, doc)
     verdicts = {name: info["passed"] for name, info in summary["analyses"].items()}
     assert sorted(verdicts) == sorted(doc["analyses"])
@@ -791,7 +782,7 @@ def test_unexpected_exception_exits_three_without_traceback(tmp_path, monkeypatc
         "seed": 1,
         "n_paths": 30,
         "credit": {"lambda": 0.02, "lgd": 0.4},
-        "novikov": {"k": 4, "mode": "mc"},
+        "novikov": {"k": 4},
         "analyses": ["novikov"],
     }
     scen = tmp_path / "broken.json"
@@ -870,8 +861,6 @@ def test_csv_cells_are_quoted_when_needed(tmp_path):
         # s past the simulated horizon of 10
         ("thm1_constructed", "thm1.pairs", [[8.0, 13.0]], "thm1.pairs[0]"),
         ("thm1_constructed", "price.pairs", [[8.0, 13.0]], "price.pairs[0]"),
-        ("novikov_capped", "novikov.mode", "mc", "novikov.expect"),
-        ("novikov_capped", "novikov.mode", "quadrature", "novikov.expect"),
         # seeds are 64-bit stream keys: 2**64 would alias seed 0
         ("flat_market", "seed", 1 << 64, "seed"),
         (
@@ -897,6 +886,25 @@ def test_validate_rejects_what_run_cannot_read(tmp_path, capsys, scenario, path,
     err = capsys.readouterr().err
     assert f"invalid scenario: {field}: " in err
     assert "Traceback" not in err
+
+
+# each option gave an analysis a second verdict rule or a single route
+@pytest.mark.parametrize(
+    "scenario, key, value, violation",
+    [
+        ("flat_market", "tolerances", {"curvature_max_norm": 0.03}, "tolerances: unknown key"),
+        ("novikov_capped", "mode", "mc", "novikov.mode: must be one of both"),
+        ("novikov_capped", "mode", "quadrature", "novikov.mode: must be one of both"),
+    ],
+    ids=["tolerances", "mode-mc", "mode-quadrature"],
+)
+def test_validate_rejects_a_second_verdict_rule(tmp_path, capsys, scenario, key, value, violation):
+    doc = load_scenario(scenario)
+    (doc["novikov"] if key == "mode" else doc)[key] = value
+    scen = tmp_path / "second_rule.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["validate", str(scen)]) == 2
+    assert capsys.readouterr().out == violation + "\n"
 
 
 # validate reads thm1_residuals' own window rule: a window past the horizon by
@@ -1100,10 +1108,10 @@ def test_validate_clean_implies_run_reads_its_inputs(
         "credit": {"lambda": lam, "lgd": lgd, "gov_rate": gov_rate, "spread_shift": spread_shift},
         "thm1": {"pairs": [[0.0, horizon / 4]]},
         "price": {"pairs": [[0.0, horizon / 4]]},
-        "novikov": {"k": 4, "mode": "quadrature"},
+        "novikov": {"k": 4},
         # the analyses that build from these fields first, the estimators that
         # may starve at 64 paths last
-        "analyses": ["curvature", "kernel", "novikov", "thm1", "bond"],
+        "analyses": ["curvature", "kernel", "thm1", "bond", "novikov"],
     }
     if validate_scenario(doc):
         return
@@ -1233,14 +1241,15 @@ def test_run_builds_each_shared_input_once(tmp_path, monkeypatch):
 
 
 def test_summary_is_strict_json_with_nonfinite_values(tmp_path):
-    # constant LGD makes the Novikov integral diverge: the quadrature value is inf
+    # constant LGD makes the Novikov integral diverge: the quadrature value is
+    # inf; the MC route needs 20 defaults, and 200 paths give about 90
     doc = {
         "name": "novikov_constant",
         "grid": {"horizon": 30.0, "steps": 30},
         "seed": 3,
-        "n_paths": 2,
+        "n_paths": 200,
         "credit": {"lambda": 0.02, "lgd": 0.4},
-        "novikov": {"k": 4, "mode": "quadrature", "lgd_rule": "constant"},
+        "novikov": {"k": 4, "lgd_rule": "constant"},
         "analyses": ["novikov"],
     }
     scen = tmp_path / "constant.json"

@@ -88,6 +88,18 @@ def test_default_probability_deterministic_intensity():
     assert p2.value == pytest.approx(-np.expm1(-(0.02 + 0.001 * (16 - 4))), rel=1e-10)
 
 
+# each pair once priced a bond: (3, 2) and (1, nan) at 1.0 with SE 0
+@pytest.mark.parametrize(
+    "t, s", [(3.0, 2.0), (2.0, 2.0), (1.0, np.nan), (np.nan, 2.0), (-1.0, 2.0)]
+)
+def test_bond_price_and_default_probability_need_0_le_t_lt_s(t, s):
+    market = build_thm1_market(0.02, 0.4, horizon=10.0, steps=40, n_paths=200, seed=7)
+    with pytest.raises(ConfigurationError, match="need 0 <= t < s"):
+        corporate_bond_price(market, t, s)
+    with pytest.raises(ConfigurationError, match="need 0 <= t < s"):
+        default_probability(IntensityModel(0.02), t, s)
+
+
 def test_first_passage_probability_bridge():
     spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.3, form="arithmetic")
     model = StructuralModel(spec, barrier=0.7)

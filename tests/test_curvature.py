@@ -263,43 +263,13 @@ def test_zc_residual_that_overflows_is_a_numerical_error():
     assert err.value.diagnostics == {"t": 0.5}
 
 
-def test_covariation_estimated_consistency():
-    grid = TimeGrid.regular(1.0, 100)
-    n = 2000
-    w = simulate_brownian(grid, n, 1, seed=77).series
-    # realized covariation rate of the vol row 0.1 W with the driver W, per interval
-    prod = np.diff(0.1 * w, axis=1) * np.diff(w, axis=1) / grid.steps
-    rate = prod.mean(axis=0)
-    se = prod.std(axis=0, ddof=1) / np.sqrt(n)
-    c_bar = float(rate.mean())
-    c_se = float(np.sqrt(np.sum(se**2)) / rate.size)
-    assert abs(c_bar - 0.1) < 3 * c_se
-    # overdetermined slice: one asset uses the estimated covariation, its twin
-    # the exact value; only the noise-aware gate absorbs the difference
-    alpha = np.array([0.07, 0.07])
-    sigma = np.array([[1.0], [1.0]])
-    report = zc_residual(
-        alpha,
-        sigma,
-        covariation=np.array([[c_bar, 0.1]]),
-        covariation_se=np.array([[c_se, 0.0]]),
-    )
-    assert report.passed.all()
-    strict = zc_residual(alpha, sigma, covariation=np.array([[c_bar, 0.1]]))
-    assert not strict.passed.all()
-
-
-def test_covariation_shape_validation():
+def test_zc_rates_shape_validation():
     alpha, sigma = np.zeros((11, 2)), np.ones((11, 2, 1))
-    with pytest.raises(ConfigurationError, match=r"covariation of shape \(11, 3\)"):
-        zc_residual(alpha, sigma, covariation=np.zeros((11, 3)))
-    with pytest.raises(ConfigurationError, match=r"covariation_se of shape \(5,\)"):
-        zc_residual(alpha, sigma, covariation=np.zeros(2), covariation_se=np.zeros(5))
     with pytest.raises(ConfigurationError, match=r"rates of shape \(4,\)"):
         zc_residual(alpha, sigma, rates=np.zeros(4))
     # one value per asset, or one per time and asset, broadcasts
-    report = zc_residual(alpha, sigma, covariation=np.zeros(2), covariation_se=np.ones((11, 2)))
-    assert report.passed.all()
+    for rates in (np.zeros(2), np.zeros((11, 2))):
+        assert zc_residual(alpha, sigma, rates=rates).passed.all()
 
 
 def test_sharpe_integral_constant_coefficients():

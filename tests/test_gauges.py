@@ -393,6 +393,18 @@ def test_self_financing_constant_strategy_is_exact():
     assert rep.worst < 1e-12
 
 
+def test_two_grid_times_are_rejected_by_both_quotient_functions():
+    # self_financing_residual once returned an empty report here
+    from curvarb.curvature import curvature_components
+
+    grid = TimeGrid.regular(1.0, 1)
+    d = PathEnsemble(grid, np.exp(0.03 * grid.times)[None, :, None])
+    g = Gauge(d, flat_term_structure(grid, 0.03, 0.25 * np.arange(3)))
+    for call in (lambda: self_financing_residual([g], [1.0]), lambda: curvature_components([g])):
+        with pytest.raises(ConfigurationError, match="need at least three grid times"):
+            call()
+
+
 def test_self_financing_detects_rebalancing_jump():
     grid = TimeGrid.regular(1.0, 20)
     offsets = 0.25 * np.arange(3)

@@ -55,6 +55,14 @@ def test_q2_statistic_forms():
         q2_statistic(driver, 0.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_q2_statistic_rejects_a_non_finite_time(t):
+    # at node 0 these once gave NaN and zeros
+    driver = simulate_brownian(TimeGrid.regular(1.0, 4), 100, 3, seed=1)
+    with pytest.raises(DomainError, match="not a grid node"):
+        q2_statistic(driver, t)
+
+
 def test_tail_diagnostics_pareto():
     rng = np.random.default_rng(7)
     u = rng.random(20_000)

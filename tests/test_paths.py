@@ -93,6 +93,16 @@ def test_grid_validation():
         g.index_of(0.7)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_time_is_no_grid_node(t):
+    # NaN and +-inf once passed the distance test at node 0
+    grid = TimeGrid.regular(1.0, 4)
+    with pytest.raises(DomainError, match=f"t = {t} is not a grid node"):
+        grid.index_of(t)
+    with pytest.raises(DomainError, match="not a grid node"):
+        nelson_derivative(simulate_brownian(grid, 10, seed=1), t, mode="forward")
+
+
 def _sidak_z(family_level: float, comparisons: int) -> float:
     """Two-sided normal critical value at which independent comparisons all
     pass with probability 1 - family_level under their null law (Sidak)."""
