@@ -2,8 +2,10 @@
 
 The chi-square law with integer degrees of freedom serves
 novikov.novikov_quadrature, and the two-sided Kolmogorov-Smirnov law of n
-uniforms serves credit.cox_uniformity.  Both callers import this module when
-they run, so ``import curvarb`` does not load it.
+uniforms serves credit.cox_uniformity, which refuses samples of fewer than
+300 defaults: the KS law is the Pelz-Good expansion alone, within 1e-6 of the
+exact law for n >= 300.  Both callers import this module when they run, so
+``import curvarb`` does not load it.
 """
 
 from __future__ import annotations
@@ -87,82 +89,17 @@ def chi2_logpdf(k: int, x: np.ndarray) -> np.ndarray:
 def kolmogorov_sf(n: int, d: float) -> float:
     """P[D_n >= d] for the two-sided KS statistic of n uniforms.
 
-    The regimes are those of Simard & L'Ecuyer (2011), J. Stat. Softw.
-    39(11): Ruben-Gambino closed forms at both ends, twice the one-sided
-    Smirnov tail for large n d^2, Durbin's matrix for small n d^1.5, and the
-    Pelz-Good expansion otherwise.  For n <= 140 Durbin's matrix (at most 47
-    rows there) also covers n d^2 <= 4, where the paper uses Pomeranz's
-    recursion; both are exact.
+    Valid for n >= 300, where the Pelz-Good expansion alone is within 1e-6
+    of the exact law wherever that law is at least 1e-6 (Simard & L'Ecuyer
+    (2011), J. Stat. Softw. 39(11), use it for n > 140 outside both tails).
+    A value below 1e-6 reads only as a rejection.  The law is exactly 0 for
+    d >= 1 and 1 for n d <= 1/2.
     """
-    t = n * d
     if d >= 1.0:
         return 0.0
-    if t <= 0.5:
+    if n * d <= 0.5:
         return 1.0
-    if t <= 1.0:  # P[D_n < d] = n!/n^n (2t - 1)^n
-        return -math.expm1(math.lgamma(n + 1) - n * math.log(n) + n * math.log(2 * t - 1))
-    if t >= n - 1:
-        return 2.0 * (1.0 - d) ** n
-    if d >= 0.5 or t * d > (4.0 if n <= 140 else 2.2):
-        p = 2.0 * _smirnov_sf(n, d)
-    elif n <= 140 or (n <= 100_000 and t * math.sqrt(d) <= 1.4):
-        p = 1.0 - _durbin_cdf(n, d)
-    else:
-        p = 1.0 - _pelz_good_cdf(n, d)
-    return min(max(p, 0.0), 1.0)
-
-
-def _smirnov_sf(n: int, d: float) -> float:
-    """P[D_n^+ >= d], the one-sided tail, by the exact Birnbaum-Tingey sum
-    d sum_j C(n, j) (1 - d - j/n)^(n - j) (d + j/n)^(j - 1), in log space."""
-    j = np.arange(math.floor(n * (1.0 - d)) + 1)
-    gap = 1.0 - d - j / n
-    j, gap = j[gap > 0], gap[gap > 0]
-    log_binom = np.zeros(j.size)
-    np.cumsum(np.log((n - j[1:] + 1) / j[1:]), out=log_binom[1:])
-    terms = log_binom + (n - j) * np.log(gap) + (j - 1) * np.log(d + j / n)
-    top = float(np.max(terms))
-    return math.exp(math.log(d) + top + math.log(np.sum(np.exp(terms - top))))
-
-
-def _durbin_cdf(n: int, d: float) -> float:
-    """P[D_n < d] by Durbin's matrix, as Marsaglia, Tsang & Wang (2003),
-    J. Stat. Softw. 8(18), evaluate it: entry (k, k) of H^n times n!/n^n,
-    with nd = k - h.  Every product is rescaled by a power of two."""
-    k = math.ceil(n * d)
-    h = k - n * d
-    m = 2 * k - 1
-    i = np.arange(m)
-    lag = i[:, None] - i[None, :] + 1  # H[i, j] = 1/(i - j + 1)! below the superdiagonal
-    hp = h ** np.arange(1.0, m + 1)
-    hmat = np.where(lag >= 0, 1.0, 0.0)
-    hmat[:, 0] -= hp
-    hmat[-1, :] -= hp[::-1]
-    hmat[-1, 0] += max(2 * h - 1, 0.0) ** m
-    inv_fact = np.cumprod(np.concatenate(([1.0], 1.0 / np.arange(1.0, m + 1))))
-    hmat *= inv_fact[np.maximum(lag, 0)]
-
-    def rescaled(a):
-        e = math.frexp(float(np.max(a)))[1]
-        return np.ldexp(a, -e), e
-
-    out, e_out = np.eye(m), 0
-    power, e_pow = hmat, 0
-    bits = n
-    while True:
-        if bits & 1:
-            out, e = rescaled(out @ power)
-            e_out += e_pow + e
-        bits >>= 1
-        if not bits:
-            break
-        power, e = rescaled(power @ power)
-        e_pow = 2 * e_pow + e
-    log_p = (
-        math.log(out[k - 1, k - 1]) + e_out * math.log(2.0)
-        + math.lgamma(n + 1) - n * math.log(n)
-    )
-    return math.exp(log_p)
+    return min(max(1.0 - _pelz_good_cdf(n, d), 0.0), 1.0)
 
 
 def _pelz_good_cdf(n: int, d: float) -> float:

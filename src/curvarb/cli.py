@@ -35,6 +35,7 @@ from .paths import (
     ItoSpec,
     PathEnsemble,
     TimeGrid,
+    _check_dates,
     _check_lgd,
     _ito_rows,
     _kernel_on_grid,
@@ -135,7 +136,7 @@ def _rows_ok(rows) -> bool:
 
 
 def _pairs_ok(pairs) -> bool:
-    return _rows_ok(pairs) and all(len(p) == 2 and p[1] > p[0] >= 0 for p in pairs)
+    return _rows_ok(pairs) and all(len(p) == 2 and not _fails(_check_dates, *p) for p in pairs)
 
 
 def _one_of(*choices) -> tuple:

@@ -41,6 +41,7 @@ from .paths import (
     PathEnsemble,
     TimeGrid,
     _Record,
+    _check_dates,
     _check_lgd,
     _cumulative_trapezoid,
     _gauss_legendre,
@@ -73,6 +74,9 @@ __all__ = [
 # _HAZARD_NODES Gauss-Legendre nodes per interval
 _HAZARD_PANELS = 8
 _HAZARD_NODES = 8
+# the fewest defaults cox_uniformity tests: its KS law is within 1e-6 of the
+# exact one from this sample size on
+_KS_MIN_DEFAULTS = 300
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +166,6 @@ def _survivors(sample: DefaultSample, at: float, minimum: int, message: str, **d
     if n_alive < minimum:
         raise EstimationError(message, diagnostics={"alive": n_alive, **diagnostics})
     return alive, n_alive
-
-
-def _check_dates(t: float, s: float) -> None:
-    """A default by s, given survival to t, needs 0 <= t < s; NaN fails."""
-    if not s > t >= 0:
-        raise ConfigurationError("need 0 <= t < s")
 
 
 def _past_horizon(s, horizon: float) -> bool:
@@ -284,21 +282,22 @@ def cox_uniformity(sample: DefaultSample) -> tuple[float, float, int]:
     Default times are mapped back through the piecewise-linear cumulative
     hazard; conditioned on defaulting inside the horizon these levels follow a
     truncated Exp(1), so their truncated CDF values are uniform.  Returns the
-    KS statistic, p-value, and the number of defaulted paths.
+    KS statistic, p-value, and the number of defaulted paths; fewer than
+    _KS_MIN_DEFAULTS defaults raise EstimationError.
     """
     if sample.hazard is None:
         raise ConfigurationError("hazard-law check applies to intensity samples")
     cum = _cumulative_trapezoid(sample.hazard, sample.grid.steps)
     mask = sample.defaulted()
-    if mask.sum() < 10:
+    n = int(mask.sum())
+    if n < _KS_MIN_DEFAULTS:
         raise EstimationError(
             "too few defaults for a distribution test",
-            diagnostics={"defaulted": int(mask.sum())},
+            diagnostics={"defaulted": n, "minimum": _KS_MIN_DEFAULTS},
         )
     lam_tau = np.interp(sample.tau[mask], sample.grid.times, cum)
     total = cum[-1]
     u = np.sort(-np.expm1(-lam_tau) / -np.expm1(-total))
-    n = u.size
     d_plus = np.max(np.arange(1.0, n + 1) / n - u)
     d_minus = np.max(u - np.arange(0.0, n) / n)
     stat = float(d_plus if d_plus > d_minus else d_minus)
@@ -610,7 +609,8 @@ def thm1_residuals(
     sample, so residual standard errors are zero and a residual beyond
     _SPREAD_ATOL is a detection; "simulated" re-estimates the hazard from the
     market's own default sample over [t, t+window], which attaches Monte Carlo
-    standard errors and gives the detection test statistical power.
+    standard errors and gives the detection test statistical power.  Each
+    bond pair has 0 <= t < s, with s within the sample's horizon.
     """
     if lambda_source not in ("model", "simulated"):
         raise ConfigurationError(f"unknown lambda_source {lambda_source!r}")
@@ -641,6 +641,7 @@ def thm1_residuals(
     shape = (sample.n_paths, times.size)
     rows = []
     for t, s in pairs:
+        _check_dates(t, s)
         _check_sampled(sample, s)
         alive, n_alive = _survivors(
             sample, t, 10, "too few survivors for the bond-difference residual", t=t

@@ -33,6 +33,7 @@ from .paths import (
     ItoSpec,
     TimeGrid,
     _Record,
+    _check_dates,
     _kernel_on_grid,
     _mean_se,
     _path_slices,
@@ -335,7 +336,7 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
 
     beta is the kernel on the gauges' common grid, finite and positive: an
     array shaped (n_times,) for a deterministic kernel or (n_paths, n_times)
-    for one sampled per path.
+    for one sampled per path.  Each pair has 0 <= t < s.
 
     For each path the discounted claim beta_s D_s is compared with its stored
     price P(t, s) beta_t D_t; residuals are averaged within equal-count bins
@@ -354,6 +355,7 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
         if b.shape[0] not in (1, d.shape[0]):
             raise ConfigurationError("beta must hold one row or one row per deflator path")
         for t, s in pairs:
+            _check_dates(t, s)
             i_t, i_s = grid.index_of(t), grid.index_of(s)
             m_t = b[:, i_t] * d[:, i_t]
             y = b[:, i_s] * d[:, i_s] - g.curve.price(t, s) * m_t

@@ -145,6 +145,13 @@ def _check_lgd(lgd, scalar: bool = True) -> None:
         raise ConfigurationError(f"LGD must be a real number in [0, 1], not {lgd!r}")
 
 
+def _check_dates(t: float, s: float) -> None:
+    """The one rule for a (t, s) pair of a price, a default probability or a
+    residual: 0 <= t < s; NaN fails."""
+    if not s > t >= 0:
+        raise ConfigurationError("need 0 <= t < s")
+
+
 class _Record:
     """Base of the package's immutable records.
 

@@ -11,8 +11,10 @@ from scipy import integrate, stats
 
 import curvarb.paths
 from curvarb import _laws
+from curvarb.curvature import kernel_check
 from curvarb.credit import (
     BondPrice,
+    DefaultSample,
     IntensityModel,
     StructuralModel,
     build_thm1_market,
@@ -98,6 +100,17 @@ def test_bond_price_and_default_probability_need_0_le_t_lt_s(t, s):
         corporate_bond_price(market, t, s)
     with pytest.raises(ConfigurationError, match="need 0 <= t < s"):
         default_probability(IntensityModel(0.02), t, s)
+
+
+# (2, 2) once returned a bond row and a passing kernel row with residual 0,
+# and (3, 2) a lattice-span DomainError
+@pytest.mark.parametrize("t, s", [(2.0, 2.0), (3.0, 2.0), (1.0, np.nan), (-1.0, 2.0)])
+def test_thm1_and_kernel_pairs_need_0_le_t_lt_s(t, s):
+    market = build_thm1_market(0.05, 0.4, n_paths=500, seed=1)
+    with pytest.raises(ConfigurationError, match="need 0 <= t < s"):
+        thm1_residuals(market, [(1.0, 3.0), (t, s)])
+    with pytest.raises(ConfigurationError, match="need 0 <= t < s"):
+        kernel_check([market.gov], market.beta, [(t, s)])
 
 
 def test_first_passage_probability_bridge():
@@ -819,10 +832,38 @@ def test_ks_statistic_bit_equal_to_scipy():
         assert pvalue == pytest.approx(reference.pvalue, abs=1e-6)
 
 
-@pytest.mark.parametrize("n", [10, 140, 141, 1000, 7000, 60000])
+def _hand_built_sample(n_defaults: int):
+    """An intensity sample at hazard 0.1 over 10 years, whose n_defaults
+    default times are Exp(1) levels (truncated at the horizon's level 1)
+    mapped back through the hazard, and 50 survivors."""
+    grid = TimeGrid.regular(10.0, 40)
+    u = np.random.default_rng(3).random(n_defaults)
+    tau = np.concatenate([-np.log1p(u * np.expm1(-1.0)) / 0.1, np.full(50, np.inf)])
+    return DefaultSample(grid, tau, None, np.full(grid.n_times, 0.1)), u
+
+
+def test_cox_uniformity_refuses_299_defaults():
+    sample, _ = _hand_built_sample(299)
+    with pytest.raises(EstimationError, match="too few defaults") as err:
+        cox_uniformity(sample)
+    assert err.value.diagnostics == {"defaulted": 299, "minimum": 300}
+
+
+def test_cox_uniformity_tests_300_defaults():
+    sample, u = _hand_built_sample(300)
+    stat, pvalue, n_def = cox_uniformity(sample)
+    reference = stats.kstest(u, "uniform")
+    assert n_def == 300
+    assert stat == pytest.approx(reference.statistic, abs=1e-12)
+    assert 0.0 <= pvalue <= 1.0
+    assert pvalue == pytest.approx(reference.pvalue, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [300, 1000, 7000, 60000])
 def test_kolmogorov_sf_matches_scipy_in_every_regime(n):
-    # n d^2 from deep in the bulk to far in the tail, plus both Ruben-Gambino
-    # ends (n d <= 1 and n d >= n - 1) and the d >= 1/2 Smirnov range
+    # n from the cox_uniformity floor up; n d^2 from deep in the bulk to far
+    # in the tail, plus n d near 1 and near n and d >= 1/2, where the law
+    # must stay in [0, 1]
     d = np.sqrt(np.geomspace(0.01, 40.0, 80) / n)
     d = np.concatenate([d, np.array([0.6, 0.9, 1.0, 1.5, n - 1.0, n - 0.5]) / n, [0.5, 0.7]])
     checked = 0
