@@ -12,13 +12,16 @@ is one number per market: the holonomy identities read the hazard at grid
 times.
 
 Test markets are built directly under the pricing measure, so plain ensemble
-averages play the role of risk-neutral expectations and the pricing kernel of
-a consistently built market is deterministic.
+averages play the role of risk-neutral expectations.  The holonomy identities
+read their numeraire from the government gauge (curve and deflator) alone:
 
-The holonomy residuals (spread identity and bond-difference identity) are
-evaluated in several printed and re-derived algebraic variants; consistently
-built markets discriminate between them, and the report records which variant
-vanishes.  See thm1_residuals for the details.
+    r_Corp(t) - r_Gov(t) = LGD lambda(t)                            (spread)
+    P_Corp D_Corp - P_Gov D_Gov = -P_Gov D_Gov LGD P(t < tau <= s)    (bond)
+
+with prices P(t, s) and deflators at t, so the bond identity is in units of
+the government numeraire P_Gov D_Gov.  It is evaluated in printed and
+re-derived algebraic variants, and the report records which one vanishes on
+consistently built markets; see thm1_residuals.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .paths import (
     _cumulative_trapezoid,
     _gauss_legendre,
     _ito_blocks,
-    _kernel_on_grid,
     _keyed_rows,
     _mean_se,
     _se_gate,
@@ -353,9 +355,8 @@ class CreditMarket(_Record):
     """A government/corporate gauge pair with its default scenery.
 
     gov_rates / corp_rates hold the instantaneous short-rate curves the market
-    was constructed with; thm1_residuals reads its spread off them.
-
-    beta is the deterministic pricing kernel on the grid, shape (n_times,).
+    was constructed with; thm1_residuals reads its spread off them.  The
+    numeraire is the government gauge gov, a curve and a deflator.
 
     lgd is the loss given default, a real number in [0, 1].  The corporate
     gauge corp pairs corp_curve with the deflator 1 - lgd * 1{t >= tau} on
@@ -365,7 +366,6 @@ class CreditMarket(_Record):
     gov: Gauge
     corp_curve: TermStructureSurface
     lgd: float
-    beta: np.ndarray
     defaults: DefaultSample
     gov_rates: np.ndarray
     corp_rates: np.ndarray
@@ -463,12 +463,11 @@ def credit_gauge(market: CreditMarket) -> CreditGauge:
 # Constructed markets and holonomy residuals
 
 
-# a price or kernel that overflows is rejected, not warned about
+# a price that overflows is rejected, not warned about
 @np.errstate(all="ignore")
 def _thm1_curves(grid: TimeGrid, offsets, lam, lgd_value, gov_rate, spread_shift) -> tuple:
-    """The government and corporate surfaces and the (n_times,) kernel of
-    build_thm1_market; raises ConfigurationError unless all are finite and
-    positive."""
+    """The government and corporate surfaces of build_thm1_market; raises
+    ConfigurationError unless both are finite and positive."""
     times = grid.times
     # integrated hazard over [t, t+h] for every node/offset pair
     if callable(lam):
@@ -487,9 +486,7 @@ def _thm1_curves(grid: TimeGrid, offsets, lam, lgd_value, gov_rate, spread_shift
     )
     p_corp = p_corp[None, :, :].copy()
     p_corp[:, :, 0] = 1.0
-    corp_curve = TermStructureSurface(grid, offsets, p_corp)
-    beta = _kernel_on_grid(np.exp(-gov_rate * times), grid)[0]
-    return flat_term_structure(grid, gov_rate, offsets), corp_curve, beta
+    return flat_term_structure(grid, gov_rate, offsets), TermStructureSurface(grid, offsets, p_corp)
 
 
 def build_thm1_market(
@@ -504,12 +501,12 @@ def build_thm1_market(
     n_paths: int = 10_000,
     seed: int = 0,
 ) -> CreditMarket:
-    """Market constructed directly from the pricing-kernel representation.
+    """Market constructed directly under the pricing measure.
 
     The government bond is default-free with flat rate gov_rate and unit
-    deflator, so the kernel is beta_t = exp(-gov_rate t).  The corporate
-    deflator is 1 - LGD X_t, derived from the default times when read (see
-    CreditMarket), and the corporate surface is the kernel price
+    deflator; it is the numeraire of the identities.  The corporate deflator
+    is 1 - LGD X_t, derived from the default times when read (see
+    CreditMarket), and the corporate surface is the price
 
         P_Corp(t, t+h) = e^{-gov_rate h} (1 - LGD (1 - e^{-int lambda})),
 
@@ -523,9 +520,7 @@ def build_thm1_market(
     sample = simulate_default(IntensityModel(lam), grid, n_paths, seed)
     times = grid.times
     offsets = offset_step * np.arange(n_offsets)
-    gov_curve, corp_curve, beta = _thm1_curves(
-        grid, offsets, lam, lgd_value, gov_rate, spread_shift
-    )
+    gov_curve, corp_curve = _thm1_curves(grid, offsets, lam, lgd_value, gov_rate, spread_shift)
     gov = Gauge(PathEnsemble(grid, np.ones((1, times.size))), gov_curve, label="gov")
     corp_rates = gov_rate + lgd_value * sample.hazard + spread_shift
     gov_rates = np.full(times.size, gov_rate)
@@ -533,7 +528,6 @@ def build_thm1_market(
         gov=gov,
         corp_curve=corp_curve,
         lgd=lgd_value,
-        beta=beta,
         defaults=sample,
         gov_rates=gov_rates,
         corp_rates=corp_rates,
@@ -545,18 +539,19 @@ class Thm1Report(_Record):
     """Spread and bond-difference residuals of the holonomy identities.
 
     spread: the columns t, residual, se, z and detected, per grid time: the
-    residual of (corporate - government short rate) minus beta * LGD *
-    lambda, with the standard error of the lambda source.
+    residual of (corporate - government short rate) minus LGD * lambda, with
+    the standard error of the lambda source.
 
     bond: the columns t, s, the four residual variants below, se and n_alive
-    (int64), per (t, s) pair:
-      - general_printed: bond difference plus beta*LGD*(estimated survival)
-      - general: bond difference plus beta*LGD*(estimated default probability)
-      - numeraire_printed: 1 - (1 + P_Cred) D_Cred minus beta*LGD*p
-      - numeraire_rederived: 1 - P_Cred (1 + D_Cred) minus beta*LGD*p
-    On a consistently built market the "general" and "numeraire_rederived"
-    variants vanish; the printed companions do not, which is recorded in
-    resolution.
+    (int64), per (t, s) pair, each in units of the government numeraire
+    U = P_gov(t, s) * D_gov,t:
+      - general_printed: bond difference plus U*LGD*(estimated survival)
+      - general: bond difference plus U*LGD*(estimated default probability)
+      - numeraire_printed: U*(1 - (1 + P_Cred) D_Cred) minus U*LGD*p
+      - numeraire_rederived: U*(1 - P_Cred (1 + D_Cred)) minus U*LGD*p
+    se is U*LGD times the standard error of p.  On a consistently built
+    market the "general" and "numeraire_rederived" variants vanish; the
+    printed companions do not, which is recorded in resolution.
     """
 
     spread: dict
@@ -621,7 +616,7 @@ def thm1_residuals(
             f"window must lie in (0, {grid.horizon}] for the simulated hazard, got {window}"
         )
     rate_gap = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
-    beta = market.beta
+    lgd = float(market.lgd)
     if lambda_source == "simulated":
         # the times whose window [t, t+window] lies inside the grid
         at = np.flatnonzero(_window_inside(times + window, grid.horizon))
@@ -632,9 +627,8 @@ def thm1_residuals(
     else:
         at = np.arange(times.size)
         lam_hat, lam_se = market.defaults.hazard, np.zeros(times.size)
-    scale = beta[at] * market.lgd
-    residual = rate_gap[at] - scale * lam_hat
-    se = scale * lam_se
+    residual = rate_gap[at] - lgd * lam_hat
+    se = lgd * lam_se
     z, within = _se_gate(residual, se, atol=_SPREAD_ATOL)
     spread = {"t": times[at], "residual": residual, "se": se, "z": z, "detected": ~within}
     sample = market.defaults
@@ -653,15 +647,15 @@ def thm1_residuals(
         p_gov = float(market.gov.curve.price(t, s).mean())
         d_corp = float(_corp_deflator(market, i_t)[alive].mean())
         d_gov = float(np.broadcast_to(market.gov.deflator.series, shape)[alive, i_t].mean())
-        lgd_t = float(market.lgd)
-        b_t = float(beta[i_t])
-        lhs = p_corp * d_corp - p_gov * d_gov
+        # the government numeraire P_gov D_gov: every column is in its units
+        unit = p_gov * d_gov
+        lhs = p_corp * d_corp - unit
         p_cred = p_corp / p_gov
         d_cred = d_corp - d_gov
-        scale = b_t * lgd_t
+        scale = unit * lgd
         general = (lhs + scale * surv_hat, lhs + scale * p_hat)
-        printed = (1.0 - (1.0 + p_cred) * d_cred) - scale * p_hat
-        rederived = (1.0 - p_cred * (1.0 + d_cred)) - scale * p_hat
+        printed = unit * (1.0 - (1.0 + p_cred) * d_cred) - scale * p_hat
+        rederived = unit * (1.0 - p_cred * (1.0 + d_cred)) - scale * p_hat
         rows.append((t, s, *general, printed, rederived, scale * float(p_se), n_alive))
     resolution = (
         "bond-difference identity holds with the default-probability factor "

@@ -346,7 +346,7 @@ def kernel_check(gauges, beta, pairs) -> KernelCheckReport:
     deterministic sceneries).  A scale, bin mean or bin SE that is not finite
     raises NumericalError.
     """
-    gauges = list(gauges)
+    gauges, pairs = list(gauges), list(pairs)
     grid = _common_grid(gauges)
     b = _kernel_on_grid(beta, grid)
     labels, rows, bins = [], [], []

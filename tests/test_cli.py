@@ -929,8 +929,8 @@ def test_validate_and_thm1_residuals_share_one_window_rule(excess, accepted):
 
 
 # Each case passed ``validate`` at one time, yet ``run`` rejected a
-# deterministic piece it builds, or failed on it: a kernel rate of -1000 and
-# a government rate of -100 overflow the pricing kernel.
+# deterministic piece it builds, or failed on it: a kernel rate of -1000
+# overflows the pricing kernel.
 @pytest.mark.parametrize(
     "scenario, changes, field",
     [
@@ -941,7 +941,6 @@ def test_validate_and_thm1_residuals_share_one_window_rule(excess, accepted):
         ("thm1_constructed", {"credit.gov_rate": -1000}, "credit.gov_rate"),
         ("thm1_constructed", {"credit.spread_shift": 400}, "credit.spread_shift"),
         ("thm1_constructed", {"credit.lambda": 1e6, "credit.lgd": 1.0}, "credit.lambda"),
-        ("thm1_constructed", {"credit.gov_rate": -100}, "credit.gov_rate"),
         # the lattice's last offset, 1e307 * 20, overflows to inf
         ("thm1_constructed", {"offsets.step": 1e307}, "offsets.step"),
         ("flat_market", {"offsets.step": 1e307, "offsets.count": 21}, "offsets.step"),
@@ -961,6 +960,19 @@ def test_validate_builds_what_run_builds(tmp_path, capsys, scenario, changes, fi
     assert capsys.readouterr().out.startswith(f"{field}: ")
     assert main(["run", str(scen), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"invalid scenario: {field}: ")
+
+
+# thm1 once read a second numeraire, exp(-gov_rate t), beside the government
+# gauge: any gov_rate != 0 failed the spread and bond identities, and a rate
+# of -100, whose exp(-gov_rate t) alone overflows, was rejected
+@pytest.mark.parametrize("gov_rate", [0.01, 0.05, -100.0])
+def test_thm1_constructed_holds_with_a_government_rate(tmp_path, gov_rate):
+    doc = load_scenario("thm1_constructed")
+    doc["credit"]["gov_rate"] = gov_rate
+    assert validate_scenario(doc) == []
+    code, summary = _run_doc(tmp_path, doc)
+    thm1 = summary["analyses"]["thm1"]
+    assert (code, thm1["spread_detected"], thm1["bond_ok"]) == (0, False, True)
 
 
 @pytest.mark.parametrize("name", ["thm1_constructed", "flat_market"])

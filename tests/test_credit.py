@@ -110,7 +110,7 @@ def test_thm1_and_kernel_pairs_need_0_le_t_lt_s(t, s):
     with pytest.raises(ConfigurationError, match="need 0 <= t < s"):
         thm1_residuals(market, [(1.0, 3.0), (t, s)])
     with pytest.raises(ConfigurationError, match="need 0 <= t < s"):
-        kernel_check([market.gov], market.beta, [(t, s)])
+        kernel_check([market.gov], np.ones(market.grid.n_times), [(t, s)])
 
 
 def test_first_passage_probability_bridge():
@@ -307,12 +307,20 @@ def test_constructed_market_bond_price():
 
 @pytest.mark.parametrize(
     "gov_rate, spread_shift, message",
-    [(-100.0, 0.0, "pricing kernel"), (0.0, 400.0, "term-structure prices")],
+    [(0.0, 400.0, "term-structure prices")],
 )
 def test_constructed_market_rejects_prices_that_leave_float_range(gov_rate, spread_shift, message):
-    # e^{1000} overflows the kernel at the horizon; e^{-2000} underflows the corporate price
+    # e^{-2000} underflows the corporate price at the last offset
     with pytest.raises(ConfigurationError, match=message):
         build_thm1_market(0.02, 0.4, gov_rate=gov_rate, spread_shift=spread_shift, n_paths=10)
+
+
+def test_constructed_market_builds_where_only_exp_minus_rt_overflows():
+    # e^{-gov_rate t} = e^{1000} at the horizon overflows, but no price reads
+    # it: the government price at the last offset is e^{500}, which is finite
+    market = build_thm1_market(0.02, 0.4, gov_rate=-100.0, n_paths=10)
+    assert market.gov.curve.price(0.0, 5.0).tolist() == [np.exp(500.0)]
+    assert np.isfinite(market.corp_curve.values).all()
 
 
 def test_constructed_market_holds_one_deflator_array():
@@ -382,12 +390,11 @@ def test_thm1_simulated_hazard_counts_the_paths_alive_after_t():
     columns = thm1_residuals(tied, [], lambda_source="simulated", window=1.0).spread
     assert columns["t"].tolist() == grid.times[grid.times <= 9.0].tolist()
     spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
-    beta = market.beta
     for i, (t, residual, se) in enumerate(zip(columns["t"], columns["residual"], columns["se"])):
         n_t, n_s = int(np.sum(tau > t)), int(np.sum(tau > t + 1.0))
         lam = float(-np.log(n_s / n_t) / 1.0)
-        assert residual == float(spread[i] - beta[i] * 0.4 * lam)
-        assert se == float(beta[i] * 0.4 * np.sqrt(max(1.0 / n_s - 1.0 / n_t, 0.0)))
+        assert residual == float(spread[i] - 0.4 * lam)
+        assert se == float(0.4 * np.sqrt(max(1.0 / n_s - 1.0 / n_t, 0.0)))
 
 
 def test_thm1_simulated_window_must_fit_the_horizon():
@@ -416,7 +423,6 @@ def _reference_spread_rows(market, lambda_source, window):
     """thm1_residuals' spread rows computed one grid time at a time."""
     grid = market.grid
     spread = np.asarray(market.corp_rates) - np.asarray(market.gov_rates)
-    beta = market.beta
     tau = market.defaults.tau
     ordered = np.sort(tau[~np.isnan(tau)])
     rows = []
@@ -436,8 +442,8 @@ def _reference_spread_rows(market, lambda_source, window):
             lam_hat = float(-np.log(n_s / n_t) / window)
             lam_se = float(np.sqrt(max(1.0 / n_s - 1.0 / n_t, 0.0)) / window)
         lgd_t = market.lgd
-        residual = float(spread[i] - beta[i] * lgd_t * lam_hat)
-        se = float(beta[i] * lgd_t * lam_se)
+        residual = float(spread[i] - lgd_t * lam_hat)
+        se = float(lgd_t * lam_se)
         r = abs(residual)
         z = r / se if se > 0 else (np.inf if r > 1e-14 else 0.0)
         detected = not r <= max(3.0 * se, 1e-14)
@@ -532,10 +538,12 @@ def _stored_deflator(market, lgd_value):
     return np.where(times[None, :] >= tau[:, None], 1.0 - lgd_value, 1.0)
 
 
-def _market_with_edge_defaults(lgd_value):
+def _market_with_edge_defaults(lgd_value, gov_rate=0.0):
     """A small market with one default exactly on a node, one just after it
     and one path that never defaults."""
-    market = build_thm1_market(0.05, lgd_value, horizon=10.0, steps=40, n_paths=2000, seed=3)
+    market = build_thm1_market(
+        0.05, lgd_value, horizon=10.0, steps=40, n_paths=2000, seed=3, gov_rate=gov_rate
+    )
     times = market.grid.times
     tau = market.defaults.tau.copy()
     tau[:3] = times[8], times[8] + 1e-13, np.inf
@@ -564,24 +572,37 @@ def test_replacing_the_lgd_moves_the_deflator():
     assert market.corp.deflator.series.tobytes() == _stored_deflator(market, 0.4).tobytes()
 
 
+@pytest.mark.parametrize("gov_rate", [0.0, 0.05])
 @pytest.mark.parametrize("lgd_value", [0.0, 0.4, 1.0])
-def test_column_readers_match_the_stored_deflator_route(lgd_value):
-    market = _market_with_edge_defaults(lgd_value)
+def test_column_readers_match_the_stored_deflator_route(lgd_value, gov_rate):
+    market = _market_with_edge_defaults(lgd_value, gov_rate)
     stored = _stored_deflator(market, lgd_value)
     grid, tau = market.grid, market.defaults.tau
     d_gov = np.broadcast_to(market.gov.deflator.series, stored.shape)
-    beta = market.beta
     pairs = [(0.0, 5.0), (2.0, 4.0), (2.5, 5.0)]  # t = 2.0 is the node of the edge defaults
     reports = [thm1_residuals(market, pairs, lambda_source=source) for source in ("model", "simulated")]
     for k, (t, s) in enumerate(pairs):
         alive, i_t, i_s = tau > t, grid.index_of(t), grid.index_of(s)
-        # the bond-difference row, by thm1_residuals' arithmetic, off the stored deflator
+        # the bond-difference row, by thm1_residuals' arithmetic, off the stored deflator,
+        # every column in units of the government numeraire P_gov D_gov
         p_corp = float(market.corp_curve.price(t, s).mean())
         p_gov = float(market.gov.curve.price(t, s).mean())
-        lhs = p_corp * float(stored[alive, i_t].mean()) - p_gov * float(d_gov[alive, i_t].mean())
-        scale = float(beta[i_t]) * float(market.lgd)
-        general = lhs + scale * float((tau[alive] <= s).mean())
-        assert [report.bond["general"][k] for report in reports] == [general, general]
+        d_corp, d_gov_t = float(stored[alive, i_t].mean()), float(d_gov[alive, i_t].mean())
+        unit = p_gov * d_gov_t
+        lhs = p_corp * d_corp - unit
+        p_cred, d_cred = p_corp / p_gov, d_corp - d_gov_t
+        scale = unit * float(market.lgd)
+        hit = tau[alive] <= s
+        p = float(hit.mean())
+        expected = {
+            "general_printed": lhs + scale * (1.0 - p),
+            "general": lhs + scale * p,
+            "numeraire_printed": unit * (1.0 - (1.0 + p_cred) * d_cred) - scale * p,
+            "numeraire_rederived": unit * (1.0 - p_cred * (1.0 + d_cred)) - scale * p,
+            "se": scale * float(np.sqrt(p * (1 - p) / hit.size)),
+        }
+        for report in reports:
+            assert {name: report.bond[name][k] for name in expected} == expected
         price = corporate_bond_price(market, t, s)
         vals = stored[alive, i_s] / stored[alive, i_t]
         assert (price.value, price.n_used) == (float(vals.mean()), int(alive.sum()))
@@ -740,11 +761,6 @@ def test_bond_price_and_thm1_reject_s_past_the_sample_horizon():
     assert corporate_bond_price(market, 8.0, 10.0).n_used > 0  # the horizon itself is sampled
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="D13: with gov_rate r != 0 the spread residual is LGD * lambda * (1 - exp(-r t)): "
-    "the construction's spread carries no beta, but the identity multiplies by beta_t",
-)
 def test_thm1_holds_on_a_consistent_market_with_a_government_rate():
     market = build_thm1_market(
         0.05, 0.4, horizon=10, steps=40, n_paths=5000, seed=19, gov_rate=0.05

@@ -513,6 +513,21 @@ def test_kernel_check_columns_equal_the_per_row_reference(case):
         assert_columns_equal_rows(got, want)
 
 
+
+def test_kernel_check_reads_pairs_once():
+    # a generator of pairs once gave rows for the first gauge only
+    grid = TimeGrid.regular(5.0, 20)
+    ones = np.ones((1, grid.n_times))
+    gauges = [_flat_gauge(grid, 0.02, ones, "a"), _flat_gauge(grid, 0.03, ones, "b")]
+    beta = np.exp(-0.02 * grid.times)
+    pairs = [(1.0, 2.0), (2.0, 3.0)]
+    listed = kernel_check(gauges, beta, pairs).table
+    streamed = kernel_check(gauges, beta, (pair for pair in pairs)).table
+    assert streamed["label"].tolist() == ["a", "a", "b", "b"]
+    assert {k: v.tolist() for k, v in streamed.items()} == {
+        k: v.tolist() for k, v in listed.items()
+    }
+
 def test_kernel_check_martingale_deflator_passes():
     grid = TimeGrid.regular(2.0, 8)
     spec = ItoSpec(x0=1.0, drift=0.0, sigma=0.3, form="geometric")
